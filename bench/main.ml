@@ -2007,11 +2007,11 @@ let e19_net2 () =
              ("checker", Obs.Json.String "OK") ])
       conn_counts
   in
-  (* ---- codec microbench: Marshal (v1) vs flat codec (v2) ---- *)
-  sub "codec microbench: whole stamp frame, Marshal (v1) vs codec (v2)";
-  Printf.printf "%-18s %-8s | %8s %8s | %12s %12s %10s\n" "implementation"
-    "codec" "v2 B" "v1 B" "v2 enc ns" "v1 enc ns" "alloc/op";
-  Printf.printf "%s\n" (String.make 86 '-');
+  (* ---- codec microbench: whole stamp frame per implementation ---- *)
+  sub "codec microbench: whole stamp frame, encode and decode";
+  Printf.printf "%-18s %-8s | %8s | %10s %10s %10s\n" "implementation"
+    "codec" "frame B" "enc ns" "dec ns" "alloc/op";
+  Printf.printf "%s\n" (String.make 75 '-');
   let iters = if fast then 50_000 else 200_000 in
   let time f k =
     let t0 = Unix.gettimeofday () in
@@ -2024,52 +2024,34 @@ let e19_net2 () =
       (module T : Timestamp.Intf.S with type result = r) (ts : r) =
     let codec = Net.Codec.for_impl (module T) in
     let b = Net.Buf.create ~cap:65536 () in
-    let encode_v2 () =
+    let encode () =
       Net.Buf.clear b;
       Net.Frame.write_stamp_v2 b codec ~pid:5 ~call:987_654 ~shard:3
         ~start_tick:123_456_789 ~end_tick:123_456_790 ts
     in
-    let encode_v1 () =
-      Net.Buf.clear b;
-      Net.Frame.write_resp ~version:1 b
-        (Net.Frame.Stamp
-           { w_pid = 5; w_call = 987_654; w_shard = 3;
-             w_start_tick = 123_456_789; w_end_tick = 123_456_790;
-             w_ts = Marshal.to_string ts [] })
-    in
-    encode_v2 ();
-    let v2_bytes = Net.Buf.length b in
-    encode_v1 ();
-    let v1_bytes = Net.Buf.length b in
-    for _ = 1 to 1_000 do encode_v2 () done;  (* warm *)
+    encode ();
+    let frame_bytes = Net.Buf.length b in
+    for _ = 1 to 1_000 do encode () done;  (* warm *)
     let w0 = Gc.minor_words () in
-    let v2_ns = time encode_v2 iters in
+    let enc_ns = time encode iters in
     let alloc_per_op = (Gc.minor_words () -. w0) /. float_of_int iters in
-    (* the zero-allocation pin from the issue: byte stores and int
-       arithmetic only on the v2 encode path *)
+    (* the zero-allocation pin: byte stores and int arithmetic only on
+       the stamp encode path *)
     if alloc_per_op > 0.01 then
       failwith
-        (Printf.sprintf "E19: %s v2 encode allocates %.3f words/op" T.name
-           alloc_per_op);
-    let v1_ns = time encode_v1 (iters / 4) in
-    let payload =
-      let k = codec.Net.Codec.c_size ts in
-      let buf = Bytes.create k in
-      ignore (codec.Net.Codec.c_put buf 0 ts);
-      Bytes.unsafe_to_string buf
-    in
+        (Printf.sprintf "E19: %s stamp encode allocates %.3f words/op"
+           T.name alloc_per_op);
+    let payload = Net.Codec.encode codec ts in
     let dec_ns =
       time (fun () -> ignore (Net.Codec.decode_exn codec payload)) iters
     in
-    Printf.printf "%-18s %-8s | %8d %8d | %12.1f %12.1f %10.3f\n" T.name
-      (Net.Codec.name codec) v2_bytes v1_bytes v2_ns v1_ns alloc_per_op;
+    Printf.printf "%-18s %-8s | %8d | %10.1f %10.1f %10.3f\n" T.name
+      (Net.Codec.name codec) frame_bytes enc_ns dec_ns alloc_per_op;
     Obs.Json.Obj
       [ ("impl", Obs.Json.String T.name);
         ("codec", Obs.Json.String (Net.Codec.name codec));
-        ("frame_bytes_v2", Obs.Json.Int v2_bytes);
-        ("frame_bytes_v1", Obs.Json.Int v1_bytes);
-        ("encode_ns_v2", Obs.Json.Float v2_ns);
-        ("encode_ns_v1", Obs.Json.Float v1_ns);
+        ("frame_bytes_v2", Obs.Json.Int frame_bytes);
+        ("encode_ns_v2", Obs.Json.Float enc_ns);
         ("decode_ns_v2", Obs.Json.Float dec_ns);
         ("minor_words_per_op", Obs.Json.Float alloc_per_op) ]
   in

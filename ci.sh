@@ -8,11 +8,19 @@ cd "$(dirname "$0")"
 echo "== dune build =="
 dune build
 
+# Every experiment writes its BENCH_*.json into the working directory.
+# Run the bench binary from a scratch directory, so CI's fast-mode
+# output never overwrites the committed full-mode trajectory files.
+bench_bin=$PWD/_build/default/bench/main.exe
+bench_dir=$(mktemp -d)
+trap 'rm -rf "$bench_dir"' EXIT
+bench() { (cd "$bench_dir" && "$bench_bin" "$@"); }
+
 echo "== dune runtest =="
 dune runtest
 
 echo "== bench --fast =="
-dune exec bench/main.exe -- --fast
+bench --fast
 
 echo "== fuzz smoke: seeded differential run =="
 dune exec bin/ts_cli.exe -- fuzz --seed 42 --iters 200 -n 4 -c 2
@@ -106,13 +114,12 @@ flat_verdict=$(echo "$flat_out" | grep -o " OK \| VIOLATION " | head -1)
   echo "backend smoke: stress verdict not OK" >&2; exit 1; }
 
 echo "== scaling sanity: 2-shard sweep emits schema-valid JSON =="
-dune exec bench/main.exe -- --fast --only e15 --max-shards 2 \
-  --scaling-requests 60
-dune exec bin/ts_cli.exe -- obs --validate BENCH_scaling.json
+bench --fast --only e15 --max-shards 2 --scaling-requests 60
+dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_scaling.json"
 
 echo "== model bench sanity: fast E17 emits schema-valid JSON =="
-dune exec bench/main.exe -- --fast --only e17
-dune exec bin/ts_cli.exe -- obs --validate BENCH_model.json
+bench --fast --only e17
+dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_model.json"
 
 echo "== net smoke: wire server + TCP loadgen + graceful stop =="
 # The server runs in the background, so drive the already-built binary
@@ -164,7 +171,7 @@ dune exec bin/ts_cli.exe -- obs --validate /tmp/net_tel.jsonl
 dune exec bin/ts_cli.exe -- top --file /tmp/net_tel.jsonl --once
 
 echo "== net2 sanity: fast E19 reactor bench emits schema-valid JSON =="
-dune exec bench/main.exe -- --fast --only e19
-dune exec bin/ts_cli.exe -- obs --validate BENCH_net2.json
+bench --fast --only e19
+dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_net2.json"
 
 echo "== ci.sh: all green =="

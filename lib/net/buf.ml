@@ -3,11 +3,17 @@
    [Stdlib.Buffer] boxes every [add_int64_be] (an [Int64.t] allocation
    per field) and [Buffer.contents] copies the accumulated bytes, so a
    server encoding millions of stamps per second pays minor-heap words
-   on every one.  This buffer writes integers byte-at-a-time straight
-   into a [Bytes.t] — no boxing, no intermediate string — and doubles as
-   the connection's pending-output queue: [consume] advances past bytes
-   the socket accepted, compacting lazily, so a partial [write(2)] under
-   backpressure just leaves the tail for the next round.
+   on every one.  Here a writer reserves room, stores bytes straight
+   into the [Bytes.t] — no boxing, no intermediate string — and
+   advances.  The same buffer is a connection's byte queue in both
+   directions: [consume] advances past bytes the socket accepted (send
+   side) or the parser took (receive side), compacting lazily, so a
+   partial [write(2)] under backpressure just leaves the tail for the
+   next round.
+
+   Compaction moves the pending bytes to index 0, so a position taken
+   before a [reserve] is stale after it.  Frame writers therefore size
+   a whole frame, reserve it once, and fill it (see {!Frame}).
 
    Steady state (capacity already grown) performs zero minor-heap
    allocation per appended frame; E19's codec microbench pins that. *)
@@ -64,61 +70,5 @@ let consume t n =
     t.off <- 0;
     t.len <- 0
   end
-
-let put_u8 t v =
-  ensure t 1;
-  Bytes.unsafe_set t.b t.len (Char.unsafe_chr (v land 0xff));
-  t.len <- t.len + 1
-
-let put_u32_be t v =
-  ensure t 4;
-  let b = t.b and p = t.len in
-  Bytes.unsafe_set b p (Char.unsafe_chr ((v lsr 24) land 0xff));
-  Bytes.unsafe_set b (p + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set b (p + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set b (p + 3) (Char.unsafe_chr (v land 0xff));
-  t.len <- p + 4
-
-(* Two's-complement 64-bit big-endian of an OCaml int (sign-extended),
-   byte stores only — matches [Buffer.add_int64_be (Int64.of_int v)]
-   without materializing the [Int64.t]. *)
-let put_i64_be t v =
-  ensure t 8;
-  let b = t.b and p = t.len in
-  Bytes.unsafe_set b p (Char.unsafe_chr ((v asr 56) land 0xff));
-  Bytes.unsafe_set b (p + 1) (Char.unsafe_chr ((v asr 48) land 0xff));
-  Bytes.unsafe_set b (p + 2) (Char.unsafe_chr ((v asr 40) land 0xff));
-  Bytes.unsafe_set b (p + 3) (Char.unsafe_chr ((v asr 32) land 0xff));
-  Bytes.unsafe_set b (p + 4) (Char.unsafe_chr ((v asr 24) land 0xff));
-  Bytes.unsafe_set b (p + 5) (Char.unsafe_chr ((v asr 16) land 0xff));
-  Bytes.unsafe_set b (p + 6) (Char.unsafe_chr ((v asr 8) land 0xff));
-  Bytes.unsafe_set b (p + 7) (Char.unsafe_chr (v land 0xff));
-  t.len <- p + 8
-
-(* Unsigned LEB128 of a non-negative int: 7 value bits per byte, high
-   bit = continuation.  At most 9 bytes for OCaml's 63-bit ints. *)
-let varint_size v =
-  if v < 0 then invalid_arg "Buf.varint_size: negative";
-  let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
-  go v 1
-
-let put_varint t v =
-  if v < 0 then invalid_arg "Buf.put_varint: negative";
-  ensure t 9;
-  let b = t.b in
-  let p = ref t.len and v = ref v in
-  while !v >= 0x80 do
-    Bytes.unsafe_set b !p (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
-    incr p;
-    v := !v lsr 7
-  done;
-  Bytes.unsafe_set b !p (Char.unsafe_chr !v);
-  t.len <- !p + 1
-
-let put_string t s =
-  let n = String.length s in
-  ensure t n;
-  Bytes.blit_string s 0 t.b t.len n;
-  t.len <- t.len + n
 
 let contents t = Bytes.sub_string t.b t.off (t.len - t.off)

@@ -1,11 +1,17 @@
 (** Growable byte buffer for the wire hot path.
 
-    Appends integers byte-at-a-time (no [Int64.t] boxing, unlike
-    [Stdlib.Buffer]'s [add_int64_be]) and doubles as a connection's
-    pending-output queue: [consume] drops bytes the socket accepted, so
-    a partial write under backpressure leaves the tail buffered.  Once
+    Writers {!reserve} room, store bytes into {!bytes} in place (no
+    intermediate strings, no [Int64.t] boxing), and {!advance}.  The
+    buffer doubles as a connection's byte queue: [consume] drops bytes
+    from the front — the socket accepted them, or a parser took a frame
+    — so a partial write under backpressure leaves the tail buffered,
+    and a partial read leaves a half frame waiting for the rest.  Once
     capacity has grown to steady state, appending performs zero
-    minor-heap allocation. *)
+    minor-heap allocation.
+
+    [reserve] may compact or reallocate the storage, so positions
+    returned by {!offset} and {!reserve} are only valid until the next
+    [reserve]. *)
 
 type t
 
@@ -32,23 +38,7 @@ val reserve : t -> int -> int
 val advance : t -> int -> unit
 
 val consume : t -> int -> unit
-(** Drop [n] bytes from the front (they reached the socket). *)
-
-val put_u8 : t -> int -> unit
-
-val put_u32_be : t -> int -> unit
-
-val put_i64_be : t -> int -> unit
-(** 8-byte big-endian two's complement of an OCaml int. *)
-
-val varint_size : int -> int
-(** Encoded size (1–9 bytes) of a non-negative int as unsigned LEB128.
-    Raises [Invalid_argument] on negatives. *)
-
-val put_varint : t -> int -> unit
-(** Unsigned LEB128; raises [Invalid_argument] on negatives. *)
-
-val put_string : t -> string -> unit
+(** Drop [n] bytes from the front. *)
 
 val contents : t -> string
 (** Copy of the pending bytes (tests and diagnostics). *)

@@ -3,16 +3,9 @@
    one write/flush, then reads the pipelined responses back in order)
    and epoch-range lease caching (connect ~lease:k makes each cache miss
    fetch one Get_range and mint the next k stamps locally — one round
-   trip amortized over k stamps).
-
-   Version negotiation: the handshake pings at v2; a v1 server rejects
-   the frame with Err "bad frame version 2 ...", and the client re-pings
-   at v1 and speaks v1 for the life of the connection.  On v2,
-   timestamps are decoded with the implementation's strict Codec; on v1
-   they are Marshal blobs — acceptable here because the *client* chose
-   to connect to this server and already trusts it for correctness of
-   the stamps themselves (the server, talking to arbitrary peers, makes
-   no such assumption and refuses v1 Compare). *)
+   trip amortized over k stamps).  Timestamps cross the wire as the
+   implementation's Codec payloads; the Ping handshake checks that both
+   ends use the same one. *)
 
 open Svc.Client
 
@@ -27,7 +20,6 @@ module Make (T : Timestamp.Intf.S) = struct
     conn : Conn.t;
     lease : int;
     info : Frame.server_info;
-    mutable version : int;  (* negotiated protocol version *)
     (* the cached lease: anchor identity + the unminted tick range *)
     mutable l_pid : int;
     mutable l_call : int;
@@ -40,20 +32,9 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
-  let ts_of_blob t s : T.result =
-    if t.version = 1 then Marshal.from_string s 0
-    else
-      try Codec.decode_exn codec s
-      with Codec.Malformed m -> fail "bad timestamp payload: %s" m
-
-  let blob_of_ts t (ts : T.result) =
-    if t.version = 1 then Marshal.to_string ts []
-    else begin
-      let n = codec.Codec.c_size ts in
-      let b = Bytes.create n in
-      ignore (codec.Codec.c_put b 0 ts);
-      Bytes.unsafe_to_string b
-    end
+  let ts_of_blob s : T.result =
+    try Codec.decode_exn codec s
+    with Codec.Malformed m -> fail "bad timestamp payload: %s" m
 
   let recv_resp t =
     match Conn.recv t.conn with
@@ -71,13 +52,13 @@ module Make (T : Timestamp.Intf.S) = struct
       fail "connection lost: %s" (Unix.error_message e)
 
   let rpc t req =
-    Frame.write_req ~version:t.version (Conn.send_buffer t.conn) req;
+    Frame.write_req (Conn.send_buffer t.conn) req;
     flush_conn t;
     recv_resp t
 
-  let of_wire t (w : Frame.wire_stamp) =
+  let of_wire (w : Frame.wire_stamp) =
     { st_pid = w.w_pid; st_call = w.w_call; st_start_tick = w.w_start_tick;
-      st_end_tick = w.w_end_tick; st_ts = ts_of_blob t w.w_ts;
+      st_end_tick = w.w_end_tick; st_ts = ts_of_blob w.w_ts;
       st_resp_us = now_us (); st_shard = w.w_shard }
 
   (* one stamp off the cached lease; caller checks the cache is warm *)
@@ -99,14 +80,14 @@ module Make (T : Timestamp.Intf.S) = struct
       t.l_call <- g.g_call;
       t.l_shard <- g.g_shard;
       t.l_start <- g.g_start_tick;
-      t.l_ts <- Some (ts_of_blob t g.g_ts);
+      t.l_ts <- Some (ts_of_blob g.g_ts);
       t.l_next <- g.g_base;
       t.l_end <- g.g_base + g.g_count
     | _ -> fail "protocol error: expected Range"
 
   let remote_stamp t =
     match rpc t Frame.Get_stamp with
-    | Frame.Stamp w -> of_wire t w
+    | Frame.Stamp w -> of_wire w
     | _ -> fail "protocol error: expected Stamp"
 
   let stamp t =
@@ -134,12 +115,12 @@ module Make (T : Timestamp.Intf.S) = struct
          once, then read the k responses back in order *)
       let sbuf = Conn.send_buffer t.conn in
       for _ = 1 to k do
-        Frame.write_req ~version:t.version sbuf Frame.Get_stamp
+        Frame.write_req sbuf Frame.Get_stamp
       done;
       flush_conn t;
       List.init k (fun _ ->
           match recv_resp t with
-          | Frame.Stamp w -> of_wire t w
+          | Frame.Stamp w -> of_wire w
           | _ -> fail "protocol error: expected Stamp")
     end
 
@@ -149,14 +130,12 @@ module Make (T : Timestamp.Intf.S) = struct
     match
       rpc t
         (Frame.Compare
-           { a = blob_of_ts t a.st_ts; b = blob_of_ts t b.st_ts })
+           { a = Codec.encode codec a.st_ts; b = Codec.encode codec b.st_ts })
     with
     | Frame.Cmp v -> v
     | _ -> fail "protocol error: expected Cmp"
 
   let server_info t = t.info
-
-  let version t = t.version
 
   let stats t =
     match rpc t Frame.Stats with
@@ -193,7 +172,6 @@ module Make (T : Timestamp.Intf.S) = struct
         info =
           { Frame.si_impl = ""; si_kind = `One_shot; si_n = 0; si_shards = 0;
             si_backend = ""; si_codec = "" };
-        version = Frame.version;
         l_pid = 0;
         l_call = 0;
         l_shard = 0;
@@ -202,49 +180,24 @@ module Make (T : Timestamp.Intf.S) = struct
         l_next = 0;
         l_end = 0 }
     in
-    (* A v1 server rejects our v2 ping with its version error; fall back
-       to v1 for the life of the connection. *)
-    let is_version_reject msg =
-      let sub = "bad frame version" in
-      let n = String.length sub in
-      let rec scan i =
-        i + n <= String.length msg
-        && (String.sub msg i n = sub || scan (i + 1))
-      in
-      scan 0
-    in
-    let ping () =
-      match rpc t Frame.Ping with
-      | Frame.Pong info -> info
-      | _ -> fail "protocol error: expected Pong"
-      | exception Error msg
-        when t.version > 1 && is_version_reject msg -> (
-          t.version <- 1;
-          match rpc t Frame.Ping with
-          | Frame.Pong info -> info
-          | _ -> fail "protocol error: expected Pong")
-    in
-    (* handshake: both ends must agree on the implementation, and on v2
-       on the exact codec layout the stamp payloads use *)
-    match ping () with
-    | info ->
+    (* handshake: both ends must agree on the implementation and on the
+       exact codec layout the stamp payloads use *)
+    match rpc t Frame.Ping with
+    | Frame.Pong info ->
       if info.Frame.si_impl <> T.name then begin
         close t;
         fail "server at %s serves %s, client wants %s"
           (Conn.addr_to_string addr) info.Frame.si_impl T.name
       end;
-      if t.version >= 2 then begin
-        if info.Frame.si_codec <> Codec.name codec then begin
-          close t;
-          fail "server at %s speaks codec %S, client wants %S"
-            (Conn.addr_to_string addr) info.Frame.si_codec (Codec.name codec)
-        end;
-        if not (Codec.safe codec) then begin
-          close t;
-          fail "no wire codec for implementation %s" T.name
-        end
+      if info.Frame.si_codec <> Codec.name codec then begin
+        close t;
+        fail "server at %s speaks codec %S, client wants %S"
+          (Conn.addr_to_string addr) info.Frame.si_codec (Codec.name codec)
       end;
       { t with info }
+    | _ ->
+      close t;
+      fail "protocol error: expected Pong"
     | exception e ->
       close t;
       raise e

@@ -14,21 +14,18 @@
     after the anchor executed — DESIGN.md §14).
 
     All failures (connect, protocol, server-side errors) raise
-    {!Svc.Client.Error}.  A handle belongs to one domain at a time. *)
+    {!Svc.Client.Error}.  A handle belongs to one domain at a time.
+    Applying [Make] raises [Invalid_argument] when [T] has no wire
+    codec ({!Codec.for_impl}). *)
 
 module Make (T : Timestamp.Intf.S) : sig
   include Svc.Client.S with type result = T.result
 
   val connect : ?lease:int -> Conn.addr -> t
   (** Connects, then handshakes with {!Frame.Ping} and verifies the
-      server runs implementation [T.name] — and, on protocol v2, the
-      matching {!Codec} (raises {!Svc.Client.Error} otherwise).  A v1
-      server rejects the v2 ping; the client re-pings and speaks v1
-      (Marshal timestamps) for the life of the connection.  [lease]
-      must be in [[1, Frame.max_lease]]. *)
-
-  val version : t -> int
-  (** The negotiated protocol version (2, or 1 against an old server). *)
+      server runs implementation [T.name] with the matching {!Codec}
+      (raises {!Svc.Client.Error} otherwise).  [lease] must be in
+      [[1, Frame.max_lease]]. *)
 
   val compare_remote : t -> result Svc.Client.stamp -> result Svc.Client.stamp -> bool
   (** Same order as {!compare} but evaluated server-side (one round

@@ -1,57 +1,28 @@
 (* Compact per-implementation timestamp codecs.
 
-   PR 9 shipped timestamps as [Marshal] blobs: ~20–80 bytes per stamp,
-   an allocation per encode, and — far worse — [Marshal.from_string] on
-   bytes that arrived from the network.  Marshal's reader is not a
-   validating parser; a hostile [Compare] payload can crash the server
-   or worse.  Protocol v2 replaces the blob with a fixed binary layout
-   per implementation: a handful of LEB128 varints whose decoder checks
-   every bound and never trusts a length it did not verify.
+   The paper lets each timestamp object draw its timestamps from its own
+   universe: Lamport's integers, the one-shot objects' pairs, EFR's
+   tagged values, vectors.  Each codec here is that universe's wire
+   form — a handful of LEB128 varints whose decoder checks every bound
+   and never trusts a length it did not verify, so a server can parse
+   [Compare] payloads from arbitrary peers.
 
-   Analogous to [REGISTER_BACKEND] on the shared-memory side, [CODEC]
-   is the pluggable signature: anything that can size, emit, and
-   strictly parse a [result] can put a timestamp implementation on the
-   wire.  The [t] record is the same contract in first-class-value form
-   for the zero-allocation hot path (no functor application per
-   connection, no closure per stamp). *)
+   A codec is a record rather than a module so the zero-allocation hot
+   path takes it as a value (no functor application per connection, no
+   closure per stamp). *)
 
 exception Malformed of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
-
-module type CODEC = sig
-  type result
-
-  val codec_name : string
-  (** Wire identity, negotiated via the [Pong] handshake: both ends must
-      agree byte-for-byte on the layout this names. *)
-
-  val size : result -> int
-
-  val put : Bytes.t -> int -> result -> int
-  (** [put b pos v] writes exactly [size v] bytes at [pos], returns the
-      new position.  Never allocates. *)
-
-  val get : string -> int -> limit:int -> result * int
-  (** Strict bounds-checked parse within [\[pos, limit)]; raises
-      {!Malformed} on truncation, overflow, or junk. *)
-
-  val safe : bool
-  (** [true] iff [get] is a validating parser fit for untrusted input.
-      The Marshal fallback is not; servers refuse to decode with it. *)
-end
 
 type 'r t = {
   c_name : string;
   c_size : 'r -> int;
   c_put : Bytes.t -> int -> 'r -> int;
   c_get : string -> int -> limit:int -> 'r * int;
-  c_safe : bool;
 }
 
 let name c = c.c_name
-
-let safe c = c.c_safe
 
 (* ------------------------- varint primitives ----------------------- *)
 
@@ -112,8 +83,7 @@ let zint : int t =
   { c_name = "zint";
     c_size = zint_size;
     c_put = put_zint;
-    c_get = get_zint;
-    c_safe = true }
+    c_get = get_zint }
 
 let zpair : (int * int) t =
   { c_name = "zpair";
@@ -126,8 +96,7 @@ let zpair : (int * int) t =
       (fun s pos ~limit ->
          let a, pos = get_zint s pos ~limit in
          let b, pos = get_zint s pos ~limit in
-         ((a, b), pos));
-    c_safe = true }
+         ((a, b), pos)) }
 
 let max_vector = 1 lsl 16  (* components; a decode-side allocation cap *)
 
@@ -157,8 +126,7 @@ let zvec : int array t =
            a.(i) <- v;
            pos := pos'
          done;
-         ((if n = 0 then [||] else a), !pos));
-    c_safe = true }
+         ((if n = 0 then [||] else a), !pos)) }
 
 let efr : Timestamp.Efr.result t =
   { c_name = "efr";
@@ -187,29 +155,7 @@ let efr : Timestamp.Efr.result t =
            let m, pos = get_zint s (pos + 1) ~limit in
            let c, pos = get_zint s pos ~limit in
            (Timestamp.Efr.Odd (m, c), pos)
-         | c -> fail "bad efr tag %d" (Char.code c));
-    c_safe = true }
-
-(* Fallback for implementations without a fixed layout: Marshal on the
-   encode side only.  [get] refuses — decoding Marshal from the network
-   is exactly the hole v2 closes — so this codec serves trusted-peer
-   benchmarking, never a v2 [Compare]. *)
-let opaque () : _ t =
-  { c_name = "opaque";
-    c_size = (fun v -> String.length (Marshal.to_string v []));
-    c_put =
-      (fun buf pos v ->
-         let s = Marshal.to_string v [] in
-         Bytes.blit_string s 0 buf pos (String.length s);
-         pos + String.length s);
-    c_get =
-      (fun _ _ ~limit:_ ->
-         fail "opaque codec: refusing to Marshal-decode untrusted bytes");
-    c_safe = false }
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+         | c -> fail "bad efr tag %d" (Char.code c)) }
 
 (* Name-keyed dispatch.  The registry keys implementations by [T.name]
    and each name fixes a concrete [result] type, but that connection is
@@ -217,7 +163,8 @@ let has_prefix ~prefix s =
    packed, so the cast below re-asserts it.  It is wrong only if an
    implementation registers a name from this table with a different
    result type; the per-implementation qcheck round-trips in test_net
-   would fail immediately if that happened. *)
+   would fail immediately if that happened.  Anything else has no wire
+   layout and is refused before a server or client touches a socket. *)
 let for_impl (type r) (module T : Timestamp.Intf.S with type result = r) :
   r t =
   let cast (c : _ t) : r t = Obj.magic c in
@@ -226,8 +173,16 @@ let for_impl (type r) (module T : Timestamp.Intf.S with type result = r) :
     cast zint
   | "vector-longlived" | "snapshot-longlived" -> cast zvec
   | "efr-longlived" -> cast efr
-  | s when has_prefix ~prefix:"sqrt-" s -> cast zpair
-  | _ -> opaque ()
+  | s when String.starts_with ~prefix:"sqrt-" s -> cast zpair
+  | name ->
+    invalid_arg
+      (Printf.sprintf "Net.Codec.for_impl: no wire codec for implementation %s"
+         name)
+
+let encode c v =
+  let b = Bytes.create (c.c_size v) in
+  ignore (c.c_put b 0 v);
+  Bytes.unsafe_to_string b
 
 (* Whole-payload decode: one value, no trailing bytes. *)
 let decode_exn c s =

@@ -1,8 +1,7 @@
-(* Buffered, byte-counting socket connection: one frame-at-a-time
-   blocking reads on top of a growable receive buffer (a single read(2)
-   often delivers several pipelined frames — the parser drains them all
-   before touching the socket again), and a send buffer flushed once per
-   batch of frames. *)
+(* Buffered, byte-counting socket connection: frame-at-a-time reads on
+   top of a receive {!Buf} (a single read(2) often delivers several
+   pipelined frames — the parser drains them all before touching the
+   socket again), and a send {!Buf} flushed once per batch of frames. *)
 
 type addr = Unix_path of string | Tcp of { host : string; port : int }
 
@@ -51,10 +50,8 @@ let domain_of = function
 
 type t = {
   fd : Unix.file_descr;
-  mutable rbuf : Bytes.t;
-  mutable rpos : int;  (* parse position *)
-  mutable rlen : int;  (* end of valid bytes *)
-  wbuf : Buf.t;
+  rbuf : Buf.t;  (* received, not yet parsed *)
+  wbuf : Buf.t;  (* framed, not yet written *)
   mutable bytes_in : int;
   mutable bytes_out : int;
   mutable closed : bool;
@@ -72,9 +69,7 @@ let ignore_sigpipe =
 let create fd =
   Lazy.force ignore_sigpipe;
   { fd;
-    rbuf = Bytes.create 8192;
-    rpos = 0;
-    rlen = 0;
+    rbuf = Buf.create ~cap:8192 ();
     wbuf = Buf.create ~cap:8192 ();
     bytes_in = 0;
     bytes_out = 0;
@@ -92,29 +87,25 @@ let pending_out t = Buf.length t.wbuf
 
 let set_nonblock t = Unix.set_nonblock t.fd
 
+(* One write(2) of the pending output; [Unix_error]s propagate. *)
+let write_some t =
+  let n =
+    Unix.write t.fd (Buf.bytes t.wbuf) (Buf.offset t.wbuf) (Buf.length t.wbuf)
+  in
+  Buf.consume t.wbuf n;
+  t.bytes_out <- t.bytes_out + n
+
 let flush t =
-  while Buf.length t.wbuf > 0 do
-    let n =
-      Unix.write t.fd (Buf.bytes t.wbuf) (Buf.offset t.wbuf)
-        (Buf.length t.wbuf)
-    in
-    Buf.consume t.wbuf n;
-    t.bytes_out <- t.bytes_out + n
+  while not (Buf.is_empty t.wbuf) do
+    write_some t
   done
 
 (* One non-blocking write attempt against the pending output. *)
 let try_flush t =
-  if Buf.length t.wbuf = 0 then `Flushed
+  if Buf.is_empty t.wbuf then `Flushed
   else
-    match
-      Unix.write t.fd (Buf.bytes t.wbuf) (Buf.offset t.wbuf)
-        (Buf.length t.wbuf)
-    with
-    | 0 -> `Partial
-    | n ->
-      Buf.consume t.wbuf n;
-      t.bytes_out <- t.bytes_out + n;
-      if Buf.length t.wbuf = 0 then `Flushed else `Partial
+    match write_some t with
+    | () -> if Buf.is_empty t.wbuf then `Flushed else `Partial
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR),
                                  _, _) ->
       `Partial
@@ -122,50 +113,21 @@ let try_flush t =
                                  _, _) ->
       `Closed
 
-(* Make room for [need] more bytes past [rlen], compacting the consumed
-   prefix first and growing only when compaction isn't enough. *)
-let ensure_space t need =
-  let cap = Bytes.length t.rbuf in
-  if t.rlen + need > cap then begin
-    let live = t.rlen - t.rpos in
-    if live + need <= cap then begin
-      Bytes.blit t.rbuf t.rpos t.rbuf 0 live;
-      t.rpos <- 0;
-      t.rlen <- live
-    end
-    else begin
-      let cap' = max (live + need) (cap * 2) in
-      let nb = Bytes.create cap' in
-      Bytes.blit t.rbuf t.rpos nb 0 live;
-      t.rbuf <- nb;
-      t.rpos <- 0;
-      t.rlen <- live
-    end
-  end
-
-(* One blocking read(2); returns the byte count (0 = peer closed). *)
-let refill t =
-  ensure_space t 4096;
-  let n =
-    try Unix.read t.fd t.rbuf t.rlen (Bytes.length t.rbuf - t.rlen)
-    with
-    | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) -> 0
-  in
-  if n > 0 then begin
-    t.rlen <- t.rlen + n;
-    t.bytes_in <- t.bytes_in + n
-  end;
+(* One read(2) into the receive buffer's free space; [Unix_error]s
+   propagate to the caller. *)
+let read_some t =
+  let pos = Buf.reserve t.rbuf 4096 in
+  let b = Buf.bytes t.rbuf in
+  let n = Unix.read t.fd b pos (Bytes.length b - pos) in
+  Buf.advance t.rbuf n;
+  t.bytes_in <- t.bytes_in + n;
   n
 
 (* One non-blocking read(2) for reactor loops. *)
 let try_refill t =
-  ensure_space t 4096;
-  match Unix.read t.fd t.rbuf t.rlen (Bytes.length t.rbuf - t.rlen) with
+  match read_some t with
   | 0 -> `Eof
-  | n ->
-    t.rlen <- t.rlen + n;
-    t.bytes_in <- t.bytes_in + n;
-    `Data
+  | _ -> `Data
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR),
                                _, _) ->
     `Would_block
@@ -175,45 +137,35 @@ let try_refill t =
 
 (* The next complete frame already buffered, if any. *)
 let buffered_frame t =
-  match Frame.frame_length t.rbuf ~off:t.rpos ~avail:(t.rlen - t.rpos) with
+  let b = t.rbuf in
+  match
+    Frame.frame_length (Buf.bytes b) ~off:(Buf.offset b) ~avail:(Buf.length b)
+  with
   | `Error e -> Some (Error (`Frame e))
   | `Need_more -> None
   | `Length len ->
-    if t.rlen - t.rpos - 4 < len then None
+    if Buf.length b - 4 < len then None
     else begin
-      let payload = Bytes.sub_string t.rbuf (t.rpos + 4) len in
-      t.rpos <- t.rpos + 4 + len;
-      if t.rpos = t.rlen then begin
-        t.rpos <- 0;
-        t.rlen <- 0
-      end;
+      let payload = Bytes.sub_string (Buf.bytes b) (Buf.offset b + 4) len in
+      Buf.consume b (4 + len);
       Some (Ok payload)
     end
 
+(* Blocking: a frame header promising more than fits is caught by
+   [frame_length] before we ever try to buffer it. *)
 let rec recv t =
   match buffered_frame t with
   | Some r -> r
   | None ->
-    (* a frame header promising more than fits is caught by
-       [frame_length] before we ever try to buffer it *)
-    if refill t = 0 then
-      if t.rlen - t.rpos = 0 then Error `Eof
-      else Error (`Frame Frame.Truncated)
-    else recv t
-
-(* At least one frame (blocking), plus every further complete frame
-   already in the buffer — the batch a pipelining peer flushed at once.
-   A framing error after [k] good frames surfaces on the next call. *)
-let recv_batch t =
-  match recv t with
-  | Error _ as e -> e
-  | Ok first ->
-    let rec drain acc =
-      match buffered_frame t with
-      | Some (Ok p) -> drain (p :: acc)
-      | Some (Error _) | None -> List.rev acc
+    let n =
+      try read_some t
+      with
+      | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
+        0
     in
-    Ok (drain [ first ])
+    if n > 0 then recv t
+    else if Buf.is_empty t.rbuf then Error `Eof
+    else Error (`Frame Frame.Truncated)
 
 let close t =
   if not t.closed then begin

@@ -1,10 +1,11 @@
 (** Buffered, byte-counting socket connections and address parsing.
 
-    Reads are blocking and frame-at-a-time on top of a growable receive
-    buffer: one [read(2)] often delivers several pipelined frames, and
-    the parser drains them all before touching the socket again.  Writes
-    accumulate in a send buffer until {!flush} — a pipelining sender
-    frames a whole burst and pays one [write(2)]. *)
+    Reads are frame-at-a-time on top of a receive {!Buf}: one [read(2)]
+    often delivers several pipelined frames, and the parser drains them
+    all before touching the socket again.  Writes accumulate in a send
+    {!Buf} until {!flush} — a pipelining sender frames a whole burst and
+    pays one [write(2)].  Blocking ({!recv}, {!flush}) and non-blocking
+    ({!try_refill}, {!try_flush}) forms share the same buffers. *)
 
 type addr = Unix_path of string | Tcp of { host : string; port : int }
 
@@ -67,11 +68,6 @@ val recv : t -> (string, [ `Eof | `Frame of Frame.error ]) result
 (** Next frame's payload, blocking until one is complete.  [`Eof] on a
     clean close at a frame boundary; [`Frame Truncated] when the peer
     dies mid-frame; [`Frame] errors for bad length prefixes. *)
-
-val recv_batch : t -> (string list, [ `Eof | `Frame of Frame.error ]) result
-(** At least one frame (blocking), plus every further complete frame
-    already buffered — the batch a pipelining peer flushed at once.
-    Never empty on [Ok]. *)
 
 val close : t -> unit
 (** Idempotent. *)

@@ -1,31 +1,22 @@
 (* Binary wire format for the timestamp service.
 
    Every frame is [u32 length][payload] with the length big-endian and
-   counting the payload only.  A payload is [u8 version][u8 opcode][body].
+   counting the payload only.  A payload is [u8 version][u8 opcode][body]
+   and the version byte is always 2; any other value is refused.
 
-   Version 1 (PR 9): body integers are 8-byte big-endian, strings are
-   length-prefixed with an 8-byte integer, and timestamp values cross
-   the wire as [Marshal]ed bytes of the implementation's [result] type.
+   A body is a sequence of fields of three kinds: unsigned LEB128
+   varints (every integer), varint-length-prefixed byte strings (names,
+   messages, and timestamps as {!Codec} payloads), and single bytes
+   (bools and the object kind).  Decoders are strict: every length is
+   checked against the bytes actually left, and trailing bytes are an
+   error.
 
-   Version 2 (this PR): the stamp-bearing bodies ([Stamp], [Range],
-   [Get_range], [Compare]) switch to LEB128 varints and carry the
-   timestamp as a {!Codec} payload — a fixed per-implementation binary
-   layout with a strict bounds-checked parser, so the server never runs
-   [Marshal.from_string] on bytes it did not produce.  A typical
-   lamport stamp frame drops from ~70 bytes to ~15.  Cold frames
-   ([Pong], [Stats_reply], [Err], ...) keep the v1 layout; v2 [Pong]
-   appends the negotiated codec name.
-
-   Both versions decode; encoders take [?version] (default 2).  A v2
-   client talking to a v1 server gets [Err "bad frame version 2 ..."]
-   back and falls back to v1 (see {!Client}); a v2 server answers each
-   frame in the version it arrived in, except that it refuses v1
-   [Compare] — the one request that would force Marshal-decoding
-   untrusted bytes. *)
+   One framing rule: a writer computes the frame's length before it
+   appends the first byte.  The send buffer may compact or grow under
+   any append (see {!Buf}), so a writer that reserved the length prefix
+   and patched it afterwards would write to a stale position. *)
 
 let version = 2
-
-let min_version = 1
 
 let max_payload = 1 lsl 24  (* 16 MiB: largest payload we will frame *)
 
@@ -37,8 +28,7 @@ type req =
   | Ping
   | Get_stamp
   | Get_range of int
-  | Compare of { a : string; b : string }
-      (* timestamp payloads: codec bytes (v2) or Marshal (v1) *)
+  | Compare of { a : string; b : string }  (* two {!Codec} payloads *)
   | Stats
   | Stop
 
@@ -48,7 +38,7 @@ type wire_stamp = {
   w_shard : int;
   w_start_tick : int;
   w_end_tick : int;
-  w_ts : string;  (* codec bytes (v2) or marshaled T.result (v1) *)
+  w_ts : string;  (* {!Codec} payload *)
 }
 
 type wire_range = {
@@ -67,7 +57,7 @@ type server_info = {
   si_n : int;
   si_shards : int;
   si_backend : string;
-  si_codec : string;  (* v2 codec name; "marshal" from a v1 peer *)
+  si_codec : string;  (* {!Codec.name} of the stamp payloads *)
 }
 
 type shard_stat = { ss_served : int; ss_batches : int; ss_max_batch : int }
@@ -124,216 +114,152 @@ let op_err = 71
 
 (* -------------------------------- encoding ------------------------- *)
 
-(* Fixed-width v1 primitives (also used by v2 cold frames). *)
+type field =
+  | U of int  (* unsigned varint *)
+  | S of string  (* varint length, then the bytes *)
+  | B of int  (* one byte *)
 
-let add_int b i = Buf.put_i64_be b i
+(* Integer fields are unsigned: a negative one is the caller's bug, and
+   it is refused while sizing, before the frame is reserved. *)
+let uv_size v =
+  if v < 0 then invalid_arg "Frame: negative integer field";
+  Codec.uv_size v
 
-let add_str b s =
-  add_int b (String.length s);
-  Buf.put_string b s
-
-let add_bool b v = Buf.put_u8 b (if v then 1 else 0)
-
-let add_kind b = function
-  | `One_shot -> Buf.put_u8 b 0
-  | `Long_lived -> Buf.put_u8 b 1
-
-let add_vstr b s =
-  Buf.put_varint b (String.length s);
-  Buf.put_string b s
-
-(* Frames are appended as [u32 placeholder][payload], then the length is
-   patched in — no intermediate payload string. *)
-let begin_frame b ver opcode =
-  let mark = Buf.reserve b 4 in
-  Buf.advance b 4;
-  Buf.put_u8 b ver;
-  Buf.put_u8 b opcode;
-  mark
-
-let end_frame b mark =
-  let len = Buf.reserve b 0 - mark - 4 in
+(* The framing rule in code.  A writer sizes the payload ([len] counts
+   the version and opcode bytes), [reserve_frame] reserves the whole
+   frame and writes its header, the writer stores the body into
+   [Buf.bytes b] from the returned position, and [commit] appends it all
+   at once.  Nothing touches [b] in between, so no position goes
+   stale. *)
+let reserve_frame b op ~len =
   if len > max_payload then
     invalid_arg
       (Printf.sprintf "Frame: payload %d exceeds max %d" len max_payload);
+  let pos = Buf.reserve b (4 + len) in
   let bytes = Buf.bytes b in
-  Bytes.set bytes mark (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set bytes (mark + 1) (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set bytes (mark + 2) (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set bytes (mark + 3) (Char.chr (len land 0xff))
+  Bytes.unsafe_set bytes pos (Char.unsafe_chr (len lsr 24));
+  Bytes.unsafe_set bytes (pos + 1) (Char.unsafe_chr ((len lsr 16) land 0xff));
+  Bytes.unsafe_set bytes (pos + 2) (Char.unsafe_chr ((len lsr 8) land 0xff));
+  Bytes.unsafe_set bytes (pos + 3) (Char.unsafe_chr (len land 0xff));
+  Bytes.unsafe_set bytes (pos + 4) (Char.unsafe_chr version);
+  Bytes.unsafe_set bytes (pos + 5) (Char.unsafe_chr op);
+  pos + 6
 
-let check_version v =
-  if v <> 1 && v <> 2 then
-    invalid_arg (Printf.sprintf "Frame: cannot encode version %d" v)
+(* [stop] is where the body writer ended: exactly [4 + len] bytes past
+   the append position, or the sizing was wrong. *)
+let commit b ~len stop =
+  assert (stop = Buf.offset b + Buf.length b + 4 + len);
+  Buf.advance b (4 + len)
 
-let write_req ?(version = version) b r =
-  check_version version;
-  let frame op body =
-    let mark = begin_frame b version op in
-    body ();
-    end_frame b mark
-  in
-  match r with
-  | Ping -> frame op_ping (fun () -> ())
-  | Get_stamp -> frame op_get_stamp (fun () -> ())
-  | Get_range k ->
-    frame op_get_range (fun () ->
-        if version = 1 then add_int b k else Buf.put_varint b k)
-  | Compare { a; b = b' } ->
-    frame op_compare (fun () ->
-        if version = 1 then begin
-          add_str b a;
-          add_str b b'
-        end
-        else begin
-          add_vstr b a;
-          add_vstr b b'
-        end)
-  | Stats -> frame op_stats (fun () -> ())
-  | Stop -> frame op_stop (fun () -> ())
+let field_size = function
+  | U v -> uv_size v
+  | S s -> uv_size (String.length s) + String.length s
+  | B _ -> 1
 
-let write_resp ?(version = version) b r =
-  check_version version;
-  let frame op body =
-    let mark = begin_frame b version op in
-    body ();
-    end_frame b mark
-  in
-  match r with
+let put_field bytes pos = function
+  | U v -> Codec.put_uv bytes pos v
+  | S s ->
+    let pos = Codec.put_uv bytes pos (String.length s) in
+    Bytes.blit_string s 0 bytes pos (String.length s);
+    pos + String.length s
+  | B v ->
+    Bytes.set bytes pos (Char.chr v);
+    pos + 1
+
+let write_fields b op fields =
+  let len = List.fold_left (fun n f -> n + field_size f) 2 fields in
+  let pos = reserve_frame b op ~len in
+  commit b ~len (List.fold_left (put_field (Buf.bytes b)) pos fields)
+
+let write_req b = function
+  | Ping -> write_fields b op_ping []
+  | Get_stamp -> write_fields b op_get_stamp []
+  | Get_range k -> write_fields b op_get_range [ U k ]
+  | Compare { a; b = b' } -> write_fields b op_compare [ S a; S b' ]
+  | Stats -> write_fields b op_stats []
+  | Stop -> write_fields b op_stop []
+
+let write_resp b = function
   | Pong i ->
-    frame op_pong (fun () ->
-        add_str b i.si_impl;
-        add_kind b i.si_kind;
-        add_int b i.si_n;
-        add_int b i.si_shards;
-        add_str b i.si_backend;
-        if version >= 2 then add_str b i.si_codec)
+    write_fields b op_pong
+      [ S i.si_impl;
+        B (match i.si_kind with `One_shot -> 0 | `Long_lived -> 1);
+        U i.si_n; U i.si_shards; S i.si_backend; S i.si_codec ]
   | Stamp w ->
-    frame op_stamp (fun () ->
-        if version = 1 then begin
-          add_int b w.w_pid;
-          add_int b w.w_call;
-          add_int b w.w_shard;
-          add_int b w.w_start_tick;
-          add_int b w.w_end_tick;
-          add_str b w.w_ts
-        end
-        else begin
-          Buf.put_varint b w.w_pid;
-          Buf.put_varint b w.w_call;
-          Buf.put_varint b w.w_shard;
-          Buf.put_varint b w.w_start_tick;
-          Buf.put_varint b w.w_end_tick;
-          add_vstr b w.w_ts
-        end)
+    write_fields b op_stamp
+      [ U w.w_pid; U w.w_call; U w.w_shard; U w.w_start_tick;
+        U w.w_end_tick; S w.w_ts ]
   | Range g ->
-    frame op_range (fun () ->
-        if version = 1 then begin
-          add_int b g.g_pid;
-          add_int b g.g_call;
-          add_int b g.g_shard;
-          add_int b g.g_start_tick;
-          add_int b g.g_base;
-          add_int b g.g_count;
-          add_str b g.g_ts
-        end
-        else begin
-          Buf.put_varint b g.g_pid;
-          Buf.put_varint b g.g_call;
-          Buf.put_varint b g.g_shard;
-          Buf.put_varint b g.g_start_tick;
-          Buf.put_varint b g.g_base;
-          Buf.put_varint b g.g_count;
-          add_vstr b g.g_ts
-        end)
-  | Cmp v -> frame op_cmp (fun () -> add_bool b v)
+    write_fields b op_range
+      [ U g.g_pid; U g.g_call; U g.g_shard; U g.g_start_tick; U g.g_base;
+        U g.g_count; S g.g_ts ]
+  | Cmp v -> write_fields b op_cmp [ B (Bool.to_int v) ]
   | Stats_reply { sr_shards; sr_conns } ->
-    frame op_stats_reply (fun () ->
-        add_int b (List.length sr_shards);
-        List.iter
-          (fun s ->
-             add_int b s.ss_served;
-             add_int b s.ss_batches;
-             add_int b s.ss_max_batch)
-          sr_shards;
-        add_int b (List.length sr_conns);
-        List.iter
-          (fun c ->
-             add_int b c.cn_slot;
-             add_int b c.cn_conns;
-             add_int b c.cn_requests;
-             add_int b c.cn_stamps;
-             add_int b c.cn_leases;
-             add_int b c.cn_bytes_in;
-             add_int b c.cn_bytes_out)
-          sr_conns)
-  | Stopping -> frame op_stopping (fun () -> ())
-  | Err msg -> frame op_err (fun () -> add_str b msg)
+    let shard s = [ U s.ss_served; U s.ss_batches; U s.ss_max_batch ] in
+    let conn c =
+      [ U c.cn_slot; U c.cn_conns; U c.cn_requests; U c.cn_stamps;
+        U c.cn_leases; U c.cn_bytes_in; U c.cn_bytes_out ]
+    in
+    write_fields b op_stats_reply
+      ((U (List.length sr_shards) :: List.concat_map shard sr_shards)
+       @ (U (List.length sr_conns) :: List.concat_map conn sr_conns))
+  | Stopping -> write_fields b op_stopping []
+  | Err msg -> write_fields b op_err [ S msg ]
 
 (* The [encode_*] pair return the *payload* (what [decode_*] take and
-   what {!Conn.recv} hands back), stripping the length prefix the
-   streaming writers put on the wire. *)
-let with_buf f =
+   what {!Conn.recv} hands back): the frame minus its length prefix. *)
+let payload_of write r =
   let b = Buf.create ~cap:64 () in
-  f b;
-  let s = Buf.contents b in
-  String.sub s 4 (String.length s - 4)
+  write b r;
+  Buf.consume b 4;
+  Buf.contents b
 
-let encode_req ?version r = with_buf (fun b -> write_req ?version b r)
+let encode_req r = payload_of write_req r
 
-let encode_resp ?version r = with_buf (fun b -> write_resp ?version b r)
+let encode_resp r = payload_of write_resp r
 
-(* ------------------------ hot-path v2 writers ---------------------- *)
+(* ------------------------ hot-path stamp writers -------------------- *)
 
-(* The server's per-stamp encode: all sizes are pure int arithmetic and
-   every store is a byte store into the connection's send buffer, so the
-   steady-state path allocates zero minor words per stamp (pinned by a
-   test and by E19's codec microbench). *)
+(* The server's per-stamp encode: the same bytes as [write_resp]'s
+   [Stamp]/[Range], but the fields are plain ints and the timestamp is
+   written straight by its codec, so the steady-state path allocates
+   zero minor words per stamp (pinned by a test and by E19's codec
+   microbench). *)
 
 let write_stamp_v2 b (codec : _ Codec.t) ~pid ~call ~shard ~start_tick
     ~end_tick ts =
   let ts_sz = codec.Codec.c_size ts in
-  let body =
-    2 + Buf.varint_size pid + Buf.varint_size call + Buf.varint_size shard
-    + Buf.varint_size start_tick + Buf.varint_size end_tick
-    + Buf.varint_size ts_sz + ts_sz
+  let len =
+    2 + uv_size pid + uv_size call + uv_size shard + uv_size start_tick
+    + uv_size end_tick + uv_size ts_sz + ts_sz
   in
-  Buf.put_u32_be b body;
-  Buf.put_u8 b 2;
-  Buf.put_u8 b op_stamp;
-  Buf.put_varint b pid;
-  Buf.put_varint b call;
-  Buf.put_varint b shard;
-  Buf.put_varint b start_tick;
-  Buf.put_varint b end_tick;
-  Buf.put_varint b ts_sz;
-  let pos = Buf.reserve b ts_sz in
-  let pos' = codec.Codec.c_put (Buf.bytes b) pos ts in
-  assert (pos' = pos + ts_sz);
-  Buf.advance b ts_sz
+  let pos = reserve_frame b op_stamp ~len in
+  let bytes = Buf.bytes b in
+  let pos = Codec.put_uv bytes pos pid in
+  let pos = Codec.put_uv bytes pos call in
+  let pos = Codec.put_uv bytes pos shard in
+  let pos = Codec.put_uv bytes pos start_tick in
+  let pos = Codec.put_uv bytes pos end_tick in
+  let pos = Codec.put_uv bytes pos ts_sz in
+  commit b ~len (codec.Codec.c_put bytes pos ts)
 
 let write_range_v2 b (codec : _ Codec.t) ~pid ~call ~shard ~start_tick ~base
     ~count ts =
   let ts_sz = codec.Codec.c_size ts in
-  let body =
-    2 + Buf.varint_size pid + Buf.varint_size call + Buf.varint_size shard
-    + Buf.varint_size start_tick + Buf.varint_size base
-    + Buf.varint_size count + Buf.varint_size ts_sz + ts_sz
+  let len =
+    2 + uv_size pid + uv_size call + uv_size shard + uv_size start_tick
+    + uv_size base + uv_size count + uv_size ts_sz + ts_sz
   in
-  Buf.put_u32_be b body;
-  Buf.put_u8 b 2;
-  Buf.put_u8 b op_range;
-  Buf.put_varint b pid;
-  Buf.put_varint b call;
-  Buf.put_varint b shard;
-  Buf.put_varint b start_tick;
-  Buf.put_varint b base;
-  Buf.put_varint b count;
-  Buf.put_varint b ts_sz;
-  let pos = Buf.reserve b ts_sz in
-  let pos' = codec.Codec.c_put (Buf.bytes b) pos ts in
-  assert (pos' = pos + ts_sz);
-  Buf.advance b ts_sz
+  let pos = reserve_frame b op_range ~len in
+  let bytes = Buf.bytes b in
+  let pos = Codec.put_uv bytes pos pid in
+  let pos = Codec.put_uv bytes pos call in
+  let pos = Codec.put_uv bytes pos shard in
+  let pos = Codec.put_uv bytes pos start_tick in
+  let pos = Codec.put_uv bytes pos base in
+  let pos = Codec.put_uv bytes pos count in
+  let pos = Codec.put_uv bytes pos ts_sz in
+  commit b ~len (codec.Codec.c_put bytes pos ts)
 
 (* -------------------------------- decoding ------------------------- *)
 
@@ -349,23 +275,6 @@ let take_byte c =
   c.pos <- c.pos + 1;
   v
 
-let take_int c =
-  if c.pos + 8 > String.length c.s then fail Truncated;
-  let v = String.get_int64_be c.s c.pos in
-  c.pos <- c.pos + 8;
-  let v' = Int64.to_int v in
-  if Int64.of_int v' <> v then fail (Malformed "integer out of range");
-  v'
-
-let take_str c =
-  let len = take_int c in
-  if len < 0 then fail (Malformed "negative string length");
-  if c.pos + len > String.length c.s then fail Truncated;
-  let s = String.sub c.s c.pos len in
-  c.pos <- c.pos + len;
-  s
-
-(* v2 varint field: strict LEB128, non-negative. *)
 let take_uv c =
   match Codec.get_uv c.s c.pos ~limit:(String.length c.s) with
   | v, pos ->
@@ -376,7 +285,9 @@ let take_uv c =
 
 let take_vstr c =
   let len = take_uv c in
-  if c.pos + len > String.length c.s then fail Truncated;
+  (* against the bytes left: [c.pos + len] overflows for a hostile
+     length near [max_int] *)
+  if len > String.length c.s - c.pos then fail Truncated;
   let s = String.sub c.s c.pos len in
   c.pos <- c.pos + len;
   s
@@ -393,122 +304,91 @@ let take_kind c =
   | 1 -> `Long_lived
   | v -> fail (Malformed (Printf.sprintf "bad kind byte %d" v))
 
-let finish c v =
-  if c.pos <> String.length c.s then
-    fail (Malformed "trailing bytes after payload");
-  v
-
-let header c =
-  let v = take_byte c in
-  if v < min_version || v > version then fail (Bad_version v);
-  let op = take_byte c in
-  (v, op)
+(* A counted list; the count cap bounds what a hostile peer can make us
+   allocate before the bytes run out. *)
+let take_list c what take_elt =
+  let n = take_uv c in
+  if n > 1 lsl 16 then fail (Malformed (Printf.sprintf "bad %s count" what));
+  List.init n (fun _ -> take_elt c)
 
 let decode decode_body payload =
   let c = { s = payload; pos = 0 } in
   match
-    let ver, op = header c in
-    finish c (ver, decode_body c ver op)
+    let v = take_byte c in
+    if v <> version then fail (Bad_version v);
+    let body = decode_body c (take_byte c) in
+    if c.pos <> String.length c.s then
+      fail (Malformed "trailing bytes after payload");
+    body
   with
-  | v -> Ok v
+  | body -> Ok (version, body)
   | exception Bad e -> Error e
 
 let decode_req =
-  decode (fun c ver op ->
+  decode (fun c op ->
       if op = op_ping then Ping
       else if op = op_get_stamp then Get_stamp
-      else if op = op_get_range then
-        Get_range (if ver = 1 then take_int c else take_uv c)
+      else if op = op_get_range then Get_range (take_uv c)
       else if op = op_compare then
-        if ver = 1 then
-          let a = take_str c in
-          let b = take_str c in
-          Compare { a; b }
-        else
-          let a = take_vstr c in
-          let b = take_vstr c in
-          Compare { a; b }
+        let a = take_vstr c in
+        let b = take_vstr c in
+        Compare { a; b }
       else if op = op_stats then Stats
       else if op = op_stop then Stop
       else fail (Bad_opcode op))
 
 let decode_resp =
-  decode (fun c ver op ->
+  decode (fun c op ->
       if op = op_pong then
-        let si_impl = take_str c in
+        let si_impl = take_vstr c in
         let si_kind = take_kind c in
-        let si_n = take_int c in
-        let si_shards = take_int c in
-        let si_backend = take_str c in
-        let si_codec = if ver >= 2 then take_str c else "marshal" in
+        let si_n = take_uv c in
+        let si_shards = take_uv c in
+        let si_backend = take_vstr c in
+        let si_codec = take_vstr c in
         Pong { si_impl; si_kind; si_n; si_shards; si_backend; si_codec }
       else if op = op_stamp then
-        if ver = 1 then
-          let w_pid = take_int c in
-          let w_call = take_int c in
-          let w_shard = take_int c in
-          let w_start_tick = take_int c in
-          let w_end_tick = take_int c in
-          let w_ts = take_str c in
-          Stamp { w_pid; w_call; w_shard; w_start_tick; w_end_tick; w_ts }
-        else
-          let w_pid = take_uv c in
-          let w_call = take_uv c in
-          let w_shard = take_uv c in
-          let w_start_tick = take_uv c in
-          let w_end_tick = take_uv c in
-          let w_ts = take_vstr c in
-          Stamp { w_pid; w_call; w_shard; w_start_tick; w_end_tick; w_ts }
+        let w_pid = take_uv c in
+        let w_call = take_uv c in
+        let w_shard = take_uv c in
+        let w_start_tick = take_uv c in
+        let w_end_tick = take_uv c in
+        let w_ts = take_vstr c in
+        Stamp { w_pid; w_call; w_shard; w_start_tick; w_end_tick; w_ts }
       else if op = op_range then
-        if ver = 1 then
-          let g_pid = take_int c in
-          let g_call = take_int c in
-          let g_shard = take_int c in
-          let g_start_tick = take_int c in
-          let g_base = take_int c in
-          let g_count = take_int c in
-          let g_ts = take_str c in
-          Range { g_pid; g_call; g_shard; g_start_tick; g_base; g_count;
-                  g_ts }
-        else
-          let g_pid = take_uv c in
-          let g_call = take_uv c in
-          let g_shard = take_uv c in
-          let g_start_tick = take_uv c in
-          let g_base = take_uv c in
-          let g_count = take_uv c in
-          let g_ts = take_vstr c in
-          Range { g_pid; g_call; g_shard; g_start_tick; g_base; g_count;
-                  g_ts }
+        let g_pid = take_uv c in
+        let g_call = take_uv c in
+        let g_shard = take_uv c in
+        let g_start_tick = take_uv c in
+        let g_base = take_uv c in
+        let g_count = take_uv c in
+        let g_ts = take_vstr c in
+        Range
+          { g_pid; g_call; g_shard; g_start_tick; g_base; g_count; g_ts }
       else if op = op_cmp then Cmp (take_bool c)
-      else if op = op_stats_reply then begin
-        let ns = take_int c in
-        if ns < 0 || ns > 1 lsl 16 then fail (Malformed "bad shard count");
+      else if op = op_stats_reply then
         let sr_shards =
-          List.init ns (fun _ ->
-              let ss_served = take_int c in
-              let ss_batches = take_int c in
-              let ss_max_batch = take_int c in
+          take_list c "shard" (fun c ->
+              let ss_served = take_uv c in
+              let ss_batches = take_uv c in
+              let ss_max_batch = take_uv c in
               { ss_served; ss_batches; ss_max_batch })
         in
-        let nc = take_int c in
-        if nc < 0 || nc > 1 lsl 16 then fail (Malformed "bad conn count");
         let sr_conns =
-          List.init nc (fun _ ->
-              let cn_slot = take_int c in
-              let cn_conns = take_int c in
-              let cn_requests = take_int c in
-              let cn_stamps = take_int c in
-              let cn_leases = take_int c in
-              let cn_bytes_in = take_int c in
-              let cn_bytes_out = take_int c in
+          take_list c "conn" (fun c ->
+              let cn_slot = take_uv c in
+              let cn_conns = take_uv c in
+              let cn_requests = take_uv c in
+              let cn_stamps = take_uv c in
+              let cn_leases = take_uv c in
+              let cn_bytes_in = take_uv c in
+              let cn_bytes_out = take_uv c in
               { cn_slot; cn_conns; cn_requests; cn_stamps; cn_leases;
                 cn_bytes_in; cn_bytes_out })
         in
         Stats_reply { sr_shards; sr_conns }
-      end
       else if op = op_stopping then Stopping
-      else if op = op_err then Err (take_str c)
+      else if op = op_err then Err (take_vstr c)
       else fail (Bad_opcode op))
 
 (* Dechunking helper: inspect the 4-byte length prefix of the next frame

@@ -1,22 +1,16 @@
 (** Binary wire format for the timestamp service.
 
     Every frame is [u32 length ++ payload] (length big-endian, payload
-    bytes only); a payload is [u8 version ++ u8 opcode ++ body].
-
-    Version 1 bodies use 8-byte big-endian integers,
-    8-byte-length-prefixed strings, and [Marshal]ed timestamps.
-    Version 2 switches the stamp-bearing bodies ([Get_range],
-    [Compare], [Stamp], [Range]) to LEB128 varints carrying {!Codec}
-    payloads — strict parsers, no Marshal on untrusted bytes, and a
-    ~5x smaller stamp frame.  Decoders accept both versions and report
-    which one arrived; encoders take [?version] (default 2).  See
-    DESIGN.md §15 for the frame table and negotiation rules. *)
+    bytes only); a payload is [u8 version ++ u8 opcode ++ body].  Body
+    integers are unsigned LEB128 varints, strings (timestamps included,
+    as {!Codec} payloads) are varint-length-prefixed, and bools and
+    kinds are one byte.  Every writer computes a frame's length before
+    appending its first byte.  See DESIGN.md §14–§15 for the frame
+    table. *)
 
 val version : int
-(** Current (preferred) protocol version: 2. *)
-
-val min_version : int
-(** Oldest version still decoded: 1. *)
+(** The protocol version, 2: the only value the version byte may
+    carry. *)
 
 val max_payload : int
 (** Hard cap on payload size (16 MiB); longer frames are rejected as
@@ -32,8 +26,7 @@ type req =
   | Get_stamp  (** one getTS through the service shards *)
   | Get_range of int  (** epoch-range lease: anchor getTS + [n] ticks *)
   | Compare of { a : string; b : string }
-      (** order two timestamp payloads server-side: codec bytes in v2,
-          Marshal in v1 (which a v2 server refuses to decode) *)
+      (** order two {!Codec} timestamp payloads server-side *)
   | Stats
   | Stop  (** ask the server to begin a graceful shutdown *)
 
@@ -43,7 +36,7 @@ type wire_stamp = {
   w_shard : int;
   w_start_tick : int;
   w_end_tick : int;
-  w_ts : string;  (** codec bytes (v2) or marshaled [T.result] (v1) *)
+  w_ts : string;  (** {!Codec} payload *)
 }
 
 (** A granted lease: the anchor operation's identity/start/timestamp,
@@ -65,8 +58,7 @@ type server_info = {
   si_n : int;
   si_shards : int;
   si_backend : string;
-  si_codec : string;
-      (** negotiated codec name (v2); ["marshal"] from a v1 peer *)
+  si_codec : string;  (** {!Codec.name} of the stamp payloads *)
 }
 
 type shard_stat = { ss_served : int; ss_batches : int; ss_max_batch : int }
@@ -101,27 +93,31 @@ val error_to_string : error -> string
 
 val pp_error : Format.formatter -> error -> unit
 
-val encode_req : ?version:int -> req -> string
+val encode_req : req -> string
 (** Payload bytes (no length prefix) — the exact bytes {!decode_req}
     accepts.  Mainly for tests; senders use {!write_req}. *)
 
-val encode_resp : ?version:int -> resp -> string
+val encode_resp : resp -> string
 
 val decode_req : string -> (int * req, error) result
-(** Decodes either protocol version; returns the version the frame was
-    encoded in so the server can answer in kind. *)
+(** Strict decode of one payload, paired with its version byte (always
+    {!version}).  Never raises: any byte string yields [Ok] or
+    [Error]. *)
 
 val decode_resp : string -> (int * resp, error) result
 
-val write_req : ?version:int -> Buf.t -> req -> unit
-(** Appends the complete frame (length prefix + payload). *)
+val write_req : Buf.t -> req -> unit
+(** Appends the complete frame (length prefix + payload).  Raises
+    [Invalid_argument] — before appending anything — on a negative
+    integer field or a payload over {!max_payload}. *)
 
-val write_resp : ?version:int -> Buf.t -> resp -> unit
+val write_resp : Buf.t -> resp -> unit
 
 val write_stamp_v2 :
   Buf.t -> 'r Codec.t -> pid:int -> call:int -> shard:int ->
   start_tick:int -> end_tick:int -> 'r -> unit
-(** Hot-path stamp reply: encodes header, varint fields, and the codec
+(** Hot-path stamp reply, byte-identical to [write_resp] of the
+    matching {!Stamp}: encodes header, varint fields, and the codec
     payload straight into the send buffer — zero minor-heap words per
     stamp at steady state (pinned by tests and E19). *)
 

@@ -25,13 +25,11 @@
    The accept loop hands each new fd to a loop (connection id mod
    io_threads) through a lock-free mailbox and wakes it via a self-pipe.
 
-   Protocol: both frame versions are served, each answered in the
-   version it arrived in.  v2 stamps are encoded with the
+   Protocol: one frame format ({!Frame}).  Stamps are encoded with the
    implementation's {!Codec} straight into the send buffer (zero
-   minor-heap words per stamp); v1 peers still get Marshal blobs —
-   encoding Marshal is safe, and the one request that would force the
-   server to *decode* Marshal from the network (v1 [Compare]) is
-   refused.
+   minor-heap words per stamp), and [Compare] payloads are parsed with
+   the same codec's strict decoder.  An implementation without a codec
+   cannot be served: applying [Make] to it raises.
 
    Read fast path: [Ping]/[Stats]/[Compare] never touch the submit
    queue, and for long-lived implementations [Get_range] lease anchors
@@ -58,6 +56,12 @@ let out_hiwater = 1 lsl 16
 
 (* Cap on queued requests per connection before reads pause. *)
 let max_inflight = 1024
+
+(* Refresh period of the cached lease anchor. *)
+let anchor_refresh_us = 200
+
+(* How often [wait] checks the stop flags. *)
+let wait_period_us = 10_000
 
 module Make (T : Timestamp.Intf.S) = struct
   module S = Svc.Service.Make (T)
@@ -112,7 +116,6 @@ module Make (T : Timestamp.Intf.S) = struct
     cv_conn : Conn.t;
     cv_id : int;
     cv_slot : slot;
-    mutable cv_version : int;  (* latched from the peer's frames *)
     mutable cv_session : S.session option;
     cv_pending : pending Queue.t;
     mutable cv_read_eof : bool;  (* peer done sending: answer, then close *)
@@ -141,7 +144,6 @@ module Make (T : Timestamp.Intf.S) = struct
     next_conn : int Atomic.t;
     accepted : int Atomic.t;  (* cumulative, for the shutdown summary *)
     read_fast_path : bool;
-    anchor_us : int;
     anchor : anchor option Atomic.t;
     anchor_demand : bool Atomic.t;  (* first lease request arms it *)
     domains_spawned : int Atomic.t;
@@ -149,17 +151,6 @@ module Make (T : Timestamp.Intf.S) = struct
     stopping : bool Atomic.t;  (* shutdown underway *)
     stopped : bool Atomic.t;
   }
-
-  let marshal_ts (ts : T.result) = Marshal.to_string ts []
-
-  let codec_ts (ts : T.result) =
-    let n = codec.Codec.c_size ts in
-    let b = Bytes.create n in
-    ignore (codec.Codec.c_put b 0 ts);
-    Bytes.unsafe_to_string b
-
-  let blob_ts version ts =
-    if version = 1 then marshal_ts ts else codec_ts ts
 
   let stats_reply t =
     let sr_shards =
@@ -185,29 +176,16 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* ------------------------- reply writing ------------------------- *)
 
-  let write_resp_cv cv r =
-    Frame.write_resp ~version:cv.cv_version (Conn.send_buffer cv.cv_conn) r
+  let write_resp_cv cv r = Frame.write_resp (Conn.send_buffer cv.cv_conn) r
 
-  (* Completed stamp ticket -> response bytes.  The v2 path is the
-     zero-allocation hot path: varints and codec bytes straight into the
-     send buffer. *)
+  (* Completed stamp ticket -> response bytes: the zero-allocation hot
+     path, varints and codec bytes straight into the send buffer. *)
   let write_stamp_cv cv (sess : S.session) tk =
-    if cv.cv_version >= 2 then begin
-      let r = S.await tk in
-      S.release sess tk;
-      Frame.write_stamp_v2 (Conn.send_buffer cv.cv_conn) codec ~pid:r.S.pid
-        ~call:r.S.call ~shard:r.S.shard ~start_tick:r.S.start_tick
-        ~end_tick:r.S.end_tick r.S.ts
-    end
-    else begin
-      let r = S.await tk in
-      S.release sess tk;
-      write_resp_cv cv
-        (Frame.Stamp
-           { w_pid = r.S.pid; w_call = r.S.call; w_shard = r.S.shard;
-             w_start_tick = r.S.start_tick; w_end_tick = r.S.end_tick;
-             w_ts = marshal_ts r.S.ts })
-    end;
+    let r = S.await tk in
+    S.release sess tk;
+    Frame.write_stamp_v2 (Conn.send_buffer cv.cv_conn) codec ~pid:r.S.pid
+      ~call:r.S.call ~shard:r.S.shard ~start_tick:r.S.start_tick
+      ~end_tick:r.S.end_tick r.S.ts;
     bump cv.cv_slot.k_stamps 1
 
   let range_resp t cv ~pid ~call ~shard ~start_tick ~k ts =
@@ -217,7 +195,7 @@ module Make (T : Timestamp.Intf.S) = struct
     Frame.Range
       { g_pid = pid; g_call = call; g_shard = shard;
         g_start_tick = start_tick; g_base = base; g_count = k;
-        g_ts = blob_ts cv.cv_version ts }
+        g_ts = Codec.encode codec ts }
 
   (* Drain the head of the FIFO as far as completed work allows.
      Returns [true] if anything was written (progress). *)
@@ -303,8 +281,7 @@ module Make (T : Timestamp.Intf.S) = struct
       reply cv (Frame.Err (Frame.error_to_string e));
       (* framing is broken: answer what's owed, then close *)
       cv.cv_read_eof <- true
-    | Ok (ver, req) -> (
-        cv.cv_version <- ver;
+    | Ok (_, req) -> (
         match req with
         | Frame.Ping -> reply cv (Frame.Pong t.info)
         | Frame.Get_stamp -> (
@@ -350,13 +327,7 @@ module Make (T : Timestamp.Intf.S) = struct
               | tk -> Queue.add (P_range { tk; k }) cv.cv_pending
               | exception e -> serve_error e)
           end
-        | Frame.Compare { a; b } ->
-          if ver = 1 then
-            err "compare requires protocol version 2 (v1 payloads are \
-                 Marshal, which this server refuses to decode)"
-          else if not codec.Codec.c_safe then
-            err "no validating codec for this implementation"
-          else (
+        | Frame.Compare { a; b } -> (
             match (Codec.decode_exn codec a, Codec.decode_exn codec b) with
             | ta, tb -> reply cv (Frame.Cmp (T.compare_ts ta tb))
             | exception Codec.Malformed _ ->
@@ -401,7 +372,6 @@ module Make (T : Timestamp.Intf.S) = struct
         { cv_conn = conn;
           cv_id = cid;
           cv_slot = t.slots.(cid mod Array.length t.slots);
-          cv_version = Frame.version;
           cv_session = None;
           cv_pending = Queue.create ();
           cv_read_eof = false;
@@ -581,7 +551,7 @@ module Make (T : Timestamp.Intf.S) = struct
   (* Single-writer cache of a lease anchor.  The domain idles until the
      first Get_range arms [anchor_demand] (so a server that never grants
      leases never consumes a session), then refreshes every
-     [anchor_us]. *)
+     [anchor_refresh_us]. *)
   let refresher t () =
     while not (Atomic.get t.stopping || Atomic.get t.anchor_demand) do
       sleep_us 200
@@ -612,7 +582,7 @@ module Make (T : Timestamp.Intf.S) = struct
                     a_start = r.S.start_tick; a_ts = r.S.ts })
            | exception S.Stopped -> live := false
            | exception _ -> ());
-          sleep_us t.anchor_us
+          sleep_us anchor_refresh_us
         done
     end
 
@@ -670,14 +640,12 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let start ?(batch_max = 64) ?(backoff_us = 50) ?(shards = 1)
       ?(backend = `Boxed) ?(telemetry = false) ?(conn_slots = 4)
-      ?io_threads ?(read_fast_path = true) ?(anchor_us = 200) ~addr ~n () =
+      ?io_threads ?(read_fast_path = true) ~addr ~n () =
     if conn_slots <= 0 then
       invalid_arg "Server.start: conn_slots must be positive";
     let io_threads = match io_threads with Some k -> k | None -> shards in
     if io_threads <= 0 then
       invalid_arg "Server.start: io_threads must be positive";
-    if anchor_us <= 0 then
-      invalid_arg "Server.start: anchor_us must be positive";
     let svc = S.start ~batch_max ~backoff_us ~shards ~backend ~telemetry ~n () in
     (match addr with
      | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
@@ -724,7 +692,6 @@ module Make (T : Timestamp.Intf.S) = struct
         next_conn = Atomic.make 0;
         accepted = Atomic.make 0;
         read_fast_path = use_fast_path;
-        anchor_us;
         anchor = Atomic.make None;
         anchor_demand = Atomic.make false;
         domains_spawned = Atomic.make 0;
@@ -755,9 +722,9 @@ module Make (T : Timestamp.Intf.S) = struct
   let live_conns t =
     Array.fold_left (fun acc l -> acc + Atomic.get l.lp_live) 0 t.loops
 
-  let wait ?(poll_us = 10_000) t =
+  let wait t =
     while not (Atomic.get t.stop_requested || Atomic.get t.stopping) do
-      sleep_us poll_us
+      sleep_us wait_period_us
     done
 
   let stop t =

@@ -11,15 +11,16 @@
     (connection id mod io_threads) through a lock-free mailbox plus
     self-pipe wakeup.  Replies stay FIFO per connection.
 
-    Both frame versions are served, each answered in the version it
-    arrived in; v2 stamps are codec-encoded straight into the send
-    buffer (zero minor-heap words per stamp), and v1 [Compare] is
-    refused rather than Marshal-decoding untrusted bytes.
+    Stamps are codec-encoded straight into the send buffer (zero
+    minor-heap words per stamp), and [Compare] payloads are parsed with
+    the implementation's strict {!Codec}.  Applying [Make] to an
+    implementation without a codec raises [Invalid_argument]
+    ({!Codec.for_impl}), so it can never reach a socket.
 
     Read fast path ([read_fast_path], default on): [Ping]/[Stats]/
     [Compare] are answered on the I/O domain, and for long-lived
     implementations [Get_range] lease anchors come from a cached
-    timestamp snapshot refreshed every [anchor_us] by a dedicated
+    timestamp snapshot refreshed every 200µs by a dedicated
     single-writer domain — see DESIGN.md §15 for why the stale anchor
     stays sound for the happens-before checker.  Tick reservation still
     happens strictly after the anchor executed
@@ -47,7 +48,6 @@ module Make (T : Timestamp.Intf.S) : sig
     ?conn_slots:int ->
     ?io_threads:int ->
     ?read_fast_path:bool ->
-    ?anchor_us:int ->
     addr:Conn.addr ->
     n:int ->
     unit ->
@@ -59,8 +59,7 @@ module Make (T : Timestamp.Intf.S) : sig
       implementations with [read_fast_path], the default) the anchor
       refresher — at most [io_threads + 2] domains on top of the
       service shards, independent of connection count.  [conn_slots]
-      (default 4) sizes the telemetry counter groups; [anchor_us]
-      (default 200) is the snapshot refresh period.  On bind/listen
+      (default 4) sizes the telemetry counter groups.  On bind/listen
       failure the service is stopped and the exception re-raised. *)
 
   val bound_addr : t -> Conn.addr
@@ -86,7 +85,7 @@ module Make (T : Timestamp.Intf.S) : sig
   val live_conns : t -> int
   (** Connections currently owned by the I/O loops. *)
 
-  val wait : ?poll_us:int -> t -> unit
+  val wait : t -> unit
   (** Blocks until {!stop_requested} (or {!stop} from another domain). *)
 
   val stop : t -> unit

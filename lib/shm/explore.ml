@@ -578,9 +578,12 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
   end
   else begin
     (* Root-split frontier (the PR-5 engine, kept selectable for
-       comparison): the root is expanded here, its branches are
-       distributed over worker domains, each with its own visited set (kept
-       across the branches it steals).  The root-level sleep sets are
+       comparison): the root is expanded here, its branches are dealt
+       statically over worker domains (branch k to domain k mod nd, in
+       ascending order), each with its own visited set (kept across the
+       branches it runs).  The assignment does not depend on thread timing,
+       so the stats are as deterministic as the verdict whatever the
+       host's core count.  The root-level sleep sets are
        replayed deterministically per branch, so the reduction is identical
        to the sequential one at the root.  Counterexample reporting is
        deterministic: the lowest-indexed branch containing one wins, and a
@@ -628,11 +631,9 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
           let results = Array.make nb B_ok in
           let states = Array.init nd (fun _ -> new_wstate ()) in
           let skipped = Array.make nb false in
-          let next = Atomic.make 0 in
           let worker wid () =
             let st = states.(wid) in
-            let rec loop () =
-              let k = Atomic.fetch_and_add next 1 in
+            let rec loop k =
               if k < nb then begin
                 if Atomic.get best_cex < k then skipped.(k) <- true
                 else
@@ -641,10 +642,10 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
                       (apply_action cfg0 actions.(k))
                       1 (branch_sleep k)
                       [ actions.(k) ];
-                loop ()
+                loop (k + nd)
               end
             in
-            loop ()
+            loop wid
           in
           let doms =
             List.init (nd - 1) (fun wid -> Domain.spawn (worker (wid + 1)))

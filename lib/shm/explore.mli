@@ -51,7 +51,8 @@
       are mutually independent, so root-level sleep sets leave essentially
       one live root branch and a root split degenerates to a single busy
       domain.  [steal = false] selects that older root-split engine (each
-      root action is one branch, dealt via an atomic counter), kept for
+      root action is one branch; branch [k] goes to domain [k mod domains],
+      a static deal so its stats do not depend on thread timing), kept for
       comparison.  In both modes each {e domain} owns one visited set,
       reused across every branch it runs: a configuration one branch
       expanded prunes dominated revisits from the domain's later branches,

@@ -10,6 +10,11 @@ let sock_path () =
   (* Server.start unlinks an existing path before bind *)
   p
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
 (* ------------------------- frame codec ---------------------------- *)
 
 let gen_blob = QCheck2.Gen.(string_size (int_range 0 64))
@@ -83,22 +88,6 @@ let resp_roundtrip =
   Util.qtest ~count:200 "frame: resp round-trip (v2)" gen_resp (fun r ->
       Net.Frame.decode_resp (Net.Frame.encode_resp r) = Ok (2, r))
 
-(* The v1 layout must stay decodable (old peers negotiate down to it).
-   A v1 [Pong] cannot carry the codec name: it decodes as "marshal". *)
-let req_roundtrip_v1 =
-  Util.qtest ~count:200 "frame: req round-trip (v1)" gen_req (fun r ->
-      Net.Frame.decode_req (Net.Frame.encode_req ~version:1 r) = Ok (1, r))
-
-let resp_roundtrip_v1 =
-  Util.qtest ~count:200 "frame: resp round-trip (v1)" gen_resp (fun r ->
-      let expect =
-        match r with
-        | Net.Frame.Pong i -> Net.Frame.Pong { i with si_codec = "marshal" }
-        | r -> r
-      in
-      Net.Frame.decode_resp (Net.Frame.encode_resp ~version:1 r)
-      = Ok (1, expect))
-
 let frame_rejects () =
   let is_err = function Result.Error _ -> true | Result.Ok _ -> false in
   (* every strict prefix of a valid payload is rejected *)
@@ -114,7 +103,7 @@ let frame_rejects () =
   Util.check_bool "bad version rejected" true
     (Net.Frame.decode_req bad_version = Result.Error (Net.Frame.Bad_version 7));
   (* unknown opcode — on both decoders *)
-  let bad_op = "\001\099" in
+  let bad_op = "\002\099" in
   Util.check_bool "bad opcode rejected (req)" true
     (Net.Frame.decode_req bad_op = Result.Error (Net.Frame.Bad_opcode 99));
   Util.check_bool "bad opcode rejected (resp)" true
@@ -196,20 +185,19 @@ let codec_roundtrips =
             map2 (fun m c -> Timestamp.Efr.Odd (m, c)) gen_any_int
               gen_any_int ]) ]
 
+let lost_increment () =
+  match Fuzz.Mutant.find "mutant-lost-increment" with
+  | Some impl -> impl
+  | None -> Alcotest.fail "mutant registry lost its seed mutant"
+
 let codec_rejects () =
   let c = Net.Codec.for_impl (module Timestamp.Vector_ts) in
-  let enc v =
-    let n = c.Net.Codec.c_size v in
-    let b = Bytes.create n in
-    ignore (c.Net.Codec.c_put b 0 v);
-    Bytes.to_string b
-  in
   let malformed s =
     match Net.Codec.decode_exn c s with
     | _ -> false
     | exception Net.Codec.Malformed _ -> true
   in
-  let payload = enc [| 1; 200; -3; 1 lsl 40 |] in
+  let payload = Net.Codec.encode c [| 1; 200; -3; 1 lsl 40 |] in
   (* every strict prefix is a truncation, never a shorter valid value *)
   for len = 0 to String.length payload - 1 do
     Util.check_bool
@@ -229,27 +217,31 @@ let codec_rejects () =
     Bytes.sub_string b 0 stop
   in
   Util.check_bool "oversized vector count rejected" true (malformed huge);
-  (* implementations without a fixed layout refuse to decode at all:
-     their Marshal fallback is not a validating parser *)
-  match Fuzz.Mutant.find "mutant-lost-increment" with
-  | None -> Alcotest.fail "mutant registry lost its seed mutant"
-  | Some (Timestamp.Registry.Impl (module M)) ->
-    let oc = Net.Codec.for_impl (module M) in
-    Util.check_bool "fallback codec is opaque" true
-      (Net.Codec.name oc = "opaque");
-    Util.check_bool "fallback codec is unsafe" false (Net.Codec.safe oc);
-    (match Net.Codec.decode_exn oc "x" with
-     | _ -> Alcotest.fail "opaque codec decoded untrusted bytes"
-     | exception Net.Codec.Malformed _ -> ())
+  (* an implementation without a wire layout gets no codec at all *)
+  let (Timestamp.Registry.Impl (module M)) = lost_increment () in
+  match Net.Codec.for_impl (module M) with
+  | _ -> Alcotest.fail "codec built for an unregistered implementation"
+  | exception Invalid_argument msg ->
+    Util.check_bool "refusal names the implementation" true
+      (contains msg "mutant-lost-increment")
 
-(* Every registered implementation ships a safe wire codec, so a v2
-   server never falls back to refusing [Compare]. *)
+(* Every registered implementation has a validating wire codec, and the
+   name-keyed lookup picked the right one: timestamps the implementation
+   really produces round-trip through it. *)
 let registry_codecs_safe () =
   List.iter
     (fun (Timestamp.Registry.Impl (module T)) ->
        let c = Net.Codec.for_impl (module T) in
-       Util.check_bool (Printf.sprintf "%s codec safe" T.name) true
-         (Net.Codec.safe c))
+       let module D = Svc.Client.Direct (T) in
+       let h = D.connect (D.create_ctx ~n:3 ()) in
+       for _ = 1 to 3 do
+         let ts = (D.stamp h).st_ts in
+         Util.check_bool
+           (Printf.sprintf "%s stamp round-trips" T.name)
+           true
+           (T.equal_ts (Net.Codec.decode_exn c (Net.Codec.encode c ts)) ts)
+       done;
+       D.close h)
     Timestamp.Registry.all
 
 (* The server's hot-path stamp writer must not allocate: byte stores and
@@ -272,6 +264,152 @@ let stamp_writer_zero_alloc () =
   Util.check_bool
     (Printf.sprintf "10k stamps allocated %.0f minor words" delta)
     true (delta < 256.)
+
+(* A send buffer under backpressure: frames are appended while the
+   socket takes arbitrary prefixes off the front.  The tiny capacity
+   forces compaction and growth in the middle of frames; whatever the
+   interleaving, the bytes that left plus the bytes still pending must
+   parse back into exactly the frames written. *)
+type buf_op =
+  | Append_req of Net.Frame.req
+  | Append_resp of Net.Frame.resp
+  | Append_stamp of int * int * int
+  | Append_range of int * int * int
+  | Consume of int
+
+let lamport_codec = Net.Codec.for_impl (module Timestamp.Lamport)
+
+let gen_buf_ops =
+  let open QCheck2.Gen in
+  let nat = int_range 0 1_000_000 in
+  let triple = triple nat nat gen_any_int in
+  list_size (int_range 1 40)
+    (frequency
+       [ (2, map (fun r -> Append_req r) gen_req);
+         (2, map (fun r -> Append_resp r) gen_resp);
+         (2, map (fun (a, b, ts) -> Append_stamp (a, b, ts)) triple);
+         (2, map (fun (a, b, ts) -> Append_range (a, b, ts)) triple);
+         (3, map (fun k -> Consume k) (int_range 0 48)) ])
+
+let buf_state_machine =
+  Util.qtest ~count:300 "frame: appends survive compaction and growth"
+    gen_buf_ops (fun ops ->
+        let b = Net.Buf.create ~cap:16 () in
+        let sent = Buffer.create 256 in
+        let expect =
+          List.concat_map
+            (function
+              | Append_req r ->
+                Net.Frame.write_req b r;
+                [ `Req r ]
+              | Append_resp r ->
+                Net.Frame.write_resp b r;
+                [ `Resp r ]
+              | Append_stamp (pid, tick, ts) ->
+                Net.Frame.write_stamp_v2 b lamport_codec ~pid ~call:1
+                  ~shard:0 ~start_tick:tick ~end_tick:(tick + 1) ts;
+                [ `Resp
+                    (Net.Frame.Stamp
+                       { w_pid = pid; w_call = 1; w_shard = 0;
+                         w_start_tick = tick; w_end_tick = tick + 1;
+                         w_ts = Net.Codec.encode lamport_codec ts }) ]
+              | Append_range (pid, base, ts) ->
+                Net.Frame.write_range_v2 b lamport_codec ~pid ~call:2
+                  ~shard:0 ~start_tick:base ~base ~count:3 ts;
+                [ `Resp
+                    (Net.Frame.Range
+                       { g_pid = pid; g_call = 2; g_shard = 0;
+                         g_start_tick = base; g_base = base; g_count = 3;
+                         g_ts = Net.Codec.encode lamport_codec ts }) ]
+              | Consume k ->
+                let k = min k (Net.Buf.length b) in
+                Buffer.add_subbytes sent (Net.Buf.bytes b) (Net.Buf.offset b)
+                  k;
+                Net.Buf.consume b k;
+                [])
+            ops
+        in
+        Buffer.add_string sent (Net.Buf.contents b);
+        let wire = Buffer.to_bytes sent in
+        let rec parse off = function
+          | [] -> off = Bytes.length wire
+          | want :: rest -> (
+              match
+                Net.Frame.frame_length wire ~off
+                  ~avail:(Bytes.length wire - off)
+              with
+              | `Length len when off + 4 + len <= Bytes.length wire ->
+                let p = Bytes.sub_string wire (off + 4) len in
+                let ok =
+                  match want with
+                  | `Req r -> Net.Frame.decode_req p = Ok (2, r)
+                  | `Resp r -> Net.Frame.decode_resp p = Ok (2, r)
+                in
+                ok && parse (off + 4 + len) rest
+              | _ -> false)
+        in
+        parse 0 expect)
+
+(* Decoders are total: random bytes, structured junk with extreme
+   varints, and one-byte mutations of valid payloads all yield [Ok] or
+   [Error] from the frame decoders, and [Malformed] at worst from the
+   timestamp codecs — never any other exception. *)
+let gen_hostile_payload =
+  let open QCheck2.Gen in
+  let byte =
+    oneof [ char; oneofl [ '\000'; '\002'; '\063'; '\127'; '\128'; '\255' ] ]
+  in
+  let varint =
+    map
+      (fun v ->
+         let b = Bytes.create 9 in
+         Bytes.sub_string b 0 (Net.Codec.put_uv b 0 v))
+      (oneof [ int_range 0 300; int_range (max_int - 16) max_int; int ])
+  in
+  let token = oneof [ map (String.make 1) byte; varint ] in
+  let structured =
+    map2
+      (fun op toks ->
+         "\002" ^ String.make 1 (Char.chr op) ^ String.concat "" toks)
+      (oneofl [ 1; 2; 3; 4; 5; 6; 65; 66; 67; 68; 69; 70; 71 ])
+      (list_size (int_range 0 8) token)
+  in
+  let valid =
+    oneof
+      [ map Net.Frame.encode_req gen_req; map Net.Frame.encode_resp gen_resp ]
+  in
+  let mutated =
+    map3
+      (fun p i c ->
+         let b = Bytes.of_string p in
+         Bytes.set b (i mod Bytes.length b) c;
+         Bytes.to_string b)
+      valid nat byte
+  in
+  frequency
+    [ (1, string_size ~gen:byte (int_range 0 32)); (3, structured);
+      (2, mutated) ]
+
+let decoders_never_raise =
+  let codec_decoders =
+    let dec (type r) (module T : Timestamp.Intf.S with type result = r) s =
+      ignore (Net.Codec.decode_exn (Net.Codec.for_impl (module T)) s)
+    in
+    [ dec (module Timestamp.Lamport);
+      dec (module Timestamp.Sqrt.One_shot);
+      dec (module Timestamp.Vector_ts);
+      dec (module Timestamp.Efr) ]
+  in
+  Util.qtest ~count:3000 "frame: decoders never raise on hostile bytes"
+    gen_hostile_payload (fun s ->
+        (match Net.Frame.decode_req s with Ok _ | Error _ -> true)
+        && (match Net.Frame.decode_resp s with Ok _ | Error _ -> true)
+        && List.for_all
+          (fun dec ->
+             match dec s with
+             | () -> true
+             | exception Net.Codec.Malformed _ -> true)
+          codec_decoders)
 
 (* ---------------------- live server round trips -------------------- *)
 
@@ -330,11 +468,6 @@ let session_exhaustion_is_clean () =
   (match C.stamp c2 with
    | _ -> Alcotest.fail "over-n session unexpectedly served"
    | exception Error msg ->
-     let contains hay needle =
-       let nh = String.length hay and nn = String.length needle in
-       let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-       at 0
-     in
      Util.check_bool "clean server-side error" true (contains msg "at most"));
   (* the refused connection can still use sessionless requests *)
   let _ = C.server_info c2 in
@@ -476,14 +609,16 @@ let stop_frame_flow () =
 (* -------------------- raw-socket protocol tests --------------------- *)
 
 (* Hand-rolled peers: drive the reactor with exact byte sequences the
-   high-level client would never produce (split writes, version skew,
-   pipelined floods). *)
+   high-level client would never produce (split writes, unknown
+   versions, hostile lengths, pipelined floods).  Reads time out, so a
+   server that stops answering fails the test instead of hanging it. *)
 
 let raw_connect addr =
   let fd =
     Unix.socket ~cloexec:true (Net.Conn.domain_of addr) Unix.SOCK_STREAM 0
   in
   Unix.connect fd (Net.Conn.sockaddr_of addr);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
   fd
 
 let write_all fd s =
@@ -509,10 +644,13 @@ let read_frame fd =
   let len = Int32.to_int (String.get_int32_be hdr 0) in
   read_exact fd len
 
-let frame_of ?version req =
+let frame_of req =
   let b = Net.Buf.create () in
-  Net.Frame.write_req ?version b req;
+  Net.Frame.write_req b req;
   Net.Buf.contents b
+
+let expect_eof label fd =
+  Util.check_int label 0 (Unix.read fd (Bytes.create 1) 0 1)
 
 let expect_stamp label payload =
   match Net.Frame.decode_resp payload with
@@ -604,51 +742,70 @@ let wire_slow_reader_backpressure () =
   Unix.close fd;
   Srv.stop srv
 
-(* Version negotiation, wire-level: a v1 peer is answered in v1
-   (Marshal timestamps, codec "marshal"), except [Compare] — decoding a
-   v1 Marshal payload from the network is exactly what v2 removed. *)
-let wire_v1_peer () =
+(* The version byte must be 2.  Any other value — 1 included — draws
+   an Err naming it, and the connection closes. *)
+let wire_unknown_versions () =
   let module Srv = Net.Server.Make (Timestamp.Lamport) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
   let srv = Srv.start ~addr ~n:4 () in
-  let fd = raw_connect addr in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
+  List.iter
+    (fun v ->
+       let fd = raw_connect addr in
+       (* a Ping with version byte [v] *)
+       write_all fd (Printf.sprintf "\000\000\000\002%c\001" (Char.chr v));
+       (match Net.Frame.decode_resp (read_frame fd) with
+        | Ok (_, Net.Frame.Err msg) ->
+          Util.check_bool
+            (Printf.sprintf "version %d error text" v)
+            true
+            (contains msg (Printf.sprintf "bad frame version %d" v))
+        | _ -> Alcotest.failf "version %d not answered with Err" v);
+       expect_eof (Printf.sprintf "version %d connection closed" v) fd;
+       Unix.close fd)
+    [ 1; 7 ];
+  Srv.stop srv
+
+(* One hostile frame: a 15-byte Compare whose first length is max_int.
+   Its peer gets Err and is closed, and the single I/O loop keeps
+   serving everyone else. *)
+let wire_hostile_length () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~io_threads:1 ~addr ~n:4 () in
+  let frame =
+    let b = Bytes.create 9 in
+    let n = Net.Codec.put_uv b 0 max_int in
+    "\000\000\000\011\002\004" ^ Bytes.sub_string b 0 n
   in
-  write_all fd (frame_of ~version:1 Net.Frame.Ping);
-  (match Net.Frame.decode_resp (read_frame fd) with
-   | Ok (1, Net.Frame.Pong info) ->
-     Util.check_bool "v1 pong impl" true
-       (info.Net.Frame.si_impl = "lamport-longlived");
-     Util.check_bool "v1 pong codec is marshal" true
-       (info.Net.Frame.si_codec = "marshal")
-   | _ -> Alcotest.fail "v1 ping not answered with a v1 Pong");
-  write_all fd (frame_of ~version:1 Net.Frame.Get_stamp);
-  (match Net.Frame.decode_resp (read_frame fd) with
-   | Ok (1, Net.Frame.Stamp w) ->
-     (* v1 carries Marshal — fine to decode here: we produced it *)
-     let ts : int = Marshal.from_string w.Net.Frame.w_ts 0 in
-     Util.check_bool "v1 stamp payload decodes" true (ts >= 0)
-   | _ -> Alcotest.fail "v1 Get_stamp not answered with a v1 Stamp");
-  let blob = Marshal.to_string 1 [] in
-  write_all fd (frame_of ~version:1 (Net.Frame.Compare { a = blob; b = blob }));
-  (match Net.Frame.decode_resp (read_frame fd) with
-   | Ok (1, Net.Frame.Err msg) ->
-     Util.check_bool "v1 compare refused for version reasons" true
-       (contains msg "version")
-   | _ -> Alcotest.fail "v1 Compare was not refused");
-  (* an unknown version draws the exact error the client's fallback
-     scans for, then the connection closes *)
-  write_all fd "\000\000\000\002\007\001";
-  (match Net.Frame.decode_resp (read_frame fd) with
-   | Ok (_, Net.Frame.Err msg) ->
-     Util.check_bool "bad version error text" true
-       (contains msg "bad frame version 7")
-   | _ -> Alcotest.fail "bad version byte not answered with Err");
+  Util.check_int "hostile frame size" 15 (String.length frame);
+  let hostile = raw_connect addr in
+  write_all hostile frame;
+  (match Net.Frame.decode_resp (read_frame hostile) with
+   | Ok (_, Net.Frame.Err _) -> ()
+   | _ -> Alcotest.fail "hostile frame not answered with Err");
+  expect_eof "hostile peer closed" hostile;
+  Unix.close hostile;
+  let fd = raw_connect addr in
+  write_all fd (frame_of Net.Frame.Get_stamp);
+  ignore (expect_stamp "after hostile frame" (read_frame fd));
   Unix.close fd;
   Srv.stop srv
+
+(* An implementation without a wire codec is refused before a socket
+   exists. *)
+let wire_refuses_codecless_impl () =
+  let (Timestamp.Registry.Impl (module M)) = lost_increment () in
+  let path = sock_path () in
+  Sys.remove path;
+  (match
+     let module Srv = Net.Server.Make (M) in
+     Srv.stop (Srv.start ~addr:(Net.Conn.Unix_path path) ~n:2 ())
+   with
+   | () -> Alcotest.fail "implementation without a codec was served"
+   | exception Invalid_argument msg ->
+     Util.check_bool "refusal names the implementation" true
+       (contains msg "mutant-lost-increment"));
+  Util.check_bool "no socket created" false (Sys.file_exists path)
 
 (* Connection churn: 200 sequential connect/close cycles must not grow
    the domain count (the PR-9 design leaked one handler domain per
@@ -735,11 +892,12 @@ let suite =
   ( "net",
     [ req_roundtrip;
       resp_roundtrip;
-      req_roundtrip_v1;
-      resp_roundtrip_v1;
-      Util.case "frame: truncated/oversized/bad-version rejected" frame_rejects ]
+      Util.case "frame: truncated/oversized/bad-version rejected" frame_rejects;
+      buf_state_machine;
+      decoders_never_raise ]
     @ codec_roundtrips
-    @ [ Util.case "codec: truncated/oversized/opaque rejected" codec_rejects;
+    @ [ Util.case "codec: truncated/oversized/unregistered rejected"
+          codec_rejects;
       Util.case "codec: every registry impl has a safe codec"
         registry_codecs_safe;
       Util.case "frame: v2 stamp writer allocates nothing"
@@ -752,8 +910,11 @@ let suite =
         wire_pipelined_burst;
       Util.case "wire: slow reader gets backpressure, loses nothing"
         wire_slow_reader_backpressure;
-      Util.case "wire: v1 peer negotiation and v1 Compare refusal"
-        wire_v1_peer;
+      Util.case "wire: unknown protocol versions draw Err" wire_unknown_versions;
+      Util.case "wire: hostile length gets Err, loop keeps serving"
+        wire_hostile_length;
+      Util.case "wire: implementation without a codec is never served"
+        wire_refuses_codecless_impl;
       Util.case "wire: churn keeps domains and gauges bounded"
         wire_churn_bounded;
       Util.case "wire: session exhaustion is a clean error"
