@@ -765,7 +765,8 @@ let verify_svc_cmd =
        ~doc:
          "Model-check the serving layer: exhaustively explore Shm models of \
           the service's MPSC push/drain, request-record pool, chunked tick \
-          reservation and graceful-stop handshake, checking the protocol \
+          reservation, graceful-stop handshake and park/wake handshake, \
+          checking the protocol \
           invariants on every reachable configuration.")
     Term.(
       const run $ models $ n_arg $ max_paths $ max_steps $ parallel
@@ -1378,8 +1379,8 @@ let loadgen_cmd =
           telemetry_out
       in
       let cfg =
-        { default with mode; arrival; clients; requests_per_client = requests;
-          pipeline; n; seed; think_us; backend; telemetry }
+        { mode; arrival; clients; requests_per_client = requests; pipeline;
+          n; seed; think_us; backend; telemetry }
       in
       let print_report (r : report) =
         Printf.printf "loadgen: %s  %s  seed=%d\n" r.lg_impl r.lg_mode seed;

@@ -41,6 +41,16 @@ done
 echo "== model smoke: serving-layer models verify exhaustively at n=2 =="
 dune exec bin/ts_cli.exe -- verify-svc -n 2
 
+echo "== model smoke: the park model's lost-wakeup mutant must be killed =="
+# exit 1 = counterexample found; 0 would mean the mutant survived and 2
+# a bad invocation, so demand exactly 1
+rc=0
+dune exec bin/ts_cli.exe -- verify-svc -m park --mutant park-wake-first -n 2 \
+  || rc=$?
+[ "$rc" -eq 1 ] || {
+  echo "park-wake-first survived the model checker (exit $rc)" >&2
+  exit 1; }
+
 echo "== model smoke: model repro corpus replays =="
 for repro in test/repro_corpus/model-*.json; do
   dune exec bin/ts_cli.exe -- verify-svc --replay "$repro"

@@ -139,7 +139,7 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let stats t =
     match rpc t Frame.Stats with
-    | Frame.Stats_reply { sr_shards; sr_conns } -> (sr_shards, sr_conns)
+    | Frame.Stats_reply { sr_shards; sr_conns; _ } -> (sr_shards, sr_conns)
     | _ -> fail "protocol error: expected Stats_reply"
 
   let stop_server t =

@@ -77,7 +77,11 @@ type resp =
   | Stamp of wire_stamp
   | Range of wire_range
   | Cmp of bool
-  | Stats_reply of { sr_shards : shard_stat list; sr_conns : conn_stat list }
+  | Stats_reply of {
+      sr_shards : shard_stat list;
+      sr_conns : conn_stat list;
+      sr_refused : int;
+    }
   | Stopping
   | Err of string
 
@@ -194,7 +198,7 @@ let write_resp b = function
       [ U g.g_pid; U g.g_call; U g.g_shard; U g.g_start_tick; U g.g_base;
         U g.g_count; S g.g_ts ]
   | Cmp v -> write_fields b op_cmp [ B (Bool.to_int v) ]
-  | Stats_reply { sr_shards; sr_conns } ->
+  | Stats_reply { sr_shards; sr_conns; sr_refused } ->
     let shard s = [ U s.ss_served; U s.ss_batches; U s.ss_max_batch ] in
     let conn c =
       [ U c.cn_slot; U c.cn_conns; U c.cn_requests; U c.cn_stamps;
@@ -202,7 +206,8 @@ let write_resp b = function
     in
     write_fields b op_stats_reply
       ((U (List.length sr_shards) :: List.concat_map shard sr_shards)
-       @ (U (List.length sr_conns) :: List.concat_map conn sr_conns))
+       @ (U (List.length sr_conns) :: List.concat_map conn sr_conns)
+       @ [ U sr_refused ])
   | Stopping -> write_fields b op_stopping []
   | Err msg -> write_fields b op_err [ S msg ]
 
@@ -386,7 +391,8 @@ let decode_resp =
               { cn_slot; cn_conns; cn_requests; cn_stamps; cn_leases;
                 cn_bytes_in; cn_bytes_out })
         in
-        Stats_reply { sr_shards; sr_conns }
+        let sr_refused = take_uv c in
+        Stats_reply { sr_shards; sr_conns; sr_refused }
       else if op = op_stopping then Stopping
       else if op = op_err then Err (take_vstr c)
       else fail (Bad_opcode op))

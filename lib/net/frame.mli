@@ -78,7 +78,13 @@ type resp =
   | Stamp of wire_stamp
   | Range of wire_range
   | Cmp of bool
-  | Stats_reply of { sr_shards : shard_stat list; sr_conns : conn_stat list }
+  | Stats_reply of {
+      sr_shards : shard_stat list;
+      sr_conns : conn_stat list;
+      sr_refused : int;
+          (** connections closed at accept: their fd was at or above
+              [FD_SETSIZE], which [select] cannot watch *)
+    }
   | Stopping
   | Err of string
 

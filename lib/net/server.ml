@@ -22,8 +22,18 @@
    - replies stay FIFO per connection: anything that completes while
      earlier requests are still in flight queues behind them.
 
-   The accept loop hands each new fd to a loop (connection id mod
-   io_threads) through a lock-free mailbox and wakes it via a self-pipe.
+   Nothing polls.  A loop with nothing to do parks ({!Svc.Park}): it arms
+   its park, re-checks for completed tickets, new connections and a
+   freshly published anchor, and only then blocks in [select] with no
+   timeout.  Its sessions carry the loop's pipe park, so a worker that
+   completes one of its tickets writes the self-pipe — only while the
+   loop is parked.
+
+   Loop 0 also accepts: the non-blocking listen socket sits in its
+   [select] set, and each new fd goes to a loop (connection id mod
+   io_threads), through a lock-free mailbox and a wake for the others.
+   [select] cannot watch an fd at or above [FD_SETSIZE], so such an fd
+   is closed at accept and counted as refused.
 
    Protocol: one frame format ({!Frame}).  Stamps are encoded with the
    implementation's {!Codec} straight into the send buffer (zero
@@ -34,14 +44,14 @@
    Read fast path: [Ping]/[Stats]/[Compare] never touch the submit
    queue, and for long-lived implementations [Get_range] lease anchors
    are served from a cached timestamp snapshot maintained by a
-   dedicated refresher domain (single writer, readers race-free via one
-   [Atomic] load).  Soundness: the cached anchor executed *before* the
-   lease's ticks are reserved — the same reserve-after-execution
-   discipline as PR 9, with a staler anchor.  A stale start tick only
-   shrinks the set of happens-before edges the checker asserts, and any
-   operation that completed before the grant carries an end tick newer
-   than the cached anchor's start tick, so no false ordering is ever
-   claimed (DESIGN.md §15).
+   refresher domain that the first [Get_range] spawns (single writer,
+   readers race-free via one [Atomic] load).  Soundness: the cached
+   anchor executed *before* the lease's ticks are reserved — the same
+   reserve-after-execution discipline as PR 9, with a staler anchor.  A
+   stale start tick only shrinks the set of happens-before edges the
+   checker asserts, and any operation that completed before the grant
+   carries an end tick newer than the cached anchor's start tick, so no
+   false ordering is ever claimed (DESIGN.md §15).
 
    Epoch-range leases otherwise follow PR 9's discipline: execute one
    anchor getTS through the service, *then* reserve k fresh end ticks
@@ -50,6 +60,12 @@
 let sleep_us us =
   try Unix.sleepf (float_of_int us *. 1e-6)
   with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* [Unix.select] raises EINVAL when any fd in its sets is at or above
+   FD_SETSIZE; on Unix a [file_descr] is the fd number. *)
+let fd_setsize = 1024
+
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
 (* Stop reading from a connection whose peer is not draining responses. *)
 let out_hiwater = 1 lsl 16
@@ -116,6 +132,7 @@ module Make (T : Timestamp.Intf.S) = struct
     cv_conn : Conn.t;
     cv_id : int;
     cv_slot : slot;
+    cv_park : Svc.Park.t;  (* the owning loop's, for the session *)
     mutable cv_session : S.session option;
     cv_pending : pending Queue.t;
     mutable cv_read_eof : bool;  (* peer done sending: answer, then close *)
@@ -128,6 +145,7 @@ module Make (T : Timestamp.Intf.S) = struct
     lp_incoming : (int * Unix.file_descr) list Atomic.t;
     lp_wake_r : Unix.file_descr;
     lp_wake_w : Unix.file_descr;
+    lp_park : Svc.Park.t;  (* wakes write [lp_wake_w] *)
     lp_live : int Atomic.t;
   }
 
@@ -139,13 +157,14 @@ module Make (T : Timestamp.Intf.S) = struct
     slots : slot array;
     loops : loop array;
     mutable loop_doms : unit Domain.t list;
-    mutable accept_dom : unit Domain.t option;
-    mutable anchor_dom : unit Domain.t option;
+    mutable anchor_dom : unit Domain.t option;  (* set by the spawning loop *)
     next_conn : int Atomic.t;
     accepted : int Atomic.t;  (* cumulative, for the shutdown summary *)
+    refused : int Atomic.t;  (* closed at accept: fd >= FD_SETSIZE *)
     read_fast_path : bool;
     anchor : anchor option Atomic.t;
-    anchor_demand : bool Atomic.t;  (* first lease request arms it *)
+    anchor_demand : bool Atomic.t;  (* the first lease request spawns the
+                                       refresher *)
     domains_spawned : int Atomic.t;
     stop_requested : bool Atomic.t;  (* a client sent Stop *)
     stopping : bool Atomic.t;  (* shutdown underway *)
@@ -172,7 +191,8 @@ module Make (T : Timestamp.Intf.S) = struct
                 cn_bytes_out = Atomic.get sl.k_bytes_out })
            t.slots)
     in
-    Frame.Stats_reply { sr_shards; sr_conns }
+    Frame.Stats_reply
+      { sr_shards; sr_conns; sr_refused = Atomic.get t.refused }
 
   (* ------------------------- reply writing ------------------------- *)
 
@@ -251,6 +271,62 @@ module Make (T : Timestamp.Intf.S) = struct
     done;
     !wrote
 
+  (* ------------------------- anchor refresher ---------------------- *)
+
+  (* Single-writer cache of a lease anchor.  The first fast-path
+     Get_range spawns it (so a server that never grants leases never
+     spends a domain or a session on it); it then re-executes a getTS
+     every [anchor_refresh_us].  Its first publish wakes every loop: a
+     loop owing a lease from before the anchor existed is parked. *)
+  let refresher t () =
+    (* Sessions can be transiently exhausted (stamp connections hold
+       theirs until close), so keep retrying: a waiting fast-path lease
+       errors out after its own deadline if no pid ever frees. *)
+    let rec obtain () =
+      if Atomic.get t.stopping then None
+      else
+        match S.open_session t.svc with
+        | s -> Some s
+        | exception _ ->
+          sleep_us 10_000;
+          obtain ()
+    in
+    match obtain () with
+    | None -> ()
+    | Some sess ->
+      let live = ref true and first = ref true in
+      while !live && not (Atomic.get t.stopping) do
+        (match S.get_ts sess with
+         | r ->
+           Atomic.set t.anchor
+             (Some
+                { a_pid = r.S.pid; a_call = r.S.call; a_shard = r.S.shard;
+                  a_start = r.S.start_tick; a_ts = r.S.ts });
+           if !first then begin
+             first := false;
+             Array.iter (fun l -> Svc.Park.wake l.lp_park) t.loops
+           end
+         | exception S.Stopped -> live := false
+         | exception _ -> ());
+        sleep_us anchor_refresh_us
+      done
+
+  let spawn t f =
+    let d = Domain.spawn f in
+    Atomic.incr t.domains_spawned;
+    d
+
+  (* Exactly one loop wins the CAS and spawns the refresher; [stop]
+     joins it after joining the loops, which orders this write before
+     its read. *)
+  let demand_anchor t =
+    if (not (Atomic.get t.anchor_demand))
+       && Atomic.compare_and_set t.anchor_demand false true
+    then
+      match spawn t (refresher t) with
+      | d -> t.anchor_dom <- Some d
+      | exception Failure _ -> ()  (* owed leases run into their deadline *)
+
   (* -------------------------- request handling --------------------- *)
 
   let get_session t cv =
@@ -259,7 +335,7 @@ module Make (T : Timestamp.Intf.S) = struct
     | None ->
       (* lazily: control connections (ping/stats/stop/compare) must not
          consume one of a long-lived object's n sessions *)
-      let s = S.open_session t.svc in
+      let s = S.open_session ~park:cv.cv_park t.svc in
       cv.cv_session <- Some s;
       s
 
@@ -302,8 +378,7 @@ module Make (T : Timestamp.Intf.S) = struct
                submit queue.  One-shot implementations burn a fresh pid
                per anchor and always take the queued path. *)
             if t.read_fast_path && T.kind = `Long_lived then begin
-              if not (Atomic.get t.anchor_demand) then
-                Atomic.set t.anchor_demand true;
+              demand_anchor t;
               match Atomic.get t.anchor with
               | Some a ->
                 reply cv
@@ -363,7 +438,24 @@ module Make (T : Timestamp.Intf.S) = struct
     in
     go ()
 
+  (* Work a parked loop must not sleep through: a completed ticket or
+     a published anchor at the head of some connection's FIFO, or a
+     connection handed over by loop 0. *)
+  let work_ready t loop conns =
+    Atomic.get loop.lp_incoming <> []
+    || Hashtbl.fold
+         (fun _ cv ready ->
+            ready
+            ||
+            match Queue.peek_opt cv.cv_pending with
+            | None -> false
+            | Some (P_stamp tk | P_range { tk; _ }) -> S.poll tk
+            | Some (P_wait_anchor _) -> Atomic.get t.anchor <> None
+            | Some (P_resp _) -> true)
+         conns false
+
   let io_loop t loop () =
+    let accepts = loop == t.loops.(0) in
     let conns : (Unix.file_descr, cstate) Hashtbl.t = Hashtbl.create 32 in
     let adopt (cid, fd) =
       let conn = Conn.create fd in
@@ -372,6 +464,7 @@ module Make (T : Timestamp.Intf.S) = struct
         { cv_conn = conn;
           cv_id = cid;
           cv_slot = t.slots.(cid mod Array.length t.slots);
+          cv_park = loop.lp_park;
           cv_session = None;
           cv_pending = Queue.create ();
           cv_read_eof = false;
@@ -387,6 +480,38 @@ module Make (T : Timestamp.Intf.S) = struct
       match Atomic.exchange loop.lp_incoming [] with
       | [] -> ()
       | l -> List.iter adopt (List.rev l)
+    in
+    let dispatch fd =
+      let cid = Atomic.fetch_and_add t.next_conn 1 in
+      ignore (Atomic.fetch_and_add t.accepted 1);
+      let target = t.loops.(cid mod Array.length t.loops) in
+      if target == loop then adopt (cid, fd)
+      else begin
+        let rec push () =
+          let old = Atomic.get target.lp_incoming in
+          if
+            not
+              (Atomic.compare_and_set target.lp_incoming old
+                 ((cid, fd) :: old))
+          then push ()
+        in
+        push ();
+        Svc.Park.wake target.lp_park
+      end
+    in
+    (* Loop 0 only: take every connection the backlog holds. *)
+    let rec accept_all () =
+      match Unix.accept ~cloexec:true t.listen_fd with
+      | fd, _ ->
+        if fd_number fd >= fd_setsize then begin
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Atomic.incr t.refused
+        end
+        else dispatch fd;
+        accept_all ()
+      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+        accept_all ()
+      | exception Unix.Unix_error _ -> ()  (* EAGAIN: backlog empty *)
     in
     (* Parse every complete frame already buffered. *)
     let parse cv =
@@ -411,7 +536,6 @@ module Make (T : Timestamp.Intf.S) = struct
       | `Would_block -> ()
       | `Data -> parse cv
     in
-    let idle_spins = ref 0 in
     let finished = ref false in
     while not !finished do
       drain_incoming ();
@@ -482,11 +606,15 @@ module Make (T : Timestamp.Intf.S) = struct
              Hashtbl.remove conns fd;
              close_conn loop cv)
           !dead;
-        let have_pending = ref false in
+        let deadline = ref infinity in
         let rds = ref [ loop.lp_wake_r ] and wrs = ref [] in
+        if accepts then rds := t.listen_fd :: !rds;
         Hashtbl.iter
           (fun fd cv ->
-             if not (Queue.is_empty cv.cv_pending) then have_pending := true;
+             (match Queue.peek_opt cv.cv_pending with
+              | Some (P_wait_anchor { deadline = d; _ }) ->
+                deadline := Float.min !deadline d
+              | _ -> ());
              if
                (not cv.cv_read_eof)
                && Conn.pending_out cv.cv_conn < out_hiwater
@@ -494,183 +622,118 @@ module Make (T : Timestamp.Intf.S) = struct
              then rds := fd :: !rds;
              if Conn.pending_out cv.cv_conn > 0 then wrs := fd :: !wrs)
           conns;
-        (* Busy-poll while tickets are in flight (mirrors the service's
-           await spin), backing off once the batch pipeline is clearly
-           behind; idle loops park in select for 50ms and are woken by
-           the accept loop's self-pipe. *)
+        (* Progress made: look at the sockets without blocking.
+           Otherwise park: arm, re-check, and block in select with no
+           timeout (bar an owed lease's deadline) until I/O or a wake. *)
         let timeout =
-          if !made_progress then begin
-            idle_spins := 0;
-            0.0
-          end
-          else if !have_pending then begin
-            incr idle_spins;
-            if !idle_spins < 2000 then 0.0 else 50e-6
-          end
+          if !made_progress then 0.0
           else begin
-            idle_spins := 0;
-            0.05
+            Svc.Park.arm loop.lp_park;
+            if work_ready t loop conns then 0.0
+            else if Float.is_finite !deadline then
+              Float.max 0.0 (!deadline -. Unix.gettimeofday ())
+            else -1.0
           end
         in
-        match Unix.select !rds !wrs [] timeout with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-          (* a peer died between iterations; sweep on the next pass *)
-          Hashtbl.iter
-            (fun _ cv ->
-               match Unix.fstat (Conn.fd cv.cv_conn) with
-               | exception _ -> cv.cv_dead <- true
-               | _ -> ())
-            conns
-        | rds', wrs', _ ->
-          if List.memq loop.lp_wake_r rds' then drain_wake_pipe loop.lp_wake_r;
-          List.iter
-            (fun fd ->
-               match Hashtbl.find_opt conns fd with
-               | Some cv -> (
-                   match Conn.try_flush cv.cv_conn with
-                   | `Closed -> cv.cv_dead <- true
-                   | `Flushed | `Partial -> ())
-               | None -> ())
-            wrs';
-          List.iter
-            (fun fd ->
-               match Hashtbl.find_opt conns fd with
-               | Some cv -> on_readable cv
-               | None -> ())
-            rds'
+        let rds', wrs', _ =
+          try Unix.select !rds !wrs [] timeout with
+          | Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+          | Unix.Unix_error (Unix.EBADF, _, _) ->
+            (* a peer died between iterations; sweep on the next pass *)
+            Hashtbl.iter
+              (fun _ cv ->
+                 match Unix.fstat (Conn.fd cv.cv_conn) with
+                 | exception _ -> cv.cv_dead <- true
+                 | _ -> ())
+              conns;
+            ([], [], [])
+        in
+        Svc.Park.disarm loop.lp_park;
+        if List.memq loop.lp_wake_r rds' then drain_wake_pipe loop.lp_wake_r;
+        if accepts && List.memq t.listen_fd rds' then accept_all ();
+        List.iter
+          (fun fd ->
+             match Hashtbl.find_opt conns fd with
+             | Some cv -> (
+                 match Conn.try_flush cv.cv_conn with
+                 | `Closed -> cv.cv_dead <- true
+                 | `Flushed | `Partial -> ())
+             | None -> ())
+          wrs';
+        List.iter
+          (fun fd ->
+             match Hashtbl.find_opt conns fd with
+             | Some cv -> on_readable cv
+             | None -> ())
+          rds'
       end
-    done;
-    (* Late arrivals raced shutdown: refuse them cleanly. *)
-    List.iter
-      (fun (_, fd) -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (Atomic.exchange loop.lp_incoming [])
-
-  (* ------------------------- anchor refresher ---------------------- *)
-
-  (* Single-writer cache of a lease anchor.  The domain idles until the
-     first Get_range arms [anchor_demand] (so a server that never grants
-     leases never consumes a session), then refreshes every
-     [anchor_refresh_us]. *)
-  let refresher t () =
-    while not (Atomic.get t.stopping || Atomic.get t.anchor_demand) do
-      sleep_us 200
-    done;
-    if not (Atomic.get t.stopping) then begin
-      (* Sessions can be transiently exhausted (stamp connections hold
-         theirs until close), so keep retrying: a waiting fast-path
-         lease errors out after its own deadline if no pid ever frees. *)
-      let rec obtain () =
-        if Atomic.get t.stopping then None
-        else
-          match S.open_session t.svc with
-          | s -> Some s
-          | exception _ ->
-            sleep_us 10_000;
-            obtain ()
-      in
-      match obtain () with
-      | None -> ()
-      | Some sess ->
-        let live = ref true in
-        while !live && not (Atomic.get t.stopping) do
-          (match S.get_ts sess with
-           | r ->
-             Atomic.set t.anchor
-               (Some
-                  { a_pid = r.S.pid; a_call = r.S.call; a_shard = r.S.shard;
-                    a_start = r.S.start_tick; a_ts = r.S.ts })
-           | exception S.Stopped -> live := false
-           | exception _ -> ());
-          sleep_us anchor_refresh_us
-        done
-    end
-
-  (* -------------------------- accept loop -------------------------- *)
-
-  (* select-with-timeout rather than a blocking accept: the loop polls
-     the stopping flag, so shutdown never races a close() against a
-     domain blocked in accept(2). *)
-  let accept_loop t () =
-    let wake loop =
-      try ignore (Unix.write loop.lp_wake_w (Bytes.make 1 '!') 0 1)
-      with Unix.Unix_error _ -> ()  (* pipe full = already awake *)
-    in
-    let dispatch fd =
-      let cid = Atomic.fetch_and_add t.next_conn 1 in
-      ignore (Atomic.fetch_and_add t.accepted 1);
-      let loop = t.loops.(cid mod Array.length t.loops) in
-      let rec push () =
-        let old = Atomic.get loop.lp_incoming in
-        if
-          not
-            (Atomic.compare_and_set loop.lp_incoming old ((cid, fd) :: old))
-        then push ()
-      in
-      push ();
-      wake loop
-    in
-    let rec loop () =
-      if Atomic.get t.stopping then ()
-      else
-        match Unix.select [ t.listen_fd ] [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | exception Unix.Unix_error _ -> ()
-        | [], _, _ -> loop ()
-        | _ -> (
-            match Unix.accept ~cloexec:true t.listen_fd with
-            | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-              ()
-            | exception Unix.Unix_error _ -> loop ()
-            | fd, _ ->
-              if Atomic.get t.stopping then (
-                try Unix.close fd with Unix.Unix_error _ -> ())
-              else begin
-                dispatch fd;
-                loop ()
-              end)
-    in
-    loop ()
+    done
 
   (* ---------------------------- lifecycle -------------------------- *)
 
-  let spawn t f =
-    ignore (Atomic.fetch_and_add t.domains_spawned 1);
-    Domain.spawn f
-
-  let start ?(batch_max = 64) ?(backoff_us = 50) ?(shards = 1)
-      ?(backend = `Boxed) ?(telemetry = false) ?(conn_slots = 4)
-      ?io_threads ?(read_fast_path = true) ~addr ~n () =
+  let start ?(batch_max = 64) ?(shards = 1) ?(backend = `Boxed)
+      ?(telemetry = false) ?(conn_slots = 4) ?io_threads
+      ?(read_fast_path = true) ~addr ~n () =
     if conn_slots <= 0 then
       invalid_arg "Server.start: conn_slots must be positive";
     let io_threads = match io_threads with Some k -> k | None -> shards in
     if io_threads <= 0 then
       invalid_arg "Server.start: io_threads must be positive";
-    let svc = S.start ~batch_max ~backoff_us ~shards ~backend ~telemetry ~n () in
-    (match addr with
-     | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
-     | Conn.Tcp _ -> ());
-    let listen_fd =
-      Unix.socket ~cloexec:true (Conn.domain_of addr) Unix.SOCK_STREAM 0
+    let svc = S.start ~batch_max ~shards ~backend ~telemetry ~n () in
+    let unlink_path () =
+      match addr with
+      | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
+      | Conn.Tcp _ -> ()
     in
-    (match addr with
-     | Conn.Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true
-     | Conn.Unix_path _ -> ());
-    (try
-       Unix.bind listen_fd (Conn.sockaddr_of addr);
-       Unix.listen listen_fd 256
-     with e ->
-       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-       S.stop svc;
-       raise e);
-    let mk_loop _ =
-      let r, w = Unix.pipe ~cloexec:true () in
-      Unix.set_nonblock r;
-      Unix.set_nonblock w;
-      { lp_incoming = Atomic.make [];
-        lp_wake_r = r;
-        lp_wake_w = w;
-        lp_live = Atomic.make 0 }
+    unlink_path ();
+    (* Every fd a loop selects on must stay below FD_SETSIZE. *)
+    let owned = ref [] in
+    let own what fds =
+      owned := fds @ !owned;
+      List.iter
+        (fun fd ->
+           if fd_number fd >= fd_setsize then
+             failwith
+               (Printf.sprintf
+                  "Server.start: %s got fd %d, at or above FD_SETSIZE (%d), \
+                   which select cannot watch; close fds or start the \
+                   server earlier"
+                  what (fd_number fd) fd_setsize))
+        fds
+    in
+    let setup () =
+      let listen_fd =
+        Unix.socket ~cloexec:true (Conn.domain_of addr) Unix.SOCK_STREAM 0
+      in
+      own "the listen socket" [ listen_fd ];
+      (match addr with
+       | Conn.Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true
+       | Conn.Unix_path _ -> ());
+      Unix.bind listen_fd (Conn.sockaddr_of addr);
+      Unix.listen listen_fd 256;
+      Unix.set_nonblock listen_fd;
+      let mk_loop _ =
+        let r, w = Unix.pipe ~cloexec:true () in
+        own "a wake pipe" [ r; w ];
+        Unix.set_nonblock r;
+        Unix.set_nonblock w;
+        { lp_incoming = Atomic.make [];
+          lp_wake_r = r;
+          lp_wake_w = w;
+          lp_park = Svc.Park.of_pipe w;
+          lp_live = Atomic.make 0 }
+      in
+      (listen_fd, Array.init io_threads mk_loop)
+    in
+    let listen_fd, loops =
+      try setup ()
+      with e ->
+        List.iter
+          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+          !owned;
+        unlink_path ();
+        S.stop svc;
+        raise e
     in
     let use_fast_path = read_fast_path && T.kind = `Long_lived in
     let t =
@@ -685,12 +748,12 @@ module Make (T : Timestamp.Intf.S) = struct
         listen_fd;
         addr;
         slots = Array.init conn_slots (fun _ -> make_slot ());
-        loops = Array.init io_threads mk_loop;
+        loops;
         loop_doms = [];
-        accept_dom = None;
         anchor_dom = None;
         next_conn = Atomic.make 0;
         accepted = Atomic.make 0;
+        refused = Atomic.make 0;
         read_fast_path = use_fast_path;
         anchor = Atomic.make None;
         anchor_demand = Atomic.make false;
@@ -701,8 +764,6 @@ module Make (T : Timestamp.Intf.S) = struct
     in
     t.loop_doms <-
       Array.to_list (Array.map (fun l -> spawn t (io_loop t l)) t.loops);
-    if use_fast_path then t.anchor_dom <- Some (spawn t (refresher t));
-    t.accept_dom <- Some (spawn t (accept_loop t));
     t
 
   let bound_addr t =
@@ -727,16 +788,13 @@ module Make (T : Timestamp.Intf.S) = struct
       sleep_us wait_period_us
     done
 
+  let refused t = Atomic.get t.refused
+
   let stop t =
     if Atomic.compare_and_set t.stopped false true then begin
       Atomic.set t.stopping true;
-      (match t.accept_dom with Some d -> Domain.join d | None -> ());
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      (match t.addr with
-       | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
-       | Conn.Tcp _ -> ());
-      (* wake every loop so it sees the flag, then join: loops drain
-         their pending replies and close their connections *)
+      (* wake every loop so it sees the flag, parked or not, then join:
+         loops drain their pending replies and close their connections *)
       Array.iter
         (fun l ->
            try ignore (Unix.write l.lp_wake_w (Bytes.make 1 '!') 0 1)
@@ -744,6 +802,18 @@ module Make (T : Timestamp.Intf.S) = struct
         t.loops;
       List.iter Domain.join t.loop_doms;
       t.loop_doms <- [];
+      (* loop 0 has stopped selecting on the listen socket *)
+      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+      (match t.addr with
+       | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
+       | Conn.Tcp _ -> ());
+      (* late arrivals: handed over by loop 0 after their loop finished *)
+      Array.iter
+        (fun l ->
+           List.iter
+             (fun (_, fd) -> try Unix.close fd with Unix.Unix_error _ -> ())
+             (Atomic.exchange l.lp_incoming []))
+        t.loops;
       (match t.anchor_dom with Some d -> Domain.join d | None -> ());
       t.anchor_dom <- None;
       Array.iter
@@ -788,7 +858,9 @@ module Make (T : Timestamp.Intf.S) = struct
       (Obs.Json.Int (Array.length t.loops));
     List.iter
       (fun (name, f) -> Obs.Timeseries.add_source ts ~name f)
-      (net_sources t)
+      (net_sources t);
+    Obs.Timeseries.add_source ts ~name:"net.refused" (fun () ->
+        float_of_int (refused t))
 
   let service_stats t = S.stats t.svc
 end

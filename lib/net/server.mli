@@ -7,9 +7,17 @@
     high-water mark the loop stops reading from it), and service
     requests are completed with the non-blocking
     {!Svc.Service.Make.poll}, so the domain count is independent of the
-    connection count.  The accept domain hands each new fd to a loop
-    (connection id mod io_threads) through a lock-free mailbox plus
-    self-pipe wakeup.  Replies stay FIFO per connection.
+    connection count.  Replies stay FIFO per connection.
+
+    No domain polls.  A loop with nothing to do parks ({!Svc.Park}): it
+    re-checks for completed tickets and handed-over connections, then
+    blocks in [select] without a timeout; its sessions carry its pipe
+    park, so a completing worker writes the loop's self-pipe only while
+    the loop is parked.  Loop 0 also accepts: the listen socket is in
+    its [select] set, and each new fd goes to a loop (connection id mod
+    io_threads) through a lock-free mailbox plus a wake.  An accepted fd
+    at or above [FD_SETSIZE] (1024), which [select] cannot watch, is
+    closed at once and counted in {!refused}.
 
     Stamps are codec-encoded straight into the send buffer (zero
     minor-heap words per stamp), and [Compare] payloads are parsed with
@@ -20,10 +28,10 @@
     Read fast path ([read_fast_path], default on): [Ping]/[Stats]/
     [Compare] are answered on the I/O domain, and for long-lived
     implementations [Get_range] lease anchors come from a cached
-    timestamp snapshot refreshed every 200µs by a dedicated
-    single-writer domain — see DESIGN.md §15 for why the stale anchor
-    stays sound for the happens-before checker.  Tick reservation still
-    happens strictly after the anchor executed
+    timestamp snapshot refreshed every 200µs by a single-writer domain
+    that the first [Get_range] spawns — see DESIGN.md §15 for why the
+    stale anchor stays sound for the happens-before checker.  Tick
+    reservation still happens strictly after the anchor executed
     ({!Svc.Service.Make.reserve_ticks}, DESIGN.md §14).
 
     Sessions are opened lazily, on a connection's first [Get_stamp] or
@@ -41,7 +49,6 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val start :
     ?batch_max:int ->
-    ?backoff_us:int ->
     ?shards:int ->
     ?backend:Multicore.Backend.choice ->
     ?telemetry:bool ->
@@ -55,12 +62,15 @@ module Make (T : Timestamp.Intf.S) : sig
   (** Starts the service ({!Svc.Service.Make.start} semantics for the
       shared parameters), binds and listens on [addr] (an existing Unix
       socket path is unlinked first; TCP sets [SO_REUSEADDR]), and
-      spawns the I/O loop pool, the accept domain, and (long-lived
-      implementations with [read_fast_path], the default) the anchor
-      refresher — at most [io_threads + 2] domains on top of the
-      service shards, independent of connection count.  [conn_slots]
-      (default 4) sizes the telemetry counter groups.  On bind/listen
-      failure the service is stopped and the exception re-raised. *)
+      spawns the [io_threads] I/O loops — the only domains it starts on
+      top of the service shards.  The anchor refresher (long-lived
+      implementations with [read_fast_path], the default) is spawned
+      later, by the first [Get_range]: at most [io_threads + 1] domains,
+      independent of connection count.  [conn_slots] (default 4) sizes
+      the telemetry counter groups.  On bind/listen failure the service
+      is stopped and the exception re-raised; if the listen socket or a
+      loop's wake pipe lands on an fd at or above [FD_SETSIZE], it fails
+      with [Failure] naming the fd. *)
 
   val bound_addr : t -> Conn.addr
   (** The actual listening address — resolves a requested TCP port 0 to
@@ -75,27 +85,30 @@ module Make (T : Timestamp.Intf.S) : sig
       owner calls {!stop} — a handler cannot join itself. *)
 
   val domains : t -> int
-  (** Domains this server has spawned (I/O loops + accept + refresher;
-      service workers are counted by the service).  Constant after
-      {!start} — the reactor never spawns per connection; E19 pins
-      this. *)
+  (** Domains this server has spawned: the I/O loops, plus the
+      refresher once a lease was requested (service workers are counted
+      by the service).  Never grows per connection; E19 pins this. *)
 
   val io_threads : t -> int
 
   val live_conns : t -> int
   (** Connections currently owned by the I/O loops. *)
 
+  val refused : t -> int
+  (** Connections closed at accept because their fd was at or above
+      [FD_SETSIZE]; also in the [Stats] reply ([sr_refused]) and the
+      [net.refused] telemetry gauge. *)
+
   val wait : t -> unit
   (** Blocks until {!stop_requested} (or {!stop} from another domain). *)
 
   val stop : t -> unit
-  (** Graceful shutdown: joins the accept loop, closes the listen
-      socket (unlinking a Unix path), then wakes and joins every I/O
-      loop — each answers the requests still in flight, flushes
-      best-effort (bounded, so a dead peer cannot hang shutdown), and
-      closes its connections — joins the refresher, and stops the
-      service.  Idempotent; concurrent callers lose the race and return
-      immediately. *)
+  (** Graceful shutdown: wakes and joins every I/O loop — each answers
+      the requests still in flight, flushes best-effort (bounded, so a
+      dead peer cannot hang shutdown), and closes its connections —
+      then closes the listen socket (unlinking a Unix path), joins the
+      refresher, and stops the service.  Idempotent; concurrent callers
+      lose the race and return immediately. *)
 
   val requests_total : t -> int
 
@@ -110,8 +123,8 @@ module Make (T : Timestamp.Intf.S) : sig
   val attach_telemetry : t -> Obs.Timeseries.t -> unit
   (** The service's gauges and stall rules
       ({!Svc.Service.Make.attach_telemetry} — requires
-      [~telemetry:true]) plus {!net_sources} and the listen address /
-      io_threads metadata. *)
+      [~telemetry:true]) plus {!net_sources}, the [net.refused] gauge
+      and the listen address / io_threads metadata. *)
 
   val service_stats : t -> Svc.Service.Make(T).shard_stats array
 end

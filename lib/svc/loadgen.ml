@@ -32,7 +32,6 @@ type cfg = {
   n : int;
   seed : int;
   think_us : int;
-  backoff_us : int;
   backend : Multicore.Backend.choice;
   telemetry : telemetry option;
 }
@@ -46,7 +45,6 @@ let default =
     n = 8;
     seed = 1;
     think_us = 0;
-    backoff_us = 50;
     backend = `Boxed;
     telemetry = None }
 
@@ -524,8 +522,7 @@ module Run (T : Timestamp.Intf.S) = struct
         cfg
     | Service { shards; batch_max } ->
       let svc =
-        S.start ~batch_max ~backoff_us:cfg.backoff_us ~shards
-          ~backend:cfg.backend
+        S.start ~batch_max ~shards ~backend:cfg.backend
           ~telemetry:(cfg.telemetry <> None)
           ~n:(effective_n cfg) ()
       in

@@ -67,14 +67,13 @@ type cfg = {
   seed : int;
   think_us : int;  (** max seeded random pause between bursts; 0 = none;
                        ignored by the open loop (the schedule paces) *)
-  backoff_us : int;  (** worker idle backoff (service mode) *)
   backend : Multicore.Backend.choice;  (** register layout (both modes) *)
   telemetry : telemetry option;  (** live sampler; any transport *)
 }
 
 val default : cfg
 (** [Direct], [Closed], 4 clients, 100 requests each, pipeline 1, n = 8,
-    seed 1, no think time, 50us backoff, boxed backend, no telemetry. *)
+    seed 1, no think time, boxed backend, no telemetry. *)
 
 type shard_report = {
   sr_shard : int;

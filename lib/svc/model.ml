@@ -9,11 +9,12 @@
    is finite; DESIGN.md section 13 states the correspondence and what each
    abstraction step does (and does not) hide.
 
-   Seeded mutants re-introduce three bugs the real code is structured to
-   avoid — a dropped CAS retry, an end tick reserved before execution, a
-   stop that skips the in-flight drain — and exist to prove the invariants
-   can see them: the explorer must kill every mutant with a short schedule,
-   committed under test/repro_corpus/ and replayed as a regression. *)
+   Seeded mutants re-introduce bugs the real code is structured to avoid —
+   a dropped CAS retry, an end tick reserved before execution, a stop that
+   skips the in-flight drain, a wake after the first flip of a run, a park
+   without the re-check — and exist to prove the invariants can see them:
+   the explorer must kill every mutant with a short schedule, committed
+   under test/repro_corpus/ and replayed as a regression. *)
 
 type gate = { g_pending : int; g_pushed : int; g_stopping : bool }
 
@@ -32,6 +33,7 @@ type result =
   | R_rejected
   | R_worker of int
   | R_stopper
+  | R_ready of int
 
 (* Register accessors.  A model only ever stores one shape per register, so
    a mismatch is a bug in the model itself, not a racy execution. *)
@@ -51,23 +53,26 @@ let gate = function
   | V_gate g -> g
   | _ -> invalid_arg "Model: expected the gate register"
 
-type model = Mpsc | Pool | Tick | Stop
+type model = Mpsc | Pool | Tick | Stop | Park
 
-let all = [ Mpsc; Pool; Tick; Stop ]
+let all = [ Mpsc; Pool; Tick; Stop; Park ]
 
 let name = function
   | Mpsc -> "mpsc"
   | Pool -> "pool"
   | Tick -> "tick"
   | Stop -> "stop"
+  | Park -> "park"
 
 let of_name = function
   | "mpsc" -> Ok Mpsc
   | "pool" -> Ok Pool
   | "tick" -> Ok Tick
   | "stop" -> Ok Stop
+  | "park" -> Ok Park
   | s ->
-    Error (Printf.sprintf "unknown model %S (expected mpsc|pool|tick|stop)" s)
+    Error
+      (Printf.sprintf "unknown model %S (expected mpsc|pool|tick|stop|park)" s)
 
 let describe = function
   | Mpsc ->
@@ -84,6 +89,10 @@ let describe = function
   | Stop ->
     "graceful stop: reject-new / drain-in-flight handshake between \
      anonymous clients, the draining worker and the stopper"
+  | Park ->
+    "park/wake: a waiter raises parked and re-checks its done flag before \
+     blocking, the worker flips a run of done flags then wakes once; no \
+     lost wakeup"
 
 type mutant = { m_name : string; m_model : model; m_desc : string }
 
@@ -102,7 +111,19 @@ let mutants =
       m_model = Stop;
       m_desc =
         "the stopper raises the stop flag without waiting for in-flight \
-         requests to drain" } ]
+         requests to drain" };
+    { m_name = "park-wake-first";
+      m_model = Park;
+      m_desc =
+        "the worker wakes after the first flip of a run instead of the \
+         last: a waiter that parks on a later record of the run sleeps \
+         forever" };
+    { m_name = "park-no-recheck";
+      m_model = Park;
+      m_desc =
+        "the waiter blocks right after raising parked, without \
+         re-checking its done flag: a flip-and-wake that ran just before \
+         the raise is lost" } ]
 
 let mutant_of_name s =
   match List.find_opt (fun m -> m.m_name = s) mutants with
@@ -572,6 +593,93 @@ let stop_sys ~mutant ~n =
     invariant;
     leaf }
 
+(* --------------------------- park --------------------------------- *)
+(* Registers: 0 = the session park's [parked] flag, 1 = its wakeup token
+   (the condition variable's token, or the byte in a reactor's
+   self-pipe), 2+j = the done flag of the j-th record of one session's
+   run in a stamp chunk, j < n.  The worker (pid 0) flips the run's done
+   flags and then wakes once: read parked, and if it is raised, CAS it
+   down and set the token — [Park.wake].  The waiter (pid 1) awaits the
+   records in order within one call, as [Client.Inproc.stamp_batch] does:
+   per record one poll (the spin, collapsed to a single read), then park
+   — raise parked, re-check the flag, and only if it is still clear await
+   the token, consume it, lower parked and check again.
+
+   The leaf check is the liveness claim: at a maximal configuration the
+   waiter is not blocked, so no wakeup was lost.  A lost wakeup leaves the
+   waiter awaiting a token nobody will set, which surfaces as a maximal
+   configuration with a running process. *)
+
+let park_sys ~mutant ~n =
+  let parked = 0 and token = 1 in
+  let done_ j = 2 + j in
+  let wake_first = mutant = Some "park-wake-first" in
+  let no_recheck = mutant = Some "park-no-recheck" in
+  let rec park j =
+    let* () = Shm.Prog.write parked (V_int 1) in
+    let* d =
+      if no_recheck then Shm.Prog.return (V_int 0)
+      else Shm.Prog.read (done_ j)
+    in
+    if num d = 1 then
+      let* () = Shm.Prog.write parked (V_int 0) in
+      await_from (j + 1)
+    else
+      let* _ = Shm.Prog.await token (fun v -> num v = 1) in
+      let* () = Shm.Prog.write token (V_int 0) in
+      let* () = Shm.Prog.write parked (V_int 0) in
+      let* d = Shm.Prog.read (done_ j) in
+      if num d = 1 then await_from (j + 1) else park j
+  and await_from j =
+    if j >= n then Shm.Prog.return (R_ready n)
+    else
+      let* d = Shm.Prog.read (done_ j) in
+      if num d = 1 then await_from (j + 1) else park j
+  in
+  let wake =
+    let* p = Shm.Prog.read parked in
+    if num p = 1 then
+      let* won = Shm.Prog.cas parked ~expect:(V_int 1) ~desired:(V_int 0) in
+      if won then Shm.Prog.write token (V_int 1) else Shm.Prog.return ()
+    else Shm.Prog.return ()
+  in
+  let worker =
+    let rec flip j =
+      if j >= n then Shm.Prog.return ()
+      else
+        let* () = Shm.Prog.write (done_ j) (V_int 1) in
+        (* the bug: the run's wake comes right after its first flip *)
+        let* () = if wake_first && j = 0 then wake else Shm.Prog.return () in
+        flip (j + 1)
+    in
+    let* () = flip 0 in
+    let* () = if wake_first then Shm.Prog.return () else wake in
+    Shm.Prog.return (R_worker n)
+  in
+  let supplier ~pid ~call:_ = if pid = 0 then worker else await_from 0 in
+  (* safety: the waiter returns only once every record of the run is
+     done *)
+  let invariant cfg =
+    List.for_all
+      (function
+        | R_ready k ->
+          List.for_all
+            (fun j -> num (Shm.Sim.reg cfg (done_ j)) = 1)
+            (List.init k Fun.id)
+        | _ -> true)
+      (completed cfg)
+  in
+  let leaf cfg =
+    Shm.Sim.running cfg = [] && List.mem (R_ready n) (completed cfg)
+  in
+  { procs = 2;
+    num_regs = 2 + n;
+    init = Array.make (2 + n) (V_int 0);
+    calls_per_proc = [| 1; 1 |];
+    supplier;
+    invariant;
+    leaf }
+
 (* ------------------------------------------------------------------ *)
 
 let sys ?mutant model ~n =
@@ -591,7 +699,8 @@ let sys ?mutant model ~n =
       | Mpsc -> mpsc_sys ~mutant ~n
       | Pool -> pool_sys ~mutant ~n
       | Tick -> tick_sys ~mutant ~n
-      | Stop -> stop_sys ~mutant ~n)
+      | Stop -> stop_sys ~mutant ~n
+      | Park -> park_sys ~mutant ~n)
 
 let initial s = Shm.Sim.of_regs ~n:s.procs ~regs:s.init
 

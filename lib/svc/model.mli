@@ -1,11 +1,11 @@
 (** Model-checked encodings of the serving layer's concurrency skeleton.
 
-    The service ([Service], [Mpsc]) runs on real atomics, where tests can
-    only sample schedules.  This module re-states its four synchronization
-    patterns as bounded {!Shm.Prog} programs over the simulator's
-    sequentially consistent registers, so {!Shm.Explore} can enumerate
-    {e every} schedule of a small instance and check the protocol
-    invariants on each reachable configuration:
+    The service ([Service], [Mpsc], [Park]) runs on real atomics, where
+    tests can only sample schedules.  This module re-states its five
+    synchronization patterns as bounded {!Shm.Prog} programs over the
+    simulator's sequentially consistent registers, so {!Shm.Explore} can
+    enumerate {e every} schedule of a small instance and check the
+    protocol invariants on each reachable configuration:
 
     - {!Mpsc} — the Treiber-stack push (read + CAS retry) racing a
       single-exchange drain: per-producer FIFO, no duplicated and no lost
@@ -23,13 +23,18 @@
       the stop flag is up, nothing is in flight, nothing is pending, and
       everything accepted was served.  Clients are anonymous (one symmetry
       class), so this model exercises the process-symmetry quotient.
+    - {!Park} — the park/wake handshake ([Park.wait] against the worker's
+      per-run [Park.wake]): the waiter raises [parked], re-checks its done
+      flag, then awaits a wake; the worker flips a run of [n] done flags,
+      then wakes once.  No wakeup is lost: the waiter never ends blocked.
 
     The model-to-code correspondence — which loops were bounded, which
     multi-step operations were collapsed, and why each collapse removes no
     observable interleaving — is tabulated in DESIGN.md section 13.
 
     {!mutants} are deliberately broken variants (dropped CAS retry, tick
-    reserved before execution, stop without drain) used to demonstrate the
+    reserved before execution, stop without drain, wake after the first
+    flip of a run, park without re-check) used to demonstrate the
     invariants have teeth: the explorer kills each with a short schedule,
     checked into [test/repro_corpus/model-*.json]. *)
 
@@ -55,13 +60,14 @@ type result =
   | R_rejected
   | R_worker of int
   | R_stopper
+  | R_ready of int  (** park: the waiter saw record [j] done *)
 
-type model = Mpsc | Pool | Tick | Stop
+type model = Mpsc | Pool | Tick | Stop | Park
 
 val all : model list
 
 val name : model -> string
-(** ["mpsc" | "pool" | "tick" | "stop"]. *)
+(** ["mpsc" | "pool" | "tick" | "stop" | "park"]. *)
 
 val of_name : string -> (model, string) Stdlib.result
 
@@ -90,10 +96,10 @@ type sys = {
 }
 
 val sys : ?mutant:string -> model -> n:int -> (sys, string) Stdlib.result
-(** The model instantiated at [n] clients/producers, optionally with a
-    named mutant planted (the mutant must belong to the model).  [Error]
-    on an unknown mutant or a model/mutant mismatch; raises
-    [Invalid_argument] if [n < 1]. *)
+(** The model instantiated at [n] clients/producers (for [Park]: [n]
+    records in the waiter's run), optionally with a named mutant planted
+    (the mutant must belong to the model).  [Error] on an unknown mutant
+    or a model/mutant mismatch; raises [Invalid_argument] if [n < 1]. *)
 
 val initial : sys -> (value, result) Shm.Sim.t
 

@@ -1,13 +1,7 @@
 let now_us () = Obs.Trace.Clock.now_s () *. 1e6
 
-(* One sleep quantum for all blocking waits.  On an oversubscribed box a
-   sleeping domain frees the core (and, unlike a spinning one, drops out of
-   the runnable set the GC's stop-the-world barrier has to cycle through);
-   50us is comfortably above the scheduler's wakeup granularity. *)
 let sleep_s s =
   try Unix.sleepf s with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let await_sleep_s = 50e-6
 
 module Make (T : Timestamp.Intf.S) = struct
   type resp = {
@@ -25,8 +19,9 @@ module Make (T : Timestamp.Intf.S) = struct
      flag is a plain mutable slot rewritten on submit; [r_next] threads the
      record through its shard's inbox without a per-push cons cell.  The
      completion protocol is: worker writes the result fields, then flips
-     [r_done] 0 -> 1 (SC release); the client spins on [r_done] (SC
-     acquire) and only then reads the plain fields. *)
+     [r_done] 0 -> 1 (SC release) and wakes [r_park], the submitting
+     session's park; the client waits on [r_done] (SC acquire) and only
+     then reads the plain fields. *)
   type request = {
     mutable r_pid : int;
     mutable r_call : int;
@@ -36,6 +31,7 @@ module Make (T : Timestamp.Intf.S) = struct
     mutable r_ts : T.result;
     mutable r_resp_us : float;
     r_done : int Atomic.t;
+    r_park : Park.t;  (* the owning session's; records never change session *)
     mutable r_next : request;
   }
 
@@ -50,10 +46,12 @@ module Make (T : Timestamp.Intf.S) = struct
       r_ts = (Obj.magic 0 : T.result);
       r_resp_us = 0.0;
       r_done = Atomic.make 1;
+      r_park = Park.create ();
       r_next = nil }
 
   type shard = {
     inbox : request Atomic.t;  (* Treiber stack of requests; [nil] = empty *)
+    park : Park.t;  (* the worker parks here on an empty inbox *)
     depth : int Atomic.t;  (* submitted-not-batched; maintained only when
                               instrumented ([t.instr]) *)
     (* worker-owned counters; the sampler domain reads them live (plain
@@ -72,9 +70,6 @@ module Make (T : Timestamp.Intf.S) = struct
     n : int;
     shards : shard array;
     batch_max : int;
-    backoff_us : int;
-    backoff_s : float;  (* = backoff_us, precomputed so the sleep path
-                           performs no float boxing *)
     armed : bool;  (* Obs.Hooks.armed, sampled once at start *)
     instr : bool;  (* armed || telemetry: maintain live gauges *)
     pooled : int Atomic.t;  (* records parked in session free lists,
@@ -98,6 +93,7 @@ module Make (T : Timestamp.Intf.S) = struct
     svc : t;
     s_pid : int;
     s_shard : int;
+    s_park : Park.t;
     mutable s_call : int;
     pool : request array;
     mutable pool_top : int;
@@ -122,10 +118,14 @@ module Make (T : Timestamp.Intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Worker: drain the shard inbox in FIFO batches and execute.           *)
 
-  let idle_spin_budget = 200
+  (* The worker's wake condition; [submit] wakes it after its push and
+     [stop] after raising the flag. *)
+  let has_work ((t : t), shard) =
+    Atomic.get shard.inbox != nil || Atomic.get t.stop_flag
 
   let worker t i () =
     let shard = t.shards.(i) in
+    let idle_key = (t, shard) in
     let armed = t.armed in
     let rec reverse_onto acc node =
       if node == nil then acc
@@ -174,15 +174,22 @@ module Make (T : Timestamp.Intf.S) = struct
           (* one wall-clock read per chunk; every record in the chunk
              shares the same boxed float *)
           let stamp = now_us () in
+          (* Wake each session once per chunk, after the LAST flip of
+             its run: every flip then precedes a wake that reads the
+             session's [parked] flag.  Waking after the first flip would
+             lose a wakeup for a client that parks on a later record of
+             the same run (the model's park-wake-first mutant). *)
           let rec publish node j =
             if j < k then begin
               (* Capture the link before flipping the flag: the instant
                  [r_done] is 1 the client may release and resubmit this
                  very record, rewriting [r_next]. *)
               let next = node.r_next in
+              let park = node.r_park in
               node.r_end_tick <- base + j;
               node.r_resp_us <- stamp;
               Atomic.set node.r_done 1;
+              if j + 1 = k || next.r_park != park then Park.wake park;
               publish next (j + 1)
             end
           in
@@ -194,7 +201,6 @@ module Make (T : Timestamp.Intf.S) = struct
       chunks first 0
     in
     let backlog = ref nil in
-    let idle = ref 0 in
     let rec loop () =
       if !backlog == nil then begin
         match Atomic.exchange shard.inbox nil with
@@ -202,13 +208,10 @@ module Make (T : Timestamp.Intf.S) = struct
           (* [stop] only raises the flag once inflight = 0, so an empty
              inbox here means there is nothing left to drain. *)
           if not (Atomic.get t.stop_flag) then begin
-            incr idle;
-            if !idle > idle_spin_budget then sleep_s t.backoff_s
-            else Domain.cpu_relax ();
+            Park.wait shard.park has_work idle_key;
             loop ()
           end
         | drained ->
-          idle := 0;
           backlog := reverse_onto nil drained;
           loop ()
       end
@@ -239,8 +242,8 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* ------------------------------------------------------------------ *)
 
-  let start ?(batch_max = 64) ?(backoff_us = 50) ?(shards = 1)
-      ?(backend = `Boxed) ?(telemetry = false) ~n () =
+  let start ?(batch_max = 64) ?(shards = 1) ?(backend = `Boxed)
+      ?(telemetry = false) ~n () =
     if n <= 0 then invalid_arg "Service.start: n must be positive";
     if shards <= 0 then invalid_arg "Service.start: shards must be positive";
     if batch_max <= 0 then
@@ -255,6 +258,7 @@ module Make (T : Timestamp.Intf.S) = struct
         shards =
           Array.init shards (fun _ ->
               { inbox = Atomic.make nil;
+                park = Park.create ();
                 depth = Atomic.make 0;
                 served = 0;
                 batches = 0;
@@ -262,8 +266,6 @@ module Make (T : Timestamp.Intf.S) = struct
                 chunks = 0;
                 batch_hdr = Obs.Hdr.create ~shards:1 () });
         batch_max;
-        backoff_us;
-        backoff_s = float_of_int backoff_us *. 1e-6;
         armed;
         instr = armed || telemetry;
         pooled = Atomic.make 0;
@@ -281,7 +283,7 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let backend t = t.backend
 
-  let open_session t =
+  let open_session ?park t =
     let id = Atomic.fetch_and_add t.next_session 1 in
     (match T.kind with
      | `Long_lived ->
@@ -293,11 +295,12 @@ module Make (T : Timestamp.Intf.S) = struct
     { svc = t;
       s_pid = id;
       s_shard = id mod Array.length t.shards;
+      s_park = (match park with Some p -> p | None -> Park.create ());
       s_call = 0;
       pool = Array.make pool_cap nil;
       pool_top = 0 }
 
-  let fresh () =
+  let fresh park =
     { r_pid = -1;
       r_call = -1;
       r_shard = -1;
@@ -306,6 +309,7 @@ module Make (T : Timestamp.Intf.S) = struct
       r_ts = (Obj.magic 0 : T.result);
       r_resp_us = 0.0;
       r_done = Atomic.make 0;
+      r_park = park;
       r_next = nil }
 
   let submit session =
@@ -329,7 +333,7 @@ module Make (T : Timestamp.Intf.S) = struct
         if t.instr then Atomic.decr t.pooled;
         r
       end
-      else fresh ()
+      else fresh session.s_park
     in
     (match T.kind with
      | `One_shot ->
@@ -357,27 +361,17 @@ module Make (T : Timestamp.Intf.S) = struct
     let shard = t.shards.(session.s_shard) in
     push shard req;
     if t.instr then Atomic.incr shard.depth;
+    Park.wake shard.park;
     req
 
   (* Non-blocking completion probe for event-loop callers that multiplex
      many tickets (the net reactor): one SC load, no spin. *)
   let poll (req : ticket) = Atomic.get req.r_done = 1
 
-  let await_spin_budget = 500
-
-  let rec wait_done_from (req : ticket) spins =
-    if Atomic.get req.r_done = 0 then
-      if spins < await_spin_budget then begin
-        Domain.cpu_relax ();
-        wait_done_from req (spins + 1)
-      end
-      else begin
-        sleep_s await_sleep_s;
-        wait_done_from req await_spin_budget
-      end
+  let wait_done (req : ticket) = Park.wait req.r_park poll req
 
   let await (req : ticket) =
-    wait_done_from req 0;
+    wait_done req;
     { ts = req.r_ts;
       pid = req.r_pid;
       call = req.r_call;
@@ -395,7 +389,7 @@ module Make (T : Timestamp.Intf.S) = struct
     end
 
   let await_ts session (req : ticket) =
-    wait_done_from req 0;
+    wait_done req;
     let ts = req.r_ts in
     release session req;
     ts
@@ -416,22 +410,15 @@ module Make (T : Timestamp.Intf.S) = struct
     if k <= 0 then invalid_arg "Service.reserve_ticks: k must be positive";
     Atomic.fetch_and_add t.tick k
 
-  let stop_spin_budget = 200
-
   let stop t =
     if Atomic.compare_and_set t.accepting true false then begin
-      (* Drain politely: a brief cpu_relax spin for the common
-         almost-empty case, then the same idle-backoff quantum the
-         workers use, so a graceful stop never burns a core. *)
-      let spins = ref 0 in
+      (* A cold path: the drain sleeps in fixed quanta rather than
+         parking, so no completion has to know a stopper is waiting. *)
       while Atomic.get t.inflight > 0 do
-        if !spins < stop_spin_budget then begin
-          incr spins;
-          Domain.cpu_relax ()
-        end
-        else sleep_s t.backoff_s
+        sleep_s 50e-6
       done;
       Atomic.set t.stop_flag true;
+      Array.iter (fun (sh : shard) -> Park.wake sh.park) t.shards;
       List.iter Domain.join t.workers
     end
 

@@ -2,13 +2,19 @@
 
     A fixed pool of worker domains each owns one shard.  Clients open
     sessions (a session is pinned to a shard), enqueue getTS requests into
-    the shard's lock-free intrusive MPSC inbox, and block on the request's
+    the shard's lock-free intrusive MPSC inbox, and wait on the request's
     done flag; the worker drains its inbox in FIFO batches and executes
     each request against one shared register store via {!Multicore.Exec} —
     so requests from different shards still contend on the same registers,
     exactly the paper's model, but each request's program runs on a single
     domain and the per-request queue synchronization is amortized over a
     batch.
+
+    Nothing polls.  An idle worker parks on its shard's {!Park} and
+    [submit] wakes it; a client in {!await} parks on its session's
+    {!Park} and the worker wakes each session once per stamp chunk, after
+    the last done flag of that session's run in the chunk.  A wake costs
+    one atomic load when nobody is parked.
 
     The submit/complete path is allocation-free in steady state (pinned by
     a [Gc.minor_words] test): request records are pooled per session and
@@ -66,7 +72,6 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val start :
     ?batch_max:int ->
-    ?backoff_us:int ->
     ?shards:int ->
     ?backend:Multicore.Backend.choice ->
     ?telemetry:bool ->
@@ -76,10 +81,10 @@ module Make (T : Timestamp.Intf.S) : sig
   (** Provisions [T.num_registers ~n] shared registers and spawns [shards]
       worker domains (default 1).  [batch_max] (default 64) caps how many
       requests a worker executes per batch; [batch_max = 1] is the
-      unbatched mode benchmarked by E13.  [backoff_us] (default 50) is the
-      idle sleep once a worker's spin budget is exhausted — workers poll,
-      so no wakeup signal can be missed.  [backend] (default [`Boxed])
-      selects the register layout ({!Multicore.Backend}).
+      unbatched mode benchmarked by E13.  An idle worker parks on its
+      shard's {!Park} and uses no CPU until a {!submit} wakes it.
+      [backend] (default [`Boxed]) selects the register layout
+      ({!Multicore.Backend}).
 
       [telemetry] (default false) maintains the live gauges behind
       {!telemetry_sources} — per-shard queue depth, batch-size HDR
@@ -90,11 +95,17 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val backend : t -> Multicore.Backend.choice
 
-  val open_session : t -> session
+  val open_session : ?park:Park.t -> t -> session
   (** For long-lived implementations the session owns process id
       [session index] (at most [n] sessions).  For one-shot implementations
       every request consumes a globally fresh process id instead (at most
-      [n] requests service-wide); the session only pins the shard. *)
+      [n] requests service-wide); the session only pins the shard.
+
+      [park] is what the worker wakes when this session's requests
+      complete: by default a fresh condition-variable park that {!await}
+      blocks on.  An event loop that multiplexes many sessions passes its
+      own {!Park.of_pipe} park, so a completion writes its self-pipe only
+      while the loop is parked in [select]. *)
 
   val submit : session -> ticket
   (** Enqueues one getTS; allocation-free once the session's request pool
@@ -113,9 +124,12 @@ module Make (T : Timestamp.Intf.S) : sig
       without parking a domain per request. *)
 
   val await : ticket -> resp
-  (** Blocks (brief spin, then sleep-backoff) until the response, which it
-      copies out into a fresh record.  Does not recycle the ticket — call
-      {!release} afterwards to return it to the session pool. *)
+  (** Waits for the response ({!Park.wait} on the session's park: a
+      brief spin, then blocked until the worker's wake), then copies it
+      out into a fresh record.  Does not recycle the ticket — call
+      {!release} afterwards to return it to the session pool.  Only for
+      sessions on a condition-variable park; a session opened with a
+      pipe park completes tickets via {!poll} first. *)
 
   val release : session -> ticket -> unit
   (** Returns an awaited ticket's record to the session's pool (drops it
@@ -140,9 +154,9 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val stop : t -> unit
   (** Graceful shutdown: refuses new submissions, waits until every
-      in-flight request has been answered (brief spin, then idle-backoff
-      sleeps — stopping never burns a core), then stops and joins the
-      workers.  Idempotent. *)
+      in-flight request has been answered (sleeping in 50µs quanta —
+      stopping never burns a core), then raises the stop flag, wakes the
+      parked workers and joins them.  Idempotent. *)
 
   type shard_stats = {
     served : int;

@@ -36,6 +36,33 @@ let clean_models_verify () =
        Util.check_bool (name ^ " explored something") true (s.paths > 0))
     [ (Svc.Model.Pool, false); (Svc.Model.Tick, false); (Svc.Model.Stop, true) ]
 
+(* The park/wake handshake verifies exhaustively at n = 2..3 records in
+   the waiter's run, and both of its mutants die at each size: a wake
+   after the first flip of the run, and a park without the re-check. *)
+let park_model_verifies () =
+  List.iter
+    (fun n ->
+       let s = stats_of (Svc.Model.verify Svc.Model.Park ~n) in
+       let label = Printf.sprintf "park n=%d" n in
+       Util.check_bool (label ^ " exhaustive") true s.exhaustive;
+       Util.check_int (label ^ " untruncated") 0 s.truncated_paths;
+       Util.check_bool (label ^ " explored something") true (s.paths > 0);
+       List.iter
+         (fun mutant ->
+            let cex = cex_of (Svc.Model.verify ~mutant Svc.Model.Park ~n) in
+            match Svc.Model.replay ~mutant Svc.Model.Park ~n cex with
+            | Stdlib.Ok (Some why) ->
+              Util.check_bool
+                (Printf.sprintf "%s at n=%d is a lost wakeup" mutant n)
+                true
+                (String.starts_with ~prefix:"deadlock" why)
+            | Stdlib.Ok None ->
+              Alcotest.failf "%s at n=%d: counterexample does not replay"
+                mutant n
+            | Stdlib.Error e -> Alcotest.fail e)
+         [ "park-wake-first"; "park-no-recheck" ])
+    [ 2; 3 ]
+
 (* Verdicts are engine-independent: sequential, steal frontier and the
    root-split engine agree on the clean stop model, and a capped visited
    table (which must evict at this size) changes work, never the verdict. *)
@@ -289,6 +316,8 @@ let await_deadlock_is_a_leaf () =
 let suite =
   ( "svc-model",
     [ Util.case "clean models verify exhaustively (n=2)" clean_models_verify;
+      Util.case "park model verifies at n=2..3, its mutants die"
+        park_model_verifies;
       Util.case "engines agree on verdicts (steal/split/capped)"
         engines_agree_on_verdicts;
       Util.case "planted mutants die with shrunk schedules" mutant_kills;

@@ -70,7 +70,8 @@ let gen_resp =
              sr_conns =
                [ { Net.Frame.cn_slot = 0; cn_conns = 2; cn_requests = reqs;
                    cn_stamps = reqs; cn_leases = 1; cn_bytes_in = 10 * reqs;
-                   cn_bytes_out = 30 * reqs } ] })
+                   cn_bytes_out = 30 * reqs } ];
+             sr_refused = served mod 3 })
       nat nat
   in
   oneof
@@ -817,8 +818,8 @@ let wire_churn_bounded () =
   let addr = Net.Conn.Unix_path (sock_path ()) in
   let srv = Srv.start ~addr ~n:4 ~conn_slots:2 () in
   let d0 = Srv.domains srv in
-  Util.check_bool "domain budget: io_threads + accept + refresher" true
-    (d0 <= Srv.io_threads srv + 2);
+  Util.check_int "domain budget: the io_threads loops" (Srv.io_threads srv)
+    d0;
   for _ = 1 to 200 do
     let c = C.connect addr in
     C.close c
@@ -847,6 +848,178 @@ let wire_churn_bounded () =
   done;
   Util.check_int "live connections drained" 0 (Srv.live_conns srv);
   Util.check_bool "live slot gauges drained" true (live_gauges () = 0.);
+  (* the anchor refresher exists only once a lease was requested *)
+  let c = C.connect ~lease:4 addr in
+  ignore (C.stamp c);
+  C.close c;
+  Util.check_int "a lease request adds the refresher"
+    (Srv.io_threads srv + 1) (Srv.domains srv);
+  Srv.stop srv
+
+(* Nothing polls: an idle server holding one open connection has its
+   loop parked in select and its worker parked, and no refresher until
+   a lease is requested, so the process spends well under 5 ms of CPU
+   over half a second.  (Polling loops spent 30-40 ms.) *)
+let wire_idle_server_parks () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let module C = Net.Client.Make (Timestamp.Lamport) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~addr ~n:4 () in
+  let c = C.connect addr in
+  for _ = 1 to 20 do
+    ignore (C.stamp c)
+  done;
+  Unix.sleepf 0.05;  (* let every waiter finish its spin and park *)
+  let ms = Util.idle_cpu_ms 0.5 in
+  C.close c;
+  Srv.stop srv;
+  Util.check_bool
+    (Printf.sprintf "idle server used %.2f ms of CPU in 500 ms" ms)
+    true (ms < 5.0)
+
+(* The soft open-fd limit, from /proc/self/limits; 0 when unknown. *)
+let fd_limit () =
+  match In_channel.with_open_text "/proc/self/limits" In_channel.input_all with
+  | exception Sys_error _ -> 0
+  | text ->
+    List.find_map
+      (fun line ->
+         if String.starts_with ~prefix:"Max open files" line then
+           match
+             String.split_on_char ' ' line |> List.filter (( <> ) "")
+           with
+           | _ :: _ :: _ :: soft :: _ -> int_of_string_opt soft
+           | _ -> None
+         else None)
+      (String.split_on_char '\n' text)
+    |> Option.value ~default:0
+
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
+
+(* select cannot watch an fd at or above FD_SETSIZE (1024): a connection
+   that lands there is refused at accept — the peer sees EOF — while the
+   loop keeps serving everyone else.  (Letting it reach select killed the
+   loop's domain and hung its connections.) *)
+let wire_fd_setsize_refused () =
+  if fd_limit () < 1100 then Alcotest.skip ();
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let module C = Net.Client.Make (Timestamp.Lamport) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~addr ~n:4 () in
+  let existing = C.connect addr in
+  ignore (C.stamp existing);
+  (* hold fds until the next one handed out is >= 1024 *)
+  let held = ref [] in
+  let release () =
+    List.iter Unix.close !held;
+    held := []
+  in
+  Fun.protect ~finally:release (fun () ->
+      let r, w = Unix.pipe ~cloexec:true () in
+      held := [ r; w ];
+      let rec fill () =
+        let fd = Unix.dup ~cloexec:true r in
+        held := fd :: !held;
+        if fd_number fd < 1023 then fill ()
+      in
+      fill ();
+      let peer = raw_connect addr in
+      held := peer :: !held;
+      Util.check_bool "the client's own fd is past FD_SETSIZE" true
+        (fd_number peer >= 1024);
+      expect_eof "peer past FD_SETSIZE sees EOF" peer;
+      let s = C.stamp existing in
+      Util.check_bool "existing connection still served" true
+        (s.st_end_tick >= 0));
+  Util.check_int "refused counted" 1 (Srv.refused srv);
+  let fd = raw_connect addr in
+  write_all fd (frame_of Net.Frame.Stats);
+  (match Net.Frame.decode_resp (read_frame fd) with
+   | Ok (_, Net.Frame.Stats_reply { sr_refused; _ }) ->
+     Util.check_int "Stats reports the refusal" 1 sr_refused
+   | _ -> Alcotest.fail "expected Stats_reply");
+  Unix.close fd;
+  C.close existing;
+  Srv.stop srv
+
+(* Lost-wakeup stress: in-process sessions and wire clients send
+   pipelined bursts of random depth with random microsecond gaps, so
+   completions race every stage of a waiter's park.  A watchdog turns a
+   lost wakeup into a failure instead of a hang; every stamp must also
+   pass the timed happens-before checker. *)
+let park_stress () =
+  let clients = 3 and rounds = 150 in
+  let drive ~label (burst : int -> int -> Timestamp.Efr.result stamp list) =
+    let progress = Atomic.make 0 and finished = Atomic.make 0 in
+    let doms =
+      List.init clients (fun i ->
+          Domain.spawn (fun () ->
+              Fun.protect ~finally:(fun () -> Atomic.incr finished)
+              @@ fun () ->
+              let rng = Random.State.make [| 14; i |] in
+              let acc = ref [] in
+              for _ = 1 to rounds do
+                let depth = 1 + Random.State.int rng 12 in
+                if Random.State.bool rng then
+                  Unix.sleepf (float_of_int (Random.State.int rng 100) *. 1e-6);
+                let got = burst i depth in
+                (* Alcotest's checks are not domain-safe: fail plainly *)
+                if List.length got <> depth then
+                  failwith (label ^ ": a burst came back short");
+                acc := List.rev_append got !acc;
+                Atomic.incr progress
+              done;
+              List.rev !acc))
+    in
+    let last = ref (-1) and since = ref (Unix.gettimeofday ()) in
+    while Atomic.get finished < clients do
+      Unix.sleepf 0.01;
+      let p = Atomic.get progress in
+      if p <> !last then begin
+        last := p;
+        since := Unix.gettimeofday ()
+      end
+      else if Unix.gettimeofday () -. !since > 10.0 then
+        Alcotest.failf "%s: no burst completed for 10 s (lost wakeup)" label
+    done;
+    let per_client = List.map Domain.join doms in
+    List.iteri
+      (fun i stamps ->
+         let calls = List.map (fun s -> s.st_call) stamps in
+         Util.check_bool
+           (Printf.sprintf "%s: client %d calls in session order" label i)
+           true
+           (calls = List.init (List.length calls) Fun.id))
+      per_client;
+    let timed =
+      List.concat_map
+        (List.map (fun s ->
+             { Timestamp.Checker.td_pid = s.st_pid; td_call = s.st_call;
+               td_start = s.st_start_tick; td_end = s.st_end_tick;
+               td_ts = s.st_ts }))
+        per_client
+    in
+    match
+      Timestamp.Checker.check_timed ~compare_ts:Timestamp.Efr.compare_ts
+        ~pp:Timestamp.Efr.pp_ts timed
+    with
+    | Result.Ok _ -> ()
+    | Result.Error v ->
+      Alcotest.failf "%s: %a" label Timestamp.Checker.pp_violation v
+  in
+  let module S = Svc.Service.Make (Timestamp.Efr) in
+  let module Ci = Svc.Client.Inproc (Timestamp.Efr) in
+  let svc = S.start ~shards:2 ~batch_max:16 ~n:clients () in
+  let inproc = Array.init clients (fun _ -> Ci.connect svc) in
+  drive ~label:"inproc" (fun i depth -> Ci.stamp_batch inproc.(i) depth);
+  S.stop svc;
+  let module Srv = Net.Server.Make (Timestamp.Efr) in
+  let module C = Net.Client.Make (Timestamp.Efr) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~shards:2 ~io_threads:2 ~addr ~n:clients () in
+  let wire = Array.init clients (fun _ -> C.connect addr) in
+  drive ~label:"wire" (fun i depth -> C.stamp_batch wire.(i) depth);
+  Array.iter C.close wire;
   Srv.stop srv
 
 (* --------------------- the in-process transports -------------------- *)
@@ -917,6 +1090,12 @@ let suite =
         wire_refuses_codecless_impl;
       Util.case "wire: churn keeps domains and gauges bounded"
         wire_churn_bounded;
+      Util.case "wire: an idle server parks: no CPU burnt"
+        wire_idle_server_parks;
+      Util.case "wire: an fd past FD_SETSIZE is refused, the loop lives"
+        wire_fd_setsize_refused;
+      Util.case "park: random bursts and gaps never lose a wakeup"
+        park_stress;
       Util.case "wire: session exhaustion is a clean error"
         session_exhaustion_is_clean;
       Util.case "lease: concurrent clients stay hb-sound"

@@ -277,6 +277,23 @@ let telemetry_sources_totals () =
      | exception Invalid_argument _ -> true);
   S.stop disarmed
 
+(* Nothing polls: an idle service's workers are parked, so the process
+   spends well under 5 ms of CPU over half a second.  (Workers that slept
+   in 50us quanta instead spent about 30 ms.) *)
+let idle_service_parks () =
+  let module S = Svc.Service.Make (Timestamp.Lamport) in
+  let svc = S.start ~shards:2 ~n:2 () in
+  let session = S.open_session svc in
+  for _ = 1 to 50 do
+    ignore (S.get_ts session)
+  done;
+  Unix.sleepf 0.05;  (* let every waiter finish its spin and park *)
+  let ms = Util.idle_cpu_ms 0.5 in
+  S.stop svc;
+  Util.check_bool
+    (Printf.sprintf "idle service used %.2f ms of CPU in 500 ms" ms)
+    true (ms < 5.0)
+
 let suite =
   ( "svc",
     [ Util.case "mpsc drain is FIFO" mpsc_fifo;
@@ -296,4 +313,5 @@ let suite =
       Util.case "free-list exhaustion extends, never blocks"
         freelist_exhaustion_extends;
       Util.case "telemetry sources report exact totals"
-        telemetry_sources_totals ] )
+        telemetry_sources_totals;
+      Util.case "an idle service parks: no CPU burnt" idle_service_parks ] )

@@ -18,3 +18,14 @@ let over_impls f = List.iter f Timestamp.Registry.all
 let impl_name (Timestamp.Registry.Impl (module T)) = T.name
 
 let seeds = [ 1; 7; 42; 1001; 65537 ]
+
+(* Process CPU time (every domain's) spent while the calling domain
+   sleeps [s] seconds, in milliseconds. *)
+let idle_cpu_ms s =
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let c0 = cpu () in
+  Unix.sleepf s;
+  (cpu () -. c0) *. 1e3
