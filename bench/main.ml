@@ -1933,8 +1933,8 @@ let e19_scaling_point (type r)
   Srv.stop srv;
   let hb_pairs =
     match
-      Timestamp.Checker.check_timed ~compare_ts:T.compare_ts ~pp:T.pp_ts
-        !timed
+      Timestamp.Checker.check_timed ~order:T.order ~compare_ts:T.compare_ts
+        ~pp:T.pp_ts !timed
     with
     | Ok pairs -> pairs
     | Error v ->

@@ -87,6 +87,18 @@ echo "$lg_out" | grep -q "served 120 requests" || {
 echo "$lg_out" | grep -q "checker: OK" || {
   echo "loadgen smoke: checker did not pass" >&2; exit 1; }
 
+echo "== scale smoke: 200k requests checked by the strict-weak sweep =="
+# ~2e10 happens-before pairs: minutes for the all-pairs scan, under a
+# second for the sweep, so the timeout catches a fallback to the scan
+scale_out=$(timeout 60 dune exec bin/ts_cli.exe -- loadgen \
+  -i lamport-longlived --clients 2 -r 100000 --shards 1 --batch 16 \
+  --pipeline 8)
+echo "$scale_out"
+echo "$scale_out" | grep -q "served 200000 requests" || {
+  echo "scale smoke: wrong request count" >&2; exit 1; }
+echo "$scale_out" | grep -q "checker: OK" || {
+  echo "scale smoke: checker did not pass" >&2; exit 1; }
+
 echo "== telemetry smoke: open-loop loadgen writes a valid stall-free stream =="
 tel_out=$(dune exec bin/ts_cli.exe -- loadgen -i lamport-longlived \
   --clients 2 -r 60 --shards 2 --batch 16 --pipeline 2 --rate 2000 \

@@ -96,14 +96,38 @@ type 'r timed = {
    naive all-pairs pass into a prefix scan: for [o2] in ascending start-tick
    order, the predecessors with [td_end < o2.td_start] form a growing prefix
    of the end-sorted array, so only happens-before-eligible pairs are ever
-   compared (the naive version also probed every unordered pair — the bulk
-   of the quadratic work under heavy concurrency). *)
-let check_timed (type r) ~compare_ts ~(pp : Format.formatter -> r -> unit)
-    (records : r timed list) : (int, violation) result =
+   compared.  Under a strict weak order the sweep also keeps [top], a
+   maximal element of that prefix (replaced by [x] when [top < x]), and
+   checks [o2] against [top] alone: every [x] of the prefix is below [top]
+   or incomparable with it, so [top < o2] gives [x < o2] by transitivity
+   or by transitivity of incomparability, and asymmetry gives
+   [not (o2 < x)].  The pair count is the sum of the prefix lengths either
+   way. *)
+let check_timed (type r) ~order ~compare_ts
+    ~(pp : Format.formatter -> r -> unit) (records : r timed list) :
+  (int, violation) result =
   let str t = Format.asprintf "%a" pp t in
   let op r : Shm.History.op = { pid = r.td_pid; call = r.td_call } in
   let exception Violation of violation in
+  let violation o1 o2 reason =
+    Violation
+      { op1 = op o1; op2 = op o2; t1 = str o1.td_ts; t2 = str o2.td_ts;
+        reason }
+  in
+  (* [o1] happens before [o2] *)
+  let check_pair o1 o2 =
+    if not (compare_ts o1.td_ts o2.td_ts) then
+      raise (violation o1 o2 "happens before, but compare(t1,t2)=false");
+    if compare_ts o2.td_ts o1.td_ts then
+      raise (violation o1 o2 "happens before, but compare(t2,t1)=true")
+  in
+  let strict_weak = match order with `Strict_weak -> true | `General -> false in
   try
+    List.iter
+      (fun r ->
+         if compare_ts r.td_ts r.td_ts then
+           raise (violation r r "compare is not irreflexive at"))
+      records;
     let by_end = Array.of_list records in
     Array.sort (fun a b -> Int.compare a.td_end b.td_end) by_end;
     let by_start = Array.of_list records in
@@ -111,28 +135,24 @@ let check_timed (type r) ~compare_ts ~(pp : Format.formatter -> r -> unit)
     let len = Array.length by_end in
     let pairs = ref 0 in
     let prefix = ref 0 in
+    let top = ref 0 in
     Array.iter
       (fun o2 ->
          while !prefix < len && by_end.(!prefix).td_end < o2.td_start do
+           if strict_weak
+           && (!prefix = 0
+               || compare_ts by_end.(!top).td_ts by_end.(!prefix).td_ts)
+           then top := !prefix;
            incr prefix
          done;
-         for j = 0 to !prefix - 1 do
-           let o1 = by_end.(j) in
-           (* by construction [o1] happens before [o2] *)
-           incr pairs;
-           if not (compare_ts o1.td_ts o2.td_ts) then
-             raise
-               (Violation
-                  { op1 = op o1; op2 = op o2;
-                    t1 = str o1.td_ts; t2 = str o2.td_ts;
-                    reason = "happens before, but compare(t1,t2)=false" });
-           if compare_ts o2.td_ts o1.td_ts then
-             raise
-               (Violation
-                  { op1 = op o1; op2 = op o2;
-                    t1 = str o1.td_ts; t2 = str o2.td_ts;
-                    reason = "happens before, but compare(t2,t1)=true" })
-         done)
+         pairs := !pairs + !prefix;
+         if strict_weak then begin
+           if !prefix > 0 then check_pair by_end.(!top) o2
+         end
+         else
+           for j = 0 to !prefix - 1 do
+             check_pair by_end.(j) o2
+           done)
       by_start;
     Ok !pairs
   with Violation v -> Error v

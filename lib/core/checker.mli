@@ -39,14 +39,34 @@ type 'r timed = {
     [r1] happens before [r2]. *)
 
 val check_timed :
+  order:[ `Strict_weak | `General ] ->
   compare_ts:('r -> 'r -> bool) ->
   pp:(Format.formatter -> 'r -> unit) ->
   'r timed list ->
   (int, violation) result
-(** {!check} over the tick-derived happens-before order of a real parallel
-    run, as a prefix scan (sort by end tick, sweep by start tick) so only
-    ordered pairs are ever compared.  Backs [Multicore.Stress.check] and
-    the service load generator's verdict. *)
+(** {!check}'s happens-before and irreflexivity rules over the
+    tick-derived happens-before order of a real parallel run.  Backs
+    [Multicore.Stress.check] and the service load generator's verdict.
+
+    First an O(n) pass rejects any [compare_ts t t] with ["compare is not
+    irreflexive at"].  Then both paths sort the [n] records by end tick and
+    sweep them by start tick: the calls that happen before the current one
+    form a growing prefix of the end-sorted array.
+    - [order = `General] compares the current call with every call of
+      its prefix: O(n log n + pairs), quadratic when most calls are
+      ordered.  This is the oracle.
+    - [order = `Strict_weak] keeps [top], a maximal element of the prefix
+      (replaced by [x] when [compare_ts top x]), and compares the current
+      call with [top] only: O(n log n).  The verdict is still exact, not a
+      sample: in a strict weak order every element of the prefix is below
+      [top] or incomparable with it, so [top < o2] gives [x < o2] for the
+      whole prefix, and asymmetry gives [not (o2 < x)].  This holds only
+      if the [compare_ts] passed in is a strict weak order, i.e. the one an
+      implementation declares with [order = `Strict_weak] ({!Intf.S}).
+
+    [Ok pairs] counts every happens-before pair (the sum of the prefix
+    lengths) on both paths; the sweep counts the pairs it does not
+    visit. *)
 
 val check_sim :
   (module Intf.S with type value = 'v and type result = 'r) ->

@@ -58,6 +58,12 @@ let compare_ts t1 t2 =
   | Odd (m1, c1), Odd (m2, c2) -> m1 = m2 && c1 < c2
   | (Even _ | Odd _), _ -> false
 
+(* [Even] values sit on even heights and [Odd] ones on odd heights, and
+   all [Odd] values of one height share [m]; so [compare_ts] is the
+   lexicographic order on [(height, c)] (with [c = 0] for [Even]), a strict
+   weak order. *)
+let order = `Strict_weak
+
 let equal_ts (t1 : result) (t2 : result) = t1 = t2
 
 let pp_ts ppf = function

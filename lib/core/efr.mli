@@ -32,6 +32,8 @@ val height : result -> int
 
 val compare_ts : result -> result -> bool
 
+val order : [ `Strict_weak | `General ]
+
 val equal_ts : result -> result -> bool
 
 val pp_ts : Format.formatter -> result -> unit

@@ -20,6 +20,18 @@ module type S = sig
   (** The [compare] method.  Must be consistent with happens-before as
       described above.  Pure: accesses no shared memory. *)
 
+  val order : [ `Strict_weak | `General ]
+  (** What kind of relation [compare_ts] is — a fact about the
+      implementation, not a setting.  [`Strict_weak]: irreflexive,
+      transitive, and incomparability ([not (compare_ts a b)] and
+      [not (compare_ts b a)]) is transitive too, as for any order on an
+      extracted key (Lamport's integers, Algorithm 3's lexicographic
+      [(rnd, turn)]).  {!Checker.check_timed} then checks each call
+      against one maximal earlier call instead of all of them.
+      [`General]: no claim beyond the specification (e.g. vector
+      dominance, a partial order whose incomparability is not
+      transitive); checkers compare every happens-before pair. *)
+
   val equal_ts : result -> result -> bool
 
   val pp_ts : Format.formatter -> result -> unit

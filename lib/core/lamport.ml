@@ -33,6 +33,8 @@ let program ~n ~pid ~call:_ =
 
 let compare_ts (t1 : int) (t2 : int) = t1 < t2
 
+let order = `Strict_weak
+
 let equal_ts = Int.equal
 
 let pp_ts = Format.pp_print_int

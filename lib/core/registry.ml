@@ -11,6 +11,8 @@ let name (Impl (module T)) = T.name
 
 let kind (Impl (module T)) = T.kind
 
+let order (Impl (module T)) = T.order
+
 let num_registers (Impl (module T)) ~n = T.num_registers ~n
 
 let simple_oneshot = Impl (module Simple_oneshot)

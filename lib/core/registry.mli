@@ -12,6 +12,8 @@ val name : impl -> string
 
 val kind : impl -> [ `One_shot | `Long_lived ]
 
+val order : impl -> [ `Strict_weak | `General ]
+
 val num_registers : impl -> n:int -> int
 
 val simple_oneshot : impl

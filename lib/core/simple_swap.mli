@@ -22,6 +22,8 @@ val program : n:int -> pid:int -> call:int -> (value, result) Shm.Prog.t
 
 val compare_ts : result -> result -> bool
 
+val order : [ `Strict_weak | `General ]
+
 val equal_ts : result -> result -> bool
 
 val pp_ts : Format.formatter -> result -> unit

@@ -47,6 +47,8 @@ let compare_ts v1 v2 =
     v1;
   !le && !strict
 
+let order = `General
+
 let equal_ts (v1 : int array) v2 = v1 = v2
 
 let pp_ts ppf v =

@@ -72,6 +72,8 @@ let seq_at ids j = List.nth_opt ids (j - 1)
 let compare_ts ((rnd1, turn1) : result) ((rnd2, turn2) : result) =
   rnd1 < rnd2 || (rnd1 = rnd2 && turn1 < turn2)
 
+let order = `Strict_weak
+
 let equal_ts ((a, b) : result) ((c, d) : result) = a = c && b = d
 
 let pp_ts ppf (rnd, turn) = Format.fprintf ppf "(%d,%d)" rnd turn
@@ -205,6 +207,8 @@ struct
 
   let compare_ts = compare_ts
 
+  let order = order
+
   let equal_ts = equal_ts
 
   let pp_ts = pp_ts
@@ -234,6 +238,8 @@ module One_shot = struct
     get_ts ~m:(num_registers ~n) ~id:{ pid; seq_no = 0 } ()
 
   let compare_ts = compare_ts
+
+  let order = order
 
   let equal_ts = equal_ts
 

@@ -47,6 +47,9 @@ val equal_value : value -> value -> bool
 val compare_ts : result -> result -> bool
 (** Algorithm 3: lexicographic on [(rnd, turn)]. *)
 
+val order : [ `Strict_weak | `General ]
+(** [`Strict_weak], as any lexicographic order. *)
+
 val equal_ts : result -> result -> bool
 
 val pp_ts : Format.formatter -> result -> unit

@@ -45,6 +45,8 @@ let make_variant ~variant_name ~repair : (module VARIANT) =
 
     let compare_ts = Sqrt.compare_ts
 
+    let order = Sqrt.order
+
     let equal_ts = Sqrt.equal_ts
 
     let pp_ts = Sqrt.pp_ts

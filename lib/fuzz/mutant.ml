@@ -42,6 +42,10 @@ module Oneshot_mutant (M : ONESHOT_TWIST) :
 
   let compare_ts = M.compare_ts
 
+  (* Mutants only run under the simulator's [check], which ignores the
+     declaration; [`General] claims nothing, so it is true of any twist. *)
+  let order = `General
+
   let equal_ts = Int.equal
 
   let pp_ts = Format.pp_print_int
@@ -98,6 +102,8 @@ module Lamport_no_max :
     Shm.Prog.return t
 
   let compare_ts (t1 : int) (t2 : int) = t1 < t2
+
+  let order = `General
 
   let equal_ts = Int.equal
 

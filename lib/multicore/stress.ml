@@ -63,7 +63,8 @@ module Make (T : Timestamp.Intf.S) = struct
         records
     in
     match
-      Timestamp.Checker.check_timed ~compare_ts:T.compare_ts ~pp:T.pp_ts timed
+      Timestamp.Checker.check_timed ~order:T.order ~compare_ts:T.compare_ts
+        ~pp:T.pp_ts timed
     with
     | Ok pairs -> Ok pairs
     | Error v ->

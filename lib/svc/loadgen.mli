@@ -31,7 +31,10 @@
 
     Every request's submit/response order is recorded against the global
     tick, so the report carries a {!Timestamp.Checker.check_timed} verdict
-    over the real happens-before order the clients observed.
+    over the real happens-before order the clients observed.  The
+    implementation's declared order ({!Timestamp.Intf.S.order}) picks the
+    checker path: O(n log n) for a strict weak order, the exhaustive
+    pair scan otherwise.
 
     With [telemetry = Some _], the run starts an {!Obs.Timeseries}
     sampler over the generator's own [lat.p50_us]/[lat.p99_us]/
@@ -100,9 +103,9 @@ type report = {
   lg_max_us : float;  (** exact recorded maximum (HDR tracks it exactly) *)
   lg_shards : shard_report list;  (** one entry ([Direct]: a single pseudo
                                       shard with no batch counters) *)
-  lg_timestamps : string list;
+  lg_timestamps : string list Lazy.t;
       (** pretty-printed timestamps in response (tick) order — the served
-          sequence, used by determinism tests *)
+          sequence, used by determinism tests; built only when forced *)
   lg_samples : int;  (** telemetry samples written (0 when telemetry off) *)
   lg_stalls : int;  (** stall-detector events (0 when telemetry off) *)
 }
@@ -126,7 +129,12 @@ module Drive (C : Client.S) : sig
             placement) *)
     num_shards : int;  (** serving shards, for the per-shard histograms;
                            out-of-range [st_shard] values land in shard 0 *)
-    impl : string;  (** implementation name, for [lg_impl] *)
+    impl : string;
+        (** implementation name, for [lg_impl]; also selects the
+            {!Timestamp.Checker.check_timed} path: the declared
+            {!Timestamp.Intf.S.order} of the registered implementation
+            of that name ({!Timestamp.Registry.find}), and the exhaustive
+            scan for any unregistered name *)
     mode_label : string;  (** for [lg_mode] *)
     backend_label : string;  (** for [lg_backend] *)
     compare_ts : C.result -> C.result -> bool;

@@ -82,6 +82,147 @@ let detects_reflexive_compare () =
   | Ok _ -> Alcotest.fail "reflexive compare must be flagged"
   | Error _ -> ()
 
+(* ---------------------------- check_timed ---------------------------- *)
+
+let timed pid ~start ~stop ts : int Timestamp.Checker.timed =
+  { td_pid = pid; td_call = 0; td_start = start; td_end = stop; td_ts = ts }
+
+(* calls [i] at ticks [2i, 2i + 1]: each happens before the next *)
+let sequential stamps =
+  List.mapi (fun i ts -> timed i ~start:(2 * i) ~stop:((2 * i) + 1) ts) stamps
+
+let run_timed ?(compare_ts = fun (a : int) b -> a < b) order records =
+  Timestamp.Checker.check_timed ~order ~compare_ts ~pp:Format.pp_print_int
+    records
+
+(* Every check_timed case runs on both paths: the sweep and the scan. *)
+let on_both_paths f () = List.iter f [ `Strict_weak; `General ]
+
+let timed_accepts_correct order =
+  (* three sequential calls, one overlapping all of them, one after all *)
+  match
+    run_timed order
+      (sequential [ 1; 2; 3 ]
+       @ [ timed 3 ~start:1 ~stop:6 2; timed 4 ~start:7 ~stop:8 5 ])
+  with
+  | Ok pairs ->
+    Util.check_int "three ordered pairs plus four into the last" 7 pairs
+  | Error v ->
+    Alcotest.failf "should accept: %a" Timestamp.Checker.pp_violation v
+
+let timed_rejects_equal_and_inverted order =
+  let reason records =
+    match run_timed order records with
+    | Ok _ -> Alcotest.fail "should reject a bad hb pair"
+    | Error v -> v.reason
+  in
+  Alcotest.(check string) "equal stamps"
+    "happens before, but compare(t1,t2)=false" (reason (sequential [ 5; 5 ]));
+  Alcotest.(check string) "inverted stamps"
+    "happens before, but compare(t1,t2)=false" (reason (sequential [ 9; 2 ]))
+
+let timed_leaves_concurrent_unconstrained order =
+  match
+    run_timed order
+      [ timed 0 ~start:0 ~stop:3 9; timed 1 ~start:1 ~stop:4 2;
+        timed 2 ~start:3 ~stop:5 9 ]
+  with
+  | Ok pairs -> Util.check_int "no ordered pair" 0 pairs
+  | Error _ -> Alcotest.fail "overlapping calls are unconstrained"
+
+let timed_empty order =
+  match run_timed order [] with
+  | Ok pairs -> Util.check_int "no pairs" 0 pairs
+  | Error _ -> Alcotest.fail "empty history is correct"
+
+let timed_detects_reflexive_compare order =
+  match run_timed ~compare_ts:( <= ) order (sequential [ 1; 2; 3 ]) with
+  | Ok _ -> Alcotest.fail "reflexive compare must be flagged"
+  | Error v ->
+    Alcotest.(check string) "reason" "compare is not irreflexive at" v.reason
+
+(* Differential property: on random interval histories the strict-weak
+   sweep and the exhaustive scan agree on the verdict and the pair count.
+   Each call gets a linearization point [p] inside its interval and a
+   rank by [p]; [e1 < s2] forces [p1 < p2], so ranks respect
+   happens-before.  A third of the histories get one corrupted rank
+   (shifted, duplicated from another call, or swapped with another
+   call's), which may or may not break happens-before. *)
+let gen_history =
+  let open QCheck2.Gen in
+  let* n = int_range 1 40 in
+  let* calls =
+    list_repeat n
+      (let* start = int_bound 80 in
+       let* len = int_bound 20 in
+       let+ p = int_bound len in
+       (start, start + len, start + p))
+  in
+  let points =
+    List.sort_uniq Int.compare (List.map (fun (_, _, p) -> p) calls)
+  in
+  let rank p = List.length (List.filter (fun q -> q < p) points) in
+  let ranks = Array.of_list (List.map (fun (_, _, p) -> rank p) calls) in
+  let* fault = int_bound 8 in
+  let* i = int_bound (n - 1) in
+  let* j = int_bound (n - 1) in
+  let+ shift = oneofl [ -3; -2; -1; 1; 2; 3 ] in
+  let corrupt k =
+    match fault with
+    | 0 when k = i -> max 0 (ranks.(i) + shift)
+    | 1 when k = i -> ranks.(j)
+    | 2 when k = i -> ranks.(j)
+    | 2 when k = j -> ranks.(i)
+    | _ -> ranks.(k)
+  in
+  List.mapi (fun k (start, stop, _) -> (start, stop, corrupt k)) calls
+
+(* A strictly increasing chain of 44 stamps (ranks reach 39 + 3) drawn
+   from [universe], whose values are pairwise distinct under
+   [compare_ts]. *)
+let gen_chain ~compare_ts universe =
+  let cmp a b =
+    if compare_ts a b then -1 else if compare_ts b a then 1 else 0
+  in
+  QCheck2.Gen.map
+    (fun l ->
+       Array.of_list (List.sort cmp (List.filteri (fun i _ -> i < 44) l)))
+    (QCheck2.Gen.shuffle_l universe)
+
+let sweep_matches_scan ~name ~compare_ts ~pp universe =
+  Util.qtest ~count:3000
+    (name ^ ": strict-weak sweep agrees with the exhaustive scan")
+    QCheck2.Gen.(pair gen_history (gen_chain ~compare_ts universe))
+    (fun (history, chain) ->
+       let records =
+         List.mapi
+           (fun pid (start, stop, r) ->
+              { Timestamp.Checker.td_pid = pid; td_call = 0; td_start = start;
+                td_end = stop; td_ts = chain.(r) })
+           history
+       in
+       let run order =
+         Timestamp.Checker.check_timed ~order ~compare_ts ~pp records
+       in
+       match (run `Strict_weak, run `General) with
+       | Ok a, Ok b -> a = b
+       | Error _, Error _ -> true
+       | Ok _, Error _ | Error _, Ok _ -> false)
+
+let differential =
+  let range n = List.init n Fun.id in
+  let open Timestamp in
+  [ sweep_matches_scan ~name:"lamport" ~compare_ts:Lamport.compare_ts
+      ~pp:Lamport.pp_ts (range 200);
+    sweep_matches_scan ~name:"sqrt" ~compare_ts:Sqrt.compare_ts
+      ~pp:Sqrt.pp_ts
+      (List.concat_map (fun rnd -> List.map (fun t -> (rnd, t)) (range 15))
+         (range 15));
+    sweep_matches_scan ~name:"efr" ~compare_ts:Efr.compare_ts ~pp:Efr.pp_ts
+      (List.concat_map
+         (fun m -> Efr.Even m :: List.map (fun c -> Efr.Odd (m, c)) (range 5))
+         (range 30)) ]
+
 let suite =
   ( "checker",
     [ Util.case "accepts correct results" accepts_correct_results;
@@ -90,4 +231,14 @@ let suite =
       Util.case "ignores pending operations" ignores_pending_operations;
       Util.case "detects reflexive compare" detects_reflexive_compare;
       Util.case "detects symmetric compare" detects_symmetric_compare;
-      Util.case "symmetric rule skips pending ops" symmetric_check_skips_pending ] )
+      Util.case "symmetric rule skips pending ops" symmetric_check_skips_pending;
+      Util.case "timed: accepts a correct history"
+        (on_both_paths timed_accepts_correct);
+      Util.case "timed: rejects equal and inverted stamps on an hb pair"
+        (on_both_paths timed_rejects_equal_and_inverted);
+      Util.case "timed: overlapping calls are unconstrained"
+        (on_both_paths timed_leaves_concurrent_unconstrained);
+      Util.case "timed: empty history" (on_both_paths timed_empty);
+      Util.case "timed: detects reflexive compare"
+        (on_both_paths timed_detects_reflexive_compare) ]
+    @ differential )

@@ -116,6 +116,8 @@ let broken_object_caught () =
 
     let compare_ts (a : int) b = a < b
 
+    let order = `General
+
     let equal_ts = Int.equal
 
     let pp_ts = Format.pp_print_int

@@ -561,8 +561,8 @@ let lease_concurrent_clients () =
       stamps
   in
   (match
-     Timestamp.Checker.check_timed ~compare_ts:Timestamp.Efr.compare_ts
-       ~pp:Timestamp.Efr.pp_ts timed
+     Timestamp.Checker.check_timed ~order:Timestamp.Efr.order
+       ~compare_ts:Timestamp.Efr.compare_ts ~pp:Timestamp.Efr.pp_ts timed
    with
    | Result.Ok pairs -> Util.check_bool "checker verified pairs" true (pairs > 0)
    | Result.Error v ->
@@ -1000,7 +1000,8 @@ let park_stress () =
         per_client
     in
     match
-      Timestamp.Checker.check_timed ~compare_ts:Timestamp.Efr.compare_ts
+      Timestamp.Checker.check_timed ~order:Timestamp.Efr.order
+        ~compare_ts:Timestamp.Efr.compare_ts
         ~pp:Timestamp.Efr.pp_ts timed
     with
     | Result.Ok _ -> ()

@@ -84,6 +84,48 @@ let compare_irreflexive (impl : Timestamp.Registry.impl) () =
        Util.check_bool (T.name ^ ": irreflexive") false (T.compare_ts t t))
     ts
 
+(* A [`Strict_weak] declaration must hold on real stamps: a sequential
+   run's plus a random concurrent run's, at most 40, over all triples. *)
+let declared_order_holds (impl : Timestamp.Registry.impl) () =
+  let (Timestamp.Registry.Impl (module T)) = impl in
+  let module H = Timestamp.Harness.Make (T) in
+  let n = 20 in
+  let _, seq = H.run_sequential ~n in
+  let conc = List.map snd (Shm.Sim.results (H.run_random ~n ~seed:3 ())) in
+  let ts = List.filteri (fun i _ -> i < 40) (seq @ conc) in
+  let lt = T.compare_ts in
+  let inc a b = (not (lt a b)) && not (lt b a) in
+  let fail what a b c =
+    Alcotest.failf "%s: %s at %a, %a, %a" T.name what T.pp_ts a T.pp_ts b
+      T.pp_ts c
+  in
+  List.iter
+    (fun a ->
+       if lt a a then fail "not irreflexive" a a a;
+       List.iter
+         (fun b ->
+            List.iter
+              (fun c ->
+                 if lt a b && lt b c && not (lt a c) then
+                   fail "not transitive" a b c;
+                 if inc a b && inc b c && not (inc a c) then
+                   fail "incomparability not transitive" a b c)
+              ts)
+         ts)
+    ts
+
+(* Why vector timestamps keep the exhaustive scan: dominance is a partial
+   order whose incomparability is not transitive. *)
+let vector_is_not_strict_weak () =
+  let lt = Timestamp.Vector_ts.compare_ts in
+  let inc a b = (not (lt a b)) && not (lt b a) in
+  let a = [| 1; 0 |] and b = [| 0; 1 |] and c = [| 2; 0 |] in
+  Util.check_bool "[1,0] ~ [0,1]" true (inc a b);
+  Util.check_bool "[0,1] ~ [2,0]" true (inc b c);
+  Util.check_bool "[1,0] < [2,0]" true (lt a c);
+  Util.check_bool "declared general" true
+    (Timestamp.Vector_ts.order = `General)
+
 let one_shot_rejects_second_call () =
   List.iter
     (fun (Timestamp.Registry.Impl (module T)) ->
@@ -146,7 +188,17 @@ let suite =
              (Util.impl_name impl ^ ": compare is irreflexive")
              (compare_irreflexive impl) ])
       Timestamp.Registry.all
-    @ [ Util.case "one-shot objects reject second calls" one_shot_rejects_second_call;
+    @ List.map
+        (fun impl ->
+           Util.case
+             (Util.impl_name impl ^ ": declared order holds")
+             (declared_order_holds impl))
+        (List.filter
+           (fun impl -> Timestamp.Registry.order impl = `Strict_weak)
+           Timestamp.Registry.all)
+    @ [ Util.case "vector compare is not a strict weak order"
+          vector_is_not_strict_weak;
+        Util.case "one-shot objects reject second calls" one_shot_rejects_second_call;
         Util.case "registry names unique" registry_names_unique;
         Util.case "registry find" registry_find;
         Util.case "registry find_exn" registry_find_exn ] )
