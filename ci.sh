@@ -173,6 +173,15 @@ echo "$procs_out" | grep -q "procs=2" || {
 echo "$procs_out" | grep -q "checker: OK" || {
   echo "net smoke: global checker did not pass across processes" >&2
   exit 1; }
+# Anchors run on demand: a client's second lease anchors on a getTS
+# submitted after its first lease's ticks were reserved, so the checker
+# sees ordered pairs even for a single leased client.
+lease_out=$("$ts_bin" loadgen -i efr-longlived --transport tcp \
+  --addr "unix:$net_sock" --clients 1 -r 20 --lease 16)
+echo "$lease_out"
+echo "$lease_out" | grep -q "checker: OK ([1-9]" || {
+  echo "net smoke: a leased client's stamps gave no ordered pair" >&2
+  exit 1; }
 net_out=$("$ts_bin" loadgen -i efr-longlived --transport tcp \
   --addr "unix:$net_sock" --clients 2 -r 100 --lease 16 --seed 7 \
   --stop-server)

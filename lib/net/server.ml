@@ -16,18 +16,17 @@
      the loop polls writability instead of blocking; past a high-water
      mark the loop also stops *reading* from that connection
      (backpressure instead of unbounded buffering);
-   - service requests ([Get_stamp], queued [Get_range] anchors) are
-     submitted to the MPSC shards and completed via the non-blocking
+   - service requests ([Get_stamp], [Get_range] anchors) are submitted
+     to the MPSC shards and completed via the non-blocking
      {!Svc.Service.Make.poll}, many tickets multiplexed per domain;
    - replies stay FIFO per connection: anything that completes while
      earlier requests are still in flight queues behind them.
 
    Nothing polls.  A loop with nothing to do parks ({!Svc.Park}): it arms
-   its park, re-checks for completed tickets, new connections and a
-   freshly published anchor, and only then blocks in [select] with no
-   timeout.  Its sessions carry the loop's pipe park, so a worker that
-   completes one of its tickets writes the self-pipe — only while the
-   loop is parked.
+   its park, re-checks for completed tickets and new connections, and
+   only then blocks in [select] with no timeout.  Its sessions carry the
+   loop's pipe park, so a worker that completes one of its tickets writes
+   the self-pipe — only while the loop is parked.
 
    Loop 0 also accepts: the non-blocking listen socket sits in its
    [select] set, and each new fd goes to a loop (connection id mod
@@ -41,21 +40,16 @@
    the same codec's strict decoder.  An implementation without a codec
    cannot be served: applying [Make] to it raises.
 
-   Read fast path: [Ping]/[Stats]/[Compare] never touch the submit
-   queue, and for long-lived implementations [Get_range] lease anchors
-   are served from a cached timestamp snapshot maintained by a
-   refresher domain that the first [Get_range] spawns (single writer,
-   readers race-free via one [Atomic] load).  Soundness: the cached
-   anchor executed *before* the lease's ticks are reserved — the same
-   reserve-after-execution discipline as PR 9, with a staler anchor.  A
-   stale start tick only shrinks the set of happens-before edges the
-   checker asserts, and any operation that completed before the grant
-   carries an end tick newer than the cached anchor's start tick, so no
-   false ordering is ever claimed (DESIGN.md §15).
+   [Ping]/[Stats]/[Compare] never touch the submit queue: the loop
+   answers them inline.
 
-   Epoch-range leases otherwise follow PR 9's discipline: execute one
-   anchor getTS through the service, *then* reserve k fresh end ticks
-   with one fetch-and-add (Service.reserve_ticks). *)
+   Anchors on demand.  A [Get_range k] lease is one anchor getTS plus k
+   end ticks reserved with one fetch-and-add after that getTS executed
+   (Service.reserve_ticks).  The anchor runs because the lease asked for
+   it: each lease submits its own getTS on the loop's anchor session,
+   and its completion reserves the lease's ticks, so every reservation
+   follows its anchor's execution (DESIGN.md §14–15).  Nothing runs
+   while nobody asks. *)
 
 let sleep_us us =
   try Unix.sleepf (float_of_int us *. 1e-6)
@@ -72,12 +66,6 @@ let out_hiwater = 1 lsl 16
 
 (* Cap on queued requests per connection before reads pause. *)
 let max_inflight = 1024
-
-(* Refresh period of the cached lease anchor. *)
-let anchor_refresh_us = 200
-
-(* How often [wait] checks the stop flags. *)
-let wait_period_us = 10_000
 
 module Make (T : Timestamp.Intf.S) = struct
   module S = Svc.Service.Make (T)
@@ -108,38 +96,11 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let bump a n = ignore (Atomic.fetch_and_add a n)
 
-  (* The cached lease anchor: one getTS executed by the refresher
-     domain, shared by every fast-path lease until the next refresh. *)
-  type anchor = {
-    a_pid : int;
-    a_call : int;
-    a_shard : int;
-    a_start : int;
-    a_ts : T.result;
-  }
-
   (* A reply owed to the peer, FIFO per connection. *)
   type pending =
     | P_stamp of S.ticket  (* complete via S.poll / S.await *)
-    | P_range of { tk : S.ticket; k : int }  (* queued lease anchor *)
-    | P_wait_anchor of { k : int; deadline : float }
-        (* fast path armed before the refresher's first publish: the
-           lease is owed as soon as the shared anchor appears — without
-           ever taking one of the object's n sessions *)
+    | P_range of { tk : S.ticket; k : int }  (* a lease on its anchor getTS *)
     | P_resp of Frame.resp  (* already computed, awaiting its turn *)
-
-  type cstate = {
-    cv_conn : Conn.t;
-    cv_id : int;
-    cv_slot : slot;
-    cv_park : Svc.Park.t;  (* the owning loop's, for the session *)
-    mutable cv_session : S.session option;
-    cv_pending : pending Queue.t;
-    mutable cv_read_eof : bool;  (* peer done sending: answer, then close *)
-    mutable cv_dead : bool;  (* socket gone: drop immediately *)
-    mutable cv_last_in : int;
-    mutable cv_last_out : int;
-  }
 
   type loop = {
     lp_incoming : (int * Unix.file_descr) list Atomic.t;
@@ -147,6 +108,21 @@ module Make (T : Timestamp.Intf.S) = struct
     lp_wake_w : Unix.file_descr;
     lp_park : Svc.Park.t;  (* wakes write [lp_wake_w] *)
     lp_live : int Atomic.t;
+    (* Owned by the loop's domain; opened by its first lease. *)
+    mutable lp_anchor_session : S.session option;
+  }
+
+  type cstate = {
+    cv_conn : Conn.t;
+    cv_id : int;
+    cv_slot : slot;
+    cv_loop : loop;  (* the owning loop *)
+    mutable cv_session : S.session option;
+    cv_pending : pending Queue.t;
+    mutable cv_read_eof : bool;  (* peer done sending: answer, then close *)
+    mutable cv_dead : bool;  (* socket gone: drop immediately *)
+    mutable cv_last_in : int;
+    mutable cv_last_out : int;
   }
 
   type t = {
@@ -157,17 +133,12 @@ module Make (T : Timestamp.Intf.S) = struct
     slots : slot array;
     loops : loop array;
     mutable loop_doms : unit Domain.t list;
-    mutable anchor_dom : unit Domain.t option;  (* set by the spawning loop *)
     next_conn : int Atomic.t;
     accepted : int Atomic.t;  (* cumulative, for the shutdown summary *)
     refused : int Atomic.t;  (* closed at accept: fd >= FD_SETSIZE *)
-    read_fast_path : bool;
-    anchor : anchor option Atomic.t;
-    anchor_demand : bool Atomic.t;  (* the first lease request spawns the
-                                       refresher *)
-    domains_spawned : int Atomic.t;
     stop_requested : bool Atomic.t;  (* a client sent Stop *)
     stopping : bool Atomic.t;  (* shutdown underway *)
+    stop_park : Svc.Park.t;  (* [wait] parks here until either flag *)
     stopped : bool Atomic.t;
   }
 
@@ -208,14 +179,17 @@ module Make (T : Timestamp.Intf.S) = struct
       ~end_tick:r.S.end_tick r.S.ts;
     bump cv.cv_slot.k_stamps 1
 
-  let range_resp t cv ~pid ~call ~shard ~start_tick ~k ts =
+  (* Completed anchor getTS -> one lease.  The k end ticks are reserved
+     here, strictly after the anchor executed. *)
+  let write_range_cv t cv (sess : S.session) tk k =
+    let r = S.await tk in
+    S.release sess tk;
     let base = S.reserve_ticks t.svc k in
+    Frame.write_range_v2 (Conn.send_buffer cv.cv_conn) codec ~pid:r.S.pid
+      ~call:r.S.call ~shard:r.S.shard ~start_tick:r.S.start_tick ~base
+      ~count:k r.S.ts;
     bump cv.cv_slot.k_leases 1;
-    bump cv.cv_slot.k_stamps k;
-    Frame.Range
-      { g_pid = pid; g_call = call; g_shard = shard;
-        g_start_tick = start_tick; g_base = base; g_count = k;
-        g_ts = Codec.encode codec ts }
+    bump cv.cv_slot.k_stamps k
 
   (* Drain the head of the FIFO as far as completed work allows.
      Returns [true] if anything was written (progress). *)
@@ -240,92 +214,13 @@ module Make (T : Timestamp.Intf.S) = struct
       | P_range { tk; k } ->
         if S.poll tk then begin
           ignore (Queue.pop q);
-          let sess = Option.get cv.cv_session in
-          let r = S.await tk in
-          S.release sess tk;
-          (* reservation strictly after the anchor executed *)
-          write_resp_cv cv
-            (range_resp t cv ~pid:r.S.pid ~call:r.S.call ~shard:r.S.shard
-               ~start_tick:r.S.start_tick ~k r.S.ts);
+          let sess = Option.get cv.cv_loop.lp_anchor_session in
+          write_range_cv t cv sess tk k;
           wrote := true
         end
         else continue := false
-      | P_wait_anchor { k; deadline } -> (
-          match Atomic.get t.anchor with
-          | Some a ->
-            ignore (Queue.pop q);
-            write_resp_cv cv
-              (range_resp t cv ~pid:a.a_pid ~call:a.a_call ~shard:a.a_shard
-                 ~start_tick:a.a_start ~k a.a_ts);
-            wrote := true
-          | None ->
-            if Unix.gettimeofday () > deadline then begin
-              ignore (Queue.pop q);
-              write_resp_cv cv
-                (Frame.Err
-                   "lease anchor unavailable (anchor refresher could not \
-                    obtain a session)");
-              wrote := true
-            end
-            else continue := false)
     done;
     !wrote
-
-  (* ------------------------- anchor refresher ---------------------- *)
-
-  (* Single-writer cache of a lease anchor.  The first fast-path
-     Get_range spawns it (so a server that never grants leases never
-     spends a domain or a session on it); it then re-executes a getTS
-     every [anchor_refresh_us].  Its first publish wakes every loop: a
-     loop owing a lease from before the anchor existed is parked. *)
-  let refresher t () =
-    (* Sessions can be transiently exhausted (stamp connections hold
-       theirs until close), so keep retrying: a waiting fast-path lease
-       errors out after its own deadline if no pid ever frees. *)
-    let rec obtain () =
-      if Atomic.get t.stopping then None
-      else
-        match S.open_session t.svc with
-        | s -> Some s
-        | exception _ ->
-          sleep_us 10_000;
-          obtain ()
-    in
-    match obtain () with
-    | None -> ()
-    | Some sess ->
-      let live = ref true and first = ref true in
-      while !live && not (Atomic.get t.stopping) do
-        (match S.get_ts sess with
-         | r ->
-           Atomic.set t.anchor
-             (Some
-                { a_pid = r.S.pid; a_call = r.S.call; a_shard = r.S.shard;
-                  a_start = r.S.start_tick; a_ts = r.S.ts });
-           if !first then begin
-             first := false;
-             Array.iter (fun l -> Svc.Park.wake l.lp_park) t.loops
-           end
-         | exception S.Stopped -> live := false
-         | exception _ -> ());
-        sleep_us anchor_refresh_us
-      done
-
-  let spawn t f =
-    let d = Domain.spawn f in
-    Atomic.incr t.domains_spawned;
-    d
-
-  (* Exactly one loop wins the CAS and spawns the refresher; [stop]
-     joins it after joining the loops, which orders this write before
-     its read. *)
-  let demand_anchor t =
-    if (not (Atomic.get t.anchor_demand))
-       && Atomic.compare_and_set t.anchor_demand false true
-    then
-      match spawn t (refresher t) with
-      | d -> t.anchor_dom <- Some d
-      | exception Failure _ -> ()  (* owed leases run into their deadline *)
 
   (* -------------------------- request handling --------------------- *)
 
@@ -333,10 +228,22 @@ module Make (T : Timestamp.Intf.S) = struct
     match cv.cv_session with
     | Some s -> s
     | None ->
-      (* lazily: control connections (ping/stats/stop/compare) must not
-         consume one of a long-lived object's n sessions *)
-      let s = S.open_session ~park:cv.cv_park t.svc in
+      (* lazily: control and lease-only connections must not consume
+         one of a long-lived object's n sessions *)
+      let s = S.open_session ~park:cv.cv_loop.lp_park t.svc in
       cv.cv_session <- Some s;
+      s
+
+  (* Lease anchors go on the loop's own session, so lease-only
+     connections hold no pid and each session keeps a single owner.  The
+     cost: a long-lived object gives one pid to each loop that has
+     granted a lease. *)
+  let anchor_session t loop =
+    match loop.lp_anchor_session with
+    | Some s -> s
+    | None ->
+      let s = S.open_session ~park:loop.lp_park t.svc in
+      loop.lp_anchor_session <- Some s;
       s
 
   (* FIFO-preserving reply: immediate only when nothing is in flight. *)
@@ -372,36 +279,10 @@ module Make (T : Timestamp.Intf.S) = struct
             err
               (Printf.sprintf "lease size %d out of range [1, %d]" k
                  Frame.max_lease)
-          else begin
-            (* Fast path: long-lived anchors can be shared, so serve the
-               lease from the cached snapshot without touching the
-               submit queue.  One-shot implementations burn a fresh pid
-               per anchor and always take the queued path. *)
-            if t.read_fast_path && T.kind = `Long_lived then begin
-              demand_anchor t;
-              match Atomic.get t.anchor with
-              | Some a ->
-                reply cv
-                  (range_resp t cv ~pid:a.a_pid ~call:a.a_call
-                     ~shard:a.a_shard ~start_tick:a.a_start ~k a.a_ts)
-              | None ->
-                (* armed but not yet published: owe the lease until the
-                   refresher's first getTS lands, never taking one of
-                   the object's n sessions — so lease-only connections
-                   can't race the refresher (or each other) for pids *)
-                Queue.add
-                  (P_wait_anchor
-                     { k; deadline = Unix.gettimeofday () +. 5.0 })
-                  cv.cv_pending
-            end
-            else (
-              match
-                let sess = get_session t cv in
-                S.submit sess
-              with
-              | tk -> Queue.add (P_range { tk; k }) cv.cv_pending
-              | exception e -> serve_error e)
-          end
+          else (
+            match S.submit (anchor_session t cv.cv_loop) with
+            | tk -> Queue.add (P_range { tk; k }) cv.cv_pending
+            | exception e -> serve_error e)
         | Frame.Compare { a; b } -> (
             match (Codec.decode_exn codec a, Codec.decode_exn codec b) with
             | ta, tb -> reply cv (Frame.Cmp (T.compare_ts ta tb))
@@ -410,7 +291,8 @@ module Make (T : Timestamp.Intf.S) = struct
         | Frame.Stats -> reply cv (stats_reply t)
         | Frame.Stop ->
           reply cv Frame.Stopping;
-          Atomic.set t.stop_requested true)
+          Atomic.set t.stop_requested true;
+          Svc.Park.wake t.stop_park)
 
   (* --------------------------- event loop -------------------------- *)
 
@@ -438,10 +320,10 @@ module Make (T : Timestamp.Intf.S) = struct
     in
     go ()
 
-  (* Work a parked loop must not sleep through: a completed ticket or
-     a published anchor at the head of some connection's FIFO, or a
-     connection handed over by loop 0. *)
-  let work_ready t loop conns =
+  (* Work a parked loop must not sleep through: a completed ticket at
+     the head of some connection's FIFO, or a connection handed over by
+     loop 0. *)
+  let work_ready loop conns =
     Atomic.get loop.lp_incoming <> []
     || Hashtbl.fold
          (fun _ cv ready ->
@@ -450,7 +332,6 @@ module Make (T : Timestamp.Intf.S) = struct
             match Queue.peek_opt cv.cv_pending with
             | None -> false
             | Some (P_stamp tk | P_range { tk; _ }) -> S.poll tk
-            | Some (P_wait_anchor _) -> Atomic.get t.anchor <> None
             | Some (P_resp _) -> true)
          conns false
 
@@ -464,7 +345,7 @@ module Make (T : Timestamp.Intf.S) = struct
         { cv_conn = conn;
           cv_id = cid;
           cv_slot = t.slots.(cid mod Array.length t.slots);
-          cv_park = loop.lp_park;
+          cv_loop = loop;
           cv_session = None;
           cv_pending = Queue.create ();
           cv_read_eof = false;
@@ -606,15 +487,10 @@ module Make (T : Timestamp.Intf.S) = struct
              Hashtbl.remove conns fd;
              close_conn loop cv)
           !dead;
-        let deadline = ref infinity in
         let rds = ref [ loop.lp_wake_r ] and wrs = ref [] in
         if accepts then rds := t.listen_fd :: !rds;
         Hashtbl.iter
           (fun fd cv ->
-             (match Queue.peek_opt cv.cv_pending with
-              | Some (P_wait_anchor { deadline = d; _ }) ->
-                deadline := Float.min !deadline d
-              | _ -> ());
              if
                (not cv.cv_read_eof)
                && Conn.pending_out cv.cv_conn < out_hiwater
@@ -624,15 +500,12 @@ module Make (T : Timestamp.Intf.S) = struct
           conns;
         (* Progress made: look at the sockets without blocking.
            Otherwise park: arm, re-check, and block in select with no
-           timeout (bar an owed lease's deadline) until I/O or a wake. *)
+           timeout until I/O or a wake. *)
         let timeout =
           if !made_progress then 0.0
           else begin
             Svc.Park.arm loop.lp_park;
-            if work_ready t loop conns then 0.0
-            else if Float.is_finite !deadline then
-              Float.max 0.0 (!deadline -. Unix.gettimeofday ())
-            else -1.0
+            if work_ready loop conns then 0.0 else -1.0
           end
         in
         let rds', wrs', _ =
@@ -672,8 +545,7 @@ module Make (T : Timestamp.Intf.S) = struct
   (* ---------------------------- lifecycle -------------------------- *)
 
   let start ?(batch_max = 64) ?(shards = 1) ?(backend = `Boxed)
-      ?(telemetry = false) ?(conn_slots = 4) ?io_threads
-      ?(read_fast_path = true) ~addr ~n () =
+      ?(telemetry = false) ?(conn_slots = 4) ?io_threads ~addr ~n () =
     if conn_slots <= 0 then
       invalid_arg "Server.start: conn_slots must be positive";
     let io_threads = match io_threads with Some k -> k | None -> shards in
@@ -721,7 +593,8 @@ module Make (T : Timestamp.Intf.S) = struct
           lp_wake_r = r;
           lp_wake_w = w;
           lp_park = Svc.Park.of_pipe w;
-          lp_live = Atomic.make 0 }
+          lp_live = Atomic.make 0;
+          lp_anchor_session = None }
       in
       (listen_fd, Array.init io_threads mk_loop)
     in
@@ -735,7 +608,6 @@ module Make (T : Timestamp.Intf.S) = struct
         S.stop svc;
         raise e
     in
-    let use_fast_path = read_fast_path && T.kind = `Long_lived in
     let t =
       { svc;
         info =
@@ -750,20 +622,16 @@ module Make (T : Timestamp.Intf.S) = struct
         slots = Array.init conn_slots (fun _ -> make_slot ());
         loops;
         loop_doms = [];
-        anchor_dom = None;
         next_conn = Atomic.make 0;
         accepted = Atomic.make 0;
         refused = Atomic.make 0;
-        read_fast_path = use_fast_path;
-        anchor = Atomic.make None;
-        anchor_demand = Atomic.make false;
-        domains_spawned = Atomic.make 0;
         stop_requested = Atomic.make false;
         stopping = Atomic.make false;
+        stop_park = Svc.Park.create ();
         stopped = Atomic.make false }
     in
     t.loop_doms <-
-      Array.to_list (Array.map (fun l -> spawn t (io_loop t l)) t.loops);
+      Array.to_list (Array.map (fun l -> Domain.spawn (io_loop t l)) t.loops);
     t
 
   let bound_addr t =
@@ -776,23 +644,23 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let stop_requested t = Atomic.get t.stop_requested
 
-  let domains t = Atomic.get t.domains_spawned
+  let domains t = Array.length t.loops
 
   let io_threads t = Array.length t.loops
 
   let live_conns t =
     Array.fold_left (fun acc l -> acc + Atomic.get l.lp_live) 0 t.loops
 
-  let wait t =
-    while not (Atomic.get t.stop_requested || Atomic.get t.stopping) do
-      sleep_us wait_period_us
-    done
+  let stop_wanted t = Atomic.get t.stop_requested || Atomic.get t.stopping
+
+  let wait t = Svc.Park.wait t.stop_park stop_wanted t
 
   let refused t = Atomic.get t.refused
 
   let stop t =
     if Atomic.compare_and_set t.stopped false true then begin
       Atomic.set t.stopping true;
+      Svc.Park.wake t.stop_park;
       (* wake every loop so it sees the flag, parked or not, then join:
          loops drain their pending replies and close their connections *)
       Array.iter
@@ -814,8 +682,6 @@ module Make (T : Timestamp.Intf.S) = struct
              (fun (_, fd) -> try Unix.close fd with Unix.Unix_error _ -> ())
              (Atomic.exchange l.lp_incoming []))
         t.loops;
-      (match t.anchor_dom with Some d -> Domain.join d | None -> ());
-      t.anchor_dom <- None;
       Array.iter
         (fun l ->
            (try Unix.close l.lp_wake_r with Unix.Unix_error _ -> ());

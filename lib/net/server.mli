@@ -25,18 +25,20 @@
     implementation without a codec raises [Invalid_argument]
     ({!Codec.for_impl}), so it can never reach a socket.
 
-    Read fast path ([read_fast_path], default on): [Ping]/[Stats]/
-    [Compare] are answered on the I/O domain, and for long-lived
-    implementations [Get_range] lease anchors come from a cached
-    timestamp snapshot refreshed every 200µs by a single-writer domain
-    that the first [Get_range] spawns — see DESIGN.md §15 for why the
-    stale anchor stays sound for the happens-before checker.  Tick
-    reservation still happens strictly after the anchor executed
-    ({!Svc.Service.Make.reserve_ticks}, DESIGN.md §14).
+    [Ping]/[Stats]/[Compare] are answered on the I/O domain.
 
-    Sessions are opened lazily, on a connection's first [Get_stamp] or
-    queued [Get_range]: control connections never consume one of a
-    long-lived object's [n] process ids.
+    Anchors on demand: a [Get_range k] lease is one anchor getTS plus [k]
+    end ticks reserved after it executed
+    ({!Svc.Service.Make.reserve_ticks}, DESIGN.md §14).  The anchor runs
+    because the lease asked for it: each lease submits its own getTS on
+    the loop's anchor session, opened by the loop's first lease.  Nothing
+    runs while nobody asks.  For a long-lived object each loop that has
+    granted a lease holds one of the [n] process ids; a one-shot object
+    spends one per lease (DESIGN.md §15).
+
+    A connection opens its own session lazily, on its first [Get_stamp]:
+    control and lease-only connections never consume one of a long-lived
+    object's [n] process ids.
 
     Per-connection counters aggregate into a fixed number of slots
     (connection id mod [conn_slots]) exported as [c<slot>.*] telemetry
@@ -54,7 +56,6 @@ module Make (T : Timestamp.Intf.S) : sig
     ?telemetry:bool ->
     ?conn_slots:int ->
     ?io_threads:int ->
-    ?read_fast_path:bool ->
     addr:Conn.addr ->
     n:int ->
     unit ->
@@ -63,14 +64,12 @@ module Make (T : Timestamp.Intf.S) : sig
       shared parameters), binds and listens on [addr] (an existing Unix
       socket path is unlinked first; TCP sets [SO_REUSEADDR]), and
       spawns the [io_threads] I/O loops — the only domains it starts on
-      top of the service shards.  The anchor refresher (long-lived
-      implementations with [read_fast_path], the default) is spawned
-      later, by the first [Get_range]: at most [io_threads + 1] domains,
-      independent of connection count.  [conn_slots] (default 4) sizes
-      the telemetry counter groups.  On bind/listen failure the service
-      is stopped and the exception re-raised; if the listen socket or a
-      loop's wake pipe lands on an fd at or above [FD_SETSIZE], it fails
-      with [Failure] naming the fd. *)
+      top of the service shards, independent of connection count and of
+      leases.  [conn_slots] (default 4) sizes the telemetry counter
+      groups.  On bind/listen failure the service is stopped and the
+      exception re-raised; if the listen socket or a loop's wake pipe
+      lands on an fd at or above [FD_SETSIZE], it fails with [Failure]
+      naming the fd. *)
 
   val bound_addr : t -> Conn.addr
   (** The actual listening address — resolves a requested TCP port 0 to
@@ -85,9 +84,9 @@ module Make (T : Timestamp.Intf.S) : sig
       owner calls {!stop} — a handler cannot join itself. *)
 
   val domains : t -> int
-  (** Domains this server has spawned: the I/O loops, plus the
-      refresher once a lease was requested (service workers are counted
-      by the service).  Never grows per connection; E19 pins this. *)
+  (** Domains this server has spawned: one per I/O loop, so always
+      [io_threads t] (service workers are counted by the service).
+      Connections and leases are served on those loops. *)
 
   val io_threads : t -> int
 
@@ -100,15 +99,16 @@ module Make (T : Timestamp.Intf.S) : sig
       [net.refused] telemetry gauge. *)
 
   val wait : t -> unit
-  (** Blocks until {!stop_requested} (or {!stop} from another domain). *)
+  (** Parks until {!stop_requested} (or {!stop} from another domain); a
+      [Stop] frame and {!stop} wake it.  One waiting domain at a time. *)
 
   val stop : t -> unit
   (** Graceful shutdown: wakes and joins every I/O loop — each answers
       the requests still in flight, flushes best-effort (bounded, so a
       dead peer cannot hang shutdown), and closes its connections —
-      then closes the listen socket (unlinking a Unix path), joins the
-      refresher, and stops the service.  Idempotent; concurrent callers
-      lose the race and return immediately. *)
+      then closes the listen socket (unlinking a Unix path) and stops
+      the service.  Idempotent; concurrent callers lose the race and
+      return immediately. *)
 
   val requests_total : t -> int
 

@@ -82,9 +82,9 @@ type report = {
    domain id picks (one padded fetch-and-add per record, no allocation)
    and the report percentiles come from the lossless merge of the
    shards.  The histograms have one shard per client domain (rounded up
-   to a power of two), but a domain spawned meanwhile (an in-process
-   server's refresher) can put two clients in one shard: that costs
-   contention on its counters, never a lost count. *)
+   to a power of two): [collect] spawns the client domains back to back,
+   and neither the service nor the wire server spawns a domain while
+   they run, so each client has its own shard. *)
 let ns_of_us us = int_of_float (us *. 1e3)
 
 let us_of_ns ns = ns /. 1e3

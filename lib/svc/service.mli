@@ -33,14 +33,7 @@
     Per-session request order is preserved: a session's requests land in
     one FIFO inbox and one worker serves them in order, so a long-lived
     process's calls stay sequential even when a client pipelines several
-    submissions.
-
-    {b Client code should not call this module directly.}  The
-    transport-agnostic {!Client} API ({!Client.Inproc} wraps the
-    session/submit/await path below) is the supported surface for
-    everything outside [lib/svc] — the raw session calls remain exported
-    as thin shims for one release (mirroring the PR 4→5 [Registry] probe
-    shims) and will become internal afterwards. *)
+    submissions. *)
 
 module Make (T : Timestamp.Intf.S) : sig
   type t
@@ -112,10 +105,7 @@ module Make (T : Timestamp.Intf.S) : sig
       has warmed up.  Not thread-safe per session (each session has one
       owning client); different sessions submit concurrently freely.
       Raises {!Stopped} after {!stop}, [Invalid_argument] when a one-shot
-      service has exhausted its [n] process ids.
-
-      Deprecated outside [lib/svc]: use {!Client.Inproc.stamp_async} /
-      {!Client.Inproc.stamp_batch}. *)
+      service has exhausted its [n] process ids. *)
 
   val poll : ticket -> bool
   (** [true] once the ticket's response is published — {!await} will then

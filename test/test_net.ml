@@ -475,8 +475,19 @@ let session_exhaustion_is_clean () =
   Util.check_bool "refused conn still compares" true
     (let s = C.stamp c1 and s' = C.stamp c1 in
      C.compare_remote c2 s s');
+  (* a lease's anchor needs the loop's anchor session: with the only
+     pid held, the lease gets the service's error at once *)
+  let c3 = C.connect ~lease:4 addr in
+  let t0 = Unix.gettimeofday () in
+  (match C.stamp c3 with
+   | _ -> Alcotest.fail "lease anchored without a free pid"
+   | exception Error msg ->
+     Util.check_bool "clean lease error" true (contains msg "at most"));
+  Util.check_bool "lease refused in under 1 s" true
+    (Unix.gettimeofday () -. t0 < 1.0);
   C.close c1;
   C.close c2;
+  C.close c3;
   Srv.stop srv
 
 (* --------------------- leases under concurrency -------------------- *)
@@ -528,29 +539,20 @@ let lease_concurrent_clients () =
   in
   Util.check_bool "lease tick ranges disjoint across clients" true
     (no_dup ends);
-  (* Stamps minted from one shared cached anchor all carry the anchor's
-     start tick, so a fast run can be hb-vacuous (sound, but nothing to
-     check).  Force a real pair: poll until the refresher publishes an
-     anchor whose getTS started after every reservation above — its
-     stamps must order strictly over the whole first phase. *)
+  (* Every lease above was answered: a lease on a fresh connection
+     submits a new anchor getTS, whose start tick is read after every
+     reservation above.  Its stamp must order strictly over the whole
+     first phase. *)
   let max_end = List.fold_left (fun m s -> max m s.st_end_tick) 0 stamps in
-  let stamps =
+  let fresh =
     let c = C.connect ~lease:2 addr in
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    let rec fresh () =
-      let s = C.stamp c in
-      if s.st_start_tick > max_end then s
-      else if Unix.gettimeofday () > deadline then
-        Alcotest.fail "anchor never refreshed past the first phase"
-      else begin
-        Unix.sleepf 0.002;
-        fresh ()
-      end
-    in
-    let s = fresh () in
+    let s = C.stamp c in
     C.close c;
-    s :: stamps
+    s
   in
+  Util.check_bool "a fresh lease anchors after every reservation" true
+    (fresh.st_start_tick > max_end);
+  let stamps = fresh :: stamps in
   (* and the real-time checker accepts the whole run *)
   let timed =
     List.map
@@ -601,8 +603,26 @@ let stop_frame_flow () =
   let srv = Srv.start ~addr ~n:2 () in
   let c = C.connect addr in
   Util.check_bool "no stop requested yet" false (Srv.stop_requested srv);
+  (* the owner blocks in [wait] on its own domain, as [ts_cli serve]
+     does, and a client's Stop must wake it *)
+  let returned = Atomic.make false in
+  let owner =
+    Domain.spawn (fun () ->
+        Srv.wait srv;
+        Atomic.set returned true)
+  in
+  Unix.sleepf 0.05;
+  Util.check_bool "wait blocks until Stop" false (Atomic.get returned);
   C.stop_server c;  (* returns once the server acked Stopping *)
   Util.check_bool "stop flag raised" true (Srv.stop_requested srv);
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let woke = Atomic.get returned in
+  if not woke then Srv.stop srv;  (* release the owner so it can be joined *)
+  Domain.join owner;
+  Util.check_bool "wait returned within 1 s of Stop" true woke;
   Srv.wait srv;  (* returns immediately now *)
   C.close c;
   Srv.stop srv
@@ -659,6 +679,46 @@ let expect_stamp label payload =
   | Ok _ -> Alcotest.failf "%s: expected Stamp" label
   | Error e ->
     Alcotest.failf "%s: undecodable: %s" label (Net.Frame.error_to_string e)
+
+(* A lease's anchor getTS runs because the lease asked for it: a burst of
+   8 leases on one connection runs exactly 8 anchors, and once they are
+   answered the service serves nothing more.  Raw frames, so a lease is
+   exactly one Get_range. *)
+let lease_anchors_on_demand () =
+  let check (type r) (module T : Timestamp.Intf.S with type result = r) =
+    let module Srv = Net.Server.Make (T) in
+    let addr = Net.Conn.Unix_path (sock_path ()) in
+    let srv = Srv.start ~addr ~n:16 () in
+    let fd = raw_connect addr in
+    let lease = frame_of (Net.Frame.Get_range 16) in
+    write_all fd (String.concat "" (List.init 8 (fun _ -> lease)));
+    for i = 1 to 8 do
+      match Net.Frame.decode_resp (read_frame fd) with
+      | Ok (_, Net.Frame.Range _) -> ()
+      | _ -> Alcotest.failf "%s: lease %d not answered with Range" T.name i
+    done;
+    let served () =
+      write_all fd (frame_of Net.Frame.Stats);
+      match Net.Frame.decode_resp (read_frame fd) with
+      | Ok (_, Net.Frame.Stats_reply { sr_shards; _ }) ->
+        List.fold_left
+          (fun acc (sh : Net.Frame.shard_stat) -> acc + sh.ss_served)
+          0 sr_shards
+      | _ -> Alcotest.failf "%s: expected Stats_reply" T.name
+    in
+    (* a worker bumps its served count just after publishing a batch *)
+    Unix.sleepf 0.05;
+    let s0 = served () in
+    Util.check_int (Printf.sprintf "%s: one anchor per lease" T.name) 8 s0;
+    Unix.sleepf 0.05;
+    Util.check_int
+      (Printf.sprintf "%s: no anchor runs while nobody asks" T.name)
+      s0 (served ());
+    Unix.close fd;
+    Srv.stop srv
+  in
+  check (module Timestamp.Efr);
+  check (module Timestamp.Sqrt.One_shot)
 
 (* A frame delivered one byte per read must accumulate across loop
    passes and still be answered. *)
@@ -808,23 +868,41 @@ let wire_refuses_codecless_impl () =
        (contains msg "mutant-lost-increment"));
   Util.check_bool "no socket created" false (Sys.file_exists path)
 
+(* The process's OS threads, counted from /proc/self/task; [None] where
+   /proc is not mounted.  The OCaml 5.1 runtime runs two per domain, the
+   domain and its backup thread, and the backup thread may start after
+   [Domain.spawn] returns. *)
+let os_threads () =
+  match Sys.readdir "/proc/self/task" with
+  | a -> Some (Array.length a)
+  | exception Sys_error _ -> None
+
+(* [after] never exceeds [before].  Not equality: a thread of a domain
+   joined by an earlier test may still be exiting at [before]. *)
+let check_no_thread_spawned label before after =
+  match (before, after) with
+  | Some b, Some a ->
+    Util.check_bool (Printf.sprintf "%s (%d -> %d threads)" label b a) true
+      (a <= b)
+  | _ -> ()
+
 (* Connection churn: 200 sequential connect/close cycles must not grow
-   the domain count (the PR-9 design leaked one handler domain per
-   connection ever accepted) and the telemetry table stays at
-   [conn_slots] slots with the live count draining back to zero. *)
+   the process's thread count (the PR-9 design leaked one handler
+   domain per connection ever accepted), nor may a lease, and the
+   telemetry table stays at [conn_slots] slots with the live count
+   draining back to zero. *)
 let wire_churn_bounded () =
   let module Srv = Net.Server.Make (Timestamp.Efr) in
   let module C = Net.Client.Make (Timestamp.Efr) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
   let srv = Srv.start ~addr ~n:4 ~conn_slots:2 () in
-  let d0 = Srv.domains srv in
-  Util.check_int "domain budget: the io_threads loops" (Srv.io_threads srv)
-    d0;
+  Unix.sleepf 0.05;  (* let every backup thread start *)
+  let th0 = os_threads () in
   for _ = 1 to 200 do
     let c = C.connect addr in
     C.close c
   done;
-  Util.check_int "no domains spawned by churn" d0 (Srv.domains srv);
+  check_no_thread_spawned "no thread spawned by churn" th0 (os_threads ());
   Util.check_int "conns accounted" 200 (Srv.conns_total srv);
   let sources = Srv.net_sources srv in
   Util.check_int "gauge table capped at conn_slots" (2 * 6)
@@ -848,30 +926,35 @@ let wire_churn_bounded () =
   done;
   Util.check_int "live connections drained" 0 (Srv.live_conns srv);
   Util.check_bool "live slot gauges drained" true (live_gauges () = 0.);
-  (* the anchor refresher exists only once a lease was requested *)
+  (* a lease's anchor runs on the loop that asked *)
+  let th1 = os_threads () in
   let c = C.connect ~lease:4 addr in
   ignore (C.stamp c);
   C.close c;
-  Util.check_int "a lease request adds the refresher"
-    (Srv.io_threads srv + 1) (Srv.domains srv);
+  check_no_thread_spawned "a lease spawns no thread" th1 (os_threads ());
   Srv.stop srv
 
-(* Nothing polls: an idle server holding one open connection has its
-   loop parked in select and its worker parked, and no refresher until
-   a lease is requested, so the process spends well under 5 ms of CPU
-   over half a second.  (Polling loops spent 30-40 ms.) *)
+(* Nothing polls: an idle server holding two open connections, one of
+   which took leases, has its loop parked in select and its worker
+   parked, and runs no anchor getTS until a lease asks for one, so the
+   process spends well under 5 ms of CPU over half a second.  (Polling
+   loops spent 30-40 ms; re-running the anchor every 200 us, about
+   50 ms.) *)
 let wire_idle_server_parks () =
   let module Srv = Net.Server.Make (Timestamp.Lamport) in
   let module C = Net.Client.Make (Timestamp.Lamport) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
   let srv = Srv.start ~addr ~n:4 () in
   let c = C.connect addr in
+  let leased = C.connect ~lease:16 addr in
   for _ = 1 to 20 do
-    ignore (C.stamp c)
+    ignore (C.stamp c);
+    ignore (C.stamp leased)
   done;
   Unix.sleepf 0.05;  (* let every waiter finish its spin and park *)
   let ms = Util.idle_cpu_ms 0.5 in
   C.close c;
+  C.close leased;
   Srv.stop srv;
   Util.check_bool
     (Printf.sprintf "idle server used %.2f ms of CPU in 500 ms" ms)
@@ -942,14 +1025,26 @@ let wire_fd_setsize_refused () =
   C.close existing;
   Srv.stop srv
 
-(* Lost-wakeup stress: in-process sessions and wire clients send
-   pipelined bursts of random depth with random microsecond gaps, so
-   completions race every stage of a waiter's park.  A watchdog turns a
-   lost wakeup into a failure instead of a hang; every stamp must also
-   pass the timed happens-before checker. *)
+(* Lost-wakeup stress: in-process sessions, wire clients and leased
+   wire clients send pipelined bursts of random depth with random
+   microsecond gaps, so completions race every stage of a waiter's park,
+   leased ones through the loops' anchor sessions.  A watchdog turns a lost
+   wakeup into a failure instead of a hang; every stamp must also pass
+   the timed happens-before checker. *)
 let park_stress () =
   let clients = 3 and rounds = 150 in
-  let drive ~label (burst : int -> int -> Timestamp.Efr.result stamp list) =
+  let calls_in_session_order stamps =
+    List.map (fun s -> s.st_call) stamps
+    = List.init (List.length stamps) Fun.id
+  in
+  (* a lease's mints share its anchor's call *)
+  let rec ends_increase = function
+    | a :: (b :: _ as rest) ->
+      a.st_end_tick < b.st_end_tick && ends_increase rest
+    | _ -> true
+  in
+  let drive ~label ~in_order
+      (burst : int -> int -> Timestamp.Efr.result stamp list) =
     let progress = Atomic.make 0 and finished = Atomic.make 0 in
     let doms =
       List.init clients (fun i ->
@@ -985,11 +1080,9 @@ let park_stress () =
     let per_client = List.map Domain.join doms in
     List.iteri
       (fun i stamps ->
-         let calls = List.map (fun s -> s.st_call) stamps in
          Util.check_bool
-           (Printf.sprintf "%s: client %d calls in session order" label i)
-           true
-           (calls = List.init (List.length calls) Fun.id))
+           (Printf.sprintf "%s: client %d stamps in issue order" label i)
+           true (in_order stamps))
       per_client;
     let timed =
       List.concat_map
@@ -1012,15 +1105,22 @@ let park_stress () =
   let module Ci = Svc.Client.Inproc (Timestamp.Efr) in
   let svc = S.start ~shards:2 ~batch_max:16 ~n:clients () in
   let inproc = Array.init clients (fun _ -> Ci.connect svc) in
-  drive ~label:"inproc" (fun i depth -> Ci.stamp_batch inproc.(i) depth);
+  drive ~label:"inproc" ~in_order:calls_in_session_order (fun i depth ->
+      Ci.stamp_batch inproc.(i) depth);
   S.stop svc;
   let module Srv = Net.Server.Make (Timestamp.Efr) in
   let module C = Net.Client.Make (Timestamp.Efr) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
-  let srv = Srv.start ~shards:2 ~io_threads:2 ~addr ~n:clients () in
+  (* one pid per stamping client, one per loop's anchor session *)
+  let srv = Srv.start ~shards:2 ~io_threads:2 ~addr ~n:(clients + 2) () in
   let wire = Array.init clients (fun _ -> C.connect addr) in
-  drive ~label:"wire" (fun i depth -> C.stamp_batch wire.(i) depth);
+  drive ~label:"wire" ~in_order:calls_in_session_order (fun i depth ->
+      C.stamp_batch wire.(i) depth);
   Array.iter C.close wire;
+  let leased = Array.init clients (fun _ -> C.connect ~lease:4 addr) in
+  drive ~label:"leased wire" ~in_order:ends_increase (fun i depth ->
+      C.stamp_batch leased.(i) depth);
+  Array.iter C.close leased;
   Srv.stop srv
 
 (* --------------------- the in-process transports -------------------- *)
@@ -1101,6 +1201,7 @@ let suite =
         session_exhaustion_is_clean;
       Util.case "lease: concurrent clients stay hb-sound"
         lease_concurrent_clients;
+      Util.case "lease: anchors run only on demand" lease_anchors_on_demand;
       Util.case "shutdown: graceful with in-flight connections"
         shutdown_with_inflight_connections;
       Util.case "shutdown: Stop frame reaches the owner" stop_frame_flow;
