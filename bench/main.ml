@@ -21,8 +21,9 @@
      E12 (ours)        fuzzer sensitivity: iterations-to-kill and shrink
                        quality for each planted mutant across seeds
      E19 (ours)        wire tier at scale: reactor connection-scaling
-                       curve, Marshal-vs-codec microbench, inline read
-                       path (machine-readable copy in BENCH_net2.json)
+                       curve, codec microbench, read path with every
+                       request answered on its I/O loop
+                       (machine-readable copy in BENCH_net2.json)
 
    One Bechamel Test.make per experiment follows at the end (timings of
    the key operations involved in each).  Usage:
@@ -2080,9 +2081,9 @@ let e19_net2 () =
     let r4 = bench_codec (module Timestamp.Sqrt.One_shot) (7, 199) in
     [ r1; r2; r3; r4 ]
   in
-  (* ---- read path: inline Compare, queued Get_stamp, Get_range ---- *)
-  sub "read path: inline Compare vs queued Get_stamp vs on-demand lease \
-       anchor";
+  (* ---- read path: Compare, Get_stamp, Get_range, all on the loop ---- *)
+  sub "read path: Compare vs Get_stamp vs on-demand lease anchor, each \
+       answered on the I/O loop";
   let rtt_iters = if fast then 500 else 2_000 in
   let rtts f =
     let a =
@@ -2126,23 +2127,25 @@ let e19_net2 () =
     Srv.stop srv;
     let p50 a = e19_percentile a 50. and p99 a = e19_percentile a 99. in
     Printf.printf
-      "inline Compare   p50 %7.1f us   p99 %7.1f us\n\
-       queued Get_stamp p50 %7.1f us   p99 %7.1f us\n\
+      "Compare          p50 %7.1f us   p99 %7.1f us\n\
+       Get_stamp        p50 %7.1f us   p99 %7.1f us\n\
        Get_range 16     p50 %7.1f us   p99 %7.1f us\n"
       (p50 cmp) (p99 cmp) (p50 stamp) (p99 stamp) (p50 range) (p99 range);
-    (* the issue's acceptance point: the inline read path answers below
-       the queued service path *)
-    if p50 cmp >= p50 stamp then
-      failwith
-        (Printf.sprintf
-           "E19: inline Compare p50 %.1fus not below queued Get_stamp \
-            p50 %.1fus"
-           (p50 cmp) (p50 stamp));
+    (* A getTS runs on the loop like a Compare, so its round trip is a
+       Compare's plus one program. *)
+    List.iter
+      (fun (name, a) ->
+         if p50 a > 1.5 *. p50 cmp then
+           failwith
+             (Printf.sprintf
+                "E19: %s p50 %.1fus exceeds 1.5x Compare's p50 %.1fus" name
+                (p50 a) (p50 cmp)))
+      [ ("Get_stamp", stamp); ("Get_range", range) ];
     Obs.Json.Obj
       [ ("compare_p50_us", Obs.Json.Float (p50 cmp));
         ("compare_p99_us", Obs.Json.Float (p99 cmp));
-        ("queued_stamp_p50_us", Obs.Json.Float (p50 stamp));
-        ("queued_stamp_p99_us", Obs.Json.Float (p99 stamp));
+        ("stamp_p50_us", Obs.Json.Float (p50 stamp));
+        ("stamp_p99_us", Obs.Json.Float (p99 stamp));
         ("range_p50_us", Obs.Json.Float (p50 range));
         ("range_p99_us", Obs.Json.Float (p99 range));
         ( "compare_vs_stamp_speedup",

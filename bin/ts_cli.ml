@@ -1080,8 +1080,10 @@ let telemetry_out_arg =
     & info [ "telemetry-out" ] ~docv:"FILE"
         ~doc:
           "Sample the live service gauges (per-shard queue depth, served \
-           counter, batch-size p50, free-list occupancy) from a dedicated \
-           sampler domain into a JSONL time series at $(docv) — watch it \
+           counter, batch-size p50, free-list occupancy; for $(b,serve \
+           --listen), per-I/O-loop served and batch counters and \
+           per-connection groups) from a dedicated sampler domain into a \
+           JSONL time series at $(docv) — watch it \
            with $(b,ts_cli top --file) $(docv), validate it with \
            $(b,ts_cli obs --validate) $(docv).  Truncates unless \
            $(b,--append).")
@@ -1155,7 +1157,7 @@ let serve_cmd =
   (* the wire mode: listen on [addr], serve connections until a client
      sends a Stop frame (ts_cli loadgen --stop-server, or Ctrl-C) *)
   let serve_wire (type r) (module T : Timestamp.Intf.S with type result = r)
-      ~n ~batch_max ~shards ~backend ~io_threads ~telemetry_out
+      ~n ~shards ~backend ~io_threads ~telemetry_out
       ~telemetry_interval ~append addr_str =
     match Net.Conn.parse_addr addr_str with
     | None ->
@@ -1164,10 +1166,7 @@ let serve_cmd =
       1
     | Some addr ->
       let module Srv = Net.Server.Make (T) in
-      (match
-         Srv.start ~batch_max ~shards ~backend ?io_threads
-           ~telemetry:(telemetry_out <> None) ~addr ~n ()
-       with
+      (match Srv.start ~shards ~backend ?io_threads ~addr ~n () with
        | exception Unix.Unix_error (e, _, _) ->
          Printf.eprintf "ts_cli: serve: cannot listen on %s: %s\n"
            (Net.Conn.addr_to_string addr) (Unix.error_message e);
@@ -1187,11 +1186,9 @@ let serve_cmd =
              Obs.Timeseries.start ~append ~out:file ts;
              Some (ts, file)
          in
-         Printf.printf
-           "serving %s at %s  n=%d shards=%d batch_max=%d io_threads=%d\n"
-           T.name
+         Printf.printf "serving %s at %s  n=%d io_threads=%d\n" T.name
            (Net.Conn.addr_to_string (Srv.bound_addr srv))
-           n shards batch_max (Srv.io_threads srv);
+           n (Srv.domains srv);
          flush stdout;
          Srv.wait srv;
          Srv.stop srv;
@@ -1230,7 +1227,7 @@ let serve_cmd =
       else
         match listen with
         | Some addr_str ->
-          serve_wire (module T) ~n ~batch_max ~shards ~backend ~io_threads
+          serve_wire (module T) ~n ~shards ~backend ~io_threads
             ~telemetry_out ~telemetry_interval ~append:out.append addr_str
         | None ->
           serve_demo (module T) ~n ~requests ~batch_max ~shards ~backend
@@ -1246,12 +1243,19 @@ let serve_cmd =
   let batch =
     Arg.(
       value & opt int 64
-      & info [ "batch" ] ~docv:"B" ~doc:"Worker batch-size cap.")
+      & info [ "batch" ] ~docv:"B"
+          ~doc:
+            "Worker batch-size cap of the demo session's service \
+             ($(b,--listen) runs each getTS on the I/O loop that decoded \
+             it, unbatched).")
   in
   let shards =
     Arg.(
       value & opt int 1
-      & info [ "shards" ] ~docv:"S" ~doc:"Worker domains / shards.")
+      & info [ "shards" ] ~docv:"S"
+          ~doc:
+            "Worker domains / shards of the demo session's service; with \
+             $(b,--listen), the default for $(b,--io-threads).")
   in
   let io_threads =
     Arg.(
@@ -1260,9 +1264,9 @@ let serve_cmd =
       & info [ "io-threads" ] ~docv:"N"
           ~doc:
             "I/O event-loop domains for $(b,--listen) (default: one per \
-             shard).  Each loop multiplexes many connections, so the \
-             domain count stays fixed no matter how many clients \
-             connect.")
+             shard).  Each loop multiplexes many connections and runs \
+             the getTS of every request it decodes, so the domain count \
+             stays fixed no matter how many clients connect.")
   in
   let listen =
     Arg.(

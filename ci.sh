@@ -201,6 +201,31 @@ grep -q "io_threads=2" /tmp/net_serve.log || {
 dune exec bin/ts_cli.exe -- obs --validate /tmp/net_tel.jsonl
 dune exec bin/ts_cli.exe -- top --file /tmp/net_tel.jsonl --once
 
+echo "== net smoke: one-shot object over the wire =="
+# Each stamp draws a fresh pid on the I/O loop that decoded it.
+os_sock=/tmp/ts_ci_oneshot.sock
+rm -f "$os_sock" /tmp/oneshot_serve.log
+"$ts_bin" serve -i sqrt-oneshot -n 1000 --listen "unix:$os_sock" \
+  > /tmp/oneshot_serve.log 2>&1 &
+os_pid=$!
+i=0
+while [ ! -S "$os_sock" ] && [ "$i" -lt 100 ]; do
+  sleep 0.1; i=$((i + 1))
+done
+[ -S "$os_sock" ] || {
+  echo "net smoke: one-shot server socket never appeared" >&2
+  cat /tmp/oneshot_serve.log >&2; exit 1; }
+os_out=$("$ts_bin" loadgen -i sqrt-oneshot --transport tcp \
+  --addr "unix:$os_sock" --clients 2 -r 200 --stop-server)
+echo "$os_out"
+echo "$os_out" | grep -q "served 400 requests" || {
+  echo "net smoke: one-shot wrong request count" >&2; exit 1; }
+echo "$os_out" | grep -q "checker: OK" || {
+  echo "net smoke: one-shot checker did not pass" >&2; exit 1; }
+wait "$os_pid" || {
+  echo "net smoke: one-shot server did not stop cleanly" >&2
+  cat /tmp/oneshot_serve.log >&2; exit 1; }
+
 echo "== net2 sanity: fast E19 reactor bench emits schema-valid JSON =="
 bench --fast --only e19
 dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_net2.json"

@@ -23,7 +23,7 @@ type kind = [ `One_shot | `Long_lived ]
 
 type req =
   | Ping  (** handshake; answered with {!Pong} *)
-  | Get_stamp  (** one getTS through the service shards *)
+  | Get_stamp  (** one getTS, run on the server's I/O loop *)
   | Get_range of int  (** epoch-range lease: anchor getTS + [n] ticks *)
   | Compare of { a : string; b : string }
       (** order two {!Codec} timestamp payloads server-side *)
@@ -61,6 +61,9 @@ type server_info = {
   si_codec : string;  (** {!Codec.name} of the stamp payloads *)
 }
 
+(** One per serving shard; [Net.Server] reports one per I/O loop:
+    getTS programs run, parse passes that ran at least one, and the most
+    programs in one pass. *)
 type shard_stat = { ss_served : int; ss_batches : int; ss_max_batch : int }
 
 type conn_stat = {

@@ -11,22 +11,24 @@
    - reads may deliver partial frames; bytes accumulate in the
      connection's receive buffer until {!Frame.frame_length} says a
      frame is complete;
-   - responses are framed into the connection's send buffer and drained
-     with non-blocking writes — a slow reader leaves bytes pending and
-     the loop polls writability instead of blocking; past a high-water
-     mark the loop also stops *reading* from that connection
-     (backpressure instead of unbounded buffering);
-   - service requests ([Get_stamp], [Get_range] anchors) are submitted
-     to the MPSC shards and completed via the non-blocking
-     {!Svc.Service.Make.poll}, many tickets multiplexed per domain;
-   - replies stay FIFO per connection: anything that completes while
-     earlier requests are still in flight queues behind them.
+   - every complete frame is answered while it is parsed, its reply
+     framed into the connection's send buffer at once, so replies leave
+     in request order without a queue;
+   - the send buffer drains with non-blocking writes — a slow reader
+     leaves bytes pending and the loop polls writability instead of
+     blocking; past a high-water mark the loop also stops *reading*
+     from that connection (backpressure instead of unbounded buffering).
+
+   A getTS runs on the loop that decoded its frame, as in the paper's
+   model (Section 2), where a process runs its own getTS against the
+   shared registers: [Get_stamp] and a lease's anchor execute through
+   one {!Svc.Client.Direct} context, which holds the register store, the
+   tick and the pid counter.  The cost: while a loop runs a burst of
+   getTS, its other connections wait behind the burst (DESIGN.md §14).
 
    Nothing polls.  A loop with nothing to do parks ({!Svc.Park}): it arms
-   its park, re-checks for completed tickets and new connections, and
-   only then blocks in [select] with no timeout.  Its sessions carry the
-   loop's pipe park, so a worker that completes one of its tickets writes
-   the self-pipe — only while the loop is parked.
+   its park, re-checks its mailbox for handed-over connections, and only
+   then blocks in [select] with no timeout.
 
    Loop 0 also accepts: the non-blocking listen socket sits in its
    [select] set, and each new fd goes to a loop (connection id mod
@@ -35,25 +37,15 @@
    is closed at accept and counted as refused.
 
    Protocol: one frame format ({!Frame}).  Stamps are encoded with the
-   implementation's {!Codec} straight into the send buffer (zero
-   minor-heap words per stamp), and [Compare] payloads are parsed with
-   the same codec's strict decoder.  An implementation without a codec
-   cannot be served: applying [Make] to it raises.
-
-   [Ping]/[Stats]/[Compare] never touch the submit queue: the loop
-   answers them inline.
+   implementation's {!Codec} straight into the send buffer, and
+   [Compare] payloads are parsed with the same codec's strict decoder.
+   An implementation without a codec cannot be served: applying [Make]
+   to it raises.
 
    Anchors on demand.  A [Get_range k] lease is one anchor getTS plus k
    end ticks reserved with one fetch-and-add after that getTS executed
-   (Service.reserve_ticks).  The anchor runs because the lease asked for
-   it: each lease submits its own getTS on the loop's anchor session,
-   and its completion reserves the lease's ticks, so every reservation
-   follows its anchor's execution (DESIGN.md §14–15).  Nothing runs
+   ({!Svc.Client.Direct.reserve_ticks}, DESIGN.md §14–15).  Nothing runs
    while nobody asks. *)
-
-let sleep_us us =
-  try Unix.sleepf (float_of_int us *. 1e-6)
-  with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 (* [Unix.select] raises EINVAL when any fd in its sets is at or above
    FD_SETSIZE; on Unix a [file_descr] is the fd number. *)
@@ -64,11 +56,8 @@ let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 (* Stop reading from a connection whose peer is not draining responses. *)
 let out_hiwater = 1 lsl 16
 
-(* Cap on queued requests per connection before reads pause. *)
-let max_inflight = 1024
-
 module Make (T : Timestamp.Intf.S) = struct
-  module S = Svc.Service.Make (T)
+  module D = Svc.Client.Direct (T)
 
   let codec : T.result Codec.t = Codec.for_impl (module T)
 
@@ -96,29 +85,27 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let bump a n = ignore (Atomic.fetch_and_add a n)
 
-  (* A reply owed to the peer, FIFO per connection. *)
-  type pending =
-    | P_stamp of S.ticket  (* complete via S.poll / S.await *)
-    | P_range of { tk : S.ticket; k : int }  (* a lease on its anchor getTS *)
-    | P_resp of Frame.resp  (* already computed, awaiting its turn *)
-
   type loop = {
+    lp_index : int;
     lp_incoming : (int * Unix.file_descr) list Atomic.t;
     lp_wake_r : Unix.file_descr;
     lp_wake_w : Unix.file_descr;
     lp_park : Svc.Park.t;  (* wakes write [lp_wake_w] *)
     lp_live : int Atomic.t;
-    (* Owned by the loop's domain; opened by its first lease. *)
-    mutable lp_anchor_session : S.session option;
+    (* Owned by the loop's domain; connected by its first lease. *)
+    mutable lp_anchor : D.t option;
+    (* Written by the loop's domain only; [Stats] and the telemetry
+       sampler read them live (plain int reads cannot tear). *)
+    mutable lp_served : int;  (* getTS programs run *)
+    mutable lp_batches : int;  (* parse passes that ran at least one *)
+    mutable lp_max_batch : int;  (* most programs in one pass *)
   }
 
   type cstate = {
     cv_conn : Conn.t;
-    cv_id : int;
     cv_slot : slot;
     cv_loop : loop;  (* the owning loop *)
-    mutable cv_session : S.session option;
-    cv_pending : pending Queue.t;
+    mutable cv_client : D.t option;
     mutable cv_read_eof : bool;  (* peer done sending: answer, then close *)
     mutable cv_dead : bool;  (* socket gone: drop immediately *)
     mutable cv_last_in : int;
@@ -126,7 +113,7 @@ module Make (T : Timestamp.Intf.S) = struct
   }
 
   type t = {
-    svc : S.t;
+    ctx : D.ctx;
     info : Frame.server_info;
     listen_fd : Unix.file_descr;
     addr : Conn.addr;
@@ -144,10 +131,12 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let stats_reply t =
     let sr_shards =
-      S.stats t.svc |> Array.to_list
-      |> List.map (fun (s : S.shard_stats) ->
-          { Frame.ss_served = s.served; ss_batches = s.batches;
-            ss_max_batch = s.max_batch })
+      Array.to_list
+        (Array.map
+           (fun l ->
+              { Frame.ss_served = l.lp_served; ss_batches = l.lp_batches;
+                ss_max_batch = l.lp_max_batch })
+           t.loops)
     in
     let sr_conns =
       Array.to_list
@@ -165,129 +154,84 @@ module Make (T : Timestamp.Intf.S) = struct
     Frame.Stats_reply
       { sr_shards; sr_conns; sr_refused = Atomic.get t.refused }
 
-  (* ------------------------- reply writing ------------------------- *)
-
-  let write_resp_cv cv r = Frame.write_resp (Conn.send_buffer cv.cv_conn) r
-
-  (* Completed stamp ticket -> response bytes: the zero-allocation hot
-     path, varints and codec bytes straight into the send buffer. *)
-  let write_stamp_cv cv (sess : S.session) tk =
-    let r = S.await tk in
-    S.release sess tk;
-    Frame.write_stamp_v2 (Conn.send_buffer cv.cv_conn) codec ~pid:r.S.pid
-      ~call:r.S.call ~shard:r.S.shard ~start_tick:r.S.start_tick
-      ~end_tick:r.S.end_tick r.S.ts;
-    bump cv.cv_slot.k_stamps 1
-
-  (* Completed anchor getTS -> one lease.  The k end ticks are reserved
-     here, strictly after the anchor executed. *)
-  let write_range_cv t cv (sess : S.session) tk k =
-    let r = S.await tk in
-    S.release sess tk;
-    let base = S.reserve_ticks t.svc k in
-    Frame.write_range_v2 (Conn.send_buffer cv.cv_conn) codec ~pid:r.S.pid
-      ~call:r.S.call ~shard:r.S.shard ~start_tick:r.S.start_tick ~base
-      ~count:k r.S.ts;
-    bump cv.cv_slot.k_leases 1;
-    bump cv.cv_slot.k_stamps k
-
-  (* Drain the head of the FIFO as far as completed work allows.
-     Returns [true] if anything was written (progress). *)
-  let progress t cv =
-    let q = cv.cv_pending in
-    let wrote = ref false in
-    let continue = ref true in
-    while !continue && not (Queue.is_empty q) do
-      match Queue.peek q with
-      | P_resp r ->
-        ignore (Queue.pop q);
-        write_resp_cv cv r;
-        wrote := true
-      | P_stamp tk ->
-        if S.poll tk then begin
-          ignore (Queue.pop q);
-          let sess = Option.get cv.cv_session in
-          write_stamp_cv cv sess tk;
-          wrote := true
-        end
-        else continue := false
-      | P_range { tk; k } ->
-        if S.poll tk then begin
-          ignore (Queue.pop q);
-          let sess = Option.get cv.cv_loop.lp_anchor_session in
-          write_range_cv t cv sess tk k;
-          wrote := true
-        end
-        else continue := false
-    done;
-    !wrote
-
   (* -------------------------- request handling --------------------- *)
 
-  let get_session t cv =
-    match cv.cv_session with
-    | Some s -> s
+  (* Lazily: control and lease-only connections must not consume one of
+     a long-lived object's n process ids. *)
+  let client t cv =
+    match cv.cv_client with
+    | Some c -> c
     | None ->
-      (* lazily: control and lease-only connections must not consume
-         one of a long-lived object's n sessions *)
-      let s = S.open_session ~park:cv.cv_loop.lp_park t.svc in
-      cv.cv_session <- Some s;
-      s
+      let c = D.connect t.ctx in
+      cv.cv_client <- Some c;
+      c
 
-  (* Lease anchors go on the loop's own session, so lease-only
-     connections hold no pid and each session keeps a single owner.  The
-     cost: a long-lived object gives one pid to each loop that has
-     granted a lease. *)
-  let anchor_session t loop =
-    match loop.lp_anchor_session with
-    | Some s -> s
+  (* Lease anchors run on the loop's own handle, so lease-only
+     connections hold no pid.  The cost: a long-lived object gives one
+     pid to each loop that has granted a lease. *)
+  let anchor t loop =
+    match loop.lp_anchor with
+    | Some c -> c
     | None ->
-      let s = S.open_session ~park:loop.lp_park t.svc in
-      loop.lp_anchor_session <- Some s;
-      s
+      let c = D.connect t.ctx in
+      loop.lp_anchor <- Some c;
+      c
 
-  (* FIFO-preserving reply: immediate only when nothing is in flight. *)
-  let reply cv r =
-    if Queue.is_empty cv.cv_pending then write_resp_cv cv r
-    else Queue.add (P_resp r) cv.cv_pending
+  let run_getts loop c =
+    let s = D.stamp c in
+    loop.lp_served <- loop.lp_served + 1;
+    s
 
+  let reply cv r = Frame.write_resp (Conn.send_buffer cv.cv_conn) r
+
+  let err cv msg = reply cv (Frame.Err msg)
+
+  (* Answers one request into the send buffer.  A getTS runs here, on
+     the loop; [Invalid_argument] from {!D.connect} (a long-lived object
+     past n) or {!D.stamp} (a one-shot object out of pids) becomes the
+     peer's [Err]. *)
   let handle_payload t cv payload =
     bump cv.cv_slot.k_requests 1;
-    let err msg = reply cv (Frame.Err msg) in
-    let serve_error = function
-      | S.Stopped -> err "service is stopping"
-      | Invalid_argument msg | Failure msg -> err msg
-      | e -> raise e
-    in
+    let out = Conn.send_buffer cv.cv_conn in
+    let loop = cv.cv_loop in
     match Frame.decode_req payload with
     | Error e ->
-      reply cv (Frame.Err (Frame.error_to_string e));
-      (* framing is broken: answer what's owed, then close *)
+      err cv (Frame.error_to_string e);
+      (* framing is broken: answer, then close *)
       cv.cv_read_eof <- true
     | Ok (_, req) -> (
         match req with
         | Frame.Ping -> reply cv (Frame.Pong t.info)
         | Frame.Get_stamp -> (
-            match
-              let sess = get_session t cv in
-              S.submit sess
-            with
-            | tk -> Queue.add (P_stamp tk) cv.cv_pending
-            | exception e -> serve_error e)
+            match run_getts loop (client t cv) with
+            | s ->
+              Frame.write_stamp_v2 out codec ~pid:s.st_pid ~call:s.st_call
+                ~shard:loop.lp_index ~start_tick:s.st_start_tick
+                ~end_tick:s.st_end_tick s.st_ts;
+              bump cv.cv_slot.k_stamps 1
+            | exception Invalid_argument msg -> err cv msg)
         | Frame.Get_range k ->
           if k < 1 || k > Frame.max_lease then
-            err
+            err cv
               (Printf.sprintf "lease size %d out of range [1, %d]" k
                  Frame.max_lease)
           else (
-            match S.submit (anchor_session t cv.cv_loop) with
-            | tk -> Queue.add (P_range { tk; k }) cv.cv_pending
-            | exception e -> serve_error e)
+            match run_getts loop (anchor t loop) with
+            | s ->
+              (* the k end ticks are reserved strictly after the anchor
+                 executed *)
+              let base = D.reserve_ticks t.ctx k in
+              Frame.write_range_v2 out codec ~pid:s.st_pid ~call:s.st_call
+                ~shard:loop.lp_index ~start_tick:s.st_start_tick ~base
+                ~count:k s.st_ts;
+              bump cv.cv_slot.k_leases 1;
+              bump cv.cv_slot.k_stamps k
+            | exception Invalid_argument msg -> err cv msg)
         | Frame.Compare { a; b } -> (
             match (Codec.decode_exn codec a, Codec.decode_exn codec b) with
             | ta, tb -> reply cv (Frame.Cmp (T.compare_ts ta tb))
             | exception Codec.Malformed _ ->
-              err "undecodable timestamp payload")
+              err cv "undecodable timestamp payload")
         | Frame.Stats -> reply cv (stats_reply t)
         | Frame.Stop ->
           reply cv Frame.Stopping;
@@ -320,34 +264,34 @@ module Make (T : Timestamp.Intf.S) = struct
     in
     go ()
 
-  (* Work a parked loop must not sleep through: a completed ticket at
-     the head of some connection's FIFO, or a connection handed over by
-     loop 0. *)
-  let work_ready loop conns =
-    Atomic.get loop.lp_incoming <> []
-    || Hashtbl.fold
-         (fun _ cv ready ->
-            ready
-            ||
-            match Queue.peek_opt cv.cv_pending with
-            | None -> false
-            | Some (P_stamp tk | P_range { tk; _ }) -> S.poll tk
-            | Some (P_resp _) -> true)
-         conns false
+  (* Shutdown: push a connection's answered bytes out, best-effort and
+     bounded, so a dead peer cannot hang [stop]. *)
+  let flush_for_close cv =
+    let deadline = Unix.gettimeofday () +. 1.0 in
+    let rec go () =
+      if Conn.pending_out cv.cv_conn > 0 && Unix.gettimeofday () < deadline
+      then
+        match Conn.try_flush cv.cv_conn with
+        | `Flushed | `Closed -> ()
+        | `Partial ->
+          (match Unix.select [] [ Conn.fd cv.cv_conn ] [] 0.05 with
+           | _ -> ()
+           | exception Unix.Unix_error _ -> ());
+          go ()
+    in
+    try go () with _ -> ()
 
   let io_loop t loop () =
-    let accepts = loop == t.loops.(0) in
+    let accepts = loop.lp_index = 0 in
     let conns : (Unix.file_descr, cstate) Hashtbl.t = Hashtbl.create 32 in
     let adopt (cid, fd) =
       let conn = Conn.create fd in
       Conn.set_nonblock conn;
       let cv =
         { cv_conn = conn;
-          cv_id = cid;
           cv_slot = t.slots.(cid mod Array.length t.slots);
           cv_loop = loop;
-          cv_session = None;
-          cv_pending = Queue.create ();
+          cv_client = None;
           cv_read_eof = false;
           cv_dead = false;
           cv_last_in = 0;
@@ -394,22 +338,25 @@ module Make (T : Timestamp.Intf.S) = struct
         accept_all ()
       | exception Unix.Unix_error _ -> ()  (* EAGAIN: backlog empty *)
     in
-    (* Parse every complete frame already buffered. *)
+    (* Answer every complete frame already buffered: one parse pass. *)
     let parse cv =
+      let served0 = loop.lp_served in
       let rec go () =
         match Conn.buffered_frame cv.cv_conn with
         | None -> ()
         | Some (Error (`Frame e)) ->
-          reply cv (Frame.Err (Frame.error_to_string e));
+          err cv (Frame.error_to_string e);
           cv.cv_read_eof <- true
         | Some (Ok payload) ->
-          (match handle_payload t cv payload with
-           | () -> ()
-           | exception (Unix.Unix_error _ | Sys_error _) ->
-             cv.cv_dead <- true);
-          if not (cv.cv_read_eof || cv.cv_dead) then go ()
+          handle_payload t cv payload;
+          if not cv.cv_read_eof then go ()
       in
-      go ()
+      go ();
+      let ran = loop.lp_served - served0 in
+      if ran > 0 then begin
+        loop.lp_batches <- loop.lp_batches + 1;
+        if ran > loop.lp_max_batch then loop.lp_max_batch <- ran
+      end
     in
     let on_readable cv =
       match Conn.try_refill cv.cv_conn with
@@ -421,66 +368,30 @@ module Make (T : Timestamp.Intf.S) = struct
     while not !finished do
       drain_incoming ();
       if Atomic.get t.stopping then begin
-        (* Graceful drain: answer everything in flight (the service is
-           still running — [stop] joins the loops before stopping it),
-           push the bytes out best-effort, then close. *)
+        (* Graceful drain: every parsed request is already answered in
+           its send buffer; push the bytes out, then close. *)
         Hashtbl.iter
           (fun _ cv ->
-             if not cv.cv_dead then begin
-               let deadline = Unix.gettimeofday () +. 1.0 in
-               let rec drain_pending () =
-                 if not (Queue.is_empty cv.cv_pending)
-                    && Unix.gettimeofday () < deadline
-                 then
-                   if progress t cv then drain_pending ()
-                   else begin
-                     sleep_us 50;
-                     drain_pending ()
-                   end
-               in
-               drain_pending ();
-               let rec flush_out () =
-                 if Conn.pending_out cv.cv_conn > 0
-                    && Unix.gettimeofday () < deadline
-                 then
-                   match Conn.try_flush cv.cv_conn with
-                   | `Flushed | `Closed -> ()
-                   | `Partial ->
-                     (match
-                        Unix.select [] [ Conn.fd cv.cv_conn ] [] 0.05
-                      with
-                      | _ -> ()
-                      | exception Unix.Unix_error _ -> ());
-                     flush_out ()
-               in
-               (try flush_out () with _ -> ())
-             end;
+             if not cv.cv_dead then flush_for_close cv;
              close_conn loop cv)
           conns;
         Hashtbl.reset conns;
         finished := true
       end
       else begin
-        let made_progress = ref false in
         let dead = ref [] in
         Hashtbl.iter
           (fun fd cv ->
-             if cv.cv_dead then dead := (fd, cv) :: !dead
-             else begin
-               if progress t cv then made_progress := true;
-               (* opportunistic flush: most replies leave in one write *)
-               if Conn.pending_out cv.cv_conn > 0 then begin
-                 match Conn.try_flush cv.cv_conn with
-                 | `Closed -> cv.cv_dead <- true
-                 | `Flushed | `Partial -> ()
-               end;
-               sync_bytes cv;
-               if cv.cv_dead
-                  || (cv.cv_read_eof
-                      && Queue.is_empty cv.cv_pending
-                      && Conn.pending_out cv.cv_conn = 0)
-               then dead := (fd, cv) :: !dead
-             end)
+             (* opportunistic flush: most replies leave in one write *)
+             if (not cv.cv_dead) && Conn.pending_out cv.cv_conn > 0 then begin
+               match Conn.try_flush cv.cv_conn with
+               | `Closed -> cv.cv_dead <- true
+               | `Flushed | `Partial -> ()
+             end;
+             sync_bytes cv;
+             if cv.cv_dead
+                || (cv.cv_read_eof && Conn.pending_out cv.cv_conn = 0)
+             then dead := (fd, cv) :: !dead)
           conns;
         List.iter
           (fun (fd, cv) ->
@@ -491,23 +402,15 @@ module Make (T : Timestamp.Intf.S) = struct
         if accepts then rds := t.listen_fd :: !rds;
         Hashtbl.iter
           (fun fd cv ->
-             if
-               (not cv.cv_read_eof)
-               && Conn.pending_out cv.cv_conn < out_hiwater
-               && Queue.length cv.cv_pending < max_inflight
+             if (not cv.cv_read_eof)
+                && Conn.pending_out cv.cv_conn < out_hiwater
              then rds := fd :: !rds;
              if Conn.pending_out cv.cv_conn > 0 then wrs := fd :: !wrs)
           conns;
-        (* Progress made: look at the sockets without blocking.
-           Otherwise park: arm, re-check, and block in select with no
+        (* Park: arm, re-check the mailbox, and block in select with no
            timeout until I/O or a wake. *)
-        let timeout =
-          if !made_progress then 0.0
-          else begin
-            Svc.Park.arm loop.lp_park;
-            if work_ready loop conns then 0.0 else -1.0
-          end
-        in
+        Svc.Park.arm loop.lp_park;
+        let timeout = if Atomic.get loop.lp_incoming <> [] then 0.0 else -1.0 in
         let rds', wrs', _ =
           try Unix.select !rds !wrs [] timeout with
           | Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -544,14 +447,14 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* ---------------------------- lifecycle -------------------------- *)
 
-  let start ?(batch_max = 64) ?(shards = 1) ?(backend = `Boxed)
-      ?(telemetry = false) ?(conn_slots = 4) ?io_threads ~addr ~n () =
+  let start ?(shards = 1) ?(backend = `Boxed) ?(conn_slots = 4) ?io_threads
+      ~addr ~n () =
     if conn_slots <= 0 then
       invalid_arg "Server.start: conn_slots must be positive";
     let io_threads = match io_threads with Some k -> k | None -> shards in
     if io_threads <= 0 then
       invalid_arg "Server.start: io_threads must be positive";
-    let svc = S.start ~batch_max ~shards ~backend ~telemetry ~n () in
+    let ctx = D.create_ctx ~backend ~n () in
     let unlink_path () =
       match addr with
       | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
@@ -584,17 +487,21 @@ module Make (T : Timestamp.Intf.S) = struct
       Unix.bind listen_fd (Conn.sockaddr_of addr);
       Unix.listen listen_fd 256;
       Unix.set_nonblock listen_fd;
-      let mk_loop _ =
+      let mk_loop i =
         let r, w = Unix.pipe ~cloexec:true () in
         own "a wake pipe" [ r; w ];
         Unix.set_nonblock r;
         Unix.set_nonblock w;
-        { lp_incoming = Atomic.make [];
+        { lp_index = i;
+          lp_incoming = Atomic.make [];
           lp_wake_r = r;
           lp_wake_w = w;
           lp_park = Svc.Park.of_pipe w;
           lp_live = Atomic.make 0;
-          lp_anchor_session = None }
+          lp_anchor = None;
+          lp_served = 0;
+          lp_batches = 0;
+          lp_max_batch = 0 }
       in
       (listen_fd, Array.init io_threads mk_loop)
     in
@@ -605,16 +512,15 @@ module Make (T : Timestamp.Intf.S) = struct
           (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
           !owned;
         unlink_path ();
-        S.stop svc;
         raise e
     in
     let t =
-      { svc;
+      { ctx;
         info =
           { Frame.si_impl = T.name;
             si_kind = T.kind;
             si_n = n;
-            si_shards = shards;
+            si_shards = io_threads;
             si_backend = Multicore.Backend.choice_tag backend;
             si_codec = Codec.name codec };
         listen_fd;
@@ -646,8 +552,6 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let domains t = Array.length t.loops
 
-  let io_threads t = Array.length t.loops
-
   let live_conns t =
     Array.fold_left (fun acc l -> acc + Atomic.get l.lp_live) 0 t.loops
 
@@ -662,7 +566,7 @@ module Make (T : Timestamp.Intf.S) = struct
       Atomic.set t.stopping true;
       Svc.Park.wake t.stop_park;
       (* wake every loop so it sees the flag, parked or not, then join:
-         loops drain their pending replies and close their connections *)
+         loops flush their answered bytes and close their connections *)
       Array.iter
         (fun l ->
            try ignore (Unix.write l.lp_wake_w (Bytes.make 1 '!') 0 1)
@@ -686,8 +590,7 @@ module Make (T : Timestamp.Intf.S) = struct
         (fun l ->
            (try Unix.close l.lp_wake_r with Unix.Unix_error _ -> ());
            try Unix.close l.lp_wake_w with Unix.Unix_error _ -> ())
-        t.loops;
-      S.stop t.svc
+        t.loops
     end
 
   (* --------------------------- telemetry --------------------------- *)
@@ -715,18 +618,26 @@ module Make (T : Timestamp.Intf.S) = struct
             t.slots))
 
   let attach_telemetry t ts =
-    S.attach_telemetry t.svc ts;
+    Obs.Timeseries.add_meta ts "backend" (Obs.Json.String t.info.si_backend);
     Obs.Timeseries.add_meta ts "addr"
       (Obs.Json.String (Conn.addr_to_string t.addr));
     Obs.Timeseries.add_meta ts "conn_slots"
       (Obs.Json.Int (Array.length t.slots));
     Obs.Timeseries.add_meta ts "io_threads"
       (Obs.Json.Int (Array.length t.loops));
+    Array.iter
+      (fun l ->
+         let g name f =
+           Obs.Timeseries.add_source ts
+             ~name:(Printf.sprintf "s%d.%s" l.lp_index name)
+             (fun () -> float_of_int (f l))
+         in
+         g "served" (fun l -> l.lp_served);
+         g "batches" (fun l -> l.lp_batches))
+      t.loops;
     List.iter
       (fun (name, f) -> Obs.Timeseries.add_source ts ~name f)
       (net_sources t);
     Obs.Timeseries.add_source ts ~name:"net.refused" (fun () ->
         float_of_int (refused t))
-
-  let service_stats t = S.stats t.svc
 end

@@ -92,6 +92,13 @@ module Direct (T : Timestamp.Intf.S) = struct
       st_end_tick = end_tick; st_ts = ts; st_resp_us = now_us ();
       st_shard = 0 }
 
+  (* Same discipline as [stamp]'s end tick: the caller reserves only
+     after the getTS anchoring the leased stamps has executed. *)
+  let reserve_ticks ctx k =
+    if k <= 0 then
+      invalid_arg "Client.Direct.reserve_ticks: k must be positive";
+    Atomic.fetch_and_add ctx.tick k
+
   (* execution is the request: nothing to overlap, so "async" is eager *)
   let stamp_async c =
     let s = stamp c in

@@ -55,7 +55,11 @@ module type S = sig
 end
 
 (** No service at all: the client executes getTS itself on a shared
-    register store — the unbatched baseline of E13/E15. *)
+    register store — the unbatched baseline of E13/E15, and the request
+    path of [Net.Server], whose I/O loops run each decoded getTS this way.
+    {!stamp} reads the start tick before the program runs and claims its
+    end tick with one fetch-and-add after it, so a response received
+    before another call's invocation has the smaller tick. *)
 module Direct (T : Timestamp.Intf.S) : sig
   include S with type result = T.result
 
@@ -67,7 +71,16 @@ module Direct (T : Timestamp.Intf.S) : sig
   val connect : ctx -> t
   (** For a long-lived object each connect claims the next process id
       (at most [n] connects; [Invalid_argument] beyond).  For a one-shot
-      object the handle is free and each {!stamp} consumes a fresh pid. *)
+      object the handle is free and each {!stamp} consumes a fresh pid
+      ([Invalid_argument] once [n] are spent). *)
+
+  val reserve_ticks : ctx -> int -> int
+  (** [reserve_ticks ctx k] claims [k] consecutive end ticks with one
+      fetch-and-add and returns the first: the epoch-range lease
+      primitive of [Net.Server].  Call it only {e after} the getTS
+      anchoring the leased stamps has executed, so no leased tick
+      predates an operation that had already completed.  Raises
+      [Invalid_argument] when [k <= 0]. *)
 end
 
 (** The in-process service transport: one {!Service} session per client

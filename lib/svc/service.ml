@@ -283,7 +283,7 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let backend t = t.backend
 
-  let open_session ?park t =
+  let open_session t =
     let id = Atomic.fetch_and_add t.next_session 1 in
     (match T.kind with
      | `Long_lived ->
@@ -295,7 +295,7 @@ module Make (T : Timestamp.Intf.S) = struct
     { svc = t;
       s_pid = id;
       s_shard = id mod Array.length t.shards;
-      s_park = (match park with Some p -> p | None -> Park.create ());
+      s_park = Park.create ();
       s_call = 0;
       pool = Array.make pool_cap nil;
       pool_top = 0 }
@@ -364,11 +364,9 @@ module Make (T : Timestamp.Intf.S) = struct
     Park.wake shard.park;
     req
 
-  (* Non-blocking completion probe for event-loop callers that multiplex
-     many tickets (the net reactor): one SC load, no spin. *)
-  let poll (req : ticket) = Atomic.get req.r_done = 1
+  let is_done (req : ticket) = Atomic.get req.r_done = 1
 
-  let wait_done (req : ticket) = Park.wait req.r_park poll req
+  let wait_done (req : ticket) = Park.wait req.r_park is_done req
 
   let await (req : ticket) =
     wait_done req;
@@ -399,16 +397,6 @@ module Make (T : Timestamp.Intf.S) = struct
     let r = await ticket in
     release session ticket;
     r
-
-  (* Reserve [k] consecutive end ticks for stamps minted outside the
-     batch pipeline (epoch-range leases).  Same soundness discipline as
-     the per-chunk reservation in [run_batch]: the caller must reserve
-     only *after* the operation anchoring the leased stamps has
-     executed, so a tick claimed here is never older than a concurrent
-     operation that already completed. *)
-  let reserve_ticks t k =
-    if k <= 0 then invalid_arg "Service.reserve_ticks: k must be positive";
-    Atomic.fetch_and_add t.tick k
 
   let stop t =
     if Atomic.compare_and_set t.accepting true false then begin

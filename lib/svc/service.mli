@@ -33,7 +33,12 @@
     Per-session request order is preserved: a session's requests land in
     one FIFO inbox and one worker serves them in order, so a long-lived
     process's calls stay sequential even when a client pipelines several
-    submissions. *)
+    submissions.
+
+    In-process clients ({!Client.Inproc}) and the load generator's
+    service mode use this module.  The wire server ([Net.Server]) does
+    not: its I/O loops run each decoded getTS themselves, through
+    {!Client.Direct}, with no hand-off to a worker. *)
 
 module Make (T : Timestamp.Intf.S) : sig
   type t
@@ -88,17 +93,13 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val backend : t -> Multicore.Backend.choice
 
-  val open_session : ?park:Park.t -> t -> session
+  val open_session : t -> session
   (** For long-lived implementations the session owns process id
       [session index] (at most [n] sessions).  For one-shot implementations
       every request consumes a globally fresh process id instead (at most
-      [n] requests service-wide); the session only pins the shard.
-
-      [park] is what the worker wakes when this session's requests
-      complete: by default a fresh condition-variable park that {!await}
-      blocks on.  An event loop that multiplexes many sessions passes its
-      own {!Park.of_pipe} park, so a completion writes its self-pipe only
-      while the loop is parked in [select]. *)
+      [n] requests service-wide); the session only pins the shard.  The
+      worker wakes the session's own condition-variable park, which
+      {!await} blocks on, when its requests complete. *)
 
   val submit : session -> ticket
   (** Enqueues one getTS; allocation-free once the session's request pool
@@ -107,19 +108,11 @@ module Make (T : Timestamp.Intf.S) : sig
       Raises {!Stopped} after {!stop}, [Invalid_argument] when a one-shot
       service has exhausted its [n] process ids. *)
 
-  val poll : ticket -> bool
-  (** [true] once the ticket's response is published — {!await} will then
-      return without blocking.  One atomic load; the probe event-loop
-      callers (the net reactor) use to multiplex many in-flight tickets
-      without parking a domain per request. *)
-
   val await : ticket -> resp
   (** Waits for the response ({!Park.wait} on the session's park: a
       brief spin, then blocked until the worker's wake), then copies it
       out into a fresh record.  Does not recycle the ticket — call
-      {!release} afterwards to return it to the session pool.  Only for
-      sessions on a condition-variable park; a session opened with a
-      pipe park completes tickets via {!poll} first. *)
+      {!release} afterwards to return it to the session pool. *)
 
   val release : session -> ticket -> unit
   (** Returns an awaited ticket's record to the session's pool (drops it
@@ -132,15 +125,6 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val get_ts : session -> resp
   (** [await]+[release] of [submit session]. *)
-
-  val reserve_ticks : t -> int -> int
-  (** [reserve_ticks t k] claims [k] consecutive global end ticks with one
-      fetch-and-add and returns the first — the epoch-range lease
-      primitive used by the network server ([Net.Server]).  Soundness
-      contract, same as the batch pipeline's per-chunk reservation: call
-      only {e after} the operation anchoring the leased stamps has
-      executed, so no leased tick predates an operation that had already
-      completed.  Raises [Invalid_argument] when [k <= 0]. *)
 
   val stop : t -> unit
   (** Graceful shutdown: refuses new submissions, waits until every

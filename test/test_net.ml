@@ -475,8 +475,8 @@ let session_exhaustion_is_clean () =
   Util.check_bool "refused conn still compares" true
     (let s = C.stamp c1 and s' = C.stamp c1 in
      C.compare_remote c2 s s');
-  (* a lease's anchor needs the loop's anchor session: with the only
-     pid held, the lease gets the service's error at once *)
+  (* a lease's anchor needs the loop's anchor handle: with the only
+     pid held, the lease gets the "at most n" error at once *)
   let c3 = C.connect ~lease:4 addr in
   let t0 = Unix.gettimeofday () in
   (match C.stamp c3 with
@@ -682,7 +682,7 @@ let expect_stamp label payload =
 
 (* A lease's anchor getTS runs because the lease asked for it: a burst of
    8 leases on one connection runs exactly 8 anchors, and once they are
-   answered the service serves nothing more.  Raw frames, so a lease is
+   answered the loop runs nothing more.  Raw frames, so a lease is
    exactly one Get_range. *)
 let lease_anchors_on_demand () =
   let check (type r) (module T : Timestamp.Intf.S with type result = r) =
@@ -706,8 +706,6 @@ let lease_anchors_on_demand () =
           0 sr_shards
       | _ -> Alcotest.failf "%s: expected Stats_reply" T.name
     in
-    (* a worker bumps its served count just after publishing a batch *)
-    Unix.sleepf 0.05;
     let s0 = served () in
     Util.check_int (Printf.sprintf "%s: one anchor per lease" T.name) 8 s0;
     Unix.sleepf 0.05;
@@ -719,6 +717,114 @@ let lease_anchors_on_demand () =
   in
   check (module Timestamp.Efr);
   check (module Timestamp.Sqrt.One_shot)
+
+(* Every reply is computed while its frame is parsed, so a mixed burst
+   sent in one write comes back in request order with no queue to keep
+   it so.  The lease's ticks are reserved after the first stamp ended,
+   and the second stamp ends after the lease's ticks. *)
+let wire_replies_in_request_order () =
+  let check (type r) (module T : Timestamp.Intf.S with type result = r) =
+    let module Srv = Net.Server.Make (T) in
+    let module Dc = Svc.Client.Direct (T) in
+    let codec = Net.Codec.for_impl (module T) in
+    (* two real timestamps to compare, from a register store of its own *)
+    let a, b, a_before_b =
+      let c = Dc.connect (Dc.create_ctx ~n:4 ()) in
+      let a = Dc.stamp c in
+      let b = Dc.stamp c in
+      ( Net.Codec.encode codec a.st_ts,
+        Net.Codec.encode codec b.st_ts,
+        T.compare_ts a.st_ts b.st_ts )
+    in
+    let addr = Net.Conn.Unix_path (sock_path ()) in
+    let srv = Srv.start ~addr ~n:4 () in
+    let fd = raw_connect addr in
+    write_all fd
+      (String.concat ""
+         (List.map frame_of
+            [ Net.Frame.Ping; Net.Frame.Get_stamp; Net.Frame.Compare { a; b };
+              Net.Frame.Get_range 4; Net.Frame.Stats; Net.Frame.Get_stamp;
+              Net.Frame.Compare { a = "\255\255\255"; b } ]));
+    let next what =
+      match Net.Frame.decode_resp (read_frame fd) with
+      | Ok (_, r) -> r
+      | Error e ->
+        Alcotest.failf "%s: %s undecodable: %s" T.name what
+          (Net.Frame.error_to_string e)
+    in
+    let fail what =
+      Alcotest.failf "%s: reply out of order, expected %s" T.name what
+    in
+    (match next "Pong" with Net.Frame.Pong _ -> () | _ -> fail "Pong");
+    let stamp () =
+      match next "Stamp" with Net.Frame.Stamp w -> w | _ -> fail "Stamp"
+    in
+    let s1 = stamp () in
+    (match next "Cmp" with
+     | Net.Frame.Cmp c ->
+       Util.check_bool (T.name ^ ": Cmp answers compare_ts") a_before_b c
+     | _ -> fail "Cmp");
+    let g =
+      match next "Range" with Net.Frame.Range g -> g | _ -> fail "Range"
+    in
+    (match next "Stats_reply" with
+     | Net.Frame.Stats_reply _ -> ()
+     | _ -> fail "Stats_reply");
+    let s2 = stamp () in
+    (match next "Err" with Net.Frame.Err _ -> () | _ -> fail "Err");
+    Util.check_bool (T.name ^ ": end ticks increase across the stamps") true
+      (s1.w_end_tick < s2.w_end_tick);
+    Util.check_bool (T.name ^ ": the range's base follows the first stamp")
+      true (g.g_base > s1.w_end_tick);
+    Util.check_bool (T.name ^ ": the second stamp follows the range") true
+      (s2.w_end_tick >= g.g_base + g.g_count);
+    Unix.close fd;
+    Srv.stop srv
+  in
+  check (module Timestamp.Lamport);
+  check (module Timestamp.Sqrt.One_shot)
+
+(* A one-shot object spends one pid per stamp, and the getTS runs on the
+   I/O loop: past n, Direct.stamp's Invalid_argument must reach the peer
+   as Err and never kill the loop, which keeps answering a second
+   connection. *)
+let wire_oneshot_exhaustion () =
+  let module T = Timestamp.Sqrt.One_shot in
+  let module Srv = Net.Server.Make (T) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~io_threads:1 ~addr ~n:4 () in
+  let fd = raw_connect addr in
+  write_all fd
+    (String.concat "" (List.init 6 (fun _ -> frame_of Net.Frame.Get_stamp)));
+  let stamps =
+    List.init 6 (fun i ->
+        match Net.Frame.decode_resp (read_frame fd) with
+        | Ok (_, Net.Frame.Stamp w) when i < 4 -> Some w
+        | Ok (_, Net.Frame.Err msg) when i >= 4 ->
+          Util.check_bool
+            (Printf.sprintf "stamp %d: Err names the exhaustion" (i + 1))
+            true (contains msg "exhausted");
+          None
+        | _ ->
+          Alcotest.failf "stamp %d: expected %s" (i + 1)
+            (if i < 4 then "Stamp" else "Err"))
+    |> List.filter_map Fun.id
+  in
+  let w1 = List.nth stamps 0 and w2 = List.nth stamps 1 in
+  let other = raw_connect addr in
+  write_all other
+    (frame_of Net.Frame.Ping
+     ^ frame_of (Net.Frame.Compare { a = w1.w_ts; b = w2.w_ts }));
+  (match Net.Frame.decode_resp (read_frame other) with
+   | Ok (_, Net.Frame.Pong _) -> ()
+   | _ -> Alcotest.fail "second connection: expected Pong");
+  (match Net.Frame.decode_resp (read_frame other) with
+   | Ok (_, Net.Frame.Cmp c) ->
+     Util.check_bool "second connection: earlier stamp compares below" true c
+   | _ -> Alcotest.fail "second connection: expected Cmp");
+  Unix.close other;
+  Unix.close fd;
+  Srv.stop srv
 
 (* A frame delivered one byte per read must accumulate across loop
    passes and still be answered. *)
@@ -935,8 +1041,7 @@ let wire_churn_bounded () =
   Srv.stop srv
 
 (* Nothing polls: an idle server holding two open connections, one of
-   which took leases, has its loop parked in select and its worker
-   parked, and runs no anchor getTS until a lease asks for one, so the
+   which took leases, has its loop parked in select, and runs no anchor getTS until a lease asks for one, so the
    process spends well under 5 ms of CPU over half a second.  (Polling
    loops spent 30-40 ms; re-running the anchor every 200 us, about
    50 ms.) *)
@@ -1028,7 +1133,7 @@ let wire_fd_setsize_refused () =
 (* Lost-wakeup stress: in-process sessions, wire clients and leased
    wire clients send pipelined bursts of random depth with random
    microsecond gaps, so completions race every stage of a waiter's park,
-   leased ones through the loops' anchor sessions.  A watchdog turns a lost
+   leased ones through the loops' anchor handles.  A watchdog turns a lost
    wakeup into a failure instead of a hang; every stamp must also pass
    the timed happens-before checker. *)
 let park_stress () =
@@ -1111,7 +1216,7 @@ let park_stress () =
   let module Srv = Net.Server.Make (Timestamp.Efr) in
   let module C = Net.Client.Make (Timestamp.Efr) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
-  (* one pid per stamping client, one per loop's anchor session *)
+  (* one pid per stamping client, one per loop's anchor handle *)
   let srv = Srv.start ~shards:2 ~io_threads:2 ~addr ~n:(clients + 2) () in
   let wire = Array.init clients (fun _ -> C.connect addr) in
   drive ~label:"wire" ~in_order:calls_in_session_order (fun i depth ->
@@ -1202,6 +1307,10 @@ let suite =
       Util.case "lease: concurrent clients stay hb-sound"
         lease_concurrent_clients;
       Util.case "lease: anchors run only on demand" lease_anchors_on_demand;
+      Util.case "wire: a mixed burst is answered in request order"
+        wire_replies_in_request_order;
+      Util.case "wire: one-shot pid exhaustion is an Err, the loop lives"
+        wire_oneshot_exhaustion;
       Util.case "shutdown: graceful with in-flight connections"
         shutdown_with_inflight_connections;
       Util.case "shutdown: Stop frame reaches the owner" stop_frame_flow;
