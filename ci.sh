@@ -22,6 +22,12 @@ dune runtest
 echo "== bench --fast =="
 bench --fast
 
+echo "== perfbench self-test: every workload builds, checks and reports =="
+# A tiny pass over each benchmark workload, traced and untraced, plus
+# injected faults; a library change that breaks the benchmark's build,
+# checker or metric list fails here.  Writes only under .perfbench/.
+python3 perfbench/selftest.py
+
 echo "== fuzz smoke: seeded differential run =="
 dune exec bin/ts_cli.exe -- fuzz --seed 42 --iters 200 -n 4 -c 2
 

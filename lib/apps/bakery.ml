@@ -63,11 +63,9 @@ let program ~n ~pid ~call:_ =
   let occ = occupancy_reg ~n in
   (* Doorway. *)
   let* () = Shm.Prog.write pid (Slot { choosing = true; number = 0 }) in
-  let* mx =
-    Shm.Prog.fold_range ~lo:0 ~hi:(n - 1) ~init:0 (fun mx j ->
-        let+ v = Shm.Prog.read j in
-        max mx (slot_of v).number)
-  in
+  Shm.Prog.fold_reads ~lo:0 ~hi:(n - 1) ~init:0
+    (fun mx v -> max mx (slot_of v).number)
+  @@ fun mx ->
   let ticket = mx + 1 in
   let* () = Shm.Prog.write pid (Slot { choosing = false; number = ticket }) in
   (* Wait loop: for each other process, wait out its doorway, then wait

@@ -39,8 +39,7 @@ let init_value ~n:_ = 0
 let program ~n ~pid ~call =
   if pid < 0 || pid >= n then invalid_arg "Efr.program: bad pid";
   let m = n - 1 in
-  let* view = Snapshot.Collect.collect ~lo:0 ~hi:(m - 1) in
-  let mx = Array.fold_left max 0 view in
+  Shm.Prog.fold_reads ~lo:0 ~hi:(m - 1) ~init:0 Int.max @@ fun mx ->
   if pid < m then
     let t = mx + 1 in
     let* () = Shm.Prog.write pid t in

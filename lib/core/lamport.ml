@@ -26,8 +26,8 @@ let init_value ~n:_ = 0
 
 let program ~n ~pid ~call:_ =
   if pid < 0 || pid >= n then invalid_arg "Lamport.program: bad pid";
-  let* view = Snapshot.Collect.collect ~lo:0 ~hi:(n - 1) in
-  let t = 1 + Array.fold_left max 0 view in
+  Shm.Prog.fold_reads ~lo:0 ~hi:(n - 1) ~init:0 Int.max @@ fun mx ->
+  let t = mx + 1 in
   let* () = Shm.Prog.write pid t in
   Shm.Prog.return t
 

@@ -47,6 +47,14 @@ let rec fold_range ~lo ~hi ~init f =
 let iter_range ~lo ~hi f =
   fold_range ~lo ~hi ~init:() (fun () i -> f i)
 
+(* Each read's continuation builds the next read node itself, so the range
+   costs one node per register and nothing is rebuilt by a [bind]. *)
+let fold_reads ~lo ~hi ~init f k =
+  let rec go i acc =
+    if i > hi then k acc else Read (i, fun v -> go (i + 1) (f acc v))
+  in
+  go lo init
+
 let rec map_reg f = function
   | Done x -> Done x
   | Read (r, k) -> Read (f r, fun v -> map_reg f (k v))

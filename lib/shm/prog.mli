@@ -84,12 +84,34 @@ module Syntax : sig
   val ( let+ ) : ('v, 'a) t -> ('a -> 'b) -> ('v, 'b) t
 end
 
+(** {2 Cost model}
+
+    [bind p f] rebuilds every node of [p] on the way to [p]'s result: each
+    continuation of [p] is wrapped in one that re-applies [bind].  A
+    program of [k] operations nested under [d] binds therefore costs
+    O(k·d) allocations and closure calls to run, not O(k).  Loops over a
+    register range should not return their result through a bind: use
+    {!fold_reads}, or recurse inside the continuation of each operation so
+    that the next one is built in place.  {!fold_range} and {!iter_range}
+    pay one bind per element and suit short bodies off the hot path. *)
+
 val fold_range : lo:int -> hi:int -> init:'acc
   -> ('acc -> int -> ('v, 'acc) t) -> ('v, 'acc) t
 (** [fold_range ~lo ~hi ~init f] runs [f acc i] for [i = lo, lo+1, ..., hi]
     sequentially, threading the accumulator.  Empty when [hi < lo]. *)
 
 val iter_range : lo:int -> hi:int -> (int -> ('v, unit) t) -> ('v, unit) t
+
+val fold_reads : lo:int -> hi:int -> init:'acc -> ('acc -> 'v -> 'acc)
+  -> ('acc -> ('v, 'a) t) -> ('v, 'a) t
+(** [fold_reads ~lo ~hi ~init f k] reads registers [lo, lo+1, ..., hi] in
+    increasing order, folds each value into the accumulator with [f], and
+    continues with [k acc].  Each read node's continuation builds the next
+    read directly and the last one calls [k], so the range costs one node
+    per register and the code that consumes the result rebuilds none of
+    them, as a [bind] would.  Empty when [hi < lo], in which case it is
+    [k init].  [f] must be pure: like every continuation it may run again
+    when a configuration is replayed. *)
 
 val map_reg : (int -> int) -> ('v, 'a) t -> ('v, 'a) t
 (** [map_reg f p] renames every register index [r] of [p] to [f r].  Used to

@@ -1,17 +1,14 @@
-open Shm.Prog.Syntax
-
 exception Starved
 
 (* Continuations may be replayed from forked configurations during
    speculative executions, so no mutable state may be captured: views are
    accumulated as immutable lists and converted on completion. *)
-let collect ~lo ~hi =
-  let* rev_view =
-    Shm.Prog.fold_range ~lo ~hi ~init:[] (fun acc r ->
-        let+ v = Shm.Prog.read r in
-        v :: acc)
-  in
-  Shm.Prog.return (Array.of_list (List.rev rev_view))
+let collect_then ~lo ~hi k =
+  Shm.Prog.fold_reads ~lo ~hi ~init:[]
+    (fun acc v -> v :: acc)
+    (fun rev_view -> k (Array.of_list (List.rev rev_view)))
+
+let collect ~lo ~hi = collect_then ~lo ~hi Shm.Prog.return
 
 let views_equal equal a b =
   Array.length a = Array.length b
@@ -25,9 +22,9 @@ let scan ?max_rounds ~equal ~lo ~hi () =
     (match max_rounds with
      | Some m when rounds >= m -> raise Starved
      | _ -> ());
-    let* view = collect ~lo ~hi in
-    match prev with
-    | Some p when views_equal equal p view -> Shm.Prog.return view
-    | _ -> loop (rounds + 1) (Some view)
+    collect_then ~lo ~hi (fun view ->
+        match prev with
+        | Some p when views_equal equal p view -> Shm.Prog.return view
+        | _ -> loop (rounds + 1) (Some view))
   in
   loop 0 None

@@ -15,6 +15,12 @@ val collect : lo:int -> hi:int -> ('v, 'v array) Shm.Prog.t
 (** [collect ~lo ~hi] reads registers [lo..hi] in increasing order and
     returns the view (index 0 of the result is register [lo]). *)
 
+val collect_then :
+  lo:int -> hi:int -> ('v array -> ('v, 'a) Shm.Prog.t) -> ('v, 'a) Shm.Prog.t
+(** [collect_then ~lo ~hi k] is [bind (collect ~lo ~hi) k] without the
+    bind: the last read's continuation hands the view to [k], so the
+    collect's reads are built once (see the cost model in {!Shm.Prog}). *)
+
 val scan :
   ?max_rounds:int ->
   equal:('v -> 'v -> bool) ->

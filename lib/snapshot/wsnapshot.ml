@@ -14,9 +14,6 @@ let seq c = c.seq
 
 let values cells = Array.map (fun c -> c.value) cells
 
-(* One collect of all n cells. *)
-let collect ~n = Collect.collect ~lo:0 ~hi:(n - 1)
-
 let same_seqs a b =
   let rec go i =
     i >= Array.length a || (a.(i).seq = b.(i).seq && go (i + 1))
@@ -36,7 +33,7 @@ let movers a b =
    is threaded as an immutable list of counts to keep continuations pure. *)
 let scan ~n =
   let rec loop prev moved =
-    let* cur = collect ~n in
+    Collect.collect_then ~lo:0 ~hi:(n - 1) @@ fun cur ->
     match prev with
     | None -> loop (Some cur) moved
     | Some p ->

@@ -129,6 +129,42 @@ let service_zero_alloc () =
        delta)
     true (delta < 64.)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation pin: a getTS costs a bounded number of words per register *)
+(* operation, whatever n is.                                            *)
+
+(* A Lamport getTS is n reads and one write.  A collect returned through
+   binds allocates per operation in proportion to its bind depth (64.5
+   words per operation at n=64 when built on [fold_range] under three
+   binds); built on [Shm.Prog.fold_reads] it is about 10. *)
+let lamport_alloc_per_op () =
+  let module L = Timestamp.Lamport in
+  let n = 64 and rounds = 200 in
+  List.iter
+    (fun backend ->
+       let regs =
+         Multicore.Exec.make_store ~backend ~num:(L.num_registers ~n)
+           ~init:(L.init_value ~n)
+       in
+       let _, ops =
+         Multicore.Exec.run_store_counting ~regs (L.program ~n ~pid:0 ~call:0)
+       in
+       let w0 = Gc.minor_words () in
+       for call = 1 to rounds do
+         Sys.opaque_identity
+           (Multicore.Exec.run_store ~regs (L.program ~n ~pid:0 ~call))
+         |> ignore
+       done;
+       let w1 = Gc.minor_words () in
+       let per_op = (w1 -. w0) /. float_of_int (rounds * ops) in
+       Util.check_int "lamport n=64: register operations per getTS" (n + 1) ops;
+       Util.check_bool
+         (Printf.sprintf
+            "lamport n=64 (%s): %.1f minor words per register operation"
+            (B.choice_tag backend) per_op)
+         true (per_op <= 16.))
+    B.all_choices
+
 let service_flat_end_to_end () =
   (* the service over the flat backend, including an interning value type
      (sqrt's [Bot | Cell _]), still satisfies the checker *)
@@ -157,6 +193,8 @@ let suite =
       Util.case "boxed and flat agree sequentially (all impls)"
         store_differential;
       Util.case "functor interpreters agree (all impls)" functor_matches_store;
+      Util.case "lamport getTS allocates O(1) words per register op"
+        lamport_alloc_per_op;
       Util.slow_case "stress lamport on both backends"
         (stress_both_backends "lamport" (module Timestamp.Lamport) ~n:4
            ~calls:60);
