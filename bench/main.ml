@@ -35,7 +35,6 @@
 
      --only EXP              run a single experiment (e.g. --only e15)
      --requests N            E13 requests per client (default 400, fast 150)
-     --backend boxed|flat    E13 register backend (default boxed)
      --max-shards D          E15 sweeps shard counts 1..D (default
                              max 4 recommended_domain_count)
      --scaling-requests N    E15 requests per client (default 600, fast 120)
@@ -60,20 +59,18 @@ let arg_int name default =
     | Some v -> v
     | None -> failwith (Printf.sprintf "%s: expected an integer, got %S" name s))
 
-let arg_backend name default =
-  match arg_value name with
-  | None -> default
-  | Some s -> (
-    match Multicore.Backend.choice_of_string s with
-    | Ok c -> c
-    | Error e -> failwith (name ^ ": " ^ e))
-
 let only = arg_value "--only"
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let sub title = Printf.printf "\n--- %s ---\n" title
+
+(* Nearest-rank percentile of an ascending array. *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then nan
+  else sorted.(min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
 
 (* ------------------------------------------------------------------ *)
 (* E5: bounds summary                                                   *)
@@ -846,10 +843,9 @@ let e13_service () =
      between;\n\
     \ machine-readable copy in BENCH_service.json)";
   let requests = arg_int "--requests" (if fast then 150 else 400) in
-  let backend = arg_backend "--backend" `Boxed in
   let base =
     { Svc.Loadgen.default with
-      clients = 2; requests_per_client = requests; n = 4; seed = 1; backend }
+      clients = 2; requests_per_client = requests; n = 4; seed = 1 }
   in
   let modes =
     [ ("direct", { base with mode = Svc.Loadgen.Direct });
@@ -931,7 +927,6 @@ let e13_service () =
         ("fast", Obs.Json.Bool fast);
         ("clients", Obs.Json.Int base.Svc.Loadgen.clients);
         ("requests_per_client", Obs.Json.Int requests);
-        ("backend", Obs.Json.String (Multicore.Backend.choice_tag backend));
         ( "recommended_domains",
           Obs.Json.Int (Domain.recommended_domain_count ()) );
         ("implementations", Obs.Json.List (List.map impl_json results)) ]
@@ -942,12 +937,12 @@ let e13_service () =
   Printf.printf "\n(wrote BENCH_service.json)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E15: cores-scaling sweep — boxed vs flat register backends,          *)
+(* E15: cores-scaling sweep — direct vs batched across shard counts,   *)
 (* emitted as BENCH_scaling.json                                        *)
 (* ------------------------------------------------------------------ *)
 
 let e15_scaling () =
-  header "E15: cores-scaling — register backends across shard counts";
+  header "E15: cores-scaling — direct vs batched across shard counts";
   let recommended = Domain.recommended_domain_count () in
   let max_shards = arg_int "--max-shards" (max 4 recommended) in
   let requests = arg_int "--scaling-requests" (if fast then 120 else 600) in
@@ -962,22 +957,21 @@ let e15_scaling () =
       Timestamp.Registry.vector; Timestamp.Registry.sqrt_oneshot ]
   in
   let shard_counts = List.init max_shards (fun i -> i + 1) in
-  Printf.printf "%-18s %-6s %-3s | %12s %9s | %12s %9s %9s\n" "implementation"
-    "bkend" "d" "direct rps" "p50 us" "batched rps" "p50 us" "p99 us";
-  Printf.printf "%s\n" (String.make 92 '-');
-  let run_one impl backend d =
+  Printf.printf "%-18s %-3s | %12s %9s | %12s %9s %9s\n" "implementation" "d"
+    "direct rps" "p50 us" "batched rps" "p50 us" "p99 us";
+  Printf.printf "%s\n" (String.make 85 '-');
+  let run_one impl d =
     let base =
       { Svc.Loadgen.default with
-        clients = d; requests_per_client = requests; n = 8; seed = 1; backend }
+        clients = d; requests_per_client = requests; n = 8; seed = 1 }
     in
     let run label cfg =
       let r = Svc.Loadgen.run impl cfg in
       (match r.Svc.Loadgen.lg_violation with
        | Some v ->
          failwith
-           (Printf.sprintf "E15 %s/%s d=%d %s: VIOLATION %s"
+           (Printf.sprintf "E15 %s d=%d %s: VIOLATION %s"
               (Timestamp.Registry.name impl)
-              (Multicore.Backend.choice_tag backend)
               d label v)
        | None -> ());
       r
@@ -989,9 +983,8 @@ let e15_scaling () =
           mode = Svc.Loadgen.Service { shards = d; batch_max = 64 };
           pipeline = 8 }
     in
-    Printf.printf "%-18s %-6s %-3d | %12.0f %9.1f | %12.0f %9.1f %9.1f\n"
+    Printf.printf "%-18s %-3d | %12.0f %9.1f | %12.0f %9.1f %9.1f\n"
       (Timestamp.Registry.name impl)
-      (Multicore.Backend.choice_tag backend)
       d direct.Svc.Loadgen.lg_throughput direct.Svc.Loadgen.lg_p50_us
       batched.Svc.Loadgen.lg_throughput batched.Svc.Loadgen.lg_p50_us
       batched.Svc.Loadgen.lg_p99_us;
@@ -1000,33 +993,15 @@ let e15_scaling () =
   let results =
     List.map
       (fun impl ->
-         let per_backend =
-           List.map
-             (fun backend ->
-                (backend, List.map (run_one impl backend) shard_counts))
-             Multicore.Backend.all_choices
-         in
-         let at_max backend =
-           let curve = List.assoc backend per_backend in
-           List.nth curve (List.length curve - 1)
-         in
-         let flat_speedup =
-           let _, direct_f, _ = at_max `Flat in
-           let _, direct_b, _ = at_max `Boxed in
-           direct_f.Svc.Loadgen.lg_throughput
-           /. Float.max 1e-9 direct_b.Svc.Loadgen.lg_throughput
-         in
-         let p50_gap backend =
-           let _, direct, batched = at_max backend in
+         let curve = List.map (run_one impl) shard_counts in
+         let _, direct, batched = List.nth curve (List.length curve - 1) in
+         let gap =
            batched.Svc.Loadgen.lg_p50_us -. direct.Svc.Loadgen.lg_p50_us
          in
-         let gap_boxed = p50_gap `Boxed and gap_flat = p50_gap `Flat in
-         Printf.printf
-           "%-18s d=%d: flat/boxed direct throughput %.2fx; batched-direct \
-            p50 gap boxed %.1fus, flat %.1fus\n"
+         Printf.printf "%-18s d=%d: batched-direct p50 gap %.1fus\n"
            (Timestamp.Registry.name impl)
-           max_shards flat_speedup gap_boxed gap_flat;
-         (impl, per_backend, flat_speedup, gap_boxed, gap_flat))
+           max_shards gap;
+         (impl, curve, gap))
       impls
   in
   let report_json (r : Svc.Loadgen.report) =
@@ -1040,28 +1015,19 @@ let e15_scaling () =
         ("hb_pairs", Obs.Json.Int r.lg_hb_pairs);
         ("checker", Obs.Json.String "OK") ]
   in
-  let impl_json (impl, per_backend, flat_speedup, gap_boxed, gap_flat) =
+  let impl_json (impl, curve, gap) =
     Obs.Json.Obj
       [ ("name", Obs.Json.String (Timestamp.Registry.name impl));
-        ( "backends",
-          Obs.Json.Obj
+        ( "curve",
+          Obs.Json.List
             (List.map
-               (fun (backend, curve) ->
-                  ( Multicore.Backend.choice_tag backend,
-                    Obs.Json.List
-                      (List.map
-                         (fun (d, direct, batched) ->
-                            Obs.Json.Obj
-                              [ ("shards", Obs.Json.Int d);
-                                ("direct", report_json direct);
-                                ("batched", report_json batched) ])
-                         curve) ))
-               per_backend) );
-        ("flat_vs_boxed_direct_at_max", Obs.Json.Float flat_speedup);
-        ( "p50_gap_at_max_us",
-          Obs.Json.Obj
-            [ ("boxed", Obs.Json.Float gap_boxed);
-              ("flat", Obs.Json.Float gap_flat) ] ) ]
+               (fun (d, direct, batched) ->
+                  Obs.Json.Obj
+                    [ ("shards", Obs.Json.Int d);
+                      ("direct", report_json direct);
+                      ("batched", report_json batched) ])
+               curve) );
+        ("p50_gap_at_max_us", Obs.Json.Float gap) ]
   in
   let doc =
     Obs.Json.Obj
@@ -1265,8 +1231,7 @@ let bechamel_tests () =
 
 (* ------------------------------------------------------------------ *)
 (* E16: telemetry overhead — armed sampler + live gauges vs disarmed,   *)
-(* both register backends, plus an open-loop latency profile; emitted   *)
-(* as BENCH_telemetry.json                                              *)
+(* plus an open-loop latency profile; emitted as BENCH_telemetry.json   *)
 (* ------------------------------------------------------------------ *)
 
 let e16_telemetry () =
@@ -1276,9 +1241,10 @@ let e16_telemetry () =
      off,\n\
     \ measured in interleaved off/on pairs; overhead is the median \
      per-pair\n\
-    \ ratio, which cancels this box's slow drift; open-loop rows report\n\
-    \ coordinated-omission-correct percentiles from the merged per-domain\n\
-    \ HDR histograms; machine-readable copy in BENCH_telemetry.json)";
+    \ ratio, which cancels this box's slow drift, with the interquartile\n\
+    \ range of the pairs; open-loop rows report coordinated-omission-\n\
+    \ correct percentiles from the merged per-domain HDR histograms;\n\
+    \ machine-readable copy in BENCH_telemetry.json)";
   (* full runs are long on purpose: starting/stopping the sampler domain
      is a fixed per-run cost, and short runs book it as "overhead" *)
   let requests =
@@ -1287,16 +1253,16 @@ let e16_telemetry () =
   let iters = if fast then 3 else 9 in
   let budget_pct = 5.0 in
   let impl = Timestamp.Registry.lamport in
-  let base backend =
+  let base =
     { Svc.Loadgen.default with
       mode = Svc.Loadgen.Service { shards = 2; batch_max = 64 };
       clients = 2; requests_per_client = requests; pipeline = 4; n = 4;
-      seed = 1; backend }
+      seed = 1 }
   in
-  let median xs =
+  let sorted xs =
     let a = Array.of_list xs in
     Array.sort compare a;
-    a.(Array.length a / 2)
+    a
   in
   let checked cfg =
     let r = Svc.Loadgen.run impl cfg in
@@ -1305,95 +1271,87 @@ let e16_telemetry () =
      | None -> ());
     r
   in
+  let tel_file = Filename.temp_file "telemetry" ".jsonl" in
+  let on_cfg =
+    { base with
+      telemetry =
+        Some
+          { Svc.Loadgen.tel_out = tel_file; tel_append = false;
+            tel_interval_us = 10_000 } }
+  in
   (* The box's run-to-run noise is slow drift (other tenants, thermal),
      not per-run jitter, so off/on cells measured back to back in
      *interleaved pairs* share the drift: the per-pair throughput ratio
      is far more stable than the two cell medians are.  Overhead is the
      median of those per-pair ratios; the absolute req/s columns are the
      cell medians and carry the full drift. *)
-  let run_pair off_cfg on_cfg =
-    ignore (checked off_cfg);
-    (* warmup: fault code paths in, settle the pools *)
-    let pairs =
-      List.init iters (fun _ ->
-          let off = checked off_cfg in
-          let on = checked on_cfg in
-          (off, on))
-    in
-    let offs = List.map (fun ((r : Svc.Loadgen.report), _) ->
-        r.lg_throughput) pairs in
-    let ons = List.map (fun (_, (r : Svc.Loadgen.report)) ->
-        r.lg_throughput) pairs in
-    let overhead_pct =
-      median
-        (List.map
-           (fun ((off : Svc.Loadgen.report), (on : Svc.Loadgen.report)) ->
-              100. *. (1. -. (on.lg_throughput /. off.lg_throughput)))
-           pairs)
-    in
-    (median offs, median ons, overhead_pct, fst (List.hd pairs),
-     snd (List.hd pairs))
+  ignore (checked base);
+  (* warmup: fault code paths in, settle the pools *)
+  let pairs =
+    List.init iters (fun _ ->
+        let off = checked base in
+        let on = checked on_cfg in
+        (off, on))
   in
-  Printf.printf "%-8s %-10s | %10s %10s %9s %s\n" "backend" "telemetry"
-    "req/s" "p50 us" "p99 us" "overhead";
+  Sys.remove tel_file;
+  let rps (r : Svc.Loadgen.report) = r.lg_throughput in
+  let median_rps side =
+    percentile (sorted (List.map (fun p -> rps (side p)) pairs)) 50.
+  in
+  let off_rps = median_rps fst and on_rps = median_rps snd in
+  let overheads =
+    sorted
+      (List.map (fun (off, on) -> 100. *. (1. -. (rps on /. rps off))) pairs)
+  in
+  let overhead_pct = percentile overheads 50. in
+  let q1 = percentile overheads 25. and q3 = percentile overheads 75. in
+  (* an interquartile range that straddles 0 cannot tell the sampler's
+     cost from the pairs' noise, whatever sign the median has *)
+  let verdict =
+    if q1 <= 0. && 0. <= q3 then "within noise"
+    else if overhead_pct < budget_pct then "within budget"
+    else "over budget"
+  in
+  let off_r, on_r = List.hd pairs in
+  Printf.printf "%-10s | %10s %10s %9s %s\n" "telemetry" "req/s" "p50 us"
+    "p99 us" "overhead (IQR)";
   Printf.printf "%s\n" (String.make 66 '-');
-  let backends = [ `Boxed; `Flat ] in
-  let rows =
-    List.map
-      (fun backend ->
-         let tag = Multicore.Backend.choice_tag backend in
-         let tel_file =
-           Filename.temp_file ("telemetry_" ^ tag) ".jsonl"
-         in
-         let off_rps, on_rps, overhead_pct, off_r, on_r =
-           run_pair (base backend)
-             { (base backend) with
-               telemetry =
-                 Some
-                   { Svc.Loadgen.tel_out = tel_file; tel_append = false;
-                     tel_interval_us = 10_000 } }
-         in
-         Printf.printf "%-8s %-10s | %10.0f %10.1f %9.1f %s\n" tag "off"
-           off_rps off_r.Svc.Loadgen.lg_p50_us off_r.Svc.Loadgen.lg_p99_us
-           "-";
-         Printf.printf "%-8s %-10s | %10.0f %10.1f %9.1f %7.1f%%\n" tag "on"
-           on_rps on_r.Svc.Loadgen.lg_p50_us on_r.Svc.Loadgen.lg_p99_us
-           overhead_pct;
-         (* open loop at ~60% of the measured closed-loop capacity: below
-            saturation, so the percentiles describe the service rather
-            than an ever-growing backlog *)
-         let rate = Float.max 500. (0.6 *. off_rps) in
-         let open_r =
-           Svc.Loadgen.run impl
-             { (base backend) with
-               arrival = Svc.Loadgen.Open { rate };
-               pipeline = 8 }
-         in
-         (match open_r.lg_violation with
-          | Some v -> failwith (Printf.sprintf "E16 open: VIOLATION %s" v)
-          | None -> ());
-         Printf.printf
-           "%-8s open-loop  rate=%.0f/s: p50=%.1f p90=%.1f p99=%.1f \
-            p99.9=%.1f max=%.1f us\n"
-           tag rate open_r.lg_p50_us open_r.lg_p90_us open_r.lg_p99_us
-           open_r.lg_p999_us open_r.lg_max_us;
-         let within = overhead_pct < budget_pct in
-         Printf.printf "%-8s budget: %s (%.1f%% vs %.0f%%)\n" tag
-           (if within then "OK" else "EXCEEDED")
-           overhead_pct budget_pct;
-         ( tag, off_rps, on_rps, overhead_pct, within, on_r, rate, open_r,
-           tel_file ))
-      backends
+  Printf.printf "%-10s | %10.0f %10.1f %9.1f %s\n" "off" off_rps
+    off_r.lg_p50_us off_r.lg_p99_us "-";
+  Printf.printf "%-10s | %10.0f %10.1f %9.1f %.1f%% (%.1f%% .. %.1f%%)\n" "on"
+    on_rps on_r.lg_p50_us on_r.lg_p99_us overhead_pct q1 q3;
+  (* open loop at ~60% of the measured closed-loop capacity: below
+     saturation, so the percentiles describe the service rather than an
+     ever-growing backlog *)
+  let rate = Float.max 500. (0.6 *. off_rps) in
+  let open_r =
+    checked { base with arrival = Svc.Loadgen.Open { rate }; pipeline = 8 }
   in
-  let row_json
-      (tag, off_rps, on_rps, overhead_pct, within, (on_r : Svc.Loadgen.report),
-       rate, (open_r : Svc.Loadgen.report), _) : Obs.Json.t =
+  Printf.printf
+    "open-loop  rate=%.0f/s: p50=%.1f p90=%.1f p99=%.1f p99.9=%.1f \
+     max=%.1f us\n"
+    rate open_r.lg_p50_us open_r.lg_p90_us open_r.lg_p99_us
+    open_r.lg_p999_us open_r.lg_max_us;
+  Printf.printf "budget: %s (%.1f%%, IQR %.1f%% .. %.1f%%, vs %.0f%%)\n"
+    verdict overhead_pct q1 q3 budget_pct;
+  let doc =
     Obs.Json.Obj
-      [ ("backend", Obs.Json.String tag);
+      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
+        ("experiment", Obs.Json.String "E16-telemetry");
+        ("fast", Obs.Json.Bool fast);
+        ("impl", Obs.Json.String (Timestamp.Registry.name impl));
+        ("clients", Obs.Json.Int 2);
+        ("requests_per_client", Obs.Json.Int requests);
+        ("iterations", Obs.Json.Int iters);
+        ("budget_pct", Obs.Json.Float budget_pct);
+        ( "recommended_domains",
+          Obs.Json.Int (Domain.recommended_domain_count ()) );
         ("off_rps", Obs.Json.Float off_rps);
         ("on_rps", Obs.Json.Float on_rps);
         ("overhead_pct", Obs.Json.Float overhead_pct);
-        ("within_budget", Obs.Json.Bool within);
+        ( "overhead_iqr_pct",
+          Obs.Json.List [ Obs.Json.Float q1; Obs.Json.Float q3 ] );
+        ("verdict", Obs.Json.String verdict);
         ( "telemetry",
           Obs.Json.Obj
             [ ("samples", Obs.Json.Int on_r.lg_samples);
@@ -1410,25 +1368,9 @@ let e16_telemetry () =
               ("hb_pairs", Obs.Json.Int open_r.lg_hb_pairs);
               ("checker", Obs.Json.String "OK") ] ) ]
   in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E16-telemetry");
-        ("fast", Obs.Json.Bool fast);
-        ("impl", Obs.Json.String (Timestamp.Registry.name impl));
-        ("clients", Obs.Json.Int 2);
-        ("requests_per_client", Obs.Json.Int requests);
-        ("iterations", Obs.Json.Int iters);
-        ("budget_pct", Obs.Json.Float budget_pct);
-        ( "recommended_domains",
-          Obs.Json.Int (Domain.recommended_domain_count ()) );
-        ("backends", Obs.Json.List (List.map row_json rows)) ]
-  in
   Out_channel.with_open_text "BENCH_telemetry.json" (fun oc ->
       Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
       Out_channel.output_char oc '\n');
-  List.iter (fun (_, _, _, _, _, _, _, _, f) -> try Sys.remove f with _ -> ())
-    rows;
   Printf.printf "\n(wrote BENCH_telemetry.json)\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1697,8 +1639,7 @@ let e18_point (type r) (module T : Timestamp.Intf.S with type result = r)
   in
   let addr = Net.Conn.Unix_path sock in
   let srv =
-    Srv.start ~shards:1 ~backend:cfg.Svc.Loadgen.backend ~addr
-      ~n:(max cfg.clients 2) ()
+    Srv.start ~shards:1 ~addr ~n:(max cfg.Svc.Loadgen.clients 2) ()
   in
   let handles = Array.init cfg.clients (fun _ -> C.connect ~lease addr) in
   let setup =
@@ -1706,7 +1647,7 @@ let e18_point (type r) (module T : Timestamp.Intf.S with type result = r)
       num_shards = 1;
       impl = T.name;
       mode_label = Printf.sprintf "net unix lease=%d %s" lease label;
-      backend_label = Multicore.Backend.choice_tag cfg.backend;
+      backend_label = "boxed";
       compare_ts = T.compare_ts;
       pp_ts = T.pp_ts;
       attach = None;
@@ -1879,11 +1820,6 @@ let e19_raw_connect addr =
   in
   Unix.connect fd (Net.Conn.sockaddr_of addr);
   fd
-
-let e19_percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
 
 (* The process's OS threads, from /proc/self/task; -1 where /proc is
    not mounted.  The OCaml 5.1 runtime runs two per domain, the domain
@@ -2125,7 +2061,7 @@ let e19_net2 () =
     in
     Unix.close fd;
     Srv.stop srv;
-    let p50 a = e19_percentile a 50. and p99 a = e19_percentile a 99. in
+    let p50 a = percentile a 50. and p99 a = percentile a 99. in
     Printf.printf
       "Compare          p50 %7.1f us   p99 %7.1f us\n\
        Get_stamp        p50 %7.1f us   p99 %7.1f us\n\

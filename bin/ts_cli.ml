@@ -351,28 +351,13 @@ let claims_cmd =
        ~doc:"Check the Section-6 claims on a random execution of Algorithm 4.")
     Term.(const run $ n_arg $ m_arg $ seed_arg)
 
-let backend_arg =
-  let backend_conv =
-    Arg.enum (List.map
-                (fun c -> (Multicore.Backend.choice_tag c, c))
-                Multicore.Backend.all_choices)
-  in
-  Arg.(
-    value
-    & opt backend_conv `Boxed
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Register backend: $(b,boxed) (one atomic heap object per \
-           register, the reference layout) or $(b,flat) (cache-line-padded \
-           immediate slots with value interning).")
-
 let stress_cmd =
-  let run impl n calls backend out =
+  let run impl n calls out =
     let rc =
       with_obs out @@ fun _ ->
       let (Timestamp.Registry.Impl (module T)) = impl in
       let module S = Multicore.Stress.Make (T) in
-      match S.run_and_check ~backend ~n ~calls () with
+      match S.run_and_check ~n ~calls () with
       | Ok pairs ->
         Printf.printf
           "%s: %d domains x %d calls OK (%d ordered pairs checked)\n" T.name n
@@ -388,8 +373,7 @@ let stress_cmd =
   Cmd.v
     (Cmd.info "stress"
        ~doc:"Run the implementation on real domains and check it.")
-    Term.(const run $ impl_arg $ n_arg $ calls_arg $ backend_arg
-          $ obs_out_term)
+    Term.(const run $ impl_arg $ n_arg $ calls_arg $ obs_out_term)
 
 (* Shared between [explore] and [verify-svc]: the stats summary clause and
    the per-domain breakdown.  The sequential stats line is pinned
@@ -1098,15 +1082,14 @@ let serve_cmd =
   (* the sequential demo session: serve [requests] getTS calls through
      the Svc.Client.Inproc transport and check the compare chain *)
   let serve_demo (type r) (module T : Timestamp.Intf.S with type result = r)
-      ~n ~requests ~batch_max ~shards ~backend ~telemetry_out
+      ~n ~requests ~batch_max ~shards ~telemetry_out
       ~telemetry_interval ~append =
     let module C = Svc.Client.Inproc (T) in
     let module S = Svc.Service.Make (T) in
     (* a one-shot object consumes one process id per request *)
     let n = match T.kind with `One_shot -> max n requests | `Long_lived -> n in
     let svc =
-      S.start ~batch_max ~shards ~backend ~telemetry:(telemetry_out <> None)
-        ~n ()
+      S.start ~batch_max ~shards ~telemetry:(telemetry_out <> None) ~n ()
     in
     let ts =
       match telemetry_out with
@@ -1157,7 +1140,7 @@ let serve_cmd =
   (* the wire mode: listen on [addr], serve connections until a client
      sends a Stop frame (ts_cli loadgen --stop-server, or Ctrl-C) *)
   let serve_wire (type r) (module T : Timestamp.Intf.S with type result = r)
-      ~n ~shards ~backend ~io_threads ~telemetry_out
+      ~n ~shards ~io_threads ~telemetry_out
       ~telemetry_interval ~append addr_str =
     match Net.Conn.parse_addr addr_str with
     | None ->
@@ -1166,7 +1149,7 @@ let serve_cmd =
       1
     | Some addr ->
       let module Srv = Net.Server.Make (T) in
-      (match Srv.start ~shards ~backend ?io_threads ~addr ~n () with
+      (match Srv.start ~shards ?io_threads ~addr ~n () with
        | exception Unix.Unix_error (e, _, _) ->
          Printf.eprintf "ts_cli: serve: cannot listen on %s: %s\n"
            (Net.Conn.addr_to_string addr) (Unix.error_message e);
@@ -1202,7 +1185,7 @@ let serve_cmd =
            (Srv.requests_total srv) (Srv.conns_total srv);
          0)
   in
-  let run impl n requests batch_max shards backend io_threads telemetry_out
+  let run impl n requests batch_max shards io_threads telemetry_out
       telemetry_interval listen out =
     let rc =
       with_obs out @@ fun _ ->
@@ -1227,10 +1210,10 @@ let serve_cmd =
       else
         match listen with
         | Some addr_str ->
-          serve_wire (module T) ~n ~shards ~backend ~io_threads
+          serve_wire (module T) ~n ~shards ~io_threads
             ~telemetry_out ~telemetry_interval ~append:out.append addr_str
         | None ->
-          serve_demo (module T) ~n ~requests ~batch_max ~shards ~backend
+          serve_demo (module T) ~n ~requests ~batch_max ~shards
             ~telemetry_out ~telemetry_interval ~append:out.append
     in
     if rc <> 0 then exit rc
@@ -1287,7 +1270,7 @@ let serve_cmd =
           session and check the served timestamps, or with $(b,--listen) \
           serve the binary wire protocol to remote clients.")
     Term.(const run $ impl_arg $ n_arg $ requests $ batch $ shards
-          $ backend_arg $ io_threads $ telemetry_out_arg
+          $ io_threads $ telemetry_out_arg
           $ telemetry_interval_arg $ listen $ obs_out_term)
 
 let loadgen_cmd =
@@ -1316,7 +1299,7 @@ let loadgen_cmd =
                   lease cfg.clients cfg.pipeline
                   (if procs > 1 then Printf.sprintf " procs=%d" procs else "")
                   (Svc.Loadgen.arrival_string cfg);
-              backend_label = info.Net.Frame.si_backend;
+              backend_label = "boxed";
               compare_ts = T.compare_ts;
               pp_ts = T.pp_ts;
               attach = None;
@@ -1365,7 +1348,7 @@ let loadgen_cmd =
   in
   let run impl n clients requests pipeline shards batch_max direct think_us
       rate transport addr lease procs stop_server telemetry_out
-      telemetry_interval seed backend out =
+      telemetry_interval seed out =
     let rc =
       with_obs out @@ fun _ ->
       let open Svc.Loadgen in
@@ -1384,7 +1367,7 @@ let loadgen_cmd =
       in
       let cfg =
         { mode; arrival; clients; requests_per_client = requests; pipeline;
-          n; seed; think_us; backend; telemetry }
+          n; seed; think_us; telemetry }
       in
       let print_report (r : report) =
         Printf.printf "loadgen: %s  %s  seed=%d\n" r.lg_impl r.lg_mode seed;
@@ -1429,18 +1412,24 @@ let loadgen_cmd =
         1
       end
       else
-        match transport with
-        | `Inproc -> print_report (Svc.Loadgen.run impl cfg)
-        | `Tcp -> (
-            match addr with
-            | None ->
-              Printf.eprintf
-                "ts_cli: loadgen: --transport tcp requires --addr\n";
-              1
-            | Some addr_str ->
-              let (Timestamp.Registry.Impl (module T)) = impl in
-              loadgen_tcp (module T) ~cfg ~lease ~procs ~stop_server
-                ~print_report addr_str)
+        (* a non-positive count or rate, or a --shards past the runtime's
+           domain limit, is refused by the library: report it, exit 1 *)
+        try
+          match transport with
+          | `Inproc -> print_report (Svc.Loadgen.run impl cfg)
+          | `Tcp -> (
+              match addr with
+              | None ->
+                Printf.eprintf
+                  "ts_cli: loadgen: --transport tcp requires --addr\n";
+                1
+              | Some addr_str ->
+                let (Timestamp.Registry.Impl (module T)) = impl in
+                loadgen_tcp (module T) ~cfg ~lease ~procs ~stop_server
+                  ~print_report addr_str)
+        with Invalid_argument msg | Failure msg ->
+          Printf.eprintf "ts_cli: loadgen: %s\n" msg;
+          1
     in
     if rc <> 0 then exit rc
   in
@@ -1559,7 +1548,7 @@ let loadgen_cmd =
       const run $ impl_arg $ n_arg $ clients $ requests $ pipeline $ shards
       $ batch $ direct $ think $ rate $ transport $ addr $ lease $ procs
       $ stop_server $ telemetry_out_arg $ telemetry_interval_arg $ seed_arg
-      $ backend_arg $ obs_out_term)
+      $ obs_out_term)
 
 (* ------------------------------------------------------------------ *)
 (* top: per-shard table rendered from a telemetry time series.         *)

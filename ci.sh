@@ -124,22 +124,15 @@ echo "$val_out" | grep -q ", 0 stalls)" \
        "(timing noise on a loaded host; not failing CI)" >&2
 dune exec bin/ts_cli.exe -- top --file /tmp/telemetry.jsonl --once
 
-echo "== backend smoke: boxed and flat verdicts must match =="
-boxed_out=$(dune exec bin/ts_cli.exe -- stress -i lamport-longlived \
-  -n 4 -c 50 --backend boxed)
-echo "$boxed_out"
-flat_out=$(dune exec bin/ts_cli.exe -- stress -i lamport-longlived \
-  -n 4 -c 50 --backend flat)
-echo "$flat_out"
-# Same verdict on both backends.  (The hb pair count varies run to run
-# with the real interleaving, so compare the verdict, not the count.)
-boxed_verdict=$(echo "$boxed_out" | grep -o " OK \| VIOLATION " | head -1)
-flat_verdict=$(echo "$flat_out" | grep -o " OK \| VIOLATION " | head -1)
-[ "$boxed_verdict" = "$flat_verdict" ] || {
-  echo "backend smoke: boxed/flat stress verdicts diverged" >&2
-  exit 1; }
-[ "$boxed_verdict" = " OK " ] || {
-  echo "backend smoke: stress verdict not OK" >&2; exit 1; }
+echo "== stress smoke: real domains, checked verdicts =="
+stress_ok() {
+  stress_out=$(dune exec bin/ts_cli.exe -- stress "$@")
+  echo "$stress_out"
+  echo "$stress_out" | grep -q " OK " || {
+    echo "stress smoke: verdict not OK for $*" >&2; exit 1; }
+}
+stress_ok -i lamport-longlived -n 4 -c 50
+stress_ok -i sqrt-oneshot -n 8
 
 echo "== scaling sanity: 2-shard sweep emits schema-valid JSON =="
 bench --fast --only e15 --max-shards 2 --scaling-requests 60

@@ -1,7 +1,5 @@
 let make_regs ~num ~init = Array.init num (fun _ -> Atomic.make init)
 
-let make_regs_of values = Array.map Atomic.make values
-
 (* Real-atomics realizations of the two non-basic [Shm.Prog] operations:
    an Rmw is a CAS loop (retried against the exact value read, so physical
    equality suffices), an Await is a spin with [cpu_relax].  Both match the
@@ -36,27 +34,32 @@ let rec run ~regs = function
 (* Instrumented twin of [run], kept separate so the uninstrumented
    interpreter (a benchmarked hot path) pays nothing.  Emits the same
    telemetry events as [Shm.Sim]; real executions and simulated ones then
-   feed identical collectors. *)
-let rec run_obs ~pid ~regs = function
-  | Shm.Prog.Done x ->
-    Obs.Hooks.sim Obs.Hooks.Respond ~pid ~reg:(-1);
-    x
-  | Shm.Prog.Read (r, k) ->
-    Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
-    run_obs ~pid ~regs (k (Atomic.get regs.(r)))
-  | Shm.Prog.Write (r, v, k) ->
-    Obs.Hooks.sim Obs.Hooks.Write ~pid ~reg:r;
-    Atomic.set regs.(r) v;
-    run_obs ~pid ~regs (k ())
-  | Shm.Prog.Swap (r, v, k) ->
-    Obs.Hooks.sim Obs.Hooks.Swap ~pid ~reg:r;
-    run_obs ~pid ~regs (k (Atomic.exchange regs.(r) v))
-  | Shm.Prog.Rmw (r, u, k) ->
-    Obs.Hooks.sim Obs.Hooks.Swap ~pid ~reg:r;
-    run_obs ~pid ~regs (k (atomic_update regs.(r) u))
-  | Shm.Prog.Await (r, g, k) ->
-    Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
-    run_obs ~pid ~regs (k (atomic_wait regs.(r) g))
+   feed identical collectors.  The whole program is bracketed in an
+   "exec" span, so a trace sink shows per-request execution intervals
+   alongside the service's per-batch spans. *)
+let run_obs ~pid ~regs p =
+  let rec go = function
+    | Shm.Prog.Done x ->
+      Obs.Hooks.sim Obs.Hooks.Respond ~pid ~reg:(-1);
+      x
+    | Shm.Prog.Read (r, k) ->
+      Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
+      go (k (Atomic.get regs.(r)))
+    | Shm.Prog.Write (r, v, k) ->
+      Obs.Hooks.sim Obs.Hooks.Write ~pid ~reg:r;
+      Atomic.set regs.(r) v;
+      go (k ())
+    | Shm.Prog.Swap (r, v, k) ->
+      Obs.Hooks.sim Obs.Hooks.Swap ~pid ~reg:r;
+      go (k (Atomic.exchange regs.(r) v))
+    | Shm.Prog.Rmw (r, u, k) ->
+      Obs.Hooks.sim Obs.Hooks.Swap ~pid ~reg:r;
+      go (k (atomic_update regs.(r) u))
+    | Shm.Prog.Await (r, g, k) ->
+      Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
+      go (k (atomic_wait regs.(r) g))
+  in
+  Obs.Hooks.with_span "exec" @@ fun () -> go p
 
 let run_counting ~regs p =
   let rec go ops = function
@@ -71,149 +74,6 @@ let run_counting ~regs p =
   in
   go 0 p
 
-(* ------------------------------------------------------------------ *)
-(* Generic interpreter over any register backend.  Functor-parameter
-   calls go through a closure, so this is the convenience/reference
-   path; the benchmarked runners below are hand-specialized. *)
+let make_store ~backend:`Boxed ~num ~init = make_regs ~num ~init
 
-module Make (B : Backend.REGISTER_BACKEND) = struct
-  let make_regs ~num ~init = B.make ~num ~init
-
-  let rec wait regs r g =
-    let v = B.get regs r in
-    if g v then v
-    else begin
-      Domain.cpu_relax ();
-      wait regs r g
-    end
-
-  let rec run ~regs = function
-    | Shm.Prog.Done x -> x
-    | Shm.Prog.Read (r, k) -> run ~regs (k (B.get regs r))
-    | Shm.Prog.Write (r, v, k) ->
-      B.set regs r v;
-      run ~regs (k ())
-    | Shm.Prog.Swap (r, v, k) -> run ~regs (k (B.exchange regs r v))
-    | Shm.Prog.Rmw (r, u, k) -> run ~regs (k (B.update regs r u))
-    | Shm.Prog.Await (r, g, k) -> run ~regs (k (wait regs r g))
-
-  let rec run_obs ~pid ~regs = function
-    | Shm.Prog.Done x ->
-      Obs.Hooks.sim Obs.Hooks.Respond ~pid ~reg:(-1);
-      x
-    | Shm.Prog.Read (r, k) ->
-      Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
-      run_obs ~pid ~regs (k (B.get regs r))
-    | Shm.Prog.Write (r, v, k) ->
-      Obs.Hooks.sim Obs.Hooks.Write ~pid ~reg:r;
-      B.set regs r v;
-      run_obs ~pid ~regs (k ())
-    | Shm.Prog.Swap (r, v, k) ->
-      Obs.Hooks.sim Obs.Hooks.Swap ~pid ~reg:r;
-      run_obs ~pid ~regs (k (B.exchange regs r v))
-    | Shm.Prog.Rmw (r, u, k) ->
-      Obs.Hooks.sim Obs.Hooks.Swap ~pid ~reg:r;
-      run_obs ~pid ~regs (k (B.update regs r u))
-    | Shm.Prog.Await (r, g, k) ->
-      Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
-      run_obs ~pid ~regs (k (wait regs r g))
-
-  let run_counting ~regs p =
-    let rec go ops = function
-      | Shm.Prog.Done x -> (x, ops)
-      | Shm.Prog.Read (r, k) -> go (ops + 1) (k (B.get regs r))
-      | Shm.Prog.Write (r, v, k) ->
-        B.set regs r v;
-        go (ops + 1) (k ())
-      | Shm.Prog.Swap (r, v, k) -> go (ops + 1) (k (B.exchange regs r v))
-      | Shm.Prog.Rmw (r, u, k) -> go (ops + 1) (k (B.update regs r u))
-      | Shm.Prog.Await (r, g, k) -> go (ops + 1) (k (wait regs r g))
-    in
-    go 0 p
-end
-
-(* Hand-specialized flat runners: direct cross-module calls into
-   [Backend.Flat] (statically resolved, [@inline]-able) rather than
-   functor-parameter closures. *)
-
-let rec flat_wait regs r g =
-  let v = Backend.Flat.get regs r in
-  if g v then v
-  else begin
-    Domain.cpu_relax ();
-    flat_wait regs r g
-  end
-
-let rec run_flat ~regs = function
-  | Shm.Prog.Done x -> x
-  | Shm.Prog.Read (r, k) -> run_flat ~regs (k (Backend.Flat.get regs r))
-  | Shm.Prog.Write (r, v, k) ->
-    Backend.Flat.set regs r v;
-    run_flat ~regs (k ())
-  | Shm.Prog.Swap (r, v, k) ->
-    run_flat ~regs (k (Backend.Flat.exchange regs r v))
-  | Shm.Prog.Rmw (r, u, k) ->
-    run_flat ~regs (k (Backend.Flat.update regs r u))
-  | Shm.Prog.Await (r, g, k) -> run_flat ~regs (k (flat_wait regs r g))
-
-let rec run_flat_obs ~pid ~regs = function
-  | Shm.Prog.Done x ->
-    Obs.Hooks.sim Obs.Hooks.Respond ~pid ~reg:(-1);
-    x
-  | Shm.Prog.Read (r, k) ->
-    Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
-    run_flat_obs ~pid ~regs (k (Backend.Flat.get regs r))
-  | Shm.Prog.Write (r, v, k) ->
-    Obs.Hooks.sim Obs.Hooks.Write ~pid ~reg:r;
-    Backend.Flat.set regs r v;
-    run_flat_obs ~pid ~regs (k ())
-  | Shm.Prog.Swap (r, v, k) ->
-    Obs.Hooks.sim Obs.Hooks.Swap ~pid ~reg:r;
-    run_flat_obs ~pid ~regs (k (Backend.Flat.exchange regs r v))
-  | Shm.Prog.Rmw (r, u, k) ->
-    Obs.Hooks.sim Obs.Hooks.Swap ~pid ~reg:r;
-    run_flat_obs ~pid ~regs (k (Backend.Flat.update regs r u))
-  | Shm.Prog.Await (r, g, k) ->
-    Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
-    run_flat_obs ~pid ~regs (k (flat_wait regs r g))
-
-let run_flat_counting ~regs p =
-  let rec go ops = function
-    | Shm.Prog.Done x -> (x, ops)
-    | Shm.Prog.Read (r, k) -> go (ops + 1) (k (Backend.Flat.get regs r))
-    | Shm.Prog.Write (r, v, k) ->
-      Backend.Flat.set regs r v;
-      go (ops + 1) (k ())
-    | Shm.Prog.Swap (r, v, k) ->
-      go (ops + 1) (k (Backend.Flat.exchange regs r v))
-    | Shm.Prog.Rmw (r, u, k) ->
-      go (ops + 1) (k (Backend.Flat.update regs r u))
-    | Shm.Prog.Await (r, g, k) -> go (ops + 1) (k (flat_wait regs r g))
-  in
-  go 0 p
-
-(* ------------------------------------------------------------------ *)
-(* Runtime-chosen store: dispatch once per call, then run the
-   monomorphic loop for that backend. *)
-
-let make_store ~backend ~num ~init = Backend.make_store ~backend ~num ~init
-
-let run_store ~regs p =
-  match regs with
-  | Backend.Boxed_regs a -> run ~regs:a p
-  | Backend.Flat_regs f -> run_flat ~regs:f p
-
-(* Each instrumented program execution is bracketed in an "exec" span,
-   so a trace sink shows per-request execution intervals alongside the
-   service's per-batch spans.  [with_span] is a plain tail call when the
-   hooks are disarmed, and callers only reach this function when armed. *)
-let run_store_obs ~pid ~regs p =
-  Obs.Hooks.with_span "exec" @@ fun () ->
-  match regs with
-  | Backend.Boxed_regs a -> run_obs ~pid ~regs:a p
-  | Backend.Flat_regs f -> run_flat_obs ~pid ~regs:f p
-
-let run_store_counting ~regs p =
-  match regs with
-  | Backend.Boxed_regs a -> run_counting ~regs:a p
-  | Backend.Flat_regs f -> run_flat_counting ~regs:f p
+let run_store_counting = run_counting

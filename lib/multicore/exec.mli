@@ -3,16 +3,10 @@
     The same [('v, 'a) Shm.Prog.t] values that run under the deterministic
     simulator execute here against real atomic registers, with true
     parallelism across domains.  OCaml's [Atomic.t] provides sequentially
-    consistent atomic registers — exactly the paper's model.
-
-    Registers come from a pluggable {!Backend}: the [make_regs]/[run]
-    family below is the original boxed representation (kept verbatim as
-    the reference hot path); the [run_store] family dispatches at runtime
-    between the boxed and padded-flat backends. *)
+    consistent atomic registers — exactly the paper's model.  Each
+    register is one ['v Atomic.t] (DESIGN.md §10). *)
 
 val make_regs : num:int -> init:'v -> 'v Atomic.t array
-
-val make_regs_of : 'v array -> 'v Atomic.t array
 
 val run : regs:'v Atomic.t array -> ('v, 'a) Shm.Prog.t -> 'a
 (** Executes the program to completion against the shared registers.
@@ -21,44 +15,19 @@ val run : regs:'v Atomic.t array -> ('v, 'a) Shm.Prog.t -> 'a
 
 val run_obs : pid:int -> regs:'v Atomic.t array -> ('v, 'a) Shm.Prog.t -> 'a
 (** Like {!run} but reports every operation (and the final response) to
-    {!Obs.Hooks}, tagged with [pid], exactly as the simulator does.  A
-    separate function so the plain interpreter — a benchmarked hot path —
-    keeps zero instrumentation cost; callers switch on [Obs.Hooks.armed].
-    Counter updates from concurrent domains may race and lose increments:
+    {!Obs.Hooks}, tagged with [pid], exactly as the simulator does, and
+    wraps the whole program in an ["exec"] span.  A separate function so
+    the plain interpreter — a benchmarked hot path — keeps zero
+    instrumentation cost; callers switch on [Obs.Hooks.armed].  Counter
+    updates from concurrent domains may race and lose increments:
     telemetry, not verdicts. *)
 
 val run_counting : regs:'v Atomic.t array -> ('v, 'a) Shm.Prog.t -> 'a * int
 (** Also returns the number of shared-memory operations performed. *)
 
-(** Generic interpreter over any register backend.  Calls into the functor
-    parameter are closure calls, so prefer {!run_store} (which dispatches
-    to hand-specialized loops) on benchmarked paths. *)
-module Make (B : Backend.REGISTER_BACKEND) : sig
-  val make_regs : num:int -> init:'v -> 'v B.t
-
-  val run : regs:'v B.t -> ('v, 'a) Shm.Prog.t -> 'a
-
-  val run_obs : pid:int -> regs:'v B.t -> ('v, 'a) Shm.Prog.t -> 'a
-
-  val run_counting : regs:'v B.t -> ('v, 'a) Shm.Prog.t -> 'a * int
-end
-
-(** {2 Runtime-chosen backend}
-
-    One constructor dispatch per [run_store*] call, then a monomorphic
-    interpreter loop whose register accesses are direct (inlinable) calls
-    into the chosen backend module. *)
-
-val make_store :
-  backend:Backend.choice -> num:int -> init:'v -> 'v Backend.store
-
-val run_store : regs:'v Backend.store -> ('v, 'a) Shm.Prog.t -> 'a
-
-val run_store_obs :
-  pid:int -> regs:'v Backend.store -> ('v, 'a) Shm.Prog.t -> 'a
-(** Instrumented twin of {!run_store}: emits one {!Obs.Hooks.sim} event
-    per operation and wraps the whole program in an ["exec"] span, so a
-    trace sink shows per-request execution intervals. *)
+val make_store : backend:[ `Boxed ] -> num:int -> init:'v -> 'v Atomic.t array
+(** {!make_regs}; kept for perfbench. *)
 
 val run_store_counting :
-  regs:'v Backend.store -> ('v, 'a) Shm.Prog.t -> 'a * int
+  regs:'v Atomic.t array -> ('v, 'a) Shm.Prog.t -> 'a * int
+(** {!run_counting}; kept for perfbench. *)

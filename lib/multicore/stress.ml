@@ -7,19 +7,17 @@ module Make (T : Timestamp.Intf.S) = struct
     ts : T.result;
   }
 
-  let run ?(backend = `Boxed) ~n ~calls () =
+  let run ~n ~calls () =
     if n <= 0 then invalid_arg "Stress.run: n must be positive";
     let calls = match T.kind with `One_shot -> 1 | `Long_lived -> calls in
     let regs =
-      Exec.make_store ~backend ~num:(T.num_registers ~n)
-        ~init:(T.init_value ~n)
+      Exec.make_regs ~num:(T.num_registers ~n) ~init:(T.init_value ~n)
     in
     let tick = Atomic.make 0 in
     let ready = Atomic.make 0 in
     (* Sampled once: the armed interpreter must not flip mid-run, and the
        spawned domains must not read the hook installation racily. *)
     let armed = Obs.Hooks.armed () in
-    Backend.emit_obs_tag backend;
     let worker pid () =
       Atomic.incr ready;
       (* Barrier: start all domains together to maximize contention. *)
@@ -32,9 +30,8 @@ module Make (T : Timestamp.Intf.S) = struct
           if armed then Obs.Hooks.sim Obs.Hooks.Invoke ~pid ~reg:(-1);
           let start_tick = Atomic.get tick in
           let ts =
-            if armed then
-              Exec.run_store_obs ~pid ~regs (T.program ~n ~pid ~call)
-            else Exec.run_store ~regs (T.program ~n ~pid ~call)
+            if armed then Exec.run_obs ~pid ~regs (T.program ~n ~pid ~call)
+            else Exec.run ~regs (T.program ~n ~pid ~call)
           in
           let end_tick = Atomic.fetch_and_add tick 1 in
           go (call + 1) ({ pid; call; start_tick; end_tick; ts } :: acc)
@@ -70,5 +67,5 @@ module Make (T : Timestamp.Intf.S) = struct
     | Error v ->
       Error (Format.asprintf "%a" Timestamp.Checker.pp_violation v)
 
-  let run_and_check ?backend ~n ~calls () = check (run ?backend ~n ~calls ())
+  let run_and_check ~n ~calls () = check (run ~n ~calls ())
 end

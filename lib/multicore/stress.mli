@@ -23,16 +23,13 @@ module Make (T : Timestamp.Intf.S) : sig
     ts : T.result;
   }
 
-  val run : ?backend:Backend.choice -> n:int -> calls:int -> unit -> op_record list
+  val run : n:int -> calls:int -> unit -> op_record list
   (** Spawns [n] domains; every domain performs [calls] getTS calls (only 1
-      is allowed for one-shot objects).  Blocks until all domains finish.
-      [backend] (default [`Boxed]) selects the register layout; see
-      {!Backend}. *)
+      is allowed for one-shot objects).  Blocks until all domains finish. *)
 
   val check : op_record list -> (int, string) result
   (** Verifies the timestamp specification over the derived happens-before
       relation; returns the number of ordered pairs checked. *)
 
-  val run_and_check :
-    ?backend:Backend.choice -> n:int -> calls:int -> unit -> (int, string) result
+  val run_and_check : n:int -> calls:int -> unit -> (int, string) result
 end

@@ -171,7 +171,7 @@ module Make (T : Timestamp.Intf.S) = struct
         lease;
         info =
           { Frame.si_impl = ""; si_kind = `One_shot; si_n = 0; si_shards = 0;
-            si_backend = ""; si_codec = "" };
+            si_codec = "" };
         l_pid = 0;
         l_call = 0;
         l_shard = 0;

@@ -56,7 +56,6 @@ type server_info = {
   si_kind : kind;
   si_n : int;
   si_shards : int;
-  si_backend : string;
   si_codec : string;  (* {!Codec.name} of the stamp payloads *)
 }
 
@@ -188,7 +187,7 @@ let write_resp b = function
     write_fields b op_pong
       [ S i.si_impl;
         B (match i.si_kind with `One_shot -> 0 | `Long_lived -> 1);
-        U i.si_n; U i.si_shards; S i.si_backend; S i.si_codec ]
+        U i.si_n; U i.si_shards; S i.si_codec ]
   | Stamp w ->
     write_fields b op_stamp
       [ U w.w_pid; U w.w_call; U w.w_shard; U w.w_start_tick;
@@ -349,9 +348,8 @@ let decode_resp =
         let si_kind = take_kind c in
         let si_n = take_uv c in
         let si_shards = take_uv c in
-        let si_backend = take_vstr c in
         let si_codec = take_vstr c in
-        Pong { si_impl; si_kind; si_n; si_shards; si_backend; si_codec }
+        Pong { si_impl; si_kind; si_n; si_shards; si_codec }
       else if op = op_stamp then
         let w_pid = take_uv c in
         let w_call = take_uv c in

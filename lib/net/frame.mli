@@ -57,7 +57,6 @@ type server_info = {
   si_kind : kind;
   si_n : int;
   si_shards : int;
-  si_backend : string;
   si_codec : string;  (** {!Codec.name} of the stamp payloads *)
 }
 

@@ -447,14 +447,45 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* ---------------------------- lifecycle -------------------------- *)
 
-  let start ?(shards = 1) ?(backend = `Boxed) ?(conn_slots = 4) ?io_threads
-      ~addr ~n () =
+  let stop t =
+    if Atomic.compare_and_set t.stopped false true then begin
+      Atomic.set t.stopping true;
+      Svc.Park.wake t.stop_park;
+      (* wake every loop so it sees the flag, parked or not, then join:
+         loops flush their answered bytes and close their connections *)
+      Array.iter
+        (fun l ->
+           try ignore (Unix.write l.lp_wake_w (Bytes.make 1 '!') 0 1)
+           with Unix.Unix_error _ -> ())
+        t.loops;
+      List.iter Domain.join t.loop_doms;
+      t.loop_doms <- [];
+      (* loop 0 has stopped selecting on the listen socket *)
+      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+      (match t.addr with
+       | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
+       | Conn.Tcp _ -> ());
+      (* late arrivals: handed over by loop 0 after their loop finished *)
+      Array.iter
+        (fun l ->
+           List.iter
+             (fun (_, fd) -> try Unix.close fd with Unix.Unix_error _ -> ())
+             (Atomic.exchange l.lp_incoming []))
+        t.loops;
+      Array.iter
+        (fun l ->
+           (try Unix.close l.lp_wake_r with Unix.Unix_error _ -> ());
+           try Unix.close l.lp_wake_w with Unix.Unix_error _ -> ())
+        t.loops
+    end
+
+  let start ?(shards = 1) ?(conn_slots = 4) ?io_threads ~addr ~n () =
     if conn_slots <= 0 then
       invalid_arg "Server.start: conn_slots must be positive";
     let io_threads = match io_threads with Some k -> k | None -> shards in
     if io_threads <= 0 then
       invalid_arg "Server.start: io_threads must be positive";
-    let ctx = D.create_ctx ~backend ~n () in
+    let ctx = D.create_ctx ~n () in
     let unlink_path () =
       match addr with
       | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
@@ -521,7 +552,6 @@ module Make (T : Timestamp.Intf.S) = struct
             si_kind = T.kind;
             si_n = n;
             si_shards = io_threads;
-            si_backend = Multicore.Backend.choice_tag backend;
             si_codec = Codec.name codec };
         listen_fd;
         addr;
@@ -536,8 +566,16 @@ module Make (T : Timestamp.Intf.S) = struct
         stop_park = Svc.Park.create ();
         stopped = Atomic.make false }
     in
-    t.loop_doms <-
-      Array.to_list (Array.map (fun l -> Domain.spawn (io_loop t l)) t.loops);
+    (* A failed spawn (past the runtime's domain limit) stops the loops
+       already spawned, closes the fds and unlinks the path, then
+       re-raises. *)
+    (try
+       Array.iter
+         (fun l -> t.loop_doms <- Domain.spawn (io_loop t l) :: t.loop_doms)
+         t.loops
+     with e ->
+       stop t;
+       raise e);
     t
 
   let bound_addr t =
@@ -560,38 +598,6 @@ module Make (T : Timestamp.Intf.S) = struct
   let wait t = Svc.Park.wait t.stop_park stop_wanted t
 
   let refused t = Atomic.get t.refused
-
-  let stop t =
-    if Atomic.compare_and_set t.stopped false true then begin
-      Atomic.set t.stopping true;
-      Svc.Park.wake t.stop_park;
-      (* wake every loop so it sees the flag, parked or not, then join:
-         loops flush their answered bytes and close their connections *)
-      Array.iter
-        (fun l ->
-           try ignore (Unix.write l.lp_wake_w (Bytes.make 1 '!') 0 1)
-           with Unix.Unix_error _ -> ())
-        t.loops;
-      List.iter Domain.join t.loop_doms;
-      t.loop_doms <- [];
-      (* loop 0 has stopped selecting on the listen socket *)
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-      (match t.addr with
-       | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
-       | Conn.Tcp _ -> ());
-      (* late arrivals: handed over by loop 0 after their loop finished *)
-      Array.iter
-        (fun l ->
-           List.iter
-             (fun (_, fd) -> try Unix.close fd with Unix.Unix_error _ -> ())
-             (Atomic.exchange l.lp_incoming []))
-        t.loops;
-      Array.iter
-        (fun l ->
-           (try Unix.close l.lp_wake_r with Unix.Unix_error _ -> ());
-           try Unix.close l.lp_wake_w with Unix.Unix_error _ -> ())
-        t.loops
-    end
 
   (* --------------------------- telemetry --------------------------- *)
 
@@ -618,7 +624,6 @@ module Make (T : Timestamp.Intf.S) = struct
             t.slots))
 
   let attach_telemetry t ts =
-    Obs.Timeseries.add_meta ts "backend" (Obs.Json.String t.info.si_backend);
     Obs.Timeseries.add_meta ts "addr"
       (Obs.Json.String (Conn.addr_to_string t.addr));
     Obs.Timeseries.add_meta ts "conn_slots"

@@ -60,15 +60,13 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val start :
     ?shards:int ->
-    ?backend:Multicore.Backend.choice ->
     ?conn_slots:int ->
     ?io_threads:int ->
     addr:Conn.addr ->
     n:int ->
     unit ->
     t
-  (** Provisions [T.num_registers ~n] shared registers in the [backend]
-      layout (default [`Boxed], {!Multicore.Backend}), binds and listens
+  (** Provisions [T.num_registers ~n] shared registers, binds and listens
       on [addr] (an existing Unix socket path is unlinked first; TCP sets
       [SO_REUSEADDR]), and spawns the [io_threads] I/O loops — the only
       domains it starts, independent of connection count and of leases.
@@ -76,7 +74,10 @@ module Make (T : Timestamp.Intf.S) : sig
       [conn_slots] (default 4) sizes the telemetry counter groups.  On
       bind/listen failure the exception is re-raised; if the listen
       socket or a loop's wake pipe lands on an fd at or above
-      [FD_SETSIZE], it fails with [Failure] naming the fd. *)
+      [FD_SETSIZE], it fails with [Failure] naming the fd.  If a loop's
+      [Domain.spawn] fails, the start is undone as by {!stop} (loops
+      joined, fds closed, a Unix path unlinked) before the exception is
+      re-raised. *)
 
   val bound_addr : t -> Conn.addr
   (** The actual listening address — resolves a requested TCP port 0 to
@@ -84,7 +85,7 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val info : t -> Frame.server_info
   (** What {!Frame.Ping} answers: implementation name, kind, [n], I/O
-      loops (as [si_shards]), backend tag, codec name. *)
+      loops (as [si_shards]), codec name. *)
 
   val stop_requested : t -> bool
   (** A client sent {!Frame.Stop}.  The server keeps serving until the
@@ -126,6 +127,6 @@ module Make (T : Timestamp.Intf.S) : sig
   val attach_telemetry : t -> Obs.Timeseries.t -> unit
   (** Registers per I/O loop [i] the [s<i>.served] and [s<i>.batches]
       gauges (as in the [Stats] reply), {!net_sources}, the
-      [net.refused] gauge and the backend / listen address / conn_slots
-      / io_threads metadata. *)
+      [net.refused] gauge and the listen address / conn_slots /
+      io_threads metadata. *)
 end

@@ -57,10 +57,10 @@ let bucket_mid i = bucket_low i + ((bucket_high i - bucket_low i) / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Shards.  Each bucket is an [int Atomic.t] carried in its own 8-word
-   block (the padding idiom from Multicore.Backend.Flat: an all-immediate
-   8-element int array is a valid [int Atomic.t] whose atomic operations
-   act on element 0, the other 7 words are padding), so no two counters
-   — and in particular no two shards' counters — share a 64-byte line. *)
+   block (an all-immediate 8-element int array is a valid [int Atomic.t]
+   whose atomic operations act on element 0; the other 7 words are
+   padding), so no two counters — and in particular no two shards'
+   counters — share a 64-byte line. *)
 
 let slot_words = 8
 

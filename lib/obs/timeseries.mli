@@ -45,7 +45,7 @@ val add_stall_rule :
     core for a whole sampling interval. *)
 
 val add_meta : t -> string -> Json.t -> unit
-(** Adds a key to the header's ["meta"] object (e.g. the backend tag). *)
+(** Adds a key to the header's ["meta"] object (e.g. the shard count). *)
 
 val start : ?append:bool -> out:string -> t -> unit
 (** Writes the header (truncating [out] unless [append]) and spawns the

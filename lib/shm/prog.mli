@@ -145,7 +145,5 @@ val run_pure : regs:'v array -> ('v, 'a) t -> 'a * int
     This is also the storage seam: a program never touches registers except
     through an interpreter, so the representation of a register is entirely
     the interpreter's choice — a plain ['v array] here, immutable
-    configurations in {!Sim}, and real atomics in [Multicore.Exec], whose
-    [Multicore.Backend] selects between boxed ['v Atomic.t array] storage
-    and a cache-line-padded flat layout (DESIGN.md §10) without any change
-    to programs. *)
+    configurations in {!Sim}, and one ['v Atomic.t] per register in
+    [Multicore.Exec] (DESIGN.md §10). *)

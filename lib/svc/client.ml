@@ -36,16 +36,16 @@ module Direct (T : Timestamp.Intf.S) = struct
   type result = T.result
 
   type ctx = {
-    regs : T.value Multicore.Backend.store;
+    regs : T.value Atomic.t array;
     tick : int Atomic.t;
     next_pid : int Atomic.t;
     n : int;
   }
 
-  let create_ctx ?(backend = `Boxed) ~n () =
+  let create_ctx ~n () =
     if n <= 0 then invalid_arg "Client.Direct.create_ctx: n must be positive";
     { regs =
-        Multicore.Exec.make_store ~backend ~num:(T.num_registers ~n)
+        Multicore.Exec.make_regs ~num:(T.num_registers ~n)
           ~init:(T.init_value ~n);
       tick = Atomic.make 0;
       next_pid = Atomic.make 0;
@@ -85,7 +85,7 @@ module Direct (T : Timestamp.Intf.S) = struct
     in
     let start_tick = Atomic.get ctx.tick in
     let ts =
-      Multicore.Exec.run_store ~regs:ctx.regs (T.program ~n:ctx.n ~pid ~call)
+      Multicore.Exec.run ~regs:ctx.regs (T.program ~n:ctx.n ~pid ~call)
     in
     let end_tick = Atomic.fetch_and_add ctx.tick 1 in
     { st_pid = pid; st_call = call; st_start_tick = start_tick;

@@ -66,7 +66,7 @@ module Direct (T : Timestamp.Intf.S) : sig
   type ctx
   (** Shared register store + global tick + pid allocator. *)
 
-  val create_ctx : ?backend:Multicore.Backend.choice -> n:int -> unit -> ctx
+  val create_ctx : n:int -> unit -> ctx
 
   val connect : ctx -> t
   (** For a long-lived object each connect claims the next process id

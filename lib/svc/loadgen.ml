@@ -32,7 +32,6 @@ type cfg = {
   n : int;
   seed : int;
   think_us : int;
-  backend : Multicore.Backend.choice;
   telemetry : telemetry option;
 }
 
@@ -45,7 +44,6 @@ let default =
     n = 8;
     seed = 1;
     think_us = 0;
-    backend = `Boxed;
     telemetry = None }
 
 type shard_report = {
@@ -60,7 +58,6 @@ type shard_report = {
 type report = {
   lg_impl : string;
   lg_mode : string;
-  lg_backend : string;
   lg_total : int;
   lg_elapsed_s : float;
   lg_throughput : float;
@@ -121,15 +118,12 @@ let wait_until sched =
   if now < sched then sleep_us_f (sched -. now)
 
 let mode_string cfg =
-  let backend = Multicore.Backend.choice_tag cfg.backend in
   let base =
     match cfg.mode with
-    | Direct ->
-      Printf.sprintf "direct clients=%d backend=%s" cfg.clients backend
+    | Direct -> Printf.sprintf "direct clients=%d" cfg.clients
     | Service { shards; batch_max } ->
-      Printf.sprintf
-        "service clients=%d shards=%d batch_max=%d pipeline=%d backend=%s"
-        cfg.clients shards batch_max cfg.pipeline backend
+      Printf.sprintf "service clients=%d shards=%d batch_max=%d pipeline=%d"
+        cfg.clients shards batch_max cfg.pipeline
   in
   match cfg.arrival with
   | Closed -> base
@@ -165,7 +159,7 @@ module Drive (C : Client.S) = struct
     num_shards : int;  (* serving shards (for per-shard histograms) *)
     impl : string;
     mode_label : string;
-    backend_label : string;
+    backend_label : string;  (* unused; kept for perfbench *)
     compare_ts : C.result -> C.result -> bool;
     pp_ts : Format.formatter -> C.result -> unit;
     attach : (Obs.Timeseries.t -> unit) option;
@@ -329,7 +323,6 @@ module Drive (C : Client.S) = struct
     in
     { lg_impl = setup.impl;
       lg_mode = setup.mode_label;
-      lg_backend = setup.backend_label;
       lg_total = total;
       lg_elapsed_s = elapsed;
       lg_throughput =
@@ -512,10 +505,9 @@ module Run (T : Timestamp.Intf.S) = struct
 
   let run cfg =
     validate cfg;
-    let backend_label = Multicore.Backend.choice_tag cfg.backend in
     match cfg.mode with
     | Direct ->
-      let ctx = Cd.create_ctx ~backend:cfg.backend ~n:(effective_n cfg) () in
+      let ctx = Cd.create_ctx ~n:(effective_n cfg) () in
       (* connect here, in order, so a long-lived client [i]
          deterministically owns process id [i] *)
       let clients = Array.init cfg.clients (fun _ -> Cd.connect ctx) in
@@ -524,7 +516,7 @@ module Run (T : Timestamp.Intf.S) = struct
           num_shards = 1;
           impl = T.name;
           mode_label = mode_string cfg;
-          backend_label;
+          backend_label = "boxed";
           compare_ts = T.compare_ts;
           pp_ts = T.pp_ts;
           attach = None;
@@ -533,8 +525,7 @@ module Run (T : Timestamp.Intf.S) = struct
         cfg
     | Service { shards; batch_max } ->
       let svc =
-        S.start ~batch_max ~shards ~backend:cfg.backend
-          ~telemetry:(cfg.telemetry <> None)
+        S.start ~batch_max ~shards ~telemetry:(cfg.telemetry <> None)
           ~n:(effective_n cfg) ()
       in
       (* open the sessions here, not in the client domains, so client [i]
@@ -545,7 +536,7 @@ module Run (T : Timestamp.Intf.S) = struct
           num_shards = shards;
           impl = T.name;
           mode_label = mode_string cfg;
-          backend_label;
+          backend_label = "boxed";
           compare_ts = T.compare_ts;
           pp_ts = T.pp_ts;
           attach = Some (fun ts -> S.attach_telemetry svc ts);

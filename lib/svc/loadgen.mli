@@ -70,13 +70,12 @@ type cfg = {
   seed : int;
   think_us : int;  (** max seeded random pause between bursts; 0 = none;
                        ignored by the open loop (the schedule paces) *)
-  backend : Multicore.Backend.choice;  (** register layout (both modes) *)
   telemetry : telemetry option;  (** live sampler; any transport *)
 }
 
 val default : cfg
 (** [Direct], [Closed], 4 clients, 100 requests each, pipeline 1, n = 8,
-    seed 1, no think time, boxed backend, no telemetry. *)
+    seed 1, no think time, no telemetry. *)
 
 type shard_report = {
   sr_shard : int;
@@ -90,7 +89,6 @@ type shard_report = {
 type report = {
   lg_impl : string;
   lg_mode : string;  (** human-readable mode summary *)
-  lg_backend : string;  (** register backend tag ("boxed"/"flat") *)
   lg_total : int;  (** requests completed (= clients * requests_per_client) *)
   lg_elapsed_s : float;  (** wall clock over all client domains *)
   lg_throughput : float;  (** requests per second *)
@@ -136,7 +134,7 @@ module Drive (C : Client.S) : sig
             of that name ({!Timestamp.Registry.find}), and the exhaustive
             scan for any unregistered name *)
     mode_label : string;  (** for [lg_mode] *)
-    backend_label : string;  (** for [lg_backend] *)
+    backend_label : string;  (** unused; kept for perfbench *)
     compare_ts : C.result -> C.result -> bool;
     pp_ts : Format.formatter -> C.result -> unit;
     attach : (Obs.Timeseries.t -> unit) option;

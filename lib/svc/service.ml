@@ -65,8 +65,7 @@ module Make (T : Timestamp.Intf.S) = struct
   }
 
   type t = {
-    regs : T.value Multicore.Backend.store;
-    backend : Multicore.Backend.choice;
+    regs : T.value Atomic.t array;
     n : int;
     shards : shard array;
     batch_max : int;
@@ -138,9 +137,8 @@ module Make (T : Timestamp.Intf.S) = struct
     let execute_one req =
       let program = T.program ~n:t.n ~pid:req.r_pid ~call:req.r_call in
       let ts =
-        if armed then
-          Multicore.Exec.run_store_obs ~pid:req.r_pid ~regs:t.regs program
-        else Multicore.Exec.run_store ~regs:t.regs program
+        if armed then Multicore.Exec.run_obs ~pid:req.r_pid ~regs:t.regs program
+        else Multicore.Exec.run ~regs:t.regs program
       in
       req.r_ts <- ts
     in
@@ -242,8 +240,19 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* ------------------------------------------------------------------ *)
 
-  let start ?(batch_max = 64) ?(shards = 1) ?(backend = `Boxed)
-      ?(telemetry = false) ~n () =
+  let stop t =
+    if Atomic.compare_and_set t.accepting true false then begin
+      (* A cold path: the drain sleeps in fixed quanta rather than
+         parking, so no completion has to know a stopper is waiting. *)
+      while Atomic.get t.inflight > 0 do
+        sleep_s 50e-6
+      done;
+      Atomic.set t.stop_flag true;
+      Array.iter (fun (sh : shard) -> Park.wake sh.park) t.shards;
+      List.iter Domain.join t.workers
+    end
+
+  let start ?(batch_max = 64) ?(shards = 1) ?(telemetry = false) ~n () =
     if n <= 0 then invalid_arg "Service.start: n must be positive";
     if shards <= 0 then invalid_arg "Service.start: shards must be positive";
     if batch_max <= 0 then
@@ -251,9 +260,8 @@ module Make (T : Timestamp.Intf.S) = struct
     let armed = Obs.Hooks.armed () in
     let t =
       { regs =
-          Multicore.Exec.make_store ~backend ~num:(T.num_registers ~n)
+          Multicore.Exec.make_regs ~num:(T.num_registers ~n)
             ~init:(T.init_value ~n);
-        backend;
         n;
         shards =
           Array.init shards (fun _ ->
@@ -277,11 +285,16 @@ module Make (T : Timestamp.Intf.S) = struct
         stop_flag = Atomic.make false;
         workers = [] }
     in
-    Multicore.Backend.emit_obs_tag backend;
-    t.workers <- List.init shards (fun i -> Domain.spawn (worker t i));
+    (* A failed spawn (past the runtime's domain limit) stops the
+       workers already spawned before the exception propagates. *)
+    (try
+       for i = 0 to shards - 1 do
+         t.workers <- Domain.spawn (worker t i) :: t.workers
+       done
+     with e ->
+       stop t;
+       raise e);
     t
-
-  let backend t = t.backend
 
   let open_session t =
     let id = Atomic.fetch_and_add t.next_session 1 in
@@ -398,18 +411,6 @@ module Make (T : Timestamp.Intf.S) = struct
     release session ticket;
     r
 
-  let stop t =
-    if Atomic.compare_and_set t.accepting true false then begin
-      (* A cold path: the drain sleeps in fixed quanta rather than
-         parking, so no completion has to know a stopper is waiting. *)
-      while Atomic.get t.inflight > 0 do
-        sleep_s 50e-6
-      done;
-      Atomic.set t.stop_flag true;
-      Array.iter (fun (sh : shard) -> Park.wake sh.park) t.shards;
-      List.iter Domain.join t.workers
-    end
-
   type shard_stats = { served : int; batches : int; max_batch : int }
 
   let stats t =
@@ -447,8 +448,6 @@ module Make (T : Timestamp.Intf.S) = struct
       invalid_arg
         "Service.attach_telemetry: start the service with ~telemetry:true \
          (or with Obs hooks armed) so the gauges are maintained";
-    Obs.Timeseries.add_meta ts "backend"
-      (Obs.Json.String (Multicore.Backend.choice_tag t.backend));
     Obs.Timeseries.add_meta ts "shards"
       (Obs.Json.Int (Array.length t.shards));
     Obs.Timeseries.add_meta ts "batch_max" (Obs.Json.Int t.batch_max);

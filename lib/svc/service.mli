@@ -20,8 +20,7 @@
     a [Gc.minor_words] test): request records are pooled per session and
     relinked intrusively instead of consed, the completion signal is a
     preallocated int flag rather than a fresh option cell, and end ticks
-    are reserved once per batch.  Register layout is pluggable — see
-    {!Multicore.Backend}.
+    are reserved once per batch.
 
     Happens-before accounting mirrors {!Multicore.Stress}: a global tick is
     read at submit time, and a batch reserves its [end_tick] range with one
@@ -71,7 +70,6 @@ module Make (T : Timestamp.Intf.S) : sig
   val start :
     ?batch_max:int ->
     ?shards:int ->
-    ?backend:Multicore.Backend.choice ->
     ?telemetry:bool ->
     n:int ->
     unit ->
@@ -81,8 +79,9 @@ module Make (T : Timestamp.Intf.S) : sig
       requests a worker executes per batch; [batch_max = 1] is the
       unbatched mode benchmarked by E13.  An idle worker parks on its
       shard's {!Park} and uses no CPU until a {!submit} wakes it.
-      [backend] (default [`Boxed]) selects the register layout
-      ({!Multicore.Backend}).
+      If a spawn fails (past the runtime's domain limit), the workers
+      already spawned are stopped and joined before the exception is
+      re-raised.
 
       [telemetry] (default false) maintains the live gauges behind
       {!telemetry_sources} — per-shard queue depth, batch-size HDR
@@ -90,8 +89,6 @@ module Make (T : Timestamp.Intf.S) : sig
       are disarmed.  The extra hot-path cost is a handful of atomic
       increments and one HDR record per batch, still allocation-free
       (pinned by test; budgeted <5% by E16). *)
-
-  val backend : t -> Multicore.Backend.choice
 
   val open_session : t -> session
   (** For long-lived implementations the session owns process id
@@ -156,7 +153,7 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val attach_telemetry : t -> Obs.Timeseries.t -> unit
   (** Registers every {!telemetry_sources} gauge plus one stall rule per
-      shard (queue depth vs. served counter) and the backend/shards/batch
+      shard (queue depth vs. served counter) and the shards/batch_max
       header metadata on a not-yet-started time series.  Raises
       [Invalid_argument] when the service isn't maintaining gauges (see
       {!start}'s [telemetry]). *)

@@ -26,7 +26,6 @@ let () =
       Test_mp_clocks.suite;
       Test_apps.suite;
       Test_multicore.suite;
-      Test_backend.suite;
       Test_obs.suite;
       Test_hdr.suite;
       Test_telemetry.suite;

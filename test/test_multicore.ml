@@ -28,6 +28,32 @@ let exec_counts_ops () =
   Util.check_int "value" 1 v;
   Util.check_int "ops" 2 ops
 
+(* A Lamport getTS is n reads and one write.  A collect returned through
+   binds allocates per operation in proportion to its bind depth (64.5
+   words per operation at n=64 when built on [fold_range] under three
+   binds); built on [Shm.Prog.fold_reads] it is about 10. *)
+let lamport_alloc_per_op () =
+  let module L = Timestamp.Lamport in
+  let n = 64 and rounds = 200 in
+  let regs =
+    Multicore.Exec.make_regs ~num:(L.num_registers ~n) ~init:(L.init_value ~n)
+  in
+  let _, ops =
+    Multicore.Exec.run_counting ~regs (L.program ~n ~pid:0 ~call:0)
+  in
+  let w0 = Gc.minor_words () in
+  for call = 1 to rounds do
+    Sys.opaque_identity (Multicore.Exec.run ~regs (L.program ~n ~pid:0 ~call))
+    |> ignore
+  done;
+  let w1 = Gc.minor_words () in
+  let per_op = (w1 -. w0) /. float_of_int (rounds * ops) in
+  Util.check_int "lamport n=64: register operations per getTS" (n + 1) ops;
+  Util.check_bool
+    (Printf.sprintf "lamport n=64: %.1f minor words per register operation"
+       per_op)
+    true (per_op <= 16.)
+
 let stress impl_name (module T : Timestamp.Intf.S) ~n ~calls () =
   let module S = Multicore.Stress.Make (T) in
   match S.run_and_check ~n ~calls () with
@@ -43,6 +69,8 @@ let suite =
   ( "multicore",
     [ Util.case "atomic interpreter matches simulator" exec_matches_sim;
       Util.case "run_counting counts" exec_counts_ops;
+      Util.case "lamport getTS allocates O(1) words per register op"
+        lamport_alloc_per_op;
       Util.slow_case "stress sqrt one-shot"
         (stress_repeated "sqrt" (module Timestamp.Sqrt.One_shot) ~n:8 ~calls:1
            ~rounds:20);

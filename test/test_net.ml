@@ -34,13 +34,12 @@ let gen_resp =
   let nat = int_range 0 1_000_000 in
   let gen_info =
     map2
-      (fun (impl, backend) ((n, shards), codec) ->
+      (fun impl ((n, shards), codec) ->
          Net.Frame.Pong
            { si_impl = impl;
              si_kind = (if n land 1 = 0 then `One_shot else `Long_lived);
-             si_n = n; si_shards = shards; si_backend = backend;
-             si_codec = codec })
-      (pair gen_blob gen_blob) (pair (pair nat nat) gen_blob)
+             si_n = n; si_shards = shards; si_codec = codec })
+      gen_blob (pair (pair nat nat) gen_blob)
   in
   let gen_stamp =
     map2

@@ -173,41 +173,48 @@ let open_loop_direct_checks () =
   Util.check_bool "direct open-loop percentiles ordered" true
     (r.lg_p50_us <= r.lg_p99_us && r.lg_p999_us <= r.lg_max_us)
 
+(* Steady-state submit/await_ts words over 200 requests on a warmed-up
+   session.  [Gc.minor_words] itself boxes its float results; anything
+   beyond a few words means a per-request allocation crept back in. *)
+let steady_state_words ~telemetry =
+  let module S = Svc.Service.Make (Timestamp.Lamport) in
+  let svc = S.start ~shards:1 ~telemetry ~n:2 () in
+  let session = S.open_session svc in
+  (* warm up: fill the session pool and reach steady state *)
+  for _ = 1 to 200 do
+    ignore (S.await_ts session (S.submit session))
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 200 do
+    ignore (S.await_ts session (S.submit session))
+  done;
+  let w1 = Gc.minor_words () in
+  (* gauges answer while the service is live *)
+  let served =
+    match List.assoc_opt "s0.served" (S.telemetry_sources svc) with
+    | Some f -> f ()
+    | None -> Alcotest.fail "s0.served source missing"
+  in
+  S.stop svc;
+  (w1 -. w0, served)
+
+let service_zero_alloc () =
+  let delta, _ = steady_state_words ~telemetry:false in
+  Util.check_bool
+    (Printf.sprintf "steady-state submit/await_ts allocated %.0f minor words"
+       delta)
+    true (delta < 64.)
+
 (* The live gauges must not reintroduce per-request allocation: the
-   telemetry-armed submit/await_ts path stays pooled on both register
-   backends (the E16 overhead budget assumes this). *)
+   telemetry-armed submit/await_ts path stays pooled (the E16 overhead
+   budget assumes this). *)
 let telemetry_zero_alloc () =
-  List.iter
-    (fun backend ->
-       let module S = Svc.Service.Make (Timestamp.Lamport) in
-       let svc = S.start ~shards:1 ~backend ~telemetry:true ~n:2 () in
-       let session = S.open_session svc in
-       for _ = 1 to 200 do
-         ignore (S.await_ts session (S.submit session))
-       done;
-       let w0 = Gc.minor_words () in
-       for _ = 1 to 200 do
-         ignore (S.await_ts session (S.submit session))
-       done;
-       let w1 = Gc.minor_words () in
-       (* gauges answer while the service is live *)
-       let served =
-         match List.assoc_opt "s0.served" (S.telemetry_sources svc) with
-         | Some f -> f ()
-         | None -> Alcotest.fail "s0.served source missing"
-       in
-       S.stop svc;
-       Util.check_bool
-         (Printf.sprintf "%s: served gauge counts"
-            (Multicore.Backend.choice_tag backend))
-         true (served > 0.);
-       let delta = w1 -. w0 in
-       Util.check_bool
-         (Printf.sprintf
-            "%s: telemetry-armed submit/await_ts allocated %.0f minor words"
-            (Multicore.Backend.choice_tag backend) delta)
-         true (delta < 64.))
-    Multicore.Backend.all_choices
+  let delta, served = steady_state_words ~telemetry:true in
+  Util.check_bool "served gauge counts" true (served > 0.);
+  Util.check_bool
+    (Printf.sprintf "telemetry-armed submit/await_ts allocated %.0f minor words"
+       delta)
+    true (delta < 64.)
 
 (* Free-list exhaustion: the per-session record pool holds at most 256
    records, and the pinned behavior past that point is EXTEND — [submit]
@@ -310,6 +317,8 @@ let suite =
         open_loop_direct_checks;
       Util.case "telemetry-armed hot path allocates nothing"
         telemetry_zero_alloc;
+      Util.slow_case "pooled service path is allocation-free"
+        service_zero_alloc;
       Util.case "free-list exhaustion extends, never blocks"
         freelist_exhaustion_extends;
       Util.case "telemetry sources report exact totals"
