@@ -1374,17 +1374,16 @@ let e16_telemetry () =
   Printf.printf "\n(wrote BENCH_telemetry.json)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E17: model-checking the serving layer (Svc.Model under Shm.Explore) *)
-(* and the steal-frontier explorer vs the PR-5 root split; emitted as  *)
-(* BENCH_model.json                                                    *)
+(* E17: model-checking the serving layer (Svc.Model under Shm.Explore); *)
+(* emitted as BENCH_model.json                                          *)
 (* ------------------------------------------------------------------ *)
 
 let e17_model () =
   header
-    "E17: serving-layer models — exhaustive verdicts, mutant kills, \
-     steal-frontier vs root-split";
+    "E17: serving-layer models — exhaustive verdicts, mutant kills";
   (* Part 1: exhaustive verdicts for every model at n = 2..4 (n = 2 only
-     under --fast; the full matrix takes ~15 minutes single-core). *)
+     under --fast; the full matrix takes ~15 minutes single-core, and the
+     pool and tick n = 4 visited sets need more than 8 GB of memory). *)
   Printf.printf "%-6s %2s %6s | %-12s %9s %10s %10s %9s %6s %8s\n" "model" "n"
     "procs" "verdict" "paths" "expanded" "canon" "dedup" "trunc" "seconds";
   Printf.printf "%s\n" (String.make 92 '-');
@@ -1462,86 +1461,6 @@ let e17_model () =
            (m, true, List.length schedule, shrunk, secs))
       Svc.Model.mutants
   in
-  (* Part 3: steal-frontier vs the PR-5 root split on simple-oneshot.
-     This host may have a single core, in which case two domains timeshare
-     it and wall time cannot show a parallel speedup; the
-     hardware-independent measure is the work balance — the busiest
-     domain's share of expanded configurations bounds the parallel wall
-     time from below on real multi-core hardware, so the projected speedup
-     is rootsplit-max-work / steal-max-work. *)
-  sub "steal-frontier vs root-split (simple-oneshot, 2 domains)";
-  Printf.printf "%-12s %2s | %10s %9s %8s | %-24s %9s\n" "engine" "n"
-    "expanded" "paths" "seconds" "per-domain expanded" "max-share";
-  Printf.printf "%s\n" (String.make 88 '-');
-  let explore_so ~n ~domains ~steal =
-    let module T = Timestamp.Simple_oneshot in
-    let supplier ~pid ~call = T.program ~n ~pid ~call in
-    let cfg =
-      Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
-    in
-    let t0 = Unix.gettimeofday () in
-    match
-      Shm.Explore.explore ~max_steps:400 ~max_paths:100_000_000 ~domains ~steal
-        ~supplier
-        ~calls_per_proc:(Array.make n 1)
-        ~leaf_check:(fun cfg ->
-            Result.is_ok (Timestamp.Checker.check_sim (module T) cfg))
-        cfg
-    with
-    | Shm.Explore.Counterexample _ ->
-      failwith "E17: unexpected simple-oneshot counterexample"
-    | Shm.Explore.Ok s -> (s, Unix.gettimeofday () -. t0)
-  in
-  let steal_ns = if fast then [ 4 ] else [ 4; 5 ] in
-  let steal_rows =
-    List.concat_map
-      (fun n ->
-         List.map
-           (fun (engine, domains, steal) ->
-              let s, secs = explore_so ~n ~domains ~steal in
-              let per_domain =
-                Array.to_list
-                  (Array.map
-                     (fun (d : Shm.Explore.domain_stats) -> d.d_expanded)
-                     s.per_domain)
-              in
-              let max_work =
-                List.fold_left max 1
-                  (if domains > 1 then per_domain else [ s.expanded ])
-              in
-              let share =
-                float_of_int max_work
-                /. float_of_int
-                  (max 1 (List.fold_left ( + ) 0 per_domain))
-              in
-              Printf.printf "%-12s %2d | %10d %9d %8.2f | %-24s %8.1f%%\n"
-                engine n s.expanded s.paths secs
-                (String.concat ", " (List.map string_of_int per_domain))
-                (100. *. share);
-              (engine, n, domains, s, secs, per_domain, max_work))
-           [ ("sequential", 1, true);
-             ("steal", 2, true);
-             ("root-split", 2, false) ])
-      steal_ns
-  in
-  let projected =
-    List.filter_map
-      (fun n ->
-         let find engine =
-           List.find_opt (fun (e, n', _, _, _, _, _) -> e = engine && n' = n)
-             steal_rows
-         in
-         match (find "steal", find "root-split") with
-         | Some (_, _, _, _, _, _, sw), Some (_, _, _, _, _, _, rw) ->
-           let ratio = float_of_int rw /. float_of_int (max 1 sw) in
-           Printf.printf
-             "n=%d: projected steal speedup vs root-split (critical-path \
-              work ratio): %.2fx\n"
-             n ratio;
-           Some (n, ratio)
-         | _ -> None)
-      steal_ns
-  in
   (* Machine-readable copy. *)
   let stats_json (s : Shm.Explore.stats) : Obs.Json.t =
     Obs.Json.Obj
@@ -1550,7 +1469,6 @@ let e17_model () =
         ("dedup_hits", Obs.Json.Int s.dedup_hits);
         ("sleep_skips", Obs.Json.Int s.sleep_skips);
         ("canon_hits", Obs.Json.Int s.canon_hits);
-        ("evictions", Obs.Json.Int s.evictions);
         ("truncated_paths", Obs.Json.Int s.truncated_paths);
         ("symmetric", Obs.Json.Bool s.symmetric);
         ("exhaustive", Obs.Json.Bool s.exhaustive) ]
@@ -1577,18 +1495,6 @@ let e17_model () =
         ("shrunk_actions", Obs.Json.Int shrunk);
         ("seconds", Obs.Json.Float secs) ]
   in
-  let steal_json (engine, n, domains, s, secs, per_domain, max_work) :
-    Obs.Json.t =
-    Obs.Json.Obj
-      [ ("engine", Obs.Json.String engine);
-        ("n", Obs.Json.Int n);
-        ("domains", Obs.Json.Int domains);
-        ("seconds", Obs.Json.Float secs);
-        ("max_domain_expanded", Obs.Json.Int max_work);
-        ( "per_domain_expanded",
-          Obs.Json.List (List.map (fun e -> Obs.Json.Int e) per_domain) );
-        ("stats", stats_json s) ]
-  in
   let doc =
     Obs.Json.Obj
       [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
@@ -1597,23 +1503,7 @@ let e17_model () =
         ( "recommended_domains",
           Obs.Json.Int (Domain.recommended_domain_count ()) );
         ("models", Obs.Json.List (List.map model_json model_rows));
-        ("mutants", Obs.Json.List (List.map mutant_json mutant_rows));
-        ( "steal_frontier",
-          Obs.Json.Obj
-            [ ("workload", Obs.Json.String "simple-oneshot");
-              ("rows", Obs.Json.List (List.map steal_json steal_rows));
-              ( "projected_speedup_vs_rootsplit",
-                Obs.Json.Obj
-                  (List.map
-                     (fun (n, r) ->
-                        (Printf.sprintf "n%d" n, Obs.Json.Float r))
-                     projected) );
-              ( "note",
-                Obs.Json.String
-                  "speedup projected from critical-path work (busiest \
-                   domain's expanded count): on a single-core host two \
-                   domains timeshare and wall time cannot separate the \
-                   engines" ) ] ) ]
+        ("mutants", Obs.Json.List (List.map mutant_json mutant_rows)) ]
   in
   Out_channel.with_open_text "BENCH_model.json" (fun oc ->
       Out_channel.output_string oc (Obs.Json.pretty_to_string doc);

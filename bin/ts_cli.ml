@@ -357,7 +357,12 @@ let stress_cmd =
       with_obs out @@ fun _ ->
       let (Timestamp.Registry.Impl (module T)) = impl in
       let module S = Multicore.Stress.Make (T) in
+      (* a non-positive [n], or one past the runtime's domain limit, is
+         refused by the library: report it, exit 1 *)
       match S.run_and_check ~n ~calls () with
+      | exception (Invalid_argument msg | Failure msg) ->
+        Printf.eprintf "ts_cli: stress: %s\n" msg;
+        1
       | Ok pairs ->
         Printf.printf
           "%s: %d domains x %d calls OK (%d ordered pairs checked)\n" T.name n
@@ -375,21 +380,16 @@ let stress_cmd =
        ~doc:"Run the implementation on real domains and check it.")
     Term.(const run $ impl_arg $ n_arg $ calls_arg $ obs_out_term)
 
-(* Shared between [explore] and [verify-svc]: the stats summary clause and
-   the per-domain breakdown.  The sequential stats line is pinned
-   byte-for-byte by test/cli.t, so the evictions clause only appears when a
-   cap was actually given. *)
-let stats_clause ~(stats : Shm.Explore.stats) ~domains ~dedup_cap =
+(* Shared between [explore] and [verify-svc]: the stats summary clause
+   (pinned byte-for-byte by test/cli.t) and the per-domain breakdown. *)
+let stats_clause ~(stats : Shm.Explore.stats) ~domains =
   Printf.sprintf
     "%d configurations expanded, %d dedup hits, %d sleep-set skips, %d \
-     truncated paths%s%s%s"
+     truncated paths%s%s"
     stats.expanded stats.dedup_hits stats.sleep_skips stats.truncated_paths
     (if stats.symmetric then
        Printf.sprintf ", %d symmetry merges" stats.canon_hits
      else "")
-    (match dedup_cap with
-     | Some cap -> Printf.sprintf ", %d evictions (cap %d)" stats.evictions cap
-     | None -> "")
     (if domains > 1 then Printf.sprintf ", %d domains" domains else "")
 
 let print_per_domain ~(stats : Shm.Explore.stats) =
@@ -399,57 +399,83 @@ let print_per_domain ~(stats : Shm.Explore.stats) =
     (fun i (d : Shm.Explore.domain_stats) ->
        Printf.printf
          "  domain %d: %d branches, %d expanded, %d dedup hits, %d \
-          sleep-set skips%s%s%s, %.3fs busy\n"
+          sleep-set skips%s%s, %.3fs busy\n"
          i d.d_branches d.d_expanded d.d_dedup_hits d.d_sleep_skips
          (if stats.symmetric then
             Printf.sprintf ", %d symmetry merges" d.d_canon_hits
           else "")
          (if d.d_steals > 0 then Printf.sprintf ", %d steals" d.d_steals
           else "")
-         (if d.d_evictions > 0 then
-            Printf.sprintf ", %d evictions" d.d_evictions
-          else "")
          d.d_seconds)
     stats.per_domain
 
-(* Resolve the --parallel / --domains pair: an explicit --domains wins,
-   --parallel alone asks the runtime, neither means sequential. *)
-let resolve_domains ~parallel ~domains_opt =
-  match domains_opt with
-  | Some d -> max 1 d
-  | None -> if parallel then Domain.recommended_domain_count () else 1
+(* The exploration flags [explore] and [verify-svc] share; only the depth
+   bound's default differs between them. *)
+type explore_opts = {
+  max_paths : int;
+  max_steps : int;
+  domains : int;
+  dedup : bool;
+  reduction : bool;
+  symmetry : bool;
+}
 
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "Exact number of worker domains (implies parallel exploration; \
-           overrides $(b,--parallel)'s automatic count).")
-
-let no_steal_arg =
-  Arg.(
-    value & flag
-    & info [ "no-steal" ]
-        ~doc:
-          "Use the older root-split parallel engine (one branch per root \
-           action, no work stealing) instead of the work-stealing frontier. \
-           Kept for comparison; no effect when sequential.")
-
-let dedup_cap_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "dedup-cap" ] ~docv:"K"
-        ~doc:
-          "Bound each visited set to $(docv) entries, evicting the oldest \
-           (FIFO).  Sound: eviction can only re-explore covered subtrees, \
-           never skip one.  Default: unbounded.")
+let explore_opts_term ~max_steps_default =
+  let max_paths =
+    Arg.(
+      value & opt int 1_000_000
+      & info [ "max-paths" ] ~docv:"N" ~doc:"Schedule budget.")
+  in
+  let max_steps =
+    Arg.(
+      value & opt int max_steps_default
+      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-schedule depth bound.")
+  in
+  let domains =
+    Arg.(
+      value & opt int 1
+      & info [ "domains" ] ~docv:"D"
+          ~doc:
+            "Worker domains: 1 explores depth-first on the calling domain; \
+             more expand a breadth-first frontier and let the domains \
+             steal its nodes from each other.")
+  in
+  let no_dedup =
+    Arg.(
+      value & flag
+      & info [ "no-dedup" ]
+          ~doc:"Disable state deduplication (re-expand revisited states).")
+  in
+  let no_reduction =
+    Arg.(
+      value & flag
+      & info [ "no-reduction" ]
+          ~doc:
+            "Disable the independence (sleep-set) reduction; explore every \
+             interleaving of independent actions.")
+  in
+  let no_symmetry =
+    Arg.(
+      value & flag
+      & info [ "no-symmetry" ]
+          ~doc:
+            "Disable the process-symmetry quotient (deduplicate on raw \
+             fingerprints even when processes run identical programs).")
+  in
+  Term.(
+    const
+      (fun max_paths max_steps domains no_dedup no_reduction no_symmetry ->
+         { max_paths;
+           max_steps;
+           domains = max 1 domains;
+           dedup = not no_dedup;
+           reduction = not no_reduction;
+           symmetry = not no_symmetry })
+    $ max_paths $ max_steps $ domains $ no_dedup $ no_reduction
+    $ no_symmetry)
 
 let explore_cmd =
-  let run impl n calls max_paths max_steps parallel domains_opt no_steal
-      dedup_cap no_dedup no_reduction no_symmetry out =
+  let run impl n calls (o : explore_opts) out =
     let rc =
       with_obs out @@ fun ctx ->
       let (Timestamp.Registry.Impl (module T)) = impl in
@@ -459,11 +485,11 @@ let explore_cmd =
           ~init:(T.init_value ~n)
       in
       let calls = match T.kind with `One_shot -> 1 | `Long_lived -> calls in
-      let domains = resolve_domains ~parallel ~domains_opt in
+      let domains = o.domains in
       match
-        Shm.Explore.explore ~max_steps ~max_paths ~dedup:(not no_dedup)
-          ~reduction:(not no_reduction) ~symmetry:(not no_symmetry) ~domains
-          ~steal:(not no_steal) ?dedup_cap ~supplier
+        Shm.Explore.explore ~max_steps:o.max_steps ~max_paths:o.max_paths
+          ~dedup:o.dedup ~reduction:o.reduction ~symmetry:o.symmetry ~domains
+          ~supplier
           ~calls_per_proc:(Array.make n calls)
           ~leaf_check:(fun cfg ->
               Result.is_ok (Timestamp.Checker.check_sim (module T) cfg))
@@ -474,7 +500,7 @@ let explore_cmd =
           T.name n calls
           (if stats.exhaustive then "EXHAUSTIVELY VERIFIED" else "verified")
           stats.paths
-          (stats_clause ~stats ~domains ~dedup_cap);
+          (stats_clause ~stats ~domains);
         if domains > 1 then print_per_domain ~stats;
         Option.iter
           (fun ctx ->
@@ -499,60 +525,17 @@ let explore_cmd =
     in
     if rc <> 0 then exit rc
   in
-  let max_paths =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "max-paths" ] ~docv:"N" ~doc:"Schedule budget.")
-  in
-  let max_steps =
-    Arg.(
-      value & opt int 300
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-schedule depth bound.")
-  in
-  let parallel =
-    Arg.(
-      value & flag
-      & info [ "parallel"; "P" ]
-          ~doc:
-            "Spread the exploration across \
-             $(b,Domain.recommended_domain_count) worker domains \
-             (work-stealing frontier unless $(b,--no-steal)).")
-  in
-  let no_dedup =
-    Arg.(
-      value & flag
-      & info [ "no-dedup" ]
-          ~doc:"Disable state deduplication (re-expand revisited states).")
-  in
-  let no_reduction =
-    Arg.(
-      value & flag
-      & info [ "no-reduction" ]
-          ~doc:
-            "Disable the independence (sleep-set) reduction; explore every \
-             interleaving of independent actions.")
-  in
-  let no_symmetry =
-    Arg.(
-      value & flag
-      & info [ "no-symmetry" ]
-          ~doc:
-            "Disable the process-symmetry quotient (deduplicate on raw \
-             fingerprints even when processes run identical programs).")
-  in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
          "Exhaustively enumerate every schedule of a small instance and \
           check the specification on each.")
     Term.(
-      const run $ impl_arg $ n_arg $ calls_arg $ max_paths $ max_steps
-      $ parallel $ domains_arg $ no_steal_arg $ dedup_cap_arg $ no_dedup
-      $ no_reduction $ no_symmetry $ obs_out_term)
+      const run $ impl_arg $ n_arg $ calls_arg
+      $ explore_opts_term ~max_steps_default:300 $ obs_out_term)
 
 let verify_svc_cmd =
-  let run models n max_paths max_steps parallel domains_opt no_steal dedup_cap
-      no_dedup no_reduction no_symmetry mutant replay repro_out =
+  let run models n (o : explore_opts) mutant replay repro_out =
     let rc =
       match replay with
       | Some path -> (
@@ -578,7 +561,7 @@ let verify_svc_cmd =
         let models =
           match models with [] -> Svc.Model.all | ms -> ms
         in
-        let domains = resolve_domains ~parallel ~domains_opt in
+        let domains = o.domains in
         let verify_one model =
           let mname = Svc.Model.name model in
           let tag =
@@ -587,9 +570,9 @@ let verify_svc_cmd =
             | None -> mname
           in
           match
-            Svc.Model.verify ~max_steps ~max_paths ~dedup:(not no_dedup)
-              ~reduction:(not no_reduction) ~symmetry:(not no_symmetry)
-              ~domains ~steal:(not no_steal) ?dedup_cap ?mutant model ~n
+            Svc.Model.verify ~max_steps:o.max_steps ~max_paths:o.max_paths
+              ~dedup:o.dedup ~reduction:o.reduction ~symmetry:o.symmetry
+              ~domains ?mutant model ~n
           with
           | Error e ->
             Printf.eprintf "model %s: %s\n" tag e;
@@ -605,7 +588,7 @@ let verify_svc_cmd =
               (if stats.exhaustive then "EXHAUSTIVELY VERIFIED"
                else "verified")
               stats.paths
-              (stats_clause ~stats ~domains ~dedup_cap);
+              (stats_clause ~stats ~domains);
             if domains > 1 then print_per_domain ~stats;
             0
           | Ok (Shm.Explore.Counterexample { schedule; at_leaf; _ }) ->
@@ -672,47 +655,6 @@ let verify_svc_cmd =
             "Clients/producers in the model instance (fixed roles — \
              consumer, workers, stopper — are added on top).")
   in
-  let max_paths =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "max-paths" ] ~docv:"N" ~doc:"Schedule budget.")
-  in
-  let max_steps =
-    Arg.(
-      value & opt int 400
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-schedule depth bound.")
-  in
-  let parallel =
-    Arg.(
-      value & flag
-      & info [ "parallel"; "P" ]
-          ~doc:
-            "Spread the exploration across \
-             $(b,Domain.recommended_domain_count) worker domains \
-             (work-stealing frontier unless $(b,--no-steal)).")
-  in
-  let no_dedup =
-    Arg.(
-      value & flag
-      & info [ "no-dedup" ]
-          ~doc:"Disable state deduplication (re-expand revisited states).")
-  in
-  let no_reduction =
-    Arg.(
-      value & flag
-      & info [ "no-reduction" ]
-          ~doc:
-            "Disable the independence (sleep-set) reduction; explore every \
-             interleaving of independent actions.")
-  in
-  let no_symmetry =
-    Arg.(
-      value & flag
-      & info [ "no-symmetry" ]
-          ~doc:
-            "Disable the process-symmetry quotient (the stop model's \
-             anonymous clients form a nontrivial symmetry class).")
-  in
   let mutant =
     Arg.(
       value
@@ -753,9 +695,8 @@ let verify_svc_cmd =
           checking the protocol \
           invariants on every reachable configuration.")
     Term.(
-      const run $ models $ n_arg $ max_paths $ max_steps $ parallel
-      $ domains_arg $ no_steal_arg $ dedup_cap_arg $ no_dedup $ no_reduction
-      $ no_symmetry $ mutant $ replay $ repro_out)
+      const run $ models $ n_arg $ explore_opts_term ~max_steps_default:400
+      $ mutant $ replay $ repro_out)
 
 let obs_cmd =
   let run impl n seed calls validate out =

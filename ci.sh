@@ -84,6 +84,28 @@ nosym_verdict=$(echo "$nosym_out" | grep -o "EXHAUSTIVELY VERIFIED\|OK\|VIOLATIO
        "($sym_verdict vs $nosym_verdict)" >&2
   exit 1; }
 
+echo "== parallel smoke: worker domains must not change the verdict =="
+# Instances big enough that the breadth-first frontier hands nodes to the
+# worker domains (each prints a per-domain line); the verdict word must
+# match the sequential run's.
+par_smoke() {
+  seq_out=$(dune exec bin/ts_cli.exe -- "$@")
+  par_out=$(dune exec bin/ts_cli.exe -- "$@" --domains 2)
+  echo "$seq_out"
+  echo "$par_out"
+  echo "$par_out" | grep -q "^  domain 0:" || {
+    echo "parallel smoke: no worker domain ran for $*" >&2; exit 1; }
+  seq_verdict=$(echo "$seq_out" | grep -o "EXHAUSTIVELY VERIFIED\|COUNTEREXAMPLE" | head -1)
+  par_verdict=$(echo "$par_out" | grep -o "EXHAUSTIVELY VERIFIED\|COUNTEREXAMPLE" | head -1)
+  [ "$par_verdict" = "EXHAUSTIVELY VERIFIED" ] \
+    && [ "$par_verdict" = "$seq_verdict" ] || {
+    echo "parallel smoke: verdict '$par_verdict' on two domains," \
+         "'$seq_verdict' sequentially, for $*" >&2
+    exit 1; }
+}
+par_smoke explore -i simple-oneshot -n 4
+par_smoke verify-svc -m pool -n 3
+
 echo "== service smoke: closed-loop loadgen + hb checker =="
 lg_out=$(dune exec bin/ts_cli.exe -- loadgen -i efr-longlived \
   --clients 3 -r 40 --shards 2 --batch 16 --pipeline 4)

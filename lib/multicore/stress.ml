@@ -15,15 +15,23 @@ module Make (T : Timestamp.Intf.S) = struct
     in
     let tick = Atomic.make 0 in
     let ready = Atomic.make 0 in
+    (* The start gate: spawned domains sleep on it until every domain
+       exists, so spinning domains do not slow the spawns; a failed spawn
+       opens it with [`Abort] and the waiting domains return without
+       running. *)
+    let gate = Mutex.create () in
+    let opened = Condition.create () in
+    let state = ref `Closed in
+    let open_gate s =
+      Mutex.lock gate;
+      state := s;
+      Condition.broadcast opened;
+      Mutex.unlock gate
+    in
     (* Sampled once: the armed interpreter must not flip mid-run, and the
        spawned domains must not read the hook installation racily. *)
     let armed = Obs.Hooks.armed () in
     let worker pid () =
-      Atomic.incr ready;
-      (* Barrier: start all domains together to maximize contention. *)
-      while Atomic.get ready < n do
-        Domain.cpu_relax ()
-      done;
       let rec go call acc =
         if call >= calls then List.rev acc
         else begin
@@ -37,12 +45,38 @@ module Make (T : Timestamp.Intf.S) = struct
           go (call + 1) ({ pid; call; start_tick; end_tick; ts } :: acc)
         end
       in
-      go 0 []
+      Mutex.lock gate;
+      while !state = `Closed do
+        Condition.wait opened gate
+      done;
+      let go_ahead = !state = `Go in
+      Mutex.unlock gate;
+      if not go_ahead then []
+      else begin
+        (* Barrier: start all domains together to maximize contention. *)
+        Atomic.incr ready;
+        while Atomic.get ready < n do
+          Domain.cpu_relax ()
+        done;
+        go 0 []
+      end
     in
     Obs.Hooks.with_span "stress.run" @@ fun () ->
     let domains =
       Obs.Hooks.with_span "stress.spawn" @@ fun () ->
-      List.init n (fun pid -> Domain.spawn (worker pid))
+      let spawned = ref [] in
+      (* A failed spawn (past the runtime's domain limit) joins the domains
+         already spawned before the exception propagates. *)
+      (try
+         for pid = 0 to n - 1 do
+           spawned := Domain.spawn (worker pid) :: !spawned
+         done
+       with e ->
+         open_gate `Abort;
+         List.iter (fun d -> ignore (Domain.join d)) !spawned;
+         raise e);
+      open_gate `Go;
+      List.rev !spawned
     in
     List.concat_map Domain.join domains
 

@@ -25,7 +25,11 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val run : n:int -> calls:int -> unit -> op_record list
   (** Spawns [n] domains; every domain performs [calls] getTS calls (only 1
-      is allowed for one-shot objects).  Blocks until all domains finish. *)
+      is allowed for one-shot objects).  Blocks until all domains finish.
+      [Invalid_argument] if [n < 1].  If a [Domain.spawn] fails (past the
+      runtime's domain limit), the domains already spawned are released
+      from the start barrier and joined before the exception is
+      re-raised. *)
 
   val check : op_record list -> (int, string) result
   (** Verifies the timestamp specification over the derived happens-before

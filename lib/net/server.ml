@@ -61,11 +61,13 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let codec : T.result Codec.t = Codec.for_impl (module T)
 
-  (* Per-slot counter group; connections hash onto slots (conn id mod
-     #slots) so the gauge count stays fixed for telemetry — `ts_cli top`
-     stays readable at hundreds of connections — while slot ids are
-     reused as connections come and go.  [k_conns] counts *live*
-     connections on the slot (decremented on close). *)
+  (* Per-slot counter group; connections hash onto [conn_slots] slots
+     (conn id mod [conn_slots]) so the gauge count stays fixed for
+     telemetry — `ts_cli top` stays readable at hundreds of connections —
+     while slot ids are reused as connections come and go.  [k_conns]
+     counts *live* connections on the slot (decremented on close). *)
+  let conn_slots = 4
+
   type slot = {
     k_conns : int Atomic.t;
     k_requests : int Atomic.t;
@@ -479,9 +481,7 @@ module Make (T : Timestamp.Intf.S) = struct
         t.loops
     end
 
-  let start ?(shards = 1) ?(conn_slots = 4) ?io_threads ~addr ~n () =
-    if conn_slots <= 0 then
-      invalid_arg "Server.start: conn_slots must be positive";
+  let start ?(shards = 1) ?io_threads ~addr ~n () =
     let io_threads = match io_threads with Some k -> k | None -> shards in
     if io_threads <= 0 then
       invalid_arg "Server.start: io_threads must be positive";

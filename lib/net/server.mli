@@ -49,18 +49,17 @@
     The [Stats] reply's per-shard entries count per I/O loop: [served]
     is the getTS programs the loop ran, [batches] the parse passes that
     ran at least one, [max_batch] the most programs in one pass.
-    Per-connection counters aggregate into a fixed number of slots
-    (connection id mod [conn_slots]) exported as [c<slot>.*] telemetry
-    gauges; slot ids are reused as connections come and go and
-    [c<slot>.conns] counts live connections, so [ts_cli top] stays
-    readable at hundreds of connections. *)
+    Per-connection counters aggregate into four slots (connection id
+    mod 4) exported as [c<slot>.*] telemetry gauges; slot ids are reused
+    as connections come and go and [c<slot>.conns] counts live
+    connections, so [ts_cli top] stays readable at hundreds of
+    connections. *)
 
 module Make (T : Timestamp.Intf.S) : sig
   type t
 
   val start :
     ?shards:int ->
-    ?conn_slots:int ->
     ?io_threads:int ->
     addr:Conn.addr ->
     n:int ->
@@ -70,8 +69,7 @@ module Make (T : Timestamp.Intf.S) : sig
       on [addr] (an existing Unix socket path is unlinked first; TCP sets
       [SO_REUSEADDR]), and spawns the [io_threads] I/O loops — the only
       domains it starts, independent of connection count and of leases.
-      [shards] (default 1) is only the default for [io_threads].
-      [conn_slots] (default 4) sizes the telemetry counter groups.  On
+      [shards] (default 1) is only the default for [io_threads].  On
       bind/listen failure the exception is re-raised; if the listen
       socket or a loop's wake pipe lands on an fd at or above
       [FD_SETSIZE], it fails with [Failure] naming the fd.  If a loop's

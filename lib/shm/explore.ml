@@ -5,7 +5,6 @@ type domain_stats = {
   d_dedup_hits : int;
   d_sleep_skips : int;
   d_canon_hits : int;
-  d_evictions : int;
   d_steals : int;
   d_seconds : float;
 }
@@ -18,7 +17,6 @@ type stats = {
   dedup_hits : int;
   sleep_skips : int;
   canon_hits : int;
-  evictions : int;
   symmetric : bool;
   exhaustive : bool;
   seconds : float;
@@ -33,12 +31,6 @@ type ('v, 'r) outcome =
       at_leaf : bool;
     }
 
-(* Mutable per-worker-domain accounting; merged into [stats] at the end.
-   In parallel mode one wstate (and hence one visited table) is reused for
-   every root branch the domain steals: cross-branch dedup is sound for the
-   same reason sequential whole-tree dedup is — a dominating visit proves
-   the subtree was already explored at least as deeply, by an
-   earlier-stolen (hence lower-indexed) branch of the same domain. *)
 (* One visited-set entry: the Pareto frontier of (remaining depth budget,
    sleep mask) pairs under which the configuration (or, under the symmetry
    quotient, its orbit) was already expanded, plus the raw fingerprint of
@@ -55,8 +47,16 @@ type entry = {
   mutable e_frontier : (int * int) list;
 }
 
+(* Mutable per-worker-domain accounting; merged into [stats] at the end.
+   In parallel mode one wstate (and hence one visited table) is reused for
+   every frontier node the domain runs: cross-node dedup is sound for the
+   same reason sequential whole-tree dedup is — a dominating visit proves
+   an earlier node of the same domain explored the subtree at least as
+   deeply, and found no counterexample there (the table is reset after a
+   node that failed or was cancelled, whose entries cover partial
+   subtrees). *)
 type wstate = {
-  mutable w_branches : int;  (* root branches this domain processed *)
+  mutable w_branches : int;  (* frontier nodes this domain ran *)
   mutable w_paths : int;
   mutable w_truncated : int;
   mutable w_configs : int;
@@ -64,16 +64,10 @@ type wstate = {
   mutable w_dedup : int;
   mutable w_sleep : int;
   mutable w_canon : int;  (* visits keyed to an orbit-mate's entry *)
-  mutable w_evict : int;  (* entries evicted by the dedup-table cap *)
   mutable w_steals : int;  (* frontier nodes taken from another deque *)
   mutable w_seconds : float;  (* wall time spent inside branches *)
   mutable w_budget_hit : bool;
   visited : (int, entry) Hashtbl.t;
-  (* insertion-ordered keys of [visited], used only when a dedup cap is
-     set: the oldest live key is evicted first (FIFO).  A key evicted and
-     later re-added gets a fresh queue entry; stale entries whose key was
-     already evicted are skipped at pop time. *)
-  w_age : int Queue.t;
   (* per-domain canonicalizer (mutable scratch, not shared across domains);
      None when the symmetry quotient is off or trivial *)
   canon : Sim.canonicalizer option;
@@ -88,12 +82,10 @@ let new_wstate ~classes () =
     w_dedup = 0;
     w_sleep = 0;
     w_canon = 0;
-    w_evict = 0;
     w_steals = 0;
     w_seconds = 0.;
     w_budget_hit = false;
     visited = Hashtbl.create 4096;
-    w_age = Queue.create ();
     canon = Option.map (fun classes -> Sim.canonicalizer ~classes) classes }
 
 let domain_stats_of st =
@@ -103,7 +95,6 @@ let domain_stats_of st =
     d_dedup_hits = st.w_dedup;
     d_sleep_skips = st.w_sleep;
     d_canon_hits = st.w_canon;
-    d_evictions = st.w_evict;
     d_steals = st.w_steals;
     d_seconds = st.w_seconds }
 
@@ -115,15 +106,11 @@ type ('v, 'r) branch_result =
 
 let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
     ?(dedup = true) ?(reduction = true) ?(symmetry = true) ?(domains = 1)
-    ?(steal = true) ?dedup_cap
     ~(supplier : (v, r) Schedule.supplier) ~calls_per_proc ?invariant
     ?leaf_check (cfg0 : (v, r) Sim.t) : (v, r) outcome =
   let n = Sim.n cfg0 in
   if Array.length calls_per_proc <> n then
     invalid_arg "Explore.explore: calls_per_proc size mismatch";
-  (match dedup_cap with
-   | Some c when c < 1 -> invalid_arg "Explore.explore: dedup_cap must be >= 1"
-   | _ -> ());
   let invariant = Option.value invariant ~default:(fun _ -> true) in
   let leaf_check = Option.value leaf_check ~default:(fun _ -> true) in
   let t_start = Obs.Trace.Clock.now_s () in
@@ -199,31 +186,7 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
       !r
     end
   in
-  (* Count a configuration visit (plus armed-only telemetry).  Shared by
-     the DFS and the breadth-first frontier expansion of the steal mode. *)
-  let count_visit st depth =
-    st.w_configs <- st.w_configs + 1;
-    if Obs.Hooks.armed () then begin
-      Obs.Hooks.observe ~name:"explore.depth" (float_of_int depth);
-      if st.w_configs land 8191 = 0 then begin
-        let d = string_of_int (Domain.self () :> int) in
-        Obs.Hooks.counter
-          ~name:("explore.configurations.d" ^ d)
-          (float_of_int st.w_configs);
-        if st.canon <> None then
-          Obs.Hooks.counter
-            ~name:("explore.canon_hits.d" ^ d)
-            (float_of_int st.w_canon)
-      end
-    end
-  in
-  (* The dedup decision: [true] means the configuration must be expanded.
-     When a [dedup_cap] is set, the visited table is bounded: after every
-     insertion the oldest keys are evicted until the table fits.  Eviction
-     is sound — losing an entry can only make a future revisit re-explore a
-     subtree that was already covered, never skip one — so verdicts and
-     exhaustiveness are unaffected; only the work saved by deduplication
-     shrinks. *)
+  (* The dedup decision: [true] means the configuration must be expanded. *)
   let dedup_check st cfg ~remaining sleep =
     if not dedup then true
     else begin
@@ -243,19 +206,6 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
       | None ->
         Hashtbl.add st.visited key
           { e_raw = raw; e_frontier = [ (remaining, cmask) ] };
-        (match dedup_cap with
-         | None -> ()
-         | Some cap ->
-           Queue.add key st.w_age;
-           (* Every live key has at least one queue entry, so the pops
-              cannot exhaust the queue before the table fits. *)
-           while Hashtbl.length st.visited > cap do
-             let k = Queue.pop st.w_age in
-             if Hashtbl.mem st.visited k then begin
-               Hashtbl.remove st.visited k;
-               st.w_evict <- st.w_evict + 1
-             end
-           done);
         true
       | Some entry ->
         if entry.e_raw <> raw then st.w_canon <- st.w_canon + 1;
@@ -277,98 +227,112 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
         end
     end
   in
+  (* The one per-node step, shared by the depth-first search and the
+     breadth-first frontier expansion: count the visit, check the
+     invariant, consult the visited set, then either run the leaf check,
+     count a truncation, or hand each enabled action outside the sleep set
+     to [child] (with the sleep mask the child inherits) until the path
+     budget runs out.  [rev_sched] is the reversed action list from the
+     root to [cfg].  [fail cfg rev_sched at_leaf] reports a failure; the
+     DFS raises there, the frontier records it. *)
+  let expand st ~fail ~child cfg depth sleep rev_sched =
+    st.w_configs <- st.w_configs + 1;
+    if Obs.Hooks.armed () then begin
+      Obs.Hooks.observe ~name:"explore.depth" (float_of_int depth);
+      if st.w_configs land 8191 = 0 then begin
+        let d = string_of_int (Domain.self () :> int) in
+        Obs.Hooks.counter
+          ~name:("explore.configurations.d" ^ d)
+          (float_of_int st.w_configs);
+        if st.canon <> None then
+          Obs.Hooks.counter
+            ~name:("explore.canon_hits.d" ^ d)
+            (float_of_int st.w_canon)
+      end
+    end;
+    if not (invariant cfg) then fail cfg rev_sched false
+    else if dedup_check st cfg ~remaining:(max_steps - depth) sleep then begin
+      st.w_expanded <- st.w_expanded + 1;
+      match enabled_of cfg with
+      | [] ->
+        if not (leaf_check cfg) then fail cfg rev_sched true
+        else st.w_paths <- st.w_paths + 1
+      | enabled ->
+        if depth >= max_steps then
+          (* truncated paths consume the same budget as complete ones,
+             otherwise deep trees (wait loops) never terminate *)
+          st.w_truncated <- st.w_truncated + 1
+        else begin
+          let rec iter sleep = function
+            | [] -> ()
+            | action :: rest ->
+              let abit = action_bit action in
+              if reduction && sleep land abit <> 0 then begin
+                st.w_sleep <- st.w_sleep + 1;
+                iter sleep rest
+              end
+              else if st.w_paths + st.w_truncated >= max_paths then
+                st.w_budget_hit <- true
+              else begin
+                let child_sleep =
+                  if reduction then
+                    filter_sleep cfg sleep (Schedule.footprint cfg action)
+                  else 0
+                in
+                child (apply_action cfg action) (depth + 1) child_sleep
+                  (action :: rev_sched);
+                (* the explored action joins the sleep set of its later
+                   siblings: orders that merely commute it past an
+                   independent action revisit the same trace *)
+                iter (sleep lor abit) rest
+              end
+          in
+          iter sleep enabled
+        end
+    end
+  in
   (* Cooperative cancellation for parallel branches: the lowest branch index
      whose subtree contains a counterexample so far. *)
   let best_cex = Atomic.make max_int in
-  let exception Stop in
   let exception Aborted in
-  (* Explores the subtree under [cfg]; raises [Stop] with [st.found] set on
-     the first counterexample (DFS order), [Aborted] when a lower-indexed
-     parallel branch already failed.  [rev_sched] is the reversed action
-     list from the root to [cfg]; [sleep] the sleep-set bitmask. *)
-  let run_branch st ~branch_index cfg depth0 sleep0 rev_sched0 =
-    let found = ref None in
+  (* Explores the subtree under [cfg] depth-first; the first counterexample
+     in DFS order ends the branch, and so does a lower-indexed parallel
+     branch's failure. *)
+  let run_branch st ~branch_index cfg depth sleep rev_sched =
+    let exception Found of (v, r) Sim.t * Schedule.action list * bool in
     let fail cfg rev_sched at_leaf =
-      found := Some (cfg, List.rev rev_sched, at_leaf);
-      raise Stop
+      raise (Found (cfg, List.rev rev_sched, at_leaf))
     in
     let rec go cfg depth sleep rev_sched =
       if Atomic.get best_cex < branch_index then raise Aborted;
-      count_visit st depth;
-      if not (invariant cfg) then fail cfg rev_sched false;
-      let proceed = dedup_check st cfg ~remaining:(max_steps - depth) sleep in
-      if proceed then begin
-        st.w_expanded <- st.w_expanded + 1;
-        match enabled_of cfg with
-        | [] ->
-          if not (leaf_check cfg) then fail cfg rev_sched true;
-          st.w_paths <- st.w_paths + 1
-        | enabled ->
-          if depth >= max_steps then
-            (* truncated paths consume the same budget as complete ones,
-               otherwise deep trees (wait loops) never terminate *)
-            st.w_truncated <- st.w_truncated + 1
-          else begin
-            let rec iter sleep = function
-              | [] -> ()
-              | action :: rest ->
-                let abit = action_bit action in
-                if reduction && sleep land abit <> 0 then begin
-                  st.w_sleep <- st.w_sleep + 1;
-                  iter sleep rest
-                end
-                else if st.w_paths + st.w_truncated >= max_paths then
-                  st.w_budget_hit <- true
-                else begin
-                  let child_sleep =
-                    if reduction then
-                      filter_sleep cfg sleep (Schedule.footprint cfg action)
-                    else 0
-                  in
-                  go (apply_action cfg action) (depth + 1) child_sleep
-                    (action :: rev_sched);
-                  (* the explored action joins the sleep set of its later
-                     siblings: orders that merely commute it past an
-                     independent action revisit the same trace *)
-                  iter (sleep lor abit) rest
-                end
-            in
-            iter sleep enabled
-          end
-      end
+      expand st ~fail ~child:go cfg depth sleep rev_sched
     in
-    match go cfg depth0 sleep0 rev_sched0 with
+    match go cfg depth sleep rev_sched with
     | () -> B_ok
-    | exception Stop -> (
-        match !found with
-        | Some (cfg, schedule, at_leaf) ->
-          let current = Atomic.get best_cex in
-          if branch_index < current then
-            ignore (Atomic.compare_and_set best_cex current branch_index);
-          B_cex (cfg, schedule, at_leaf)
-        | None -> assert false)
+    | exception Found (cfg, schedule, at_leaf) ->
+      let current = Atomic.get best_cex in
+      if branch_index < current then
+        ignore (Atomic.compare_and_set best_cex current branch_index);
+      B_cex (cfg, schedule, at_leaf)
     | exception Aborted -> B_aborted
   in
   (* [workers] are the per-domain accounting states (one in sequential
      mode); [extra] holds root-level accounting outside any domain. *)
-  let finish ~exhaustive_extra ~workers ~extra =
+  let finish ~workers ~extra =
     let sts = extra @ Array.to_list workers in
-    let paths = List.fold_left (fun a st -> a + st.w_paths) 0 sts in
-    let truncated = List.fold_left (fun a st -> a + st.w_truncated) 0 sts in
+    let sum f = List.fold_left (fun a st -> a + f st) 0 sts in
+    let truncated = sum (fun st -> st.w_truncated) in
     Ok
-      { paths;
+      { paths = sum (fun st -> st.w_paths);
         truncated_paths = truncated;
-        configurations =
-          List.fold_left (fun a st -> a + st.w_configs) 0 sts;
-        expanded = List.fold_left (fun a st -> a + st.w_expanded) 0 sts;
-        dedup_hits = List.fold_left (fun a st -> a + st.w_dedup) 0 sts;
-        sleep_skips = List.fold_left (fun a st -> a + st.w_sleep) 0 sts;
-        canon_hits = List.fold_left (fun a st -> a + st.w_canon) 0 sts;
-        evictions = List.fold_left (fun a st -> a + st.w_evict) 0 sts;
+        configurations = sum (fun st -> st.w_configs);
+        expanded = sum (fun st -> st.w_expanded);
+        dedup_hits = sum (fun st -> st.w_dedup);
+        sleep_skips = sum (fun st -> st.w_sleep);
+        canon_hits = sum (fun st -> st.w_canon);
         symmetric = classes <> None;
         exhaustive =
-          exhaustive_extra && truncated = 0
-          && not (List.exists (fun st -> st.w_budget_hit) sts);
+          truncated = 0 && not (List.exists (fun st -> st.w_budget_hit) sts);
         seconds = Obs.Trace.Clock.now_s () -. t_start;
         per_domain = Array.map domain_stats_of workers }
   in
@@ -388,29 +352,27 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
   if domains <= 1 then begin
     let st = new_wstate () in
     match run_timed_branch st ~branch_index:0 cfg0 0 0 [] with
-    | B_ok -> finish ~exhaustive_extra:true ~workers:[| st |] ~extra:[]
+    | B_ok -> finish ~workers:[| st |] ~extra:[]
     | B_cex (cfg, schedule, at_leaf) -> Counterexample { cfg; schedule; at_leaf }
     | B_aborted -> assert false
   end
-  else if steal then begin
-    (* Work-stealing frontier (the default parallel mode): the root region
-       is expanded breadth-first — with the same invariant, dedup and
-       sleep-set treatment as the sequential DFS — until the queue holds
-       about 32 nodes per domain; those frontier nodes are then dealt
-       round-robin into per-worker deques.  A worker drains its own deque
-       front to back (ascending node index) and steals from the BACK of a
-       victim's deque when it runs dry, so load balances at node
-       granularity instead of the root's arity.  This matters for
-       symmetric workloads: at the root only invokes are enabled and they
-       are mutually independent, so root-level sleep sets prune all but
-       the first root branch and a root-split frontier degenerates to one
-       busy domain; a deeper frontier has no such skew.  Each node carries
-       exactly the sleep mask sequential DFS would pass it, so the
-       reduction is unchanged; counterexample reporting stays
-       deterministic — expansion failures are found in (deterministic)
-       breadth-first order before any worker starts, and among worker
-       branches the lowest frontier index wins, with a node skipped only
-       when a lower-indexed node already failed. *)
+  else begin
+    (* Work-stealing frontier: the root region is expanded breadth-first —
+       by the same per-node step as the DFS — until the queue holds about
+       32 nodes per domain; those frontier nodes are then dealt round-robin
+       into per-worker deques.  A worker drains its own deque front to back
+       (ascending node index) and steals from the BACK of a victim's deque
+       when it runs dry, so load balances at node granularity instead of
+       the root's arity.  This matters for symmetric workloads: at the root
+       only invokes are enabled and they are mutually independent, so
+       root-level sleep sets prune all but the first root branch and a
+       root split would leave one busy domain; a deeper frontier has no
+       such skew.  Each node carries exactly the sleep mask sequential DFS
+       would pass it, so the reduction is unchanged; counterexample
+       reporting stays deterministic — expansion failures are found in
+       (deterministic) breadth-first order before any worker starts, and
+       among worker branches the lowest frontier index wins, with a node
+       skipped only when a lower-indexed node already failed. *)
     let root_st = new_wstate () in
     let pending : ((v, r) Sim.t * int * int * Schedule.action list) Queue.t =
       Queue.create ()
@@ -418,71 +380,29 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
     Queue.add (cfg0, 0, 0, []) pending;
     let target = 32 * domains in
     let cex = ref None in
-    let budget_stop = ref false in
+    let fail cfg rev_sched at_leaf =
+      cex := Some (cfg, List.rev rev_sched, at_leaf)
+    in
+    let child cfg depth sleep rev_sched =
+      Queue.add (cfg, depth, sleep, rev_sched) pending
+    in
     while
-      !cex = None && not !budget_stop
+      !cex = None && (not root_st.w_budget_hit)
       && Queue.length pending > 0
       && Queue.length pending < target
     do
       let cfg, depth, sleep, rev_sched = Queue.pop pending in
-      count_visit root_st depth;
-      if not (invariant cfg) then cex := Some (cfg, List.rev rev_sched, false)
-      else if dedup_check root_st cfg ~remaining:(max_steps - depth) sleep
-      then begin
-        root_st.w_expanded <- root_st.w_expanded + 1;
-        match enabled_of cfg with
-        | [] ->
-          if not (leaf_check cfg) then
-            cex := Some (cfg, List.rev rev_sched, true)
-          else root_st.w_paths <- root_st.w_paths + 1
-        | enabled ->
-          if depth >= max_steps then
-            root_st.w_truncated <- root_st.w_truncated + 1
-          else begin
-            let rec iter sleep = function
-              | [] -> ()
-              | action :: rest ->
-                let abit = action_bit action in
-                if reduction && sleep land abit <> 0 then begin
-                  root_st.w_sleep <- root_st.w_sleep + 1;
-                  iter sleep rest
-                end
-                else if root_st.w_paths + root_st.w_truncated >= max_paths
-                then begin
-                  root_st.w_budget_hit <- true;
-                  budget_stop := true
-                end
-                else begin
-                  let child_sleep =
-                    if reduction then
-                      filter_sleep cfg sleep (Schedule.footprint cfg action)
-                    else 0
-                  in
-                  Queue.add
-                    ( apply_action cfg action,
-                      depth + 1,
-                      child_sleep,
-                      action :: rev_sched )
-                    pending;
-                  iter (sleep lor abit) rest
-                end
-            in
-            iter sleep enabled
-          end
-      end
+      expand root_st ~fail ~child cfg depth sleep rev_sched
     done;
     match !cex with
     | Some (cfg, schedule, at_leaf) -> Counterexample { cfg; schedule; at_leaf }
     | None ->
       let nodes = Array.init (Queue.length pending) (fun _ -> Queue.pop pending) in
       let nb = Array.length nodes in
-      if nb = 0 then
-        finish ~exhaustive_extra:(not !budget_stop) ~workers:[||]
-          ~extra:[ root_st ]
+      if nb = 0 then finish ~workers:[||] ~extra:[ root_st ]
       else begin
         let nd = max 1 (min domains nb) in
         let results = Array.make nb B_ok in
-        let skipped = Array.make nb false in
         let states = Array.init nd (fun _ -> new_wstate ()) in
         (* Per-worker deques of node indices, dealt round-robin.  A
            mutex-guarded list per deque is plenty here: one lock per node
@@ -541,12 +461,14 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
             match take () with
             | None -> ()
             | Some i ->
-              (if Atomic.get best_cex < i then skipped.(i) <- true
-               else begin
+              (if Atomic.get best_cex >= i then begin
                  let cfg, depth, sleep, rev_sched = nodes.(i) in
                  results.(i) <-
                    run_timed_branch st ~branch_index:i cfg depth sleep
-                     rev_sched
+                     rev_sched;
+                 match results.(i) with
+                 | B_ok -> ()
+                 | B_cex _ | B_aborted -> Hashtbl.reset st.visited
                end);
               loop ()
           in
@@ -568,108 +490,8 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
         | Some (cfg, schedule, at_leaf) ->
           Counterexample { cfg; schedule; at_leaf }
         | None ->
-          let all_ran =
-            (not !budget_stop)
-            && Array.for_all (fun s -> not s) skipped
-            && Array.for_all (function B_ok -> true | _ -> false) results
-          in
-          finish ~exhaustive_extra:all_ran ~workers:states ~extra:[ root_st ]
+          (* a node is skipped or aborted only after a lower-indexed node
+             failed, so without a counterexample every node ran to the end *)
+          finish ~workers:states ~extra:[ root_st ]
       end
-  end
-  else begin
-    (* Root-split frontier (the PR-5 engine, kept selectable for
-       comparison): the root is expanded here, its branches are dealt
-       statically over worker domains (branch k to domain k mod nd, in
-       ascending order), each with its own visited set (kept across the
-       branches it runs).  The assignment does not depend on thread timing,
-       so the stats are as deterministic as the verdict whatever the
-       host's core count.  The root-level sleep sets are
-       replayed deterministically per branch, so the reduction is identical
-       to the sequential one at the root.  Counterexample reporting is
-       deterministic: the lowest-indexed branch containing one wins, and a
-       branch is only cancelled when a lower-indexed branch has already
-       failed. *)
-    let root_st = new_wstate () in
-    root_st.w_configs <- 1;
-    if not (invariant cfg0) then
-      Counterexample { cfg = cfg0; schedule = []; at_leaf = false }
-    else begin
-      root_st.w_expanded <- 1;
-      match enabled_of cfg0 with
-      | [] ->
-        if not (leaf_check cfg0) then
-          Counterexample { cfg = cfg0; schedule = []; at_leaf = true }
-        else begin
-          root_st.w_paths <- 1;
-          finish ~exhaustive_extra:true ~workers:[||] ~extra:[ root_st ]
-        end
-      | enabled ->
-        if max_steps <= 0 then begin
-          root_st.w_truncated <- 1;
-          finish ~exhaustive_extra:true ~workers:[||] ~extra:[ root_st ]
-        end
-        else begin
-          let actions = Array.of_list enabled in
-          let fps =
-            Array.map (fun a -> Schedule.footprint cfg0 a) actions
-          in
-          let nb = Array.length actions in
-          (* sleep mask of branch k: every earlier branch's action that is
-             independent of action k (exactly what sequential DFS passes) *)
-          let branch_sleep k =
-            if not reduction then 0
-            else begin
-              let m = ref 0 in
-              for j = 0 to k - 1 do
-                if Schedule.independent fps.(j) fps.(k) then
-                  m := !m lor action_bit actions.(j)
-              done;
-              !m
-            end
-          in
-          let nd = max 1 (min domains nb) in
-          let results = Array.make nb B_ok in
-          let states = Array.init nd (fun _ -> new_wstate ()) in
-          let skipped = Array.make nb false in
-          let worker wid () =
-            let st = states.(wid) in
-            let rec loop k =
-              if k < nb then begin
-                if Atomic.get best_cex < k then skipped.(k) <- true
-                else
-                  results.(k) <-
-                    run_timed_branch st ~branch_index:k
-                      (apply_action cfg0 actions.(k))
-                      1 (branch_sleep k)
-                      [ actions.(k) ];
-                loop (k + nd)
-              end
-            in
-            loop wid
-          in
-          let doms =
-            List.init (nd - 1) (fun wid -> Domain.spawn (worker (wid + 1)))
-          in
-          worker 0 ();
-          List.iter Domain.join doms;
-          (* deterministic merge: lowest-indexed failing branch wins *)
-          let rec first_cex k =
-            if k >= nb then None
-            else
-              match results.(k) with
-              | B_cex (cfg, schedule, at_leaf) -> Some (cfg, schedule, at_leaf)
-              | B_ok | B_aborted -> first_cex (k + 1)
-          in
-          match first_cex 0 with
-          | Some (cfg, schedule, at_leaf) ->
-            Counterexample { cfg; schedule; at_leaf }
-          | None ->
-            let all_ran =
-              Array.for_all (fun s -> not s) skipped
-              && Array.for_all (function B_ok -> true | _ -> false) results
-            in
-            finish ~exhaustive_extra:all_ran ~workers:states
-              ~extra:[ root_st ]
-        end
-    end
   end

@@ -41,47 +41,35 @@
       only singleton classes, or when [dedup] is off.
 
     - {b domain parallelism} ([domains]): subtrees are spread over worker
-      domains.  The default engine ([steal = true]) expands the root region
-      breadth-first — with the full invariant/dedup/sleep-set treatment —
-      until it holds about 32 frontier nodes per domain, deals the nodes
-      round-robin into per-worker deques, and lets an idle worker steal
-      from the {e back} of a victim's deque.  This balances at node
-      granularity rather than the root's arity, which matters for
-      symmetric workloads: at the root only invokes are enabled and they
-      are mutually independent, so root-level sleep sets leave essentially
-      one live root branch and a root split degenerates to a single busy
-      domain.  [steal = false] selects that older root-split engine (each
-      root action is one branch; branch [k] goes to domain [k mod domains],
-      a static deal so its stats do not depend on thread timing), kept for
-      comparison.  In both modes each {e domain} owns one visited set,
-      reused across every branch it runs: a configuration one branch
-      expanded prunes dominated revisits from the domain's later branches,
-      which is sound by the same dominance rule as within a single DFS
-      (the earlier branch explored at least as much below it).
-      Counterexample reporting stays deterministic: frontier expansion is
-      sequential and breadth-first, so a failure found there is the unique
-      first one in that order; among worker branches the lowest frontier
-      (or root-action) index wins, and a branch is cancelled only when a
-      lower-indexed branch already found a counterexample.  Each worker
+      domains.  The root region is expanded breadth-first — by the same
+      per-node step as the sequential DFS, with the full
+      invariant/dedup/sleep-set treatment — until it holds about 32
+      frontier nodes per domain; the nodes are dealt round-robin into
+      per-worker deques, and an idle worker steals from the {e back} of a
+      victim's deque.  This balances at node granularity rather than the
+      root's arity, which matters for symmetric workloads: at the root only
+      invokes are enabled and they are mutually independent, so root-level
+      sleep sets leave essentially one live root branch.  Each {e domain}
+      owns one visited set, reused across every node it runs: a
+      configuration one node expanded prunes dominated revisits from the
+      domain's later nodes, which is sound by the same dominance rule as
+      within a single DFS (the earlier node explored at least as much
+      below it; a domain's set is reset after a node that failed or was
+      cancelled).  Counterexample reporting stays deterministic: frontier
+      expansion is sequential and breadth-first, so a failure found there
+      is the unique first one in that order; among worker nodes the
+      lowest frontier index wins, and a node is cancelled only when a
+      lower-indexed node already found a counterexample.  Each worker
       domain gets its own [max_paths] budget, and [invariant]/[leaf_check]
       must be safe to call from several domains (pure functions are).
       Statistics (but never verdicts) can vary run to run in parallel
-      mode: branch-to-domain assignment depends on timing, which moves
+      mode: node-to-domain assignment depends on timing, which moves
       dedup hits between domains and changes their totals.
-
-    - {b bounded-memory deduplication} ([dedup_cap]): when set, each
-      visited table is capped at that many entries; after every insertion
-      the oldest keys are evicted (FIFO) until the table fits.  Eviction
-      is sound: losing an entry can only make a future revisit re-explore
-      a subtree that was already covered, never skip one, so verdicts and
-      exhaustiveness are unaffected — only the work saved by
-      deduplication shrinks (reported as [stats.evictions]).  This trades
-      time for memory on state spaces whose visited set would not fit.
 
     The engine also feeds the instrumentation layer when a sink is attached
     ({!Obs.Hooks}): a histogram of visited frontier depths
     (["explore.depth"]), periodic per-domain expansion-counter samples, and
-    one span per root branch in parallel mode.  Disarmed, none of this
+    one span per frontier node in parallel mode.  Disarmed, none of this
     allocates or runs.
 
     Programs with unbounded wait loops (e.g., mutual exclusion) generate
@@ -102,8 +90,8 @@
 
 type domain_stats = {
   d_branches : int;
-      (** root branches this worker domain stole (work-steal count; always 1
-          in sequential mode) *)
+      (** frontier nodes this worker domain ran, its own and stolen ones
+          (always 1 in sequential mode) *)
   d_expanded : int;  (** configurations this domain expanded *)
   d_configurations : int;  (** configuration visits, including pruned ones *)
   d_dedup_hits : int;  (** visits answered by this domain's visited set *)
@@ -111,11 +99,9 @@ type domain_stats = {
   d_canon_hits : int;
       (** dedup hits that crossed a symmetry orbit: the stored entry was
           created from a configuration with a different raw fingerprint *)
-  d_evictions : int;
-      (** visited-set entries this domain evicted under [dedup_cap] *)
   d_steals : int;
       (** frontier nodes this domain took from another worker's deque
-          ([steal] mode only; always 0 in root-split and sequential modes) *)
+          (always 0 in sequential mode) *)
   d_seconds : float;  (** wall time this domain spent inside branches *)
 }
 
@@ -134,9 +120,6 @@ type stats = {
       (** dedup hits merging configurations from {e different} symmetry
           orbits — the extra pruning the quotient buys beyond plain
           fingerprint dedup.  Always [0] when [symmetric] is false. *)
-  evictions : int;
-      (** visited-set entries evicted by [dedup_cap] across all domains;
-          always [0] when no cap is set *)
   symmetric : bool;
       (** the symmetry quotient was active: [symmetry] was on, [dedup] was
           on, and {!Schedule.symmetry_classes} found at least one class
@@ -166,8 +149,6 @@ val explore :
   ?reduction:bool ->
   ?symmetry:bool ->
   ?domains:int ->
-  ?steal:bool ->
-  ?dedup_cap:int ->
   supplier:('v, 'r) Schedule.supplier ->
   calls_per_proc:int array ->
   ?invariant:(('v, 'r) Sim.t -> bool) ->
@@ -178,10 +159,7 @@ val explore :
     [reduction = true], [symmetry = true] (the quotient engages only when
     [dedup] is on and {!Schedule.symmetry_classes} detects a nontrivial
     class; otherwise it is inert and [stats.symmetric] is false),
-    [domains = 1] (sequential), [steal = true] (work-stealing frontier when
-    parallel; ignored when [domains <= 1]), [dedup_cap = None] (unbounded
-    visited sets; [Invalid_argument] if given < 1), both checks accept
-    everything.  The invariant runs on every configuration including the
+    [domains = 1] (sequential), both checks accept everything.  The invariant runs on every configuration including the
     initial one; the leaf check runs on configurations where no action is
     enabled (all calls performed and everything quiescent).
     [~dedup:false ~reduction:false] is the exact naive DFS (the engine-v1

@@ -704,12 +704,12 @@ let sys ?mutant model ~n =
 
 let initial s = Shm.Sim.of_regs ~n:s.procs ~regs:s.init
 
-let verify ?max_steps ?max_paths ?dedup ?reduction ?symmetry ?domains ?steal
-    ?dedup_cap ?mutant model ~n =
+let verify ?max_steps ?max_paths ?dedup ?reduction ?symmetry ?domains
+    ?mutant model ~n =
   Result.map
     (fun s ->
        Shm.Explore.explore ?max_steps ?max_paths ?dedup ?reduction ?symmetry
-         ?domains ?steal ?dedup_cap ~supplier:s.supplier
+         ?domains ~supplier:s.supplier
          ~calls_per_proc:s.calls_per_proc ~invariant:s.invariant
          ~leaf_check:s.leaf (initial s))
     (sys ?mutant model ~n)

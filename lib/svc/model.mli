@@ -110,8 +110,6 @@ val verify :
   ?reduction:bool ->
   ?symmetry:bool ->
   ?domains:int ->
-  ?steal:bool ->
-  ?dedup_cap:int ->
   ?mutant:string ->
   model ->
   n:int ->

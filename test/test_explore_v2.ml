@@ -16,15 +16,15 @@ let checker_leaf (type v r)
     (cfg : (v, r) Shm.Sim.t) =
   Result.is_ok (Timestamp.Checker.check_sim (module T) cfg)
 
-let run_engine (type v r) ?invariant ~dedup ~reduction ~domains
+let run_engine (type v r) ?invariant ?max_paths ~dedup ~reduction ~domains
     (module T : Timestamp.Intf.S with type value = v and type result = r) ~n
     ~calls =
   let supplier ~pid ~call = T.program ~n ~pid ~call in
   let cfg =
     Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
   in
-  Shm.Explore.explore ~max_steps:400 ~dedup ~reduction ~domains ~supplier
-    ~calls_per_proc:(Array.make n calls) ?invariant
+  Shm.Explore.explore ~max_steps:400 ?max_paths ~dedup ~reduction ~domains
+    ~supplier ~calls_per_proc:(Array.make n calls) ?invariant
     ~leaf_check:(checker_leaf (module T))
     cfg
 
@@ -174,8 +174,32 @@ let invariant_cex_all_flags () =
            (invariant (Shm.Schedule.apply supplier cfg0 schedule)))
     (("baseline", false, false, 1) :: flag_combos)
 
+(* The path budget is checked by the per-node step both engines share: a
+   budget of 100 schedules (the instance has 6040) ends the search early,
+   sequential or parallel, with a non-exhaustive verdict and never a
+   counterexample. *)
+let path_budget_both_engines () =
+  List.iter
+    (fun domains ->
+       match
+         run_engine ~max_paths:100 ~dedup:true ~reduction:true ~domains
+           (module Timestamp.Simple_oneshot) ~n:4 ~calls:1
+       with
+       | Shm.Explore.Ok s ->
+         Util.check_bool
+           (Printf.sprintf "domains=%d: budget makes it non-exhaustive"
+              domains)
+           false s.exhaustive;
+         Util.check_bool
+           (Printf.sprintf "domains=%d: some schedules completed" domains)
+           true (s.paths > 0)
+       | Shm.Explore.Counterexample _ ->
+         Alcotest.failf "domains=%d: the budget produced a counterexample"
+           domains)
+    [ 1; 2 ]
+
 (* The parallel engine is deterministic: two runs return identical
-   counterexample schedules (lowest-indexed root branch wins). *)
+   counterexample schedules (lowest-indexed frontier node wins). *)
 let parallel_deterministic () =
   let run () =
     match
@@ -199,5 +223,7 @@ let suite =
         injected_bug_caught_all_flags;
       Util.case "invariant counterexamples under every flag combination"
         invariant_cex_all_flags;
+      Util.case "path budget ends both engines early"
+        path_budget_both_engines;
       Util.case "parallel counterexample reporting is deterministic"
         parallel_deterministic ] )

@@ -1,6 +1,6 @@
 (* Svc.Model: the serving-layer models under the explorer — clean-model
-   verdicts, engine equivalence (steal frontier, root split, capped
-   dedup), planted-mutant kills with shrunk schedules, the checked-in
+   verdicts, engine equivalence (sequential DFS and the steal frontier),
+   planted-mutant kills with shrunk schedules, the checked-in
    model repro corpus, a qcheck differential pinning the mpsc model to
    the real [Svc.Mpsc], and the Rmw/Await program semantics the models
    lean on. *)
@@ -63,41 +63,28 @@ let park_model_verifies () =
          [ "park-wake-first"; "park-no-recheck" ])
     [ 2; 3 ]
 
-(* Verdicts are engine-independent: sequential, steal frontier and the
-   root-split engine agree on the clean stop model, and a capped visited
-   table (which must evict at this size) changes work, never the verdict. *)
+(* Verdicts are engine-independent: the sequential DFS and the
+   work-stealing frontier agree on the clean stop model, and every planted
+   mutant dies under both. *)
 let engines_agree_on_verdicts () =
-  let seq = stats_of (Svc.Model.verify Svc.Model.Stop ~n:2) in
-  let steal = stats_of (Svc.Model.verify ~domains:2 Svc.Model.Stop ~n:2) in
-  let split =
-    stats_of (Svc.Model.verify ~domains:2 ~steal:false Svc.Model.Stop ~n:2)
-  in
-  let capped = stats_of (Svc.Model.verify ~dedup_cap:64 Svc.Model.Stop ~n:2) in
+  let engines = [ ("sequential", 1); ("steal", 2) ] in
   List.iter
-    (fun (label, (s : Shm.Explore.stats)) ->
+    (fun (label, domains) ->
+       let s = stats_of (Svc.Model.verify ~domains Svc.Model.Stop ~n:2) in
        Util.check_bool (label ^ " exhaustive") true s.exhaustive;
        Util.check_bool (label ^ " explored something") true (s.paths > 0))
-    [ ("sequential", seq); ("steal", steal); ("root-split", split);
-      ("capped", capped) ];
-  Util.check_bool "cap of 64 actually evicts" true (capped.evictions > 0);
-  Util.check_int "uncapped never evicts" 0 seq.evictions;
-  (* and on the failing side: every mutant dies under every engine *)
+    engines;
   List.iter
     (fun (m : Svc.Model.mutant) ->
        List.iter
-         (fun (label, verify) ->
-            let cex = cex_of (verify ~mutant:m.m_name m.m_model ~n:2) in
+         (fun (label, domains) ->
+            let cex =
+              cex_of (Svc.Model.verify ~domains ~mutant:m.m_name m.m_model ~n:2)
+            in
             Util.check_bool
               (Printf.sprintf "%s under %s dies" m.m_name label)
               true (cex <> []))
-         [ ( "sequential",
-             fun ~mutant model ~n -> Svc.Model.verify ~mutant model ~n );
-           ( "steal",
-             fun ~mutant model ~n ->
-               Svc.Model.verify ~domains:2 ~mutant model ~n );
-           ( "capped",
-             fun ~mutant model ~n ->
-               Svc.Model.verify ~dedup_cap:64 ~mutant model ~n ) ])
+         engines)
     Svc.Model.mutants
 
 (* Each planted mutant is killed, the counterexample replays, and the
@@ -318,7 +305,7 @@ let suite =
     [ Util.case "clean models verify exhaustively (n=2)" clean_models_verify;
       Util.case "park model verifies at n=2..3, its mutants die"
         park_model_verifies;
-      Util.case "engines agree on verdicts (steal/split/capped)"
+      Util.case "engines agree on verdicts (steal/sequential)"
         engines_agree_on_verdicts;
       Util.case "planted mutants die with shrunk schedules" mutant_kills;
       Util.case "model repro corpus replays as regressions"

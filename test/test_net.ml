@@ -994,13 +994,13 @@ let check_no_thread_spawned label before after =
 (* Connection churn: 200 sequential connect/close cycles must not grow
    the process's thread count (the PR-9 design leaked one handler
    domain per connection ever accepted), nor may a lease, and the
-   telemetry table stays at [conn_slots] slots with the live count
+   telemetry table stays at its four slots with the live count
    draining back to zero. *)
 let wire_churn_bounded () =
   let module Srv = Net.Server.Make (Timestamp.Efr) in
   let module C = Net.Client.Make (Timestamp.Efr) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
-  let srv = Srv.start ~addr ~n:4 ~conn_slots:2 () in
+  let srv = Srv.start ~addr ~n:4 () in
   Unix.sleepf 0.05;  (* let every backup thread start *)
   let th0 = os_threads () in
   for _ = 1 to 200 do
@@ -1010,7 +1010,7 @@ let wire_churn_bounded () =
   check_no_thread_spawned "no thread spawned by churn" th0 (os_threads ());
   Util.check_int "conns accounted" 200 (Srv.conns_total srv);
   let sources = Srv.net_sources srv in
-  Util.check_int "gauge table capped at conn_slots" (2 * 6)
+  Util.check_int "gauge table capped at four slots" (4 * 6)
     (List.length sources);
   let live_gauges () =
     List.fold_left

@@ -205,14 +205,14 @@ let disarmed_no_alloc () =
     (w1 -. w0 < 64.)
 
 let explore_per_domain () =
-  let explore ?steal ~domains ~n () =
+  let explore ~domains ~n () =
     let module T = Timestamp.Simple_oneshot in
     let supplier ~pid ~call = T.program ~n ~pid ~call in
     let cfg =
       Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
     in
     match
-      Shm.Explore.explore ?steal ~domains ~supplier
+      Shm.Explore.explore ~domains ~supplier
         ~calls_per_proc:(Array.make n 1)
         ~leaf_check:(fun cfg ->
             Result.is_ok (Timestamp.Checker.check_sim (module T) cfg))
@@ -228,34 +228,23 @@ let explore_per_domain () =
     seq.per_domain.(0).d_expanded;
   Util.check_int "sequential: one branch" 1 seq.per_domain.(0).d_branches;
   Util.check_bool "sequential: wall clock measured" true (seq.seconds >= 0.);
-  let par = explore ~steal:false ~domains:2 ~n:3 () in
-  let sum f = Array.fold_left (fun a d -> a + f d) 0 par.per_domain in
-  Util.check_bool "root-split: at most 2 worker entries" true
-    (Array.length par.per_domain <= 2 && Array.length par.per_domain >= 1);
-  (* the root expansion belongs to no worker; everything else does *)
-  Util.check_int "root-split: workers own all but the root expansion"
-    (par.expanded - 1)
-    (sum (fun d -> d.d_expanded));
-  Util.check_int "root-split: dedup hits attributed" par.dedup_hits
-    (sum (fun d -> d.d_dedup_hits));
-  Util.check_int "root-split: sleep skips attributed" par.sleep_skips
-    (sum (fun d -> d.d_sleep_skips));
-  Util.check_int "root-split: every root branch stolen once" 3
-    (sum (fun d -> d.d_branches));
-  Util.check_bool "root-split: exhaustive" true par.exhaustive;
-  Util.check_bool "root-split: totals positive" true (par.paths > 0);
-  (* steal mode: the breadth-first frontier expansion belongs to no worker
+  (* parallel: the breadth-first frontier expansion belongs to no worker
      (possibly many configurations), workers own everything below it *)
-  let st = explore ~steal:true ~domains:2 ~n:3 () in
-  let sum f = Array.fold_left (fun a d -> a + f d) 0 st.per_domain in
-  Util.check_bool "steal: exhaustive" true st.exhaustive;
-  Util.check_bool "steal: root owns the frontier expansions" true
-    (sum (fun d -> d.d_expanded) < st.expanded);
-  Util.check_bool "steal: workers ran the frontier nodes" true
+  let par = explore ~domains:2 ~n:3 () in
+  let sum f = Array.fold_left (fun a d -> a + f d) 0 par.per_domain in
+  Util.check_bool "frontier: at most 2 worker entries" true
+    (Array.length par.per_domain <= 2 && Array.length par.per_domain >= 1);
+  Util.check_bool "frontier: exhaustive" true par.exhaustive;
+  Util.check_bool "frontier: root owns the frontier expansions" true
+    (sum (fun d -> d.d_expanded) < par.expanded);
+  Util.check_bool "frontier: workers ran the frontier nodes" true
     (sum (fun d -> d.d_branches) > 0);
+  Util.check_bool "frontier: per-domain columns within the totals" true
+    (sum (fun d -> d.d_dedup_hits) <= par.dedup_hits
+     && sum (fun d -> d.d_sleep_skips) <= par.sleep_skips);
   (* path/dedup totals are partition-dependent (each domain owns a table),
      so only verdict-relevant positivity is pinned *)
-  Util.check_bool "steal: totals positive" true (st.paths > 0)
+  Util.check_bool "frontier: totals positive" true (par.paths > 0)
 
 let percentile_estimates () =
   let reg = Obs.Metric.registry ~name:"pct-test" () in
