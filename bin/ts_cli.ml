@@ -1095,7 +1095,7 @@ let serve_cmd =
          Printf.eprintf "ts_cli: serve: cannot listen on %s: %s\n"
            (Net.Conn.addr_to_string addr) (Unix.error_message e);
          1
-       | exception Failure msg ->
+       | exception (Failure msg | Invalid_argument msg) ->
          Printf.eprintf "ts_cli: serve: %s\n" msg;
          1
        | srv ->
@@ -1230,6 +1230,15 @@ let loadgen_cmd =
         try
           let probe = C.connect addr in
           let info = C.server_info probe in
+          (* the server counts from its start: report this run's share *)
+          let shard_stats () =
+            Array.of_list
+              (List.map
+                 (fun (s : Net.Frame.shard_stat) ->
+                    (s.ss_served, s.ss_batches, s.ss_max_batch))
+                 (fst (C.stats probe)))
+          in
+          let before = shard_stats () in
           let mk_setup ~connect ~teardown =
             { D.connect;
               num_shards = max 1 info.Net.Frame.si_shards;
@@ -1248,12 +1257,11 @@ let loadgen_cmd =
               service_stats =
                 Some
                   (fun () ->
-                     let sh, _ = C.stats probe in
-                     Array.of_list
-                       (List.map
-                          (fun (s : Net.Frame.shard_stat) ->
-                             (s.ss_served, s.ss_batches, s.ss_max_batch))
-                          sh)) }
+                     Array.mapi
+                       (fun i (served, batches, max_batch) ->
+                          let served0, batches0, _ = before.(i) in
+                          (served - served0, batches - batches0, max_batch))
+                       (shard_stats ())) }
           in
           let r =
             if procs > 1 then
@@ -1436,7 +1444,10 @@ let loadgen_cmd =
              in-process service; $(b,tcp) drives a live wire server \
              ($(b,ts_cli serve --listen)) at $(b,--addr) through \
              Net.Client — $(b,--shards)/$(b,--batch)/$(b,--direct) are \
-             then the server's business and ignored here.")
+             then the server's business and ignored here.  Its shard \
+             lines count this run's $(b,served) and $(b,batches) per \
+             server I/O loop; $(b,max_batch) is the server's lifetime \
+             maximum.")
   in
   let addr =
     Arg.(

@@ -247,6 +247,36 @@ wait "$os_pid" || {
   echo "net smoke: one-shot server did not stop cleanly" >&2
   cat /tmp/oneshot_serve.log >&2; exit 1; }
 
+echo "== net smoke: connections come and go, the loop keeps its pid =="
+# Each I/O loop runs as one of a long-lived object's n processes and no
+# connection holds a pid: three runs against n=2 on one loop all serve
+# (a pid per stamping connection, never returned, refused the third).
+pid_sock=/tmp/ts_ci_pids.sock
+rm -f "$pid_sock" /tmp/pids_serve.log
+"$ts_bin" serve -i lamport-longlived -n 2 --io-threads 1 \
+  --listen "unix:$pid_sock" > /tmp/pids_serve.log 2>&1 &
+pids_pid=$!
+i=0
+while [ ! -S "$pid_sock" ] && [ "$i" -lt 100 ]; do
+  sleep 0.1; i=$((i + 1))
+done
+for run in 1 2 3; do
+  stop=""
+  [ "$run" -eq 3 ] && stop=--stop-server
+  run_out=$("$ts_bin" loadgen -i lamport-longlived --transport tcp \
+    --addr "unix:$pid_sock" --clients 1 -r 5 $stop) || {
+    echo "net smoke: run $run against n=2 failed" >&2
+    kill "$pids_pid" 2>/dev/null; exit 1; }
+  echo "$run_out"
+  echo "$run_out" | grep -q "checker: OK" \
+    && echo "$run_out" | grep -q " served=5 " || {
+    echo "net smoke: run $run did not report its own 5 checked stamps" >&2
+    kill "$pids_pid" 2>/dev/null; exit 1; }
+done
+wait "$pids_pid" || {
+  echo "net smoke: n=2 server did not stop cleanly" >&2
+  cat /tmp/pids_serve.log >&2; exit 1; }
+
 echo "== net2 sanity: fast E19 reactor bench emits schema-valid JSON =="
 bench --fast --only e19
 dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_net2.json"

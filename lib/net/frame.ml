@@ -98,8 +98,6 @@ let error_to_string = function
   | Oversized len -> Printf.sprintf "oversized frame (%d > %d)" len max_payload
   | Malformed msg -> Printf.sprintf "malformed frame: %s" msg
 
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
-
 let op_ping = 1
 let op_get_stamp = 2
 let op_get_range = 3

@@ -99,8 +99,6 @@ type error =
 
 val error_to_string : error -> string
 
-val pp_error : Format.formatter -> error -> unit
-
 val encode_req : req -> string
 (** Payload bytes (no length prefix) — the exact bytes {!decode_req}
     accepts.  Mainly for tests; senders use {!write_req}. *)

@@ -1,12 +1,8 @@
 (* Wire-facing timestamp server: a sharded event-loop reactor.
 
-   PR 9 spawned one handler domain per connection — simple, but OCaml
-   caps the domain count at ~[Domain.recommended_domain_count] (128 on
-   most builds), the handler list grew without bound under churn, and a
-   thousand connections would need a thousand domains.  This version
-   keeps a small fixed pool of I/O domains ([io_threads], default =
-   shards); each loop multiplexes many non-blocking connections with
-   [Unix.select], driving a per-connection state machine:
+   A small fixed pool of I/O domains ([io_threads], default = shards)
+   each multiplexes many non-blocking connections with [Unix.select],
+   driving a per-connection state machine:
 
    - reads may deliver partial frames; bytes accumulate in the
      connection's receive buffer until {!Frame.frame_length} says a
@@ -19,22 +15,22 @@
      blocking; past a high-water mark the loop also stops *reading*
      from that connection (backpressure instead of unbounded buffering).
 
-   A getTS runs on the loop that decoded its frame, as in the paper's
-   model (Section 2), where a process runs its own getTS against the
-   shared registers: [Get_stamp] and a lease's anchor execute through
-   one {!Svc.Client.Direct} context, which holds the register store, the
-   tick and the pid counter.  The cost: while a loop runs a burst of
-   getTS, its other connections wait behind the burst (DESIGN.md §14).
-
-   Nothing polls.  A loop with nothing to do parks ({!Svc.Park}): it arms
-   its park, re-checks its mailbox for handed-over connections, and only
-   then blocks in [select] with no timeout.
+   Each loop is one of the paper's sequential processes (Section 2): it
+   runs every getTS it decodes to completion, [Get_stamp] and lease
+   anchors alike, on its own {!Svc.Client.Direct} handle, connected in
+   [start].  For a long-lived object loop i is pid i, so [n] must be at
+   least [io_threads]; a one-shot object draws a fresh pid per getTS.
+   No connection holds a pid, so none can leak one.  The cost: while a
+   loop runs a burst of getTS, its other connections wait behind the
+   burst (DESIGN.md §14).
 
    Loop 0 also accepts: the non-blocking listen socket sits in its
    [select] set, and each new fd goes to a loop (connection id mod
-   io_threads), through a lock-free mailbox and a wake for the others.
-   [select] cannot watch an fd at or above [FD_SETSIZE], so such an fd
-   is closed at accept and counted as refused.
+   io_threads) through a lock-free mailbox, followed by one byte on that
+   loop's wake pipe, which is in every [select] set of the loop: a loop
+   blocks with no timeout and never polls.  [select] cannot watch an fd
+   at or above [FD_SETSIZE], so such an fd is closed at accept and
+   counted as refused.
 
    Protocol: one frame format ({!Frame}).  Stamps are encoded with the
    implementation's {!Codec} straight into the send buffer, and
@@ -89,13 +85,10 @@ module Make (T : Timestamp.Intf.S) = struct
 
   type loop = {
     lp_index : int;
+    lp_client : D.t;  (* the loop's process: every getTS it runs *)
     lp_incoming : (int * Unix.file_descr) list Atomic.t;
     lp_wake_r : Unix.file_descr;
     lp_wake_w : Unix.file_descr;
-    lp_park : Svc.Park.t;  (* wakes write [lp_wake_w] *)
-    lp_live : int Atomic.t;
-    (* Owned by the loop's domain; connected by its first lease. *)
-    mutable lp_anchor : D.t option;
     (* Written by the loop's domain only; [Stats] and the telemetry
        sampler read them live (plain int reads cannot tear). *)
     mutable lp_served : int;  (* getTS programs run *)
@@ -107,7 +100,6 @@ module Make (T : Timestamp.Intf.S) = struct
     cv_conn : Conn.t;
     cv_slot : slot;
     cv_loop : loop;  (* the owning loop *)
-    mutable cv_client : D.t option;
     mutable cv_read_eof : bool;  (* peer done sending: answer, then close *)
     mutable cv_dead : bool;  (* socket gone: drop immediately *)
     mutable cv_last_in : int;
@@ -122,8 +114,7 @@ module Make (T : Timestamp.Intf.S) = struct
     slots : slot array;
     loops : loop array;
     mutable loop_doms : unit Domain.t list;
-    next_conn : int Atomic.t;
-    accepted : int Atomic.t;  (* cumulative, for the shutdown summary *)
+    next_conn : int Atomic.t;  (* also the cumulative connection count *)
     refused : int Atomic.t;  (* closed at accept: fd >= FD_SETSIZE *)
     stop_requested : bool Atomic.t;  (* a client sent Stop *)
     stopping : bool Atomic.t;  (* shutdown underway *)
@@ -158,29 +149,8 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* -------------------------- request handling --------------------- *)
 
-  (* Lazily: control and lease-only connections must not consume one of
-     a long-lived object's n process ids. *)
-  let client t cv =
-    match cv.cv_client with
-    | Some c -> c
-    | None ->
-      let c = D.connect t.ctx in
-      cv.cv_client <- Some c;
-      c
-
-  (* Lease anchors run on the loop's own handle, so lease-only
-     connections hold no pid.  The cost: a long-lived object gives one
-     pid to each loop that has granted a lease. *)
-  let anchor t loop =
-    match loop.lp_anchor with
-    | Some c -> c
-    | None ->
-      let c = D.connect t.ctx in
-      loop.lp_anchor <- Some c;
-      c
-
-  let run_getts loop c =
-    let s = D.stamp c in
+  let run_getts loop =
+    let s = D.stamp loop.lp_client in
     loop.lp_served <- loop.lp_served + 1;
     s
 
@@ -189,9 +159,8 @@ module Make (T : Timestamp.Intf.S) = struct
   let err cv msg = reply cv (Frame.Err msg)
 
   (* Answers one request into the send buffer.  A getTS runs here, on
-     the loop; [Invalid_argument] from {!D.connect} (a long-lived object
-     past n) or {!D.stamp} (a one-shot object out of pids) becomes the
-     peer's [Err]. *)
+     the loop; [Invalid_argument] from {!D.stamp} (a one-shot object out
+     of pids) becomes the peer's [Err]. *)
   let handle_payload t cv payload =
     bump cv.cv_slot.k_requests 1;
     let out = Conn.send_buffer cv.cv_conn in
@@ -205,7 +174,7 @@ module Make (T : Timestamp.Intf.S) = struct
         match req with
         | Frame.Ping -> reply cv (Frame.Pong t.info)
         | Frame.Get_stamp -> (
-            match run_getts loop (client t cv) with
+            match run_getts loop with
             | s ->
               Frame.write_stamp_v2 out codec ~pid:s.st_pid ~call:s.st_call
                 ~shard:loop.lp_index ~start_tick:s.st_start_tick
@@ -218,7 +187,7 @@ module Make (T : Timestamp.Intf.S) = struct
               (Printf.sprintf "lease size %d out of range [1, %d]" k
                  Frame.max_lease)
           else (
-            match run_getts loop (anchor t loop) with
+            match run_getts loop with
             | s ->
               (* the k end ticks are reserved strictly after the anchor
                  executed *)
@@ -249,11 +218,18 @@ module Make (T : Timestamp.Intf.S) = struct
     bump cv.cv_slot.k_bytes_out (bout - cv.cv_last_out);
     cv.cv_last_out <- bout
 
-  let close_conn loop cv =
+  let close_conn cv =
     sync_bytes cv;
     Conn.close cv.cv_conn;
-    bump cv.cv_slot.k_conns (-1);
-    ignore (Atomic.fetch_and_add loop.lp_live (-1))
+    bump cv.cv_slot.k_conns (-1)
+
+  let wake_byte = Bytes.make 1 '!'
+
+  (* Makes the loop's [select] return; a full pipe already holds a
+     wakeup. *)
+  let wake loop =
+    try ignore (Unix.write loop.lp_wake_w wake_byte 0 1)
+    with Unix.Unix_error _ -> ()
 
   let drain_wake_pipe fd =
     let scratch = Bytes.create 64 in
@@ -293,14 +269,12 @@ module Make (T : Timestamp.Intf.S) = struct
         { cv_conn = conn;
           cv_slot = t.slots.(cid mod Array.length t.slots);
           cv_loop = loop;
-          cv_client = None;
           cv_read_eof = false;
           cv_dead = false;
           cv_last_in = 0;
           cv_last_out = 0 }
       in
       bump cv.cv_slot.k_conns 1;
-      ignore (Atomic.fetch_and_add loop.lp_live 1);
       Hashtbl.replace conns fd cv
     in
     let drain_incoming () =
@@ -310,7 +284,6 @@ module Make (T : Timestamp.Intf.S) = struct
     in
     let dispatch fd =
       let cid = Atomic.fetch_and_add t.next_conn 1 in
-      ignore (Atomic.fetch_and_add t.accepted 1);
       let target = t.loops.(cid mod Array.length t.loops) in
       if target == loop then adopt (cid, fd)
       else begin
@@ -323,7 +296,7 @@ module Make (T : Timestamp.Intf.S) = struct
           then push ()
         in
         push ();
-        Svc.Park.wake target.lp_park
+        wake target
       end
     in
     (* Loop 0 only: take every connection the backlog holds. *)
@@ -375,7 +348,7 @@ module Make (T : Timestamp.Intf.S) = struct
         Hashtbl.iter
           (fun _ cv ->
              if not cv.cv_dead then flush_for_close cv;
-             close_conn loop cv)
+             close_conn cv)
           conns;
         Hashtbl.reset conns;
         finished := true
@@ -398,7 +371,7 @@ module Make (T : Timestamp.Intf.S) = struct
         List.iter
           (fun (fd, cv) ->
              Hashtbl.remove conns fd;
-             close_conn loop cv)
+             close_conn cv)
           !dead;
         let rds = ref [ loop.lp_wake_r ] and wrs = ref [] in
         if accepts then rds := t.listen_fd :: !rds;
@@ -409,12 +382,11 @@ module Make (T : Timestamp.Intf.S) = struct
              then rds := fd :: !rds;
              if Conn.pending_out cv.cv_conn > 0 then wrs := fd :: !wrs)
           conns;
-        (* Park: arm, re-check the mailbox, and block in select with no
-           timeout until I/O or a wake. *)
-        Svc.Park.arm loop.lp_park;
-        let timeout = if Atomic.get loop.lp_incoming <> [] then 0.0 else -1.0 in
+        (* Block until I/O or a byte on the wake pipe: a hand-over
+           pushed after [drain_incoming] has written its byte by now or
+           will, so the mailbox is never left unread. *)
         let rds', wrs', _ =
-          try Unix.select !rds !wrs [] timeout with
+          try Unix.select !rds !wrs [] (-1.0) with
           | Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
           | Unix.Unix_error (Unix.EBADF, _, _) ->
             (* a peer died between iterations; sweep on the next pass *)
@@ -426,7 +398,6 @@ module Make (T : Timestamp.Intf.S) = struct
               conns;
             ([], [], [])
         in
-        Svc.Park.disarm loop.lp_park;
         if List.memq loop.lp_wake_r rds' then drain_wake_pipe loop.lp_wake_r;
         if accepts && List.memq t.listen_fd rds' then accept_all ();
         List.iter
@@ -453,13 +424,10 @@ module Make (T : Timestamp.Intf.S) = struct
     if Atomic.compare_and_set t.stopped false true then begin
       Atomic.set t.stopping true;
       Svc.Park.wake t.stop_park;
-      (* wake every loop so it sees the flag, parked or not, then join:
-         loops flush their answered bytes and close their connections *)
-      Array.iter
-        (fun l ->
-           try ignore (Unix.write l.lp_wake_w (Bytes.make 1 '!') 0 1)
-           with Unix.Unix_error _ -> ())
-        t.loops;
+      (* wake every loop so it sees the flag, in select or not, then
+         join: loops flush their answered bytes and close their
+         connections *)
+      Array.iter wake t.loops;
       List.iter Domain.join t.loop_doms;
       t.loop_doms <- [];
       (* loop 0 has stopped selecting on the listen socket *)
@@ -485,6 +453,14 @@ module Make (T : Timestamp.Intf.S) = struct
     let io_threads = match io_threads with Some k -> k | None -> shards in
     if io_threads <= 0 then
       invalid_arg "Server.start: io_threads must be positive";
+    (match T.kind with
+     | `Long_lived when n < io_threads ->
+       invalid_arg
+         (Printf.sprintf
+            "Server.start: %s is long-lived and each I/O loop runs as one \
+             of its processes: n=%d is below io_threads=%d"
+            T.name n io_threads)
+     | `Long_lived | `One_shot -> ());
     let ctx = D.create_ctx ~n () in
     let unlink_path () =
       match addr with
@@ -524,12 +500,10 @@ module Make (T : Timestamp.Intf.S) = struct
         Unix.set_nonblock r;
         Unix.set_nonblock w;
         { lp_index = i;
+          lp_client = D.connect ctx;
           lp_incoming = Atomic.make [];
           lp_wake_r = r;
           lp_wake_w = w;
-          lp_park = Svc.Park.of_pipe w;
-          lp_live = Atomic.make 0;
-          lp_anchor = None;
           lp_served = 0;
           lp_batches = 0;
           lp_max_batch = 0 }
@@ -559,7 +533,6 @@ module Make (T : Timestamp.Intf.S) = struct
         loops;
         loop_doms = [];
         next_conn = Atomic.make 0;
-        accepted = Atomic.make 0;
         refused = Atomic.make 0;
         stop_requested = Atomic.make false;
         stopping = Atomic.make false;
@@ -591,7 +564,7 @@ module Make (T : Timestamp.Intf.S) = struct
   let domains t = Array.length t.loops
 
   let live_conns t =
-    Array.fold_left (fun acc l -> acc + Atomic.get l.lp_live) 0 t.loops
+    Array.fold_left (fun acc sl -> acc + Atomic.get sl.k_conns) 0 t.slots
 
   let stop_wanted t = Atomic.get t.stop_requested || Atomic.get t.stopping
 
@@ -604,7 +577,7 @@ module Make (T : Timestamp.Intf.S) = struct
   let requests_total t =
     Array.fold_left (fun acc sl -> acc + Atomic.get sl.k_requests) 0 t.slots
 
-  let conns_total t = Atomic.get t.accepted
+  let conns_total t = Atomic.get t.next_conn
 
   let net_sources t =
     List.concat

@@ -9,21 +9,23 @@
 
     Each request is answered while its frame is parsed, on the loop
     that decoded it, so replies leave in request order without a queue.
-    [Get_stamp] and a lease's anchor run their getTS right there, as a
-    process does in the paper's model, through one {!Svc.Client.Direct}
-    context that holds the register store, the tick and the pid counter:
-    the start tick is read before the program and the end tick claimed
-    with one fetch-and-add after it.  The trade-off: while a loop runs a
-    burst of expensive getTS, its other connections' [Ping]/[Stats]/
-    [Compare] wait behind the burst (DESIGN.md §14).
+    Each loop is one of the paper's sequential processes: [Get_stamp]
+    and a lease's anchor run their getTS right there, on the loop's own
+    {!Svc.Client.Direct} handle over one shared context (register
+    store, tick, pid counter).  The start tick is read before the
+    program and the end tick claimed with one fetch-and-add after it.
+    For a long-lived object loop [i] is pid [i], whichever connections
+    it serves; a one-shot object draws a fresh pid per getTS, and once
+    [n] are spent each further getTS gets an [Err].  The trade-off:
+    while a loop runs a burst of expensive getTS, its other
+    connections' [Ping]/[Stats]/[Compare] wait behind the burst
+    (DESIGN.md §14).
 
-    No domain polls.  A loop with nothing to do parks ({!Svc.Park}): it
-    re-checks its mailbox of handed-over connections, then blocks in
-    [select] without a timeout.  Loop 0 also accepts: the listen socket
-    is in its [select] set, and each new fd goes to a loop (connection
-    id mod io_threads) through a lock-free mailbox plus a wake.  An
-    accepted fd at or above [FD_SETSIZE] (1024), which [select] cannot
-    watch, is closed at once and counted in {!refused}.
+    Loop 0 also accepts: the listen socket is in its [select] set, and
+    each new fd goes to a loop (connection id mod io_threads) through a
+    lock-free mailbox plus one byte on that loop's wake pipe, so no loop
+    polls.  An accepted fd at or above [FD_SETSIZE] (1024), which
+    [select] cannot watch, is closed at once and counted in {!refused}.
 
     Stamps are codec-encoded straight into the send buffer, and
     [Compare] payloads are parsed with the implementation's strict
@@ -31,20 +33,10 @@
     raises [Invalid_argument] ({!Codec.for_impl}), so it can never reach
     a socket.
 
-    A connection connects its own {!Svc.Client.Direct} handle lazily, on
-    its first [Get_stamp]: control and lease-only connections never
-    consume one of a long-lived object's [n] process ids, and a
-    connection past [n] gets an [Err] saying "at most n".  A one-shot
-    object draws a fresh pid per stamp; once [n] are spent, each further
-    stamp gets an [Err].
-
     Anchors on demand: a [Get_range k] lease is one anchor getTS plus [k]
     end ticks reserved after it executed
-    ({!Svc.Client.Direct.reserve_ticks}, DESIGN.md §14).  Each lease runs
-    its own anchor on the loop's anchor handle, connected by the loop's
-    first lease.  Nothing runs while nobody asks.  For a long-lived
-    object each loop that has granted a lease holds one of the [n]
-    process ids; a one-shot object spends one per lease (DESIGN.md §15).
+    ({!Svc.Client.Direct.reserve_ticks}, DESIGN.md §14–15).  Nothing
+    runs while nobody asks.
 
     The [Stats] reply's per-shard entries count per I/O loop: [served]
     is the getTS programs the loop ran, [batches] the parse passes that
@@ -69,13 +61,15 @@ module Make (T : Timestamp.Intf.S) : sig
       on [addr] (an existing Unix socket path is unlinked first; TCP sets
       [SO_REUSEADDR]), and spawns the [io_threads] I/O loops — the only
       domains it starts, independent of connection count and of leases.
-      [shards] (default 1) is only the default for [io_threads].  On
-      bind/listen failure the exception is re-raised; if the listen
-      socket or a loop's wake pipe lands on an fd at or above
-      [FD_SETSIZE], it fails with [Failure] naming the fd.  If a loop's
-      [Domain.spawn] fails, the start is undone as by {!stop} (loops
-      joined, fds closed, a Unix path unlinked) before the exception is
-      re-raised. *)
+      [shards] (default 1) is only the default for [io_threads].  A
+      long-lived object needs [n >= io_threads], one pid per loop;
+      otherwise [Invalid_argument] naming both numbers is raised before
+      any fd exists.  On bind/listen failure the exception is re-raised;
+      if the listen socket or a loop's wake pipe lands on an fd at or
+      above [FD_SETSIZE], it fails with [Failure] naming the fd.  If a
+      loop's [Domain.spawn] fails, the start is undone as by {!stop}
+      (loops joined, fds closed, a Unix path unlinked) before the
+      exception is re-raised. *)
 
   val bound_addr : t -> Conn.addr
   (** The actual listening address — resolves a requested TCP port 0 to

@@ -40,6 +40,7 @@ module Direct (T : Timestamp.Intf.S) = struct
     tick : int Atomic.t;
     next_pid : int Atomic.t;
     n : int;
+    armed : bool;  (* Obs.Hooks.armed, sampled once at creation *)
   }
 
   let create_ctx ~n () =
@@ -49,7 +50,8 @@ module Direct (T : Timestamp.Intf.S) = struct
           ~init:(T.init_value ~n);
       tick = Atomic.make 0;
       next_pid = Atomic.make 0;
-      n }
+      n;
+      armed = Obs.Hooks.armed () }
 
   type t = { ctx : ctx; pid : int; mutable call : int }
 
@@ -84,8 +86,10 @@ module Direct (T : Timestamp.Intf.S) = struct
         (c.pid, call)
     in
     let start_tick = Atomic.get ctx.tick in
+    let program = T.program ~n:ctx.n ~pid ~call in
     let ts =
-      Multicore.Exec.run ~regs:ctx.regs (T.program ~n:ctx.n ~pid ~call)
+      if ctx.armed then Multicore.Exec.run_obs ~pid ~regs:ctx.regs program
+      else Multicore.Exec.run ~regs:ctx.regs program
     in
     let end_tick = Atomic.fetch_and_add ctx.tick 1 in
     { st_pid = pid; st_call = call; st_start_tick = start_tick;

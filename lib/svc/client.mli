@@ -67,6 +67,10 @@ module Direct (T : Timestamp.Intf.S) : sig
   (** Shared register store + global tick + pid allocator. *)
 
   val create_ctx : n:int -> unit -> ctx
+  (** Samples {!Obs.Hooks.armed} once: when set, every {!stamp} on this
+      context runs under {!Multicore.Exec.run_obs}, reporting its
+      register operations tagged with its pid, as the service's workers
+      do. *)
 
   val connect : ctx -> t
   (** For a long-lived object each connect claims the next process id

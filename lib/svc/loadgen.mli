@@ -108,9 +108,6 @@ type report = {
   lg_stalls : int;  (** stall-detector events (0 when telemetry off) *)
 }
 
-val mode_string : cfg -> string
-(** Human-readable summary of the built-in modes (used for [lg_mode]). *)
-
 val arrival_string : cfg -> string
 (** [""] for the closed loop, [" open rate=R/s"] for the open loop —
     suffix for custom transports' mode labels. *)

@@ -594,16 +594,16 @@ let stop_sys ~mutant ~n =
     leaf }
 
 (* --------------------------- park --------------------------------- *)
-(* Registers: 0 = the session park's [parked] flag, 1 = its wakeup token
-   (the condition variable's token, or the byte in a reactor's
-   self-pipe), 2+j = the done flag of the j-th record of one session's
-   run in a stamp chunk, j < n.  The worker (pid 0) flips the run's done
-   flags and then wakes once: read parked, and if it is raised, CAS it
-   down and set the token — [Park.wake].  The waiter (pid 1) awaits the
-   records in order within one call, as [Client.Inproc.stamp_batch] does:
-   per record one poll (the spin, collapsed to a single read), then park
-   — raise parked, re-check the flag, and only if it is still clear await
-   the token, consume it, lower parked and check again.
+(* Registers: 0 = the session park's [parked] flag, 1 = its condition
+   variable's wakeup token, 2+j = the done flag of the j-th record of one
+   session's run in a stamp chunk, j < n.  The worker (pid 0) flips the
+   run's done flags and then wakes once: read parked, and if it is
+   raised, CAS it down and set the token — [Park.wake].  The waiter
+   (pid 1) awaits the records in order within one call, as
+   [Client.Inproc.stamp_batch] does: per record one poll (the spin,
+   collapsed to a single read), then park — raise parked, re-check the
+   flag, and only if it is still clear await the token, consume it,
+   lower parked and check again.
 
    The leaf check is the liveness claim: at a maximal configuration the
    waiter is not blocked, so no wakeup was lost.  A lost wakeup leaves the

@@ -82,8 +82,6 @@ type mutant = {
 
 val mutants : mutant list
 
-val mutant_of_name : string -> (mutant, string) Stdlib.result
-
 type sys = {
   procs : int;  (** total processes: n clients/producers plus the fixed
                     roles (consumer, worker shards, stopper) *)
@@ -131,16 +129,13 @@ val replay :
     the schedule is structurally invalid (stepping an idle process,
     invoking past the call budget) or the model/mutant pair is unknown. *)
 
-val impl_string : model -> string option -> string
-(** ["model/<model>"] or ["model/<model>/<mutant>"]: the [impl] field
-    used in model repro documents, distinguishable from fuzz repros. *)
-
 val impl_of_string : string -> (model * string option, string) Stdlib.result
 
 val to_repro :
   ?mutant:string -> model -> n:int -> Shm.Schedule.action list -> Fuzz.Repro.t
 (** Packages a failing schedule as a corpus document (fuzz repro schema,
-    [impl] from {!impl_string}). *)
+    [impl] ["model/<model>"] or ["model/<model>/<mutant>"], distinguishable
+    from fuzz repros). *)
 
 val replay_repro : Fuzz.Repro.t -> (string option, string) Stdlib.result
 (** {!replay} driven by a loaded corpus document. *)

@@ -421,8 +421,6 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let num_shards t = Array.length t.shards
 
-  let shard_of_session session = session.s_shard
-
   (* ------------------------------------------------------------------ *)
   (* Live gauges for the telemetry sampler.  Every closure is safe on a
      foreign domain: it reads atomics or plain int fields (which cannot

@@ -140,8 +140,6 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val num_shards : t -> int
 
-  val shard_of_session : session -> int
-
   val telemetry_sources : t -> (string * (unit -> float)) list
   (** Named live gauges, safe to sample from any domain: per shard [i],
       [si.depth] (submitted-not-yet-batched), [si.served], [si.batches],

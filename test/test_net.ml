@@ -455,39 +455,70 @@ let wire_end_to_end () =
   Srv.stop srv;
   Util.check_bool "socket path unlinked" false (Sys.file_exists path)
 
-let session_exhaustion_is_clean () =
+(* A loop is one of the object's n processes and a connection holds no
+   pid, so connections come and go for the server's whole life: with
+   n = 2 and one loop, 50 connections one after another (every fifth on
+   a lease) and then 3 open at once are all served, and every stamp
+   passes the timed checker.  (A pid per stamping connection, never
+   returned, refused the third connection.) *)
+let wire_connection_churn_keeps_pids () =
   let module Srv = Net.Server.Make (Timestamp.Lamport) in
   let module C = Net.Client.Make (Timestamp.Lamport) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~io_threads:1 ~addr ~n:2 () in
+  let serial =
+    List.concat
+      (List.init 50 (fun i ->
+           let c =
+             if i mod 5 = 4 then C.connect ~lease:4 addr else C.connect addr
+           in
+           let got = List.init 3 (fun _ -> C.stamp c) in
+           C.close c;
+           got))
+  in
+  let open_at_once = List.init 3 (fun _ -> C.connect addr) in
+  let concurrent =
+    List.concat (List.init 2 (fun _ -> List.map C.stamp open_at_once))
+  in
+  List.iter C.close open_at_once;
+  Srv.stop srv;
+  let stamps = serial @ concurrent in
+  Util.check_int "every stamp served" 156 (List.length stamps);
+  Util.check_bool "every stamp ran as the loop's pid 0" true
+    (List.for_all (fun s -> s.st_pid = 0) stamps);
+  let timed =
+    List.map
+      (fun s ->
+         { Timestamp.Checker.td_pid = s.st_pid; td_call = s.st_call;
+           td_start = s.st_start_tick; td_end = s.st_end_tick;
+           td_ts = s.st_ts })
+      stamps
+  in
+  match
+    Timestamp.Checker.check_timed ~order:Timestamp.Lamport.order
+      ~compare_ts:Timestamp.Lamport.compare_ts ~pp:Timestamp.Lamport.pp_ts
+      timed
+  with
+  | Result.Ok pairs -> Util.check_bool "checker verified pairs" true (pairs > 0)
+  | Result.Error v ->
+    Alcotest.failf "churned stamps violate happens-before: %a"
+      Timestamp.Checker.pp_violation v
+
+(* A long-lived object's loops are its processes: fewer processes than
+   loops is refused before any fd exists, so no socket file appears. *)
+let wire_start_refuses_n_below_loops () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
   let path = sock_path () in
-  let addr = Net.Conn.Unix_path path in
-  let srv = Srv.start ~addr ~n:1 () in
-  let c1 = C.connect addr in
-  let _ = C.stamp c1 in
-  (* second stamping connection exceeds the long-lived object's n=1 *)
-  let c2 = C.connect addr in
-  (match C.stamp c2 with
-   | _ -> Alcotest.fail "over-n session unexpectedly served"
-   | exception Error msg ->
-     Util.check_bool "clean server-side error" true (contains msg "at most"));
-  (* the refused connection can still use sessionless requests *)
-  let _ = C.server_info c2 in
-  Util.check_bool "refused conn still compares" true
-    (let s = C.stamp c1 and s' = C.stamp c1 in
-     C.compare_remote c2 s s');
-  (* a lease's anchor needs the loop's anchor handle: with the only
-     pid held, the lease gets the "at most n" error at once *)
-  let c3 = C.connect ~lease:4 addr in
-  let t0 = Unix.gettimeofday () in
-  (match C.stamp c3 with
-   | _ -> Alcotest.fail "lease anchored without a free pid"
-   | exception Error msg ->
-     Util.check_bool "clean lease error" true (contains msg "at most"));
-  Util.check_bool "lease refused in under 1 s" true
-    (Unix.gettimeofday () -. t0 < 1.0);
-  C.close c1;
-  C.close c2;
-  C.close c3;
-  Srv.stop srv
+  Sys.remove path;
+  (match Srv.start ~io_threads:3 ~addr:(Net.Conn.Unix_path path) ~n:2 () with
+   | srv ->
+     Srv.stop srv;
+     Alcotest.fail "n=2 accepted for 3 loops"
+   | exception Invalid_argument msg ->
+     Util.check_bool "the error names n" true (contains msg "n=2");
+     Util.check_bool "the error names io_threads" true
+       (contains msg "io_threads=3"));
+  Util.check_bool "no socket file" false (Sys.file_exists path)
 
 (* --------------------- leases under concurrency -------------------- *)
 
@@ -1132,14 +1163,25 @@ let wire_fd_setsize_refused () =
 (* Lost-wakeup stress: in-process sessions, wire clients and leased
    wire clients send pipelined bursts of random depth with random
    microsecond gaps, so completions race every stage of a waiter's park,
-   leased ones through the loops' anchor handles.  A watchdog turns a lost
-   wakeup into a failure instead of a hang; every stamp must also pass
-   the timed happens-before checker. *)
+   and hand-overs race each wire loop's wait in select.  A watchdog
+   turns a lost wakeup into a failure instead of a hang; every stamp
+   must also pass the timed happens-before checker. *)
 let park_stress () =
   let clients = 3 and rounds = 150 in
   let calls_in_session_order stamps =
     List.map (fun s -> s.st_call) stamps
     = List.init (List.length stamps) Fun.id
+  in
+  (* a connection's stamps run on its loop's process, in the order sent *)
+  let rec calls_increase = function
+    | a :: (b :: _ as rest) -> a.st_call < b.st_call && calls_increase rest
+    | _ -> true
+  in
+  let one_pid_in_order = function
+    | [] -> true
+    | s0 :: _ as stamps ->
+      List.for_all (fun s -> s.st_pid = s0.st_pid) stamps
+      && calls_increase stamps
   in
   (* a lease's mints share its anchor's call *)
   let rec ends_increase = function
@@ -1215,10 +1257,10 @@ let park_stress () =
   let module Srv = Net.Server.Make (Timestamp.Efr) in
   let module C = Net.Client.Make (Timestamp.Efr) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
-  (* one pid per stamping client, one per loop's anchor handle *)
-  let srv = Srv.start ~shards:2 ~io_threads:2 ~addr ~n:(clients + 2) () in
+  (* one pid per I/O loop, however many clients connect *)
+  let srv = Srv.start ~shards:2 ~io_threads:2 ~addr ~n:2 () in
   let wire = Array.init clients (fun _ -> C.connect addr) in
-  drive ~label:"wire" ~in_order:calls_in_session_order (fun i depth ->
+  drive ~label:"wire" ~in_order:one_pid_in_order (fun i depth ->
       C.stamp_batch wire.(i) depth);
   Array.iter C.close wire;
   let leased = Array.init clients (fun _ -> C.connect ~lease:4 addr) in
@@ -1301,8 +1343,10 @@ let suite =
         wire_fd_setsize_refused;
       Util.case "park: random bursts and gaps never lose a wakeup"
         park_stress;
-      Util.case "wire: session exhaustion is a clean error"
-        session_exhaustion_is_clean;
+      Util.case "wire: churned connections never exhaust n=2"
+        wire_connection_churn_keeps_pids;
+      Util.case "wire: long-lived n below io_threads is refused"
+        wire_start_refuses_n_below_loops;
       Util.case "lease: concurrent clients stay hb-sound"
         lease_concurrent_clients;
       Util.case "lease: anchors run only on demand" lease_anchors_on_demand;
