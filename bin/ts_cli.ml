@@ -356,22 +356,23 @@ let stress_cmd =
     let rc =
       with_obs out @@ fun _ ->
       let (Timestamp.Registry.Impl (module T)) = impl in
-      let module S = Multicore.Stress.Make (T) in
+      let cfg = Svc.Loadgen.stress impl ~n ~calls in
       (* a non-positive [n], or one past the runtime's domain limit, is
          refused by the library: report it, exit 1 *)
-      match S.run_and_check ~n ~calls () with
+      match Svc.Loadgen.run impl cfg with
       | exception (Invalid_argument msg | Failure msg) ->
         Printf.eprintf "ts_cli: stress: %s\n" msg;
         1
-      | Ok pairs ->
-        Printf.printf
-          "%s: %d domains x %d calls OK (%d ordered pairs checked)\n" T.name n
-          (match T.kind with `One_shot -> 1 | `Long_lived -> calls)
-          pairs;
-        0
-      | Error e ->
+      | { lg_violation = Some e; _ } ->
         Printf.eprintf "VIOLATION: %s\n" e;
         1
+      | { lg_violation = None; lg_hb_pairs = pairs; lg_total = m; _ } ->
+        (* every pair of calls is either ordered or concurrent *)
+        Printf.printf
+          "%s: %d domains x %d calls OK (%d ordered pairs checked, %d \
+           concurrent)\n"
+          T.name n cfg.requests_per_client pairs ((m * (m - 1) / 2) - pairs);
+        0
     in
     if rc <> 0 then exit rc
   in
@@ -1029,54 +1030,61 @@ let serve_cmd =
     let module S = Svc.Service.Make (T) in
     (* a one-shot object consumes one process id per request *)
     let n = match T.kind with `One_shot -> max n requests | `Long_lived -> n in
-    let svc =
+    (* a shard count past the runtime's domain limit is refused *)
+    match
       S.start ~batch_max ~shards ~telemetry:(telemetry_out <> None) ~n ()
-    in
-    let ts =
-      match telemetry_out with
-      | None -> None
-      | Some file ->
-        let ts = Obs.Timeseries.create ~interval_us:telemetry_interval () in
-        S.attach_telemetry svc ts;
-        Obs.Timeseries.start ~append ~out:file ts;
-        Some (ts, file)
-    in
-    let client = C.connect svc in
-    Printf.printf "service: %s  n=%d shards=%d batch_max=%d\n" T.name n
-      (S.num_shards svc) batch_max;
-    let resps = List.init requests (fun _ -> C.stamp client) in
-    C.close client;
-    S.stop svc;
-    Option.iter
-      (fun (ts, file) ->
-         Obs.Timeseries.stop ts;
-         Printf.printf "telemetry: %d samples, %d stalls -> %s\n"
-           (Obs.Timeseries.samples ts) (Obs.Timeseries.stalls ts) file)
-      ts;
-    List.iter
-      (fun (r : T.result Svc.Client.stamp) ->
-         Printf.printf "  req p%d.%d (shard %d) -> %s\n" r.st_pid r.st_call
-           r.st_shard
-           (Format.asprintf "%a" T.pp_ts r.st_ts))
-      resps;
-    (* the requests were issued sequentially, so every adjacent pair is
-       happens-before ordered and compare must agree *)
-    let rec chain = function
-      | (a : T.result Svc.Client.stamp) :: (b :: _ as rest) ->
-        T.compare_ts a.st_ts b.st_ts
-        && not (T.compare_ts b.st_ts a.st_ts)
-        && chain rest
-      | _ -> true
-    in
-    if chain resps then begin
-      Printf.printf "serve: OK (%d requests, compare chain holds)\n"
-        (List.length resps);
-      0
-    end
-    else begin
-      Printf.printf "serve: VIOLATION (compare chain broken)\n";
+    with
+    | exception (Failure msg | Invalid_argument msg) ->
+      Printf.eprintf "ts_cli: serve: %s\n" msg;
       1
-    end
+    | svc ->
+      let ts =
+        match telemetry_out with
+        | None -> None
+        | Some file ->
+          let ts =
+            Obs.Timeseries.create ~interval_us:telemetry_interval ()
+          in
+          S.attach_telemetry svc ts;
+          Obs.Timeseries.start ~append ~out:file ts;
+          Some (ts, file)
+      in
+      let client = C.connect svc in
+      Printf.printf "service: %s  n=%d shards=%d batch_max=%d\n" T.name n
+        (S.num_shards svc) batch_max;
+      let resps = List.init requests (fun _ -> C.stamp client) in
+      C.close client;
+      S.stop svc;
+      Option.iter
+        (fun (ts, file) ->
+           Obs.Timeseries.stop ts;
+           Printf.printf "telemetry: %d samples, %d stalls -> %s\n"
+             (Obs.Timeseries.samples ts) (Obs.Timeseries.stalls ts) file)
+        ts;
+      List.iter
+        (fun (r : T.result Svc.Client.stamp) ->
+           Printf.printf "  req p%d.%d (shard %d) -> %s\n" r.st_pid r.st_call
+             r.st_shard
+             (Format.asprintf "%a" T.pp_ts r.st_ts))
+        resps;
+      (* the requests were issued sequentially, so every adjacent pair is
+         happens-before ordered and compare must agree *)
+      let rec chain = function
+        | (a : T.result Svc.Client.stamp) :: (b :: _ as rest) ->
+          T.compare_ts a.st_ts b.st_ts
+          && not (T.compare_ts b.st_ts a.st_ts)
+          && chain rest
+        | _ -> true
+      in
+      if chain resps then begin
+        Printf.printf "serve: OK (%d requests, compare chain holds)\n"
+          (List.length resps);
+        0
+      end
+      else begin
+        Printf.printf "serve: VIOLATION (compare chain broken)\n";
+        1
+      end
   in
   (* the wire mode: listen on [addr], serve connections until a client
      sends a Stop frame (ts_cli loadgen --stop-server, or Ctrl-C) *)
@@ -1131,17 +1139,8 @@ let serve_cmd =
     let rc =
       with_obs out @@ fun _ ->
       let (Timestamp.Registry.Impl (module T)) = impl in
-      (* Domain.spawn past the runtime's domain limit aborts the whole
-         process, so refuse oversized shard counts up front *)
       if shards < 1 then begin
         Printf.eprintf "ts_cli: serve: --shards must be at least 1\n";
-        1
-      end
-      else if shards > Domain.recommended_domain_count () then begin
-        Printf.eprintf
-          "ts_cli: serve: --shards %d exceeds this host's recommended \
-           domain count; reduce --shards\n"
-          shards;
         1
       end
       else if (match io_threads with Some k -> k < 1 | None -> false) then begin

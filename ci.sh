@@ -156,6 +156,13 @@ stress_ok() {
 stress_ok -i lamport-longlived -n 4 -c 50
 stress_ok -i sqrt-oneshot -n 8
 
+echo "== example smoke: multicore_stress checks each object on real domains =="
+ex_out=$(dune exec examples/multicore_stress.exe)
+echo "$ex_out"
+if echo "$ex_out" | grep -q "VIOLATION\|FAILURES"; then
+  echo "example smoke: multicore_stress reported a violation" >&2; exit 1
+fi
+
 echo "== scaling sanity: 2-shard sweep emits schema-valid JSON =="
 bench --fast --only e15 --max-shards 2 --scaling-requests 60
 dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_scaling.json"

@@ -1,19 +1,21 @@
 (* The same algorithm programs, interpreted over real OCaml 5 atomics and
-   run on parallel domains.  Happens-before between operations is derived
-   from a linearizable fetch-and-add counter, and the timestamp
-   specification is checked on the real-parallel execution.
+   run on parallel domains.  Each client domain is one process executing
+   its getTS calls on one shared register store; happens-before between
+   calls is derived from a linearizable fetch-and-add tick, and the
+   timestamp specification is checked on the real-parallel execution.
 
    Run with: dune exec examples/multicore_stress.exe *)
 
 let stress (type v r) (module T : Timestamp.Intf.S with type value = v and type result = r)
     ~n ~calls ~rounds =
-  let module S = Multicore.Stress.Make (T) in
+  let impl = Timestamp.Registry.Impl (module T) in
   let total_pairs = ref 0 in
   let failures = ref 0 in
   for _ = 1 to rounds do
-    match S.run_and_check ~n ~calls () with
-    | Ok pairs -> total_pairs := !total_pairs + pairs
-    | Error e ->
+    let r = Svc.Loadgen.run impl (Svc.Loadgen.stress impl ~n ~calls) in
+    match r.lg_violation with
+    | None -> total_pairs := !total_pairs + r.lg_hb_pairs
+    | Some e ->
       incr failures;
       Printf.printf "  VIOLATION: %s\n" e
   done;

@@ -46,7 +46,7 @@ val check_timed :
   (int, violation) result
 (** {!check}'s happens-before and irreflexivity rules over the
     tick-derived happens-before order of a real parallel run.  Backs
-    [Multicore.Stress.check] and the service load generator's verdict.
+    the load generator's verdict ([Svc.Loadgen], and so [ts_cli stress]).
 
     First an O(n) pass rejects any [compare_ts t t] with ["compare is not
     irreflexive at"].  Then both paths sort the [n] records by end tick and

@@ -59,6 +59,7 @@ let run_obs ~pid ~regs p =
       Obs.Hooks.sim Obs.Hooks.Read ~pid ~reg:r;
       go (k (atomic_wait regs.(r) g))
   in
+  Obs.Hooks.sim Obs.Hooks.Invoke ~pid ~reg:(-1);
   Obs.Hooks.with_span "exec" @@ fun () -> go p
 
 let run_counting ~regs p =

@@ -14,13 +14,13 @@ val run : regs:'v Atomic.t array -> ('v, 'a) Shm.Prog.t -> 'a
     terminate under the scheduling fairness of the OS. *)
 
 val run_obs : pid:int -> regs:'v Atomic.t array -> ('v, 'a) Shm.Prog.t -> 'a
-(** Like {!run} but reports every operation (and the final response) to
-    {!Obs.Hooks}, tagged with [pid], exactly as the simulator does, and
-    wraps the whole program in an ["exec"] span.  A separate function so
-    the plain interpreter — a benchmarked hot path — keeps zero
-    instrumentation cost; callers switch on [Obs.Hooks.armed].  Counter
-    updates from concurrent domains may race and lose increments:
-    telemetry, not verdicts. *)
+(** Like {!run} but reports the invocation, every operation and the
+    final response to {!Obs.Hooks}, tagged with [pid], exactly as the
+    simulator does, and wraps the whole program in an ["exec"] span.  A
+    separate function so the plain interpreter — a benchmarked hot path
+    — keeps zero instrumentation cost; callers switch on
+    [Obs.Hooks.armed].  Counter updates from concurrent domains may race
+    and lose increments: telemetry, not verdicts. *)
 
 val run_counting : regs:'v Atomic.t array -> ('v, 'a) Shm.Prog.t -> 'a * int
 (** Also returns the number of shared-memory operations performed. *)

@@ -67,19 +67,20 @@ module Direct (T : Timestamp.Intf.S) = struct
       { ctx; pid; call = 0 }
     | `One_shot -> { ctx; pid = -1; call = 0 }
 
+  let fresh_pid ctx =
+    let pid = Atomic.fetch_and_add ctx.next_pid 1 in
+    if pid >= ctx.n then
+      invalid_arg
+        (Printf.sprintf
+           "Client.Direct.stamp: one-shot %s exhausted its n=%d process ids"
+           T.name ctx.n);
+    pid
+
   let stamp c =
     let ctx = c.ctx in
     let pid, call =
       match T.kind with
-      | `One_shot ->
-        let pid = Atomic.fetch_and_add ctx.next_pid 1 in
-        if pid >= ctx.n then
-          invalid_arg
-            (Printf.sprintf
-               "Client.Direct.stamp: one-shot %s exhausted its n=%d process \
-                ids"
-               T.name ctx.n);
-        (pid, 0)
+      | `One_shot -> (fresh_pid ctx, 0)
       | `Long_lived ->
         let call = c.call in
         c.call <- call + 1;
@@ -108,7 +109,41 @@ module Direct (T : Timestamp.Intf.S) = struct
     let s = stamp c in
     fun () -> s
 
-  let stamp_batch c k = List.init k (fun _ -> stamp c)
+  (* A burst runs its getTS back to back in one loop, with the handle's
+     and context's fields read once and no clock read between calls, and
+     gives the stamps one response time, read after the last one, as a
+     service worker does for a chunk.  [ts_cli stress] runs each client
+     as one such burst, so its domains spend as much of their time as
+     they can inside a getTS, overlapping each other's. *)
+  let stamp_batch c k =
+    let { regs; tick; n; armed; _ } = c.ctx in
+    let pid0 = c.pid and call0 = c.call in
+    let rec go j rev =
+      if j = k then rev
+      else begin
+        let pid, call =
+          match T.kind with
+          | `One_shot -> (fresh_pid c.ctx, 0)
+          | `Long_lived -> (pid0, call0 + j)
+        in
+        let start_tick = Atomic.get tick in
+        let program = T.program ~n ~pid ~call in
+        let ts =
+          if armed then Multicore.Exec.run_obs ~pid ~regs program
+          else Multicore.Exec.run ~regs program
+        in
+        let end_tick = Atomic.fetch_and_add tick 1 in
+        go (j + 1)
+          ({ st_pid = pid; st_call = call; st_start_tick = start_tick;
+             st_end_tick = end_tick; st_ts = ts; st_resp_us = 0.;
+             st_shard = 0 }
+           :: rev)
+      end
+    in
+    let rev = go 0 [] in
+    c.call <- call0 + k;
+    let resp_us = now_us () in
+    List.rev_map (fun s -> { s with st_resp_us = resp_us }) rev
 
   let compare _ a b = T.compare_ts a.st_ts b.st_ts
 

@@ -59,7 +59,9 @@ end
     path of [Net.Server], whose I/O loops run each decoded getTS this way.
     {!stamp} reads the start tick before the program runs and claims its
     end tick with one fetch-and-add after it, so a response received
-    before another call's invocation has the smaller tick. *)
+    before another call's invocation has the smaller tick.
+    {!stamp_batch} runs its [k] getTS back to back and reads the clock
+    once, after the last: the burst's stamps share one [st_resp_us]. *)
 module Direct (T : Timestamp.Intf.S) : sig
   include S with type result = T.result
 

@@ -103,7 +103,7 @@ let record_lat rc ~shard lat_us =
 
 let think rng think_us =
   if think_us > 0 then begin
-    let us = Random.State.int rng (think_us + 1) in
+    let us = Random.State.int (Lazy.force rng) (think_us + 1) in
     if us > 0 then sleep_us us
   end
 
@@ -133,6 +133,10 @@ let arrival_string cfg =
   match cfg.arrival with
   | Closed -> ""
   | Open { rate } -> Printf.sprintf " open rate=%.0f/s" rate
+
+let stress (Timestamp.Registry.Impl (module T)) ~n ~calls =
+  let calls = match T.kind with `One_shot -> 1 | `Long_lived -> calls in
+  { default with clients = n; requests_per_client = calls; pipeline = calls; n }
 
 let validate cfg =
   if cfg.clients <= 0 then invalid_arg "Loadgen.run: clients must be positive";
@@ -174,7 +178,9 @@ module Drive (C : Client.S) = struct
      stamp — queueing + service time, excluding the client's own
      post-completion wakeup. *)
   let closed_loop cfg rc client i =
-    let rng = Random.State.make [| cfg.seed; i; 0x5eed |] in
+    (* built at the first think, not between the barrier and the first
+       burst *)
+    let rng = lazy (Random.State.make [| cfg.seed; i; 0x5eed |]) in
     let rec go remaining acc =
       if remaining = 0 then acc
       else begin
@@ -255,23 +261,63 @@ module Drive (C : Client.S) = struct
       Some ts
 
   (* Spawn one domain per client, drive the configured loop, join.
-     Shared by the single-process [run] and each [run_procs] worker. *)
+     Shared by the single-process [run] and each [run_procs] worker.
+     Until the last spawn the clients sleep on a start gate, so none
+     runs, or ends and frees its domain slot, before then; then each
+     connects and they meet at a ready barrier, so their first calls
+     start together.  Elapsed time and the open loop's schedule start
+     at the gate's opening. *)
   let collect setup cfg rc =
-    let t0 = now_us () in
-    let body i () =
-      let client = setup.connect i in
-      let samples =
-        match cfg.arrival with
-        | Closed -> closed_loop cfg rc client i
-        | Open { rate } -> open_loop cfg rc ~rate ~t0 client i
-      in
-      C.close client;
-      samples
+    let gate = Mutex.create () and opened = Condition.create () in
+    let state = ref `Closed in
+    let open_gate s =
+      Mutex.protect gate (fun () ->
+          state := s;
+          Condition.broadcast opened)
     in
-    let domains = List.init cfg.clients (fun i -> Domain.spawn (body i)) in
+    let ready = Atomic.make 0 in
+    let body i () =
+      let s =
+        Mutex.protect gate (fun () ->
+            while !state = `Closed do
+              Condition.wait opened gate
+            done;
+            !state)
+      in
+      match s with
+      | `Closed | `Abort -> []
+      | `Go t0 ->
+        let client = setup.connect i in
+        Atomic.incr ready;
+        while Atomic.get ready < cfg.clients do
+          Domain.cpu_relax ()
+        done;
+        let samples =
+          match cfg.arrival with
+          | Closed -> closed_loop cfg rc client i
+          | Open { rate } -> open_loop cfg rc ~rate ~t0 client i
+        in
+        C.close client;
+        samples
+    in
+    Obs.Hooks.with_span "loadgen.run" @@ fun () ->
+    let domains =
+      Obs.Hooks.with_span "loadgen.spawn" @@ fun () ->
+      let spawned = ref [] in
+      (try
+         for i = 0 to cfg.clients - 1 do
+           spawned := Domain.spawn (body i) :: !spawned
+         done
+       with e ->
+         open_gate `Abort;
+         List.iter (fun d -> ignore (Domain.join d)) !spawned;
+         raise e);
+      List.rev !spawned
+    in
+    let t0 = now_us () in
+    open_gate (`Go t0);
     let samples = List.concat_map Domain.join domains in
-    let elapsed = (now_us () -. t0) *. 1e-6 in
-    (samples, elapsed)
+    (samples, (now_us () -. t0) *. 1e-6)
 
   (* The checker path: the declaration of the registered implementation
      named [setup.impl]; any other name (a fuzz mutant, a custom label)
@@ -298,6 +344,7 @@ module Drive (C : Client.S) = struct
     in
     let hb_pairs, violation =
       match
+        Obs.Hooks.with_span "loadgen.check" @@ fun () ->
         Timestamp.Checker.check_timed ~order:(order_of setup)
           ~compare_ts:setup.compare_ts ~pp:setup.pp_ts timed
       with

@@ -3,8 +3,8 @@
     Spawns [clients] domains; each performs [requests_per_client] getTS
     calls through a {!Client.S} transport.  The built-in dispatch ({!run})
     covers mode [Service] ({!Client.Inproc} over a fresh service) and mode
-    [Direct] ({!Client.Direct}, the {!Multicore.Stress}-style unbatched
-    baseline); the generic engine ({!Drive}) additionally drives any other
+    [Direct] ({!Client.Direct}, the unbatched baseline and [ts_cli
+    stress]); the generic engine ({!Drive}) additionally drives any other
     transport — notably [Net.Client] over TCP/Unix sockets — through the
     same workloads and reporting.
 
@@ -62,8 +62,9 @@ type cfg = {
   arrival : arrival;
   clients : int;
   requests_per_client : int;
-  pipeline : int;  (** in-flight requests per client; [Direct]: ignored by
-                       the closed loop *)
+  pipeline : int;  (** in-flight requests per client; [Direct]'s closed
+                       loop runs a burst's calls back to back and records
+                       their latencies after the last one *)
   n : int;  (** processes to provision; raised automatically when the
                 implementation needs more (one-shot: total requests,
                 long-lived: [clients]) *)
@@ -76,6 +77,12 @@ type cfg = {
 val default : cfg
 (** [Direct], [Closed], 4 clients, 100 requests each, pipeline 1, n = 8,
     seed 1, no think time, no telemetry. *)
+
+val stress : Timestamp.Registry.impl -> n:int -> calls:int -> cfg
+(** The real-domain stress run of [ts_cli stress]: [Direct], [n] clients
+    of an [n]-process object, each running its [calls] getTS (one for a
+    one-shot object) as a single closed-loop burst, which
+    {!Client.Direct} runs back to back. *)
 
 type shard_report = {
   sr_shard : int;
@@ -90,7 +97,7 @@ type report = {
   lg_impl : string;
   lg_mode : string;  (** human-readable mode summary *)
   lg_total : int;  (** requests completed (= clients * requests_per_client) *)
-  lg_elapsed_s : float;  (** wall clock over all client domains *)
+  lg_elapsed_s : float;  (** wall clock from the start gate to the last join *)
   lg_throughput : float;  (** requests per second *)
   lg_hb_pairs : int;  (** happens-before pairs the checker verified *)
   lg_violation : string option;  (** [None] = specification holds *)
@@ -144,7 +151,10 @@ module Drive (C : Client.S) : sig
 
   val run : setup -> cfg -> report
   (** Ignores [cfg.mode] (the transport is [setup]'s business); honours
-      everything else. *)
+      everything else.  If a [Domain.spawn] fails (past the runtime's
+      domain limit), the clients already spawned are joined, unconnected,
+      before the exception is re-raised.  Spans: ["loadgen.run"] (the
+      client phase), ["loadgen.spawn"] and ["loadgen.check"]. *)
 
   val run_procs : procs:int -> child:(int -> setup) -> setup -> cfg -> report
   (** Multi-process drive: forks [procs] worker processes *before any

@@ -150,14 +150,15 @@ open Shm.Prog.Syntax
 let completed cfg = List.map snd (Shm.Sim.results cfg)
 
 (* --------------------------- mpsc --------------------------------- *)
-(* Registers: 0 = the shared Treiber stack (Service.push / Mpsc.push),
-   1 = the consumer's delivered log (its drained batches, oldest first).
-   Producers 0..n-1 each push [calls] items (pid, seq) via the real push
-   protocol: read the head, CAS it to the cons — retry on failure.  The
-   consumer (pid n) drains with one swap (Atomic.exchange) and appends the
-   reversed batch (LIFO -> FIFO, [reverse_onto]) to its log; the log is
-   consumer-owned so the append is collapsed to one rmw, which removes no
-   observable interleaving.
+(* Registers: 0 = the shared Treiber stack (the shard inbox,
+   [Mpsc.push]), 1 = the consumer's delivered log (its drained batches,
+   oldest first).  Producers 0..n-1 each push [calls] items (pid, seq)
+   via the real push protocol: read the head, link the item to it, CAS
+   the head to the item — retry on failure.  The consumer (pid n) drains
+   with one swap (Atomic.exchange) and appends the reversed batch
+   (LIFO -> FIFO, [Mpsc.drain]) to its log; the log is consumer-owned
+   so the append is collapsed to one rmw, which removes no observable
+   interleaving.
 
    History depth trades off against width: two pushes per producer pin the
    per-producer FIFO order, but CAS retries make each extra producer

@@ -7,9 +7,10 @@
     enumerate {e every} schedule of a small instance and check the
     protocol invariants on each reachable configuration:
 
-    - {!Mpsc} — the Treiber-stack push (read + CAS retry) racing a
-      single-exchange drain: per-producer FIFO, no duplicated and no lost
-      pushes.
+    - {!Mpsc} — the shard inbox (module [Mpsc], pinned to this model by
+      a differential test): the Treiber-stack push (read + CAS retry)
+      racing a single-exchange drain: per-producer FIFO, no duplicated
+      and no lost pushes.
     - {!Pool} — the pooled request-record lifecycle: free-list acquire,
       reset-flag-then-publish, worker completes fields-then-flag, client
       awaits and releases.  No slot is double-acquired, no completion is

@@ -1,26 +1,35 @@
-type 'a t = {
-  head : 'a list Atomic.t;  (* LIFO; reversed on drain *)
-  depth : int Atomic.t;
-}
+module type NODE = sig
+  type t
 
-let create () = { head = Atomic.make []; depth = Atomic.make 0 }
+  val nil : t
 
-let rec push t x =
-  let cur = Atomic.get t.head in
-  if Atomic.compare_and_set t.head cur (x :: cur) then
-    ignore (Atomic.fetch_and_add t.depth 1)
-  else begin
-    Domain.cpu_relax ();
-    push t x
-  end
+  val next : t -> t
 
-let drain t =
-  match Atomic.exchange t.head [] with
-  | [] -> []
-  | l ->
-    ignore (Atomic.fetch_and_add t.depth (-(List.length l)));
-    List.rev l
+  val set_next : t -> t -> unit
+end
 
-let length t = Atomic.get t.depth
+module Make (N : NODE) = struct
+  type t = N.t Atomic.t  (* LIFO chain of nodes; [N.nil] = empty *)
 
-let is_empty t = Atomic.get t.head == []
+  let create () = Atomic.make N.nil
+
+  let rec push t node =
+    let cur = Atomic.get t in
+    N.set_next node cur;
+    if not (Atomic.compare_and_set t cur node) then begin
+      Domain.cpu_relax ();
+      push t node
+    end
+
+  let rec reverse_onto acc node =
+    if node == N.nil then acc
+    else begin
+      let next = N.next node in
+      N.set_next node acc;
+      reverse_onto node next
+    end
+
+  let drain t = reverse_onto N.nil (Atomic.exchange t N.nil)
+
+  let is_empty t = Atomic.get t == N.nil
+end

@@ -1,25 +1,35 @@
-(** Lock-free multi-producer single-consumer inbox.
+(** Lock-free intrusive multi-producer single-consumer inbox, the one
+    each {!Service} shard runs.
 
-    Producers [push] concurrently with a CAS loop; the single consumer
-    [drain]s the whole inbox with one [Atomic.exchange] and receives the
-    elements in FIFO order.  Draining in one exchange is what makes the
-    service's batching cheap: the consumer pays one atomic operation per
-    batch instead of one per request.  The consumer must be unique —
-    concurrent drains would both succeed but split the FIFO order. *)
+    Producers [push] with a CAS loop onto a Treiber stack; the single
+    consumer [drain]s the whole inbox with one [Atomic.exchange] — one
+    atomic operation per batch, not per request — and reverses it in
+    place to FIFO order.  Concurrent drains would split the FIFO order.
+    The caller's node type carries the link, so a push allocates
+    nothing. *)
 
-type 'a t
+module type NODE = sig
+  type t
 
-val create : unit -> 'a t
+  val nil : t
+  (** Ends every chain (compared physically); never pushed. *)
 
-val push : 'a t -> 'a -> unit
-(** Lock-free; safe from any domain. *)
+  val next : t -> t
 
-val drain : 'a t -> 'a list
-(** Empties the inbox and returns its contents oldest-first.  Single
-    consumer only. *)
+  val set_next : t -> t -> unit
+end
 
-val length : 'a t -> int
-(** Approximate current depth (producers update the counter after the
-    element is visible, so it can momentarily under-report). *)
+module Make (N : NODE) : sig
+  type t
 
-val is_empty : 'a t -> bool
+  val create : unit -> t
+
+  val push : t -> N.t -> unit
+  (** Lock-free; safe from any domain.  Overwrites the node's link. *)
+
+  val drain : t -> N.t
+  (** Empties the inbox and returns its nodes oldest-first, linked
+      through [N.next] and ending in [N.nil].  Single consumer only. *)
+
+  val is_empty : t -> bool
+end

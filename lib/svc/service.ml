@@ -49,8 +49,18 @@ module Make (T : Timestamp.Intf.S) = struct
       r_park = Park.create ();
       r_next = nil }
 
+  module Inbox = Mpsc.Make (struct
+      type t = request
+
+      let nil = nil
+
+      let next r = r.r_next
+
+      let set_next r next = r.r_next <- next
+    end)
+
   type shard = {
-    inbox : request Atomic.t;  (* Treiber stack of requests; [nil] = empty *)
+    inbox : Inbox.t;
     park : Park.t;  (* the worker parks here on an empty inbox *)
     depth : int Atomic.t;  (* submitted-not-batched; maintained only when
                               instrumented ([t.instr]) *)
@@ -103,37 +113,17 @@ module Make (T : Timestamp.Intf.S) = struct
   exception Stopped
 
   (* ------------------------------------------------------------------ *)
-  (* Intrusive MPSC inbox: lock-free LIFO push, worker drains with one
-     exchange and reverses in place to FIFO.                              *)
-
-  let rec push shard req =
-    let cur = Atomic.get shard.inbox in
-    req.r_next <- cur;
-    if not (Atomic.compare_and_set shard.inbox cur req) then begin
-      Domain.cpu_relax ();
-      push shard req
-    end
-
-  (* ------------------------------------------------------------------ *)
   (* Worker: drain the shard inbox in FIFO batches and execute.           *)
 
   (* The worker's wake condition; [submit] wakes it after its push and
      [stop] after raising the flag. *)
   let has_work ((t : t), shard) =
-    Atomic.get shard.inbox != nil || Atomic.get t.stop_flag
+    not (Inbox.is_empty shard.inbox) || Atomic.get t.stop_flag
 
   let worker t i () =
     let shard = t.shards.(i) in
     let idle_key = (t, shard) in
     let armed = t.armed in
-    let rec reverse_onto acc node =
-      if node == nil then acc
-      else begin
-        let next = node.r_next in
-        node.r_next <- acc;
-        reverse_onto node next
-      end
-    in
     let execute_one req =
       let program = T.program ~n:t.n ~pid:req.r_pid ~call:req.r_call in
       let ts =
@@ -201,7 +191,7 @@ module Make (T : Timestamp.Intf.S) = struct
     let backlog = ref nil in
     let rec loop () =
       if !backlog == nil then begin
-        match Atomic.exchange shard.inbox nil with
+        match Inbox.drain shard.inbox with
         | drained when drained == nil ->
           (* [stop] only raises the flag once inflight = 0, so an empty
              inbox here means there is nothing left to drain. *)
@@ -210,7 +200,7 @@ module Make (T : Timestamp.Intf.S) = struct
             loop ()
           end
         | drained ->
-          backlog := reverse_onto nil drained;
+          backlog := drained;
           loop ()
       end
       else begin
@@ -258,21 +248,22 @@ module Make (T : Timestamp.Intf.S) = struct
     if batch_max <= 0 then
       invalid_arg "Service.start: batch_max must be positive";
     let armed = Obs.Hooks.armed () in
+    let new_shard () =
+      { inbox = Inbox.create ();
+        park = Park.create ();
+        depth = Atomic.make 0;
+        served = 0;
+        batches = 0;
+        max_batch = 0;
+        chunks = 0;
+        batch_hdr = Obs.Hdr.create ~shards:1 () }
+    in
     let t =
       { regs =
           Multicore.Exec.make_regs ~num:(T.num_registers ~n)
             ~init:(T.init_value ~n);
         n;
-        shards =
-          Array.init shards (fun _ ->
-              { inbox = Atomic.make nil;
-                park = Park.create ();
-                depth = Atomic.make 0;
-                served = 0;
-                batches = 0;
-                max_batch = 0;
-                chunks = 0;
-                batch_hdr = Obs.Hdr.create ~shards:1 () });
+        shards = Array.make shards (new_shard ());
         batch_max;
         armed;
         instr = armed || telemetry;
@@ -285,10 +276,13 @@ module Make (T : Timestamp.Intf.S) = struct
         stop_flag = Atomic.make false;
         workers = [] }
     in
-    (* A failed spawn (past the runtime's domain limit) stops the
+    (* Shard i's record (its batch histogram is ~130 KB) is made just
+       before worker i's spawn, so a spawn failing at the runtime's
+       domain limit also ends the allocation.  A failed spawn stops the
        workers already spawned before the exception propagates. *)
     (try
        for i = 0 to shards - 1 do
+         if i > 0 then t.shards.(i) <- new_shard ();
          t.workers <- Domain.spawn (worker t i) :: t.workers
        done
      with e ->
@@ -372,7 +366,7 @@ module Make (T : Timestamp.Intf.S) = struct
     Atomic.set req.r_done 0;
     req.r_start_tick <- Atomic.get t.tick;
     let shard = t.shards.(session.s_shard) in
-    push shard req;
+    Inbox.push shard.inbox req;
     if t.instr then Atomic.incr shard.depth;
     Park.wake shard.park;
     req

@@ -22,7 +22,7 @@
     preallocated int flag rather than a fresh option cell, and end ticks
     are reserved once per batch.
 
-    Happens-before accounting mirrors {!Multicore.Stress}: a global tick is
+    Happens-before accounting mirrors {!Client.Direct}: a global tick is
     read at submit time, and a batch reserves its [end_tick] range with one
     fetch-and-add after all of its programs have executed, so if a client
     receives request [r1]'s response before some client submits [r2] then

@@ -2,8 +2,8 @@
    verdicts, engine equivalence (sequential DFS and the steal frontier),
    planted-mutant kills with shrunk schedules, the checked-in
    model repro corpus, a qcheck differential pinning the mpsc model to
-   the real [Svc.Mpsc], and the Rmw/Await program semantics the models
-   lean on. *)
+   [Svc.Mpsc] (the inbox the service's shards run), and the Rmw/Await
+   program semantics the models lean on. *)
 
 let stats_of outcome =
   match outcome with
@@ -175,12 +175,13 @@ let replay_prefix_is_not_deadlock () =
   | Stdlib.Error e -> Alcotest.fail e
 
 (* Differential fidelity: a serialized schedule of the mpsc model must
-   leave exactly the registers the real [Svc.Mpsc] ends in after the same
-   operation sequence — same delivered log, same leftover stack — and both
-   sides must agree the run is clean.  (Concurrent interleavings of the
-   real structure cannot be scheduled deterministically; serialized runs
-   pin the data structure semantics, the explorer covers the
-   interleavings.  DESIGN.md section 13 states the full argument.) *)
+   leave exactly the registers [Svc.Mpsc], the service's inbox, ends in
+   after the same operation sequence — same delivered log, same leftover
+   stack — and both sides must agree the run is clean.  (Concurrent
+   interleavings of the real structure cannot be scheduled
+   deterministically; serialized runs pin the data structure semantics,
+   the explorer covers the interleavings.  DESIGN.md section 13 states
+   the full argument.) *)
 let mpsc_matches_real_mpsc =
   Util.qtest ~count:200 "mpsc model matches Svc.Mpsc on serialized runs"
     (* a shuffle of: two pushes each by producers 0 and 1, two drains by
@@ -228,18 +229,18 @@ let mpsc_matches_real_mpsc =
           Alcotest.fail ("model replay found a violation: " ^ why)
         | Stdlib.Error e -> Alcotest.fail ("model replay: " ^ e));
        (* real side: the same operations against the real structure *)
-       let q = Svc.Mpsc.create () in
+       let q = Util.Inbox.create () in
        let seq = Array.make 2 0 in
        let delivered = ref [] in
        List.iter
          (fun pid ->
-            if pid = 2 then delivered := !delivered @ Svc.Mpsc.drain q
+            if pid = 2 then delivered := !delivered @ Util.drain_items q
             else begin
-              Svc.Mpsc.push q (pid, seq.(pid));
+              Util.push_item q (pid, seq.(pid));
               seq.(pid) <- seq.(pid) + 1
             end)
          ops;
-       let leftover = Svc.Mpsc.drain q in
+       let leftover = Util.drain_items q in
        (* real verdict: nothing lost, nothing duplicated, FIFO per pid *)
        let all = !delivered @ leftover in
        Util.check_int "real structure loses nothing" 4 (List.length all);

@@ -1302,6 +1302,24 @@ let direct_client_api () =
   Util.check_int "first client owns pid 0" 0 a.st_pid;
   Util.check_int "second client owns pid 1" 1 b.st_pid;
   Util.check_bool "order holds" true (C.compare c0 a b);
+  (* a burst continues the handle's calls in order, ordered by its ticks
+     and stamped with one response time *)
+  let burst = C.stamp_batch c0 3 in
+  Util.check_bool "burst calls continue in order" true
+    (List.map (fun (s : _ Svc.Client.stamp) -> (s.st_pid, s.st_call)) burst
+     = [ (0, 1); (0, 2); (0, 3) ]);
+  Util.check_bool "burst ticks ordered" true
+    (List.for_all2
+       (fun (x : _ Svc.Client.stamp) (y : _ Svc.Client.stamp) ->
+          x.st_end_tick < y.st_start_tick && C.compare c0 x y)
+       [ List.nth burst 0; List.nth burst 1 ]
+       [ List.nth burst 1; List.nth burst 2 ]);
+  Util.check_bool "burst shares one response time" true
+    (List.for_all
+       (fun (s : _ Svc.Client.stamp) ->
+          s.st_resp_us = (List.hd burst).st_resp_us)
+       burst);
+  Util.check_int "next stamp after the burst" 4 (C.stamp c0).st_call;
   (match C.connect ctx with
    | _ -> Alcotest.fail "third long-lived client admitted at n=2"
    | exception Invalid_argument _ -> ());

