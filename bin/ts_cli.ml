@@ -1337,13 +1337,17 @@ let loadgen_cmd =
                s.sr_shard s.sr_served s.sr_batches s.sr_max_batch s.sr_p50_us
                s.sr_p99_us)
           r.lg_shards;
-        match r.lg_violation with
-        | None ->
-          Printf.printf "checker: OK (%d hb pairs)\n" r.lg_hb_pairs;
-          0
-        | Some v ->
-          Printf.printf "checker: VIOLATION: %s\n" v;
-          1
+        let rc =
+          match r.lg_violation with
+          | None ->
+            Printf.printf "checker: OK (%d hb pairs)\n" r.lg_hb_pairs;
+            0
+          | Some v ->
+            Printf.printf "checker: VIOLATION: %s\n" v;
+            1
+        in
+        Printf.printf "checked in %.3f ms\n" (r.lg_check_s *. 1e3);
+        rc
       in
       if procs < 1 then begin
         Printf.eprintf "ts_cli: loadgen: --procs must be at least 1\n";

@@ -126,6 +126,23 @@ echo "$scale_out" | grep -q "served 200000 requests" || {
   echo "scale smoke: wrong request count" >&2; exit 1; }
 echo "$scale_out" | grep -q "checker: OK" || {
   echo "scale smoke: checker did not pass" >&2; exit 1; }
+echo "$scale_out" | grep -q "^checked in " || {
+  echo "scale smoke: no check time printed" >&2; exit 1; }
+
+echo "== scale smoke: 10^5 vector and snapshot requests checked by the frontier =="
+# ~5e9 happens-before pairs: about 20 minutes for the all-pairs scan, well
+# under a second for the frontier, so the timeout catches a fallback
+for impl in vector-longlived snapshot-longlived; do
+  po_out=$(timeout 60 dune exec bin/ts_cli.exe -- loadgen -i "$impl" \
+    -n 4 --clients 2 -r 50000 --direct)
+  echo "$po_out"
+  echo "$po_out" | grep -q "served 100000 requests" || {
+    echo "partial-order smoke: wrong request count for $impl" >&2; exit 1; }
+  echo "$po_out" | grep -q "checker: OK" || {
+    echo "partial-order smoke: checker did not pass for $impl" >&2; exit 1; }
+  echo "$po_out" | grep -q "^checked in " || {
+    echo "partial-order smoke: no check time printed for $impl" >&2; exit 1; }
+done
 
 echo "== telemetry smoke: open-loop loadgen writes a valid stall-free stream =="
 tel_out=$(dune exec bin/ts_cli.exe -- loadgen -i lamport-longlived \

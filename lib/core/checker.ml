@@ -92,70 +92,160 @@ type 'r timed = {
   td_ts : 'r;
 }
 
-(* Sorting by end tick and scanning the other axis by start tick turns the
-   naive all-pairs pass into a prefix scan: for [o2] in ascending start-tick
-   order, the predecessors with [td_end < o2.td_start] form a growing prefix
-   of the end-sorted array, so only happens-before-eligible pairs are ever
-   compared.  Under a strict weak order the sweep also keeps [top], a
-   maximal element of that prefix (replaced by [x] when [top < x]), and
-   checks [o2] against [top] alone: every [x] of the prefix is below [top]
-   or incomparable with it, so [top < o2] gives [x < o2] by transitivity
-   or by transitivity of incomparability, and asymmetry gives
-   [not (o2 < x)].  The pair count is the sum of the prefix lengths either
-   way. *)
-let check_timed (type r) ~order ~compare_ts
-    ~(pp : Format.formatter -> r -> unit) (records : r timed list) :
-  (int, violation) result =
-  let str t = Format.asprintf "%a" pp t in
-  let op r : Shm.History.op = { pid = r.td_pid; call = r.td_call } in
+(* The permutation of [0 .. n-1] that orders [keys], ties in index
+   order: a least-significant-digit radix sort whose passes are stable
+   counting sorts on 11-bit digits of [k - lo], [lo] the least key.
+   [k - lo] wraps past [max_int] when the keys span more than 2^62, but
+   read as an unsigned 63-bit number it is still the exact offset, and
+   [lsr] takes that number apart; so every pass is a counting sort over
+   2048 buckets, and a span of [b] bits takes ceil(b / 11) <= 6 passes. *)
+let digit_bits = 11
+
+let sort_by keys =
+  let n = Array.length keys in
+  let src = ref (Array.init n Fun.id) in
+  if n > 1 then begin
+    let lo = Array.fold_left Int.min max_int keys in
+    let span = ref (Array.fold_left Int.max min_int keys - lo) in
+    let dst = ref (Array.make n 0) in
+    let count = Array.make (1 lsl digit_bits) 0 in
+    let mask = (1 lsl digit_bits) - 1 in
+    let shift = ref 0 in
+    while !span <> 0 do
+      let a = !src and b = !dst and s = !shift in
+      Array.fill count 0 (Array.length count) 0;
+      for i = 0 to n - 1 do
+        let d = ((keys.(i) - lo) lsr s) land mask in
+        count.(d) <- count.(d) + 1
+      done;
+      let total = ref 0 in
+      for d = 0 to mask do
+        let c = count.(d) in
+        count.(d) <- !total;
+        total := !total + c
+      done;
+      for k = 0 to n - 1 do
+        let i = a.(k) in
+        let d = ((keys.(i) - lo) lsr s) land mask in
+        b.(count.(d)) <- i;
+        count.(d) <- count.(d) + 1
+      done;
+      src := b;
+      dst := a;
+      shift := s + digit_bits;
+      span := !span lsr digit_bits
+    done
+  end;
+  !src
+
+(* Sorting by end tick and sweeping by start tick: for [o2] in ascending
+   start order, the calls with an end tick below [o2]'s start form a
+   growing prefix of the end order, and the pair count is the sum of the
+   prefix lengths.  [add] folds each call that joins the prefix into a
+   summary of the prefix's maximal elements, and [against] checks [o2]
+   against the summary alone (checker.mli says why that is exact): [top]
+   for a strict weak order, the frontier for a strict partial order.  A
+   call joins the frontier unless it is below a frontier element, and
+   evicts the elements below it, so every prefix element stays a
+   frontier element or below one. *)
+let check_calls (type c r) ~order ~compare_ts
+    ~(pp : Format.formatter -> r -> unit) ~(start : c -> int)
+    ~(stop : c -> int) ~(stamp : c -> r) ~(op : c -> Shm.History.op)
+    (calls : c array) : (int, violation) result =
+  let n = Array.length calls in
+  let starts = Array.make n 0 and ends = Array.make n 0 in
+  for i = 0 to n - 1 do
+    starts.(i) <- start calls.(i);
+    ends.(i) <- stop calls.(i)
+  done;
+  let ts = Array.map stamp calls in
   let exception Violation of violation in
-  let violation o1 o2 reason =
+  let violation i j reason =
+    let str k = Format.asprintf "%a" pp ts.(k) in
     Violation
-      { op1 = op o1; op2 = op o2; t1 = str o1.td_ts; t2 = str o2.td_ts;
+      { op1 = op calls.(i); op2 = op calls.(j); t1 = str i; t2 = str j;
         reason }
   in
-  (* [o1] happens before [o2] *)
-  let check_pair o1 o2 =
-    if not (compare_ts o1.td_ts o2.td_ts) then
-      raise (violation o1 o2 "happens before, but compare(t1,t2)=false");
-    if compare_ts o2.td_ts o1.td_ts then
-      raise (violation o1 o2 "happens before, but compare(t2,t1)=true")
+  let below i j = compare_ts ts.(i) ts.(j) in
+  (* [i] happens before [j] *)
+  let check_pair i j =
+    if not (below i j) then
+      raise (violation i j "happens before, but compare(t1,t2)=false");
+    if below j i then
+      raise (violation i j "happens before, but compare(t2,t1)=true")
   in
-  let strict_weak = match order with `Strict_weak -> true | `General -> false in
+  let sweep ~add ~against =
+    let by_end = sort_by ends and by_start = sort_by starts in
+    let pairs = ref 0 and prefix = ref 0 in
+    for k = 0 to n - 1 do
+      let o2 = by_start.(k) in
+      while !prefix < n && ends.(by_end.(!prefix)) < starts.(o2) do
+        add by_end.(!prefix);
+        incr prefix
+      done;
+      pairs := !pairs + !prefix;
+      against o2
+    done;
+    !pairs
+  in
   try
-    List.iter
-      (fun r ->
-         if compare_ts r.td_ts r.td_ts then
-           raise (violation r r "compare is not irreflexive at"))
-      records;
-    let by_end = Array.of_list records in
-    Array.sort (fun a b -> Int.compare a.td_end b.td_end) by_end;
-    let by_start = Array.of_list records in
-    Array.sort (fun a b -> Int.compare a.td_start b.td_start) by_start;
-    let len = Array.length by_end in
-    let pairs = ref 0 in
-    let prefix = ref 0 in
-    let top = ref 0 in
-    Array.iter
-      (fun o2 ->
-         while !prefix < len && by_end.(!prefix).td_end < o2.td_start do
-           if strict_weak
-           && (!prefix = 0
-               || compare_ts by_end.(!top).td_ts by_end.(!prefix).td_ts)
-           then top := !prefix;
-           incr prefix
-         done;
-         pairs := !pairs + !prefix;
-         if strict_weak then begin
-           if !prefix > 0 then check_pair by_end.(!top) o2
-         end
-         else
-           for j = 0 to !prefix - 1 do
-             check_pair by_end.(j) o2
-           done)
-      by_start;
-    Ok !pairs
+    for i = 0 to n - 1 do
+      if below i i then raise (violation i i "compare is not irreflexive at")
+    done;
+    match order with
+    | `Strict_weak ->
+      let top = ref (-1) in
+      Ok
+        (sweep
+           ~add:(fun x -> if !top < 0 || below !top x then top := x)
+           ~against:(fun o2 -> if !top >= 0 then check_pair !top o2))
+    | `Strict_partial ->
+      let front = Array.make n 0 and size = ref 0 in
+      let dominated x =
+        let k = ref 0 in
+        while !k < !size && not (below x front.(!k)) do
+          incr k
+        done;
+        !k < !size
+      in
+      let add x =
+        if not (dominated x) then begin
+          let kept = ref 0 in
+          for k = 0 to !size - 1 do
+            if not (below front.(k) x) then begin
+              front.(!kept) <- front.(k);
+              incr kept
+            end
+          done;
+          front.(!kept) <- x;
+          size := !kept + 1
+        end
+      in
+      Ok
+        (sweep ~add ~against:(fun o2 ->
+             for k = 0 to !size - 1 do
+               check_pair front.(k) o2
+             done))
+    | `General ->
+      let pairs = ref 0 in
+      for j = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          if ends.(i) < starts.(j) then begin
+            incr pairs;
+            check_pair i j
+          end
+        done
+      done;
+      Ok !pairs
   with Violation v -> Error v
+
+let check_timed ~order ~compare_ts ~pp records =
+  check_calls ~order ~compare_ts ~pp
+    ~start:(fun r -> r.td_start)
+    ~stop:(fun r -> r.td_end)
+    ~stamp:(fun r -> r.td_ts)
+    ~op:(fun r -> { Shm.History.pid = r.td_pid; call = r.td_call })
+    (Array.of_list records)
 
 let check_sim (type v r)
     (module T : Intf.S with type value = v and type result = r)

@@ -38,35 +38,58 @@ type 'r timed = {
     logical clock, so [td_end r1 < td_start r2] soundly witnesses that
     [r1] happens before [r2]. *)
 
+val check_calls :
+  order:Intf.order ->
+  compare_ts:('r -> 'r -> bool) ->
+  pp:(Format.formatter -> 'r -> unit) ->
+  start:('c -> int) ->
+  stop:('c -> int) ->
+  stamp:('c -> 'r) ->
+  op:('c -> Shm.History.op) ->
+  'c array ->
+  (int, violation) result
+(** {!check}'s happens-before and irreflexivity rules over the
+    tick-derived happens-before order of a real parallel run: call [c1]
+    happens before [c2] when [stop c1 < start c2].  Backs the load
+    generator's verdict ([Svc.Loadgen], and so [ts_cli stress]).  The
+    accessors are read once per call, into flat tick columns; [op] only
+    names the calls of a violation.
+
+    First an O(n) pass rejects any [compare_ts t t] with ["compare is not
+    irreflexive at"].  Then [order] picks the path:
+    - [`General] compares every happens-before pair: O(n{^ 2}).  It
+      sorts nothing, and is the oracle the other paths are tested
+      against.
+    - The other two sort the calls by end tick and by start tick with a
+      stable radix sort (at most 6 linear passes over any int ticks) and
+      sweep them by start tick: the calls that happen before the current
+      one form a growing prefix of the end order.
+    - [`Strict_weak] keeps [top], a maximal element of the prefix
+      (replaced by [x] when [compare_ts top x]), and compares the current
+      call with [top] only: O(n) compares.  In a strict weak order every
+      element of the prefix is below [top] or incomparable with it, so
+      [top < o2] gives [x < o2] for the whole prefix, and asymmetry gives
+      [not (o2 < x)].
+    - [`Strict_partial] keeps the frontier, the maximal elements of the
+      prefix, and compares the current call with each of them: every
+      prefix element is a frontier element or below one, so transitivity
+      gives the rest.  Until a violation the frontier's elements are
+      pairwise incomparable, hence pairwise concurrent, so it never holds
+      more calls than were in flight at one instant: O(n w) compares for
+      [w] calls in flight.
+
+    The sweeps' verdict is exact, not a sample, as long as [compare_ts]
+    is the relation [order] declares ({!Intf.order}).  [Ok pairs] counts
+    every happens-before pair (the sum of the prefix lengths) on every
+    path; the sweeps count the pairs they do not visit. *)
+
 val check_timed :
-  order:[ `Strict_weak | `General ] ->
+  order:Intf.order ->
   compare_ts:('r -> 'r -> bool) ->
   pp:(Format.formatter -> 'r -> unit) ->
   'r timed list ->
   (int, violation) result
-(** {!check}'s happens-before and irreflexivity rules over the
-    tick-derived happens-before order of a real parallel run.  Backs
-    the load generator's verdict ([Svc.Loadgen], and so [ts_cli stress]).
-
-    First an O(n) pass rejects any [compare_ts t t] with ["compare is not
-    irreflexive at"].  Then both paths sort the [n] records by end tick and
-    sweep them by start tick: the calls that happen before the current one
-    form a growing prefix of the end-sorted array.
-    - [order = `General] compares the current call with every call of
-      its prefix: O(n log n + pairs), quadratic when most calls are
-      ordered.  This is the oracle.
-    - [order = `Strict_weak] keeps [top], a maximal element of the prefix
-      (replaced by [x] when [compare_ts top x]), and compares the current
-      call with [top] only: O(n log n).  The verdict is still exact, not a
-      sample: in a strict weak order every element of the prefix is below
-      [top] or incomparable with it, so [top < o2] gives [x < o2] for the
-      whole prefix, and asymmetry gives [not (o2 < x)].  This holds only
-      if the [compare_ts] passed in is a strict weak order, i.e. the one an
-      implementation declares with [order = `Strict_weak] ({!Intf.S}).
-
-    [Ok pairs] counts every happens-before pair (the sum of the prefix
-    lengths) on both paths; the sweep counts the pairs it does not
-    visit. *)
+(** {!check_calls} over {!timed} records. *)
 
 val check_sim :
   (module Intf.S with type value = 'v and type result = 'r) ->

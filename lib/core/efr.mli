@@ -32,7 +32,7 @@ val height : result -> int
 
 val compare_ts : result -> result -> bool
 
-val order : [ `Strict_weak | `General ]
+val order : Intf.order
 
 val equal_ts : result -> result -> bool
 

@@ -13,6 +13,25 @@
     never accesses shared memory in any of the paper's algorithms, so it is
     an ordinary pure function here. *)
 
+type order = [ `Strict_weak | `Strict_partial | `General ]
+(** What kind of relation an implementation's [compare_ts] is: a fact
+    about the implementation, not a setting.  It picks the path of
+    {!Checker.check_timed}, which stays exact only while the declaration
+    holds.
+    - [`Strict_weak]: irreflexive, transitive, and incomparability
+      ([not (compare_ts a b)] and [not (compare_ts b a)]) is transitive
+      too, as for any order on an extracted key (Lamport's integers,
+      Algorithm 3's lexicographic [(rnd, turn)]).  The checker compares
+      each call with one maximal earlier call.
+    - [`Strict_partial]: irreflexive and transitive only, as strict
+      pointwise dominance of vectors, whose incomparability is not
+      transitive ([[1,0]] and [[2,0]] are both incomparable with
+      [[0,1]], yet ordered).  The checker compares each call with the
+      maximal elements of the earlier calls.
+    - [`General]: no claim beyond the specification (a fuzz mutant's
+      twisted compare); the checker compares every happens-before
+      pair. *)
+
 module type S = sig
   include Shm.Obj_intf.S
 
@@ -20,17 +39,8 @@ module type S = sig
   (** The [compare] method.  Must be consistent with happens-before as
       described above.  Pure: accesses no shared memory. *)
 
-  val order : [ `Strict_weak | `General ]
-  (** What kind of relation [compare_ts] is — a fact about the
-      implementation, not a setting.  [`Strict_weak]: irreflexive,
-      transitive, and incomparability ([not (compare_ts a b)] and
-      [not (compare_ts b a)]) is transitive too, as for any order on an
-      extracted key (Lamport's integers, Algorithm 3's lexicographic
-      [(rnd, turn)]).  {!Checker.check_timed} then checks each call
-      against one maximal earlier call instead of all of them.
-      [`General]: no claim beyond the specification (e.g. vector
-      dominance, a partial order whose incomparability is not
-      transitive); checkers compare every happens-before pair. *)
+  val order : order
+  (** See {!type-order}. *)
 
   val equal_ts : result -> result -> bool
 

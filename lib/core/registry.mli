@@ -12,7 +12,7 @@ val name : impl -> string
 
 val kind : impl -> [ `One_shot | `Long_lived ]
 
-val order : impl -> [ `Strict_weak | `General ]
+val order : impl -> Intf.order
 
 val num_registers : impl -> n:int -> int
 

@@ -22,7 +22,7 @@ val program : n:int -> pid:int -> call:int -> (value, result) Shm.Prog.t
 
 val compare_ts : result -> result -> bool
 
-val order : [ `Strict_weak | `General ]
+val order : Intf.order
 
 val equal_ts : result -> result -> bool
 

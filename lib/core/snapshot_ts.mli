@@ -21,8 +21,9 @@ val program : n:int -> pid:int -> call:int -> (value, result) Shm.Prog.t
 
 val compare_ts : result -> result -> bool
 
-val order : [ `Strict_weak | `General ]
-(** [`General]: pointwise dominance is a partial order. *)
+val order : Intf.order
+(** [`Strict_partial]: strict pointwise dominance is irreflexive and
+    transitive. *)
 
 val equal_ts : result -> result -> bool
 

@@ -47,7 +47,7 @@ val equal_value : value -> value -> bool
 val compare_ts : result -> result -> bool
 (** Algorithm 3: lexicographic on [(rnd, turn)]. *)
 
-val order : [ `Strict_weak | `General ]
+val order : Intf.order
 (** [`Strict_weak], as any lexicographic order. *)
 
 val equal_ts : result -> result -> bool

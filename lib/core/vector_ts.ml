@@ -39,7 +39,7 @@ let compare_ts v1 v2 =
     v1;
   !le && !strict
 
-let order = `General
+let order = `Strict_partial
 
 let equal_ts (v1 : int array) v2 = v1 = v2
 

@@ -24,10 +24,10 @@ val program : n:int -> pid:int -> call:int -> (value, result) Shm.Prog.t
 val compare_ts : result -> result -> bool
 (** Strict pointwise dominance. *)
 
-val order : [ `Strict_weak | `General ]
-(** [`General]: dominance is a partial order whose incomparability is
-    not transitive ([[1,0]] and [[2,0]] are both incomparable with
-    [[0,1]], yet ordered). *)
+val order : Intf.order
+(** [`Strict_partial]: strict dominance is irreflexive and transitive,
+    but its incomparability is not transitive ([[1,0]] and [[2,0]] are
+    both incomparable with [[0,1]], yet ordered). *)
 
 val equal_ts : result -> result -> bool
 

@@ -63,6 +63,7 @@ type report = {
   lg_throughput : float;
   lg_hb_pairs : int;
   lg_violation : string option;
+  lg_check_s : float;
   lg_p50_us : float;
   lg_p90_us : float;
   lg_p99_us : float;
@@ -260,12 +261,20 @@ module Drive (C : Client.S) = struct
       Obs.Timeseries.start ~append:tel.tel_append ~out:tel.tel_out ts;
       Some ts
 
+  (* Polls of the ready barrier (about 3 ms on a 2-vCPU host) before a
+     client blocks on it.  With more clients than cores, clients polling
+     without bound keep the last one off the cores for seconds.  Blocking
+     at once makes each waiter pay a futex wake, and the wakes' stagger
+     cuts how much the clients' first calls overlap. *)
+  let ready_polls = 100_000
+
   (* Spawn one domain per client, drive the configured loop, join.
      Shared by the single-process [run] and each [run_procs] worker.
      Until the last spawn the clients sleep on a start gate, so none
      runs, or ends and frees its domain slot, before then; then each
      connects and they meet at a ready barrier, so their first calls
-     start together.  Elapsed time and the open loop's schedule start
+     start together: the last arrival broadcasts on the gate, the others
+     poll, then block.  Elapsed time and the open loop's schedule start
      at the gate's opening. *)
   let collect setup cfg rc =
     let gate = Mutex.create () and opened = Condition.create () in
@@ -275,7 +284,28 @@ module Drive (C : Client.S) = struct
           state := s;
           Condition.broadcast opened)
     in
-    let ready = Atomic.make 0 in
+    (* [released] is set after the broadcast, so the clients still
+       polling start with the last arrival, not while it broadcasts *)
+    let ready = Atomic.make 0 and released = Atomic.make false in
+    let all_ready = Condition.create () in
+    let await_ready () =
+      if Atomic.fetch_and_add ready 1 = cfg.clients - 1 then
+        Mutex.protect gate (fun () ->
+            Condition.broadcast all_ready;
+            Atomic.set released true)
+      else begin
+        let polls = ref ready_polls in
+        while !polls > 0 && not (Atomic.get released) do
+          Domain.cpu_relax ();
+          decr polls
+        done;
+        if not (Atomic.get released) then
+          Mutex.protect gate (fun () ->
+              while not (Atomic.get released) do
+                Condition.wait all_ready gate
+              done)
+      end
+    in
     let body i () =
       let s =
         Mutex.protect gate (fun () ->
@@ -288,10 +318,7 @@ module Drive (C : Client.S) = struct
       | `Closed | `Abort -> []
       | `Go t0 ->
         let client = setup.connect i in
-        Atomic.incr ready;
-        while Atomic.get ready < cfg.clients do
-          Domain.cpu_relax ()
-        done;
+        await_ready ();
         let samples =
           match cfg.arrival with
           | Closed -> closed_loop cfg rc client i
@@ -331,27 +358,26 @@ module Drive (C : Client.S) = struct
      happens-before check over every sample it is given. *)
   let report_of setup ~samples ~elapsed ~gsnap ~shard_snaps ~stats
       ~tel_samples ~tel_stalls =
-    let total = List.length samples in
-    let timed =
-      List.map
-        (fun { sm_stamp = s; _ } ->
-           { Timestamp.Checker.td_pid = s.Client.st_pid;
-             td_call = s.Client.st_call;
-             td_start = s.Client.st_start_tick;
-             td_end = s.Client.st_end_tick;
-             td_ts = s.Client.st_ts })
-        samples
-    in
+    let calls = Array.of_list samples in
+    let total = Array.length calls in
+    let t_check = now_us () in
     let hb_pairs, violation =
       match
         Obs.Hooks.with_span "loadgen.check" @@ fun () ->
-        Timestamp.Checker.check_timed ~order:(order_of setup)
-          ~compare_ts:setup.compare_ts ~pp:setup.pp_ts timed
+        Timestamp.Checker.check_calls ~order:(order_of setup)
+          ~compare_ts:setup.compare_ts ~pp:setup.pp_ts
+          ~start:(fun s -> s.sm_stamp.Client.st_start_tick)
+          ~stop:(fun s -> s.sm_stamp.Client.st_end_tick)
+          ~stamp:(fun s -> s.sm_stamp.Client.st_ts)
+          ~op:(fun { sm_stamp = s; _ } ->
+              { Shm.History.pid = s.Client.st_pid; call = s.Client.st_call })
+          calls
       with
       | Ok pairs -> (pairs, None)
       | Error v ->
         (0, Some (Format.asprintf "%a" Timestamp.Checker.pp_violation v))
     in
+    let check_s = (now_us () -. t_check) *. 1e-6 in
     let gpct p = us_of_ns (Obs.Hdr.percentile gsnap p) in
     let num_shards = Array.length shard_snaps in
     let shard_report i =
@@ -376,6 +402,7 @@ module Drive (C : Client.S) = struct
         (if elapsed > 0. then float_of_int total /. elapsed else 0.);
       lg_hb_pairs = hb_pairs;
       lg_violation = violation;
+      lg_check_s = check_s;
       lg_p50_us = gpct 50.;
       lg_p90_us = gpct 90.;
       lg_p99_us = gpct 99.;

@@ -30,11 +30,11 @@
     per-domain shards.
 
     Every request's submit/response order is recorded against the global
-    tick, so the report carries a {!Timestamp.Checker.check_timed} verdict
+    tick, so the report carries a {!Timestamp.Checker.check_calls} verdict
     over the real happens-before order the clients observed.  The
-    implementation's declared order ({!Timestamp.Intf.S.order}) picks the
-    checker path: O(n log n) for a strict weak order, the exhaustive
-    pair scan otherwise.
+    implementation's declared order ({!Timestamp.Intf.order}) picks the
+    checker path: a radix-sorted sweep for a strict weak or strict
+    partial order, the exhaustive pair scan otherwise.
 
     With [telemetry = Some _], the run starts an {!Obs.Timeseries}
     sampler over the generator's own [lat.p50_us]/[lat.p99_us]/
@@ -101,6 +101,7 @@ type report = {
   lg_throughput : float;  (** requests per second *)
   lg_hb_pairs : int;  (** happens-before pairs the checker verified *)
   lg_violation : string option;  (** [None] = specification holds *)
+  lg_check_s : float;  (** wall time of the happens-before check *)
   lg_p50_us : float;
   lg_p90_us : float;
   lg_p99_us : float;

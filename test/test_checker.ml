@@ -95,8 +95,9 @@ let run_timed ?(compare_ts = fun (a : int) b -> a < b) order records =
   Timestamp.Checker.check_timed ~order ~compare_ts ~pp:Format.pp_print_int
     records
 
-(* Every check_timed case runs on both paths: the sweep and the scan. *)
-let on_both_paths f () = List.iter f [ `Strict_weak; `General ]
+(* Every check_timed case runs on every path: both sweeps and the scan. *)
+let on_every_path f () =
+  List.iter f [ `Strict_weak; `Strict_partial; `General ]
 
 let timed_accepts_correct order =
   (* three sequential calls, one overlapping all of them, one after all *)
@@ -141,41 +142,60 @@ let timed_detects_reflexive_compare order =
   | Error v ->
     Alcotest.(check string) "reason" "compare is not irreflexive at" v.reason
 
-(* Differential property: on random interval histories the strict-weak
-   sweep and the exhaustive scan agree on the verdict and the pair count.
-   Each call gets a linearization point [p] inside its interval and a
-   rank by [p]; [e1 < s2] forces [p1 < p2], so ranks respect
-   happens-before.  A third of the histories get one corrupted rank
-   (shifted, duplicated from another call, or swapped with another
-   call's), which may or may not break happens-before. *)
-let gen_history =
+(* Differential property: on random interval histories both sweeps
+   return the exhaustive scan's verdict and pair count.  Each call gets
+   [dims] linearization points inside its interval and, for each, a rank
+   by that point; [e1 < s2] forces [p1 < p2] at every point, so the
+   ranks respect happens-before in every coordinate.  A third of the
+   histories get one corrupted rank (shifted, duplicated from another
+   call, or swapped with another call's), which may or may not break
+   happens-before.  The ticks [0 .. 100] then go through a random
+   strictly increasing map, which keeps happens-before but moves them
+   anywhere in the int range: negative, or spanning more than 2^62. *)
+let gen_history ~dims =
   let open QCheck2.Gen in
-  let* n = int_range 1 40 in
+  let* n = int_range 0 40 in
   let* calls =
     list_repeat n
       (let* start = int_bound 80 in
        let* len = int_bound 20 in
-       let+ p = int_bound len in
-       (start, start + len, start + p))
+       let+ ps = list_repeat dims (int_bound len) in
+       (start, start + len, List.map (fun p -> start + p) ps))
   in
-  let points =
-    List.sort_uniq Int.compare (List.map (fun (_, _, p) -> p) calls)
+  let ranks d =
+    let points = List.map (fun (_, _, ps) -> List.nth ps d) calls in
+    let sorted = List.sort_uniq Int.compare points in
+    Array.of_list
+      (List.map
+         (fun p -> List.length (List.filter (fun q -> q < p) sorted))
+         points)
   in
-  let rank p = List.length (List.filter (fun q -> q < p) points) in
-  let ranks = Array.of_list (List.map (fun (_, _, p) -> rank p) calls) in
+  let ranks = Array.init dims ranks in
   let* fault = int_bound 8 in
-  let* i = int_bound (n - 1) in
-  let* j = int_bound (n - 1) in
-  let+ shift = oneofl [ -3; -2; -1; 1; 2; 3 ] in
-  let corrupt k =
-    match fault with
-    | 0 when k = i -> max 0 (ranks.(i) + shift)
-    | 1 when k = i -> ranks.(j)
-    | 2 when k = i -> ranks.(j)
-    | 2 when k = j -> ranks.(i)
-    | _ -> ranks.(k)
+  let* d = int_bound (dims - 1) in
+  let* i = int_bound (max 0 (n - 1)) in
+  let* j = int_bound (max 0 (n - 1)) in
+  let* shift = oneofl [ -3; -2; -1; 1; 2; 3 ] in
+  let+ base, step =
+    oneof
+      [ pair (int_range (-1000) 1000) (oneofl [ 1; 3 ]);
+        pair (int_range (-(1 lsl 50)) (1 lsl 50)) (pure (1 lsl 40));
+        map (fun o -> (min_int + o, max_int / 51)) (int_bound 1000) ]
   in
-  List.mapi (fun k (start, stop, _) -> (start, stop, corrupt k)) calls
+  let rank e k =
+    let r = ranks.(e) in
+    match fault with
+    | 0 when e = d && k = i -> max 0 (r.(i) + shift)
+    | 1 when e = d && k = i -> r.(j)
+    | 2 when e = d && k = i -> r.(j)
+    | 2 when e = d && k = j -> r.(i)
+    | _ -> r.(k)
+  in
+  let tick t = base + (t * step) in
+  List.mapi
+    (fun k (start, stop, _) ->
+       (tick start, tick stop, List.init dims (fun e -> rank e k)))
+    calls
 
 (* A strictly increasing chain of 44 stamps (ranks reach 39 + 3) drawn
    from [universe], whose values are pairwise distinct under
@@ -189,25 +209,54 @@ let gen_chain ~compare_ts universe =
        Array.of_list (List.sort cmp (List.filteri (fun i _ -> i < 44) l)))
     (QCheck2.Gen.shuffle_l universe)
 
-let sweep_matches_scan ~name ~compare_ts ~pp universe =
-  Util.qtest ~count:3000
-    (name ^ ": strict-weak sweep agrees with the exhaustive scan")
-    QCheck2.Gen.(pair gen_history (gen_chain ~compare_ts universe))
-    (fun (history, chain) ->
-       let records =
-         List.mapi
-           (fun pid (start, stop, r) ->
-              { Timestamp.Checker.td_pid = pid; td_call = 0; td_start = start;
-                td_end = stop; td_ts = chain.(r) })
-           history
-       in
-       let run order =
-         Timestamp.Checker.check_timed ~order ~compare_ts ~pp records
-       in
-       match (run `Strict_weak, run `General) with
+let paths_match_scan ~paths ~compare_ts ~pp stamped =
+  let records =
+    List.mapi
+      (fun pid (start, stop, ts) ->
+         { Timestamp.Checker.td_pid = pid; td_call = 0; td_start = start;
+           td_end = stop; td_ts = ts })
+      stamped
+  in
+  let run order =
+    Timestamp.Checker.check_timed ~order ~compare_ts ~pp records
+  in
+  let scan = run `General in
+  List.for_all
+    (fun order ->
+       match (run order, scan) with
        | Ok a, Ok b -> a = b
        | Error _, Error _ -> true
        | Ok _, Error _ | Error _, Ok _ -> false)
+    paths
+
+(* A strict weak order is a strict partial order too, so both sweeps
+   apply. *)
+let sweep_matches_scan ~name ~compare_ts ~pp universe =
+  Util.qtest ~count:3000
+    (name ^ ": strict-weak sweep agrees with the exhaustive scan, as does \
+             the frontier")
+    QCheck2.Gen.(pair (gen_history ~dims:1) (gen_chain ~compare_ts universe))
+    (fun (history, chain) ->
+       paths_match_scan ~paths:[ `Strict_weak; `Strict_partial ] ~compare_ts
+         ~pp
+         (List.map (fun (start, stop, r) -> (start, stop, chain.(List.hd r)))
+            history))
+
+(* Two linearizations make a two-dimensional dominance order: calls
+   ordered by happens-before get dominating vectors, and concurrent calls
+   the two points order differently get incomparable ones, so
+   incomparability is not transitive. *)
+let frontier_matches_scan =
+  Util.qtest ~count:3000
+    "vector: frontier agrees with the exhaustive scan"
+    (gen_history ~dims:2)
+    (fun history ->
+       paths_match_scan ~paths:[ `Strict_partial ]
+         ~compare_ts:Timestamp.Vector_ts.compare_ts
+         ~pp:Timestamp.Vector_ts.pp_ts
+         (List.map
+            (fun (start, stop, r) -> (start, stop, Array.of_list r))
+            history))
 
 let differential =
   let range n = List.init n Fun.id in
@@ -221,7 +270,8 @@ let differential =
     sweep_matches_scan ~name:"efr" ~compare_ts:Efr.compare_ts ~pp:Efr.pp_ts
       (List.concat_map
          (fun m -> Efr.Even m :: List.map (fun c -> Efr.Odd (m, c)) (range 5))
-         (range 30)) ]
+         (range 30));
+    frontier_matches_scan ]
 
 let suite =
   ( "checker",
@@ -233,12 +283,12 @@ let suite =
       Util.case "detects symmetric compare" detects_symmetric_compare;
       Util.case "symmetric rule skips pending ops" symmetric_check_skips_pending;
       Util.case "timed: accepts a correct history"
-        (on_both_paths timed_accepts_correct);
+        (on_every_path timed_accepts_correct);
       Util.case "timed: rejects equal and inverted stamps on an hb pair"
-        (on_both_paths timed_rejects_equal_and_inverted);
+        (on_every_path timed_rejects_equal_and_inverted);
       Util.case "timed: overlapping calls are unconstrained"
-        (on_both_paths timed_leaves_concurrent_unconstrained);
-      Util.case "timed: empty history" (on_both_paths timed_empty);
+        (on_every_path timed_leaves_concurrent_unconstrained);
+      Util.case "timed: empty history" (on_every_path timed_empty);
       Util.case "timed: detects reflexive compare"
-        (on_both_paths timed_detects_reflexive_compare) ]
+        (on_every_path timed_detects_reflexive_compare) ]
     @ differential )

@@ -201,6 +201,33 @@ let corpus_dir =
   in
   if Sys.file_exists beside_exe then beside_exe else "repro_corpus"
 
+(* Every [check_timed] path returns the scan's verdict and pair count on
+   a replayed history, each completed call spanning its invocation and
+   response times.  The corpus mutants' compares are strict weak orders,
+   or reflexive (which every path rejects first), so every path
+   applies. *)
+let checker_paths_agree (Timestamp.Registry.Impl (module T)) ~n schedule =
+  let cfg, _ = Fuzz.Replay.run (module T) ~n schedule in
+  let hist = Shm.Sim.hist cfg in
+  let records =
+    List.filter_map
+      (fun ((op : Shm.History.op), ts) ->
+         match Shm.History.interval hist op with
+         | Some (start, Some stop) ->
+           Some
+             { Timestamp.Checker.td_pid = op.pid; td_call = op.call;
+               td_start = start; td_end = stop; td_ts = ts }
+         | _ -> None)
+      (Shm.Sim.results cfg)
+  in
+  let verdict order =
+    Result.to_option
+      (Timestamp.Checker.check_timed ~order ~compare_ts:T.compare_ts
+         ~pp:T.pp_ts records)
+  in
+  let scan = verdict `General in
+  verdict `Strict_weak = scan && verdict `Strict_partial = scan
+
 let corpus_replays () =
   let files =
     Sys.readdir corpus_dir |> Array.to_list
@@ -223,6 +250,11 @@ let corpus_replays () =
           | Ok None ->
             Alcotest.fail (file ^ ": corpus repro no longer violates")
           | Error e -> Alcotest.fail (file ^ ": " ^ e));
+         Option.iter
+           (fun impl ->
+              Util.check_bool (file ^ ": every checker path agrees") true
+                (checker_paths_agree impl ~n:repro.n repro.schedule))
+           (Fuzz.Harness.resolve_impl repro.impl);
          (match Fuzz.Mutant.clean_counterpart repro.impl with
           | None -> ()
           | Some clean ->
