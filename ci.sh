@@ -301,6 +301,35 @@ wait "$pids_pid" || {
   echo "net smoke: n=2 server did not stop cleanly" >&2
   cat /tmp/pids_serve.log >&2; exit 1; }
 
+echo "== net smoke: 10^5 per-stamp round trips, every frame decoded in place =="
+# Lease 1: each stamp is one Get_stamp frame decoded where it lies in the
+# loop's receive buffer and one Stamp reply decoded where it lies in the
+# client's; pipelined bursts of 8 straddle reads on both ends.
+ip_sock=/tmp/ts_ci_inplace.sock
+rm -f "$ip_sock" /tmp/inplace_serve.log
+"$ts_bin" serve -i lamport-longlived -n 2 --listen "unix:$ip_sock" \
+  > /tmp/inplace_serve.log 2>&1 &
+ip_pid=$!
+i=0
+while [ ! -S "$ip_sock" ] && [ "$i" -lt 100 ]; do
+  sleep 0.1; i=$((i + 1))
+done
+ip_out=$(timeout 120 "$ts_bin" loadgen -i lamport-longlived --transport tcp \
+  --addr "unix:$ip_sock" --clients 2 -r 50000 --pipeline 8 --lease 1 \
+  --stop-server) || {
+  echo "net smoke: the lease-1 scale run failed" >&2
+  kill "$ip_pid" 2>/dev/null; cat /tmp/inplace_serve.log >&2; exit 1; }
+echo "$ip_out"
+echo "$ip_out" | grep -q "served 100000 requests" || {
+  echo "net smoke: lease-1 scale run has the wrong request count" >&2
+  kill "$ip_pid" 2>/dev/null; exit 1; }
+echo "$ip_out" | grep -q "checker: OK" || {
+  echo "net smoke: lease-1 scale run failed the checker" >&2
+  kill "$ip_pid" 2>/dev/null; exit 1; }
+wait "$ip_pid" || {
+  echo "net smoke: lease-1 server did not stop cleanly" >&2
+  cat /tmp/inplace_serve.log >&2; exit 1; }
+
 echo "== net2 sanity: fast E19 reactor bench emits schema-valid JSON =="
 bench --fast --only e19
 dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_net2.json"

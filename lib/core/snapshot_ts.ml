@@ -37,15 +37,8 @@ let program ~n ~pid ~call:_ =
   in
   Snapshot.Wsnapshot.scan ~n
 
-let compare_ts v1 v2 =
-  if Array.length v1 <> Array.length v2 then
-    invalid_arg "Snapshot_ts.compare_ts: length mismatch";
-  let le = ref true and strict = ref false in
-  Array.iteri
-    (fun i x ->
-       if x > v2.(i) then le := false else if x < v2.(i) then strict := true)
-    v1;
-  !le && !strict
+(* Scans are vectors, ordered as {!Vector_ts} orders them. *)
+let compare_ts = Vector_ts.compare_ts
 
 let order = `Strict_partial
 

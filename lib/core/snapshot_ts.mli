@@ -20,6 +20,7 @@ val init_value : n:int -> value
 val program : n:int -> pid:int -> call:int -> (value, result) Shm.Prog.t
 
 val compare_ts : result -> result -> bool
+(** Strict pointwise dominance: {!Vector_ts.compare_ts}. *)
 
 val order : Intf.order
 (** [`Strict_partial]: strict pointwise dominance is irreflexive and

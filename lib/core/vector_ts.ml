@@ -29,15 +29,18 @@ let program ~n ~pid ~call:_ =
   let* () = Shm.Prog.write pid (c + 1) in
   Snapshot.Collect.collect ~lo:0 ~hi:(n - 1)
 
-let compare_ts v1 v2 =
+(* [v1.(j) <= v2.(j)] for every [j >= i], and [strict] or [<] for one:
+   int comparisons, no closure, and out at the first component above. *)
+let rec dominated v1 v2 i strict =
+  if i = Array.length v1 then strict
+  else
+    let x : int = Array.unsafe_get v1 i and y : int = Array.unsafe_get v2 i in
+    x <= y && dominated v1 v2 (i + 1) (strict || x < y)
+
+let compare_ts (v1 : int array) (v2 : int array) =
   if Array.length v1 <> Array.length v2 then
-    invalid_arg "Vector_ts.compare_ts: length mismatch";
-  let le = ref true and strict = ref false in
-  Array.iteri
-    (fun i x ->
-       if x > v2.(i) then le := false else if x < v2.(i) then strict := true)
-    v1;
-  !le && !strict
+    invalid_arg "compare_ts: vectors of different lengths";
+  dominated v1 v2 0 false
 
 let order = `Strict_partial
 

@@ -22,7 +22,10 @@ val init_value : n:int -> value
 val program : n:int -> pid:int -> call:int -> (value, result) Shm.Prog.t
 
 val compare_ts : result -> result -> bool
-(** Strict pointwise dominance. *)
+(** Strict pointwise dominance: allocation-free, and done at the first
+    component of the left vector above the right one's.  Raises
+    [Invalid_argument] on vectors of different lengths.
+    {!Snapshot_ts.compare_ts} is this function. *)
 
 val order : Intf.order
 (** [`Strict_partial]: strict dominance is irreflexive and transitive,

@@ -5,7 +5,8 @@
    fetch one Get_range and mint the next k stamps locally — one round
    trip amortized over k stamps).  Timestamps cross the wire as the
    implementation's Codec payloads; the Ping handshake checks that both
-   ends use the same one. *)
+   ends use the same one.  Replies are decoded where they lie in the
+   receive buffer, a Stamp reply straight into the returned stamp. *)
 
 open Svc.Client
 
@@ -20,75 +21,86 @@ module Make (T : Timestamp.Intf.S) = struct
     conn : Conn.t;
     lease : int;
     info : Frame.server_info;
-    (* the cached lease: anchor identity + the unminted tick range *)
-    mutable l_pid : int;
-    mutable l_call : int;
-    mutable l_shard : int;
-    mutable l_start : int;
-    mutable l_ts : T.result option;
+    (* the cached lease: its next mint (the anchor's identity, start tick
+       and value) and the unminted tick range *)
+    mutable l_mint : result stamp option;
     mutable l_next : int;  (* next end tick to mint *)
     mutable l_end : int;  (* exclusive *)
   }
 
   let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
-  let ts_of_blob s : T.result =
-    try Codec.decode_exn codec s
-    with Codec.Malformed m -> fail "bad timestamp payload: %s" m
-
-  let recv_resp t =
-    match Conn.recv t.conn with
+  (* The next reply, decoded where it lies in the receive buffer. *)
+  let recv t decode =
+    match Conn.recv t.conn decode with
+    | Ok (Ok v) -> v
+    | Ok (Error e) -> fail "undecodable response: %s" (Frame.error_to_string e)
     | Error `Eof -> fail "connection closed by server"
     | Error (`Frame e) -> fail "frame error: %s" (Frame.error_to_string e)
-    | Ok payload -> (
-        match Frame.decode_resp payload with
-        | Error e -> fail "undecodable response: %s" (Frame.error_to_string e)
-        | Ok (_, Frame.Err msg) -> fail "server: %s" msg
-        | Ok (_, r) -> r)
+
+  let unexpected what = function
+    | Frame.Err msg -> fail "server: %s" msg
+    | _ -> fail "protocol error: expected %s" what
+
+  (* A Stamp reply straight into the stamp: no payload string, no
+     intermediate record, the timestamp read by the codec in place. *)
+  let read_stamp =
+    Frame.read_reply codec
+      ~stamp:(fun ~pid ~call ~shard ~start_tick ~end_tick ts ->
+          { st_pid = pid; st_call = call; st_start_tick = start_tick;
+            st_end_tick = end_tick; st_ts = ts; st_resp_us = now_us ();
+            st_shard = shard })
+      ~range:(fun ~pid:_ ~call:_ ~shard:_ ~start_tick:_ ~base:_ ~count:_ _ ->
+          fail "protocol error: expected Stamp")
+      ~other:(unexpected "Stamp")
+
+  (* A Range reply as its first mint (end tick [base]) and its count. *)
+  let read_range =
+    Frame.read_reply codec
+      ~stamp:(fun ~pid:_ ~call:_ ~shard:_ ~start_tick:_ ~end_tick:_ _ ->
+          fail "protocol error: expected Range")
+      ~range:(fun ~pid ~call ~shard ~start_tick ~base ~count ts ->
+          ( { st_pid = pid; st_call = call; st_start_tick = start_tick;
+              st_end_tick = base; st_ts = ts; st_resp_us = 0.;
+              st_shard = shard },
+            count ))
+      ~other:(unexpected "Range")
 
   let flush_conn t =
     try Conn.flush t.conn
     with Unix.Unix_error (e, _, _) ->
       fail "connection lost: %s" (Unix.error_message e)
 
-  let rpc t req =
+  let send t req =
     Frame.write_req (Conn.send_buffer t.conn) req;
-    flush_conn t;
-    recv_resp t
+    flush_conn t
 
-  let of_wire (w : Frame.wire_stamp) =
-    { st_pid = w.w_pid; st_call = w.w_call; st_start_tick = w.w_start_tick;
-      st_end_tick = w.w_end_tick; st_ts = ts_of_blob w.w_ts;
-      st_resp_us = now_us (); st_shard = w.w_shard }
+  let rpc t req =
+    send t req;
+    match recv t Frame.read_resp with
+    | Frame.Err msg -> fail "server: %s" msg
+    | r -> r
 
   (* one stamp off the cached lease; caller checks the cache is warm *)
   let mint t =
     let e = t.l_next in
     t.l_next <- e + 1;
-    let ts = match t.l_ts with Some ts -> ts | None -> assert false in
-    { st_pid = t.l_pid; st_call = t.l_call; st_start_tick = t.l_start;
-      st_end_tick = e; st_ts = ts; st_resp_us = now_us ();
-      st_shard = t.l_shard }
+    match t.l_mint with
+    | Some m -> { m with st_end_tick = e; st_resp_us = now_us () }
+    | None -> assert false
 
   let cached t = t.l_end - t.l_next
 
   let refill t k =
-    let k = min k Frame.max_lease in
-    match rpc t (Frame.Get_range k) with
-    | Frame.Range g ->
-      t.l_pid <- g.g_pid;
-      t.l_call <- g.g_call;
-      t.l_shard <- g.g_shard;
-      t.l_start <- g.g_start_tick;
-      t.l_ts <- Some (ts_of_blob g.g_ts);
-      t.l_next <- g.g_base;
-      t.l_end <- g.g_base + g.g_count
-    | _ -> fail "protocol error: expected Range"
+    send t (Frame.Get_range (min k Frame.max_lease));
+    let first, count = recv t read_range in
+    t.l_mint <- Some first;
+    t.l_next <- first.st_end_tick;
+    t.l_end <- first.st_end_tick + count
 
   let remote_stamp t =
-    match rpc t Frame.Get_stamp with
-    | Frame.Stamp w -> of_wire w
-    | _ -> fail "protocol error: expected Stamp"
+    send t Frame.Get_stamp;
+    recv t read_stamp
 
   let stamp t =
     if cached t > 0 then mint t
@@ -118,10 +130,7 @@ module Make (T : Timestamp.Intf.S) = struct
         Frame.write_req sbuf Frame.Get_stamp
       done;
       flush_conn t;
-      List.init k (fun _ ->
-          match recv_resp t with
-          | Frame.Stamp w -> of_wire w
-          | _ -> fail "protocol error: expected Stamp")
+      List.init k (fun _ -> recv t read_stamp)
     end
 
   let compare _ a b = T.compare_ts a.st_ts b.st_ts
@@ -172,11 +181,7 @@ module Make (T : Timestamp.Intf.S) = struct
         info =
           { Frame.si_impl = ""; si_kind = `One_shot; si_n = 0; si_shards = 0;
             si_codec = "" };
-        l_pid = 0;
-        l_call = 0;
-        l_shard = 0;
-        l_start = 0;
-        l_ts = None;
+        l_mint = None;
         l_next = 0;
         l_end = 0 }
     in

@@ -15,11 +15,35 @@ exception Malformed of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 
+(* A byte slice being read: [buf.[pos .. lim)] is what is left.  Every
+   read checks [lim] first, and [lim] never passes the end of [buf]
+   ([reset] checks the slice, [get_value] only narrows it), so a decoder
+   fed hostile bytes fails cleanly; byte reads are bounds-checked all
+   the same, since the record is open to the frame layer.  A connection
+   keeps one cursor and resets it over each frame. *)
+type cursor = { mutable buf : Bytes.t; mutable pos : int; mutable lim : int }
+
+let reset c buf ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Codec.cursor: slice out of bounds";
+  c.buf <- buf;
+  c.pos <- off;
+  c.lim <- off + len
+
+let cursor buf ~off ~len =
+  let c = { buf; pos = 0; lim = 0 } in
+  reset c buf ~off ~len;
+  c
+
+(* Read only: nothing writes through a cursor. *)
+let cursor_of_string s =
+  { buf = Bytes.unsafe_of_string s; pos = 0; lim = String.length s }
+
 type 'r t = {
   c_name : string;
   c_size : 'r -> int;
   c_put : Bytes.t -> int -> 'r -> int;
-  c_get : string -> int -> limit:int -> 'r * int;
+  c_get : cursor -> 'r;
 }
 
 let name c = c.c_name
@@ -44,20 +68,33 @@ let put_uv b pos v =
   !p + 1
 
 (* Strict decode: at most 9 bytes (63 bits); a continuation bit on the
-   9th byte is an overflow, not more data. *)
-let get_uv s pos ~limit =
-  if limit > String.length s then invalid_arg "Codec.get_uv: bad limit";
-  let v = ref 0 and shift = ref 0 and p = ref pos and cont = ref true in
+   9th byte is an overflow, not more data.  The refs are local and never
+   captured, so they live in registers: no allocation. *)
+let get_uv c =
+  let v = ref 0 and shift = ref 0 and p = ref c.pos and cont = ref true in
   while !cont do
     if !shift > 56 then fail "varint overflow";
-    if !p >= limit then fail "truncated varint";
-    let byte = Char.code (String.unsafe_get s !p) in
+    if !p >= c.lim then fail "truncated varint";
+    let byte = Char.code (Bytes.get c.buf !p) in
     incr p;
     v := !v lor ((byte land 0x7f) lsl !shift);
     shift := !shift + 7;
     cont := byte >= 0x80
   done;
-  (!v, !p)
+  c.pos <- !p;
+  !v
+
+let get_byte c =
+  if c.pos >= c.lim then fail "truncated byte";
+  let v = Char.code (Bytes.get c.buf c.pos) in
+  c.pos <- c.pos + 1;
+  v
+
+let get_string c n =
+  if n < 0 || n > c.lim - c.pos then fail "truncated string";
+  let s = Bytes.sub_string c.buf c.pos n in
+  c.pos <- c.pos + n;
+  s
 
 (* Zigzag so signed ints stay short when small in magnitude. *)
 let zig v = (v lsl 1) lxor (v asr 62)
@@ -68,14 +105,7 @@ let zint_size v = uv_size (zig v)
 
 let put_zint b pos v = put_uv b pos (zig v)
 
-let get_zint s pos ~limit =
-  let z, pos = get_uv s pos ~limit in
-  (unzig z, pos)
-
-let get_len s pos ~limit ~what ~max =
-  let n, pos = get_uv s pos ~limit in
-  if n < 0 || n > max then fail "bad %s length %d" what n;
-  (n, pos)
+let get_zint c = unzig (get_uv c)
 
 (* --------------------------- the codecs ---------------------------- *)
 
@@ -93,10 +123,10 @@ let zpair : (int * int) t =
          let pos = put_zint buf pos a in
          put_zint buf pos b);
     c_get =
-      (fun s pos ~limit ->
-         let a, pos = get_zint s pos ~limit in
-         let b, pos = get_zint s pos ~limit in
-         ((a, b), pos)) }
+      (fun c ->
+         let a = get_zint c in
+         let b = get_zint c in
+         (a, b)) }
 
 let max_vector = 1 lsl 16  (* components; a decode-side allocation cap *)
 
@@ -117,16 +147,17 @@ let zvec : int array t =
          done;
          !pos);
     c_get =
-      (fun s pos ~limit ->
-         let n, pos = get_len s pos ~limit ~what:"vector" ~max:max_vector in
-         let a = Array.make (max n 1) 0 in
-         let pos = ref pos in
-         for i = 0 to n - 1 do
-           let v, pos' = get_zint s !pos ~limit in
-           a.(i) <- v;
-           pos := pos'
-         done;
-         ((if n = 0 then [||] else a), !pos)) }
+      (fun c ->
+         let n = get_uv c in
+         if n < 0 || n > max_vector then fail "bad vector length %d" n;
+         if n = 0 then [||]
+         else begin
+           let a = Array.make n 0 in
+           for i = 0 to n - 1 do
+             a.(i) <- get_zint c
+           done;
+           a
+         end) }
 
 let efr : Timestamp.Efr.result t =
   { c_name = "efr";
@@ -145,17 +176,14 @@ let efr : Timestamp.Efr.result t =
            let pos = put_zint buf (pos + 1) m in
            put_zint buf pos c);
     c_get =
-      (fun s pos ~limit ->
-         if pos >= limit then fail "truncated efr tag";
-         match s.[pos] with
-         | '\000' ->
-           let v, pos = get_zint s (pos + 1) ~limit in
-           (Timestamp.Efr.Even v, pos)
-         | '\001' ->
-           let m, pos = get_zint s (pos + 1) ~limit in
-           let c, pos = get_zint s pos ~limit in
-           (Timestamp.Efr.Odd (m, c), pos)
-         | c -> fail "bad efr tag %d" (Char.code c)) }
+      (fun c ->
+         match get_byte c with
+         | 0 -> Timestamp.Efr.Even (get_zint c)
+         | 1 ->
+           let m = get_zint c in
+           let k = get_zint c in
+           Timestamp.Efr.Odd (m, k)
+         | tag -> fail "bad efr tag %d" tag) }
 
 (* Name-keyed dispatch.  The registry keys implementations by [T.name]
    and each name fixes a concrete [result] type, but that connection is
@@ -184,8 +212,18 @@ let encode c v =
   ignore (c.c_put b 0 v);
   Bytes.unsafe_to_string b
 
-(* Whole-payload decode: one value, no trailing bytes. *)
-let decode_exn c s =
-  let v, pos = c.c_get s 0 ~limit:(String.length s) in
-  if pos <> String.length s then fail "trailing bytes after timestamp";
+(* Exactly [len] bytes as one value: the cursor's limit is narrowed to
+   them while the codec reads, so a value cannot run into what follows
+   it, and bytes it leaves over are an error. *)
+let get_value codec c ~len =
+  if len < 0 || len > c.lim - c.pos then fail "truncated timestamp";
+  let lim = c.lim and stop = c.pos + len in
+  c.lim <- stop;
+  let v = codec.c_get c in
+  if c.pos <> stop then fail "trailing bytes after timestamp";
+  c.lim <- lim;
   v
+
+(* Whole-payload decode: one value, no trailing bytes. *)
+let decode_exn codec s =
+  get_value codec (cursor_of_string s) ~len:(String.length s)

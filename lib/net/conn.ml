@@ -1,7 +1,8 @@
 (* Buffered, byte-counting socket connection: frame-at-a-time reads on
    top of a receive {!Buf} (a single read(2) often delivers several
-   pipelined frames — the parser drains them all before touching the
-   socket again), and a send {!Buf} flushed once per batch of frames. *)
+   pipelined frames — the parser decodes them all where they lie before
+   touching the socket again), and a send {!Buf} flushed once per batch
+   of frames. *)
 
 type addr = Unix_path of string | Tcp of { host : string; port : int }
 
@@ -51,6 +52,7 @@ let domain_of = function
 type t = {
   fd : Unix.file_descr;
   rbuf : Buf.t;  (* received, not yet parsed *)
+  rcur : Codec.cursor;  (* reset over each frame handed to a decoder *)
   wbuf : Buf.t;  (* framed, not yet written *)
   mutable bytes_in : int;
   mutable bytes_out : int;
@@ -70,6 +72,7 @@ let create fd =
   Lazy.force ignore_sigpipe;
   { fd;
     rbuf = Buf.create ~cap:8192 ();
+    rcur = Codec.cursor Bytes.empty ~off:0 ~len:0;
     wbuf = Buf.create ~cap:8192 ();
     bytes_in = 0;
     bytes_out = 0;
@@ -135,35 +138,49 @@ let try_refill t =
                                _, _) ->
     `Eof
 
-(* The next complete frame already buffered, if any. *)
-let buffered_frame t =
+(* Decodes the complete [len]-byte frame at the front of the receive
+   buffer where it lies, then consumes it (also when [decode] raises).
+   Nothing between the reset and the consume touches the receive
+   buffer, so the cursor's position cannot go stale. *)
+let decode_frame t len decode =
+  let b = t.rbuf in
+  Codec.reset t.rcur (Buf.bytes b) ~off:(Buf.offset b + 4) ~len;
+  match decode t.rcur with
+  | v ->
+    Buf.consume b (4 + len);
+    v
+  | exception e ->
+    Buf.consume b (4 + len);
+    raise e
+
+let next_length t =
   let b = t.rbuf in
   match
     Frame.frame_length (Buf.bytes b) ~off:(Buf.offset b) ~avail:(Buf.length b)
   with
-  | `Error e -> Some (Error (`Frame e))
+  | `Length len when Buf.length b - 4 < len -> `Need_more
+  | r -> r
+
+let buffered_frame t decode =
+  match next_length t with
+  | `Length len -> Some (Ok (decode_frame t len decode))
   | `Need_more -> None
-  | `Length len ->
-    if Buf.length b - 4 < len then None
-    else begin
-      let payload = Bytes.sub_string (Buf.bytes b) (Buf.offset b + 4) len in
-      Buf.consume b (4 + len);
-      Some (Ok payload)
-    end
+  | `Error e -> Some (Error (`Frame e))
 
 (* Blocking: a frame header promising more than fits is caught by
    [frame_length] before we ever try to buffer it. *)
-let rec recv t =
-  match buffered_frame t with
-  | Some r -> r
-  | None ->
+let rec recv t decode =
+  match next_length t with
+  | `Length len -> Ok (decode_frame t len decode)
+  | `Error e -> Error (`Frame e)
+  | `Need_more ->
     let n =
       try read_some t
       with
       | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
         0
     in
-    if n > 0 then recv t
+    if n > 0 then recv t decode
     else if Buf.is_empty t.rbuf then Error `Eof
     else Error (`Frame Frame.Truncated)
 

@@ -1,10 +1,10 @@
 (** Buffered, byte-counting socket connections and address parsing.
 
     Reads are frame-at-a-time on top of a receive {!Buf}: one [read(2)]
-    often delivers several pipelined frames, and the parser drains them
-    all before touching the socket again.  Writes accumulate in a send
-    {!Buf} until {!flush} — a pipelining sender frames a whole burst and
-    pays one [write(2)].  Blocking ({!recv}, {!flush}) and non-blocking
+    often delivers several pipelined frames, and the parser decodes them
+    all, each where it lies, before touching the socket again.  Writes
+    accumulate in a send {!Buf} until {!flush} — a pipelining sender
+    frames a whole burst and pays one [write(2)].  Blocking ({!recv}, {!flush}) and non-blocking
     ({!try_refill}, {!try_flush}) forms share the same buffers. *)
 
 type addr = Unix_path of string | Tcp of { host : string; port : int }
@@ -56,16 +56,24 @@ val try_flush : t -> [ `Flushed | `Partial | `Closed ]
     polls writable), [`Closed] when the peer is gone. *)
 
 val try_refill : t -> [ `Data | `Would_block | `Eof ]
-(** One non-blocking read into the receive buffer; drain complete
+(** One non-blocking read into the receive buffer; decode complete
     frames afterwards with {!buffered_frame}. *)
 
 val buffered_frame :
-  t -> (string, [> `Frame of Frame.error ]) result option
-(** Next complete frame already in the receive buffer, without touching
-    the socket; [None] when more bytes are needed. *)
+  t -> (Codec.cursor -> 'a) -> ('a, [> `Frame of Frame.error ]) result option
+(** If a complete frame is already in the receive buffer, hands its
+    payload to the decoder as a cursor over the buffer itself (no copy),
+    then consumes the frame, also when the decoder raises.  [None] when
+    more bytes are needed; nothing touches the socket.
 
-val recv : t -> (string, [ `Eof | `Frame of Frame.error ]) result
-(** Next frame's payload, blocking until one is complete.  [`Eof] on a
+    The no-held-position rule: the cursor, and any position into the
+    buffer, is valid only until the decoder returns.  The next read may
+    compact or grow the buffer ({!Buf.reserve}), so a decoder copies
+    whatever bytes it keeps. *)
+
+val recv :
+  t -> (Codec.cursor -> 'a) -> ('a, [ `Eof | `Frame of Frame.error ]) result
+(** {!buffered_frame}, blocking until a frame is complete.  [`Eof] on a
     clean close at a frame boundary; [`Frame Truncated] when the peer
     dies mid-frame; [`Frame] errors for bad length prefixes. *)
 

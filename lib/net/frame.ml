@@ -167,10 +167,14 @@ let put_field bytes pos = function
     Bytes.set bytes pos (Char.chr v);
     pos + 1
 
+let rec put_fields bytes pos = function
+  | [] -> pos
+  | f :: fields -> put_fields bytes (put_field bytes pos f) fields
+
 let write_fields b op fields =
   let len = List.fold_left (fun n f -> n + field_size f) 2 fields in
   let pos = reserve_frame b op ~len in
-  commit b ~len (List.fold_left (put_field (Buf.bytes b)) pos fields)
+  commit b ~len (put_fields (Buf.bytes b) pos fields)
 
 let write_req b = function
   | Ping -> write_fields b op_ping []
@@ -265,34 +269,44 @@ let write_range_v2 b (codec : _ Codec.t) ~pid ~call ~shard ~start_tick ~base
 
 (* -------------------------------- decoding ------------------------- *)
 
+(* Every decoder reads a {!Codec.cursor} over the payload where it lies
+   (on both ends of the wire, the connection's receive buffer) and
+   copies out only what its result keeps: names, messages, [Compare]
+   payloads.  A stamp or lease reply's timestamp is read in place by
+   the caller's codec.  [decode_req] and [decode_resp] run the same
+   decoders over a string. *)
+
 exception Bad of error
 
 let fail e = raise (Bad e)
 
-type cursor = { s : string; mutable pos : int }
-
-let take_byte c =
-  if c.pos >= String.length c.s then fail Truncated;
-  let v = Char.code c.s.[c.pos] in
+let take_byte (c : Codec.cursor) =
+  if c.pos >= c.lim then fail Truncated;
+  let v = Char.code (Bytes.get c.buf c.pos) in
   c.pos <- c.pos + 1;
   v
 
 let take_uv c =
-  match Codec.get_uv c.s c.pos ~limit:(String.length c.s) with
-  | v, pos ->
+  match Codec.get_uv c with
+  | v ->
     if v < 0 then fail (Malformed "negative varint field");
-    c.pos <- pos;
     v
   | exception Codec.Malformed m -> fail (Malformed m)
 
-let take_vstr c =
+(* A length is checked against the bytes left before anything trusts
+   it: [pos + len] overflows for a hostile length near [max_int]. *)
+let take_len (c : Codec.cursor) =
   let len = take_uv c in
-  (* against the bytes left: [c.pos + len] overflows for a hostile
-     length near [max_int] *)
-  if len > String.length c.s - c.pos then fail Truncated;
-  let s = String.sub c.s c.pos len in
-  c.pos <- c.pos + len;
-  s
+  if len > c.lim - c.pos then fail Truncated;
+  len
+
+let take_vstr c = Codec.get_string c (take_len c)
+
+let take_ts codec c =
+  let len = take_len c in
+  match Codec.get_value codec c ~len with
+  | v -> v
+  | exception Codec.Malformed m -> fail (Malformed m)
 
 let take_bool c =
   match take_byte c with
@@ -313,21 +327,19 @@ let take_list c what take_elt =
   if n > 1 lsl 16 then fail (Malformed (Printf.sprintf "bad %s count" what));
   List.init n (fun _ -> take_elt c)
 
-let decode decode_body payload =
-  let c = { s = payload; pos = 0 } in
-  match
-    let v = take_byte c in
-    if v <> version then fail (Bad_version v);
-    let body = decode_body c (take_byte c) in
-    if c.pos <> String.length c.s then
-      fail (Malformed "trailing bytes after payload");
-    body
-  with
-  | body -> Ok (version, body)
-  | exception Bad e -> Error e
+(* The version byte, then the opcode. *)
+let take_op c =
+  let v = take_byte c in
+  if v <> version then fail (Bad_version v);
+  take_byte c
 
-let decode_req =
-  decode (fun c op ->
+let take_end (c : Codec.cursor) =
+  if c.pos <> c.lim then fail (Malformed "trailing bytes after payload")
+
+let read_req c =
+  match
+    let op = take_op c in
+    let r =
       if op = op_ping then Ping
       else if op = op_get_stamp then Get_stamp
       else if op = op_get_range then Get_range (take_uv c)
@@ -337,61 +349,115 @@ let decode_req =
         Compare { a; b }
       else if op = op_stats then Stats
       else if op = op_stop then Stop
-      else fail (Bad_opcode op))
+      else fail (Bad_opcode op)
+    in
+    take_end c;
+    r
+  with
+  | r -> Ok r
+  | exception Bad e -> Error e
 
-let decode_resp =
-  decode (fun c op ->
-      if op = op_pong then
-        let si_impl = take_vstr c in
-        let si_kind = take_kind c in
-        let si_n = take_uv c in
-        let si_shards = take_uv c in
-        let si_codec = take_vstr c in
-        Pong { si_impl; si_kind; si_n; si_shards; si_codec }
-      else if op = op_stamp then
-        let w_pid = take_uv c in
-        let w_call = take_uv c in
-        let w_shard = take_uv c in
-        let w_start_tick = take_uv c in
-        let w_end_tick = take_uv c in
-        let w_ts = take_vstr c in
-        Stamp { w_pid; w_call; w_shard; w_start_tick; w_end_tick; w_ts }
-      else if op = op_range then
-        let g_pid = take_uv c in
-        let g_call = take_uv c in
-        let g_shard = take_uv c in
-        let g_start_tick = take_uv c in
-        let g_base = take_uv c in
-        let g_count = take_uv c in
-        let g_ts = take_vstr c in
+(* Every reply but [Stamp] and [Range]. *)
+let other_body c op =
+  if op = op_pong then
+    let si_impl = take_vstr c in
+    let si_kind = take_kind c in
+    let si_n = take_uv c in
+    let si_shards = take_uv c in
+    let si_codec = take_vstr c in
+    Pong { si_impl; si_kind; si_n; si_shards; si_codec }
+  else if op = op_cmp then Cmp (take_bool c)
+  else if op = op_stats_reply then
+    let sr_shards =
+      take_list c "shard" (fun c ->
+          let ss_served = take_uv c in
+          let ss_batches = take_uv c in
+          let ss_max_batch = take_uv c in
+          { ss_served; ss_batches; ss_max_batch })
+    in
+    let sr_conns =
+      take_list c "conn" (fun c ->
+          let cn_slot = take_uv c in
+          let cn_conns = take_uv c in
+          let cn_requests = take_uv c in
+          let cn_stamps = take_uv c in
+          let cn_leases = take_uv c in
+          let cn_bytes_in = take_uv c in
+          let cn_bytes_out = take_uv c in
+          { cn_slot; cn_conns; cn_requests; cn_stamps; cn_leases;
+            cn_bytes_in; cn_bytes_out })
+    in
+    let sr_refused = take_uv c in
+    Stats_reply { sr_shards; sr_conns; sr_refused }
+  else if op = op_stopping then Stopping
+  else if op = op_err then Err (take_vstr c)
+  else fail (Bad_opcode op)
+
+(* [stamp], [range] and [other] run only once the whole payload has
+   checked out, so a malformed reply never reaches them. *)
+let read_reply codec ~stamp ~range ~other c =
+  match
+    let op = take_op c in
+    if op = op_stamp then begin
+      let pid = take_uv c in
+      let call = take_uv c in
+      let shard = take_uv c in
+      let start_tick = take_uv c in
+      let end_tick = take_uv c in
+      let ts = take_ts codec c in
+      take_end c;
+      stamp ~pid ~call ~shard ~start_tick ~end_tick ts
+    end
+    else if op = op_range then begin
+      let pid = take_uv c in
+      let call = take_uv c in
+      let shard = take_uv c in
+      let start_tick = take_uv c in
+      let base = take_uv c in
+      let count = take_uv c in
+      let ts = take_ts codec c in
+      take_end c;
+      range ~pid ~call ~shard ~start_tick ~base ~count ts
+    end
+    else begin
+      let r = other_body c op in
+      take_end c;
+      other r
+    end
+  with
+  | r -> Ok r
+  | exception Bad e -> Error e
+
+(* A timestamp payload kept as its bytes, unparsed: [w_ts] and [g_ts]. *)
+let raw : string Codec.t =
+  { c_name = "raw";
+    c_size = String.length;
+    c_put =
+      (fun b pos s ->
+         Bytes.blit_string s 0 b pos (String.length s);
+         pos + String.length s);
+    c_get = (fun c -> Codec.get_string c (c.lim - c.pos)) }
+
+let read_resp c =
+  read_reply raw
+    ~stamp:(fun ~pid ~call ~shard ~start_tick ~end_tick w_ts ->
+        Stamp
+          { w_pid = pid; w_call = call; w_shard = shard;
+            w_start_tick = start_tick; w_end_tick = end_tick; w_ts })
+    ~range:(fun ~pid ~call ~shard ~start_tick ~base ~count g_ts ->
         Range
-          { g_pid; g_call; g_shard; g_start_tick; g_base; g_count; g_ts }
-      else if op = op_cmp then Cmp (take_bool c)
-      else if op = op_stats_reply then
-        let sr_shards =
-          take_list c "shard" (fun c ->
-              let ss_served = take_uv c in
-              let ss_batches = take_uv c in
-              let ss_max_batch = take_uv c in
-              { ss_served; ss_batches; ss_max_batch })
-        in
-        let sr_conns =
-          take_list c "conn" (fun c ->
-              let cn_slot = take_uv c in
-              let cn_conns = take_uv c in
-              let cn_requests = take_uv c in
-              let cn_stamps = take_uv c in
-              let cn_leases = take_uv c in
-              let cn_bytes_in = take_uv c in
-              let cn_bytes_out = take_uv c in
-              { cn_slot; cn_conns; cn_requests; cn_stamps; cn_leases;
-                cn_bytes_in; cn_bytes_out })
-        in
-        let sr_refused = take_uv c in
-        Stats_reply { sr_shards; sr_conns; sr_refused }
-      else if op = op_stopping then Stopping
-      else if op = op_err then Err (take_vstr c)
-      else fail (Bad_opcode op))
+          { g_pid = pid; g_call = call; g_shard = shard;
+            g_start_tick = start_tick; g_base = base; g_count = count; g_ts })
+    ~other:Fun.id c
+
+let decode read s =
+  match read (Codec.cursor_of_string s) with
+  | Ok r -> Ok (version, r)
+  | Error e -> Error e
+
+let decode_req s = decode read_req s
+
+let decode_resp s = decode read_resp s
 
 (* Dechunking helper: inspect the 4-byte length prefix of the next frame
    in [buf.[off .. off+avail)].  Pure, shared by {!Conn} and the tests. *)

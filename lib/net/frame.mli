@@ -105,13 +105,6 @@ val encode_req : req -> string
 
 val encode_resp : resp -> string
 
-val decode_req : string -> (int * req, error) result
-(** Strict decode of one payload, paired with its version byte (always
-    {!version}).  Never raises: any byte string yields [Ok] or
-    [Error]. *)
-
-val decode_resp : string -> (int * resp, error) result
-
 val write_req : Buf.t -> req -> unit
 (** Appends the complete frame (length prefix + payload).  Raises
     [Invalid_argument] — before appending anything — on a negative
@@ -130,6 +123,48 @@ val write_stamp_v2 :
 val write_range_v2 :
   Buf.t -> 'r Codec.t -> pid:int -> call:int -> shard:int ->
   start_tick:int -> base:int -> count:int -> 'r -> unit
+
+(** {2 Decoding in place}
+
+    Each frame kind has one decoder.  It reads a {!Codec.cursor} over the
+    payload where it lies, usually the connection's receive buffer
+    ({!Conn.buffered_frame}, {!Conn.recv}), and copies out only what its
+    result keeps.  The decoders never raise: any bytes yield [Ok] or
+    [Error].  They keep no cursor and no position once they return, so
+    the buffer is free to compact or grow under the next read. *)
+
+val read_req : Codec.cursor -> (req, error) result
+(** Strict decode of one request payload: the cursor's slice, all of it.
+    A body-less request ([Get_stamp], [Ping], ...) allocates only the
+    [Ok]. *)
+
+val read_reply :
+  'r Codec.t ->
+  stamp:
+    (pid:int -> call:int -> shard:int -> start_tick:int -> end_tick:int ->
+     'r -> 'a) ->
+  range:
+    (pid:int -> call:int -> shard:int -> start_tick:int -> base:int ->
+     count:int -> 'r -> 'a) ->
+  other:(resp -> 'a) ->
+  Codec.cursor ->
+  ('a, error) result
+(** Strict decode of one reply payload.  A [Stamp] or [Range] reply goes
+    to [stamp] or [range] with its fields, the timestamp read in place
+    by the codec; any other reply goes to [other] as {!read_resp}
+    decodes it.  These functions run only once the whole payload
+    checked out, and may raise: their exceptions pass through. *)
+
+val read_resp : Codec.cursor -> (resp, error) result
+(** {!read_reply} with the timestamp payloads kept as their bytes
+    ([w_ts], [g_ts]) and replies built as {!resp}. *)
+
+val decode_req : string -> (int * req, error) result
+(** {!read_req} over a whole string, paired with the version byte
+    (always {!version}). *)
+
+val decode_resp : string -> (int * resp, error) result
+(** {!read_resp} over a whole string. *)
 
 val frame_length :
   Bytes.t -> off:int -> avail:int ->

@@ -150,7 +150,7 @@ module Make (T : Timestamp.Intf.S) = struct
   (* -------------------------- request handling --------------------- *)
 
   let run_getts loop =
-    let s = D.stamp loop.lp_client in
+    let s = D.get_ts loop.lp_client in
     loop.lp_served <- loop.lp_served + 1;
     s
 
@@ -158,56 +158,49 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let err cv msg = reply cv (Frame.Err msg)
 
-  (* Answers one request into the send buffer.  A getTS runs here, on
-     the loop; [Invalid_argument] from {!D.stamp} (a one-shot object out
-     of pids) becomes the peer's [Err]. *)
-  let handle_payload t cv payload =
-    bump cv.cv_slot.k_requests 1;
+  (* Answers one decoded request into the send buffer.  A getTS runs
+     here, on the loop; [Invalid_argument] from {!D.get_ts} (a one-shot
+     object out of pids) becomes the peer's [Err]. *)
+  let handle t cv req =
     let out = Conn.send_buffer cv.cv_conn in
     let loop = cv.cv_loop in
-    match Frame.decode_req payload with
-    | Error e ->
-      err cv (Frame.error_to_string e);
-      (* framing is broken: answer, then close *)
-      cv.cv_read_eof <- true
-    | Ok (_, req) -> (
-        match req with
-        | Frame.Ping -> reply cv (Frame.Pong t.info)
-        | Frame.Get_stamp -> (
-            match run_getts loop with
-            | s ->
-              Frame.write_stamp_v2 out codec ~pid:s.st_pid ~call:s.st_call
-                ~shard:loop.lp_index ~start_tick:s.st_start_tick
-                ~end_tick:s.st_end_tick s.st_ts;
-              bump cv.cv_slot.k_stamps 1
-            | exception Invalid_argument msg -> err cv msg)
-        | Frame.Get_range k ->
-          if k < 1 || k > Frame.max_lease then
-            err cv
-              (Printf.sprintf "lease size %d out of range [1, %d]" k
-                 Frame.max_lease)
-          else (
-            match run_getts loop with
-            | s ->
-              (* the k end ticks are reserved strictly after the anchor
-                 executed *)
-              let base = D.reserve_ticks t.ctx k in
-              Frame.write_range_v2 out codec ~pid:s.st_pid ~call:s.st_call
-                ~shard:loop.lp_index ~start_tick:s.st_start_tick ~base
-                ~count:k s.st_ts;
-              bump cv.cv_slot.k_leases 1;
-              bump cv.cv_slot.k_stamps k
-            | exception Invalid_argument msg -> err cv msg)
-        | Frame.Compare { a; b } -> (
-            match (Codec.decode_exn codec a, Codec.decode_exn codec b) with
-            | ta, tb -> reply cv (Frame.Cmp (T.compare_ts ta tb))
-            | exception Codec.Malformed _ ->
-              err cv "undecodable timestamp payload")
-        | Frame.Stats -> reply cv (stats_reply t)
-        | Frame.Stop ->
-          reply cv Frame.Stopping;
-          Atomic.set t.stop_requested true;
-          Svc.Park.wake t.stop_park)
+    match req with
+    | Frame.Ping -> reply cv (Frame.Pong t.info)
+    | Frame.Get_stamp -> (
+        match run_getts loop with
+        | s ->
+          Frame.write_stamp_v2 out codec ~pid:s.st_pid ~call:s.st_call
+            ~shard:loop.lp_index ~start_tick:s.st_start_tick
+            ~end_tick:s.st_end_tick s.st_ts;
+          bump cv.cv_slot.k_stamps 1
+        | exception Invalid_argument msg -> err cv msg)
+    | Frame.Get_range k ->
+      if k < 1 || k > Frame.max_lease then
+        err cv
+          (Printf.sprintf "lease size %d out of range [1, %d]" k
+             Frame.max_lease)
+      else (
+        match run_getts loop with
+        | s ->
+          (* the k end ticks are reserved strictly after the anchor
+             executed *)
+          let base = D.reserve_ticks t.ctx k in
+          Frame.write_range_v2 out codec ~pid:s.st_pid ~call:s.st_call
+            ~shard:loop.lp_index ~start_tick:s.st_start_tick ~base
+            ~count:k s.st_ts;
+          bump cv.cv_slot.k_leases 1;
+          bump cv.cv_slot.k_stamps k
+        | exception Invalid_argument msg -> err cv msg)
+    | Frame.Compare { a; b } -> (
+        match (Codec.decode_exn codec a, Codec.decode_exn codec b) with
+        | ta, tb -> reply cv (Frame.Cmp (T.compare_ts ta tb))
+        | exception Codec.Malformed _ ->
+          err cv "undecodable timestamp payload")
+    | Frame.Stats -> reply cv (stats_reply t)
+    | Frame.Stop ->
+      reply cv Frame.Stopping;
+      Atomic.set t.stop_requested true;
+      Svc.Park.wake t.stop_park
 
   (* --------------------------- event loop -------------------------- *)
 
@@ -313,18 +306,26 @@ module Make (T : Timestamp.Intf.S) = struct
         accept_all ()
       | exception Unix.Unix_error _ -> ()  (* EAGAIN: backlog empty *)
     in
-    (* Answer every complete frame already buffered: one parse pass. *)
+    (* Answer every complete frame already buffered: one parse pass.
+       Each frame is decoded where it lies and answered after the
+       decoder returns. *)
     let parse cv =
       let served0 = loop.lp_served in
       let rec go () =
-        match Conn.buffered_frame cv.cv_conn with
+        match Conn.buffered_frame cv.cv_conn Frame.read_req with
         | None -> ()
+        | Some (Ok (Ok req)) ->
+          bump cv.cv_slot.k_requests 1;
+          handle t cv req;
+          if not cv.cv_read_eof then go ()
+        | Some (Ok (Error e)) ->
+          bump cv.cv_slot.k_requests 1;
+          (* framing is broken: answer, then close *)
+          err cv (Frame.error_to_string e);
+          cv.cv_read_eof <- true
         | Some (Error (`Frame e)) ->
           err cv (Frame.error_to_string e);
           cv.cv_read_eof <- true
-        | Some (Ok payload) ->
-          handle_payload t cv payload;
-          if not cv.cv_read_eof then go ()
       in
       go ();
       let ran = loop.lp_served - served0 in

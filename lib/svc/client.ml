@@ -76,7 +76,10 @@ module Direct (T : Timestamp.Intf.S) = struct
            T.name ctx.n);
     pid
 
-  let stamp c =
+  (* The one getTS step.  The start tick is read before the program and
+     the end tick claimed with one fetch-and-add after it; no clock is
+     read, so [st_resp_us] is 0 until a caller sets it. *)
+  let get_ts c =
     let ctx = c.ctx in
     let pid, call =
       match T.kind with
@@ -94,10 +97,11 @@ module Direct (T : Timestamp.Intf.S) = struct
     in
     let end_tick = Atomic.fetch_and_add ctx.tick 1 in
     { st_pid = pid; st_call = call; st_start_tick = start_tick;
-      st_end_tick = end_tick; st_ts = ts; st_resp_us = now_us ();
-      st_shard = 0 }
+      st_end_tick = end_tick; st_ts = ts; st_resp_us = 0.; st_shard = 0 }
 
-  (* Same discipline as [stamp]'s end tick: the caller reserves only
+  let stamp c = { (get_ts c) with st_resp_us = now_us () }
+
+  (* Same discipline as [get_ts]'s end tick: the caller reserves only
      after the getTS anchoring the leased stamps has executed. *)
   let reserve_ticks ctx k =
     if k <= 0 then
@@ -109,39 +113,14 @@ module Direct (T : Timestamp.Intf.S) = struct
     let s = stamp c in
     fun () -> s
 
-  (* A burst runs its getTS back to back in one loop, with the handle's
-     and context's fields read once and no clock read between calls, and
-     gives the stamps one response time, read after the last one, as a
-     service worker does for a chunk.  [ts_cli stress] runs each client
-     as one such burst, so its domains spend as much of their time as
-     they can inside a getTS, overlapping each other's. *)
+  (* A burst runs its getTS back to back with no clock read between
+     calls, and gives the stamps one response time, read after the last
+     one, as a service worker does for a chunk.  [ts_cli stress] runs
+     each client as one such burst, so its domains spend as much of
+     their time as they can inside a getTS, overlapping each other's. *)
   let stamp_batch c k =
-    let { regs; tick; n; armed; _ } = c.ctx in
-    let pid0 = c.pid and call0 = c.call in
-    let rec go j rev =
-      if j = k then rev
-      else begin
-        let pid, call =
-          match T.kind with
-          | `One_shot -> (fresh_pid c.ctx, 0)
-          | `Long_lived -> (pid0, call0 + j)
-        in
-        let start_tick = Atomic.get tick in
-        let program = T.program ~n ~pid ~call in
-        let ts =
-          if armed then Multicore.Exec.run_obs ~pid ~regs program
-          else Multicore.Exec.run ~regs program
-        in
-        let end_tick = Atomic.fetch_and_add tick 1 in
-        go (j + 1)
-          ({ st_pid = pid; st_call = call; st_start_tick = start_tick;
-             st_end_tick = end_tick; st_ts = ts; st_resp_us = 0.;
-             st_shard = 0 }
-           :: rev)
-      end
-    in
+    let rec go j rev = if j = k then rev else go (j + 1) (get_ts c :: rev) in
     let rev = go 0 [] in
-    c.call <- call0 + k;
     let resp_us = now_us () in
     List.rev_map (fun s -> { s with st_resp_us = resp_us }) rev
 

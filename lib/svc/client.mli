@@ -57,13 +57,19 @@ end
 (** No service at all: the client executes getTS itself on a shared
     register store — the unbatched baseline of E13/E15, and the request
     path of [Net.Server], whose I/O loops run each decoded getTS this way.
-    {!stamp} reads the start tick before the program runs and claims its
-    end tick with one fetch-and-add after it, so a response received
-    before another call's invocation has the smaller tick.
-    {!stamp_batch} runs its [k] getTS back to back and reads the clock
+    One getTS step, {!get_ts}, reads the start tick before the program
+    runs and claims its end tick with one fetch-and-add after it, so a
+    response received before another call's invocation has the smaller
+    tick.  {!stamp} is that step plus the response time.
+    {!stamp_batch} runs its [k] steps back to back and reads the clock
     once, after the last: the burst's stamps share one [st_resp_us]. *)
 module Direct (T : Timestamp.Intf.S) : sig
   include S with type result = T.result
+
+  val get_ts : t -> result stamp
+  (** One getTS without reading the clock: [st_resp_us] is 0.  The
+      step [Net.Server]'s loops run per decoded request, whose replies
+      carry no response time. *)
 
   type ctx
   (** Shared register store + global tick + pid allocator. *)

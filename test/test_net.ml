@@ -80,13 +80,49 @@ let gen_resp =
       return Net.Frame.Stopping;
       map (fun m -> Net.Frame.Err m) gen_blob ]
 
+(* One decoder, two entry points: the string decoders wrap the slice
+   decoders, and a slice sits at a nonzero offset of a larger buffer
+   with garbage on both sides, as a frame does in a receive buffer.  The
+   padding is mostly continuation and version bytes, which would extend
+   a truncated varint or a short payload if a decoder read past its
+   limit. *)
+let gen_pads =
+  let open QCheck2.Gen in
+  let pad lo =
+    string_size
+      ~gen:(oneof [ char; oneofl [ '\128'; '\255'; '\002'; '\001' ] ])
+      (int_range lo 12)
+  in
+  pair (pad 1) (pad 0)
+
+let in_garbage (before, after) payload =
+  Net.Codec.cursor
+    (Bytes.of_string (before ^ payload ^ after))
+    ~off:(String.length before) ~len:(String.length payload)
+
+(* The string decoder's result, once the slice decoder has agreed. *)
+let decode_both ~pads read decode payload =
+  let whole = decode payload in
+  if Result.map (fun v -> (2, v)) (read (in_garbage pads payload)) <> whole
+  then
+    failwith (Printf.sprintf "slice decoder disagrees on %S" payload);
+  whole
+
+let req_both ?(pads = ("\255\128", "\001\002")) p =
+  decode_both ~pads Net.Frame.read_req Net.Frame.decode_req p
+
+let resp_both ?(pads = ("\255\128", "\001\002")) p =
+  decode_both ~pads Net.Frame.read_resp Net.Frame.decode_resp p
+
 let req_roundtrip =
-  Util.qtest ~count:200 "frame: req round-trip (v2)" gen_req (fun r ->
-      Net.Frame.decode_req (Net.Frame.encode_req r) = Ok (2, r))
+  Util.qtest ~count:200 "frame: req round-trip (v2)"
+    QCheck2.Gen.(pair gen_req gen_pads)
+    (fun (r, pads) -> req_both ~pads (Net.Frame.encode_req r) = Ok (2, r))
 
 let resp_roundtrip =
-  Util.qtest ~count:200 "frame: resp round-trip (v2)" gen_resp (fun r ->
-      Net.Frame.decode_resp (Net.Frame.encode_resp r) = Ok (2, r))
+  Util.qtest ~count:200 "frame: resp round-trip (v2)"
+    QCheck2.Gen.(pair gen_resp gen_pads)
+    (fun (r, pads) -> resp_both ~pads (Net.Frame.encode_resp r) = Ok (2, r))
 
 let frame_rejects () =
   let is_err = function Result.Error _ -> true | Result.Ok _ -> false in
@@ -96,24 +132,24 @@ let frame_rejects () =
     Util.check_bool
       (Printf.sprintf "truncated at %d rejected" len)
       true
-      (is_err (Net.Frame.decode_req (String.sub payload 0 len)))
+      (is_err (req_both (String.sub payload 0 len)))
   done;
   (* wrong version byte *)
   let bad_version = "\007" ^ String.sub payload 1 (String.length payload - 1) in
   Util.check_bool "bad version rejected" true
-    (Net.Frame.decode_req bad_version = Result.Error (Net.Frame.Bad_version 7));
+    (req_both bad_version = Result.Error (Net.Frame.Bad_version 7));
   (* unknown opcode — on both decoders *)
   let bad_op = "\002\099" in
   Util.check_bool "bad opcode rejected (req)" true
-    (Net.Frame.decode_req bad_op = Result.Error (Net.Frame.Bad_opcode 99));
+    (req_both bad_op = Result.Error (Net.Frame.Bad_opcode 99));
   Util.check_bool "bad opcode rejected (resp)" true
-    (Net.Frame.decode_resp bad_op = Result.Error (Net.Frame.Bad_opcode 99));
+    (resp_both bad_op = Result.Error (Net.Frame.Bad_opcode 99));
   (* a response opcode is not a request *)
   Util.check_bool "resp opcode rejected by req decoder" true
-    (is_err (Net.Frame.decode_req (Net.Frame.encode_resp Net.Frame.Stopping)));
+    (is_err (req_both (Net.Frame.encode_resp Net.Frame.Stopping)));
   (* trailing garbage after a well-formed body *)
   Util.check_bool "trailing bytes rejected" true
-    (is_err (Net.Frame.decode_req (payload ^ "x")));
+    (is_err (req_both (payload ^ "x")));
   (* length-prefix screening: oversized and nonsense lengths *)
   let prefix n =
     let b = Bytes.create 4 in
@@ -265,6 +301,69 @@ let stamp_writer_zero_alloc () =
     (Printf.sprintf "10k stamps allocated %.0f minor words" delta)
     true (delta < 256.)
 
+(* The receive side's in-place decoders allocate only what they return:
+   a Get_stamp request its [Ok], a Lamport Stamp reply the stamp the
+   client returns (and its [Ok]).  No payload string, no wire record, no
+   timestamp substring, no cursor: one is reset over each frame. *)
+let in_place_decoders_allocate_only_their_result () =
+  let lamport_codec = Net.Codec.for_impl (module Timestamp.Lamport) in
+  let words_per f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. 10_000.
+  in
+  let check what f =
+    let words = words_per f in
+    let result = Obj.reachable_words (Obj.repr (f ())) in
+    Util.check_bool
+      (Printf.sprintf "%s: %.2f minor words per decode, result is %d" what
+         words result)
+      true
+      (words <= float_of_int result)
+  in
+  let padded p = Bytes.of_string ("\255\128" ^ p ^ "\001") in
+  let req = padded (Net.Frame.encode_req Net.Frame.Get_stamp) in
+  let c = Net.Codec.cursor req ~off:2 ~len:2 in
+  let get_stamp () =
+    Net.Codec.reset c req ~off:2 ~len:2;
+    Net.Frame.read_req c
+  in
+  Util.check_bool "Get_stamp decodes in place" true
+    (get_stamp () = Ok Net.Frame.Get_stamp);
+  check "Get_stamp" get_stamp;
+  let b = Net.Buf.create () in
+  Net.Frame.write_stamp_v2 b lamport_codec ~pid:3 ~call:123_456 ~shard:1
+    ~start_tick:99_999_999 ~end_tick:100_000_007 (-424_242);
+  let frame = Net.Buf.contents b in
+  let reply = padded (String.sub frame 4 (String.length frame - 4)) in
+  let len = String.length frame - 4 in
+  (* the response time is computed, so boxed, as the client's clock
+     reading is *)
+  let read =
+    Net.Frame.read_reply lamport_codec
+      ~stamp:(fun ~pid ~call ~shard ~start_tick ~end_tick ts ->
+          { st_pid = pid; st_call = call; st_start_tick = start_tick;
+            st_end_tick = end_tick; st_ts = ts;
+            st_resp_us = float_of_int end_tick; st_shard = shard })
+      ~range:(fun ~pid:_ ~call:_ ~shard:_ ~start_tick:_ ~base:_ ~count:_ _ ->
+          Alcotest.fail "a Stamp reply read as a Range")
+      ~other:(fun _ -> Alcotest.fail "a Stamp reply read as another reply")
+  in
+  let stamp () =
+    Net.Codec.reset c reply ~off:2 ~len;
+    read c
+  in
+  Util.check_bool "Stamp reply decodes in place" true
+    (stamp ()
+     = Ok
+         { st_pid = 3; st_call = 123_456; st_start_tick = 99_999_999;
+           st_end_tick = 100_000_007; st_ts = -424_242;
+           st_resp_us = 100_000_007.; st_shard = 1 });
+  check "Lamport Stamp reply" stamp
+
 (* A send buffer under backpressure: frames are appended while the
    socket takes arbitrary prefixes off the front.  The tiny capacity
    forces compaction and growth in the middle of frames; whatever the
@@ -391,9 +490,42 @@ let gen_hostile_payload =
       (2, mutated) ]
 
 let decoders_never_raise =
+  (* per codec: the whole-string decode and the in-place one agree, and
+     the typed reply decoder (the client's) never raises *)
   let codec_decoders =
-    let dec (type r) (module T : Timestamp.Intf.S with type result = r) s =
-      ignore (Net.Codec.decode_exn (Net.Codec.for_impl (module T)) s)
+    let dec (type r) (module T : Timestamp.Intf.S with type result = r) pads
+        s =
+      let c = Net.Codec.for_impl (module T) in
+      let whole =
+        match Net.Codec.decode_exn c s with
+        | v -> Some v
+        | exception Net.Codec.Malformed _ -> None
+      in
+      let in_place =
+        match Net.Codec.get_value c (in_garbage pads s) ~len:(String.length s)
+        with
+        | v -> Some v
+        | exception Net.Codec.Malformed _ -> None
+      in
+      let agree =
+        match (whole, in_place) with
+        | Some a, Some b -> T.equal_ts a b
+        | None, None -> true
+        | _ -> false
+      in
+      let typed =
+        Net.Frame.read_reply c
+          ~stamp:(fun ~pid:_ ~call:_ ~shard:_ ~start_tick:_ ~end_tick:_ _ -> ())
+          ~range:(fun ~pid:_ ~call:_ ~shard:_ ~start_tick:_ ~base:_ ~count:_
+                   _ -> ())
+          ~other:ignore (in_garbage pads s)
+      in
+      (* the typed decoder reads the timestamp too, so it is the
+         stricter one *)
+      agree
+      && (match typed with
+          | Ok () -> Result.is_ok (Net.Frame.decode_resp s)
+          | Error _ -> true)
     in
     [ dec (module Timestamp.Lamport);
       dec (module Timestamp.Sqrt.One_shot);
@@ -401,15 +533,11 @@ let decoders_never_raise =
       dec (module Timestamp.Efr) ]
   in
   Util.qtest ~count:3000 "frame: decoders never raise on hostile bytes"
-    gen_hostile_payload (fun s ->
-        (match Net.Frame.decode_req s with Ok _ | Error _ -> true)
-        && (match Net.Frame.decode_resp s with Ok _ | Error _ -> true)
-        && List.for_all
-          (fun dec ->
-             match dec s with
-             | () -> true
-             | exception Net.Codec.Malformed _ -> true)
-          codec_decoders)
+    QCheck2.Gen.(pair gen_hostile_payload gen_pads)
+    (fun (s, pads) ->
+       (match req_both ~pads s with Ok _ | Error _ -> true)
+       && (match resp_both ~pads s with Ok _ | Error _ -> true)
+       && List.for_all (fun dec -> dec pads s) codec_decoders)
 
 (* ---------------------- live server round trips -------------------- *)
 
@@ -709,6 +837,133 @@ let expect_stamp label payload =
   | Ok _ -> Alcotest.failf "%s: expected Stamp" label
   | Error e ->
     Alcotest.failf "%s: undecodable: %s" label (Net.Frame.error_to_string e)
+
+(* ------------------- the client's receive side --------------------- *)
+
+(* A fake server on a raw socket answers the handshake, then writes
+   pipelined replies in random-sized chunks, from 1 byte to past the
+   client's 8 KiB receive buffer, pausing after each so the client's
+   reads see its boundaries.  Frames straddle reads, and the receive
+   buffer compacts and grows under them; [stamp_batch] must return
+   exactly the stamps written, in order: Stamp replies at lease 1, and
+   the mints of Range replies (written ahead of the requests for them)
+   at lease 4. *)
+let client_reads_any_chunking () =
+  let module T = Timestamp.Lamport in
+  let module C = Net.Client.Make (T) in
+  let codec = Net.Codec.for_impl (module T) in
+  let pong =
+    Net.Frame.Pong
+      { si_impl = T.name; si_kind = T.kind; si_n = 8; si_shards = 1;
+        si_codec = Net.Codec.name codec }
+  in
+  let run seed =
+    let rng = Random.State.make [| 25; seed |] in
+    (* every varint width *)
+    let nat () =
+      Random.State.full_int rng (1 lsl (1 + Random.State.int rng 40))
+    in
+    let chunk_size () =
+      match Random.State.int rng 3 with
+      | 0 -> 1 + Random.State.int rng 8
+      | 1 -> 9 + Random.State.int rng 300
+      | _ -> 309 + Random.State.int rng 12_000
+    in
+    let path = sock_path () in
+    (try Unix.unlink path with Unix.Unix_error _ -> ());
+    let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind lfd (Unix.ADDR_UNIX path);
+    Unix.listen lfd 4;
+    (* one connection: the handshake's Ping, then [wire] in chunks *)
+    let serve wire =
+      let fd, _ = Unix.accept ~cloexec:true lfd in
+      ignore (read_frame fd);
+      let n = String.length wire in
+      let off = ref 0 in
+      while !off < n do
+        let k = min (chunk_size ()) (n - !off) in
+        write_all fd (String.sub wire !off k);
+        off := !off + k;
+        Unix.sleepf 0.0002
+      done;
+      (* a client still waiting after this reads EOF, not a hang *)
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let sink = Bytes.create 4096 in
+      (try
+         while Unix.read fd sink 0 4096 > 0 do
+           ()
+         done
+       with Unix.Unix_error _ -> ());
+      Unix.close fd
+    in
+    let fields (s : _ stamp) =
+      (s.st_pid, s.st_call, s.st_shard, s.st_start_tick, s.st_end_tick,
+       s.st_ts)
+    in
+    let client ~lease ~batches ~batch wire =
+      let server = Domain.spawn (fun () -> serve wire) in
+      let got =
+        let c = C.connect ~lease (Net.Conn.Unix_path path) in
+        Fun.protect
+          ~finally:(fun () -> C.close c)
+          (fun () -> List.concat (List.init batches (fun _ -> C.stamp_batch c batch)))
+      in
+      Domain.join server;
+      List.map fields got
+    in
+    let b = Net.Buf.create () in
+    let wire_of write =
+      Net.Buf.clear b;
+      Net.Frame.write_resp b pong;
+      write ();
+      Net.Buf.contents b
+    in
+    (* lease 1: 1,500 Stamp replies, read in bursts of 50 *)
+    let stamps =
+      List.init 1500 (fun _ ->
+          let start = nat () in
+          (nat (), nat (), nat (), start, start + nat (), nat () - nat ()))
+    in
+    let wire =
+      wire_of (fun () ->
+          List.iter
+            (fun (pid, call, shard, start_tick, end_tick, ts) ->
+               Net.Frame.write_stamp_v2 b codec ~pid ~call ~shard ~start_tick
+                 ~end_tick ts)
+            stamps)
+    in
+    Util.check_bool
+      (Printf.sprintf "seed %d: %d bytes of Stamp replies read back" seed
+         (String.length wire))
+      true
+      (client ~lease:1 ~batches:30 ~batch:50 wire = stamps);
+    (* lease 4: 300 Range replies of 4 ticks, one per burst of 4 *)
+    let ranges =
+      List.init 300 (fun _ -> (nat (), nat (), nat (), nat (), nat (), nat () - nat ()))
+    in
+    let wire =
+      wire_of (fun () ->
+          List.iter
+            (fun (pid, call, shard, start_tick, base, ts) ->
+               Net.Frame.write_range_v2 b codec ~pid ~call ~shard ~start_tick
+                 ~base ~count:4 ts)
+            ranges)
+    in
+    let mints =
+      List.concat_map
+        (fun (pid, call, shard, start, base, ts) ->
+           List.init 4 (fun i -> (pid, call, shard, start, base + i, ts)))
+        ranges
+    in
+    Util.check_bool
+      (Printf.sprintf "seed %d: %d bytes of Range replies minted back" seed
+         (String.length wire))
+      true
+      (client ~lease:4 ~batches:300 ~batch:4 wire = mints);
+    Unix.close lfd;
+    (try Unix.unlink path with Unix.Unix_error _ -> ())
+  in
+  List.iter run Util.seeds
 
 (* A lease's anchor getTS runs because the lease asked for it: a burst of
    8 leases on one connection runs exactly 8 anchors, and once they are
@@ -1340,6 +1595,10 @@ let suite =
         registry_codecs_safe;
       Util.case "frame: v2 stamp writer allocates nothing"
         stamp_writer_zero_alloc;
+      Util.case "frame: in-place decoders allocate only their result"
+        in_place_decoders_allocate_only_their_result;
+      Util.case "client: replies in any chunking read back exactly"
+        client_reads_any_chunking;
       Util.case "conn: address parsing" addr_parsing;
       Util.case "wire: end-to-end over a unix socket" wire_end_to_end;
       Util.case "wire: frames split across byte-sized reads"

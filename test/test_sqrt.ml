@@ -155,6 +155,26 @@ let ids_distinct_across_processes () =
   let b : Timestamp.Sqrt.id = { pid = 1; seq_no = 1 } in
   Util.check_bool "distinct" true (a <> b)
 
+(* An oracle for any rewrite of getTS's local work: on one store, in
+   pid order, 5,000 getTS at n = 20000 (m = 283 registers) perform
+   exactly this many register operations, and the longest one exactly
+   this many.  A rewrite that keeps the algorithm's reads and writes
+   keeps both numbers. *)
+let sequential_operation_counts () =
+  let n = 20000 and calls = 5000 in
+  Util.check_int "registers" 283 (T.num_registers ~n);
+  let regs =
+    Multicore.Exec.make_regs ~num:(T.num_registers ~n) ~init:(T.init_value ~n)
+  in
+  let total = ref 0 and longest = ref 0 in
+  for pid = 0 to calls - 1 do
+    let _, ops = Multicore.Exec.run_counting ~regs (T.program ~n ~pid ~call:0) in
+    total := !total + ops;
+    longest := max !longest ops
+  done;
+  Util.check_int "operations for 5,000 getTS" 735_402 !total;
+  Util.check_int "operations in the longest getTS" 863 !longest
+
 let suite =
   ( "sqrt",
     [ Util.case "ceil(2 sqrt M) registers" registers_formula;
@@ -167,4 +187,6 @@ let suite =
       Util.case "register exhaustion raises" exhaustion_detected;
       Util.case "With_calls sizes by M" with_calls_space;
       Util.case "wait-free step bound" wait_free_step_bound;
-      Util.case "getTS ids distinct" ids_distinct_across_processes ] )
+      Util.case "getTS ids distinct" ids_distinct_across_processes;
+      Util.case "sequential register operations at n=20000"
+        sequential_operation_counts ] )

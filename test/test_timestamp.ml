@@ -129,6 +129,31 @@ let vector_is_not_strict_weak () =
   Util.check_bool "declared strict partial" true
     (Timestamp.Vector_ts.order = `Strict_partial)
 
+(* The checker's frontier compares every call with each maximal one, so
+   dominance must cost no allocation: one int loop over the components,
+   shared by vector and snapshot stamps. *)
+let vector_compare_allocates_nothing () =
+  let lt = Timestamp.Vector_ts.compare_ts in
+  let vs = [| [| 1; 2; 3; 4 |]; [| 1; 2; 3; 5 |]; [| 0; 9; 3; 4 |] |] in
+  let hits = ref 0 in
+  let run () =
+    for i = 1 to 100_000 do
+      if lt vs.(i mod 3) vs.((i + 1) mod 3) then incr hits
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  Util.check_bool
+    (Printf.sprintf "100k compares allocated %.0f minor words" words)
+    true (words < 64.);
+  Util.check_bool "snapshot stamps share the compare" true
+    (Timestamp.Snapshot_ts.compare_ts == lt);
+  Util.check_bool "early exit still sees the whole vector" true
+    ((not (lt [| 0; 5 |] [| 1; 4 |])) && lt [| 1; 4 |] [| 1; 5 |]
+     && not (lt [| 2; 2 |] [| 2; 2 |]))
+
 let one_shot_rejects_second_call () =
   List.iter
     (fun (Timestamp.Registry.Impl (module T)) ->
@@ -201,6 +226,8 @@ let suite =
            Timestamp.Registry.all)
     @ [ Util.case "vector compare is not a strict weak order"
           vector_is_not_strict_weak;
+        Util.case "vector compare allocates nothing"
+          vector_compare_allocates_nothing;
         Util.case "one-shot objects reject second calls" one_shot_rejects_second_call;
         Util.case "registry names unique" registry_names_unique;
         Util.case "registry find" registry_find;
