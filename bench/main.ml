@@ -72,6 +72,75 @@ let percentile sorted p =
   if n = 0 then nan
   else sorted.(min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
 
+(* The short revision of the checkout this binary was built in
+   (<root>/_build/default/bench/main.exe), or "unknown"; git looks for
+   a .git no higher than that checkout. *)
+let git_rev () =
+  let root =
+    Filename.(dirname (dirname (dirname (dirname Sys.executable_name))))
+  in
+  let env =
+    Array.append
+      [| "GIT_CEILING_DIRECTORIES=" ^ Filename.dirname root |]
+      (Unix.environment ())
+  in
+  match
+    Unix.open_process_args_full "git"
+      [| "git"; "-C"; root; "rev-parse"; "--short"; "HEAD" |]
+      env
+  with
+  | exception Unix.Unix_error _ -> "unknown"
+  | (out, _, _) as git -> (
+    let rev = String.trim (In_channel.input_all out) in
+    match Unix.close_process_full git with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown")
+
+(* The one BENCH writer: an experiment returns its body, and every
+   trajectory file opens with the same header. *)
+let write_bench file ~experiment body =
+  let doc =
+    Obs.Json.Obj
+      ([ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
+         ("experiment", Obs.Json.String experiment);
+         ("fast", Obs.Json.Bool fast);
+         ( "recommended_domains",
+           Obs.Json.Int (Domain.recommended_domain_count ()) );
+         ("git_rev", Obs.Json.String (git_rev ())) ]
+       @ body)
+  in
+  Out_channel.with_open_text file (fun oc ->
+      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
+      Out_channel.output_char oc '\n');
+  Printf.printf "\n(wrote %s)\n" file
+
+(* A loadgen report whose checker verdict must hold: a violation fails
+   the run, named by [what]. *)
+let checked what (r : Svc.Loadgen.report) =
+  Option.iter
+    (fun v -> failwith (Printf.sprintf "%s: VIOLATION %s" what v))
+    r.lg_violation;
+  r
+
+(* A checked loadgen report as JSON: the keys every serving experiment
+   records, then the experiment's own. *)
+let report_json ?(extra = []) (r : Svc.Loadgen.report) =
+  Obs.Json.Obj
+    ([ ("requests", Obs.Json.Int r.lg_total);
+       ("seconds", Obs.Json.Float r.lg_elapsed_s);
+       ("throughput_rps", Obs.Json.Float r.lg_throughput);
+       ("p50_us", Obs.Json.Float r.lg_p50_us);
+       ("p99_us", Obs.Json.Float r.lg_p99_us);
+       ("hb_pairs", Obs.Json.Int r.lg_hb_pairs);
+       ("checker", Obs.Json.String "OK") ]
+     @ extra)
+
+(* Steps [pid] until it is poised to write a register [at] accepts. *)
+let rec poised ?(at = fun _ -> true) cfg pid =
+  match Shm.Sim.covers cfg pid with
+  | Some r when at r -> cfg
+  | _ -> poised ~at (Shm.Sim.step cfg pid) pid
+
 (* ------------------------------------------------------------------ *)
 (* E5: bounds summary                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -127,13 +196,12 @@ type adv_summary = {
   a_rounds : (int array * int * int) list;  (* sig_after, j, l per round *)
 }
 
-let run_oneshot_adversary (type v r)
-    (module T : Timestamp.Intf.S with type value = v and type result = r) ~n =
-  let supplier ~pid ~call = T.program ~n ~pid ~call in
-  let cfg =
-    Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
-  in
-  match Covering.Oneshot_adversary.run ~fuel:5_000_000 ~supplier ~cfg () with
+let run_oneshot_adversary (Timestamp.Registry.Impl (module T)) ~n =
+  let module H = Timestamp.Harness.Make (T) in
+  match
+    Covering.Oneshot_adversary.run ~fuel:5_000_000 ~supplier:(H.supplier ~n)
+      ~cfg:(H.create ~n) ()
+  with
   | Error e -> Error e
   | Ok o ->
     Ok
@@ -163,8 +231,8 @@ let e2_oneshot_adversary () =
   List.iter
     (fun n ->
        List.iter
-         (fun (name, run) ->
-            match run ~n with
+         (fun (name, impl) ->
+            match run_oneshot_adversary impl ~n with
             | Error e -> Printf.printf "%-15s %6d | ERROR %s\n" name n e
             | Ok o ->
               if name = "sqrt-oneshot" then last_rounds := o.a_rounds;
@@ -174,9 +242,9 @@ let e2_oneshot_adversary () =
                 o.a_j_last o.a_l_last o.a_case2
                 (Covering.Bounds.oneshot_lower n)
                 o.a_maxcov o.a_stop)
-         [ ("simple-oneshot", run_oneshot_adversary (module Timestamp.Simple_oneshot));
-           ("simple-swap", run_oneshot_adversary (module Timestamp.Simple_swap));
-           ("sqrt-oneshot", run_oneshot_adversary (module Timestamp.Sqrt.One_shot)) ])
+         Timestamp.Registry.
+           [ ("simple-oneshot", simple_oneshot); ("simple-swap", simple_swap);
+             ("sqrt-oneshot", sqrt_oneshot) ])
     ns;
   (* Figures 1 and 2: grids of real configurations reached by the
      construction against the sqrt algorithm at the largest n. *)
@@ -215,12 +283,8 @@ let e2b_baseline () =
   Printf.printf "%s\n" (String.make 48 '-');
   List.iter
     (fun n ->
-       let module T = Timestamp.Sqrt.One_shot in
-       let supplier ~pid ~call = T.program ~n ~pid ~call in
-       let cfg =
-         Shm.Sim.create ~n ~num_regs:(T.num_registers ~n)
-           ~init:(T.init_value ~n)
-       in
+       let module H = Timestamp.Harness.Make (Timestamp.Sqrt.One_shot) in
+       let supplier = H.supplier ~n and cfg = H.create ~n in
        let baseline =
          match Covering.Efr_adversary.run ~fuel:5_000_000 ~supplier ~cfg () with
          | Ok o -> o.covered
@@ -238,14 +302,12 @@ let e2b_baseline () =
 (* E1: the long-lived lower-bound construction (Theorem 1.1)            *)
 (* ------------------------------------------------------------------ *)
 
-let run_longlived (type v r)
-    (module T : Timestamp.Intf.S with type value = v and type result = r) ~n
-    ~k =
-  let supplier ~pid ~call = T.program ~n ~pid ~call in
-  let cfg =
-    Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
-  in
-  match Covering.Longlived_adversary.run ~fuel:1_000_000 ~supplier ~cfg ~k () with
+let run_longlived (Timestamp.Registry.Impl (module T)) ~n ~k =
+  let module H = Timestamp.Harness.Make (T) in
+  match
+    Covering.Longlived_adversary.run ~fuel:1_000_000 ~supplier:(H.supplier ~n)
+      ~cfg:(H.create ~n) ~k ()
+  with
   | Error e -> Error e
   | Ok o -> Ok (o.covered, o.schedule_length)
 
@@ -264,8 +326,9 @@ let e1_longlived_adversary () =
   List.iter
     (fun (n, k) ->
        List.iter
-         (fun (name, run) ->
-            match run ~n ~k with
+         (fun impl ->
+            let name = Timestamp.Registry.name impl in
+            match run_longlived impl ~n ~k with
             | Error e -> Printf.printf "%-18s %4d %4d | ERROR %s\n" name n k e
             | Ok (covered, schedule_length) ->
               Printf.printf "%-18s %4d %4d | %8d %10d %10d %10d\n" name n k
@@ -273,10 +336,7 @@ let e1_longlived_adversary () =
                 ((k + 2) / 3)
                 (Covering.Bounds.longlived_lower n)
                 schedule_length)
-         [ ("lamport-longlived", run_longlived (module Timestamp.Lamport));
-           ("efr-longlived", run_longlived (module Timestamp.Efr));
-           ("vector-longlived", run_longlived (module Timestamp.Vector_ts));
-           ("snapshot-longlived", run_longlived (module Timestamp.Snapshot_ts)) ])
+         Timestamp.Registry.long_lived)
     cases
 
 (* ------------------------------------------------------------------ *)
@@ -328,38 +388,27 @@ let e4_simple () =
 (* E6: Lemma 2.1 validation                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Lemma 2.1's probe on the sqrt algorithm at [n] processes: three
+   fresh processes are driven until each covers a register, then the
+   probe runs from there. *)
+let lemma21_probe ~n =
+  let module H = Timestamp.Harness.Make (Timestamp.Sqrt.One_shot) in
+  let supplier = H.supplier ~n in
+  let cover cfg pid =
+    poised
+      (Shm.Sim.invoke cfg ~pid ~program:(fun ~call -> supplier ~pid ~call))
+      pid
+  in
+  Covering.Lemma21.probe ~fuel:200_000 ~supplier
+    ~cfg:(List.fold_left cover (H.create ~n) [ 0; 1; 2 ])
+    ~b0:[ 0 ] ~b1:[ 1 ] ~b2:[ 2 ] ~u0:3 ~u1:4 ~r:[ 0 ] ()
+
 let e6_lemma21 () =
   header "E6: Lemma 2.1 empirical validation";
   let trials = if fast then 20 else 100 in
   let successes = ref 0 and u0_writes = ref 0 and u1_writes = ref 0 in
   for seed = 1 to trials do
-    let n = 8 + (seed mod 13) in
-    let supplier ~pid ~call = Timestamp.Sqrt.One_shot.program ~n ~pid ~call in
-    let cfg =
-      Shm.Sim.create ~n
-        ~num_regs:(Timestamp.Sqrt.One_shot.num_registers ~n)
-        ~init:Timestamp.Sqrt.Bot
-    in
-    (* drive three fresh processes to cover register 0 *)
-    let cfg =
-      List.fold_left
-        (fun cfg pid ->
-           let cfg =
-             Shm.Sim.invoke cfg ~pid ~program:(fun ~call ->
-                 supplier ~pid ~call)
-           in
-           let rec to_write cfg =
-             match Shm.Sim.covers cfg pid with
-             | Some _ -> cfg
-             | None -> to_write (Shm.Sim.step cfg pid)
-           in
-           to_write cfg)
-        cfg [ 0; 1; 2 ]
-    in
-    match
-      Covering.Lemma21.probe ~fuel:200_000 ~supplier ~cfg ~b0:[ 0 ] ~b1:[ 1 ]
-        ~b2:[ 2 ] ~u0:3 ~u1:4 ~r:[ 0 ] ()
-    with
+    match lemma21_probe ~n:(8 + (seed mod 13)) with
     | Ok report ->
       incr successes;
       if List.mem Covering.Lemma21.U0 report.writers then incr u0_writes;
@@ -440,42 +489,41 @@ let e9_distributed () =
 (* domain parallelism) old vs new, emitted as BENCH_explore.json        *)
 (* ------------------------------------------------------------------ *)
 
-type engine_sample = {
-  e_label : string;
-  e_expanded : int;
-  e_configs : int;
-  e_dedup : int;
-  e_sleep : int;
-  e_paths : int;
-  e_seconds : float;
-}
-
-let e10_run (type v r)
-    (module T : Timestamp.Intf.S with type value = v and type result = r) ~n
-    ~calls ~label ~dedup ~reduction ~domains () =
-  let supplier ~pid ~call = T.program ~n ~pid ~call in
-  let cfg =
-    Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
-  in
-  let t0 = Unix.gettimeofday () in
+(* One exploration of every schedule of [impl], [calls] getTS per
+   process, each leaf checked, under the engine settings given. *)
+let explore ?dedup ?reduction ?symmetry ?domains
+    (Timestamp.Registry.Impl (module T)) ~n ~calls =
+  let module H = Timestamp.Harness.Make (T) in
   match
-    Shm.Explore.explore ~max_steps:400 ~max_paths:5_000_000 ~dedup ~reduction
-      ~domains ~supplier
+    Shm.Explore.explore ~max_steps:400 ~max_paths:5_000_000 ?dedup ?reduction
+      ?symmetry ?domains ~supplier:(H.supplier ~n)
       ~calls_per_proc:(Array.make n calls)
-      ~leaf_check:(fun cfg ->
-          Result.is_ok (Timestamp.Checker.check_sim (module T) cfg))
-      cfg
+      ~leaf_check:(fun cfg -> Result.is_ok (H.check cfg))
+      (H.create ~n)
   with
   | Shm.Explore.Counterexample _ ->
-    failwith (T.name ^ ": unexpected counterexample in E10")
-  | Shm.Explore.Ok s ->
-    { e_label = label;
-      e_expanded = s.expanded;
-      e_configs = s.configurations;
-      e_dedup = s.dedup_hits;
-      e_sleep = s.sleep_skips;
-      e_paths = s.paths;
-      e_seconds = Unix.gettimeofday () -. t0 }
+    failwith (T.name ^ ": unexpected counterexample")
+  | Shm.Explore.Ok s -> s
+
+(* The exploration workloads of E10 (its n <= 3 rows) and E14, each with
+   the expanded-configuration count of the PR-1 engine (dedup +
+   reduction, sequential, max_steps = 400, max_paths = 5M), captured on
+   this machine immediately before the v3 changes landed.  They are
+   commitments, not measurements — the PR-1 engine no longer exists in
+   the tree, so E14's v3/PR-1 ratio is computed against these. *)
+let explore_workloads =
+  Timestamp.Registry.
+    [ ("simple-oneshot", simple_oneshot, 3, 1, 8_808);
+      ("simple-oneshot", simple_oneshot, 4, 1, 1_792_989);
+      ("simple-swap", simple_swap, 3, 1, 5_861);
+      ("simple-swap", simple_swap, 4, 1, 1_105_051);
+      ("efr", efr, 3, 1, 3_337);
+      ("lamport", lamport, 2, 2, 3_397) ]
+  |> List.filter (fun (name, _, n, _, _) ->
+      not (fast && (n > 3 || name = "simple-swap" || name = "lamport")))
+
+let configs_per_sec (s : Shm.Explore.stats) =
+  float_of_int s.configurations /. max 1e-9 s.seconds
 
 let e10_explore_engine () =
   header
@@ -490,164 +538,71 @@ let e10_explore_engine () =
     "workload" "n" "calls" "engine" "expanded" "dedup" "sleep" "configs/s"
     "seconds";
   Printf.printf "%s\n" (String.make 92 '-');
-  let workloads :
-    (string
-     * (label:string -> dedup:bool -> reduction:bool -> domains:int ->
-        unit -> engine_sample)
-     * int * int)
-      list =
-    List.filter_map
-      (fun x -> x)
-      [ Some
-          ( "simple-oneshot",
-            e10_run (module Timestamp.Simple_oneshot) ~n:3 ~calls:1, 3, 1 );
-        (if fast then None
-         else
-           Some
-             ( "simple-swap",
-               e10_run (module Timestamp.Simple_swap) ~n:3 ~calls:1, 3, 1 ));
-        Some ("efr", e10_run (module Timestamp.Efr) ~n:3 ~calls:1, 3, 1);
-        (if fast then None
-         else
-           Some
-             ( "lamport",
-               e10_run (module Timestamp.Lamport) ~n:2 ~calls:2, 2, 2 )) ]
-  in
   let results =
     List.map
-      (fun (name, run, n, calls) ->
+      (fun (name, impl, n, calls, _) ->
+         let run ~dedup ~reduction ~domains =
+           explore impl ~n ~calls ~dedup ~reduction ~domains
+         in
          let samples =
-           [ run ~label:"baseline" ~dedup:false ~reduction:false ~domains:1 ();
-             run ~label:"dedup" ~dedup:true ~reduction:false ~domains:1 ();
-             run ~label:"reduced" ~dedup:true ~reduction:true ~domains:1 ();
-             run ~label:"parallel" ~dedup:true ~reduction:true ~domains () ]
+           [ ("baseline", run ~dedup:false ~reduction:false ~domains:1);
+             ("dedup", run ~dedup:true ~reduction:false ~domains:1);
+             ("reduced", run ~dedup:true ~reduction:true ~domains:1);
+             ("parallel", run ~dedup:true ~reduction:true ~domains) ]
          in
          List.iter
-           (fun s ->
+           (fun (label, (s : Shm.Explore.stats)) ->
               Printf.printf
                 "%-18s %2d %5d | %-9s %10d %10d %9d %11.0f %8.3f\n" name n
-                calls s.e_label s.e_expanded s.e_dedup s.e_sleep
-                (float_of_int s.e_configs /. max 1e-9 s.e_seconds)
-                s.e_seconds)
+                calls label s.expanded s.dedup_hits s.sleep_skips
+                (configs_per_sec s) s.seconds)
            samples;
          (name, n, calls, samples))
-      workloads
+      (List.filter (fun (_, _, n, _, _) -> n <= 3) explore_workloads)
+  in
+  let expanded_reduction samples =
+    float_of_int (List.assoc "baseline" samples).Shm.Explore.expanded
+    /. float_of_int (max 1 (List.assoc "reduced" samples).Shm.Explore.expanded)
   in
   sub "headline ratios (baseline / reduced expanded configurations)";
   List.iter
     (fun (name, _, _, samples) ->
-       let find l = List.find (fun s -> s.e_label = l) samples in
-       let base = find "baseline" and red = find "reduced" in
-       let par = find "parallel" in
+       let secs l = (List.assoc l samples).Shm.Explore.seconds in
        Printf.printf
          "%-18s %10.1fx fewer expanded   %6.2fx wall speedup (seq)   \
           %6.2fx wall speedup (par, %d domains)\n"
-         name
-         (float_of_int base.e_expanded /. float_of_int (max 1 red.e_expanded))
-         (base.e_seconds /. max 1e-9 red.e_seconds)
-         (base.e_seconds /. max 1e-9 par.e_seconds)
+         name (expanded_reduction samples)
+         (secs "baseline" /. max 1e-9 (secs "reduced"))
+         (secs "baseline" /. max 1e-9 (secs "parallel"))
          domains)
     results;
-  (* Machine-readable record for CI trend tracking, built with the shared
-     Obs.Json printer (written in fast and full mode alike). *)
-  let sample_json s : Obs.Json.t =
-    Obs.Json.Obj
-      [ ("expanded", Obs.Json.Int s.e_expanded);
-        ("configurations", Obs.Json.Int s.e_configs);
-        ("dedup_hits", Obs.Json.Int s.e_dedup);
-        ("sleep_skips", Obs.Json.Int s.e_sleep);
-        ("paths", Obs.Json.Int s.e_paths);
-        ("seconds", Obs.Json.Float s.e_seconds);
-        ("configs_per_sec",
-         Obs.Json.Float (float_of_int s.e_configs /. max 1e-9 s.e_seconds)) ]
+  let sample_json (label, (s : Shm.Explore.stats)) =
+    ( label,
+      Obs.Json.Obj
+        [ ("expanded", Obs.Json.Int s.expanded);
+          ("configurations", Obs.Json.Int s.configurations);
+          ("dedup_hits", Obs.Json.Int s.dedup_hits);
+          ("sleep_skips", Obs.Json.Int s.sleep_skips);
+          ("paths", Obs.Json.Int s.paths);
+          ("seconds", Obs.Json.Float s.seconds);
+          ("configs_per_sec", Obs.Json.Float (configs_per_sec s)) ] )
   in
   let workload_json (name, n, calls, samples) : Obs.Json.t =
-    let find l = List.find (fun s -> s.e_label = l) samples in
     Obs.Json.Obj
       [ ("name", Obs.Json.String name);
         ("n", Obs.Json.Int n);
         ("calls", Obs.Json.Int calls);
-        ("engines",
-         Obs.Json.Obj (List.map (fun s -> (s.e_label, sample_json s)) samples));
-        ("expanded_reduction",
-         Obs.Json.Float
-           (float_of_int (find "baseline").e_expanded
-            /. float_of_int (max 1 (find "reduced").e_expanded))) ]
+        ("engines", Obs.Json.Obj (List.map sample_json samples));
+        ("expanded_reduction", Obs.Json.Float (expanded_reduction samples)) ]
   in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E10-explore-engine");
-        ("domains", Obs.Json.Int domains);
-        ("fast", Obs.Json.Bool fast);
-        ("workloads", Obs.Json.List (List.map workload_json results)) ]
-  in
-  Out_channel.with_open_text "BENCH_explore.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "\n(wrote BENCH_explore.json)\n";
-  (* flat metrics sidecar of the same numbers, one metric per line *)
-  let reg = Obs.Metric.registry ~name:"bench.e10" () in
-  List.iter
-    (fun (name, _, _, samples) ->
-       List.iter
-         (fun s ->
-            let metric suffix = name ^ "." ^ s.e_label ^ "." ^ suffix in
-            Obs.Metric.add
-              (Obs.Metric.counter reg (metric "expanded"))
-              s.e_expanded;
-            Obs.Metric.add
-              (Obs.Metric.counter reg (metric "dedup_hits"))
-              s.e_dedup;
-            Obs.Metric.add
-              (Obs.Metric.counter reg (metric "sleep_skips"))
-              s.e_sleep;
-            Obs.Metric.set
-              (Obs.Metric.gauge reg (metric "seconds"))
-              s.e_seconds)
-         samples)
-    results;
-  Obs.Metric.write_jsonl_file reg "BENCH_explore_metrics.jsonl";
-  Printf.printf "(wrote BENCH_explore_metrics.jsonl)\n"
+  [ ("domains", Obs.Json.Int domains);
+    ("workloads", Obs.Json.List (List.map workload_json results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* E14: exploration v3 (hb-abstract fingerprints + process-symmetry    *)
 (* quotient) vs the PR-1 engine, and the checkpointed E1 adversary at  *)
 (* n >= 16; emitted as BENCH_explore_v3.json                           *)
 (* ------------------------------------------------------------------ *)
-
-(* Reference constants: expanded-configuration counts of the PR-1 engine
-   (dedup + reduction, sequential, max_steps = 400, max_paths = 5M),
-   captured on this machine immediately before the v3 changes landed.
-   They are commitments, not measurements — the PR-1 engine no longer
-   exists in the tree, so the v3/PR-1 ratio is computed against these. *)
-let e14_pr1_expanded =
-  [ ("simple-oneshot", 3, 1, 8_808);
-    ("simple-oneshot", 4, 1, 1_792_989);
-    ("simple-swap", 3, 1, 5_861);
-    ("simple-swap", 4, 1, 1_105_051);
-    ("efr", 3, 1, 3_337);
-    ("lamport", 2, 2, 3_397) ]
-
-let e14_v3_run (type v r)
-    (module T : Timestamp.Intf.S with type value = v and type result = r) ~n
-    ~calls ~symmetry () =
-  let supplier ~pid ~call = T.program ~n ~pid ~call in
-  let cfg =
-    Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
-  in
-  let t0 = Unix.gettimeofday () in
-  match
-    Shm.Explore.explore ~max_steps:400 ~max_paths:5_000_000 ~symmetry
-      ~supplier
-      ~calls_per_proc:(Array.make n calls)
-      ~leaf_check:(fun cfg ->
-          Result.is_ok (Timestamp.Checker.check_sim (module T) cfg))
-      cfg
-  with
-  | Shm.Explore.Counterexample _ ->
-    failwith (T.name ^ ": unexpected counterexample in E14")
-  | Shm.Explore.Ok s -> (s, Unix.gettimeofday () -. t0)
 
 let e14_explore_v3 () =
   header
@@ -659,34 +614,17 @@ let e14_explore_v3 () =
   Printf.printf "%-16s %2s %5s | %12s %10s %10s %8s %9s %8s\n" "workload" "n"
     "calls" "pr1-expanded" "v3" "v3-nosym" "merges" "vs-pr1" "seconds";
   Printf.printf "%s\n" (String.make 92 '-');
-  let workloads =
-    List.filter
-      (fun (name, n, _, _) ->
-         not (fast && (n > 3 || name = "simple-swap" || name = "lamport")))
-      e14_pr1_expanded
-  in
   let results =
     List.map
-      (fun (name, n, calls, pr1) ->
-         let run ~symmetry =
-           match name with
-           | "simple-oneshot" ->
-             e14_v3_run (module Timestamp.Simple_oneshot) ~n ~calls ~symmetry ()
-           | "simple-swap" ->
-             e14_v3_run (module Timestamp.Simple_swap) ~n ~calls ~symmetry ()
-           | "efr" -> e14_v3_run (module Timestamp.Efr) ~n ~calls ~symmetry ()
-           | "lamport" ->
-             e14_v3_run (module Timestamp.Lamport) ~n ~calls ~symmetry ()
-           | _ -> assert false
-         in
-         let s, secs = run ~symmetry:true in
-         let ns, _ = run ~symmetry:false in
+      (fun (name, impl, n, calls, pr1) ->
+         let s = explore impl ~n ~calls ~symmetry:true in
+         let ns = explore impl ~n ~calls ~symmetry:false in
          Printf.printf "%-16s %2d %5d | %12d %10d %10d %8d %8.1fx %8.3f\n"
            name n calls pr1 s.expanded ns.expanded s.canon_hits
            (float_of_int pr1 /. float_of_int (max 1 s.expanded))
-           secs;
-         (name, n, calls, pr1, s, ns, secs))
-      workloads
+           s.seconds;
+         (name, n, calls, pr1, s, ns))
+      explore_workloads
   in
   (* The deep end of E1: the checkpointed adversary past the old n = 14
      ceiling.  covered must stay >= ceil(k/3) (Theorem 1.1's bound). *)
@@ -696,41 +634,34 @@ let e14_explore_v3 () =
   Printf.printf "%s\n" (String.make 72 '-');
   let e1_cases = if fast then [ (16, 8) ] else [ (16, 8); (18, 9); (20, 10) ] in
   let e1_impls =
-    if fast then [ "lamport"; "efr" ]
-    else [ "lamport"; "efr"; "vector"; "snapshot" ]
+    Timestamp.Registry.(
+      [ ("lamport", lamport); ("efr", efr) ]
+      @ if fast then [] else [ ("vector", vector); ("snapshot", snapshot_ts) ])
   in
   let e1_rows =
     List.concat_map
       (fun (n, k) ->
          List.map
-           (fun impl ->
+           (fun (label, impl) ->
               let t0 = Unix.gettimeofday () in
-              let res =
-                match impl with
-                | "lamport" -> run_longlived (module Timestamp.Lamport) ~n ~k
-                | "efr" -> run_longlived (module Timestamp.Efr) ~n ~k
-                | "vector" -> run_longlived (module Timestamp.Vector_ts) ~n ~k
-                | "snapshot" ->
-                  run_longlived (module Timestamp.Snapshot_ts) ~n ~k
-                | _ -> assert false
-              in
+              let res = run_longlived impl ~n ~k in
               let secs = Unix.gettimeofday () -. t0 in
               match res with
               | Error e ->
-                Printf.printf "%-18s %4d %4d | ERROR %s\n" impl n k e;
-                (impl, n, k, 0, 0, secs, false)
+                Printf.printf "%-18s %4d %4d | ERROR %s\n" label n k e;
+                (label, n, k, 0, 0, secs, false)
               | Ok (covered, len) ->
                 let ok = covered >= (k + 2) / 3 in
-                Printf.printf "%-18s %4d %4d | %8d %10d %10d %8.3f%s\n" impl n
-                  k covered
+                Printf.printf "%-18s %4d %4d | %8d %10d %10d %8.3f%s\n" label
+                  n k covered
                   ((k + 2) / 3)
                   len secs
                   (if ok then "" else "  BELOW BOUND");
-                (impl, n, k, covered, len, secs, ok))
+                (label, n, k, covered, len, secs, ok))
            e1_impls)
       e1_cases
   in
-  let row_json (name, n, calls, pr1, (s : Shm.Explore.stats), ns, secs) :
+  let row_json (name, n, calls, pr1, (s : Shm.Explore.stats), ns) :
     Obs.Json.t =
     Obs.Json.Obj
       [ ("name", Obs.Json.String name);
@@ -742,7 +673,7 @@ let e14_explore_v3 () =
         ("canon_hits", Obs.Json.Int s.canon_hits);
         ("symmetric", Obs.Json.Bool s.symmetric);
         ("paths", Obs.Json.Int s.paths);
-        ("seconds", Obs.Json.Float secs);
+        ("seconds", Obs.Json.Float s.seconds);
         ("reduction_vs_pr1",
          Obs.Json.Float
            (float_of_int pr1 /. float_of_int (max 1 s.expanded))) ]
@@ -758,18 +689,8 @@ let e14_explore_v3 () =
         ("seconds", Obs.Json.Float secs);
         ("meets_bound", Obs.Json.Bool ok) ]
   in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E14-explore-v3");
-        ("fast", Obs.Json.Bool fast);
-        ("explore", Obs.Json.List (List.map row_json results));
-        ("e1_deep", Obs.Json.List (List.map e1_json e1_rows)) ]
-  in
-  Out_channel.with_open_text "BENCH_explore_v3.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "\n(wrote BENCH_explore_v3.json)\n"
+  [ ("explore", Obs.Json.List (List.map row_json results));
+    ("e1_deep", Obs.Json.List (List.map e1_json e1_rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* E12: fuzzer sensitivity — iterations-to-kill for planted mutants     *)
@@ -867,13 +788,12 @@ let e13_service () =
          let rows =
            List.map
              (fun (label, cfg) ->
-                let r = Svc.Loadgen.run impl cfg in
-                (match r.lg_violation with
-                 | Some v ->
-                   failwith
-                     (Printf.sprintf "E13 %s/%s: VIOLATION %s"
-                        (Timestamp.Registry.name impl) label v)
-                 | None -> ());
+                let r =
+                  checked
+                    (Printf.sprintf "E13 %s/%s" (Timestamp.Registry.name impl)
+                       label)
+                    (Svc.Loadgen.run impl cfg)
+                in
                 Printf.printf "%-18s %-10s | %10.0f %9.1f %9.1f %9d\n"
                   (Timestamp.Registry.name impl)
                   label r.lg_throughput r.lg_p50_us r.lg_p99_us r.lg_hb_pairs;
@@ -903,16 +823,10 @@ let e13_service () =
   in
   let mode_json (label, (r : Svc.Loadgen.report)) =
     ( label,
-      Obs.Json.Obj
-        [ ("config", Obs.Json.String r.lg_mode);
-          ("requests", Obs.Json.Int r.lg_total);
-          ("seconds", Obs.Json.Float r.lg_elapsed_s);
-          ("throughput_rps", Obs.Json.Float r.lg_throughput);
-          ("p50_us", Obs.Json.Float r.lg_p50_us);
-          ("p99_us", Obs.Json.Float r.lg_p99_us);
-          ("hb_pairs", Obs.Json.Int r.lg_hb_pairs);
-          ("checker", Obs.Json.String "OK");
-          ("shards", Obs.Json.List (List.map shard_json r.lg_shards)) ] )
+      report_json r
+        ~extra:
+          [ ("config", Obs.Json.String r.lg_mode);
+            ("shards", Obs.Json.List (List.map shard_json r.lg_shards)) ] )
   in
   let impl_json (name, rows, speedup) : Obs.Json.t =
     Obs.Json.Obj
@@ -920,21 +834,9 @@ let e13_service () =
         ("modes", Obs.Json.Obj (List.map mode_json rows));
         ("batched_speedup", Obs.Json.Float speedup) ]
   in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E13-service");
-        ("fast", Obs.Json.Bool fast);
-        ("clients", Obs.Json.Int base.Svc.Loadgen.clients);
-        ("requests_per_client", Obs.Json.Int requests);
-        ( "recommended_domains",
-          Obs.Json.Int (Domain.recommended_domain_count ()) );
-        ("implementations", Obs.Json.List (List.map impl_json results)) ]
-  in
-  Out_channel.with_open_text "BENCH_service.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "\n(wrote BENCH_service.json)\n"
+  [ ("clients", Obs.Json.Int base.Svc.Loadgen.clients);
+    ("requests_per_client", Obs.Json.Int requests);
+    ("implementations", Obs.Json.List (List.map impl_json results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* E15: cores-scaling sweep — direct vs batched across shard counts,   *)
@@ -966,15 +868,9 @@ let e15_scaling () =
         clients = d; requests_per_client = requests; n = 8; seed = 1 }
     in
     let run label cfg =
-      let r = Svc.Loadgen.run impl cfg in
-      (match r.Svc.Loadgen.lg_violation with
-       | Some v ->
-         failwith
-           (Printf.sprintf "E15 %s d=%d %s: VIOLATION %s"
-              (Timestamp.Registry.name impl)
-              d label v)
-       | None -> ());
-      r
+      checked
+        (Printf.sprintf "E15 %s d=%d %s" (Timestamp.Registry.name impl) d label)
+        (Svc.Loadgen.run impl cfg)
     in
     let direct = run "direct" { base with mode = Svc.Loadgen.Direct } in
     let batched =
@@ -1004,16 +900,8 @@ let e15_scaling () =
          (impl, curve, gap))
       impls
   in
-  let report_json (r : Svc.Loadgen.report) =
-    Obs.Json.Obj
-      [ ("config", Obs.Json.String r.lg_mode);
-        ("requests", Obs.Json.Int r.lg_total);
-        ("seconds", Obs.Json.Float r.lg_elapsed_s);
-        ("throughput_rps", Obs.Json.Float r.lg_throughput);
-        ("p50_us", Obs.Json.Float r.lg_p50_us);
-        ("p99_us", Obs.Json.Float r.lg_p99_us);
-        ("hb_pairs", Obs.Json.Int r.lg_hb_pairs);
-        ("checker", Obs.Json.String "OK") ]
+  let run_json (r : Svc.Loadgen.report) =
+    report_json r ~extra:[ ("config", Obs.Json.String r.lg_mode) ]
   in
   let impl_json (impl, curve, gap) =
     Obs.Json.Obj
@@ -1024,25 +912,14 @@ let e15_scaling () =
                (fun (d, direct, batched) ->
                   Obs.Json.Obj
                     [ ("shards", Obs.Json.Int d);
-                      ("direct", report_json direct);
-                      ("batched", report_json batched) ])
+                      ("direct", run_json direct);
+                      ("batched", run_json batched) ])
                curve) );
         ("p50_gap_at_max_us", Obs.Json.Float gap) ]
   in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E15-scaling");
-        ("fast", Obs.Json.Bool fast);
-        ("recommended_domains", Obs.Json.Int recommended);
-        ("max_shards", Obs.Json.Int max_shards);
-        ("requests_per_client", Obs.Json.Int requests);
-        ("implementations", Obs.Json.List (List.map impl_json results)) ]
-  in
-  Out_channel.with_open_text "BENCH_scaling.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "\n(wrote BENCH_scaling.json)\n"
+  [ ("max_shards", Obs.Json.Int max_shards);
+    ("requests_per_client", Obs.Json.Int requests);
+    ("implementations", Obs.Json.List (List.map impl_json results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* EA: ablation of the Algorithm-4 repair rule (Section 6.1)            *)
@@ -1052,27 +929,18 @@ let ea_ablation () =
   header "EA: ablation of the lines 10-11 repair rule (Section 6.1)";
   (* the directed interleaving from Section 6.1 *)
   let scenario (module V : Timestamp.Sqrt_variants.VARIANT) =
+    let module H = Timestamp.Harness.Make (V) in
     let n = 8 in
-    let supplier ~pid ~call = V.program ~n ~pid ~call in
+    let supplier = H.supplier ~n in
     let invoke cfg pid =
       Shm.Sim.invoke cfg ~pid ~program:(fun ~call -> supplier ~pid ~call)
     in
-    let until_write cfg pid reg =
-      let rec go cfg =
-        match Shm.Sim.covers cfg pid with
-        | Some r when r = reg -> cfg
-        | _ -> go (Shm.Sim.step cfg pid)
-      in
-      go cfg
-    in
+    let until_write cfg pid reg = poised ~at:(( = ) reg) cfg pid in
     let solo cfg pid =
       Option.get (Shm.Sim.run_solo ~fuel:10_000 (invoke cfg pid) pid)
     in
     let finish cfg pid = Option.get (Shm.Sim.run_solo ~fuel:10_000 cfg pid) in
-    let cfg =
-      Shm.Sim.create ~n ~num_regs:(V.num_registers ~n) ~init:(V.init_value ~n)
-    in
-    let cfg = until_write (invoke cfg 0) 0 0 in
+    let cfg = until_write (invoke (H.create ~n) 0) 0 0 in
     let cfg = solo (solo (solo cfg 1) 2) 3 in
     let cfg = until_write (invoke cfg 4) 4 2 in
     let cfg = Shm.Sim.step cfg 0 in
@@ -1081,8 +949,7 @@ let ea_ablation () =
     let cfg = solo cfg 6 in
     let cfg = finish cfg 5 in
     let cfg = solo cfg 7 in
-    Timestamp.Checker.check ~compare_ts:V.compare_ts ~pp:V.pp_ts
-      ~hist:(Shm.Sim.hist cfg) ~results:(Shm.Sim.results cfg)
+    H.check cfg
   in
   let describe name v =
     Printf.printf "%-18s directed Section-6.1 interleaving: %s\n" name
@@ -1172,45 +1039,20 @@ let bechamel_tests () =
          (long_lived_get_ts (module Timestamp.Vector_ts) ~n ~calls:64));
     Test.make ~name:"E2:oneshot-adversary n=32 (sqrt)"
       (Staged.stage (fun () ->
-           match run_oneshot_adversary (module Timestamp.Sqrt.One_shot) ~n:32 with
+           match
+             run_oneshot_adversary Timestamp.Registry.sqrt_oneshot ~n:32
+           with
            | Ok _ -> ()
            | Error e -> failwith e));
 
     Test.make ~name:"E1:longlived-adversary n=8 k=4 (lamport)"
       (Staged.stage (fun () ->
-           match run_longlived (module Timestamp.Lamport) ~n:8 ~k:4 with
+           match run_longlived Timestamp.Registry.lamport ~n:8 ~k:4 with
            | Ok _ -> ()
            | Error e -> failwith e));
     Test.make ~name:"E6:lemma21-probe n=12 (sqrt)"
       (Staged.stage (fun () ->
-           let n = 12 in
-           let supplier ~pid ~call =
-             Timestamp.Sqrt.One_shot.program ~n ~pid ~call
-           in
-           let cfg =
-             Shm.Sim.create ~n
-               ~num_regs:(Timestamp.Sqrt.One_shot.num_registers ~n)
-               ~init:Timestamp.Sqrt.Bot
-           in
-           let cfg =
-             List.fold_left
-               (fun cfg pid ->
-                  let cfg =
-                    Shm.Sim.invoke cfg ~pid ~program:(fun ~call ->
-                        supplier ~pid ~call)
-                  in
-                  let rec to_write cfg =
-                    match Shm.Sim.covers cfg pid with
-                    | Some _ -> cfg
-                    | None -> to_write (Shm.Sim.step cfg pid)
-                  in
-                  to_write cfg)
-               cfg [ 0; 1; 2 ]
-           in
-           match
-             Covering.Lemma21.probe ~fuel:200_000 ~supplier ~cfg ~b0:[ 0 ]
-               ~b1:[ 1 ] ~b2:[ 2 ] ~u0:3 ~u1:4 ~r:[ 0 ] ()
-           with
+           match lemma21_probe ~n:12 with
            | Ok _ -> ()
            | Error e -> failwith e));
     Test.make ~name:"E7:sqrt-claims n=64"
@@ -1226,8 +1068,8 @@ let bechamel_tests () =
     Test.make ~name:"E10:explore reduced simple-oneshot n=3"
       (Staged.stage (fun () ->
            ignore
-             (e10_run (module Timestamp.Simple_oneshot) ~n:3 ~calls:1
-                ~label:"reduced" ~dedup:true ~reduction:true ~domains:1 ()))) ]
+             (explore Timestamp.Registry.simple_oneshot ~n:3 ~calls:1
+                ~dedup:true ~reduction:true ~domains:1))) ]
 
 (* ------------------------------------------------------------------ *)
 (* E16: telemetry overhead — armed sampler + live gauges vs disarmed,   *)
@@ -1264,13 +1106,7 @@ let e16_telemetry () =
     Array.sort compare a;
     a
   in
-  let checked cfg =
-    let r = Svc.Loadgen.run impl cfg in
-    (match r.Svc.Loadgen.lg_violation with
-     | Some v -> failwith (Printf.sprintf "E16: VIOLATION %s" v)
-     | None -> ());
-    r
-  in
+  let checked cfg = checked "E16" (Svc.Loadgen.run impl cfg) in
   let tel_file = Filename.temp_file "telemetry" ".jsonl" in
   let on_cfg =
     { base with
@@ -1334,44 +1170,32 @@ let e16_telemetry () =
     open_r.lg_p999_us open_r.lg_max_us;
   Printf.printf "budget: %s (%.1f%%, IQR %.1f%% .. %.1f%%, vs %.0f%%)\n"
     verdict overhead_pct q1 q3 budget_pct;
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E16-telemetry");
-        ("fast", Obs.Json.Bool fast);
-        ("impl", Obs.Json.String (Timestamp.Registry.name impl));
-        ("clients", Obs.Json.Int 2);
-        ("requests_per_client", Obs.Json.Int requests);
-        ("iterations", Obs.Json.Int iters);
-        ("budget_pct", Obs.Json.Float budget_pct);
-        ( "recommended_domains",
-          Obs.Json.Int (Domain.recommended_domain_count ()) );
-        ("off_rps", Obs.Json.Float off_rps);
-        ("on_rps", Obs.Json.Float on_rps);
-        ("overhead_pct", Obs.Json.Float overhead_pct);
-        ( "overhead_iqr_pct",
-          Obs.Json.List [ Obs.Json.Float q1; Obs.Json.Float q3 ] );
-        ("verdict", Obs.Json.String verdict);
-        ( "telemetry",
-          Obs.Json.Obj
-            [ ("samples", Obs.Json.Int on_r.lg_samples);
-              ("stalls", Obs.Json.Int on_r.lg_stalls) ] );
-        ( "open_loop",
-          Obs.Json.Obj
-            [ ("rate_rps", Obs.Json.Float rate);
-              ("throughput_rps", Obs.Json.Float open_r.lg_throughput);
-              ("p50_us", Obs.Json.Float open_r.lg_p50_us);
-              ("p90_us", Obs.Json.Float open_r.lg_p90_us);
-              ("p99_us", Obs.Json.Float open_r.lg_p99_us);
-              ("p999_us", Obs.Json.Float open_r.lg_p999_us);
-              ("max_us", Obs.Json.Float open_r.lg_max_us);
-              ("hb_pairs", Obs.Json.Int open_r.lg_hb_pairs);
-              ("checker", Obs.Json.String "OK") ] ) ]
-  in
-  Out_channel.with_open_text "BENCH_telemetry.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "\n(wrote BENCH_telemetry.json)\n"
+  [ ("impl", Obs.Json.String (Timestamp.Registry.name impl));
+    ("clients", Obs.Json.Int 2);
+    ("requests_per_client", Obs.Json.Int requests);
+    ("iterations", Obs.Json.Int iters);
+    ("budget_pct", Obs.Json.Float budget_pct);
+    ("off_rps", Obs.Json.Float off_rps);
+    ("on_rps", Obs.Json.Float on_rps);
+    ("overhead_pct", Obs.Json.Float overhead_pct);
+    ( "overhead_iqr_pct",
+      Obs.Json.List [ Obs.Json.Float q1; Obs.Json.Float q3 ] );
+    ("verdict", Obs.Json.String verdict);
+    ( "telemetry",
+      Obs.Json.Obj
+        [ ("samples", Obs.Json.Int on_r.lg_samples);
+          ("stalls", Obs.Json.Int on_r.lg_stalls) ] );
+    ( "open_loop",
+      Obs.Json.Obj
+        [ ("rate_rps", Obs.Json.Float rate);
+          ("throughput_rps", Obs.Json.Float open_r.lg_throughput);
+          ("p50_us", Obs.Json.Float open_r.lg_p50_us);
+          ("p90_us", Obs.Json.Float open_r.lg_p90_us);
+          ("p99_us", Obs.Json.Float open_r.lg_p99_us);
+          ("p999_us", Obs.Json.Float open_r.lg_p999_us);
+          ("max_us", Obs.Json.Float open_r.lg_max_us);
+          ("hb_pairs", Obs.Json.Int open_r.lg_hb_pairs);
+          ("checker", Obs.Json.String "OK") ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E17: model-checking the serving layer (Svc.Model under Shm.Explore); *)
@@ -1495,20 +1319,8 @@ let e17_model () =
         ("shrunk_actions", Obs.Json.Int shrunk);
         ("seconds", Obs.Json.Float secs) ]
   in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E17-model");
-        ("fast", Obs.Json.Bool fast);
-        ( "recommended_domains",
-          Obs.Json.Int (Domain.recommended_domain_count ()) );
-        ("models", Obs.Json.List (List.map model_json model_rows));
-        ("mutants", Obs.Json.List (List.map mutant_json mutant_rows)) ]
-  in
-  Out_channel.with_open_text "BENCH_model.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "\n(wrote BENCH_model.json)\n"
+  [ ("models", Obs.Json.List (List.map model_json model_rows));
+    ("mutants", Obs.Json.List (List.map mutant_json mutant_rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* E18: network transport — per-stamp round trips vs epoch-range        *)
@@ -1546,11 +1358,7 @@ let e18_point (type r) (module T : Timestamp.Intf.S with type result = r)
   in
   let r = D.run setup cfg in
   Srv.stop srv;
-  (match r.Svc.Loadgen.lg_violation with
-   | Some v ->
-     failwith (Printf.sprintf "E18 %s lease=%d: VIOLATION %s" T.name lease v)
-   | None -> ());
-  r
+  checked (Printf.sprintf "E18 %s lease=%d" T.name lease) r
 
 let e18_net () =
   header "E18: network transport — per-stamp RTTs vs epoch-range leases";
@@ -1571,18 +1379,12 @@ let e18_net () =
   Printf.printf "%-18s %5s  %-14s | %10s %9s %9s %9s\n" "implementation"
     "lease" "mode" "req/s" "p50 us" "p99 us" "p99.9 us";
   Printf.printf "%s\n" (String.make 82 '-');
-  let point_json (r : Svc.Loadgen.report) extra : Obs.Json.t =
-    Obs.Json.Obj
-      (extra
-       @ [ ("requests", Obs.Json.Int r.lg_total);
-           ("seconds", Obs.Json.Float r.lg_elapsed_s);
-           ("throughput_rps", Obs.Json.Float r.lg_throughput);
-           ("p50_us", Obs.Json.Float r.lg_p50_us);
-           ("p99_us", Obs.Json.Float r.lg_p99_us);
-           ("p999_us", Obs.Json.Float r.lg_p999_us);
-           ("max_us", Obs.Json.Float r.lg_max_us);
-           ("hb_pairs", Obs.Json.Int r.lg_hb_pairs);
-           ("checker", Obs.Json.String "OK") ])
+  let point_json (r : Svc.Loadgen.report) extra =
+    report_json r
+      ~extra:
+        ([ ("p999_us", Obs.Json.Float r.lg_p999_us);
+           ("max_us", Obs.Json.Float r.lg_max_us) ]
+         @ extra)
   in
   let results =
     List.map
@@ -1648,25 +1450,13 @@ let e18_net () =
            speedup ))
       [ Timestamp.Registry.lamport; Timestamp.Registry.efr ]
   in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E18-net");
-        ("fast", Obs.Json.Bool fast);
-        ("transport", Obs.Json.String "unix-socket");
-        ("clients", Obs.Json.Int base.Svc.Loadgen.clients);
-        ("requests_per_client", Obs.Json.Int requests);
-        ( "open_rates_rps",
-          Obs.Json.List (List.map (fun r -> Obs.Json.Float r) rates) );
-        ( "recommended_domains",
-          Obs.Json.Int (Domain.recommended_domain_count ()) );
-        ( "implementations",
-          Obs.Json.List (List.map (fun (_, j, _) -> j) results) ) ]
-  in
-  Out_channel.with_open_text "BENCH_net.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "\n(wrote BENCH_net.json)\n"
+  [ ("transport", Obs.Json.String "unix-socket");
+    ("clients", Obs.Json.Int base.Svc.Loadgen.clients);
+    ("requests_per_client", Obs.Json.Int requests);
+    ( "open_rates_rps",
+      Obs.Json.List (List.map (fun r -> Obs.Json.Float r) rates) );
+    ("implementations", Obs.Json.List (List.map (fun (_, j, _) -> j) results))
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E19: the reactor wire tier — connection-scaling curve, zero-copy    *)
@@ -1911,16 +1701,6 @@ let e19_net2 () =
   sub "read path: Compare vs Get_stamp vs on-demand lease anchor, each \
        answered on the I/O loop";
   let rtt_iters = if fast then 500 else 2_000 in
-  let rtts f =
-    let a =
-      Array.init rtt_iters (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          f ();
-          (Unix.gettimeofday () -. t0) *. 1e6)
-    in
-    Array.sort compare a;
-    a
-  in
   let module Srv = Net.Server.Make (T) in
   let module C = Net.Client.Make (T) in
   let read_path_json =
@@ -1931,9 +1711,6 @@ let e19_net2 () =
     let s2 = C.stamp c in
     if not (C.compare_remote c s1 s2) then
       failwith "E19: remote compare disagrees with happens-before";
-    let cmp = rtts (fun () -> ignore (C.compare_remote c s1 s2)) in
-    let stamp = rtts (fun () -> ignore (C.stamp c)) in
-    C.close c;
     (* lease anchors, raw: each lone Get_range runs its own anchor getTS *)
     let fd = e19_raw_connect addr in
     let req =
@@ -1941,16 +1718,31 @@ let e19_net2 () =
       Net.Frame.write_req b (Net.Frame.Get_range 16);
       Net.Buf.contents b
     in
-    let range =
-      rtts (fun () ->
-          e19_write_all fd req;
-          match Net.Frame.decode_resp (e19_read_frame fd) with
-          | Ok (_, Net.Frame.Range _) -> ()
-          | Ok (_, Net.Frame.Err m) -> failwith ("E19 range: " ^ m)
-          | _ -> failwith "E19: expected Range")
+    let get_range () =
+      e19_write_all fd req;
+      match Net.Frame.decode_resp (e19_read_frame fd) with
+      | Ok (_, Net.Frame.Range _) -> ()
+      | Ok (_, Net.Frame.Err m) -> failwith ("E19 range: " ^ m)
+      | _ -> failwith "E19: expected Range"
     in
+    (* One round trip of each kind per iteration, so a burst of host
+       noise lands on all three kinds alike, not on one kind's phase. *)
+    let cmp = Array.make rtt_iters 0. and stamp = Array.make rtt_iters 0.
+    and range = Array.make rtt_iters 0. in
+    let rtt a i f =
+      let t0 = Unix.gettimeofday () in
+      f ();
+      a.(i) <- (Unix.gettimeofday () -. t0) *. 1e6
+    in
+    for i = 0 to rtt_iters - 1 do
+      rtt cmp i (fun () -> ignore (C.compare_remote c s1 s2));
+      rtt stamp i (fun () -> ignore (C.stamp c));
+      rtt range i get_range
+    done;
+    C.close c;
     Unix.close fd;
     Srv.stop srv;
+    List.iter (Array.sort compare) [ cmp; stamp; range ];
     let p50 a = percentile a 50. and p99 a = percentile a 99. in
     Printf.printf
       "Compare          p50 %7.1f us   p99 %7.1f us\n\
@@ -1977,24 +1769,12 @@ let e19_net2 () =
         ( "compare_vs_stamp_speedup",
           Obs.Json.Float (p50 stamp /. Float.max 1e-9 (p50 cmp)) ) ]
   in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema_version", Obs.Json.Int Obs.Metric.schema_version);
-        ("experiment", Obs.Json.String "E19-net2");
-        ("fast", Obs.Json.Bool fast);
-        ("transport", Obs.Json.String "unix-socket");
-        ("io_threads", Obs.Json.Int io_threads);
-        ("pipeline_depth", Obs.Json.Int depth);
-        ( "recommended_domains",
-          Obs.Json.Int (Domain.recommended_domain_count ()) );
-        ("conn_scaling", Obs.Json.List scaling_json);
-        ("codec", Obs.Json.List codec_json);
-        ("read_path", read_path_json) ]
-  in
-  Out_channel.with_open_text "BENCH_net2.json" (fun oc ->
-      Out_channel.output_string oc (Obs.Json.pretty_to_string doc);
-      Out_channel.output_char oc '\n');
-  Printf.printf "\n(wrote BENCH_net2.json)\n"
+  [ ("transport", Obs.Json.String "unix-socket");
+    ("io_threads", Obs.Json.Int io_threads);
+    ("pipeline_depth", Obs.Json.Int depth);
+    ("conn_scaling", Obs.Json.List scaling_json);
+    ("codec", Obs.Json.List codec_json);
+    ("read_path", read_path_json) ]
 
 let run_timings () =
   header "Timings (Bechamel, monotonic clock; ns per run)";
@@ -2020,14 +1800,24 @@ let run_timings () =
          analyzed)
     (bechamel_tests ())
 
+(* Every experiment by its [--only] id, in run order.  One that writes a
+   trajectory file names it here, with its experiment tag; it returns
+   the file's body and {!write_bench} adds the header. *)
 let experiments =
+  let bench file experiment run () = write_bench file ~experiment (run ()) in
   [ ("e5", e5_bounds); ("e2", e2_oneshot_adversary); ("e2b", e2b_baseline);
     ("e1", e1_longlived_adversary); ("e3", e3_e7_sqrt_space);
     ("e4", e4_simple); ("e6", e6_lemma21); ("e8", e8_bounded_longlived);
-    ("e9", e9_distributed); ("e10", e10_explore_engine);
-    ("e14", e14_explore_v3); ("e12", e12_fuzz_sensitivity);
-    ("e13", e13_service); ("e15", e15_scaling); ("e16", e16_telemetry);
-    ("e17", e17_model); ("e18", e18_net); ("e19", e19_net2);
+    ("e9", e9_distributed);
+    ("e10", bench "BENCH_explore.json" "E10-explore-engine" e10_explore_engine);
+    ("e14", bench "BENCH_explore_v3.json" "E14-explore-v3" e14_explore_v3);
+    ("e12", e12_fuzz_sensitivity);
+    ("e13", bench "BENCH_service.json" "E13-service" e13_service);
+    ("e15", bench "BENCH_scaling.json" "E15-scaling" e15_scaling);
+    ("e16", bench "BENCH_telemetry.json" "E16-telemetry" e16_telemetry);
+    ("e17", bench "BENCH_model.json" "E17-model" e17_model);
+    ("e18", bench "BENCH_net.json" "E18-net" e18_net);
+    ("e19", bench "BENCH_net2.json" "E19-net2" e19_net2);
     ("ea", ea_ablation) ]
 
 let () =

@@ -934,25 +934,22 @@ let distributed_cmd =
         ~init:(T.init_value ~n) ~steps:(5 * n) ~rand ()
     with
     | Error e ->
-      Printf.eprintf "error: %s
-" e;
+      Printf.eprintf "error: %s\n" e;
       exit 1
     | Ok o -> (
         List.iter
           (fun (c, t) ->
-             Printf.printf "  client %d -> %s
-" c
+             Printf.printf "  client %d -> %s\n" c
                (Format.asprintf "%a" T.pp_ts t))
           o.results;
         match A.check_timestamps ~compare_ts:T.compare_ts o with
         | Ok pairs ->
           Printf.printf
-            "%s over ABD: OK (%d clients, %d replicas, %d crashed, %d              ordered pairs, %d messages)
-"
+            "%s over ABD: OK (%d clients, %d replicas, %d crashed, %d \
+             ordered pairs, %d messages)\n"
             T.name n replicas ncrashed pairs o.messages
         | Error e ->
-          Printf.eprintf "VIOLATION: %s
-" e;
+          Printf.eprintf "VIOLATION: %s\n" e;
           exit 1)
   in
   let replicas_arg =
@@ -969,7 +966,8 @@ let distributed_cmd =
   Cmd.v
     (Cmd.info "distributed"
        ~doc:
-         "Run the implementation over ABD-emulated registers (message           passing with crash failures).")
+         "Run the implementation over ABD-emulated registers (message \
+          passing with crash failures).")
     Term.(const run $ impl_arg $ n_arg $ replicas_arg $ crashed_arg $ seed_arg)
 
 let clocks_cmd =
@@ -1294,8 +1292,8 @@ let loadgen_cmd =
           Printf.eprintf "ts_cli: loadgen: %s\n" msg;
           1)
   in
-  let run impl n clients requests pipeline shards batch_max direct think_us
-      rate transport addr lease procs stop_server telemetry_out
+  let run impl n clients requests pipeline shards batch_max direct rate
+      transport addr lease procs stop_server telemetry_out
       telemetry_interval seed out =
     let rc =
       with_obs out @@ fun _ ->
@@ -1315,7 +1313,7 @@ let loadgen_cmd =
       in
       let cfg =
         { mode; arrival; clients; requests_per_client = requests; pipeline;
-          n; seed; think_us; telemetry }
+          n; seed; telemetry }
       in
       let print_report (r : report) =
         Printf.printf "loadgen: %s  %s  seed=%d\n" r.lg_impl r.lg_mode seed;
@@ -1419,12 +1417,6 @@ let loadgen_cmd =
             "Bypass the service: clients execute getTS themselves on the \
              shared registers (the unbatched baseline).")
   in
-  let think =
-    Arg.(
-      value & opt int 0
-      & info [ "think-us" ] ~docv:"US"
-          ~doc:"Max seeded random think time between bursts, microseconds.")
-  in
   let rate =
     Arg.(
       value
@@ -1501,7 +1493,7 @@ let loadgen_cmd =
           (p50/p90/p99/p99.9/max) and a happens-before checker verdict.")
     Term.(
       const run $ impl_arg $ n_arg $ clients $ requests $ pipeline $ shards
-      $ batch $ direct $ think $ rate $ transport $ addr $ lease $ procs
+      $ batch $ direct $ rate $ transport $ addr $ lease $ procs
       $ stop_server $ telemetry_out_arg $ telemetry_interval_arg $ seed_arg
       $ obs_out_term)
 

@@ -22,6 +22,17 @@ dune runtest
 echo "== bench --fast =="
 bench --fast
 
+echo "== bench files: every BENCH file of the fast pass is valid and has the header =="
+# One writer heads every trajectory file with the host and the revision;
+# a BENCH file that fails to parse or lacks them fails here.
+for bench_file in "$bench_dir"/BENCH_*.json; do
+  dune exec bin/ts_cli.exe -- obs --validate "$bench_file"
+  for key in git_rev recommended_domains; do
+    grep -q "^  \"$key\": " "$bench_file" || {
+      echo "bench files: $bench_file has no header key $key" >&2; exit 1; }
+  done
+done
+
 echo "== perfbench self-test: every workload builds, checks and reports =="
 # A tiny pass over each benchmark workload, traced and untraced, plus
 # injected faults; a library change that breaks the benchmark's build,

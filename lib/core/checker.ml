@@ -166,6 +166,9 @@ let check_calls (type c r) ~order ~compare_ts
       { op1 = op calls.(i); op2 = op calls.(j); t1 = str i; t2 = str j;
         reason }
   in
+  (* One counter hands out every end tick, so two calls never share
+     one. *)
+  let shared_end = "shares its end tick with" in
   let below i j = compare_ts ts.(i) ts.(j) in
   (* [i] happens before [j] *)
   let check_pair i j =
@@ -176,6 +179,10 @@ let check_calls (type c r) ~order ~compare_ts
   in
   let sweep ~add ~against =
     let by_end = sort_by ends and by_start = sort_by starts in
+    for k = 1 to n - 1 do
+      if ends.(by_end.(k - 1)) = ends.(by_end.(k)) then
+        raise (violation by_end.(k - 1) by_end.(k) shared_end)
+    done;
     let pairs = ref 0 and prefix = ref 0 in
     for k = 0 to n - 1 do
       let o2 = by_start.(k) in
@@ -190,6 +197,8 @@ let check_calls (type c r) ~order ~compare_ts
   in
   try
     for i = 0 to n - 1 do
+      if starts.(i) > ends.(i) then
+        raise (violation i i "start tick exceeds end tick at");
       if below i i then raise (violation i i "compare is not irreflexive at")
     done;
     match order with
@@ -234,6 +243,8 @@ let check_calls (type c r) ~order ~compare_ts
             incr pairs;
             check_pair i j
           end
+          else if i < j && ends.(i) = ends.(j) then
+            raise (violation i j shared_end)
         done
       done;
       Ok !pairs

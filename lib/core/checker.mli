@@ -55,15 +55,24 @@ val check_calls :
     accessors are read once per call, into flat tick columns; [op] only
     names the calls of a violation.
 
-    First an O(n) pass rejects any [compare_ts t t] with ["compare is not
-    irreflexive at"].  Then [order] picks the path:
-    - [`General] compares every happens-before pair: O(n{^ 2}).  It
-      sorts nothing, and is the oracle the other paths are tested
-      against.
+    The ticks themselves are checked too.  Every serving path takes its
+    end ticks from one counter, so no two calls share an end tick, and
+    a call's start tick, read before it began, never exceeds its end
+    tick.  A witness that breaks either rule orders nothing soundly.
+
+    First an O(n) pass rejects a call whose start tick exceeds its end
+    tick with ["start tick exceeds end tick at"], and any
+    [compare_ts t t] with ["compare is not irreflexive at"].  Then
+    [order] picks the path, and each path rejects two calls that share
+    an end tick with ["shares its end tick with"]:
+    - [`General] compares every happens-before pair, and every other
+      pair's end ticks: O(n{^ 2}).  It sorts nothing, and is the oracle
+      the other paths are tested against.
     - The other two sort the calls by end tick and by start tick with a
-      stable radix sort (at most 6 linear passes over any int ticks) and
-      sweep them by start tick: the calls that happen before the current
-      one form a growing prefix of the end order.
+      stable radix sort (at most 6 linear passes over any int ticks),
+      compare each end tick with the next in that order, and sweep the
+      calls by start tick: the calls that happen before the current one
+      form a growing prefix of the end order.
     - [`Strict_weak] keeps [top], a maximal element of the prefix
       (replaced by [x] when [compare_ts top x]), and compares the current
       call with [top] only: O(n) compares.  In a strict weak order every

@@ -81,34 +81,34 @@ module Make (T : Timestamp.Intf.S) = struct
     | Frame.Err msg -> fail "server: %s" msg
     | r -> r
 
-  (* one stamp off the cached lease; caller checks the cache is warm *)
-  let mint t =
+  let cached t = t.l_end - t.l_next
+
+  (* Replaces the cache with a fresh grant of up to [k] ticks; the server
+     may grant fewer than asked, never none. *)
+  let refill t k =
+    send t (Frame.Get_range (min k Frame.max_lease));
+    let first, count = recv t read_range in
+    if count < 1 then fail "protocol error: Range grants no tick";
+    t.l_mint <- Some first;
+    t.l_next <- first.st_end_tick;
+    t.l_end <- first.st_end_tick + count
+
+  (* One stamp off the cached lease, refilled first with [want] ticks if
+     its grant is spent: every mint takes an end tick the server granted,
+     and no grant is minted past its end. *)
+  let mint t ~want =
+    if cached t = 0 then refill t want;
     let e = t.l_next in
     t.l_next <- e + 1;
     match t.l_mint with
     | Some m -> { m with st_end_tick = e; st_resp_us = now_us () }
     | None -> assert false
 
-  let cached t = t.l_end - t.l_next
-
-  let refill t k =
-    send t (Frame.Get_range (min k Frame.max_lease));
-    let first, count = recv t read_range in
-    t.l_mint <- Some first;
-    t.l_next <- first.st_end_tick;
-    t.l_end <- first.st_end_tick + count
-
   let remote_stamp t =
     send t Frame.Get_stamp;
     recv t read_stamp
 
-  let stamp t =
-    if cached t > 0 then mint t
-    else if t.lease <= 1 then remote_stamp t
-    else begin
-      refill t t.lease;
-      mint t
-    end
+  let stamp t = if t.lease > 1 then mint t ~want:t.lease else remote_stamp t
 
   let stamp_async t =
     let s = stamp t in
@@ -116,12 +116,11 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let stamp_batch t k =
     if k <= 0 then []
-    else if t.lease > 1 then begin
-      (* serve the burst from the cache, topping it up once if short —
-         the refill covers the deficit and leaves a full lease behind *)
-      if cached t < k then refill t (k - cached t + t.lease);
-      List.init k (fun _ -> mint t)
-    end
+    else if t.lease > 1 then
+      (* mint the burst off the cache; each refill asks for the rest of
+         the burst and a full lease to leave behind, so a burst that one
+         grant covers costs one round trip *)
+      List.init k (fun j -> mint t ~want:(k - j + t.lease))
     else begin
       (* per-stamp round trips, coalesced: frame the whole burst, flush
          once, then read the k responses back in order *)

@@ -11,7 +11,10 @@
     Minted stamps share the lease's anchor timestamp, identity and start
     tick and take distinct reserved end ticks, so they remain sound for
     {!Timestamp.Checker.check_timed} (the server reserves the range only
-    after the anchor executed — DESIGN.md §14).
+    after the anchor executed — DESIGN.md §14).  A stamp is minted only
+    from a range the server granted: a burst longer than one grant (past
+    [Frame.max_lease], or a grant shorter than asked) fetches another
+    whenever the last one runs out.
 
     All failures (connect, protocol, server-side errors) raise
     {!Svc.Client.Error}.  A handle belongs to one domain at a time.

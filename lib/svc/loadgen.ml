@@ -1,10 +1,10 @@
 let now_us () = Obs.Trace.Clock.now_s () *. 1e6
 
+(* Sleeps [us] microseconds, truncated; a signal cuts the sleep short. *)
 let sleep_us us =
-  try Unix.sleepf (float_of_int us *. 1e-6)
-  with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let sleep_us_f us = if us > 0.5 then sleep_us (int_of_float us)
+  if us > 0.5 then
+    try Unix.sleepf (Float.trunc us *. 1e-6)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 type mode = Direct | Service of { shards : int; batch_max : int }
 
@@ -31,7 +31,6 @@ type cfg = {
   pipeline : int;
   n : int;
   seed : int;
-  think_us : int;
   telemetry : telemetry option;
 }
 
@@ -43,7 +42,6 @@ let default =
     pipeline = 1;
     n = 8;
     seed = 1;
-    think_us = 0;
     telemetry = None }
 
 type shard_report = {
@@ -102,12 +100,6 @@ let record_lat rc ~shard lat_us =
   Obs.Hdr.record rc.g_hdr ns;
   Obs.Hdr.record rc.shard_hdrs.(shard) ns
 
-let think rng think_us =
-  if think_us > 0 then begin
-    let us = Random.State.int (Lazy.force rng) (think_us + 1) in
-    if us > 0 then sleep_us us
-  end
-
 (* Open-loop schedule: client [i]'s [call]-th request is due at
    [t0 + (call + i/clients) * clients/rate] — clients interleave evenly
    on the aggregate arrival process. *)
@@ -116,7 +108,7 @@ let arrival_interval_us cfg rate =
 
 let wait_until sched =
   let now = now_us () in
-  if now < sched then sleep_us_f (sched -. now)
+  if now < sched then sleep_us (sched -. now)
 
 let mode_string cfg =
   let base =
@@ -174,14 +166,11 @@ module Drive (C : Client.S) = struct
         (* per-shard (served, batches, max_batch), read after teardown *)
   }
 
-  (* Closed-loop client: issue a burst of [pipeline], await it, think,
-     repeat.  Latency = burst issue time to the transport's completion
-     stamp — queueing + service time, excluding the client's own
-     post-completion wakeup. *)
-  let closed_loop cfg rc client i =
-    (* built at the first think, not between the barrier and the first
-       burst *)
-    let rng = lazy (Random.State.make [| cfg.seed; i; 0x5eed |]) in
+  (* Closed-loop client: issue a burst of [pipeline], await it, repeat.
+     Latency = burst issue time to the transport's completion stamp —
+     queueing + service time, excluding the client's own post-completion
+     wakeup. *)
+  let closed_loop cfg rc client =
     let rec go remaining acc =
       if remaining = 0 then acc
       else begin
@@ -196,7 +185,6 @@ module Drive (C : Client.S) = struct
                { sm_stamp = s; sm_lat_us = lat } :: acc)
             acc stamps
         in
-        think rng cfg.think_us;
         go (remaining - burst) acc
       end
     in
@@ -321,7 +309,7 @@ module Drive (C : Client.S) = struct
         await_ready ();
         let samples =
           match cfg.arrival with
-          | Closed -> closed_loop cfg rc client i
+          | Closed -> closed_loop cfg rc client
           | Open { rate } -> open_loop cfg rc ~rate ~t0 client i
         in
         C.close client;
@@ -460,8 +448,7 @@ module Drive (C : Client.S) = struct
      drives [cfg.clients] connections.  The parent merges histograms,
      concatenates samples, runs the global checker, and reports with
      [clients * procs] effective clients.  Open-loop rate is split
-     evenly; seeds are offset per worker so think-time patterns
-     decorrelate. *)
+     evenly. *)
   let run_procs ~procs ~child setup cfg =
     validate cfg;
     if procs <= 1 then run { setup with connect = (child 0).connect } cfg
@@ -478,7 +465,6 @@ module Drive (C : Client.S) = struct
              let setup = child p in
              let cfg_c =
                { cfg with
-                 seed = cfg.seed + (1000003 * (p + 1));
                  arrival =
                    (match cfg.arrival with
                     | Closed -> Closed

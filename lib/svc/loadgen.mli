@@ -10,8 +10,8 @@
 
     Two arrival disciplines:
     - [Closed] (the default): a client keeps at most [pipeline] requests
-      in flight — it submits a burst, awaits all of its responses,
-      optionally sleeps a seeded random think time, and repeats.
+      in flight — it submits a burst, awaits all of its responses, and
+      repeats.
       [pipeline = 1] is the classic one-outstanding-call closed loop.
     - [Open { rate }]: requests have scheduled arrival times drawn from a
       fixed aggregate [rate] (requests/second across all clients,
@@ -68,15 +68,13 @@ type cfg = {
   n : int;  (** processes to provision; raised automatically when the
                 implementation needs more (one-shot: total requests,
                 long-lived: [clients]) *)
-  seed : int;
-  think_us : int;  (** max seeded random pause between bursts; 0 = none;
-                       ignored by the open loop (the schedule paces) *)
+  seed : int;  (** unused by the run itself; [ts_cli loadgen] prints it *)
   telemetry : telemetry option;  (** live sampler; any transport *)
 }
 
 val default : cfg
 (** [Direct], [Closed], 4 clients, 100 requests each, pipeline 1, n = 8,
-    seed 1, no think time, no telemetry. *)
+    seed 1, no telemetry. *)
 
 val stress : Timestamp.Registry.impl -> n:int -> calls:int -> cfg
 (** The real-domain stress run of [ts_cli stress]: [Direct], [n] clients
@@ -162,8 +160,8 @@ module Drive (C : Client.S) : sig
       domain is spawned* (required by the OCaml 5 runtime); worker [p]
       builds its own setup with [child p] *after* the fork — so its
       connections are its own, never inherited — and drives
-      [cfg.clients] clients with a per-worker seed offset (and, for the
-      open loop, [rate / procs] each).  Workers ship their samples and
+      [cfg.clients] clients (and, for the open loop, [rate / procs]
+      each).  Workers ship their samples and
       HDR snapshots back over a pipe; the parent merges the histograms
       losslessly ({!Obs.Hdr.merge}), runs the *global* happens-before
       check over every sample from every process, and reports totals

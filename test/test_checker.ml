@@ -142,6 +142,26 @@ let timed_detects_reflexive_compare order =
   | Error v ->
     Alcotest.(check string) "reason" "compare is not irreflexive at" v.reason
 
+let shared_end = "shares its end tick with"
+
+let start_after_end = "start tick exceeds end tick at"
+
+(* A tick witness no counter hands out: two calls sharing an end tick,
+   or a call that starts after it ends.  The stamps are otherwise
+   correct, so each path must name the tick fault. *)
+let timed_rejects_void_witness order =
+  let reason records =
+    match run_timed order records with
+    | Ok _ -> Alcotest.fail "should reject a void tick witness"
+    | Error v -> v.reason
+  in
+  Alcotest.(check string) "two calls end at tick 5" shared_end
+    (reason
+       [ timed 0 ~start:0 ~stop:5 1; timed 1 ~start:2 ~stop:5 2;
+         timed 2 ~start:6 ~stop:7 3 ]);
+  Alcotest.(check string) "a call runs from tick 5 to tick 2" start_after_end
+    (reason [ timed 0 ~start:0 ~stop:1 1; timed 1 ~start:5 ~stop:2 2 ])
+
 (* Differential property: on random interval histories both sweeps
    return the exhaustive scan's verdict and pair count.  Each call gets
    [dims] linearization points inside its interval and, for each, a rank
@@ -149,18 +169,24 @@ let timed_detects_reflexive_compare order =
    ranks respect happens-before in every coordinate.  A third of the
    histories get one corrupted rank (shifted, duplicated from another
    call, or swapped with another call's), which may or may not break
-   happens-before.  The ticks [0 .. 100] then go through a random
-   strictly increasing map, which keeps happens-before but moves them
-   anywhere in the int range: negative, or spanning more than 2^62. *)
+   happens-before.  End ticks are distinct, as one counter hands them
+   out (a shared one is a fault of its own, planted below).  The ticks
+   [0 .. 100] then go through a random strictly increasing map, which
+   keeps happens-before but moves them anywhere in the int range:
+   negative, or spanning more than 2^62. *)
 let gen_history ~dims =
   let open QCheck2.Gen in
   let* n = int_range 0 40 in
+  let* ends = shuffle_l (List.init 101 Fun.id) in
   let* calls =
-    list_repeat n
-      (let* start = int_bound 80 in
-       let* len = int_bound 20 in
-       let+ ps = list_repeat dims (int_bound len) in
-       (start, start + len, List.map (fun p -> start + p) ps))
+    flatten_l
+      (List.map
+         (fun stop ->
+            let* len = int_bound 20 in
+            let start = max 0 (stop - len) in
+            let+ ps = list_repeat dims (int_bound (stop - start)) in
+            (start, stop, List.map (fun p -> start + p) ps))
+         (List.filteri (fun k _ -> k < n) ends))
   in
   let ranks d =
     let points = List.map (fun (_, _, ps) -> List.nth ps d) calls in
@@ -258,6 +284,51 @@ let frontier_matches_scan =
             (fun (start, stop, r) -> (start, stop, Array.of_list r))
             history))
 
+(* Planted tick faults in a random history: one call's start moved past
+   its end, or one call given another's interval, so the two share an
+   end tick.  Every path rejects both.  The start fault falls to the
+   first pass, before any pair; the sweeps check end ticks before they
+   sweep, while the scan may meet a corrupted rank first. *)
+let void_witness_fails_every_path =
+  Util.qtest ~count:1000
+    "planted tick faults: a start past its end or a shared end tick fails \
+     every path"
+    QCheck2.Gen.(triple (gen_history ~dims:1) nat nat)
+    (fun (history, a, b) ->
+       let calls =
+         Array.of_list
+           (List.map (fun (start, stop, r) -> (start, stop, List.hd r)) history)
+       in
+       let n = Array.length calls in
+       n < 2
+       ||
+       let i = a mod n in
+       let j = (i + 1 + (b mod (n - 1))) mod n in
+       let planted k call =
+         Array.to_list
+           (Array.mapi
+              (fun pid c ->
+                 let start, stop, ts = if pid = k then call else c in
+                 timed pid ~start ~stop ts)
+              calls)
+       in
+       let reason order records =
+         match run_timed order records with
+         | Ok _ -> None
+         | Error v -> Some v.reason
+       in
+       let si, ei, ri = calls.(i) in
+       let _, _, rj = calls.(j) in
+       let inverted = planted i (ei + 1, si, ri) in
+       let shared = planted j (si, ei, rj) in
+       List.for_all
+         (fun order -> reason order inverted = Some start_after_end)
+         [ `Strict_weak; `Strict_partial; `General ]
+       && List.for_all
+         (fun order -> reason order shared = Some shared_end)
+         [ `Strict_weak; `Strict_partial ]
+       && reason `General shared <> None)
+
 let differential =
   let range n = List.init n Fun.id in
   let open Timestamp in
@@ -271,7 +342,8 @@ let differential =
       (List.concat_map
          (fun m -> Efr.Even m :: List.map (fun c -> Efr.Odd (m, c)) (range 5))
          (range 30));
-    frontier_matches_scan ]
+    frontier_matches_scan;
+    void_witness_fails_every_path ]
 
 let suite =
   ( "checker",
@@ -290,5 +362,7 @@ let suite =
         (on_every_path timed_leaves_concurrent_unconstrained);
       Util.case "timed: empty history" (on_every_path timed_empty);
       Util.case "timed: detects reflexive compare"
-        (on_every_path timed_detects_reflexive_compare) ]
+        (on_every_path timed_detects_reflexive_compare);
+      Util.case "timed: rejects a shared end tick and a start past its end"
+        (on_every_path timed_rejects_void_witness) ]
     @ differential )

@@ -840,84 +840,99 @@ let expect_stamp label payload =
 
 (* ------------------- the client's receive side --------------------- *)
 
-(* A fake server on a raw socket answers the handshake, then writes
-   pipelined replies in random-sized chunks, from 1 byte to past the
-   client's 8 KiB receive buffer, pausing after each so the client's
-   reads see its boundaries.  Frames straddle reads, and the receive
-   buffer compacts and grows under them; [stamp_batch] must return
-   exactly the stamps written, in order: Stamp replies at lease 1, and
-   the mints of Range replies (written ahead of the requests for them)
-   at lease 4. *)
-let client_reads_any_chunking () =
-  let module T = Timestamp.Lamport in
-  let module C = Net.Client.Make (T) in
-  let codec = Net.Codec.for_impl (module T) in
-  let pong =
-    Net.Frame.Pong
-      { si_impl = T.name; si_kind = T.kind; si_n = 8; si_shards = 1;
-        si_codec = Net.Codec.name codec }
+(* A fake Lamport server on a raw socket: [fake_client] accepts one
+   connection on [lfd], reads the handshake's Ping and writes [wire] in
+   chunks of [chunk ()] bytes, pausing after each so the client's reads
+   see its boundaries, while a client connected at [lease] runs [f].
+   [wire] must begin with [fake_pong]. *)
+module Lc = Net.Client.Make (Timestamp.Lamport)
+
+let lamport_codec = Net.Codec.for_impl (module Timestamp.Lamport)
+
+let fake_pong =
+  Net.Frame.Pong
+    { si_impl = Timestamp.Lamport.name; si_kind = Timestamp.Lamport.kind;
+      si_n = 8; si_shards = 1; si_codec = Net.Codec.name lamport_codec }
+
+let fake_listen () =
+  let path = sock_path () in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 4;
+  (path, lfd)
+
+let fake_unlisten (path, lfd) =
+  Unix.close lfd;
+  (try Unix.unlink path with Unix.Unix_error _ -> ())
+
+let fake_client (path, lfd) ~chunk ~lease wire f =
+  let serve () =
+    let fd, _ = Unix.accept ~cloexec:true lfd in
+    ignore (read_frame fd);
+    let n = String.length wire in
+    let off = ref 0 in
+    while !off < n do
+      let k = min (chunk ()) (n - !off) in
+      write_all fd (String.sub wire !off k);
+      off := !off + k;
+      Unix.sleepf 0.0002
+    done;
+    (* a client still waiting after this reads EOF, not a hang *)
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    let sink = Bytes.create 4096 in
+    (try
+       while Unix.read fd sink 0 4096 > 0 do
+         ()
+       done
+     with Unix.Unix_error _ -> ());
+    Unix.close fd
   in
+  let server = Domain.spawn serve in
+  Fun.protect
+    ~finally:(fun () -> Domain.join server)
+    (fun () ->
+       let c = Lc.connect ~lease (Net.Conn.Unix_path path) in
+       Fun.protect ~finally:(fun () -> Lc.close c) (fun () -> f c))
+
+(* [fake_pong] then what [write] puts in [b]. *)
+let fake_wire b write =
+  Net.Buf.clear b;
+  Net.Frame.write_resp b fake_pong;
+  write ();
+  Net.Buf.contents b
+
+(* The fake server writes pipelined replies in random-sized chunks, from
+   1 byte to past the client's 8 KiB receive buffer.  Frames straddle
+   reads, and the receive buffer compacts and grows under them;
+   [stamp_batch] must return exactly the stamps written, in order: Stamp
+   replies at lease 1, and the mints of Range replies (written ahead of
+   the requests for them) at lease 4. *)
+let client_reads_any_chunking () =
+  let codec = lamport_codec in
   let run seed =
     let rng = Random.State.make [| 25; seed |] in
     (* every varint width *)
     let nat () =
       Random.State.full_int rng (1 lsl (1 + Random.State.int rng 40))
     in
-    let chunk_size () =
+    let chunk () =
       match Random.State.int rng 3 with
       | 0 -> 1 + Random.State.int rng 8
       | 1 -> 9 + Random.State.int rng 300
       | _ -> 309 + Random.State.int rng 12_000
     in
-    let path = sock_path () in
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind lfd (Unix.ADDR_UNIX path);
-    Unix.listen lfd 4;
-    (* one connection: the handshake's Ping, then [wire] in chunks *)
-    let serve wire =
-      let fd, _ = Unix.accept ~cloexec:true lfd in
-      ignore (read_frame fd);
-      let n = String.length wire in
-      let off = ref 0 in
-      while !off < n do
-        let k = min (chunk_size ()) (n - !off) in
-        write_all fd (String.sub wire !off k);
-        off := !off + k;
-        Unix.sleepf 0.0002
-      done;
-      (* a client still waiting after this reads EOF, not a hang *)
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      let sink = Bytes.create 4096 in
-      (try
-         while Unix.read fd sink 0 4096 > 0 do
-           ()
-         done
-       with Unix.Unix_error _ -> ());
-      Unix.close fd
-    in
+    let listener = fake_listen () in
     let fields (s : _ stamp) =
       (s.st_pid, s.st_call, s.st_shard, s.st_start_tick, s.st_end_tick,
        s.st_ts)
     in
     let client ~lease ~batches ~batch wire =
-      let server = Domain.spawn (fun () -> serve wire) in
-      let got =
-        let c = C.connect ~lease (Net.Conn.Unix_path path) in
-        Fun.protect
-          ~finally:(fun () -> C.close c)
-          (fun () -> List.concat (List.init batches (fun _ -> C.stamp_batch c batch)))
-      in
-      Domain.join server;
-      List.map fields got
+      fake_client listener ~chunk ~lease wire (fun c ->
+          List.concat_map (List.map fields)
+            (List.init batches (fun _ -> Lc.stamp_batch c batch)))
     in
     let b = Net.Buf.create () in
-    let wire_of write =
-      Net.Buf.clear b;
-      Net.Frame.write_resp b pong;
-      write ();
-      Net.Buf.contents b
-    in
     (* lease 1: 1,500 Stamp replies, read in bursts of 50 *)
     let stamps =
       List.init 1500 (fun _ ->
@@ -925,7 +940,7 @@ let client_reads_any_chunking () =
           (nat (), nat (), nat (), start, start + nat (), nat () - nat ()))
     in
     let wire =
-      wire_of (fun () ->
+      fake_wire b (fun () ->
           List.iter
             (fun (pid, call, shard, start_tick, end_tick, ts) ->
                Net.Frame.write_stamp_v2 b codec ~pid ~call ~shard ~start_tick
@@ -942,7 +957,7 @@ let client_reads_any_chunking () =
       List.init 300 (fun _ -> (nat (), nat (), nat (), nat (), nat (), nat () - nat ()))
     in
     let wire =
-      wire_of (fun () ->
+      fake_wire b (fun () ->
           List.iter
             (fun (pid, call, shard, start_tick, base, ts) ->
                Net.Frame.write_range_v2 b codec ~pid ~call ~shard ~start_tick
@@ -960,10 +975,94 @@ let client_reads_any_chunking () =
          (String.length wire))
       true
       (client ~lease:4 ~batches:300 ~batch:4 wire = mints);
-    Unix.close lfd;
-    (try Unix.unlink path with Unix.Unix_error _ -> ())
+    fake_unlisten listener
   in
   List.iter run Util.seeds
+
+(* A server may grant a lease shorter than asked: a burst minted off
+   short grants takes exactly the granted ticks, in order, refilling
+   whenever a grant runs out (and a grant of no tick is refused). *)
+let lease_mints_only_granted_ticks () =
+  let listener = fake_listen () in
+  let b = Net.Buf.create () in
+  let grants = [ (100, 3); (200, 1); (300, 2); (400, 5) ] in
+  let wire =
+    fake_wire b (fun () ->
+        List.iteri
+          (fun call (base, count) ->
+             Net.Frame.write_range_v2 b lamport_codec ~pid:0 ~call ~shard:0
+               ~start_tick:(base - 1) ~base ~count call)
+          grants)
+  in
+  let ends =
+    fake_client listener ~chunk:(fun () -> 7) ~lease:16 wire (fun c ->
+        List.map (fun s -> s.st_end_tick) (Lc.stamp_batch c 10))
+  in
+  Alcotest.(check (list int))
+    "a burst of 10 mints the granted ticks alone, over four grants"
+    [ 100; 101; 102; 200; 300; 301; 400; 401; 402; 403 ]
+    ends;
+  let wire =
+    fake_wire b (fun () ->
+        Net.Frame.write_range_v2 b lamport_codec ~pid:0 ~call:0 ~shard:0
+          ~start_tick:0 ~base:1 ~count:0 0)
+  in
+  (match
+     fake_client listener ~chunk:(fun () -> max_int) ~lease:16 wire (fun c ->
+         Lc.stamp c)
+   with
+   | _ -> Alcotest.fail "a Range granting no tick was minted from"
+   | exception Error msg ->
+     Util.check_bool "the error names the empty grant" true
+       (contains msg "grants no tick"));
+  fake_unlisten listener
+
+(* A burst longer than the most one lease may grant ([Frame.max_lease])
+   mints every stamp inside a range the server granted: one grant per
+   anchor, at most [max_lease] consecutive ticks, and no end tick that
+   the server later hands to another call. *)
+let lease_burst_past_max_lease () =
+  let module T = Timestamp.Lamport in
+  let module Srv = Net.Server.Make (T) in
+  let module C = Net.Client.Make (T) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~addr ~n:4 () in
+  let k = Net.Frame.max_lease + 5 in
+  let leased = C.connect ~lease:16 addr in
+  let burst = Array.of_list (C.stamp_batch leased k) in
+  C.close leased;
+  let single = C.connect addr in
+  let after = List.init 8 (fun _ -> C.stamp single) in
+  C.close single;
+  Srv.stop srv;
+  Util.check_int "every stamp of the burst arrived" k (Array.length burst);
+  (* the mints of one grant carry its anchor's call; each grant's mints
+     are its consecutive ticks, in order *)
+  let grants = ref [] in
+  Array.iteri
+    (fun i s ->
+       match !grants with
+       | (call, first, len) :: rest
+         when call = s.st_call && s.st_end_tick = first + len ->
+         grants := (call, first, len + 1) :: rest
+       | _ ->
+         if i > 0 && s.st_end_tick <= burst.(i - 1).st_end_tick then
+           Alcotest.failf "mint %d: end tick %d after %d" i s.st_end_tick
+             burst.(i - 1).st_end_tick;
+         grants := (s.st_call, s.st_end_tick, 1) :: !grants)
+    burst;
+  Alcotest.(check (list int))
+    "two grants: a full max_lease one, then the 5 stamps left over"
+    [ Net.Frame.max_lease; 5 ]
+    (List.rev_map (fun (_, _, len) -> len) !grants);
+  let last = burst.(k - 1).st_end_tick in
+  List.iter
+    (fun s ->
+       Util.check_bool
+         (Printf.sprintf "lease-1 end tick %d lies past every mint (%d)"
+            s.st_end_tick last)
+         true (s.st_end_tick > last))
+    after
 
 (* A lease's anchor getTS runs because the lease asked for it: a burst of
    8 leases on one connection runs exactly 8 anchors, and once they are
@@ -1627,6 +1726,10 @@ let suite =
       Util.case "lease: concurrent clients stay hb-sound"
         lease_concurrent_clients;
       Util.case "lease: anchors run only on demand" lease_anchors_on_demand;
+      Util.case "lease: a burst mints only the ticks short grants granted"
+        lease_mints_only_granted_ticks;
+      Util.case "lease: a burst past max_lease mints only granted ticks"
+        lease_burst_past_max_lease;
       Util.case "wire: a mixed burst is answered in request order"
         wire_replies_in_request_order;
       Util.case "wire: one-shot pid exhaustion is an Err, the loop lives"
