@@ -643,9 +643,9 @@ let e14_explore_v3 () =
       (fun (n, k) ->
          List.map
            (fun (label, impl) ->
-              let t0 = Unix.gettimeofday () in
+              let t0 = Obs.Clock.now_ns () in
               let res = run_longlived impl ~n ~k in
-              let secs = Unix.gettimeofday () -. t0 in
+              let secs = Obs.Clock.elapsed_s t0 in
               match res with
               | Error e ->
                 Printf.printf "%-18s %4d %4d | ERROR %s\n" label n k e;
@@ -1081,12 +1081,12 @@ let e16_telemetry () =
   print_endline
     "(closed-loop service loadgen with the Timeseries sampler armed vs \
      off,\n\
-    \ measured in interleaved off/on pairs; overhead is the median \
-     per-pair\n\
-    \ ratio, which cancels this box's slow drift, with the interquartile\n\
-    \ range of the pairs; open-loop rows report coordinated-omission-\n\
-    \ correct percentiles from the merged per-domain HDR histograms;\n\
-    \ machine-readable copy in BENCH_telemetry.json)";
+    \ measured in interleaved pairs that alternate which cell runs first;\n\
+    \ overhead is the median per-pair ratio, which cancels this box's slow\n\
+    \ drift, with the interquartile range of the pairs; open-loop rows\n\
+    \ report coordinated-omission-correct percentiles from the merged\n\
+    \ per-domain HDR histograms; machine-readable copy in\n\
+    \ BENCH_telemetry.json)";
   (* full runs are long on purpose: starting/stopping the sampler domain
      is a fixed per-run cost, and short runs book it as "overhead" *)
   let requests =
@@ -1098,8 +1098,7 @@ let e16_telemetry () =
   let base =
     { Svc.Loadgen.default with
       mode = Svc.Loadgen.Service { shards = 2; batch_max = 64 };
-      clients = 2; requests_per_client = requests; pipeline = 4; n = 4;
-      seed = 1 }
+      clients = 2; requests_per_client = requests; pipeline = 4; n = 4 }
   in
   let sorted xs =
     let a = Array.of_list xs in
@@ -1120,14 +1119,18 @@ let e16_telemetry () =
      *interleaved pairs* share the drift: the per-pair throughput ratio
      is far more stable than the two cell medians are.  Overhead is the
      median of those per-pair ratios; the absolute req/s columns are the
-     cell medians and carry the full drift. *)
+     cell medians and carry the full drift.  Pairs alternate which cell
+     runs first, so a cost of running first or second lands on both. *)
   ignore (checked base);
   (* warmup: fault code paths in, settle the pools *)
   let pairs =
-    List.init iters (fun _ ->
-        let off = checked base in
-        let on = checked on_cfg in
-        (off, on))
+    List.init iters (fun i ->
+        if i mod 2 = 0 then
+          let off = checked base in
+          (off, checked on_cfg)
+        else
+          let on = checked on_cfg in
+          (checked base, on))
   in
   Sys.remove tel_file;
   let rps (r : Svc.Loadgen.report) = r.lg_throughput in
@@ -1142,9 +1145,12 @@ let e16_telemetry () =
   let overhead_pct = percentile overheads 50. in
   let q1 = percentile overheads 25. and q3 = percentile overheads 75. in
   (* an interquartile range that straddles 0 cannot tell the sampler's
-     cost from the pairs' noise, whatever sign the median has *)
+     cost from the pairs' noise, whatever sign the median has; one wholly
+     below 0 says the cells differ by more than the sampler, which cannot
+     speed the service up *)
   let verdict =
-    if q1 <= 0. && 0. <= q3 then "within noise"
+    if q3 < 0. then "unresolved"
+    else if q1 <= 0. then "within noise"
     else if overhead_pct < budget_pct then "within budget"
     else "over budget"
   in
@@ -1217,7 +1223,7 @@ let e17_model () =
       (fun model ->
          List.map
            (fun n ->
-              let t0 = Unix.gettimeofday () in
+              let t0 = Obs.Clock.now_ns () in
               let outcome =
                 match
                   Svc.Model.verify ~max_steps:400 ~max_paths:1_000_000_000
@@ -1226,7 +1232,7 @@ let e17_model () =
                 | Stdlib.Ok o -> o
                 | Stdlib.Error e -> failwith ("E17: " ^ e)
               in
-              let secs = Unix.gettimeofday () -. t0 in
+              let secs = Obs.Clock.elapsed_s t0 in
               let procs =
                 (Stdlib.Result.get_ok (Svc.Model.sys model ~n)).Svc.Model.procs
               in
@@ -1259,7 +1265,7 @@ let e17_model () =
   let mutant_rows =
     List.map
       (fun (m : Svc.Model.mutant) ->
-         let t0 = Unix.gettimeofday () in
+         let t0 = Obs.Clock.now_ns () in
          let outcome =
            match
              Svc.Model.verify ~max_steps:400 ~mutant:m.m_name m.m_model ~n:2
@@ -1267,7 +1273,7 @@ let e17_model () =
            | Stdlib.Ok o -> o
            | Stdlib.Error e -> failwith ("E17: " ^ e)
          in
-         let secs = Unix.gettimeofday () -. t0 in
+         let secs = Obs.Clock.elapsed_s t0 in
          match outcome with
          | Shm.Explore.Ok _ ->
            Printf.printf "%-20s %-6s | %-8s (MUTANT SURVIVED)\n" m.m_name
@@ -1522,7 +1528,7 @@ let e19_scaling_point (type r)
   let codec = Net.Codec.for_impl (module T) in
   let addr = Net.Conn.Unix_path (e19_sock ()) in
   let srv = Srv.start ~io_threads ~addr ~n () in
-  Unix.sleepf 0.05;  (* let every backup thread start *)
+  Obs.Clock.sleep_s 0.05;  (* let every backup thread start *)
   let threads_at_start = e19_os_threads () in
   let fds = Array.init conns (fun _ -> e19_raw_connect addr) in
   let burst =
@@ -1534,7 +1540,7 @@ let e19_scaling_point (type r)
   in
   let timed = ref [] in
   let rounds = per_conn / depth in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_ns () in
   for _ = 1 to rounds do
     Array.iter (fun fd -> e19_write_all fd burst) fds;
     Array.iter
@@ -1555,7 +1561,7 @@ let e19_scaling_point (type r)
          done)
       fds
   done;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Obs.Clock.elapsed_s t0 in
   (* measured while every connection is still open *)
   let thread_growth = e19_os_threads () - threads_at_start in
   let live = Srv.live_conns srv in
@@ -1643,11 +1649,11 @@ let e19_net2 () =
   Printf.printf "%s\n" (String.make 75 '-');
   let iters = if fast then 50_000 else 200_000 in
   let time f k =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     for _ = 1 to k do
       f ()
     done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int k
+    float_of_int (Obs.Clock.now_ns () - t0) /. float_of_int k
   in
   let bench_codec (type r)
       (module T : Timestamp.Intf.S with type result = r) (ts : r) =
@@ -1730,9 +1736,9 @@ let e19_net2 () =
     let cmp = Array.make rtt_iters 0. and stamp = Array.make rtt_iters 0.
     and range = Array.make rtt_iters 0. in
     let rtt a i f =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now_ns () in
       f ();
-      a.(i) <- (Unix.gettimeofday () -. t0) *. 1e6
+      a.(i) <- float_of_int (Obs.Clock.now_ns () - t0) *. 1e-3
     in
     for i = 0 to rtt_iters - 1 do
       rtt cmp i (fun () -> ignore (C.compare_remote c s1 s2));

@@ -133,8 +133,8 @@ let validate_json_file path =
             Printf.printf
               "%s: OK (telemetry schema %d: %d series, %d samples, %d \
                events, %d stalls)\n"
-              path Obs.Timeseries.schema_version v.v_series v.v_samples
-              v.v_events v.v_stalls;
+              path Obs.Timeseries.schema_version (Array.length v.v_series)
+              (Array.length v.v_samples) v.v_events v.v_stalls;
             true
           | Error e ->
             Printf.eprintf "%s: INVALID telemetry: %s\n" path e;
@@ -1294,7 +1294,7 @@ let loadgen_cmd =
   in
   let run impl n clients requests pipeline shards batch_max direct rate
       transport addr lease procs stop_server telemetry_out
-      telemetry_interval seed out =
+      telemetry_interval out =
     let rc =
       with_obs out @@ fun _ ->
       let open Svc.Loadgen in
@@ -1312,11 +1312,12 @@ let loadgen_cmd =
           telemetry_out
       in
       let cfg =
-        { mode; arrival; clients; requests_per_client = requests; pipeline;
-          n; seed; telemetry }
+        { default with
+          mode; arrival; clients; requests_per_client = requests; pipeline;
+          n; telemetry }
       in
       let print_report (r : report) =
-        Printf.printf "loadgen: %s  %s  seed=%d\n" r.lg_impl r.lg_mode seed;
+        Printf.printf "loadgen: %s  %s\n" r.lg_impl r.lg_mode;
         Printf.printf "served %d requests in %.3fs (%.0f req/s)\n" r.lg_total
           r.lg_elapsed_s r.lg_throughput;
         Printf.printf
@@ -1494,88 +1495,18 @@ let loadgen_cmd =
     Term.(
       const run $ impl_arg $ n_arg $ clients $ requests $ pipeline $ shards
       $ batch $ direct $ rate $ transport $ addr $ lease $ procs
-      $ stop_server $ telemetry_out_arg $ telemetry_interval_arg $ seed_arg
+      $ stop_server $ telemetry_out_arg $ telemetry_interval_arg
       $ obs_out_term)
 
 (* ------------------------------------------------------------------ *)
 (* top: per-shard table rendered from a telemetry time series.         *)
 
-type top_view = {
-  tv_meta : (string * Obs.Json.t) list;
-  tv_series : string array;
-  tv_samples : (float * float option array) array;  (* (t_us, values) *)
-  tv_events : int;
-  tv_stalls : int;
-  tv_ended : bool;
-}
+let top_load path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | contents -> Result.bind (Obs.Json.of_lines contents) Obs.Timeseries.validate
 
-let top_load path : (top_view, string) result =
-  let ( let* ) = Result.bind in
-  let* contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error e
-  in
-  let* docs = Obs.Json.of_lines contents in
-  let* v = Obs.Timeseries.validate docs in
-  ignore v;
-  match docs with
-  | header :: rest ->
-    let series =
-      match Obs.Json.member "series" header with
-      | Some (Obs.Json.List l) ->
-        Array.of_list
-          (List.map
-             (function Obs.Json.String s -> s | _ -> assert false)
-             l)
-      | _ -> [||]
-    in
-    let meta =
-      match Obs.Json.member "meta" header with
-      | Some (Obs.Json.Obj kvs) -> kvs
-      | _ -> []
-    in
-    let num = function
-      | Obs.Json.Int i -> Some (float_of_int i)
-      | Obs.Json.Float f -> Some f
-      | _ -> None
-    in
-    let samples = ref [] and events = ref 0 and stalls = ref 0 in
-    let ended = ref false in
-    List.iter
-      (fun doc ->
-         match Obs.Json.member "kind" doc with
-         | Some (Obs.Json.String "sample") ->
-           let t =
-             Option.value ~default:0.
-               (Option.bind (Obs.Json.member "t_us" doc) num)
-           in
-           let vs =
-             match Obs.Json.member "v" doc with
-             | Some (Obs.Json.List l) -> Array.of_list (List.map num l)
-             | _ -> [||]
-           in
-           samples := (t, vs) :: !samples
-         | Some (Obs.Json.String "event") ->
-           incr events;
-           if Obs.Json.member "event" doc = Some (Obs.Json.String "stall")
-           then incr stalls
-         | Some (Obs.Json.String "end") -> ended := true
-         | _ -> ())
-      rest;
-    Ok
-      { tv_meta = meta;
-        tv_series = series;
-        tv_samples = Array.of_list (List.rev !samples);
-        tv_events = !events;
-        tv_stalls = !stalls;
-        tv_ended = !ended }
-  | [] -> Error "empty file"
-
-let top_render path view =
+let top_render path (view : Obs.Timeseries.validation) =
   let buf = Buffer.create 1024 in
   let meta =
     String.concat " "
@@ -1587,20 +1518,20 @@ let top_render path view =
                | Obs.Json.Int i -> string_of_int i
                | Obs.Json.Float f -> Printf.sprintf "%g" f
                | _ -> "?"))
-         view.tv_meta)
+         view.v_meta)
   in
-  let nsamp = Array.length view.tv_samples in
-  let last = if nsamp > 0 then Some view.tv_samples.(nsamp - 1) else None in
-  let prev = if nsamp > 1 then Some view.tv_samples.(nsamp - 2) else None in
+  let nsamp = Array.length view.v_samples in
+  let last = if nsamp > 0 then Some view.v_samples.(nsamp - 1) else None in
+  let prev = if nsamp > 1 then Some view.v_samples.(nsamp - 2) else None in
   Printf.bprintf buf "telemetry: %s%s\n" path
     (if meta = "" then "" else Printf.sprintf "  (%s)" meta);
   Printf.bprintf buf "t=%s  samples=%d  events=%d  stalls=%d  [%s]\n"
     (match last with
      | Some (t, _) -> Printf.sprintf "+%.1fms" (t /. 1e3)
      | None -> "-")
-    nsamp view.tv_events view.tv_stalls
-    (if view.tv_ended then "ended" else "live");
-  let idx name = Array.find_index (String.equal name) view.tv_series in
+    nsamp view.v_events view.v_stalls
+    (if view.v_ended then "ended" else "live");
+  let idx name = Array.find_index (String.equal name) view.v_series in
   let value_at sample name =
     match sample with
     | None -> None
@@ -1622,7 +1553,7 @@ let top_render path view =
            let i = int_of_string (String.sub name 1 (dot - 1)) in
            if List.mem i acc then acc else i :: acc
          | _ -> acc)
-      [] view.tv_series
+      [] view.v_series
     |> List.sort Int.compare
   in
   let shards = slots_with 's' in
@@ -1704,7 +1635,7 @@ let top_cmd =
         if clear then print_string "\027[H\027[2J";
         print_string (top_render file view);
         flush stdout;
-        if view.tv_ended then `Ended else `Live
+        if view.v_ended then `Ended else `Live
     in
     if once then (match render_once ~clear:false with `Err -> exit 1 | _ -> ())
     else begin
@@ -1712,8 +1643,7 @@ let top_cmd =
          give the file a moment to appear before giving up *)
       let rec wait_for tries =
         if tries > 0 && not (Sys.file_exists file) then begin
-          (try Unix.sleepf 0.1
-           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          Obs.Clock.sleep_s 0.1;
           wait_for (tries - 1)
         end
       in
@@ -1724,8 +1654,7 @@ let top_cmd =
         | `Ended -> ()
         | `Live ->
           if frames = 0 || frame < frames then begin
-            (try Unix.sleepf (float_of_int refresh_ms *. 1e-3)
-             with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+            Obs.Clock.sleep_s (float_of_int refresh_ms *. 1e-3);
             loop (frame + 1)
           end
       in

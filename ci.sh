@@ -8,6 +8,18 @@ cd "$(dirname "$0")"
 echo "== dune build =="
 dune build
 
+echo "== one clock: no wall-clock reads, no sleeps outside Obs.Clock =="
+# Every latency, deadline and stopwatch reads Obs.Clock (monotonic
+# nanoseconds); a wall clock can step backwards.
+if grep -rn --include='*.ml' --exclude-dir=_build gettimeofday \
+     lib bin bench test; then
+  echo "one clock: gettimeofday read (use Obs.Clock)" >&2; exit 1
+fi
+if grep -rn --include='*.ml' --exclude-dir=_build 'Unix\.sleepf' \
+     lib bin bench | grep -v '^lib/obs/clock\.ml:'; then
+  echo "one clock: Unix.sleepf outside lib/obs/clock.ml" >&2; exit 1
+fi
+
 # Every experiment writes its BENCH_*.json into the working directory.
 # Run the bench binary from a scratch directory, so CI's fast-mode
 # output never overwrites the committed full-mode trajectory files.
@@ -218,8 +230,7 @@ done
   cat /tmp/net_serve.log >&2; exit 1; }
 echo "== net smoke: multi-process loadgen (forked workers, merged HDR) =="
 procs_out=$("$ts_bin" loadgen -i efr-longlived --transport tcp \
-  --addr "unix:$net_sock" --procs 2 --clients 2 -r 50 --lease 16 \
-  --seed 11)
+  --addr "unix:$net_sock" --procs 2 --clients 2 -r 50 --lease 16)
 echo "$procs_out"
 echo "$procs_out" | grep -q "served 200 requests" || {
   echo "net smoke: wrong request count across worker processes" >&2
@@ -239,8 +250,7 @@ echo "$lease_out" | grep -q "checker: OK ([1-9]" || {
   echo "net smoke: a leased client's stamps gave no ordered pair" >&2
   exit 1; }
 net_out=$("$ts_bin" loadgen -i efr-longlived --transport tcp \
-  --addr "unix:$net_sock" --clients 2 -r 100 --lease 16 --seed 7 \
-  --stop-server)
+  --addr "unix:$net_sock" --clients 2 -r 100 --lease 16 --stop-server)
 echo "$net_out"
 echo "$net_out" | grep -q "served 200 requests" || {
   echo "net smoke: wrong request count" >&2; exit 1; }

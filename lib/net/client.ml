@@ -10,8 +10,6 @@
 
 open Svc.Client
 
-let now_us () = Obs.Trace.Clock.now_s () *. 1e6
-
 module Make (T : Timestamp.Intf.S) = struct
   type result = T.result
 
@@ -48,8 +46,8 @@ module Make (T : Timestamp.Intf.S) = struct
     Frame.read_reply codec
       ~stamp:(fun ~pid ~call ~shard ~start_tick ~end_tick ts ->
           { st_pid = pid; st_call = call; st_start_tick = start_tick;
-            st_end_tick = end_tick; st_ts = ts; st_resp_us = now_us ();
-            st_shard = shard })
+            st_end_tick = end_tick; st_ts = ts;
+            st_resp_us = Obs.Clock.now_us (); st_shard = shard })
       ~range:(fun ~pid:_ ~call:_ ~shard:_ ~start_tick:_ ~base:_ ~count:_ _ ->
           fail "protocol error: expected Stamp")
       ~other:(unexpected "Stamp")
@@ -101,7 +99,7 @@ module Make (T : Timestamp.Intf.S) = struct
     let e = t.l_next in
     t.l_next <- e + 1;
     match t.l_mint with
-    | Some m -> { m with st_end_tick = e; st_resp_us = now_us () }
+    | Some m -> { m with st_end_tick = e; st_resp_us = Obs.Clock.now_us () }
     | None -> assert false
 
   let remote_stamp t =

@@ -238,9 +238,9 @@ module Make (T : Timestamp.Intf.S) = struct
   (* Shutdown: push a connection's answered bytes out, best-effort and
      bounded, so a dead peer cannot hang [stop]. *)
   let flush_for_close cv =
-    let deadline = Unix.gettimeofday () +. 1.0 in
+    let deadline = Obs.Clock.now_ns () + 1_000_000_000 in
     let rec go () =
-      if Conn.pending_out cv.cv_conn > 0 && Unix.gettimeofday () < deadline
+      if Conn.pending_out cv.cv_conn > 0 && Obs.Clock.now_ns () < deadline
       then
         match Conn.try_flush cv.cv_conn with
         | `Flushed | `Closed -> ()

@@ -8,11 +8,6 @@
 
 let schema_version = 1
 
-let now_s = Unix.gettimeofday
-
-let sleep_s s =
-  try Unix.sleepf s with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
 type source = { src_name : string; sample : unit -> float }
 
 (* A stall rule watches a (queue depth, progress counter) pair: when the
@@ -95,7 +90,7 @@ let header_json t sources =
       ("meta", Json.Obj t.meta) ]
 
 let sample_once t ~t0 ~sources ~rules oc =
-  let t_us = (now_s () -. t0) *. 1e6 in
+  let t_us = float_of_int (Clock.now_ns () - t0) *. 1e-3 in
   let values = List.map (fun s -> s.sample ()) sources in
   write_line oc
     (Json.Obj
@@ -137,7 +132,7 @@ let start ?(append = false) ~out t =
       0o644 out
   in
   write_line oc (header_json t sources);
-  let t0 = now_s () in
+  let t0 = Clock.now_ns () in
   let interval_s = float_of_int t.interval_us *. 1e-6 in
   t.sampler <-
     Some
@@ -145,7 +140,7 @@ let start ?(append = false) ~out t =
            let rec loop () =
              if Atomic.get t.stop_flag then ()
              else begin
-               sleep_s interval_s;
+               Clock.sleep_s interval_s;
                sample_once t ~t0 ~sources ~rules oc;
                loop ()
              end
@@ -172,14 +167,16 @@ let stop t =
     | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Validation of the emitted schema, shared by tests and
-   [ts_cli obs --validate].                                            *)
+(* Validation of the emitted schema, shared by tests, [ts_cli obs
+   --validate] and [ts_cli top]: the one reader of the format.         *)
 
 type validation = {
-  v_series : int;
-  v_samples : int;
+  v_meta : (string * Json.t) list;
+  v_series : string array;
+  v_samples : (float * float option array) array;
   v_events : int;
   v_stalls : int;
+  v_ended : bool;
 }
 
 let kind_of doc =
@@ -204,19 +201,25 @@ let validate docs =
          Json.member "series" header)
       with
       | Some "header", Some (Json.Int v), Some (Json.List series) ->
+        let names =
+          List.filter_map (function Json.String s -> Some s | _ -> None)
+            series
+        in
         if v <> schema_version then
           err "telemetry schema_version %d (expected %d)" v schema_version
-        else if
-          not
-            (List.for_all
-               (function Json.String _ -> true | _ -> false)
-               series)
-        then err "header series must be strings"
+        else if List.length names <> List.length series then
+          err "header series must be strings"
         else begin
           let width = List.length series in
-          let rec go i last_t samples events stalls seen_end = function
-            | [] -> Ok { v_series = width; v_samples = samples;
-                         v_events = events; v_stalls = stalls }
+          let rec go i last_t rev_samples events stalls seen_end = function
+            | [] ->
+              Ok { v_meta =
+                     (match Json.member "meta" header with
+                      | Some (Json.Obj kvs) -> kvs
+                      | _ -> []);
+                   v_series = Array.of_list names;
+                   v_samples = Array.of_list (List.rev rev_samples);
+                   v_events = events; v_stalls = stalls; v_ended = seen_end }
             | doc :: rest ->
               if seen_end then err "line %d: document after end marker" i
               else begin
@@ -242,12 +245,16 @@ let validate docs =
                         err
                           "line %d: sample values must be numbers (or null \
                            for not-yet-defined gauges)" i
-                      else go (i + 1) t (samples + 1) events stalls false rest
+                      else
+                        go (i + 1) t
+                          ((t, Array.of_list (List.map num_of vs))
+                           :: rev_samples)
+                          events stalls false rest
                     | _ -> err "line %d: malformed sample" i)
                 | Some "event" -> (
                     match Json.member "event" doc with
                     | Some (Json.String e) ->
-                      go (i + 1) last_t samples (events + 1)
+                      go (i + 1) last_t rev_samples (events + 1)
                         (stalls + if e = "stall" then 1 else 0)
                         false rest
                     | _ -> err "line %d: event without event name" i)
@@ -256,19 +263,20 @@ let validate docs =
                       (Json.member "samples" doc, Json.member "stalls" doc)
                     with
                     | Some (Json.Int s), Some (Json.Int st) ->
+                      let samples = List.length rev_samples in
                       if s <> samples then
                         err "line %d: end marker counts %d samples, saw %d" i
                           s samples
                       else if st <> stalls then
                         err "line %d: end marker counts %d stalls, saw %d" i
                           st stalls
-                      else go (i + 1) last_t samples events stalls true rest
+                      else go (i + 1) last_t rev_samples events stalls true rest
                     | _ -> err "line %d: malformed end marker" i)
                 | Some k -> err "line %d: unknown kind %S" i k
                 | None -> err "line %d: document without kind" i
               end
           in
-          go 2 neg_infinity 0 0 0 false rest
+          go 2 neg_infinity [] 0 0 false rest
         end
       | Some "header", _, _ -> err "malformed telemetry header"
       | _ -> err "first line is not a telemetry header")

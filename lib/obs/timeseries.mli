@@ -63,13 +63,19 @@ val samples : t -> int
 val stalls : t -> int
 (** Stall events emitted so far. *)
 
-(** {2 Validation} (used by tests and [ts_cli obs --validate]) *)
+(** {2 Validation} (used by tests, [ts_cli obs --validate] and [ts_cli
+    top]) *)
 
+(** A valid stream, as {!validate} walked it. *)
 type validation = {
-  v_series : int;
-  v_samples : int;
+  v_meta : (string * Json.t) list;  (** the header's ["meta"] object *)
+  v_series : string array;  (** the header's series names *)
+  v_samples : (float * float option array) array;
+      (** each sample's [t_us] and values, in file order; [None] for a
+          [null] value *)
   v_events : int;
-  v_stalls : int;
+  v_stalls : int;  (** the ["stall"] events among [v_events] *)
+  v_ended : bool;  (** the stream has its end marker *)
 }
 
 val looks_like : Json.t list -> bool
@@ -79,4 +85,5 @@ val looks_like : Json.t list -> bool
 val validate : Json.t list -> (validation, string) result
 (** Structural check: known schema version, every sample aligned with the
     header's series and non-decreasing in [t_us], a correct end marker if
-    present. *)
+    present.  A stream still being written validates without its end
+    marker. *)

@@ -1,9 +1,5 @@
-module Clock = struct
-  let now_s () = Unix.gettimeofday ()
-end
-
 type t = {
-  t0 : float;  (* trace epoch, seconds *)
+  t0 : int;  (* trace epoch, [Obs.Clock] nanoseconds *)
   process_name : string;
   lock : Mutex.t;
   mutable rev_events : Json.t list;
@@ -11,13 +7,13 @@ type t = {
 }
 
 let create ?(process_name = "ts_repro") () =
-  { t0 = Clock.now_s ();
+  { t0 = Clock.now_ns ();
     process_name;
     lock = Mutex.create ();
     rev_events = [];
     count = 0 }
 
-let now_us t = (Clock.now_s () -. t.t0) *. 1e6
+let now_us t = float_of_int (Clock.now_ns () - t.t0) *. 1e-3
 
 let tid () = (Domain.self () :> int)
 
@@ -93,3 +89,5 @@ let write_file ?(append = false) t path =
     (fun () ->
        Out_channel.output_string oc (Json.pretty_to_string (to_json t));
        Out_channel.output_char oc '\n')
+
+module Clock = struct let now_s () = float_of_int (Clock.now_ns ()) *. 1e-9 end

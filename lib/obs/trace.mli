@@ -4,8 +4,8 @@
     emit concurrently; each event carries the emitting domain as its [tid])
     and are written once at the end as
     [{"traceEvents": [...], "displayTimeUnit": "ms", ...}].  Timestamps are
-    microseconds on the process wall clock, rebased to the trace's creation
-    so they stay small.
+    microseconds on {!Obs.Clock}, rebased to the trace's creation so they
+    stay small.
 
     Span begin/end pairs map to ["B"]/["E"] duration events, which Chrome
     requires to nest per thread — the {!Hooks.with_span} discipline
@@ -42,9 +42,10 @@ val to_json : t -> Json.t
 val write_file : ?append:bool -> t -> string -> unit
 (** Truncates the file unless [append] (default false). *)
 
-(** Monotonic-ish wall clock shared by the instrumentation layer. *)
+(** Seconds on {!Obs.Clock}, for perfbench, which subtracts [now_s () *.
+    1e6] from [Svc.Client.stamp]'s [st_resp_us]; the library reads
+    {!Obs.Clock} itself. *)
 module Clock : sig
   val now_s : unit -> float
-  (** Seconds; wall clock (the container has no monotonic clock API in the
-      stdlib — wall time is adequate for telemetry spans). *)
+  (** {!Obs.Clock.now_ns} in seconds. *)
 end

@@ -65,7 +65,7 @@ type wstate = {
   mutable w_sleep : int;
   mutable w_canon : int;  (* visits keyed to an orbit-mate's entry *)
   mutable w_steals : int;  (* frontier nodes taken from another deque *)
-  mutable w_seconds : float;  (* wall time spent inside branches *)
+  mutable w_ns : int;  (* [Obs.Clock] nanoseconds spent inside branches *)
   mutable w_budget_hit : bool;
   visited : (int, entry) Hashtbl.t;
   (* per-domain canonicalizer (mutable scratch, not shared across domains);
@@ -83,7 +83,7 @@ let new_wstate ~classes () =
     w_sleep = 0;
     w_canon = 0;
     w_steals = 0;
-    w_seconds = 0.;
+    w_ns = 0;
     w_budget_hit = false;
     visited = Hashtbl.create 4096;
     canon = Option.map (fun classes -> Sim.canonicalizer ~classes) classes }
@@ -96,7 +96,7 @@ let domain_stats_of st =
     d_sleep_skips = st.w_sleep;
     d_canon_hits = st.w_canon;
     d_steals = st.w_steals;
-    d_seconds = st.w_seconds }
+    d_seconds = float_of_int st.w_ns *. 1e-9 }
 
 (* Branch verdicts in parallel mode. *)
 type ('v, 'r) branch_result =
@@ -113,7 +113,7 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
     invalid_arg "Explore.explore: calls_per_proc size mismatch";
   let invariant = Option.value invariant ~default:(fun _ -> true) in
   let leaf_check = Option.value leaf_check ~default:(fun _ -> true) in
-  let t_start = Obs.Trace.Clock.now_s () in
+  let t_start = Obs.Clock.now_ns () in
   let progs = Schedule.programs supplier ~n in
   (* The symmetry quotient is a deduplication key, so it is inert without
      dedup; it is also skipped when detection finds only singleton classes
@@ -333,12 +333,12 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
         symmetric = classes <> None;
         exhaustive =
           truncated = 0 && not (List.exists (fun st -> st.w_budget_hit) sts);
-        seconds = Obs.Trace.Clock.now_s () -. t_start;
+        seconds = Obs.Clock.elapsed_s t_start;
         per_domain = Array.map domain_stats_of workers }
   in
   let run_timed_branch st ~branch_index cfg depth sleep rev_sched =
     st.w_branches <- st.w_branches + 1;
-    let t0 = Obs.Trace.Clock.now_s () in
+    let t0 = Obs.Clock.now_ns () in
     let result =
       if Obs.Hooks.armed () then
         Obs.Hooks.with_span
@@ -346,7 +346,7 @@ let explore (type v r) ?(max_steps = 200) ?(max_paths = 1_000_000)
           (fun () -> run_branch st ~branch_index cfg depth sleep rev_sched)
       else run_branch st ~branch_index cfg depth sleep rev_sched
     in
-    st.w_seconds <- st.w_seconds +. (Obs.Trace.Clock.now_s () -. t0);
+    st.w_ns <- st.w_ns + (Obs.Clock.now_ns () - t0);
     result
   in
   if domains <= 1 then begin

@@ -102,7 +102,7 @@ type domain_stats = {
   d_steals : int;
       (** frontier nodes this domain took from another worker's deque
           (always 0 in sequential mode) *)
-  d_seconds : float;  (** wall time this domain spent inside branches *)
+  d_seconds : float;  (** seconds this domain spent inside branches *)
 }
 
 type stats = {
@@ -125,7 +125,7 @@ type stats = {
           on, and {!Schedule.symmetry_classes} found at least one class
           with two or more processes *)
   exhaustive : bool;  (** no budget was hit *)
-  seconds : float;  (** wall clock of the whole exploration *)
+  seconds : float;  (** seconds the whole exploration took *)
   per_domain : domain_stats array;
       (** one entry per worker domain, in domain order (a single entry in
           sequential mode).  Root-level accounting of the parallel frontier

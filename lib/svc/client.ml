@@ -1,5 +1,3 @@
-let now_us () = Obs.Trace.Clock.now_s () *. 1e6
-
 exception Error of string
 
 type 'r stamp = {
@@ -99,7 +97,7 @@ module Direct (T : Timestamp.Intf.S) = struct
     { st_pid = pid; st_call = call; st_start_tick = start_tick;
       st_end_tick = end_tick; st_ts = ts; st_resp_us = 0.; st_shard = 0 }
 
-  let stamp c = { (get_ts c) with st_resp_us = now_us () }
+  let stamp c = { (get_ts c) with st_resp_us = Obs.Clock.now_us () }
 
   (* Same discipline as [get_ts]'s end tick: the caller reserves only
      after the getTS anchoring the leased stamps has executed. *)
@@ -121,7 +119,7 @@ module Direct (T : Timestamp.Intf.S) = struct
   let stamp_batch c k =
     let rec go j rev = if j = k then rev else go (j + 1) (get_ts c :: rev) in
     let rev = go 0 [] in
-    let resp_us = now_us () in
+    let resp_us = Obs.Clock.now_us () in
     List.rev_map (fun s -> { s with st_resp_us = resp_us }) rev
 
   let compare _ a b = T.compare_ts a.st_ts b.st_ts

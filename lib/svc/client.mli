@@ -22,7 +22,8 @@ type 'r stamp = {
   st_start_tick : int;  (** global tick when the operation began *)
   st_end_tick : int;  (** global tick reserved at completion *)
   st_ts : 'r;  (** the timestamp value *)
-  st_resp_us : float;  (** completion wall-clock, microseconds *)
+  st_resp_us : float;
+      (** completion time, {!Obs.Clock.now_us}: monotonic microseconds *)
   st_shard : int;  (** serving shard (0 when unsharded) *)
 }
 

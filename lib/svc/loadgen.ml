@@ -1,11 +1,3 @@
-let now_us () = Obs.Trace.Clock.now_s () *. 1e6
-
-(* Sleeps [us] microseconds, truncated; a signal cuts the sleep short. *)
-let sleep_us us =
-  if us > 0.5 then
-    try Unix.sleepf (Float.trunc us *. 1e-6)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
 type mode = Direct | Service of { shards : int; batch_max : int }
 
 (* Closed loop: each client submits its next request as soon as the
@@ -81,8 +73,6 @@ type report = {
    to a power of two): [collect] spawns the client domains back to back,
    and neither the service nor the wire server spawns a domain while
    they run, so each client has its own shard. *)
-let ns_of_us us = int_of_float (us *. 1e3)
-
 let us_of_ns ns = ns /. 1e3
 
 type recorder = {
@@ -94,21 +84,27 @@ let make_recorder ~clients num_shards =
   let hdr () = Obs.Hdr.create ~shards:clients () in
   { g_hdr = hdr (); shard_hdrs = Array.init num_shards (fun _ -> hdr ()) }
 
-let record_lat rc ~shard lat_us =
-  let shard = if shard < 0 || shard >= Array.length rc.shard_hdrs then 0 else shard in
-  let ns = ns_of_us lat_us in
+(* A call's latency: its response's [st_resp_us] less its start, an
+   [Obs.Clock.now_ns] reading. *)
+let record_lat rc (s : _ Client.stamp) ~start_ns =
+  let shard =
+    if s.st_shard < 0 || s.st_shard >= Array.length rc.shard_hdrs then 0
+    else s.st_shard
+  in
+  let ns = int_of_float (s.st_resp_us *. 1e3) - start_ns in
   Obs.Hdr.record rc.g_hdr ns;
   Obs.Hdr.record rc.shard_hdrs.(shard) ns
 
 (* Open-loop schedule: client [i]'s [call]-th request is due at
    [t0 + (call + i/clients) * clients/rate] — clients interleave evenly
    on the aggregate arrival process. *)
-let arrival_interval_us cfg rate =
-  1e6 *. float_of_int cfg.clients /. rate
+let arrival_interval_ns cfg rate =
+  1e9 *. float_of_int cfg.clients /. rate
 
+(* A wait under a microsecond is not worth a sleep. *)
 let wait_until sched =
-  let now = now_us () in
-  if now < sched then sleep_us (sched -. now)
+  let wait = sched - Obs.Clock.now_ns () in
+  if wait >= 1_000 then Obs.Clock.sleep_s (float_of_int wait *. 1e-9)
 
 let mode_string cfg =
   let base =
@@ -148,8 +144,6 @@ let validate cfg =
    caller packs into a [setup].                                         *)
 
 module Drive (C : Client.S) = struct
-  type sample = { sm_stamp : C.result Client.stamp; sm_lat_us : float }
-
   type setup = {
     connect : int -> C.t;
         (* client [i]'s handle; called inside the client's domain *)
@@ -175,17 +169,10 @@ module Drive (C : Client.S) = struct
       if remaining = 0 then acc
       else begin
         let burst = min cfg.pipeline remaining in
-        let t_sub = now_us () in
+        let t_sub = Obs.Clock.now_ns () in
         let stamps = C.stamp_batch client burst in
-        let acc =
-          List.fold_left
-            (fun acc (s : C.result Client.stamp) ->
-               let lat = s.Client.st_resp_us -. t_sub in
-               record_lat rc ~shard:s.Client.st_shard lat;
-               { sm_stamp = s; sm_lat_us = lat } :: acc)
-            acc stamps
-        in
-        go (remaining - burst) acc
+        List.iter (fun s -> record_lat rc s ~start_ns:t_sub) stamps;
+        go (remaining - burst) (List.rev_append stamps acc)
       end
     in
     go cfg.requests_per_client []
@@ -196,15 +183,14 @@ module Drive (C : Client.S) = struct
      request delayed behind a full window or a deep queue still charges
      the service for the wait. *)
   let open_loop cfg rc ~rate ~t0 client i =
-    let iv = arrival_interval_us cfg rate in
+    let iv = arrival_interval_ns cfg rate in
     let phase = iv *. float_of_int i /. float_of_int cfg.clients in
     let window = Queue.create () in
     let complete_oldest acc =
       let thunk, sched = Queue.pop window in
-      let (s : C.result Client.stamp) = thunk () in
-      let lat = s.Client.st_resp_us -. sched in
-      record_lat rc ~shard:s.Client.st_shard lat;
-      { sm_stamp = s; sm_lat_us = lat } :: acc
+      let s = thunk () in
+      record_lat rc s ~start_ns:sched;
+      s :: acc
     in
     let rec go call acc =
       if call >= cfg.requests_per_client then begin
@@ -215,7 +201,7 @@ module Drive (C : Client.S) = struct
         !acc
       end
       else begin
-        let sched = t0 +. phase +. (float_of_int call *. iv) in
+        let sched = t0 + int_of_float (phase +. (float_of_int call *. iv)) in
         wait_until sched;
         let acc =
           if Queue.length window >= cfg.pipeline then complete_oldest acc
@@ -329,10 +315,10 @@ module Drive (C : Client.S) = struct
          raise e);
       List.rev !spawned
     in
-    let t0 = now_us () in
+    let t0 = Obs.Clock.now_ns () in
     open_gate (`Go t0);
     let samples = List.concat_map Domain.join domains in
-    (samples, (now_us () -. t0) *. 1e-6)
+    (samples, Obs.Clock.elapsed_s t0)
 
   (* The checker path: the declaration of the registered implementation
      named [setup.impl]; any other name (a fuzz mutant, a custom label)
@@ -348,16 +334,16 @@ module Drive (C : Client.S) = struct
       ~tel_samples ~tel_stalls =
     let calls = Array.of_list samples in
     let total = Array.length calls in
-    let t_check = now_us () in
+    let t_check = Obs.Clock.now_ns () in
     let hb_pairs, violation =
       match
         Obs.Hooks.with_span "loadgen.check" @@ fun () ->
         Timestamp.Checker.check_calls ~order:(order_of setup)
           ~compare_ts:setup.compare_ts ~pp:setup.pp_ts
-          ~start:(fun s -> s.sm_stamp.Client.st_start_tick)
-          ~stop:(fun s -> s.sm_stamp.Client.st_end_tick)
-          ~stamp:(fun s -> s.sm_stamp.Client.st_ts)
-          ~op:(fun { sm_stamp = s; _ } ->
+          ~start:(fun s -> s.Client.st_start_tick)
+          ~stop:(fun s -> s.Client.st_end_tick)
+          ~stamp:(fun s -> s.Client.st_ts)
+          ~op:(fun s ->
               { Shm.History.pid = s.Client.st_pid; call = s.Client.st_call })
           calls
       with
@@ -365,7 +351,7 @@ module Drive (C : Client.S) = struct
       | Error v ->
         (0, Some (Format.asprintf "%a" Timestamp.Checker.pp_violation v))
     in
-    let check_s = (now_us () -. t_check) *. 1e-6 in
+    let check_s = Obs.Clock.elapsed_s t_check in
     let gpct p = us_of_ns (Obs.Hdr.percentile gsnap p) in
     let num_shards = Array.length shard_snaps in
     let shard_report i =
@@ -400,11 +386,10 @@ module Drive (C : Client.S) = struct
       lg_timestamps =
         lazy
           (List.sort
-             (fun a b -> Int.compare a.sm_stamp.Client.st_end_tick
-                 b.sm_stamp.Client.st_end_tick)
+             (fun a b -> Int.compare a.Client.st_end_tick b.Client.st_end_tick)
              samples
            |> List.map (fun s ->
-               Format.asprintf "%a" setup.pp_ts s.sm_stamp.Client.st_ts));
+               Format.asprintf "%a" setup.pp_ts s.Client.st_ts));
       lg_samples = tel_samples;
       lg_stalls = tel_stalls }
 
@@ -435,7 +420,7 @@ module Drive (C : Client.S) = struct
      channel is a pipe between two forks of this very binary, so Marshal
      is appropriate here — this is not network input. *)
   type child_payload = {
-    cp_samples : sample list;
+    cp_samples : C.result Client.stamp list;
     cp_elapsed_s : float;
     cp_g : Obs.Hdr.snapshot;
     cp_shards : Obs.Hdr.snapshot array;

@@ -68,7 +68,7 @@ type cfg = {
   n : int;  (** processes to provision; raised automatically when the
                 implementation needs more (one-shot: total requests,
                 long-lived: [clients]) *)
-  seed : int;  (** unused by the run itself; [ts_cli loadgen] prints it *)
+  seed : int;  (** unused by the run itself *)
   telemetry : telemetry option;  (** live sampler; any transport *)
 }
 
@@ -95,11 +95,11 @@ type report = {
   lg_impl : string;
   lg_mode : string;  (** human-readable mode summary *)
   lg_total : int;  (** requests completed (= clients * requests_per_client) *)
-  lg_elapsed_s : float;  (** wall clock from the start gate to the last join *)
+  lg_elapsed_s : float;  (** seconds from the start gate to the last join *)
   lg_throughput : float;  (** requests per second *)
   lg_hb_pairs : int;  (** happens-before pairs the checker verified *)
   lg_violation : string option;  (** [None] = specification holds *)
-  lg_check_s : float;  (** wall time of the happens-before check *)
+  lg_check_s : float;  (** seconds the happens-before check took *)
   lg_p50_us : float;
   lg_p90_us : float;
   lg_p99_us : float;

@@ -1,8 +1,3 @@
-let now_us () = Obs.Trace.Clock.now_s () *. 1e6
-
-let sleep_s s =
-  try Unix.sleepf s with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
 module Make (T : Timestamp.Intf.S) = struct
   type resp = {
     ts : T.result;
@@ -11,7 +6,7 @@ module Make (T : Timestamp.Intf.S) = struct
     shard : int;
     start_tick : int;
     end_tick : int;
-    resp_us : float;  (** wall clock at completion, stamped once per chunk *)
+    resp_us : float;  (** [Obs.Clock.now_us] at completion, once per chunk *)
   }
 
   (* Pooled, intrusively linked request record.  A ticket is reused across
@@ -159,9 +154,9 @@ module Make (T : Timestamp.Intf.S) = struct
           let rest, k = exec node 0 in
           let base = Atomic.fetch_and_add t.tick k in
           shard.chunks <- shard.chunks + 1;
-          (* one wall-clock read per chunk; every record in the chunk
-             shares the same boxed float *)
-          let stamp = now_us () in
+          (* one clock read per chunk; every record in the chunk shares
+             the same boxed float *)
+          let stamp = Obs.Clock.now_us () in
           (* Wake each session once per chunk, after the LAST flip of
              its run: every flip then precedes a wake that reads the
              session's [parked] flag.  Waking after the first flip would
@@ -235,7 +230,7 @@ module Make (T : Timestamp.Intf.S) = struct
       (* A cold path: the drain sleeps in fixed quanta rather than
          parking, so no completion has to know a stopper is waiting. *)
       while Atomic.get t.inflight > 0 do
-        sleep_s 50e-6
+        Obs.Clock.sleep_s 50e-6
       done;
       Atomic.set t.stop_flag true;
       Array.iter (fun (sh : shard) -> Park.wake sh.park) t.shards;

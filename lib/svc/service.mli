@@ -52,8 +52,8 @@ module Make (T : Timestamp.Intf.S) : sig
     start_tick : int;  (** global tick at submit *)
     end_tick : int;  (** global tick at response *)
     resp_us : float;
-        (** wall clock when the worker published the response, stamped
-            once per stamp chunk (so same-chunk responses share a stamp).
+        (** {!Obs.Clock.now_us} when the worker published the response,
+            read once per stamp chunk (so same-chunk responses share it).
             Service-side completion time: it excludes the client's own
             wakeup latency after the done flag flips. *)
   }

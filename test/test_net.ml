@@ -541,6 +541,20 @@ let decoders_never_raise =
 
 (* ---------------------- live server round trips -------------------- *)
 
+(* [call ()]'s stamps, each checked to respond between two [Obs.Clock]
+   reads taken around the call: every transport stamps [st_resp_us] on
+   that clock. *)
+let resp_within label call =
+  let before = Obs.Clock.now_us () in
+  let stamps = call () in
+  let after = Obs.Clock.now_us () in
+  Util.check_bool (label ^ ": st_resp_us within the call") true
+    (List.for_all
+       (fun (s : _ Svc.Client.stamp) ->
+          before <= s.st_resp_us && s.st_resp_us <= after)
+       stamps);
+  stamps
+
 let wire_end_to_end () =
   let module Srv = Net.Server.Make (Timestamp.Lamport) in
   let module C = Net.Client.Make (Timestamp.Lamport) in
@@ -562,7 +576,7 @@ let wire_end_to_end () =
     (C.compare_remote c s1 s2);
   Util.check_bool "server-side compare agrees (reversed)" (C.compare c s2 s1)
     (C.compare_remote c s2 s1);
-  let batch = C.stamp_batch c 5 in
+  let batch = resp_within "wire burst" (fun () -> C.stamp_batch c 5) in
   Util.check_int "batch completes" 5 (List.length batch);
   let calls = List.map (fun s -> s.st_call) batch in
   Util.check_bool "batch in issue order" true
@@ -773,8 +787,8 @@ let stop_frame_flow () =
   Util.check_bool "wait blocks until Stop" false (Atomic.get returned);
   C.stop_server c;  (* returns once the server acked Stopping *)
   Util.check_bool "stop flag raised" true (Srv.stop_requested srv);
-  let deadline = Unix.gettimeofday () +. 1.0 in
-  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+  let deadline = Obs.Clock.now_ns () + 1_000_000_000 in
+  while (not (Atomic.get returned)) && Obs.Clock.now_ns () < deadline do
     Unix.sleepf 0.001
   done;
   let woke = Atomic.get returned in
@@ -1407,10 +1421,10 @@ let wire_churn_bounded () =
       0. sources
   in
   (* the loops reap closed fds on their next pass; poll briefly *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
+  let deadline = Obs.Clock.now_ns () + 5_000_000_000 in
   while
     (Srv.live_conns srv > 0 || live_gauges () > 0.)
-    && Unix.gettimeofday () < deadline
+    && Obs.Clock.now_ns () < deadline
   do
     Unix.sleepf 0.01
   done;
@@ -1566,15 +1580,15 @@ let park_stress () =
               done;
               List.rev !acc))
     in
-    let last = ref (-1) and since = ref (Unix.gettimeofday ()) in
+    let last = ref (-1) and since = ref (Obs.Clock.now_ns ()) in
     while Atomic.get finished < clients do
       Unix.sleepf 0.01;
       let p = Atomic.get progress in
       if p <> !last then begin
         last := p;
-        since := Unix.gettimeofday ()
+        since := Obs.Clock.now_ns ()
       end
-      else if Unix.gettimeofday () -. !since > 10.0 then
+      else if Obs.Clock.now_ns () - !since > 10_000_000_000 then
         Alcotest.failf "%s: no burst completed for 10 s (lost wakeup)" label
     done;
     let per_client = List.map Domain.join doms in
@@ -1631,7 +1645,7 @@ let inproc_client_api () =
   let svc = S.start ~n:2 () in
   let c = C.connect svc in
   let s1 = C.stamp c in
-  let batch = C.stamp_batch c 4 in
+  let batch = resp_within "inproc burst" (fun () -> C.stamp_batch c 4) in
   let s2 = C.stamp c in
   Util.check_int "batch size" 4 (List.length batch);
   let all = (s1 :: batch) @ [ s2 ] in
@@ -1658,7 +1672,7 @@ let direct_client_api () =
   Util.check_bool "order holds" true (C.compare c0 a b);
   (* a burst continues the handle's calls in order, ordered by its ticks
      and stamped with one response time *)
-  let burst = C.stamp_batch c0 3 in
+  let burst = resp_within "direct burst" (fun () -> C.stamp_batch c0 3) in
   Util.check_bool "burst calls continue in order" true
     (List.map (fun (s : _ Svc.Client.stamp) -> (s.st_pid, s.st_call)) burst
      = [ (0, 1); (0, 2); (0, 3) ]);

@@ -204,6 +204,23 @@ let disarmed_no_alloc () =
     true
     (w1 -. w0 < 64.)
 
+(* Every latency and deadline reads [Obs.Clock]: a read allocates
+   nothing and the clock never steps backwards. *)
+let clock_reads () =
+  let reads = 100_000 in
+  let backwards = ref 0 and last = ref (Obs.Clock.now_ns ()) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reads do
+    let t = Obs.Clock.now_ns () in
+    if t < !last then incr backwards;
+    last := t
+  done;
+  let w1 = Gc.minor_words () in
+  Util.check_int "reads that went backwards" 0 !backwards;
+  Util.check_bool
+    (Printf.sprintf "%d reads allocated %.0f minor words" reads (w1 -. w0))
+    true (w1 -. w0 = 0.)
+
 let explore_per_domain () =
   let explore ~domains ~n () =
     let module T = Timestamp.Simple_oneshot in
@@ -351,6 +368,7 @@ let suite =
       Util.case "collector agrees with the simulator" collector_vs_sim;
       Util.case "chrome trace is well-formed" trace_well_formed;
       Util.case "disarmed hooks allocate nothing" disarmed_no_alloc;
+      Util.case "clock reads are monotonic and allocate nothing" clock_reads;
       Util.case "percentile estimates" percentile_estimates;
       Util.case "percentile is monotone" percentile_monotone;
       percentile_oracle;
