@@ -73,21 +73,20 @@ let percentile sorted p =
   else sorted.(min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
 
 (* The short revision of the checkout this binary was built in
-   (<root>/_build/default/bench/main.exe), or "unknown"; git looks for
-   a .git no higher than that checkout. *)
-let git_rev () =
+   (<root>/_build/default/bench/main.exe), "-dirty" when a tracked file
+   differs from it (what [git status --porcelain --untracked-files=no]
+   lists), or "unknown"; [--exclude=*] keeps tags out, and git looks for
+   a .git no higher than the checkout.  Read at start-up, before a run
+   from the checkout dirties it with its own BENCH files. *)
+let git_rev =
   let root =
     Filename.(dirname (dirname (dirname (dirname Sys.executable_name))))
   in
-  let env =
-    Array.append
-      [| "GIT_CEILING_DIRECTORIES=" ^ Filename.dirname root |]
-      (Unix.environment ())
-  in
+  let ceiling = "GIT_CEILING_DIRECTORIES=" ^ Filename.dirname root in
   match
     Unix.open_process_args_full "git"
-      [| "git"; "-C"; root; "rev-parse"; "--short"; "HEAD" |]
-      env
+      [| "git"; "-C"; root; "describe"; "--always"; "--dirty"; "--exclude=*" |]
+      (Array.append [| ceiling |] (Unix.environment ()))
   with
   | exception Unix.Unix_error _ -> "unknown"
   | (out, _, _) as git -> (
@@ -106,7 +105,7 @@ let write_bench file ~experiment body =
          ("fast", Obs.Json.Bool fast);
          ( "recommended_domains",
            Obs.Json.Int (Domain.recommended_domain_count ()) );
-         ("git_rev", Obs.Json.String (git_rev ())) ]
+         ("git_rev", Obs.Json.String git_rev) ]
        @ body)
   in
   Out_channel.with_open_text file (fun oc ->

@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 
 echo "== dune build =="
 dune build
+# Every step runs what that build made; 'dune exec' would re-check the
+# build (and take its lock) on each call.
+ts_bin=./_build/default/bin/ts_cli.exe
 
 echo "== one clock: no wall-clock reads, no sleeps outside Obs.Clock =="
 # Every latency, deadline and stopwatch reads Obs.Clock (monotonic
@@ -38,7 +41,7 @@ echo "== bench files: every BENCH file of the fast pass is valid and has the hea
 # One writer heads every trajectory file with the host and the revision;
 # a BENCH file that fails to parse or lacks them fails here.
 for bench_file in "$bench_dir"/BENCH_*.json; do
-  dune exec bin/ts_cli.exe -- obs --validate "$bench_file"
+  "$ts_bin" obs --validate "$bench_file"
   for key in git_rev recommended_domains; do
     grep -q "^  \"$key\": " "$bench_file" || {
       echo "bench files: $bench_file has no header key $key" >&2; exit 1; }
@@ -52,29 +55,29 @@ echo "== perfbench self-test: every workload builds, checks and reports =="
 python3 perfbench/selftest.py
 
 echo "== fuzz smoke: seeded differential run =="
-dune exec bin/ts_cli.exe -- fuzz --seed 42 --iters 200 -n 4 -c 2
+"$ts_bin" fuzz --seed 42 --iters 200 -n 4 -c 2
 
 echo "== fuzz smoke: planted mutant must be killed and shrunk =="
-if dune exec bin/ts_cli.exe -- fuzz --mutant mutant-lost-increment \
+if "$ts_bin" fuzz --mutant mutant-lost-increment \
      --seed 42 --iters 200 -n 4 -c 2 --repro-out /tmp/fuzz_repro.json; then
   echo "mutant survived the fuzzer" >&2
   exit 1
 fi
-dune exec bin/ts_cli.exe -- fuzz --replay /tmp/fuzz_repro.json
+"$ts_bin" fuzz --replay /tmp/fuzz_repro.json
 
 echo "== fuzz smoke: repro corpus replays =="
 for repro in test/repro_corpus/mutant-*.json; do
-  dune exec bin/ts_cli.exe -- fuzz --replay "$repro"
+  "$ts_bin" fuzz --replay "$repro"
 done
 
 echo "== model smoke: serving-layer models verify exhaustively at n=2 =="
-dune exec bin/ts_cli.exe -- verify-svc -n 2
+"$ts_bin" verify-svc -n 2
 
 echo "== model smoke: the park model's lost-wakeup mutant must be killed =="
 # exit 1 = counterexample found; 0 would mean the mutant survived and 2
 # a bad invocation, so demand exactly 1
 rc=0
-dune exec bin/ts_cli.exe -- verify-svc -m park --mutant park-wake-first -n 2 \
+"$ts_bin" verify-svc -m park --mutant park-wake-first -n 2 \
   || rc=$?
 [ "$rc" -eq 1 ] || {
   echo "park-wake-first survived the model checker (exit $rc)" >&2
@@ -82,22 +85,21 @@ dune exec bin/ts_cli.exe -- verify-svc -m park --mutant park-wake-first -n 2 \
 
 echo "== model smoke: model repro corpus replays =="
 for repro in test/repro_corpus/model-*.json; do
-  dune exec bin/ts_cli.exe -- verify-svc --replay "$repro"
+  "$ts_bin" verify-svc --replay "$repro"
 done
 
 echo "== obs smoke: instrumented run + sidecar validation =="
-dune exec bin/ts_cli.exe -- obs --impl efr-longlived -n 8 \
+"$ts_bin" obs --impl efr-longlived -n 8 \
   --trace-out /tmp/trace.json --metrics-out /tmp/m.jsonl
-dune exec bin/ts_cli.exe -- obs \
-  --validate /tmp/trace.json --validate /tmp/m.jsonl
+"$ts_bin" obs --validate /tmp/trace.json --validate /tmp/m.jsonl
 
 echo "== symmetry smoke: quotient must not change the verdict =="
-sym_out=$(dune exec bin/ts_cli.exe -- explore -i simple-oneshot -n 3)
+sym_out=$("$ts_bin" explore -i simple-oneshot -n 3)
 echo "$sym_out"
 echo "$sym_out" | grep -q "symmetry merges" || {
   echo "symmetry smoke: quotient not engaged on a symmetric workload" >&2
   exit 1; }
-nosym_out=$(dune exec bin/ts_cli.exe -- explore -i simple-oneshot -n 3 \
+nosym_out=$("$ts_bin" explore -i simple-oneshot -n 3 \
   --no-symmetry)
 echo "$nosym_out"
 sym_verdict=$(echo "$sym_out" | grep -o "EXHAUSTIVELY VERIFIED\|OK\|VIOLATION" | head -1)
@@ -112,8 +114,8 @@ echo "== parallel smoke: worker domains must not change the verdict =="
 # worker domains (each prints a per-domain line); the verdict word must
 # match the sequential run's.
 par_smoke() {
-  seq_out=$(dune exec bin/ts_cli.exe -- "$@")
-  par_out=$(dune exec bin/ts_cli.exe -- "$@" --domains 2)
+  seq_out=$("$ts_bin" "$@")
+  par_out=$("$ts_bin" "$@" --domains 2)
   echo "$seq_out"
   echo "$par_out"
   echo "$par_out" | grep -q "^  domain 0:" || {
@@ -130,7 +132,7 @@ par_smoke explore -i simple-oneshot -n 4
 par_smoke verify-svc -m pool -n 3
 
 echo "== service smoke: closed-loop loadgen + hb checker =="
-lg_out=$(dune exec bin/ts_cli.exe -- loadgen -i efr-longlived \
+lg_out=$("$ts_bin" loadgen -i efr-longlived \
   --clients 3 -r 40 --shards 2 --batch 16 --pipeline 4)
 echo "$lg_out"
 echo "$lg_out" | grep -q "served 120 requests" || {
@@ -141,7 +143,7 @@ echo "$lg_out" | grep -q "checker: OK" || {
 echo "== scale smoke: 200k requests checked by the strict-weak sweep =="
 # ~2e10 happens-before pairs: minutes for the all-pairs scan, under a
 # second for the sweep, so the timeout catches a fallback to the scan
-scale_out=$(timeout 60 dune exec bin/ts_cli.exe -- loadgen \
+scale_out=$(timeout 60 "$ts_bin" loadgen \
   -i lamport-longlived --clients 2 -r 100000 --shards 1 --batch 16 \
   --pipeline 8)
 echo "$scale_out"
@@ -156,7 +158,7 @@ echo "== scale smoke: 10^5 vector and snapshot requests checked by the frontier 
 # ~5e9 happens-before pairs: about 20 minutes for the all-pairs scan, well
 # under a second for the frontier, so the timeout catches a fallback
 for impl in vector-longlived snapshot-longlived; do
-  po_out=$(timeout 60 dune exec bin/ts_cli.exe -- loadgen -i "$impl" \
+  po_out=$(timeout 60 "$ts_bin" loadgen -i "$impl" \
     -n 4 --clients 2 -r 50000 --direct)
   echo "$po_out"
   echo "$po_out" | grep -q "served 100000 requests" || {
@@ -168,13 +170,13 @@ for impl in vector-longlived snapshot-longlived; do
 done
 
 echo "== telemetry smoke: open-loop loadgen writes a valid stall-free stream =="
-tel_out=$(dune exec bin/ts_cli.exe -- loadgen -i lamport-longlived \
+tel_out=$("$ts_bin" loadgen -i lamport-longlived \
   --clients 2 -r 60 --shards 2 --batch 16 --pipeline 2 --rate 2000 \
   --telemetry-out /tmp/telemetry.jsonl --telemetry-interval-us 5000)
 echo "$tel_out"
 echo "$tel_out" | grep -q "checker: OK" || {
   echo "telemetry smoke: checker did not pass" >&2; exit 1; }
-val_out=$(dune exec bin/ts_cli.exe -- obs --validate /tmp/telemetry.jsonl)
+val_out=$("$ts_bin" obs --validate /tmp/telemetry.jsonl)
 echo "$val_out"
 echo "$val_out" | grep -q "OK (telemetry schema" || {
   echo "telemetry smoke: time series failed validation" >&2; exit 1; }
@@ -184,11 +186,11 @@ echo "$val_out" | grep -q "OK (telemetry schema" || {
 echo "$val_out" | grep -q ", 0 stalls)" \
   || echo "telemetry smoke: WARNING - stall events in the stream" \
        "(timing noise on a loaded host; not failing CI)" >&2
-dune exec bin/ts_cli.exe -- top --file /tmp/telemetry.jsonl --once
+"$ts_bin" top --file /tmp/telemetry.jsonl --once
 
 echo "== stress smoke: real domains, checked verdicts =="
 stress_ok() {
-  stress_out=$(dune exec bin/ts_cli.exe -- stress "$@")
+  stress_out=$("$ts_bin" stress "$@")
   echo "$stress_out"
   echo "$stress_out" | grep -q " OK " || {
     echo "stress smoke: verdict not OK for $*" >&2; exit 1; }
@@ -197,7 +199,7 @@ stress_ok -i lamport-longlived -n 4 -c 50
 stress_ok -i sqrt-oneshot -n 8
 
 echo "== example smoke: multicore_stress checks each object on real domains =="
-ex_out=$(dune exec examples/multicore_stress.exe)
+ex_out=$(./_build/default/examples/multicore_stress.exe)
 echo "$ex_out"
 if echo "$ex_out" | grep -q "VIOLATION\|FAILURES"; then
   echo "example smoke: multicore_stress reported a violation" >&2; exit 1
@@ -205,16 +207,9 @@ fi
 
 echo "== scaling sanity: 2-shard sweep emits schema-valid JSON =="
 bench --fast --only e15 --max-shards 2 --scaling-requests 60
-dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_scaling.json"
-
-echo "== model bench sanity: fast E17 emits schema-valid JSON =="
-bench --fast --only e17
-dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_model.json"
+"$ts_bin" obs --validate "$bench_dir/BENCH_scaling.json"
 
 echo "== net smoke: wire server + TCP loadgen + graceful stop =="
-# The server runs in the background, so drive the already-built binary
-# directly: a concurrent 'dune exec' would contend for the build lock.
-ts_bin=./_build/default/bin/ts_cli.exe
 net_sock=/tmp/ts_ci_net.sock
 rm -f "$net_sock" /tmp/net_tel.jsonl /tmp/net_serve.log
 "$ts_bin" serve -i efr-longlived -n 8 --listen "unix:$net_sock" \
@@ -264,8 +259,8 @@ grep -q "serve: stopped after" /tmp/net_serve.log || {
   echo "net smoke: server summary missing" >&2; exit 1; }
 grep -q "io_threads=2" /tmp/net_serve.log || {
   echo "net smoke: reactor io_threads banner missing" >&2; exit 1; }
-dune exec bin/ts_cli.exe -- obs --validate /tmp/net_tel.jsonl
-dune exec bin/ts_cli.exe -- top --file /tmp/net_tel.jsonl --once
+"$ts_bin" obs --validate /tmp/net_tel.jsonl
+"$ts_bin" top --file /tmp/net_tel.jsonl --once
 
 echo "== net smoke: one-shot object over the wire =="
 # Each stamp draws a fresh pid on the I/O loop that decoded it.
@@ -350,9 +345,5 @@ echo "$ip_out" | grep -q "checker: OK" || {
 wait "$ip_pid" || {
   echo "net smoke: lease-1 server did not stop cleanly" >&2
   cat /tmp/inplace_serve.log >&2; exit 1; }
-
-echo "== net2 sanity: fast E19 reactor bench emits schema-valid JSON =="
-bench --fast --only e19
-dune exec bin/ts_cli.exe -- obs --validate "$bench_dir/BENCH_net2.json"
 
 echo "== ci.sh: all green =="

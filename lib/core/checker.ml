@@ -1,9 +1,10 @@
 (** Dynamic verification of the timestamp specification.
 
-    Given the history and the results of a simulated execution, checks the
-    paper's requirement (Section 2): for every pair of completed getTS
-    instances [g1, g2] returning [t1, t2], if [g1] happens before [g2] then
-    [compare t1 t2 = true] and [compare t2 t1 = false]. *)
+    Given the completed calls of an execution, each an interval on a
+    clock, checks the paper's requirement (Section 2): for every pair of
+    completed getTS instances [g1, g2] returning [t1, t2], if [g1]
+    happens before [g2] then [compare t1 t2 = true] and
+    [compare t2 t1 = false]. *)
 
 type violation = {
   op1 : Shm.History.op;
@@ -16,73 +17,6 @@ type violation = {
 let pp_violation ppf v =
   Format.fprintf ppf "%a(->%s) %s %a(->%s)" Shm.History.pp_op v.op1 v.t1
     v.reason Shm.History.pp_op v.op2 v.t2
-
-(* Also checks basic sanity of compare on each individual timestamp:
-   irreflexivity, required for consistency with happens-before (take g1 = g2
-   impossible, but compare t t = true for a timestamp issued twice would be
-   suspicious); we check it because all the paper's compares are strict
-   orders. *)
-let check (type r) ~compare_ts ~(pp : Format.formatter -> r -> unit)
-    ~(hist : Shm.History.t) ~(results : (Shm.History.op * r) list) :
-  (int, violation) result =
-  let str t = Format.asprintf "%a" pp t in
-  let completed =
-    List.filter_map
-      (fun ((op : Shm.History.op), t) ->
-         match Shm.History.interval hist op with
-         | Some (_, Some _) -> Some (op, t)
-         | _ -> None)
-      results
-  in
-  let exception Violation of violation in
-  try
-    let pairs = ref 0 in
-    List.iter
-      (fun (op1, t1) ->
-         List.iter
-           (fun (op2, t2) ->
-              if op1 <> op2 && Shm.History.happens_before hist op1 op2 then begin
-                incr pairs;
-                if not (compare_ts t1 t2) then
-                  raise
-                    (Violation
-                       { op1; op2; t1 = str t1; t2 = str t2;
-                         reason = "happens before, but compare(t1,t2)=false" });
-                if compare_ts t2 t1 then
-                  raise
-                    (Violation
-                       { op1; op2; t1 = str t1; t2 = str t2;
-                         reason = "happens before, but compare(t2,t1)=true" })
-              end)
-           completed)
-      completed;
-    List.iter
-      (fun (op, t) ->
-         if compare_ts t t then
-           raise
-             (Violation
-                { op1 = op; op2 = op; t1 = str t; t2 = str t;
-                  reason = "compare is not irreflexive at" }))
-      completed;
-    (* Symmetry: no strict order holds both ways, and a compare that does
-       (even on a concurrent pair, which happens-before leaves
-       unconstrained) cannot be consistent with any execution order. *)
-    let rec antisym = function
-      | [] -> ()
-      | (op1, t1) :: rest ->
-        List.iter
-          (fun (op2, t2) ->
-             if compare_ts t1 t2 && compare_ts t2 t1 then
-               raise
-                 (Violation
-                    { op1; op2; t1 = str t1; t2 = str t2;
-                      reason = "compare holds symmetrically between" }))
-          rest;
-        antisym rest
-    in
-    antisym completed;
-    Ok !pairs
-  with Violation v -> Error v
 
 type 'r timed = {
   td_pid : int;
@@ -237,14 +171,23 @@ let check_calls (type c r) ~order ~compare_ts
              done))
     | `General ->
       let pairs = ref 0 in
-      for j = 0 to n - 1 do
-        for i = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
           if ends.(i) < starts.(j) then begin
             incr pairs;
             check_pair i j
           end
           else if i < j && ends.(i) = ends.(j) then
             raise (violation i j shared_end)
+        done
+      done;
+      (* No strict order holds both ways, so a compare that does, even on
+         a concurrent pair that happens-before leaves unconstrained, is
+         consistent with no execution order. *)
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if below i j && below j i then
+            raise (violation i j "compare holds symmetrically between")
         done
       done;
       Ok !pairs
@@ -258,8 +201,17 @@ let check_timed ~order ~compare_ts ~pp records =
     ~op:(fun r -> { Shm.History.pid = r.td_pid; call = r.td_call })
     (Array.of_list records)
 
+(* A history gives every event a time of its own, so no two responses
+   share one and each follows its invocation: a sound tick witness. *)
 let check_sim (type v r)
     (module T : Intf.S with type value = v and type result = r)
     (cfg : (v, r) Shm.Sim.t) : (int, violation) result =
-  check ~compare_ts:T.compare_ts ~pp:T.pp_ts ~hist:(Shm.Sim.hist cfg)
-    ~results:(Shm.Sim.results cfg)
+  let hist = Shm.Sim.hist cfg in
+  let call ((op : Shm.History.op), td_ts) =
+    match Shm.History.interval hist op with
+    | Some (td_start, Some td_end) ->
+      { td_pid = op.pid; td_call = op.call; td_start; td_end; td_ts }
+    | _ -> invalid_arg "Checker.check_sim: a result with no response"
+  in
+  check_timed ~order:`General ~compare_ts:T.compare_ts ~pp:T.pp_ts
+    (List.map call (Shm.Sim.results cfg))

@@ -3,11 +3,11 @@
     For every pair of completed getTS instances [g1, g2] of an execution
     returning [t1, t2]: if [g1] happens before [g2] then
     [compare t1 t2 = true] and [compare t2 t1 = false].  Additionally flags
-    reflexive compares ([compare t t = true]) and {e symmetric} ones
-    ([compare t1 t2] and [compare t2 t1] both true for distinct completed
-    calls), neither of which any strict order produces.  Concurrent pairs
-    are otherwise unconstrained, as in the paper: both comparisons may
-    return [false]. *)
+    reflexive compares ([compare t t = true]) and, on the exhaustive scan,
+    {e symmetric} ones ([compare t1 t2] and [compare t2 t1] both true for
+    distinct completed calls), neither of which any strict order produces.
+    Concurrent pairs are otherwise unconstrained, as in the paper: both
+    comparisons may return [false]. *)
 
 type violation = {
   op1 : Shm.History.op;
@@ -18,14 +18,6 @@ type violation = {
 }
 
 val pp_violation : Format.formatter -> violation -> unit
-
-val check :
-  compare_ts:('r -> 'r -> bool) ->
-  pp:(Format.formatter -> 'r -> unit) ->
-  hist:Shm.History.t ->
-  results:(Shm.History.op * 'r) list ->
-  (int, violation) result
-(** [Ok pairs] reports how many happens-before pairs were checked. *)
 
 type 'r timed = {
   td_pid : int;
@@ -48,12 +40,13 @@ val check_calls :
   op:('c -> Shm.History.op) ->
   'c array ->
   (int, violation) result
-(** {!check}'s happens-before and irreflexivity rules over the
-    tick-derived happens-before order of a real parallel run: call [c1]
-    happens before [c2] when [stop c1 < start c2].  Backs the load
-    generator's verdict ([Svc.Loadgen], and so [ts_cli stress]).  The
-    accessors are read once per call, into flat tick columns; [op] only
-    names the calls of a violation.
+(** The happens-before and irreflexivity rules over the tick-derived
+    happens-before order of an execution: call [c1] happens before [c2]
+    when [stop c1 < start c2].  Backs every verdict: the load
+    generator's ([Svc.Loadgen], and so [ts_cli stress]) and, through
+    {!check_sim}, the simulator's.  The accessors are read once per
+    call, into flat tick columns; [op] only names the calls of a
+    violation.
 
     The ticks themselves are checked too.  Every serving path takes its
     end ticks from one counter, so no two calls share an end tick, and
@@ -66,8 +59,10 @@ val check_calls :
     [order] picks the path, and each path rejects two calls that share
     an end tick with ["shares its end tick with"]:
     - [`General] compares every happens-before pair, and every other
-      pair's end ticks: O(n{^ 2}).  It sorts nothing, and is the oracle
-      the other paths are tested against.
+      pair's end ticks, then rejects [compare_ts] holding both ways
+      between two calls with ["compare holds symmetrically between"]:
+      O(n{^ 2}).  It sorts nothing, and is the oracle the other paths
+      are tested against.
     - The other two sort the calls by end tick and by start tick with a
       stable radix sort (at most 6 linear passes over any int ticks),
       compare each end tick with the next in that order, and sweep the
@@ -104,4 +99,11 @@ val check_sim :
   (module Intf.S with type value = 'v and type result = 'r) ->
   ('v, 'r) Shm.Sim.t ->
   (int, violation) result
-(** {!check} applied to a simulator configuration's history and results. *)
+(** The [`General] scan of {!check_calls} over a simulator
+    configuration's completed calls, in response order, each spanning
+    its invocation and response event times.  It runs the scan, not a
+    sweep, whatever [T.order] declares: the scan assumes nothing of
+    [T.compare_ts], whose faults fuzzing and exploration exist to find;
+    a simulated history holds at most a few hundred calls; and each
+    sweep allocates two 2048-word radix count arrays, which every
+    explored leaf would pay. *)

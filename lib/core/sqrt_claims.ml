@@ -146,10 +146,7 @@ let run_random ?invoke_prob ~n ~seed ~total_calls ~calls_per_proc () =
     bad "claim 6.13 consequence: sum of phases %d exceeds 2M=%d"
       (rho * (rho + 1) / 2) (2 * calls_done);
   (* Timestamp correctness of the run, for good measure. *)
-  (match
-     Checker.check ~compare_ts:Sqrt.compare_ts ~pp:Sqrt.pp_ts
-       ~hist:(Shm.Sim.hist cfg) ~results:(Shm.Sim.results cfg)
-   with
+  (match Checker.check_sim (module S) cfg with
    | Ok _ -> ()
    | Error v -> bad "timestamp violation: %a" Checker.pp_violation v);
   { total_calls = calls_done;

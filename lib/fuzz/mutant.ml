@@ -42,7 +42,7 @@ module Oneshot_mutant (M : ONESHOT_TWIST) :
 
   let compare_ts = M.compare_ts
 
-  (* Mutants only run under the simulator's [check], which ignores the
+  (* Mutants run under [check_sim]'s scan, which ignores the
      declaration; [`General] claims nothing, so it is true of any twist. *)
   let order = `General
 

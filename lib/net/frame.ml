@@ -184,53 +184,13 @@ let write_req b = function
   | Stats -> write_fields b op_stats []
   | Stop -> write_fields b op_stop []
 
-let write_resp b = function
-  | Pong i ->
-    write_fields b op_pong
-      [ S i.si_impl;
-        B (match i.si_kind with `One_shot -> 0 | `Long_lived -> 1);
-        U i.si_n; U i.si_shards; S i.si_codec ]
-  | Stamp w ->
-    write_fields b op_stamp
-      [ U w.w_pid; U w.w_call; U w.w_shard; U w.w_start_tick;
-        U w.w_end_tick; S w.w_ts ]
-  | Range g ->
-    write_fields b op_range
-      [ U g.g_pid; U g.g_call; U g.g_shard; U g.g_start_tick; U g.g_base;
-        U g.g_count; S g.g_ts ]
-  | Cmp v -> write_fields b op_cmp [ B (Bool.to_int v) ]
-  | Stats_reply { sr_shards; sr_conns; sr_refused } ->
-    let shard s = [ U s.ss_served; U s.ss_batches; U s.ss_max_batch ] in
-    let conn c =
-      [ U c.cn_slot; U c.cn_conns; U c.cn_requests; U c.cn_stamps;
-        U c.cn_leases; U c.cn_bytes_in; U c.cn_bytes_out ]
-    in
-    write_fields b op_stats_reply
-      ((U (List.length sr_shards) :: List.concat_map shard sr_shards)
-       @ (U (List.length sr_conns) :: List.concat_map conn sr_conns)
-       @ [ U sr_refused ])
-  | Stopping -> write_fields b op_stopping []
-  | Err msg -> write_fields b op_err [ S msg ]
-
-(* The [encode_*] pair return the *payload* (what [decode_*] take and
-   what {!Conn.recv} hands back): the frame minus its length prefix. *)
-let payload_of write r =
-  let b = Buf.create ~cap:64 () in
-  write b r;
-  Buf.consume b 4;
-  Buf.contents b
-
-let encode_req r = payload_of write_req r
-
-let encode_resp r = payload_of write_resp r
-
 (* ------------------------ hot-path stamp writers -------------------- *)
 
-(* The server's per-stamp encode: the same bytes as [write_resp]'s
-   [Stamp]/[Range], but the fields are plain ints and the timestamp is
-   written straight by its codec, so the steady-state path allocates
-   zero minor words per stamp (pinned by a test and by E19's codec
-   microbench). *)
+(* The one encoder of each reply that carries a timestamp.  The fields
+   are plain ints and the timestamp is written straight by its codec, so
+   the server's per-stamp path allocates zero minor words per stamp
+   (pinned by a test and by E19's codec microbench); [write_resp] hands
+   them a decoded reply's fields and [raw]. *)
 
 let write_stamp_v2 b (codec : _ Codec.t) ~pid ~call ~shard ~start_tick
     ~end_tick ts =
@@ -266,6 +226,54 @@ let write_range_v2 b (codec : _ Codec.t) ~pid ~call ~shard ~start_tick ~base
   let pos = Codec.put_uv bytes pos count in
   let pos = Codec.put_uv bytes pos ts_sz in
   commit b ~len (codec.Codec.c_put bytes pos ts)
+
+(* A timestamp payload kept as its bytes, unparsed: [w_ts] and [g_ts]. *)
+let raw : string Codec.t =
+  { c_name = "raw";
+    c_size = String.length;
+    c_put =
+      (fun b pos s ->
+         Bytes.blit_string s 0 b pos (String.length s);
+         pos + String.length s);
+    c_get = (fun c -> Codec.get_string c (c.lim - c.pos)) }
+
+let write_resp b = function
+  | Pong i ->
+    write_fields b op_pong
+      [ S i.si_impl;
+        B (match i.si_kind with `One_shot -> 0 | `Long_lived -> 1);
+        U i.si_n; U i.si_shards; S i.si_codec ]
+  | Stamp w ->
+    write_stamp_v2 b raw ~pid:w.w_pid ~call:w.w_call ~shard:w.w_shard
+      ~start_tick:w.w_start_tick ~end_tick:w.w_end_tick w.w_ts
+  | Range g ->
+    write_range_v2 b raw ~pid:g.g_pid ~call:g.g_call ~shard:g.g_shard
+      ~start_tick:g.g_start_tick ~base:g.g_base ~count:g.g_count g.g_ts
+  | Cmp v -> write_fields b op_cmp [ B (Bool.to_int v) ]
+  | Stats_reply { sr_shards; sr_conns; sr_refused } ->
+    let shard s = [ U s.ss_served; U s.ss_batches; U s.ss_max_batch ] in
+    let conn c =
+      [ U c.cn_slot; U c.cn_conns; U c.cn_requests; U c.cn_stamps;
+        U c.cn_leases; U c.cn_bytes_in; U c.cn_bytes_out ]
+    in
+    write_fields b op_stats_reply
+      ((U (List.length sr_shards) :: List.concat_map shard sr_shards)
+       @ (U (List.length sr_conns) :: List.concat_map conn sr_conns)
+       @ [ U sr_refused ])
+  | Stopping -> write_fields b op_stopping []
+  | Err msg -> write_fields b op_err [ S msg ]
+
+(* The [encode_*] pair return the *payload* (what [decode_*] take and
+   what {!Conn.recv} hands back): the frame minus its length prefix. *)
+let payload_of write r =
+  let b = Buf.create ~cap:64 () in
+  write b r;
+  Buf.consume b 4;
+  Buf.contents b
+
+let encode_req r = payload_of write_req r
+
+let encode_resp r = payload_of write_resp r
 
 (* -------------------------------- decoding ------------------------- *)
 
@@ -427,16 +435,6 @@ let read_reply codec ~stamp ~range ~other c =
   with
   | r -> Ok r
   | exception Bad e -> Error e
-
-(* A timestamp payload kept as its bytes, unparsed: [w_ts] and [g_ts]. *)
-let raw : string Codec.t =
-  { c_name = "raw";
-    c_size = String.length;
-    c_put =
-      (fun b pos s ->
-         Bytes.blit_string s 0 b pos (String.length s);
-         pos + String.length s);
-    c_get = (fun c -> Codec.get_string c (c.lim - c.pos)) }
 
 let read_resp c =
   read_reply raw

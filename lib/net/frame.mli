@@ -115,10 +115,10 @@ val write_resp : Buf.t -> resp -> unit
 val write_stamp_v2 :
   Buf.t -> 'r Codec.t -> pid:int -> call:int -> shard:int ->
   start_tick:int -> end_tick:int -> 'r -> unit
-(** Hot-path stamp reply, byte-identical to [write_resp] of the
-    matching {!Stamp}: encodes header, varint fields, and the codec
-    payload straight into the send buffer — zero minor-heap words per
-    stamp at steady state (pinned by tests and E19). *)
+(** The {!Stamp} reply's encoder, which [write_resp] calls too: encodes
+    header, varint fields, and the codec payload straight into the send
+    buffer — zero minor-heap words per stamp at steady state (pinned by
+    tests and E19). *)
 
 val write_range_v2 :
   Buf.t -> 'r Codec.t -> pid:int -> call:int -> shard:int ->

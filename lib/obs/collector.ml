@@ -2,7 +2,6 @@ type t = {
   mutable reads : int array;  (* per register *)
   mutable writes : int array;  (* per register, swaps included *)
   mutable first_write : int array;  (* per register, -1 = never *)
-  mutable steps : int array;  (* per process: register + respond events *)
   mutable invocations : int array;  (* per process *)
   mutable responses : int array;  (* per process *)
   mutable events : int;  (* every sim event seen, the telemetry clock *)
@@ -13,7 +12,6 @@ let create () =
   { reads = [||];
     writes = [||];
     first_write = [||];
-    steps = [||];
     invocations = [||];
     responses = [||];
     events = 0;
@@ -36,8 +34,7 @@ let reg_slot c r =
   end
 
 let proc_slot c p =
-  if p >= Array.length c.steps then begin
-    c.steps <- grow c.steps p ~fill:0;
+  if p >= Array.length c.invocations then begin
     c.invocations <- grow c.invocations p ~fill:0;
     c.responses <- grow c.responses p ~fill:0
   end
@@ -49,20 +46,15 @@ let on_sim c (ev : Hooks.sim_event) ~pid ~reg =
   (match ev with
    | Hooks.Read ->
      reg_slot c reg;
-     c.reads.(reg) <- c.reads.(reg) + 1;
-     if pid >= 0 then c.steps.(pid) <- c.steps.(pid) + 1
+     c.reads.(reg) <- c.reads.(reg) + 1
    | Hooks.Write | Hooks.Swap ->
      reg_slot c reg;
      c.writes.(reg) <- c.writes.(reg) + 1;
-     if c.first_write.(reg) < 0 then c.first_write.(reg) <- now;
-     if pid >= 0 then c.steps.(pid) <- c.steps.(pid) + 1
+     if c.first_write.(reg) < 0 then c.first_write.(reg) <- now
    | Hooks.Invoke ->
      if pid >= 0 then c.invocations.(pid) <- c.invocations.(pid) + 1
    | Hooks.Respond ->
-     if pid >= 0 then begin
-       c.responses.(pid) <- c.responses.(pid) + 1;
-       c.steps.(pid) <- c.steps.(pid) + 1
-     end
+     if pid >= 0 then c.responses.(pid) <- c.responses.(pid) + 1
    | Hooks.Crash -> ())
 
 let hooks c =
@@ -84,29 +76,13 @@ let highest_used c =
   Array.iteri (fun i x -> if x > 0 then hi := max !hi (i + 1)) c.writes;
   !hi
 
-let num_regs c = highest_used c
-
-let num_procs c =
-  let hi = ref 0 in
-  let scan arr = Array.iteri (fun i x -> if x > 0 then hi := max !hi (i + 1)) arr in
-  scan c.steps;
-  scan c.invocations;
-  scan c.responses;
-  !hi
-
 let reads c r = get c.reads r ~default:0
 
 let writes c r = get c.writes r ~default:0
 
 let first_write_step c r = get c.first_write r ~default:(-1)
 
-let proc_steps c p = get c.steps p ~default:0
-
-let proc_invocations c p = get c.invocations p ~default:0
-
 let proc_responses c p = get c.responses p ~default:0
-
-let total_events c = c.events
 
 let totals c =
   let sum arr = Array.fold_left ( + ) 0 arr in
@@ -129,40 +105,6 @@ let written_count c =
     if writes c r > 0 then incr count
   done;
   !count
-
-let to_json c : Json.t =
-  let m = highest_used c in
-  let p = num_procs c in
-  let arr f len = Json.List (List.init len f) in
-  let total_reads, total_writes, total_invocations = totals c in
-  Json.Obj
-    [ ("schema_version", Json.Int Metric.schema_version);
-      ("kind", Json.String "register_telemetry");
-      ("events", Json.Int c.events);
-      ("reads", Json.Int total_reads);
-      ("writes", Json.Int total_writes);
-      ("invocations", Json.Int total_invocations);
-      ("registers_touched", Json.Int (touched_count c));
-      ("registers_written", Json.Int (written_count c));
-      ("max_covered", Json.Int c.covered_max);
-      ("per_register",
-       arr
-         (fun r ->
-            Json.Obj
-              [ ("reg", Json.Int r);
-                ("reads", Json.Int (reads c r));
-                ("writes", Json.Int (writes c r));
-                ("first_write_step", Json.Int (first_write_step c r)) ])
-         m);
-      ("per_process",
-       arr
-         (fun pid ->
-            Json.Obj
-              [ ("pid", Json.Int pid);
-                ("steps", Json.Int (proc_steps c pid));
-                ("invocations", Json.Int (proc_invocations c pid));
-                ("responses", Json.Int (proc_responses c pid)) ])
-         p) ]
 
 let fill_registry c registry =
   let total_reads, total_writes, total_invocations = totals c in

@@ -2,8 +2,8 @@
 
     A collector aggregates the {!Hooks.sim} event stream of an execution
     into per-register read/write counts and first-write step numbers, and
-    per-process step/invocation/response counts — exactly the observables
-    the covering adversaries (Lemmas 3.1/4.1) reason about.  The covering
+    per-process invocation/response counts — exactly the observables the
+    covering adversaries (Lemmas 3.1/4.1) reason about.  The covering
     occupancy timeline (how many registers are simultaneously covered) is
     sampled by the drivers via {!Hooks.counter}[ ~name:"sim.covered"] and
     recorded here as a running maximum.
@@ -21,11 +21,6 @@ val hooks : t -> Hooks.t
 (** Feeds [on_sim] events and ["sim.covered"] counter samples into the
     collector; other events are ignored. *)
 
-val num_regs : t -> int
-(** Highest register index seen + 1. *)
-
-val num_procs : t -> int
-
 val reads : t -> int -> int
 
 val writes : t -> int -> int
@@ -35,23 +30,13 @@ val first_write_step : t -> int -> int
 (** Global event number (0-based, counting every sim event seen by this
     collector) of the first write to the register; [-1] if never written. *)
 
-val proc_steps : t -> int -> int
-
-val proc_invocations : t -> int -> int
-
 val proc_responses : t -> int -> int
-
-val total_events : t -> int
 
 val totals : t -> int * int * int
 (** [(reads, writes+swaps, invocations)] summed over everything. *)
 
 val max_covered : t -> int
 (** Largest ["sim.covered"] sample seen; [0] if never sampled. *)
-
-val to_json : t -> Json.t
-(** The full telemetry as one object (per-register and per-process
-    arrays), for the metrics sidecars. *)
 
 val fill_registry : t -> Metric.registry -> unit
 (** Copies the aggregate telemetry into registry counters/gauges

@@ -65,8 +65,7 @@ let run_scenario (module V : Timestamp.Sqrt_variants.VARIANT) =
   let cfg = solo cfg a in
   let cfg = finish cfg q in
   let cfg = solo cfg b in
-  Timestamp.Checker.check ~compare_ts:V.compare_ts ~pp:V.pp_ts
-    ~hist:(Shm.Sim.hist cfg) ~results:(Shm.Sim.results cfg)
+  Timestamp.Checker.check_sim (module V) cfg
 
 let no_repair_violates () =
   match run_scenario (module Timestamp.Sqrt_variants.No_repair) with

@@ -1,86 +1,97 @@
 (* The checker itself must detect violations: feed it corrupted results. *)
 
-let fabricate_history () =
-  (* two sequential calls: p0.0 then p1.0 *)
-  let h = Shm.History.empty in
-  let h = Shm.History.invoke h ~pid:0 ~call:0 in
-  let h = Shm.History.respond h ~pid:0 ~call:0 in
-  let h = Shm.History.invoke h ~pid:1 ~call:0 in
-  let h = Shm.History.respond h ~pid:1 ~call:0 in
-  h
+(* An object whose getTS returns [stamps.(pid)] in one step, touching no
+   register, so a case fixes the stamps and the compare of a real
+   simulator configuration. *)
+let fixed ~compare_ts stamps :
+  (module Timestamp.Intf.S with type value = int and type result = int) =
+  (module struct
+    type value = int
 
-let op pid : Shm.History.op = { pid; call = 0 }
+    type result = int
 
-let run results =
-  Timestamp.Checker.check ~compare_ts:(fun (a : int) b -> a < b)
-    ~pp:Format.pp_print_int ~hist:(fabricate_history ()) ~results
+    let name = "fixed"
+
+    let kind = `One_shot
+
+    let num_registers ~n:_ = 1
+
+    let init_value ~n:_ = 0
+
+    let program ~n:_ ~pid ~call:_ = Shm.Prog.return stamps.(pid)
+
+    let compare_ts = compare_ts
+
+    let order = `General
+
+    let equal_ts = Int.equal
+
+    let pp_ts = Format.pp_print_int
+  end)
+
+(* Processes [0 .. k-1] call getTS solo in pid order, so each call
+   happens before the next, returning the [k] stamps of [stamps]; the
+   processes of [pending], numbered from [k], are then invoked and left
+   pending. *)
+let run ?(compare_ts = fun (a : int) b -> a < b) ?(pending = []) stamps =
+  let all = Array.of_list (stamps @ pending) in
+  let n = Array.length all in
+  let (module T) = fixed ~compare_ts all in
+  let invoke cfg pid =
+    Shm.Sim.invoke cfg ~pid ~program:(fun ~call -> T.program ~n ~pid ~call)
+  in
+  let solo cfg pid =
+    match Shm.Sim.run_solo ~fuel:10 (invoke cfg pid) pid with
+    | Some cfg -> cfg
+    | None -> Alcotest.failf "p%d did not finish" pid
+  in
+  let k = List.length stamps in
+  let cfg =
+    List.fold_left solo
+      (Shm.Sim.create ~n ~num_regs:1 ~init:0)
+      (List.init k Fun.id)
+  in
+  let cfg = List.fold_left invoke cfg (List.init (n - k) (fun i -> k + i)) in
+  Timestamp.Checker.check_sim (module T) cfg
 
 let accepts_correct_results () =
-  match run [ (op 0, 1); (op 1, 2) ] with
+  match run [ 1; 2 ] with
   | Ok pairs -> Util.check_int "one ordered pair" 1 pairs
   | Error _ -> Alcotest.fail "should accept"
 
 let rejects_equal_timestamps () =
-  match run [ (op 0, 5); (op 1, 5) ] with
+  match run [ 5; 5 ] with
   | Ok _ -> Alcotest.fail "should reject: hb pair with equal timestamps"
   | Error v ->
-    Util.check_bool "mentions compare" true
-      (String.length v.reason > 0)
+    Alcotest.(check string) "reason"
+      "happens before, but compare(t1,t2)=false" v.reason
 
 let rejects_inverted_timestamps () =
-  Util.check_bool "inverted rejected" true (Result.is_error (run [ (op 0, 9); (op 1, 2) ]))
+  Util.check_bool "inverted rejected" true (Result.is_error (run [ 9; 2 ]))
 
+(* A pending call has no stamp, so the happens-before rule never reaches
+   it: the pending call is invoked after both others respond, and the 0 it
+   would return is below both their stamps. *)
 let ignores_pending_operations () =
-  let h = Shm.History.invoke (fabricate_history ()) ~pid:2 ~call:0 in
-  match
-    Timestamp.Checker.check ~compare_ts:(fun (a : int) b -> a < b)
-      ~pp:Format.pp_print_int ~hist:h
-      ~results:[ (op 0, 1); (op 1, 2) ]
-  with
-  | Ok _ -> ()
+  match run ~pending:[ 0 ] [ 1; 2 ] with
+  | Ok pairs -> Util.check_int "still one hb pair" 1 pairs
   | Error _ -> Alcotest.fail "pending op must not affect checking"
 
-(* Symmetric compares must be flagged even on pairs that happens-before
-   leaves unconstrained (concurrent calls). *)
-let detects_symmetric_compare () =
-  (* two concurrent calls: both invoked before either responds *)
-  let h = Shm.History.empty in
-  let h = Shm.History.invoke h ~pid:0 ~call:0 in
-  let h = Shm.History.invoke h ~pid:1 ~call:0 in
-  let h = Shm.History.respond h ~pid:0 ~call:0 in
-  let h = Shm.History.respond h ~pid:1 ~call:0 in
-  (* a "compare" that orders distinct values both ways but is irreflexive *)
-  match
-    Timestamp.Checker.check ~compare_ts:(fun (a : int) b -> a <> b)
-      ~pp:Format.pp_print_int ~hist:h ~results:[ (op 0, 1); (op 1, 2) ]
-  with
-  | Ok _ -> Alcotest.fail "symmetric compare must be flagged"
-  | Error v ->
-    Util.check_bool "reason mentions symmetry" true
-      (v.reason = "compare holds symmetrically between")
-
+(* Nor does the symmetric rule: this compare is symmetric exactly between
+   2 and 9, and only the pending call would return 9. *)
 let symmetric_check_skips_pending () =
-  (* the symmetric rule only applies to completed calls: this compare is
-     symmetric exactly between the values 2 and 9, and only a pending op
-     carries 9 *)
-  let h = Shm.History.invoke (fabricate_history ()) ~pid:2 ~call:0 in
   match
-    Timestamp.Checker.check
-      ~compare_ts:(fun (a : int) b -> a < b || (a = 9 && b = 2))
-      ~pp:Format.pp_print_int ~hist:h
-      ~results:[ (op 0, 1); (op 1, 2); ({ pid = 2; call = 0 }, 9) ]
+    run ~compare_ts:(fun a b -> a < b || (a = 9 && b = 2)) ~pending:[ 9 ]
+      [ 1; 2 ]
   with
   | Ok pairs -> Util.check_int "still one hb pair" 1 pairs
   | Error _ -> Alcotest.fail "pending op must not affect the symmetric rule"
 
 let detects_reflexive_compare () =
-  match
-    Timestamp.Checker.check ~compare_ts:(fun (a : int) b -> a <= b)
-      ~pp:Format.pp_print_int ~hist:(fabricate_history ())
-      ~results:[ (op 0, 1); (op 1, 2) ]
-  with
+  match run ~compare_ts:( <= ) [ 1; 2 ] with
   | Ok _ -> Alcotest.fail "reflexive compare must be flagged"
-  | Error _ -> ()
+  | Error v ->
+    Alcotest.(check string) "reason" "compare is not irreflexive at" v.reason
 
 (* ---------------------------- check_timed ---------------------------- *)
 
@@ -141,6 +152,20 @@ let timed_detects_reflexive_compare order =
   | Ok _ -> Alcotest.fail "reflexive compare must be flagged"
   | Error v ->
     Alcotest.(check string) "reason" "compare is not irreflexive at" v.reason
+
+(* Symmetric compares must be flagged even on pairs that happens-before
+   leaves unconstrained (concurrent calls). *)
+let detects_symmetric_compare () =
+  (* a "compare" that orders distinct values both ways but is
+     irreflexive, on two overlapping calls *)
+  match
+    run_timed ~compare_ts:( <> ) `General
+      [ timed 0 ~start:0 ~stop:2 1; timed 1 ~start:1 ~stop:3 2 ]
+  with
+  | Ok _ -> Alcotest.fail "symmetric compare must be flagged"
+  | Error v ->
+    Alcotest.(check string) "reason" "compare holds symmetrically between"
+      v.reason
 
 let shared_end = "shares its end tick with"
 
@@ -329,6 +354,63 @@ let void_witness_fails_every_path =
          [ `Strict_weak; `Strict_partial ]
        && reason `General shared <> None)
 
+(* Differential property on real implementations: on random staggered
+   simulator runs, [check_sim]'s scan and [check_calls] on the
+   implementation's declared order, over the same intervals, return the
+   same verdict and pair count.  A third of the runs swap the stamps of
+   two calls ordered by happens-before, which both paths must reject. *)
+let sim_matches_declared (Timestamp.Registry.Impl (module T)) =
+  let module H = Timestamp.Harness.Make (T) in
+  Util.qtest ~count:200
+    (T.name ^ ": check_sim's scan agrees with the declared order's path")
+    QCheck2.Gen.(
+      quad (oneofl [ 2; 3; 5; 8 ]) (oneofl [ 0.02; 0.05; 0.1 ]) nat
+        (pair (int_bound 2) nat))
+    (fun (n, invoke_prob, seed, (fault, k)) ->
+       let cfg = H.run_random ~invoke_prob ~n ~seed () in
+       let hist = Shm.Sim.hist cfg in
+       let calls =
+         Array.of_list
+           (List.map
+              (fun ((op : Shm.History.op), td_ts) ->
+                 match Shm.History.interval hist op with
+                 | Some (td_start, Some td_end) ->
+                   { Timestamp.Checker.td_pid = op.pid; td_call = op.call;
+                     td_start; td_end; td_ts }
+                 | _ -> assert false)
+              (Shm.Sim.results cfg))
+       in
+       let check order calls =
+         Timestamp.Checker.check_timed ~order ~compare_ts:T.compare_ts
+           ~pp:T.pp_ts (Array.to_list calls)
+       in
+       let index = List.init (Array.length calls) Fun.id in
+       let ordered =
+         List.concat_map
+           (fun i ->
+              List.filter_map
+                (fun j ->
+                   if calls.(i).td_end < calls.(j).td_start then Some (i, j)
+                   else None)
+                index)
+           index
+       in
+       match (fault, ordered) with
+       | 0, _ :: _ ->
+         let i, j = List.nth ordered (k mod List.length ordered) in
+         let swapped = Array.copy calls in
+         swapped.(i) <- { calls.(i) with td_ts = calls.(j).td_ts };
+         swapped.(j) <- { calls.(j) with td_ts = calls.(i).td_ts };
+         Result.is_error (check `General swapped)
+         && Result.is_error (check T.order swapped)
+       | _ -> (
+         match
+           (Timestamp.Checker.check_sim (module T) cfg, check T.order calls)
+         with
+         | Ok a, Ok b -> a = b
+         | Error _, Error _ -> true
+         | Ok _, Error _ | Error _, Ok _ -> false))
+
 let differential =
   let range n = List.init n Fun.id in
   let open Timestamp in
@@ -344,6 +426,7 @@ let differential =
          (range 30));
     frontier_matches_scan;
     void_witness_fails_every_path ]
+  @ List.map sim_matches_declared Timestamp.Registry.all
 
 let suite =
   ( "checker",
@@ -351,9 +434,9 @@ let suite =
       Util.case "rejects equal timestamps on hb pair" rejects_equal_timestamps;
       Util.case "rejects inverted timestamps" rejects_inverted_timestamps;
       Util.case "ignores pending operations" ignores_pending_operations;
+      Util.case "symmetric rule skips pending" symmetric_check_skips_pending;
       Util.case "detects reflexive compare" detects_reflexive_compare;
       Util.case "detects symmetric compare" detects_symmetric_compare;
-      Util.case "symmetric rule skips pending ops" symmetric_check_skips_pending;
       Util.case "timed: accepts a correct history"
         (on_every_path timed_accepts_correct);
       Util.case "timed: rejects equal and inverted stamps on an hb pair"
