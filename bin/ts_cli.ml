@@ -179,6 +179,7 @@ let run_cmd =
     with_obs out @@ fun _ ->
     let (Timestamp.Registry.Impl (module T)) = impl in
     let module H = Timestamp.Harness.Make (T) in
+    let calls = match T.kind with `One_shot -> 1 | `Long_lived -> calls in
     let cfg = H.run_random ~invoke_prob:0.05 ~calls ~n ~seed () in
     Printf.printf "implementation: %s   n=%d seed=%d\n" T.name n seed;
     List.iter
@@ -203,13 +204,10 @@ let run_cmd =
 let adversary_oneshot_cmd =
   let run impl n grid verbose =
     let (Timestamp.Registry.Impl (module T)) = impl in
-    let supplier ~pid ~call = T.program ~n ~pid ~call in
-    let cfg =
-      Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
-    in
+    let module H = Timestamp.Harness.Make (T) in
     match
       Covering.Oneshot_adversary.run ?grid_width:grid ~fuel:5_000_000
-        ~supplier ~cfg ()
+        ~supplier:(H.supplier ~n) ~cfg:(H.create ~n) ()
     with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -248,13 +246,11 @@ let adversary_oneshot_cmd =
 let adversary_longlived_cmd =
   let run impl n k =
     let (Timestamp.Registry.Impl (module T)) = impl in
-    let supplier ~pid ~call = T.program ~n ~pid ~call in
-    let cfg =
-      Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
-    in
+    let module H = Timestamp.Harness.Make (T) in
     let k = match k with Some k -> k | None -> n / 2 in
     match
-      Covering.Longlived_adversary.run ~fuel:1_000_000 ~supplier ~cfg ~k ()
+      Covering.Longlived_adversary.run ~fuel:1_000_000 ~supplier:(H.supplier ~n)
+        ~cfg:(H.create ~n) ~k ()
     with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -288,13 +284,11 @@ let adversary_cmd =
 
 let figure_cmd =
   let run which n =
-    let supplier ~pid ~call = Timestamp.Sqrt.One_shot.program ~n ~pid ~call in
-    let cfg =
-      Shm.Sim.create ~n
-        ~num_regs:(Timestamp.Sqrt.One_shot.num_registers ~n)
-        ~init:Timestamp.Sqrt.Bot
-    in
-    match Covering.Oneshot_adversary.run ~fuel:5_000_000 ~supplier ~cfg () with
+    let module H = Timestamp.Harness.Make (Timestamp.Sqrt.One_shot) in
+    match
+      Covering.Oneshot_adversary.run ~fuel:5_000_000 ~supplier:(H.supplier ~n)
+        ~cfg:(H.create ~n) ()
+    with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
       exit 1
@@ -480,11 +474,8 @@ let explore_cmd =
     let rc =
       with_obs out @@ fun ctx ->
       let (Timestamp.Registry.Impl (module T)) = impl in
-      let supplier ~pid ~call = T.program ~n ~pid ~call in
-      let cfg =
-        Shm.Sim.create ~n ~num_regs:(T.num_registers ~n)
-          ~init:(T.init_value ~n)
-      in
+      let module H = Timestamp.Harness.Make (T) in
+      let supplier = H.supplier ~n and cfg = H.create ~n in
       let calls = match T.kind with `One_shot -> 1 | `Long_lived -> calls in
       let domains = o.domains in
       match
@@ -1214,9 +1205,8 @@ let serve_cmd =
 let loadgen_cmd =
   (* drive a live wire server: probe it for its implementation/shape,
      then run the generic engine over Net.Client handles *)
-  let loadgen_tcp (type r) (module T : Timestamp.Intf.S with type result = r)
-      ~(cfg : Svc.Loadgen.cfg) ~lease ~procs ~stop_server ~print_report
-      addr_str =
+  let loadgen_wire (type r) (module T : Timestamp.Intf.S with type result = r)
+      ~(cfg : Svc.Loadgen.cfg) ~lease ~stop_server ~print_report addr_str =
     match Net.Conn.parse_addr addr_str with
     | None ->
       Printf.eprintf "ts_cli: loadgen: cannot parse --addr %S\n" addr_str;
@@ -1236,53 +1226,36 @@ let loadgen_cmd =
                  (fst (C.stats probe)))
           in
           let before = shard_stats () in
-          let mk_setup ~connect ~teardown =
-            { D.connect;
-              num_shards = max 1 info.Net.Frame.si_shards;
-              impl = T.name;
-              mode_label =
-                Printf.sprintf "net %s lease=%d clients=%d pipeline=%d%s%s"
-                  (Net.Conn.addr_to_string addr)
-                  lease cfg.clients cfg.pipeline
-                  (if procs > 1 then Printf.sprintf " procs=%d" procs else "")
-                  (Svc.Loadgen.arrival_string cfg);
-              backend_label = "boxed";
-              compare_ts = T.compare_ts;
-              pp_ts = T.pp_ts;
-              attach = None;
-              teardown;
-              service_stats =
-                Some
-                  (fun () ->
-                     Array.mapi
-                       (fun i (served, batches, max_batch) ->
-                          let served0, batches0, _ = before.(i) in
-                          (served - served0, batches - batches0, max_batch))
-                       (shard_stats ())) }
+          (* pre-connect in the main domain, in client order: connection
+             errors surface here, and session/pid placement is stable; a
+             count below 1 connects nothing and [D.run] refuses it *)
+          let handles =
+            Array.init (max 0 cfg.clients) (fun _ -> C.connect ~lease addr)
           in
           let r =
-            if procs > 1 then
-              (* forked workers connect for themselves, post-fork; sockets
-                 must never be created in the parent and inherited *)
-              let worker _p =
-                mk_setup
-                  ~connect:(fun _ -> C.connect ~lease addr)
-                  ~teardown:(fun () -> ())
-              in
-              D.run_procs ~procs ~child:worker (worker (-1)) cfg
-            else begin
-              (* pre-connect in the main domain, in client order:
-                 connection errors surface here, and session/pid
-                 placement is stable *)
-              let handles =
-                Array.init cfg.clients (fun _ -> C.connect ~lease addr)
-              in
-              D.run
-                (mk_setup
-                   ~connect:(fun i -> handles.(i))
-                   ~teardown:(fun () -> Array.iter C.close handles))
-                cfg
-            end
+            D.run
+              { D.connect = (fun i -> handles.(i));
+                num_shards = max 1 info.Net.Frame.si_shards;
+                impl = T.name;
+                mode_label =
+                  Printf.sprintf "net %s lease=%d clients=%d pipeline=%d%s"
+                    (Net.Conn.addr_to_string addr)
+                    lease cfg.clients cfg.pipeline
+                    (Svc.Loadgen.arrival_string cfg);
+                backend_label = "boxed";
+                compare_ts = T.compare_ts;
+                pp_ts = T.pp_ts;
+                attach = None;
+                teardown = (fun () -> Array.iter C.close handles);
+                service_stats =
+                  Some
+                    (fun () ->
+                       Array.mapi
+                         (fun i (served, batches, max_batch) ->
+                            let served0, batches0, _ = before.(i) in
+                            (served - served0, batches - batches0, max_batch))
+                         (shard_stats ())) }
+              cfg
           in
           let rc = print_report r in
           if stop_server then C.stop_server probe;
@@ -1292,9 +1265,8 @@ let loadgen_cmd =
           Printf.eprintf "ts_cli: loadgen: %s\n" msg;
           1)
   in
-  let run impl n clients requests pipeline shards batch_max direct rate
-      transport addr lease procs stop_server telemetry_out
-      telemetry_interval out =
+  let run impl n clients requests pipeline shards batch_max direct rate addr
+      lease stop_server telemetry_out telemetry_interval out =
     let rc =
       with_obs out @@ fun _ ->
       let open Svc.Loadgen in
@@ -1348,39 +1320,18 @@ let loadgen_cmd =
         Printf.printf "checked in %.3f ms\n" (r.lg_check_s *. 1e3);
         rc
       in
-      if procs < 1 then begin
-        Printf.eprintf "ts_cli: loadgen: --procs must be at least 1\n";
+      (* a non-positive count or rate, or a --shards past the runtime's
+         domain limit, is refused by the library: report it, exit 1 *)
+      try
+        match addr with
+        | None -> print_report (Svc.Loadgen.run impl cfg)
+        | Some addr_str ->
+          let (Timestamp.Registry.Impl (module T)) = impl in
+          loadgen_wire (module T) ~cfg ~lease ~stop_server ~print_report
+            addr_str
+      with Invalid_argument msg | Failure msg ->
+        Printf.eprintf "ts_cli: loadgen: %s\n" msg;
         1
-      end
-      else if procs > 1 && transport <> `Tcp then begin
-        Printf.eprintf "ts_cli: loadgen: --procs requires --transport tcp\n";
-        1
-      end
-      else if procs > 1 && telemetry_out <> None then begin
-        Printf.eprintf
-          "ts_cli: loadgen: --telemetry-out requires --procs 1 (the \
-           sampler cannot span processes)\n";
-        1
-      end
-      else
-        (* a non-positive count or rate, or a --shards past the runtime's
-           domain limit, is refused by the library: report it, exit 1 *)
-        try
-          match transport with
-          | `Inproc -> print_report (Svc.Loadgen.run impl cfg)
-          | `Tcp -> (
-              match addr with
-              | None ->
-                Printf.eprintf
-                  "ts_cli: loadgen: --transport tcp requires --addr\n";
-                1
-              | Some addr_str ->
-                let (Timestamp.Registry.Impl (module T)) = impl in
-                loadgen_tcp (module T) ~cfg ~lease ~procs ~stop_server
-                  ~print_report addr_str)
-        with Invalid_argument msg | Failure msg ->
-          Printf.eprintf "ts_cli: loadgen: %s\n" msg;
-          1
     in
     if rc <> 0 then exit rc
   in
@@ -1430,52 +1381,31 @@ let loadgen_cmd =
              counts against the service (coordinated-omission-correct). \
              Without $(docv) the generator runs the classic closed loop.")
   in
-  let transport =
-    Arg.(
-      value
-      & opt (enum [ ("inproc", `Inproc); ("tcp", `Tcp) ]) `Inproc
-      & info [ "transport" ] ~docv:"T"
-          ~doc:
-            "Client transport: $(b,inproc) (default) starts a fresh \
-             in-process service; $(b,tcp) drives a live wire server \
-             ($(b,ts_cli serve --listen)) at $(b,--addr) through \
-             Net.Client — $(b,--shards)/$(b,--batch)/$(b,--direct) are \
-             then the server's business and ignored here.  Its shard \
-             lines count this run's $(b,served) and $(b,batches) per \
-             server I/O loop; $(b,max_batch) is the server's lifetime \
-             maximum.")
-  in
   let addr =
     Arg.(
       value
       & opt (some string) None
       & info [ "addr" ] ~docv:"ADDR"
           ~doc:
-            "Server address for $(b,--transport tcp): \"unix:PATH\", \
-             \"tcp:HOST:PORT\", or bare \"HOST:PORT\".")
+            "Drive a live wire server ($(b,ts_cli serve --listen)) at \
+             $(docv) (\"unix:PATH\", \"tcp:HOST:PORT\", or bare \
+             \"HOST:PORT\") through Net.Client, instead of a fresh \
+             in-process service.  $(b,--shards)/$(b,--batch)/$(b,--direct) \
+             are then the server's business and ignored here.  Its shard \
+             lines count this run's $(b,served) and $(b,batches) per \
+             server I/O loop; $(b,max_batch) is the server's lifetime \
+             maximum.")
   in
   let lease =
     Arg.(
       value & opt int 1
       & info [ "lease" ] ~docv:"K"
           ~doc:
-            "Epoch-range lease size ($(b,--transport tcp)): each cache \
+            "Epoch-range lease size (with $(b,--addr)): each cache \
              miss fetches one anchor getTS plus $(docv) pre-reserved end \
              ticks, and the client mints the next $(docv) stamps locally \
              — one round trip amortized over $(docv) stamps.  1 (default) \
              = a round trip per stamp.")
-  in
-  let procs =
-    Arg.(
-      value & opt int 1
-      & info [ "procs" ] ~docv:"K"
-          ~doc:
-            "Worker processes ($(b,--transport tcp)): fork $(docv) \
-             processes, each driving its own $(b,--clients) connections \
-             (so the aggregate is $(docv) * $(b,--clients) clients and \
-             an open-loop $(b,--rate) is split evenly).  Histograms are \
-             merged losslessly in the parent and the happens-before \
-             check runs globally over every process's stamps.")
   in
   let stop_server =
     Arg.(
@@ -1489,14 +1419,13 @@ let loadgen_cmd =
     (Cmd.info "loadgen"
        ~doc:
          "Closed- or open-loop load generator over the timestamp service \
-          (in-process, or a live wire server via $(b,--transport tcp)); \
+          (in-process, or a live wire server at $(b,--addr)); \
           reports throughput, HDR latency percentiles \
           (p50/p90/p99/p99.9/max) and a happens-before checker verdict.")
     Term.(
       const run $ impl_arg $ n_arg $ clients $ requests $ pipeline $ shards
-      $ batch $ direct $ rate $ transport $ addr $ lease $ procs
-      $ stop_server $ telemetry_out_arg $ telemetry_interval_arg
-      $ obs_out_term)
+      $ batch $ direct $ rate $ addr $ lease $ stop_server
+      $ telemetry_out_arg $ telemetry_interval_arg $ obs_out_term)
 
 (* ------------------------------------------------------------------ *)
 (* top: per-shard table rendered from a telemetry time series.         *)

@@ -209,49 +209,56 @@ echo "== scaling sanity: 2-shard sweep emits schema-valid JSON =="
 bench --fast --only e15 --max-shards 2 --scaling-requests 60
 "$ts_bin" obs --validate "$bench_dir/BENCH_scaling.json"
 
-echo "== net smoke: wire server + TCP loadgen + graceful stop =="
+# start_server SOCK LOG ARGS...: run 'ts_cli serve ARGS --listen
+# unix:SOCK' in the background (its pid in $server_pid) and wait up to
+# 10 s for the socket, less if the server exits first; if no socket
+# appears, print the log and fail.
+start_server() {
+  server_sock=$1; server_log=$2; shift 2
+  rm -f "$server_sock" "$server_log"
+  "$ts_bin" serve "$@" --listen "unix:$server_sock" > "$server_log" 2>&1 &
+  server_pid=$!
+  i=0
+  while [ ! -S "$server_sock" ] && [ "$i" -lt 100 ] \
+    && kill -0 "$server_pid" 2>/dev/null; do
+    sleep 0.1; i=$((i + 1))
+  done
+  [ -S "$server_sock" ] || {
+    echo "net smoke: server socket $server_sock never appeared" >&2
+    cat "$server_log" >&2; kill "$server_pid" 2>/dev/null || true; exit 1; }
+}
+
+echo "== net smoke: wire server + loadgen over a unix socket + graceful stop =="
 net_sock=/tmp/ts_ci_net.sock
-rm -f "$net_sock" /tmp/net_tel.jsonl /tmp/net_serve.log
-"$ts_bin" serve -i efr-longlived -n 8 --listen "unix:$net_sock" \
-  --io-threads 2 \
-  --telemetry-out /tmp/net_tel.jsonl > /tmp/net_serve.log 2>&1 &
-serve_pid=$!
-i=0
-while [ ! -S "$net_sock" ] && [ "$i" -lt 100 ]; do
-  sleep 0.1; i=$((i + 1))
-done
-[ -S "$net_sock" ] || {
-  echo "net smoke: server socket never appeared" >&2
-  cat /tmp/net_serve.log >&2; exit 1; }
-echo "== net smoke: multi-process loadgen (forked workers, merged HDR) =="
-procs_out=$("$ts_bin" loadgen -i efr-longlived --transport tcp \
-  --addr "unix:$net_sock" --procs 2 --clients 2 -r 50 --lease 16)
-echo "$procs_out"
-echo "$procs_out" | grep -q "served 200 requests" || {
-  echo "net smoke: wrong request count across worker processes" >&2
-  exit 1; }
-echo "$procs_out" | grep -q "procs=2" || {
-  echo "net smoke: multi-process mode label missing" >&2; exit 1; }
-echo "$procs_out" | grep -q "checker: OK" || {
-  echo "net smoke: global checker did not pass across processes" >&2
-  exit 1; }
+rm -f /tmp/net_tel.jsonl
+start_server "$net_sock" /tmp/net_serve.log -i efr-longlived -n 8 \
+  --io-threads 2 --telemetry-out /tmp/net_tel.jsonl
+# Four leased clients in one process: every stamp goes through one
+# global happens-before check.
+wide_out=$("$ts_bin" loadgen -i efr-longlived --addr "unix:$net_sock" \
+  --clients 4 -r 50 --lease 16)
+echo "$wide_out"
+echo "$wide_out" | grep -q "served 200 requests" || {
+  echo "net smoke: four leased clients, wrong request count" >&2; exit 1; }
+echo "$wide_out" | grep -q "checker: OK" || {
+  echo "net smoke: four leased clients failed the checker" >&2; exit 1; }
 # Anchors run on demand: a client's second lease anchors on a getTS
 # submitted after its first lease's ticks were reserved, so the checker
 # sees ordered pairs even for a single leased client.
-lease_out=$("$ts_bin" loadgen -i efr-longlived --transport tcp \
-  --addr "unix:$net_sock" --clients 1 -r 20 --lease 16)
+lease_out=$("$ts_bin" loadgen -i efr-longlived --addr "unix:$net_sock" \
+  --clients 1 -r 20 --lease 16)
 echo "$lease_out"
 echo "$lease_out" | grep -q "checker: OK ([1-9]" || {
   echo "net smoke: a leased client's stamps gave no ordered pair" >&2
   exit 1; }
-net_out=$("$ts_bin" loadgen -i efr-longlived --transport tcp \
-  --addr "unix:$net_sock" --clients 2 -r 100 --lease 16 --stop-server)
+net_out=$("$ts_bin" loadgen -i efr-longlived --addr "unix:$net_sock" \
+  --clients 2 -r 100 --lease 16 --stop-server)
 echo "$net_out"
 echo "$net_out" | grep -q "served 200 requests" || {
   echo "net smoke: wrong request count" >&2; exit 1; }
 echo "$net_out" | grep -q "checker: OK" || {
-  echo "net smoke: checker did not pass over TCP" >&2; exit 1; }
-wait "$serve_pid" || {
+  echo "net smoke: checker did not pass over the wire" >&2; exit 1; }
+wait "$server_pid" || {
   echo "net smoke: server did not stop cleanly" >&2
   cat /tmp/net_serve.log >&2; exit 1; }
 cat /tmp/net_serve.log
@@ -265,25 +272,15 @@ grep -q "io_threads=2" /tmp/net_serve.log || {
 echo "== net smoke: one-shot object over the wire =="
 # Each stamp draws a fresh pid on the I/O loop that decoded it.
 os_sock=/tmp/ts_ci_oneshot.sock
-rm -f "$os_sock" /tmp/oneshot_serve.log
-"$ts_bin" serve -i sqrt-oneshot -n 1000 --listen "unix:$os_sock" \
-  > /tmp/oneshot_serve.log 2>&1 &
-os_pid=$!
-i=0
-while [ ! -S "$os_sock" ] && [ "$i" -lt 100 ]; do
-  sleep 0.1; i=$((i + 1))
-done
-[ -S "$os_sock" ] || {
-  echo "net smoke: one-shot server socket never appeared" >&2
-  cat /tmp/oneshot_serve.log >&2; exit 1; }
-os_out=$("$ts_bin" loadgen -i sqrt-oneshot --transport tcp \
-  --addr "unix:$os_sock" --clients 2 -r 200 --stop-server)
+start_server "$os_sock" /tmp/oneshot_serve.log -i sqrt-oneshot -n 1000
+os_out=$("$ts_bin" loadgen -i sqrt-oneshot --addr "unix:$os_sock" \
+  --clients 2 -r 200 --stop-server)
 echo "$os_out"
 echo "$os_out" | grep -q "served 400 requests" || {
   echo "net smoke: one-shot wrong request count" >&2; exit 1; }
 echo "$os_out" | grep -q "checker: OK" || {
   echo "net smoke: one-shot checker did not pass" >&2; exit 1; }
-wait "$os_pid" || {
+wait "$server_pid" || {
   echo "net smoke: one-shot server did not stop cleanly" >&2
   cat /tmp/oneshot_serve.log >&2; exit 1; }
 
@@ -292,28 +289,22 @@ echo "== net smoke: connections come and go, the loop keeps its pid =="
 # connection holds a pid: three runs against n=2 on one loop all serve
 # (a pid per stamping connection, never returned, refused the third).
 pid_sock=/tmp/ts_ci_pids.sock
-rm -f "$pid_sock" /tmp/pids_serve.log
-"$ts_bin" serve -i lamport-longlived -n 2 --io-threads 1 \
-  --listen "unix:$pid_sock" > /tmp/pids_serve.log 2>&1 &
-pids_pid=$!
-i=0
-while [ ! -S "$pid_sock" ] && [ "$i" -lt 100 ]; do
-  sleep 0.1; i=$((i + 1))
-done
+start_server "$pid_sock" /tmp/pids_serve.log -i lamport-longlived -n 2 \
+  --io-threads 1
 for run in 1 2 3; do
   stop=""
   [ "$run" -eq 3 ] && stop=--stop-server
-  run_out=$("$ts_bin" loadgen -i lamport-longlived --transport tcp \
-    --addr "unix:$pid_sock" --clients 1 -r 5 $stop) || {
+  run_out=$("$ts_bin" loadgen -i lamport-longlived --addr "unix:$pid_sock" \
+    --clients 1 -r 5 $stop) || {
     echo "net smoke: run $run against n=2 failed" >&2
-    kill "$pids_pid" 2>/dev/null; exit 1; }
+    kill "$server_pid" 2>/dev/null; exit 1; }
   echo "$run_out"
   echo "$run_out" | grep -q "checker: OK" \
     && echo "$run_out" | grep -q " served=5 " || {
     echo "net smoke: run $run did not report its own 5 checked stamps" >&2
-    kill "$pids_pid" 2>/dev/null; exit 1; }
+    kill "$server_pid" 2>/dev/null; exit 1; }
 done
-wait "$pids_pid" || {
+wait "$server_pid" || {
   echo "net smoke: n=2 server did not stop cleanly" >&2
   cat /tmp/pids_serve.log >&2; exit 1; }
 
@@ -322,27 +313,20 @@ echo "== net smoke: 10^5 per-stamp round trips, every frame decoded in place =="
 # loop's receive buffer and one Stamp reply decoded where it lies in the
 # client's; pipelined bursts of 8 straddle reads on both ends.
 ip_sock=/tmp/ts_ci_inplace.sock
-rm -f "$ip_sock" /tmp/inplace_serve.log
-"$ts_bin" serve -i lamport-longlived -n 2 --listen "unix:$ip_sock" \
-  > /tmp/inplace_serve.log 2>&1 &
-ip_pid=$!
-i=0
-while [ ! -S "$ip_sock" ] && [ "$i" -lt 100 ]; do
-  sleep 0.1; i=$((i + 1))
-done
-ip_out=$(timeout 120 "$ts_bin" loadgen -i lamport-longlived --transport tcp \
+start_server "$ip_sock" /tmp/inplace_serve.log -i lamport-longlived -n 2
+ip_out=$(timeout 120 "$ts_bin" loadgen -i lamport-longlived \
   --addr "unix:$ip_sock" --clients 2 -r 50000 --pipeline 8 --lease 1 \
   --stop-server) || {
   echo "net smoke: the lease-1 scale run failed" >&2
-  kill "$ip_pid" 2>/dev/null; cat /tmp/inplace_serve.log >&2; exit 1; }
+  cat /tmp/inplace_serve.log >&2; kill "$server_pid" 2>/dev/null; exit 1; }
 echo "$ip_out"
 echo "$ip_out" | grep -q "served 100000 requests" || {
   echo "net smoke: lease-1 scale run has the wrong request count" >&2
-  kill "$ip_pid" 2>/dev/null; exit 1; }
+  kill "$server_pid" 2>/dev/null; exit 1; }
 echo "$ip_out" | grep -q "checker: OK" || {
   echo "net smoke: lease-1 scale run failed the checker" >&2
-  kill "$ip_pid" 2>/dev/null; exit 1; }
-wait "$ip_pid" || {
+  kill "$server_pid" 2>/dev/null; exit 1; }
+wait "$server_pid" || {
   echo "net smoke: lease-1 server did not stop cleanly" >&2
   cat /tmp/inplace_serve.log >&2; exit 1; }
 

@@ -89,9 +89,3 @@ let probe (Impl (module T)) ~n ~seed workload =
   let regs_written, regs_touched = H.space_used cfg in
   { hb_pairs; regs_written; regs_touched;
     regs_provisioned = T.num_registers ~n }
-
-(* All-sequential run returning the timestamps in issue order. *)
-let sequential_kinds (Impl (module T)) ~n =
-  let module H = Harness.Make (T) in
-  let _, ts = H.run_sequential ~n in
-  List.map (fun t -> Format.asprintf "%a" T.pp_ts t) ts

@@ -75,6 +75,3 @@ val probe : impl -> n:int -> seed:int -> Workload.t -> probe_result
     timestamp specification, and reports happens-before coverage plus
     space accounting.  [calls] is forced to 1 for one-shot objects.
     Raises [Failure] on a specification violation. *)
-
-val sequential_kinds : impl -> n:int -> string list
-(** Pretty-printed timestamps of an all-sequential run, in issue order. *)

@@ -22,8 +22,6 @@ let oneshot_upper n =
   check_n n;
   Timestamp.Sqrt.registers_for_calls n
 
-let bounded_calls_upper m = Timestamp.Sqrt.registers_for_calls m
-
 let simple_upper n =
   check_n n;
   (n + 1) / 2

@@ -17,9 +17,6 @@ val oneshot_upper : int -> int
 (** Theorem 1.3: [ceil (2 sqrt n)] registers suffice (Algorithm 4 with
     [M = n]). *)
 
-val bounded_calls_upper : int -> int
-(** Section 6: [ceil (2 sqrt M)] registers for at most [M] getTS calls. *)
-
 val simple_upper : int -> int
 (** Section 5: [ceil (n/2)] registers (Algorithms 1-2). *)
 

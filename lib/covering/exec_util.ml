@@ -12,59 +12,6 @@ let apply = Shm.Schedule.apply
 
 let apply1 = Shm.Schedule.apply_action
 
-(* Invoke (if idle) and run [pid] solo to completion; returns the final
-   configuration and the performed actions. *)
-let solo_complete ~fuel (supplier : _ supplier) cfg ~pid =
-  let cfg, acts =
-    match Shm.Sim.poised cfg pid with
-    | Shm.Sim.P_idle ->
-      ( Shm.Sim.invoke cfg ~pid ~program:(fun ~call -> supplier ~pid ~call),
-        [ Shm.Schedule.Invoke pid ] )
-    | _ -> (cfg, [])
-  in
-  let rec go fuel cfg rev_acts =
-    match Shm.Sim.poised cfg pid with
-    | Shm.Sim.P_idle -> Some (cfg, List.rev rev_acts)
-    | Shm.Sim.P_crashed -> invalid_arg "Exec_util.solo_complete: crashed"
-    | _ ->
-      if fuel = 0 then None
-      else go (fuel - 1) (Shm.Sim.step cfg pid) (Shm.Schedule.Step pid :: rev_acts)
-  in
-  go fuel cfg (List.rev acts)
-
-(* Replays [actions] from [cfg]; true when some executed write step writes a
-   register satisfying [outside]. *)
-let wrote_outside (supplier : _ supplier) cfg actions ~outside =
-  let rec go cfg = function
-    | [] -> false
-    | (Shm.Schedule.Step pid as a) :: rest ->
-      let hits =
-        match Shm.Sim.poised cfg pid with
-        | Shm.Sim.P_write (r, _) | Shm.Sim.P_swap (r, _) -> outside r
-        | _ -> false
-      in
-      hits || go (apply1 supplier cfg a) rest
-    | a :: rest -> go (apply1 supplier cfg a) rest
-  in
-  go cfg actions
-
-(* Shortest prefix of [actions] after which [pid] covers a register
-   satisfying [outside]; [None] if no prefix does. *)
-let truncate_at_cover_outside (supplier : _ supplier) cfg actions ~pid ~outside =
-  let covering cfg =
-    match Shm.Sim.covers cfg pid with Some r -> outside r | None -> false
-  in
-  let rec go cfg taken rev_prefix actions =
-    if covering cfg then Some (List.rev rev_prefix, taken)
-    else
-      match actions with
-      | [] -> None
-      | a :: rest -> go (apply1 supplier cfg a) (taken + 1) (a :: rev_prefix) rest
-  in
-  match go cfg 0 [] actions with
-  | Some (prefix, _) -> Some prefix
-  | None -> None
-
 (* Runs every process with a pending operation to completion, in pid order;
    the result is quiescent.  [None] when fuel is exhausted. *)
 let finish_all ~fuel (_supplier : _ supplier) cfg =
@@ -156,10 +103,10 @@ module Cache = struct
   let stats t = (t.reused, t.replayed)
 end
 
-(* Cache-aware variants of the helpers above: same results, but prefix
-   checkpoints answer the replay. *)
-
-let solo_complete_c ~fuel (t : _ Cache.t) ~prefix ~pid =
+(* Invoke (if idle) and run [pid] solo to completion from the configuration
+   after [prefix]; returns the final configuration and the solo actions,
+   which stay in the cache as checkpoints. *)
+let solo_complete ~fuel (t : _ Cache.t) ~prefix ~pid =
   let n = Cache.ensure t prefix in
   let cfg = Cache.cfg_at t n in
   let cfg =
@@ -175,7 +122,7 @@ let solo_complete_c ~fuel (t : _ Cache.t) ~prefix ~pid =
   let rec go fuel cfg =
     match Shm.Sim.poised cfg pid with
     | Shm.Sim.P_idle -> Some cfg
-    | Shm.Sim.P_crashed -> invalid_arg "Exec_util.solo_complete_c: crashed"
+    | Shm.Sim.P_crashed -> invalid_arg "Exec_util.solo_complete: crashed"
     | _ ->
       if fuel = 0 then None
       else begin
@@ -190,8 +137,10 @@ let solo_complete_c ~fuel (t : _ Cache.t) ~prefix ~pid =
     let rec acts i tail = if i < n then tail else acts (i - 1) (t.Cache.acts.(i) :: tail) in
     Some (final, acts (t.Cache.len - 1) [])
 
-let wrote_outside_c (t : _ Cache.t) actions ~outside =
-  let n = Cache.ensure t actions in
+(* True when some executed write or swap step of [actions] (from the
+   cache's base) hits a register satisfying [outside]. *)
+let wrote_outside (t : _ Cache.t) actions ~outside =
+  ignore (Cache.ensure t actions);
   let rec go i = function
     | [] -> false
     | Shm.Schedule.Step pid :: rest -> (
@@ -200,11 +149,12 @@ let wrote_outside_c (t : _ Cache.t) actions ~outside =
         | _ -> go (i + 1) rest)
     | _ :: rest -> go (i + 1) rest
   in
-  ignore n;
   go 0 actions
 
-let truncate_at_cover_outside_c (t : _ Cache.t) actions ~pid ~outside =
-  let n = Cache.ensure t actions in
+(* Shortest prefix of [actions] after which [pid] covers a register
+   satisfying [outside]; [None] if no prefix does. *)
+let truncate_at_cover_outside (t : _ Cache.t) actions ~pid ~outside =
+  ignore (Cache.ensure t actions);
   let covering i =
     match Shm.Sim.covers (Cache.cfg_at t i) pid with
     | Some r -> outside r
@@ -217,7 +167,6 @@ let truncate_at_cover_outside_c (t : _ Cache.t) actions ~pid ~outside =
       | [] -> None
       | a :: rest -> go (i + 1) (a :: rev_prefix) rest
   in
-  ignore n;
   go 0 [] actions
 
 (* Exact memo over replay-derived facts: deterministic replay means a fact

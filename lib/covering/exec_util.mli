@@ -12,24 +12,6 @@ val apply :
   ('v, 'r) supplier -> ('v, 'r) Shm.Sim.t -> Shm.Schedule.action list ->
   ('v, 'r) Shm.Sim.t
 
-val solo_complete :
-  fuel:int -> ('v, 'r) supplier -> ('v, 'r) Shm.Sim.t -> pid:int ->
-  (('v, 'r) Shm.Sim.t * Shm.Schedule.action list) option
-(** Invokes (if idle) and runs [pid] solo to completion; returns the final
-    configuration and the performed actions.  [None] when fuel runs out. *)
-
-val wrote_outside :
-  ('v, 'r) supplier -> ('v, 'r) Shm.Sim.t -> Shm.Schedule.action list ->
-  outside:(int -> bool) -> bool
-(** Replays the actions; true when some executed overwrite step (write or
-    swap) hits a register satisfying [outside]. *)
-
-val truncate_at_cover_outside :
-  ('v, 'r) supplier -> ('v, 'r) Shm.Sim.t -> Shm.Schedule.action list ->
-  pid:int -> outside:(int -> bool) -> Shm.Schedule.action list option
-(** Shortest prefix of the actions after which [pid] covers a register
-    satisfying [outside]; [None] if no prefix does. *)
-
 val finish_all :
   fuel:int -> ('v, 'r) supplier -> ('v, 'r) Shm.Sim.t ->
   (('v, 'r) Shm.Sim.t * Shm.Schedule.action list) option
@@ -73,23 +55,28 @@ module Cache : sig
       answered by checkpoints vs actually re-simulated. *)
 end
 
-val solo_complete_c :
+val solo_complete :
   fuel:int -> ('v, 'r) Cache.t -> prefix:Shm.Schedule.action list ->
   pid:int -> (('v, 'r) Shm.Sim.t * Shm.Schedule.action list) option
-(** {!solo_complete} from the configuration after [prefix], reusing and
-    extending the cache's checkpoints (the solo steps are recorded, so a
-    later {!Cache.ensure} of [prefix @ returned] replays nothing). *)
+(** From the configuration after [prefix], invokes [pid] (if idle) and runs
+    it solo to completion; returns the final configuration and the solo
+    actions.  [None] when fuel runs out.  The solo actions extend the
+    cache's checkpoints, so a later {!Cache.ensure} of [prefix @ returned]
+    replays nothing. *)
 
-val wrote_outside_c :
+val wrote_outside :
   ('v, 'r) Cache.t -> Shm.Schedule.action list -> outside:(int -> bool) ->
   bool
-(** {!wrote_outside} from the cache's base, served from checkpoints. *)
+(** Replays the actions from the cache's base, served from checkpoints;
+    true when some executed overwrite step (write or swap) hits a register
+    satisfying [outside]. *)
 
-val truncate_at_cover_outside_c :
+val truncate_at_cover_outside :
   ('v, 'r) Cache.t -> Shm.Schedule.action list -> pid:int ->
   outside:(int -> bool) -> Shm.Schedule.action list option
-(** {!truncate_at_cover_outside} from the cache's base, served from
-    checkpoints. *)
+(** Shortest prefix of the actions (from the cache's base) after which
+    [pid] covers a register satisfying [outside]; [None] if no prefix
+    does. *)
 
 (** Exact memo over replay-derived facts.  Replay is deterministic, so any
     fact about (base configuration, action list) — e.g. "does this side

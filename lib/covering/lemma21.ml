@@ -30,11 +30,13 @@ let probe ~fuel ~(supplier : ('v, 'r) Exec_util.supplier)
   Exec_util.assert_block cfg b2;
   let outside reg = not (List.mem reg r) in
   let run_side bi ui =
-    let cfg_b = Shm.Sim.block_write cfg bi in
-    match Exec_util.solo_complete ~fuel supplier cfg_b ~pid:ui with
+    let cache =
+      Exec_util.Cache.create supplier ~base:(Shm.Sim.block_write cfg bi)
+    in
+    match Exec_util.solo_complete ~fuel cache ~prefix:[] ~pid:ui with
     | None -> Error (Printf.sprintf "p%d: solo getTS did not terminate" ui)
     | Some (_, acts) ->
-      Ok (Exec_util.wrote_outside supplier cfg_b acts ~outside, List.length acts)
+      Ok (Exec_util.wrote_outside cache acts ~outside, List.length acts)
   in
   match run_side b0 u0, run_side b1 u1 with
   | Error e, _ | _, Error e -> Error e

@@ -44,10 +44,10 @@ let run ?(sig_cap = 12) ~fuel ~supplier ~cfg ~k () =
       let probe b cand =
         let cfg_b = Shm.Sim.block_write l31.c0 b in
         let cache = Exec_util.Cache.create supplier ~base:cfg_b in
-        match Exec_util.solo_complete_c ~fuel cache ~prefix:[] ~pid:cand with
+        match Exec_util.solo_complete ~fuel cache ~prefix:[] ~pid:cand with
         | None -> Error (Printf.sprintf "p%d: getTS did not terminate" cand)
         | Some (_, acts) ->
-          Ok (Exec_util.wrote_outside_c cache acts ~outside, acts, cache)
+          Ok (Exec_util.wrote_outside cache acts ~outside, acts, cache)
       in
       let* w0, acts0, cache0 = probe l31.b0 cand0 in
       let* chosen =
@@ -63,7 +63,7 @@ let run ?(sig_cap = 12) ~fuel ~supplier ~cfg ~k () =
       let b_i, b_other, cand, cand_acts, cand_cache = chosen in
       let* lambda =
         match
-          Exec_util.truncate_at_cover_outside_c cand_cache cand_acts
+          Exec_util.truncate_at_cover_outside cand_cache cand_acts
             ~pid:cand ~outside
         with
         | Some prefix -> Ok prefix

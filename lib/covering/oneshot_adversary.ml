@@ -46,7 +46,7 @@ let lemma41 ~fuel ~supplier ~cfg ~b0 ~b1 ~u ~r =
   (* Base case: delta^1_i is a solo complete getTS by u_i after pi_Bi. *)
   let init_side block pid =
     let cache = Exec_util.Cache.create supplier ~base:(base block) in
-    match Exec_util.solo_complete_c ~fuel cache ~prefix:[] ~pid with
+    match Exec_util.solo_complete ~fuel cache ~prefix:[] ~pid with
     | None -> Error (Printf.sprintf "p%d: solo getTS did not terminate" pid)
     | Some (_, acts) ->
       Ok { block; cache; actions = acts; participants = [ pid ]; last_start = 0 }
@@ -58,7 +58,7 @@ let lemma41 ~fuel ~supplier ~cfg ~b0 ~b1 ~u ~r =
   let wo_memo = Exec_util.Fp_memo.create () in
   let side_writes_outside s =
     Exec_util.Fp_memo.memo wo_memo (Exec_util.Cache.base s.cache) s.actions
-      (fun () -> Exec_util.wrote_outside_c s.cache s.actions ~outside)
+      (fun () -> Exec_util.wrote_outside s.cache s.actions ~outside)
   in
   let choose_j s0 s1 =
     if side_writes_outside s0 then Ok 0
@@ -73,7 +73,7 @@ let lemma41 ~fuel ~supplier ~cfg ~b0 ~b1 ~u ~r =
   let truncate_side s =
     let q = last_participant s in
     match
-      Exec_util.truncate_at_cover_outside_c s.cache s.actions ~pid:q ~outside
+      Exec_util.truncate_at_cover_outside s.cache s.actions ~pid:q ~outside
     with
     | None ->
       Error
@@ -83,7 +83,7 @@ let lemma41 ~fuel ~supplier ~cfg ~b0 ~b1 ~u ~r =
   in
   (* Append a solo complete getTS of [pid] to (truncated) side [s]. *)
   let extend_side s pid =
-    match Exec_util.solo_complete_c ~fuel s.cache ~prefix:s.actions ~pid with
+    match Exec_util.solo_complete ~fuel s.cache ~prefix:s.actions ~pid with
     | None -> Error (Printf.sprintf "p%d: solo getTS did not terminate" pid)
     | Some (_, acts) ->
       Ok

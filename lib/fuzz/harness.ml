@@ -206,17 +206,14 @@ let explore_all ~impls ~n ~calls ~seed =
   try
     List.iter
       (fun (Timestamp.Registry.Impl (module T) as impl) ->
+         let module H = Timestamp.Harness.Make (T) in
          let calls = match T.kind with `One_shot -> 1 | `Long_lived -> calls in
-         let supplier ~pid ~call = T.program ~n ~pid ~call in
-         let cfg =
-           Shm.Sim.create ~n ~num_regs:(T.num_registers ~n)
-             ~init:(T.init_value ~n)
-         in
          match
-           Shm.Explore.explore ~supplier ~calls_per_proc:(Array.make n calls)
+           Shm.Explore.explore ~supplier:(H.supplier ~n)
+             ~calls_per_proc:(Array.make n calls)
              ~leaf_check:(fun cfg ->
                  Result.is_ok (Timestamp.Checker.check_sim (module T) cfg))
-             cfg
+             (H.create ~n)
          with
          | Shm.Explore.Ok _ -> ()
          | Shm.Explore.Counterexample { schedule; _ } ->

@@ -7,13 +7,10 @@ type stats = {
 let run (type v r) ?(fuel = 1_000_000)
     (module T : Timestamp.Intf.S with type value = v and type result = r) ~n
     actions : (v, r) Shm.Sim.t * stats =
-  let cfg =
-    Shm.Sim.create ~n ~num_regs:(T.num_registers ~n) ~init:(T.init_value ~n)
-  in
+  let module H = Timestamp.Harness.Make (T) in
+  let cfg = H.create ~n in
   let max_calls = match T.kind with `One_shot -> 1 | `Long_lived -> max_int in
-  let programs =
-    Array.init n (fun pid -> fun ~call -> T.program ~n ~pid ~call)
-  in
+  let programs = Shm.Schedule.programs (H.supplier ~n) ~n in
   let applied = ref 0 and skipped = ref 0 in
   let apply cfg (a : Shm.Schedule.action) =
     let enabled =

@@ -31,8 +31,6 @@ let registry ?(name = "obs") () =
     rev_order = [];
     lock = Mutex.create () }
 
-let registry_name r = r.r_name
-
 let find_or_register r name ~kind ~make ~cast =
   Mutex.lock r.lock;
   Fun.protect

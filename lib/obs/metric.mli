@@ -26,8 +26,6 @@ val schema_version : int
 
 val registry : ?name:string -> unit -> registry
 
-val registry_name : registry -> string
-
 (** Get-or-create by name.  Returns the existing metric when the name is
     already registered; raises [Invalid_argument] if it is registered as a
     different kind. *)

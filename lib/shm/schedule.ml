@@ -5,16 +5,6 @@ type action =
 
 type ('v, 'r) supplier = pid:int -> call:int -> ('v, 'r) Prog.t
 
-let of_obj (type v r)
-    (module O : Obj_intf.S with type value = v and type result = r) ~n :
-  (v, r) supplier =
-  fun ~pid ~call -> O.program ~n ~pid ~call
-
-let create (type v r)
-    (module O : Obj_intf.S with type value = v and type result = r) ~n :
-  (v, r) Sim.t =
-  Sim.create ~n ~num_regs:(O.num_registers ~n) ~init:(O.init_value ~n)
-
 let programs supplier ~n =
   Array.init n (fun pid -> fun ~call -> supplier ~pid ~call)
 

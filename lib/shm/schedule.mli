@@ -13,15 +13,6 @@ type ('v, 'r) supplier = pid:int -> call:int -> ('v, 'r) Prog.t
 (** Produces the program of each method call; typically
     [fun ~pid ~call -> Obj.program ~n ~pid ~call]. *)
 
-val of_obj :
-  (module Obj_intf.S with type value = 'v and type result = 'r) ->
-  n:int -> ('v, 'r) supplier
-
-val create :
-  (module Obj_intf.S with type value = 'v and type result = 'r) ->
-  n:int -> ('v, 'r) Sim.t
-(** Initial configuration sized for the given object. *)
-
 val apply : ('v, 'r) supplier -> ('v, 'r) Sim.t -> action list -> ('v, 'r) Sim.t
 (** Replays a scripted schedule.  Program closures are constructed at most
     once per process per replay, not once per action. *)

@@ -400,8 +400,6 @@ let canonicalizer ~classes =
        Array.iteri (fun pid c -> if c <> pid then nt := true) classes;
        !nt) }
 
-let canonical_nontrivial c = c.c_nontrivial
-
 let canonical_perm c = c.c_perm
 
 let canonical_fingerprint c cfg =

@@ -183,10 +183,6 @@ val canonicalizer : classes:int array -> canonicalizer
     pid] and class representatives are fixpoints); raises
     [Invalid_argument] on malformed arrays. *)
 
-val canonical_nontrivial : canonicalizer -> bool
-(** Whether any class has two or more members (otherwise
-    {!canonical_fingerprint} degenerates to {!fingerprint}). *)
-
 val canonical_fingerprint : canonicalizer -> ('v, 'r) t -> int
 (** The fingerprint of the configuration's orbit under permutations of
     interchangeable processes: per-process summaries are sorted within each

@@ -1,8 +1,3 @@
-let pp_action ppf = function
-  | Schedule.Invoke pid -> Format.fprintf ppf "invoke p%d" pid
-  | Schedule.Step pid -> Format.fprintf ppf "step p%d" pid
-  | Schedule.Crash pid -> Format.fprintf ppf "crash p%d" pid
-
 let describe ?pp_value cfg pid =
   let value v =
     match pp_value with

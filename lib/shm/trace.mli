@@ -6,8 +6,6 @@
     swapped, or that it responded), so constructed executions — e.g. a
     Lemma 4.1 schedule or an explorer counterexample — can be inspected. *)
 
-val pp_action : Format.formatter -> Schedule.action -> unit
-
 val render :
   ?pp_value:(Format.formatter -> 'v -> unit) ->
   supplier:('v, 'r) Schedule.supplier ->

@@ -243,7 +243,6 @@ module Drive (C : Client.S) = struct
   let ready_polls = 100_000
 
   (* Spawn one domain per client, drive the configured loop, join.
-     Shared by the single-process [run] and each [run_procs] worker.
      Until the last spawn the clients sleep on a start gate, so none
      runs, or ends and frees its domain slot, before then; then each
      connects and they meet at a ready barrier, so their first calls
@@ -327,9 +326,9 @@ module Drive (C : Client.S) = struct
     Option.fold ~none:`General ~some:Timestamp.Registry.order
       (Timestamp.Registry.find setup.impl)
 
-  (* Build the standard report from collected samples and (possibly
-     merged-across-processes) histogram snapshots; runs the global
-     happens-before check over every sample it is given. *)
+  (* Build the standard report from the collected samples and the
+     histogram snapshots; runs the happens-before check over every
+     sample. *)
   let report_of setup ~samples ~elapsed ~gsnap ~shard_snaps ~stats
       ~tel_samples ~tel_stalls =
     let calls = Array.of_list samples in
@@ -411,123 +410,6 @@ module Drive (C : Client.S) = struct
       ~gsnap:(Obs.Hdr.snapshot rc.g_hdr)
       ~shard_snaps:(Array.map Obs.Hdr.snapshot rc.shard_hdrs)
       ~stats ~tel_samples ~tel_stalls
-
-  (* ------------------------- multi-process ------------------------- *)
-
-  (* What a forked worker ships back to the parent over its pipe: raw
-     samples (for the parent's *global* happens-before check) and its
-     HDR snapshots (plain int-array records, merged losslessly).  The
-     channel is a pipe between two forks of this very binary, so Marshal
-     is appropriate here — this is not network input. *)
-  type child_payload = {
-    cp_samples : C.result Client.stamp list;
-    cp_elapsed_s : float;
-    cp_g : Obs.Hdr.snapshot;
-    cp_shards : Obs.Hdr.snapshot array;
-  }
-
-  (* Multi-process drive: fork [procs] workers *before* any domain is
-     spawned (fork after Domain.spawn is unsupported in OCaml 5), each
-     worker connects its own clients via [child p] *inside the child
-     process* — handles must never be created pre-fork and shared — and
-     drives [cfg.clients] connections.  The parent merges histograms,
-     concatenates samples, runs the global checker, and reports with
-     [clients * procs] effective clients.  Open-loop rate is split
-     evenly. *)
-  let run_procs ~procs ~child setup cfg =
-    validate cfg;
-    if procs <= 1 then run { setup with connect = (child 0).connect } cfg
-    else begin
-      if cfg.telemetry <> None then
-        invalid_arg "Loadgen.run_procs: telemetry requires --procs 1";
-      let spawn p =
-        let r, w = Unix.pipe ~cloexec:false () in
-        match Unix.fork () with
-        | 0 ->
-          (try Unix.close r with Unix.Unix_error _ -> ());
-          let status = ref 0 in
-          (try
-             let setup = child p in
-             let cfg_c =
-               { cfg with
-                 arrival =
-                   (match cfg.arrival with
-                    | Closed -> Closed
-                    | Open { rate } ->
-                      Open { rate = rate /. float_of_int procs }) }
-             in
-             let rc =
-               make_recorder ~clients:cfg_c.clients (max 1 setup.num_shards)
-             in
-             let samples, elapsed = collect setup cfg_c rc in
-             setup.teardown ();
-             let payload =
-               { cp_samples = samples;
-                 cp_elapsed_s = elapsed;
-                 cp_g = Obs.Hdr.snapshot rc.g_hdr;
-                 cp_shards = Array.map Obs.Hdr.snapshot rc.shard_hdrs }
-             in
-             let oc = Unix.out_channel_of_descr w in
-             Marshal.to_channel oc payload [];
-             Stdlib.flush oc
-           with e ->
-             Printf.eprintf "loadgen worker %d: %s\n%!" p
-               (Printexc.to_string e);
-             status := 1);
-          (try Unix.close w with Unix.Unix_error _ -> ());
-          (* _exit: skip at_exit/flush inherited from the parent *)
-          Unix._exit !status
-        | pid ->
-          Unix.close w;
-          (pid, r)
-      in
-      let children = List.init procs spawn in
-      let payloads =
-        List.map
-          (fun (pid, r) ->
-             let ic = Unix.in_channel_of_descr r in
-             let payload =
-               match (Marshal.from_channel ic : child_payload) with
-               | p -> Some p
-               | exception _ -> None
-             in
-             (try close_in ic with Sys_error _ -> ());
-             let _, st = Unix.waitpid [] pid in
-             match (st, payload) with
-             | Unix.WEXITED 0, Some p -> p
-             | _ ->
-               raise
-                 (Client.Error
-                    (Printf.sprintf "loadgen: worker process %d failed" pid)))
-          children
-      in
-      setup.teardown ();
-      let stats = Option.map (fun f -> f ()) setup.service_stats in
-      let samples = List.concat_map (fun p -> p.cp_samples) payloads in
-      let elapsed =
-        List.fold_left (fun m p -> Float.max m p.cp_elapsed_s) 0. payloads
-      in
-      let empty () = Obs.Hdr.snapshot (Obs.Hdr.create ()) in
-      let gsnap =
-        List.fold_left (fun acc p -> Obs.Hdr.merge acc p.cp_g) (empty ())
-          payloads
-      in
-      let nshards =
-        List.fold_left (fun m p -> max m (Array.length p.cp_shards)) 1
-          payloads
-      in
-      let shard_snaps =
-        Array.init nshards (fun i ->
-            List.fold_left
-              (fun acc p ->
-                 if i < Array.length p.cp_shards then
-                   Obs.Hdr.merge acc p.cp_shards.(i)
-                 else acc)
-              (empty ()) payloads)
-      in
-      report_of setup ~samples ~elapsed ~gsnap ~shard_snaps ~stats
-        ~tel_samples:0 ~tel_stalls:0
-    end
 end
 
 (* ------------------------------------------------------------------ *)

@@ -154,24 +154,6 @@ module Drive (C : Client.S) : sig
       domain limit), the clients already spawned are joined, unconnected,
       before the exception is re-raised.  Spans: ["loadgen.run"] (the
       client phase), ["loadgen.spawn"] and ["loadgen.check"]. *)
-
-  val run_procs : procs:int -> child:(int -> setup) -> setup -> cfg -> report
-  (** Multi-process drive: forks [procs] worker processes *before any
-      domain is spawned* (required by the OCaml 5 runtime); worker [p]
-      builds its own setup with [child p] *after* the fork — so its
-      connections are its own, never inherited — and drives
-      [cfg.clients] clients (and, for the open loop, [rate / procs]
-      each).  Workers ship their samples and
-      HDR snapshots back over a pipe; the parent merges the histograms
-      losslessly ({!Obs.Hdr.merge}), runs the *global* happens-before
-      check over every sample from every process, and reports totals
-      across all workers ([lg_elapsed_s] is the slowest worker's
-      elapsed).  The parent [setup] supplies labels, comparison,
-      teardown and [service_stats]; its [connect] is only used when
-      [procs <= 1], where this degenerates to {!run} with [child 0]'s
-      connections.  Raises [Invalid_argument] if telemetry is requested
-      with [procs > 1] (the sampler cannot span processes); raises
-      {!Client.Error} if a worker exits unsuccessfully. *)
 end
 
 val run : Timestamp.Registry.impl -> cfg -> report

@@ -744,6 +744,38 @@ let lease_concurrent_clients () =
        Timestamp.Checker.pp_violation v);
   Srv.stop srv
 
+(* [ts_cli loadgen --addr] in miniature: the generic driver over
+   Net.Client handles to a live Lamport server, 4 clients at lease 16
+   with 50 stamps each, every stamp in the driver's one global check. *)
+let drive_over_the_wire () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let module C = Net.Client.Make (Timestamp.Lamport) in
+  let module D = Svc.Loadgen.Drive (C) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~addr ~n:4 () in
+  let cfg =
+    { Svc.Loadgen.default with clients = 4; requests_per_client = 50 }
+  in
+  let handles = Array.init cfg.clients (fun _ -> C.connect ~lease:16 addr) in
+  let r =
+    D.run
+      { D.connect = (fun i -> handles.(i));
+        num_shards = 1;
+        impl = Timestamp.Lamport.name;
+        mode_label = "net";
+        backend_label = "boxed";
+        compare_ts = Timestamp.Lamport.compare_ts;
+        pp_ts = Timestamp.Lamport.pp_ts;
+        attach = None;
+        teardown = (fun () -> Array.iter C.close handles);
+        service_stats = None }
+      cfg
+  in
+  Srv.stop srv;
+  Util.check_int "every stamp served" 200 r.Svc.Loadgen.lg_total;
+  Alcotest.(check (option string)) "no violation" None r.lg_violation;
+  Util.check_bool "happens-before pairs checked" true (r.lg_hb_pairs > 0)
+
 (* ------------------------- shutdown paths -------------------------- *)
 
 let shutdown_with_inflight_connections () =
@@ -1740,6 +1772,8 @@ let suite =
       Util.case "lease: concurrent clients stay hb-sound"
         lease_concurrent_clients;
       Util.case "lease: anchors run only on demand" lease_anchors_on_demand;
+      Util.case "loadgen: Drive over the wire checks every stamp"
+        drive_over_the_wire;
       Util.case "lease: a burst mints only the ticks short grants granted"
         lease_mints_only_granted_ticks;
       Util.case "lease: a burst past max_lease mints only granted ticks"
