@@ -4,40 +4,51 @@
    Long-lived and One-Shot Timestamp Implementations") is a theory paper:
    its evaluation artifacts are the bound theorems and the two figures of
    the Section-4 construction.  Each experiment below regenerates one of
-   them (the experiment ids match DESIGN.md and EXPERIMENTS.md):
+   them, and a full run measures each thing once (the experiment ids
+   match DESIGN.md and EXPERIMENTS.md; a file named is the experiment's
+   machine-readable copy):
 
-     E1  Theorem 1.1   long-lived adversary: (3,k)-configurations
-     E2  Theorem 1.2   one-shot adversary sweep + Figures 1 and 2
+     E1  Theorem 1.1   long-lived adversary: (3,k)-configurations, n <= 20
+     E2  Theorem 1.2   one-shot adversary sweep + Figures 1 and 2, with
+                       the EFR baseline construction beside the sqrt rows
      E3  Theorem 1.3   sqrt algorithm space measurements
      E4  Section 5     simple algorithm space measurements
      E5  Section 1     the bounds summary table (theory vs measured)
      E6  Lemma 2.1     empirical validation
      E7  Section 6     claim-level checks (phases, invalidation writes)
      E8  Section 7     M-bounded long-lived generalization
+     EA  Section 6.1   ablation of the repair rule
      E9  (ours)        the full stack over ABD message-passing registers
-     E10 (ours)        exploration-engine comparison: naive DFS vs state
-                       dedup + independence reduction + domain parallelism
-                       (machine-readable copy in BENCH_explore.json)
+     E10 (ours)        exploration engine: exhaustive baseline, dedup,
+                       reduction, symmetry quotient, domains
+                       (BENCH_explore.json)
      E12 (ours)        fuzzer sensitivity: iterations-to-kill and shrink
                        quality for each planted mutant across seeds
+     E13 (ours)        service: direct, unbatched and batched shapes
+                       across shard counts (BENCH_service.json)
+     E16 (ours)        telemetry overhead, open-loop latency
+                       (BENCH_telemetry.json)
+     E17 (ours)        serving-layer models (BENCH_model.json)
+     E18 (ours)        wire transport: round trips vs leases
+                       (BENCH_net.json)
      E19 (ours)        wire tier at scale: reactor connection-scaling
                        curve, codec microbench, read path with every
-                       request answered on its I/O loop
-                       (machine-readable copy in BENCH_net2.json)
+                       request answered on its I/O loop (BENCH_net2.json)
 
-   One Bechamel Test.make per experiment follows at the end (timings of
-   the key operations involved in each).  Usage:
+   A full run ends with Bechamel timings of the key operations of each
+   experiment.  Usage:
 
      dune exec bench/main.exe            -- all experiment tables + timings
-     dune exec bench/main.exe -- --fast  -- tables only, smaller sweeps
+     dune exec bench/main.exe -- --fast  -- smaller sweeps
 
    Further flags (all optional):
 
-     --only EXP              run a single experiment (e.g. --only e15)
+     --only EXP              run a single experiment, no timings (e.g.
+                             --only e13)
      --requests N            E13 requests per client (default 400, fast 150)
-     --max-shards D          E15 sweeps shard counts 1..D (default
+     --max-shards D          E13 sweeps shard counts 1..D (default
                              max 4 recommended_domain_count)
-     --scaling-requests N    E15 requests per client (default 600, fast 120)
+     --telemetry-requests N  E16 requests per client (default 1500, fast 150)
      --net-requests N        E18 requests per client (default 2000, fast 300) *)
 
 let fast = Array.exists (fun a -> a = "--fast") Sys.argv
@@ -215,16 +226,28 @@ let run_oneshot_adversary (Timestamp.Registry.Impl (module T)) ~n =
                (r.sig_after, r.j, r.l))
             o.rounds }
 
+(* The registers Ellen-Fatourou-Ruppert's baseline construction covers
+   against [impl] before its per-round coverage decay stops it. *)
+let run_efr_baseline (Timestamp.Registry.Impl (module T)) ~n =
+  let module H = Timestamp.Harness.Make (T) in
+  Result.map
+    (fun o -> o.Covering.Efr_adversary.covered)
+    (Covering.Efr_adversary.run ~fuel:5_000_000 ~supplier:(H.supplier ~n)
+       ~cfg:(H.create ~n) ())
+
 let e2_oneshot_adversary () =
   header "E2: one-shot covering adversary (Theorem 1.2)";
   print_endline
     "(simple-swap is the historyless-object variant of Section 7: the same\n\
-    \ construction applies because poised swaps cover registers)";
+    \ construction applies because poised swaps cover registers; efr is\n\
+    \ the registers EFR's baseline construction covers against the sqrt\n\
+    \ algorithm, which loses coverage every round and caps at ~sqrt(n)\n\
+    \ where the paper's grid scheme reaches ~sqrt(2n) (Section 3))";
   Printf.printf
-    "%-15s %6s | %5s %6s %7s %7s %6s %9s | %s\n"
+    "%-15s %6s | %5s %6s %7s %7s %6s %9s %5s | %s\n"
     "implementation" "n" "grid" "j_last" "l_last" "case2" "bound" "maxcov"
-    "stop";
-  Printf.printf "%s\n" (String.make 92 '-');
+    "efr" "stop";
+  Printf.printf "%s\n" (String.make 98 '-');
   let ns = if fast then [ 16; 32; 64 ] else [ 8; 16; 32; 64; 128; 200 ] in
   let last_rounds = ref [] in
   List.iter
@@ -234,13 +257,21 @@ let e2_oneshot_adversary () =
             match run_oneshot_adversary impl ~n with
             | Error e -> Printf.printf "%-15s %6d | ERROR %s\n" name n e
             | Ok o ->
-              if name = "sqrt-oneshot" then last_rounds := o.a_rounds;
+              let efr =
+                if name <> "sqrt-oneshot" then "-"
+                else begin
+                  last_rounds := o.a_rounds;
+                  match run_efr_baseline impl ~n with
+                  | Ok covered -> string_of_int covered
+                  | Error _ -> "ERROR"
+                end
+              in
               Printf.printf
-                "%-15s %6d | %5d %6d %7d %7d %6.1f %9d | %s\n" name n
+                "%-15s %6d | %5d %6d %7d %7d %6.1f %9d %5s | %s\n" name n
                 (Covering.Bounds.grid_width n)
                 o.a_j_last o.a_l_last o.a_case2
                 (Covering.Bounds.oneshot_lower n)
-                o.a_maxcov o.a_stop)
+                o.a_maxcov efr o.a_stop)
          Timestamp.Registry.
            [ ("simple-oneshot", simple_oneshot); ("simple-swap", simple_swap);
              ("sqrt-oneshot", sqrt_oneshot) ])
@@ -269,35 +300,6 @@ let e2_oneshot_adversary () =
       | [] -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* E2b: baseline comparison — EFR's construction vs the paper's         *)
-(* ------------------------------------------------------------------ *)
-
-let e2b_baseline () =
-  header "E2b: EFR baseline construction vs the paper's (Section 3 discussion)";
-  print_endline
-    "(the EFR scheme loses coverage every round, capping at ~sqrt(n)\n\
-    \ registers; the paper's (3,k)/grid scheme caps coverage per register\n\
-    \ instead and reaches ~sqrt(2n))";
-  Printf.printf "%8s | %18s %18s\n" "n" "EFR baseline" "paper (Thm 1.2)";
-  Printf.printf "%s\n" (String.make 48 '-');
-  List.iter
-    (fun n ->
-       let module H = Timestamp.Harness.Make (Timestamp.Sqrt.One_shot) in
-       let supplier = H.supplier ~n and cfg = H.create ~n in
-       let baseline =
-         match Covering.Efr_adversary.run ~fuel:5_000_000 ~supplier ~cfg () with
-         | Ok o -> o.covered
-         | Error _ -> -1
-       in
-       let paper =
-         match Covering.Oneshot_adversary.run ~fuel:5_000_000 ~supplier ~cfg () with
-         | Ok o -> o.j_last
-         | Error _ -> -1
-       in
-       Printf.printf "%8d | %18d %18d\n" n baseline paper)
-    (if fast then [ 32; 64 ] else [ 32; 64; 128; 200; 288 ])
-
-(* ------------------------------------------------------------------ *)
 (* E1: the long-lived lower-bound construction (Theorem 1.1)            *)
 (* ------------------------------------------------------------------ *)
 
@@ -312,13 +314,13 @@ let run_longlived (Timestamp.Registry.Impl (module T)) ~n ~k =
 
 let e1_longlived_adversary () =
   header "E1: long-lived covering adversary (Theorem 1.1)";
-  Printf.printf "%-18s %4s %4s | %8s %10s %10s %10s\n" "implementation" "n"
-    "k" "covered" "ceil(k/3)" "floor(n/6)" "schedule";
-  Printf.printf "%s\n" (String.make 76 '-');
+  Printf.printf "%-18s %4s %4s | %8s %10s %10s %10s %8s\n" "implementation"
+    "n" "k" "covered" "ceil(k/3)" "floor(n/6)" "schedule" "seconds";
+  Printf.printf "%s\n" (String.make 85 '-');
   let cases =
     (* The checkpointed adversary (PR 5) reaches n = 20 within the default
        fuel; n <= 14 rows are pinned exactly by test_explore_v3. *)
-    if fast then [ (8, 4); (10, 5) ]
+    if fast then [ (8, 4); (10, 5); (16, 8) ]
     else
       [ (6, 3); (8, 4); (10, 5); (12, 6); (14, 7); (16, 8); (18, 9); (20, 10) ]
   in
@@ -327,14 +329,16 @@ let e1_longlived_adversary () =
        List.iter
          (fun impl ->
             let name = Timestamp.Registry.name impl in
+            let t0 = Obs.Clock.now_ns () in
             match run_longlived impl ~n ~k with
             | Error e -> Printf.printf "%-18s %4d %4d | ERROR %s\n" name n k e
             | Ok (covered, schedule_length) ->
-              Printf.printf "%-18s %4d %4d | %8d %10d %10d %10d\n" name n k
-                covered
-                ((k + 2) / 3)
+              let secs = Obs.Clock.elapsed_s t0 and bound = (k + 2) / 3 in
+              Printf.printf "%-18s %4d %4d | %8d %10d %10d %10d %8.3f%s\n" name
+                n k covered bound
                 (Covering.Bounds.longlived_lower n)
-                schedule_length)
+                schedule_length secs
+                (if covered >= bound then "" else "  BELOW BOUND"))
          Timestamp.Registry.long_lived)
     cases
 
@@ -484,8 +488,8 @@ let e9_distributed () =
     ~crashed:[ 0; 3; 6 ] ~steps:10 ~seed:4
 
 (* ------------------------------------------------------------------ *)
-(* E10: the exploration engine (state dedup + independence reduction +  *)
-(* domain parallelism) old vs new, emitted as BENCH_explore.json        *)
+(* E10: the exploration engine, setting by setting (exhaustive baseline, *)
+(* dedup, reduction, symmetry quotient, domains); BENCH_explore.json    *)
 (* ------------------------------------------------------------------ *)
 
 (* One exploration of every schedule of [impl], [calls] getTS per
@@ -504,12 +508,12 @@ let explore ?dedup ?reduction ?symmetry ?domains
     failwith (T.name ^ ": unexpected counterexample")
   | Shm.Explore.Ok s -> s
 
-(* The exploration workloads of E10 (its n <= 3 rows) and E14, each with
-   the expanded-configuration count of the PR-1 engine (dedup +
-   reduction, sequential, max_steps = 400, max_paths = 5M), captured on
-   this machine immediately before the v3 changes landed.  They are
-   commitments, not measurements — the PR-1 engine no longer exists in
-   the tree, so E14's v3/PR-1 ratio is computed against these. *)
+(* The exploration workloads of E10, each with the expanded-configuration
+   count of the v2 engine (dedup + reduction, sequential, max_steps =
+   400, max_paths = 5M), captured immediately before the v3 fingerprints
+   and symmetry quotient landed.  They are commitments, not measurements
+   — the v2 engine no longer exists in the tree, so E10's vs-v2 ratio is
+   computed against these. *)
 let explore_workloads =
   Timestamp.Registry.
     [ ("simple-oneshot", simple_oneshot, 3, 1, 8_808);
@@ -526,54 +530,68 @@ let configs_per_sec (s : Shm.Explore.stats) =
 
 let e10_explore_engine () =
   header
-    "E10: exploration engine (dedup + independence reduction + domains) — \
-     old vs new";
+    "E10: exploration engine — exhaustive baseline, dedup, reduction, \
+     symmetry quotient, domains";
   let domains = Domain.recommended_domain_count () in
   Printf.printf
-    "(verdicts are engine-independent; 'expanded' is the work measure.  \
-     %d domain(s) available)\n"
+    "(verdicts are engine-independent; 'expanded' is the work measure; the\n\
+    \ baseline and dedup-only engines run at n <= 3; v2 is the v2\n\
+    \ engine's committed expanded count; %d domain(s) available)\n"
     domains;
-  Printf.printf "%-18s %2s %5s | %-9s %10s %10s %9s %11s %8s\n"
-    "workload" "n" "calls" "engine" "expanded" "dedup" "sleep" "configs/s"
+  Printf.printf "%-16s %2s %5s | %-13s %10s %9s %9s %7s %10s %8s\n" "workload"
+    "n" "calls" "engine" "expanded" "dedup" "sleep" "merges" "configs/s"
     "seconds";
-  Printf.printf "%s\n" (String.make 92 '-');
+  Printf.printf "%s\n" (String.make 100 '-');
   let results =
     List.map
-      (fun (name, impl, n, calls, _) ->
-         let run ~dedup ~reduction ~domains =
-           explore impl ~n ~calls ~dedup ~reduction ~domains
+      (fun (name, impl, n, calls, v2) ->
+         let engines =
+           (if n <= 3 then
+              [ ("baseline", false, false, true, 1);
+                ("dedup", true, false, true, 1) ]
+            else [])
+           @ [ ("reduced-nosym", true, true, false, 1);
+               ("reduced", true, true, true, 1);
+               ("parallel", true, true, true, domains) ]
          in
          let samples =
-           [ ("baseline", run ~dedup:false ~reduction:false ~domains:1);
-             ("dedup", run ~dedup:true ~reduction:false ~domains:1);
-             ("reduced", run ~dedup:true ~reduction:true ~domains:1);
-             ("parallel", run ~dedup:true ~reduction:true ~domains) ]
+           List.map
+             (fun (label, dedup, reduction, symmetry, domains) ->
+                let s =
+                  explore impl ~n ~calls ~dedup ~reduction ~symmetry ~domains
+                in
+                Printf.printf
+                  "%-16s %2d %5d | %-13s %10d %9d %9d %7d %10.0f %8.3f\n" name
+                  n calls label s.expanded s.dedup_hits s.sleep_skips
+                  s.canon_hits (configs_per_sec s) s.seconds;
+                (label, s))
+             engines
          in
-         List.iter
-           (fun (label, (s : Shm.Explore.stats)) ->
-              Printf.printf
-                "%-18s %2d %5d | %-9s %10d %10d %9d %11.0f %8.3f\n" name n
-                calls label s.expanded s.dedup_hits s.sleep_skips
-                (configs_per_sec s) s.seconds)
-           samples;
-         (name, n, calls, samples))
-      (List.filter (fun (_, _, n, _, _) -> n <= 3) explore_workloads)
+         (name, n, calls, v2, samples))
+      explore_workloads
   in
-  let expanded_reduction samples =
-    float_of_int (List.assoc "baseline" samples).Shm.Explore.expanded
+  (* how many times fewer configurations the reduced engine expanded *)
+  let fewer expanded samples =
+    float_of_int expanded
     /. float_of_int (max 1 (List.assoc "reduced" samples).Shm.Explore.expanded)
   in
-  sub "headline ratios (baseline / reduced expanded configurations)";
+  sub "headline ratios (expanded configurations of the reduced engine)";
   List.iter
-    (fun (name, _, _, samples) ->
-       let secs l = (List.assoc l samples).Shm.Explore.seconds in
-       Printf.printf
-         "%-18s %10.1fx fewer expanded   %6.2fx wall speedup (seq)   \
-          %6.2fx wall speedup (par, %d domains)\n"
-         name (expanded_reduction samples)
-         (secs "baseline" /. max 1e-9 (secs "reduced"))
-         (secs "baseline" /. max 1e-9 (secs "parallel"))
-         domains)
+    (fun (name, n, calls, v2, samples) ->
+       Printf.printf "%-16s %2d %5d | %6.1fx fewer than v2" name n calls
+         (fewer v2 samples);
+       (match List.assoc_opt "baseline" samples with
+        | None -> ()
+        | Some b ->
+          let speedup l =
+            b.seconds /. max 1e-9 (List.assoc l samples).Shm.Explore.seconds
+          in
+          Printf.printf
+            ", %8.1fx fewer than baseline, %6.2fx wall speedup (seq), %6.2fx \
+             (par)"
+            (fewer b.expanded samples)
+            (speedup "reduced") (speedup "parallel"));
+       print_newline ())
     results;
   let sample_json (label, (s : Shm.Explore.stats)) =
     ( label,
@@ -582,114 +600,28 @@ let e10_explore_engine () =
           ("configurations", Obs.Json.Int s.configurations);
           ("dedup_hits", Obs.Json.Int s.dedup_hits);
           ("sleep_skips", Obs.Json.Int s.sleep_skips);
+          ("canon_hits", Obs.Json.Int s.canon_hits);
+          ("symmetric", Obs.Json.Bool s.symmetric);
           ("paths", Obs.Json.Int s.paths);
           ("seconds", Obs.Json.Float s.seconds);
           ("configs_per_sec", Obs.Json.Float (configs_per_sec s)) ] )
   in
-  let workload_json (name, n, calls, samples) : Obs.Json.t =
+  let workload_json (name, n, calls, v2, samples) : Obs.Json.t =
     Obs.Json.Obj
-      [ ("name", Obs.Json.String name);
-        ("n", Obs.Json.Int n);
-        ("calls", Obs.Json.Int calls);
-        ("engines", Obs.Json.Obj (List.map sample_json samples));
-        ("expanded_reduction", Obs.Json.Float (expanded_reduction samples)) ]
+      ([ ("name", Obs.Json.String name);
+         ("n", Obs.Json.Int n);
+         ("calls", Obs.Json.Int calls);
+         ("v2_expanded", Obs.Json.Int v2);
+         ("engines", Obs.Json.Obj (List.map sample_json samples));
+         ("reduction_vs_v2", Obs.Json.Float (fewer v2 samples)) ]
+       @
+       match List.assoc_opt "baseline" samples with
+       | Some b ->
+         [ ("expanded_reduction", Obs.Json.Float (fewer b.expanded samples)) ]
+       | None -> [])
   in
   [ ("domains", Obs.Json.Int domains);
     ("workloads", Obs.Json.List (List.map workload_json results)) ]
-
-(* ------------------------------------------------------------------ *)
-(* E14: exploration v3 (hb-abstract fingerprints + process-symmetry    *)
-(* quotient) vs the PR-1 engine, and the checkpointed E1 adversary at  *)
-(* n >= 16; emitted as BENCH_explore_v3.json                           *)
-(* ------------------------------------------------------------------ *)
-
-let e14_explore_v3 () =
-  header
-    "E14: exploration v3 — hb-abstract fingerprints + symmetry quotient vs \
-     the PR-1 engine; checkpointed E1 adversary depth";
-  Printf.printf
-    "(pr1-expanded are committed reference constants of the PR-1 engine; \
-     verdicts are engine-independent)\n";
-  Printf.printf "%-16s %2s %5s | %12s %10s %10s %8s %9s %8s\n" "workload" "n"
-    "calls" "pr1-expanded" "v3" "v3-nosym" "merges" "vs-pr1" "seconds";
-  Printf.printf "%s\n" (String.make 92 '-');
-  let results =
-    List.map
-      (fun (name, impl, n, calls, pr1) ->
-         let s = explore impl ~n ~calls ~symmetry:true in
-         let ns = explore impl ~n ~calls ~symmetry:false in
-         Printf.printf "%-16s %2d %5d | %12d %10d %10d %8d %8.1fx %8.3f\n"
-           name n calls pr1 s.expanded ns.expanded s.canon_hits
-           (float_of_int pr1 /. float_of_int (max 1 s.expanded))
-           s.seconds;
-         (name, n, calls, pr1, s, ns))
-      explore_workloads
-  in
-  (* The deep end of E1: the checkpointed adversary past the old n = 14
-     ceiling.  covered must stay >= ceil(k/3) (Theorem 1.1's bound). *)
-  sub "E1 at depth: checkpointed long-lived adversary, n >= 16";
-  Printf.printf "%-18s %4s %4s | %8s %10s %10s %8s\n" "implementation" "n" "k"
-    "covered" "ceil(k/3)" "schedule" "seconds";
-  Printf.printf "%s\n" (String.make 72 '-');
-  let e1_cases = if fast then [ (16, 8) ] else [ (16, 8); (18, 9); (20, 10) ] in
-  let e1_impls =
-    Timestamp.Registry.(
-      [ ("lamport", lamport); ("efr", efr) ]
-      @ if fast then [] else [ ("vector", vector); ("snapshot", snapshot_ts) ])
-  in
-  let e1_rows =
-    List.concat_map
-      (fun (n, k) ->
-         List.map
-           (fun (label, impl) ->
-              let t0 = Obs.Clock.now_ns () in
-              let res = run_longlived impl ~n ~k in
-              let secs = Obs.Clock.elapsed_s t0 in
-              match res with
-              | Error e ->
-                Printf.printf "%-18s %4d %4d | ERROR %s\n" label n k e;
-                (label, n, k, 0, 0, secs, false)
-              | Ok (covered, len) ->
-                let ok = covered >= (k + 2) / 3 in
-                Printf.printf "%-18s %4d %4d | %8d %10d %10d %8.3f%s\n" label
-                  n k covered
-                  ((k + 2) / 3)
-                  len secs
-                  (if ok then "" else "  BELOW BOUND");
-                (label, n, k, covered, len, secs, ok))
-           e1_impls)
-      e1_cases
-  in
-  let row_json (name, n, calls, pr1, (s : Shm.Explore.stats), ns) :
-    Obs.Json.t =
-    Obs.Json.Obj
-      [ ("name", Obs.Json.String name);
-        ("n", Obs.Json.Int n);
-        ("calls", Obs.Json.Int calls);
-        ("pr1_expanded", Obs.Json.Int pr1);
-        ("v3_expanded", Obs.Json.Int s.expanded);
-        ("v3_nosym_expanded", Obs.Json.Int ns.Shm.Explore.expanded);
-        ("canon_hits", Obs.Json.Int s.canon_hits);
-        ("symmetric", Obs.Json.Bool s.symmetric);
-        ("paths", Obs.Json.Int s.paths);
-        ("seconds", Obs.Json.Float s.seconds);
-        ("reduction_vs_pr1",
-         Obs.Json.Float
-           (float_of_int pr1 /. float_of_int (max 1 s.expanded))) ]
-  in
-  let e1_json (impl, n, k, covered, len, secs, ok) : Obs.Json.t =
-    Obs.Json.Obj
-      [ ("impl", Obs.Json.String impl);
-        ("n", Obs.Json.Int n);
-        ("k", Obs.Json.Int k);
-        ("covered", Obs.Json.Int covered);
-        ("ceil_k_3", Obs.Json.Int ((k + 2) / 3));
-        ("schedule_length", Obs.Json.Int len);
-        ("seconds", Obs.Json.Float secs);
-        ("meets_bound", Obs.Json.Bool ok) ]
-  in
-  [ ("explore", Obs.Json.List (List.map row_json results));
-    ("e1_deep", Obs.Json.List (List.map e1_json e1_rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* E12: fuzzer sensitivity — iterations-to-kill for planted mutants     *)
@@ -748,66 +680,72 @@ let e12_fuzz_sensitivity () =
      Printf.printf "UNEXPECTED violation on %s: %s\n" f.impl f.violation)
 
 (* ------------------------------------------------------------------ *)
-(* E13: service layer — batched vs unbatched throughput and latency,    *)
-(* emitted as BENCH_service.json                                        *)
+(* E13: service layer — direct, unbatched and batched across shard     *)
+(* counts, emitted as BENCH_service.json                                *)
 (* ------------------------------------------------------------------ *)
 
 let e13_service () =
-  header "E13: timestamp service — batched vs unbatched (real domains)";
-  print_endline
-    "(seeded closed-loop loadgen, 2 clients; 'unbatched' = pipeline 1 over \
-     1 shard\n\
-    \ with batch cap 1, 'batched' = pipeline 8 over 2 shards with batch \
-     cap 64,\n\
-    \ 'direct' = clients execute getTS themselves with no service in \
-     between;\n\
-    \ machine-readable copy in BENCH_service.json)";
+  header
+    "E13: timestamp service — direct, unbatched and batched across shard \
+     counts (real domains)";
+  let recommended = Domain.recommended_domain_count () in
+  let max_shards = arg_int "--max-shards" (max 4 recommended) in
   let requests = arg_int "--requests" (if fast then 150 else 400) in
-  let base =
-    { Svc.Loadgen.default with
-      clients = 2; requests_per_client = requests; n = 4; seed = 1 }
-  in
-  let modes =
+  Printf.printf
+    "(seeded closed-loop loadgen, d clients at shard count d: 'direct' = the\n\
+    \ clients execute getTS themselves with no service in between,\n\
+    \ 'unbatched' = d shards with batch cap 1 and pipeline 1, 'batched' =\n\
+    \ d shards with batch cap 64 and pipeline 8; recommended_domain_count\n\
+    \ here = %d, shard counts beyond it run oversubscribed; machine-readable\n\
+    \ copy in BENCH_service.json)\n"
+    recommended;
+  let shapes d =
+    let base =
+      { Svc.Loadgen.default with
+        clients = d; requests_per_client = requests; n = 8; seed = 1 }
+    in
     [ ("direct", { base with mode = Svc.Loadgen.Direct });
       ( "unbatched",
         { base with
-          mode = Svc.Loadgen.Service { shards = 1; batch_max = 1 };
+          mode = Svc.Loadgen.Service { shards = d; batch_max = 1 };
           pipeline = 1 } );
       ( "batched",
         { base with
-          mode = Svc.Loadgen.Service { shards = 2; batch_max = 64 };
+          mode = Svc.Loadgen.Service { shards = d; batch_max = 64 };
           pipeline = 8 } ) ]
   in
-  Printf.printf "%-18s %-10s | %10s %9s %9s %9s\n" "implementation" "mode"
-    "req/s" "p50 us" "p99 us" "hb pairs";
-  Printf.printf "%s\n" (String.make 72 '-');
+  Printf.printf "%-18s %2s | %10s %7s | %10s %7s | %10s %7s %8s | %6s\n"
+    "implementation" "d" "direct/s" "p50 us" "unbatch/s" "p50 us" "batched/s"
+    "p50 us" "p99 us" "b/u";
+  Printf.printf "%s\n" (String.make 98 '-');
+  let point impl d =
+    let name = Timestamp.Registry.name impl in
+    let runs =
+      List.map
+        (fun (label, cfg) ->
+           ( label,
+             checked
+               (Printf.sprintf "E13 %s d=%d %s" name d label)
+               (Svc.Loadgen.run impl cfg) ))
+        (shapes d)
+    in
+    let r l = List.assoc l runs in
+    let speedup =
+      (r "batched").lg_throughput
+      /. Float.max 1e-9 (r "unbatched").lg_throughput
+    in
+    Printf.printf
+      "%-18s %2d | %10.0f %7.1f | %10.0f %7.1f | %10.0f %7.1f %8.1f | %5.2fx\n"
+      name d (r "direct").lg_throughput (r "direct").lg_p50_us
+      (r "unbatched").lg_throughput (r "unbatched").lg_p50_us
+      (r "batched").lg_throughput (r "batched").lg_p50_us
+      (r "batched").lg_p99_us speedup;
+    (d, runs, speedup)
+  in
   let results =
     List.map
       (fun impl ->
-         let rows =
-           List.map
-             (fun (label, cfg) ->
-                let r =
-                  checked
-                    (Printf.sprintf "E13 %s/%s" (Timestamp.Registry.name impl)
-                       label)
-                    (Svc.Loadgen.run impl cfg)
-                in
-                Printf.printf "%-18s %-10s | %10.0f %9.1f %9.1f %9d\n"
-                  (Timestamp.Registry.name impl)
-                  label r.lg_throughput r.lg_p50_us r.lg_p99_us r.lg_hb_pairs;
-                (label, r))
-             modes
-         in
-         let find l = List.assoc l rows in
-         let speedup =
-           (find "batched").Svc.Loadgen.lg_throughput
-           /. Float.max 1e-9 (find "unbatched").Svc.Loadgen.lg_throughput
-         in
-         Printf.printf "%-18s batched/unbatched speedup: %.2fx\n"
-           (Timestamp.Registry.name impl)
-           speedup;
-         (Timestamp.Registry.name impl, rows, speedup))
+         (impl, List.init max_shards (fun i -> point impl (i + 1))))
       [ Timestamp.Registry.lamport; Timestamp.Registry.efr;
         Timestamp.Registry.vector; Timestamp.Registry.sqrt_oneshot ]
   in
@@ -820,101 +758,23 @@ let e13_service () =
         ("p50_us", Obs.Json.Float s.sr_p50_us);
         ("p99_us", Obs.Json.Float s.sr_p99_us) ]
   in
-  let mode_json (label, (r : Svc.Loadgen.report)) =
+  let run_json (label, (r : Svc.Loadgen.report)) =
     ( label,
       report_json r
         ~extra:
           [ ("config", Obs.Json.String r.lg_mode);
             ("shards", Obs.Json.List (List.map shard_json r.lg_shards)) ] )
   in
-  let impl_json (name, rows, speedup) : Obs.Json.t =
+  let point_json (d, runs, speedup) =
     Obs.Json.Obj
-      [ ("name", Obs.Json.String name);
-        ("modes", Obs.Json.Obj (List.map mode_json rows));
-        ("batched_speedup", Obs.Json.Float speedup) ]
+      (("shards", Obs.Json.Int d)
+       :: List.map run_json runs
+       @ [ ("batched_speedup", Obs.Json.Float speedup) ])
   in
-  [ ("clients", Obs.Json.Int base.Svc.Loadgen.clients);
-    ("requests_per_client", Obs.Json.Int requests);
-    ("implementations", Obs.Json.List (List.map impl_json results)) ]
-
-(* ------------------------------------------------------------------ *)
-(* E15: cores-scaling sweep — direct vs batched across shard counts,   *)
-(* emitted as BENCH_scaling.json                                        *)
-(* ------------------------------------------------------------------ *)
-
-let e15_scaling () =
-  header "E15: cores-scaling — direct vs batched across shard counts";
-  let recommended = Domain.recommended_domain_count () in
-  let max_shards = arg_int "--max-shards" (max 4 recommended) in
-  let requests = arg_int "--scaling-requests" (if fast then 120 else 600) in
-  Printf.printf
-    "(direct = clients execute getTS themselves, client count = d;\n\
-    \ batched = service, d worker shards, pipeline 8, batch cap 64;\n\
-    \ recommended_domain_count here = %d, shard counts beyond it run\n\
-    \ oversubscribed; machine-readable copy in BENCH_scaling.json)\n"
-    recommended;
-  let impls =
-    [ Timestamp.Registry.lamport; Timestamp.Registry.efr;
-      Timestamp.Registry.vector; Timestamp.Registry.sqrt_oneshot ]
-  in
-  let shard_counts = List.init max_shards (fun i -> i + 1) in
-  Printf.printf "%-18s %-3s | %12s %9s | %12s %9s %9s\n" "implementation" "d"
-    "direct rps" "p50 us" "batched rps" "p50 us" "p99 us";
-  Printf.printf "%s\n" (String.make 85 '-');
-  let run_one impl d =
-    let base =
-      { Svc.Loadgen.default with
-        clients = d; requests_per_client = requests; n = 8; seed = 1 }
-    in
-    let run label cfg =
-      checked
-        (Printf.sprintf "E15 %s d=%d %s" (Timestamp.Registry.name impl) d label)
-        (Svc.Loadgen.run impl cfg)
-    in
-    let direct = run "direct" { base with mode = Svc.Loadgen.Direct } in
-    let batched =
-      run "batched"
-        { base with
-          mode = Svc.Loadgen.Service { shards = d; batch_max = 64 };
-          pipeline = 8 }
-    in
-    Printf.printf "%-18s %-3d | %12.0f %9.1f | %12.0f %9.1f %9.1f\n"
-      (Timestamp.Registry.name impl)
-      d direct.Svc.Loadgen.lg_throughput direct.Svc.Loadgen.lg_p50_us
-      batched.Svc.Loadgen.lg_throughput batched.Svc.Loadgen.lg_p50_us
-      batched.Svc.Loadgen.lg_p99_us;
-    (d, direct, batched)
-  in
-  let results =
-    List.map
-      (fun impl ->
-         let curve = List.map (run_one impl) shard_counts in
-         let _, direct, batched = List.nth curve (List.length curve - 1) in
-         let gap =
-           batched.Svc.Loadgen.lg_p50_us -. direct.Svc.Loadgen.lg_p50_us
-         in
-         Printf.printf "%-18s d=%d: batched-direct p50 gap %.1fus\n"
-           (Timestamp.Registry.name impl)
-           max_shards gap;
-         (impl, curve, gap))
-      impls
-  in
-  let run_json (r : Svc.Loadgen.report) =
-    report_json r ~extra:[ ("config", Obs.Json.String r.lg_mode) ]
-  in
-  let impl_json (impl, curve, gap) =
+  let impl_json (impl, curve) =
     Obs.Json.Obj
       [ ("name", Obs.Json.String (Timestamp.Registry.name impl));
-        ( "curve",
-          Obs.Json.List
-            (List.map
-               (fun (d, direct, batched) ->
-                  Obs.Json.Obj
-                    [ ("shards", Obs.Json.Int d);
-                      ("direct", run_json direct);
-                      ("batched", run_json batched) ])
-               curve) );
-        ("p50_gap_at_max_us", Obs.Json.Float gap) ]
+        ("curve", Obs.Json.List (List.map point_json curve)) ]
   in
   [ ("max_shards", Obs.Json.Int max_shards);
     ("requests_per_client", Obs.Json.Int requests);
@@ -1468,43 +1328,30 @@ let e18_net () =
 (* codec microbench, inline read path; emitted as BENCH_net2.json      *)
 (* ------------------------------------------------------------------ *)
 
-(* Raw-socket pipelined driver: ONE domain multiplexes every connection
-   (write a fixed-depth burst to each, then collect each one's replies),
-   so the client side needs no domain per connection either and the
-   server's domain count is the lone variable under test. *)
-let e19_write_all fd (s : string) =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
-
-let e19_read_exact fd n =
-  let b = Bytes.create n in
-  let off = ref 0 in
-  while !off < n do
-    let k = Unix.read fd b !off (n - !off) in
-    if k = 0 then failwith "E19: server closed the connection";
-    off := !off + k
-  done;
-  Bytes.unsafe_to_string b
-
-let e19_read_frame fd =
-  let hdr = e19_read_exact fd 4 in
-  e19_read_exact fd (Int32.to_int (String.get_int32_be hdr 0))
-
+(* Frame-level driver over bare Net.Conn connections: ONE domain
+   multiplexes every connection (frame a fixed-depth burst to each and
+   flush it, then collect each one's replies), so the client side needs
+   no domain per connection either and the server's domain count is the
+   lone variable under test. *)
 let e19_sock () =
   Filename.concat
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "ts_e19_%d.sock" (Unix.getpid ()))
 
-let e19_raw_connect addr =
+let e19_connect addr =
   let fd =
     Unix.socket ~cloexec:true (Net.Conn.domain_of addr) Unix.SOCK_STREAM 0
   in
   Unix.connect fd (Net.Conn.sockaddr_of addr);
-  fd
+  Net.Conn.create fd
+
+let e19_recv conn =
+  match Net.Conn.recv conn Net.Frame.read_resp with
+  | Ok (Ok (Net.Frame.Err m)) -> failwith ("E19: server error: " ^ m)
+  | Ok (Ok resp) -> resp
+  | Ok (Error e) | Error (`Frame e) ->
+    failwith ("E19: " ^ Net.Frame.error_to_string e)
+  | Error `Eof -> failwith "E19: server closed the connection"
 
 (* The process's OS threads, from /proc/self/task; -1 where /proc is
    not mounted.  The OCaml 5.1 runtime runs two per domain, the domain
@@ -1529,24 +1376,23 @@ let e19_scaling_point (type r)
   let srv = Srv.start ~io_threads ~addr ~n () in
   Obs.Clock.sleep_s 0.05;  (* let every backup thread start *)
   let threads_at_start = e19_os_threads () in
-  let fds = Array.init conns (fun _ -> e19_raw_connect addr) in
-  let burst =
-    let b = Net.Buf.create () in
-    for _ = 1 to depth do
-      Net.Frame.write_req b Net.Frame.Get_stamp
-    done;
-    Net.Buf.contents b
-  in
+  let cs = Array.init conns (fun _ -> e19_connect addr) in
   let timed = ref [] in
   let rounds = per_conn / depth in
   let t0 = Obs.Clock.now_ns () in
   for _ = 1 to rounds do
-    Array.iter (fun fd -> e19_write_all fd burst) fds;
     Array.iter
-      (fun fd ->
+      (fun c ->
          for _ = 1 to depth do
-           match Net.Frame.decode_resp (e19_read_frame fd) with
-           | Ok (_, Net.Frame.Stamp w) ->
+           Net.Frame.write_req (Net.Conn.send_buffer c) Net.Frame.Get_stamp
+         done;
+         Net.Conn.flush c)
+      cs;
+    Array.iter
+      (fun c ->
+         for _ = 1 to depth do
+           match e19_recv c with
+           | Net.Frame.Stamp w ->
              timed :=
                { Timestamp.Checker.td_pid = w.Net.Frame.w_pid;
                  td_call = w.Net.Frame.w_call;
@@ -1554,17 +1400,15 @@ let e19_scaling_point (type r)
                  td_end = w.Net.Frame.w_end_tick;
                  td_ts = Net.Codec.decode_exn codec w.Net.Frame.w_ts }
                :: !timed
-           | Ok (_, Net.Frame.Err m) -> failwith ("E19: server error: " ^ m)
-           | Ok _ -> failwith "E19: unexpected response"
-           | Error e -> failwith ("E19: " ^ Net.Frame.error_to_string e)
+           | _ -> failwith "E19: unexpected response"
          done)
-      fds
+      cs
   done;
   let elapsed = Obs.Clock.elapsed_s t0 in
   (* measured while every connection is still open *)
   let thread_growth = e19_os_threads () - threads_at_start in
   let live = Srv.live_conns srv in
-  Array.iter Unix.close fds;
+  Array.iter Net.Conn.close cs;
   Srv.stop srv;
   let hb_pairs =
     match
@@ -1717,17 +1561,12 @@ let e19_net2 () =
     if not (C.compare_remote c s1 s2) then
       failwith "E19: remote compare disagrees with happens-before";
     (* lease anchors, raw: each lone Get_range runs its own anchor getTS *)
-    let fd = e19_raw_connect addr in
-    let req =
-      let b = Net.Buf.create () in
-      Net.Frame.write_req b (Net.Frame.Get_range 16);
-      Net.Buf.contents b
-    in
+    let rc = e19_connect addr in
     let get_range () =
-      e19_write_all fd req;
-      match Net.Frame.decode_resp (e19_read_frame fd) with
-      | Ok (_, Net.Frame.Range _) -> ()
-      | Ok (_, Net.Frame.Err m) -> failwith ("E19 range: " ^ m)
+      Net.Frame.write_req (Net.Conn.send_buffer rc) (Net.Frame.Get_range 16);
+      Net.Conn.flush rc;
+      match e19_recv rc with
+      | Net.Frame.Range _ -> ()
       | _ -> failwith "E19: expected Range"
     in
     (* One round trip of each kind per iteration, so a burst of host
@@ -1745,7 +1584,7 @@ let e19_net2 () =
       rtt range i get_range
     done;
     C.close c;
-    Unix.close fd;
+    Net.Conn.close rc;
     Srv.stop srv;
     List.iter (Array.sort compare) [ cmp; stamp; range ];
     let p50 a = percentile a 50. and p99 a = percentile a 99. in
@@ -1810,15 +1649,13 @@ let run_timings () =
    the file's body and {!write_bench} adds the header. *)
 let experiments =
   let bench file experiment run () = write_bench file ~experiment (run ()) in
-  [ ("e5", e5_bounds); ("e2", e2_oneshot_adversary); ("e2b", e2b_baseline);
+  [ ("e5", e5_bounds); ("e2", e2_oneshot_adversary);
     ("e1", e1_longlived_adversary); ("e3", e3_e7_sqrt_space);
     ("e4", e4_simple); ("e6", e6_lemma21); ("e8", e8_bounded_longlived);
     ("e9", e9_distributed);
     ("e10", bench "BENCH_explore.json" "E10-explore-engine" e10_explore_engine);
-    ("e14", bench "BENCH_explore_v3.json" "E14-explore-v3" e14_explore_v3);
     ("e12", e12_fuzz_sensitivity);
     ("e13", bench "BENCH_service.json" "E13-service" e13_service);
-    ("e15", bench "BENCH_scaling.json" "E15-scaling" e15_scaling);
     ("e16", bench "BENCH_telemetry.json" "E16-telemetry" e16_telemetry);
     ("e17", bench "BENCH_model.json" "E17-model" e17_model);
     ("e18", bench "BENCH_net.json" "E18-net" e18_net);

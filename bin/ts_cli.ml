@@ -404,6 +404,30 @@ let print_per_domain ~(stats : Shm.Explore.stats) =
          d.d_seconds)
     stats.per_domain
 
+(* Shared between [fuzz --replay] and [verify-svc --replay]: loads the
+   repro at [path], runs it through [replay] and prints the verdict;
+   the exit code is 0 when the violation reproduces, 3 when it does not
+   (a stale repro) and 2 when the file cannot be loaded or replayed. *)
+let replay_file replay path =
+  match Fuzz.Repro.load path with
+  | Error e ->
+    Printf.eprintf "%s: %s\n" path e;
+    2
+  | Ok repro -> (
+      match replay repro with
+      | Error e ->
+        Printf.eprintf "%s: %s\n" path e;
+        2
+      | Ok (Some violation) ->
+        Printf.printf "repro %s: VIOLATION reproduced (%s, %d actions)\n" path
+          repro.Fuzz.Repro.impl
+          (List.length repro.schedule);
+        Printf.printf "  %s\n" violation;
+        0
+      | Ok None ->
+        Printf.printf "repro %s: no violation (stale repro?)\n" path;
+        3)
+
 (* The exploration flags [explore] and [verify-svc] share; only the depth
    bound's default differs between them. *)
 type explore_opts = {
@@ -530,25 +554,7 @@ let verify_svc_cmd =
   let run models n (o : explore_opts) mutant replay repro_out =
     let rc =
       match replay with
-      | Some path -> (
-          match Fuzz.Repro.load path with
-          | Error e ->
-            Printf.eprintf "%s: %s\n" path e;
-            2
-          | Ok repro -> (
-              match Svc.Model.replay_repro repro with
-              | Error e ->
-                Printf.eprintf "%s: %s\n" path e;
-                2
-              | Ok (Some violation) ->
-                Printf.printf "repro %s: VIOLATION reproduced (%s, %d actions)\n"
-                  path repro.impl
-                  (List.length repro.schedule);
-                Printf.printf "  %s\n" violation;
-                0
-              | Ok None ->
-                Printf.printf "repro %s: no violation (stale repro?)\n" path;
-                3))
+      | Some path -> replay_file Svc.Model.replay_repro path
       | None ->
         let models =
           match models with [] -> Svc.Model.all | ms -> ms
@@ -744,25 +750,7 @@ let fuzz_cmd =
     let rc =
       with_obs out @@ fun ctx ->
       match replay with
-      | Some path -> (
-          match Fuzz.Repro.load path with
-          | Error e ->
-            Printf.eprintf "%s: %s\n" path e;
-            2
-          | Ok repro -> (
-              match Fuzz.Harness.replay_repro repro with
-              | Error e ->
-                Printf.eprintf "%s: %s\n" path e;
-                2
-              | Ok (Some violation) ->
-                Printf.printf "repro %s: VIOLATION reproduced (%s, %d actions)\n"
-                  path repro.impl
-                  (List.length repro.schedule);
-                Printf.printf "  %s\n" violation;
-                0
-              | Ok None ->
-                Printf.printf "repro %s: no violation (stale repro?)\n" path;
-                3))
+      | Some path -> replay_file Fuzz.Harness.replay_repro path
       | None ->
         let impls, what =
           match mutant, impl with
@@ -1300,13 +1288,14 @@ let loadgen_cmd =
              Printf.printf "telemetry: %d samples, %d stalls -> %s\n"
                r.lg_samples r.lg_stalls tel_out)
           telemetry_out;
+        (* a shard that served nothing has no percentiles (nan) *)
+        let us v = if Float.is_nan v then "-" else Printf.sprintf "%.1fus" v in
         List.iter
           (fun s ->
              Printf.printf
-               "  shard %d: served=%d batches=%d max_batch=%d p50=%.1fus \
-                p99=%.1fus\n"
-               s.sr_shard s.sr_served s.sr_batches s.sr_max_batch s.sr_p50_us
-               s.sr_p99_us)
+               "  shard %d: served=%d batches=%d max_batch=%d p50=%s p99=%s\n"
+               s.sr_shard s.sr_served s.sr_batches s.sr_max_batch
+               (us s.sr_p50_us) (us s.sr_p99_us))
           r.lg_shards;
         let rc =
           match r.lg_violation with

@@ -26,10 +26,13 @@ fi
 # Every experiment writes its BENCH_*.json into the working directory.
 # Run the bench binary from a scratch directory, so CI's fast-mode
 # output never overwrites the committed full-mode trajectory files.
+# Every other file a step writes (repros, sidecars, sockets, server
+# logs) goes there too, and the trap removes it; its short /tmp name
+# keeps each socket path far below the 108-byte limit.
 bench_bin=$PWD/_build/default/bench/main.exe
-bench_dir=$(mktemp -d)
-trap 'rm -rf "$bench_dir"' EXIT
-bench() { (cd "$bench_dir" && "$bench_bin" "$@"); }
+tmp_dir=$(mktemp -d /tmp/ts_ci.XXXXXX)
+trap 'rm -rf "$tmp_dir"' EXIT
+bench() { (cd "$tmp_dir" && "$bench_bin" "$@"); }
 
 echo "== dune runtest =="
 dune runtest
@@ -40,7 +43,7 @@ bench --fast
 echo "== bench files: every BENCH file of the fast pass is valid and has the header =="
 # One writer heads every trajectory file with the host and the revision;
 # a BENCH file that fails to parse or lacks them fails here.
-for bench_file in "$bench_dir"/BENCH_*.json; do
+for bench_file in "$tmp_dir"/BENCH_*.json; do
   "$ts_bin" obs --validate "$bench_file"
   for key in git_rev recommended_domains; do
     grep -q "^  \"$key\": " "$bench_file" || {
@@ -58,12 +61,12 @@ echo "== fuzz smoke: seeded differential run =="
 "$ts_bin" fuzz --seed 42 --iters 200 -n 4 -c 2
 
 echo "== fuzz smoke: planted mutant must be killed and shrunk =="
-if "$ts_bin" fuzz --mutant mutant-lost-increment \
-     --seed 42 --iters 200 -n 4 -c 2 --repro-out /tmp/fuzz_repro.json; then
+if "$ts_bin" fuzz --mutant mutant-lost-increment --seed 42 --iters 200 \
+     -n 4 -c 2 --repro-out "$tmp_dir/fuzz_repro.json"; then
   echo "mutant survived the fuzzer" >&2
   exit 1
 fi
-"$ts_bin" fuzz --replay /tmp/fuzz_repro.json
+"$ts_bin" fuzz --replay "$tmp_dir/fuzz_repro.json"
 
 echo "== fuzz smoke: repro corpus replays =="
 for repro in test/repro_corpus/mutant-*.json; do
@@ -90,8 +93,8 @@ done
 
 echo "== obs smoke: instrumented run + sidecar validation =="
 "$ts_bin" obs --impl efr-longlived -n 8 \
-  --trace-out /tmp/trace.json --metrics-out /tmp/m.jsonl
-"$ts_bin" obs --validate /tmp/trace.json --validate /tmp/m.jsonl
+  --trace-out "$tmp_dir/trace.json" --metrics-out "$tmp_dir/m.jsonl"
+"$ts_bin" obs --validate "$tmp_dir/trace.json" --validate "$tmp_dir/m.jsonl"
 
 echo "== symmetry smoke: quotient must not change the verdict =="
 sym_out=$("$ts_bin" explore -i simple-oneshot -n 3)
@@ -172,11 +175,11 @@ done
 echo "== telemetry smoke: open-loop loadgen writes a valid stall-free stream =="
 tel_out=$("$ts_bin" loadgen -i lamport-longlived \
   --clients 2 -r 60 --shards 2 --batch 16 --pipeline 2 --rate 2000 \
-  --telemetry-out /tmp/telemetry.jsonl --telemetry-interval-us 5000)
+  --telemetry-out "$tmp_dir/telemetry.jsonl" --telemetry-interval-us 5000)
 echo "$tel_out"
 echo "$tel_out" | grep -q "checker: OK" || {
   echo "telemetry smoke: checker did not pass" >&2; exit 1; }
-val_out=$("$ts_bin" obs --validate /tmp/telemetry.jsonl)
+val_out=$("$ts_bin" obs --validate "$tmp_dir/telemetry.jsonl")
 echo "$val_out"
 echo "$val_out" | grep -q "OK (telemetry schema" || {
   echo "telemetry smoke: time series failed validation" >&2; exit 1; }
@@ -186,7 +189,7 @@ echo "$val_out" | grep -q "OK (telemetry schema" || {
 echo "$val_out" | grep -q ", 0 stalls)" \
   || echo "telemetry smoke: WARNING - stall events in the stream" \
        "(timing noise on a loaded host; not failing CI)" >&2
-"$ts_bin" top --file /tmp/telemetry.jsonl --once
+"$ts_bin" top --file "$tmp_dir/telemetry.jsonl" --once
 
 echo "== stress smoke: real domains, checked verdicts =="
 stress_ok() {
@@ -206,8 +209,8 @@ if echo "$ex_out" | grep -q "VIOLATION\|FAILURES"; then
 fi
 
 echo "== scaling sanity: 2-shard sweep emits schema-valid JSON =="
-bench --fast --only e15 --max-shards 2 --scaling-requests 60
-"$ts_bin" obs --validate "$bench_dir/BENCH_scaling.json"
+bench --fast --only e13 --max-shards 2 --requests 60
+"$ts_bin" obs --validate "$tmp_dir/BENCH_service.json"
 
 # start_server SOCK LOG ARGS...: run 'ts_cli serve ARGS --listen
 # unix:SOCK' in the background (its pid in $server_pid) and wait up to
@@ -229,10 +232,9 @@ start_server() {
 }
 
 echo "== net smoke: wire server + loadgen over a unix socket + graceful stop =="
-net_sock=/tmp/ts_ci_net.sock
-rm -f /tmp/net_tel.jsonl
-start_server "$net_sock" /tmp/net_serve.log -i efr-longlived -n 8 \
-  --io-threads 2 --telemetry-out /tmp/net_tel.jsonl
+net_sock="$tmp_dir/net.sock"
+start_server "$net_sock" "$tmp_dir/net_serve.log" -i efr-longlived -n 8 \
+  --io-threads 2 --telemetry-out "$tmp_dir/net_tel.jsonl"
 # Four leased clients in one process: every stamp goes through one
 # global happens-before check.
 wide_out=$("$ts_bin" loadgen -i efr-longlived --addr "unix:$net_sock" \
@@ -260,19 +262,19 @@ echo "$net_out" | grep -q "checker: OK" || {
   echo "net smoke: checker did not pass over the wire" >&2; exit 1; }
 wait "$server_pid" || {
   echo "net smoke: server did not stop cleanly" >&2
-  cat /tmp/net_serve.log >&2; exit 1; }
-cat /tmp/net_serve.log
-grep -q "serve: stopped after" /tmp/net_serve.log || {
+  cat "$tmp_dir/net_serve.log" >&2; exit 1; }
+cat "$tmp_dir/net_serve.log"
+grep -q "serve: stopped after" "$tmp_dir/net_serve.log" || {
   echo "net smoke: server summary missing" >&2; exit 1; }
-grep -q "io_threads=2" /tmp/net_serve.log || {
+grep -q "io_threads=2" "$tmp_dir/net_serve.log" || {
   echo "net smoke: reactor io_threads banner missing" >&2; exit 1; }
-"$ts_bin" obs --validate /tmp/net_tel.jsonl
-"$ts_bin" top --file /tmp/net_tel.jsonl --once
+"$ts_bin" obs --validate "$tmp_dir/net_tel.jsonl"
+"$ts_bin" top --file "$tmp_dir/net_tel.jsonl" --once
 
 echo "== net smoke: one-shot object over the wire =="
 # Each stamp draws a fresh pid on the I/O loop that decoded it.
-os_sock=/tmp/ts_ci_oneshot.sock
-start_server "$os_sock" /tmp/oneshot_serve.log -i sqrt-oneshot -n 1000
+os_sock="$tmp_dir/oneshot.sock"
+start_server "$os_sock" "$tmp_dir/oneshot_serve.log" -i sqrt-oneshot -n 1000
 os_out=$("$ts_bin" loadgen -i sqrt-oneshot --addr "unix:$os_sock" \
   --clients 2 -r 200 --stop-server)
 echo "$os_out"
@@ -282,14 +284,14 @@ echo "$os_out" | grep -q "checker: OK" || {
   echo "net smoke: one-shot checker did not pass" >&2; exit 1; }
 wait "$server_pid" || {
   echo "net smoke: one-shot server did not stop cleanly" >&2
-  cat /tmp/oneshot_serve.log >&2; exit 1; }
+  cat "$tmp_dir/oneshot_serve.log" >&2; exit 1; }
 
 echo "== net smoke: connections come and go, the loop keeps its pid =="
 # Each I/O loop runs as one of a long-lived object's n processes and no
 # connection holds a pid: three runs against n=2 on one loop all serve
 # (a pid per stamping connection, never returned, refused the third).
-pid_sock=/tmp/ts_ci_pids.sock
-start_server "$pid_sock" /tmp/pids_serve.log -i lamport-longlived -n 2 \
+pid_sock="$tmp_dir/pids.sock"
+start_server "$pid_sock" "$tmp_dir/pids_serve.log" -i lamport-longlived -n 2 \
   --io-threads 1
 for run in 1 2 3; do
   stop=""
@@ -306,19 +308,19 @@ for run in 1 2 3; do
 done
 wait "$server_pid" || {
   echo "net smoke: n=2 server did not stop cleanly" >&2
-  cat /tmp/pids_serve.log >&2; exit 1; }
+  cat "$tmp_dir/pids_serve.log" >&2; exit 1; }
 
 echo "== net smoke: 10^5 per-stamp round trips, every frame decoded in place =="
 # Lease 1: each stamp is one Get_stamp frame decoded where it lies in the
 # loop's receive buffer and one Stamp reply decoded where it lies in the
 # client's; pipelined bursts of 8 straddle reads on both ends.
-ip_sock=/tmp/ts_ci_inplace.sock
-start_server "$ip_sock" /tmp/inplace_serve.log -i lamport-longlived -n 2
+ip_sock="$tmp_dir/inplace.sock"
+start_server "$ip_sock" "$tmp_dir/inplace_serve.log" -i lamport-longlived -n 2
 ip_out=$(timeout 120 "$ts_bin" loadgen -i lamport-longlived \
   --addr "unix:$ip_sock" --clients 2 -r 50000 --pipeline 8 --lease 1 \
   --stop-server) || {
   echo "net smoke: the lease-1 scale run failed" >&2
-  cat /tmp/inplace_serve.log >&2; kill "$server_pid" 2>/dev/null; exit 1; }
+  cat "$tmp_dir/inplace_serve.log" >&2; kill "$server_pid" 2>/dev/null; exit 1; }
 echo "$ip_out"
 echo "$ip_out" | grep -q "served 100000 requests" || {
   echo "net smoke: lease-1 scale run has the wrong request count" >&2
@@ -328,6 +330,6 @@ echo "$ip_out" | grep -q "checker: OK" || {
   kill "$server_pid" 2>/dev/null; exit 1; }
 wait "$server_pid" || {
   echo "net smoke: lease-1 server did not stop cleanly" >&2
-  cat /tmp/inplace_serve.log >&2; exit 1; }
+  cat "$tmp_dir/inplace_serve.log" >&2; exit 1; }
 
 echo "== ci.sh: all green =="

@@ -16,7 +16,7 @@
     succeeds only while the new register's coverage and the surviving
     coverage stay at least 3 (so the next round has its three
     transversals), which is what caps the baseline at ~sqrt(n) registers —
-    the gap to the paper's construction is measured in experiment E2b. *)
+    the gap to the paper's construction is measured in experiment E2. *)
 
 type round = {
   index : int;

@@ -1,5 +1,5 @@
 (** The {e baseline} covering construction of Ellen–Fatourou–Ruppert, which
-    the paper's Section 4 improves (experiment E2b).
+    the paper's Section 4 improves (experiment E2's efr column).
 
     Per round: three transversals of the covered set [R] supply the block
     writes, a chunk of the idle processes is forced to cover outside [R]

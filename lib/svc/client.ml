@@ -28,7 +28,7 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Direct: no service at all — the client executes getTS itself on a
-   shared register store (the unbatched baseline of E13/E15).           *)
+   shared register store (the direct shape of E13).                     *)
 
 module Direct (T : Timestamp.Intf.S) = struct
   type result = T.result

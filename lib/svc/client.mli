@@ -56,7 +56,7 @@ module type S = sig
 end
 
 (** No service at all: the client executes getTS itself on a shared
-    register store — the unbatched baseline of E13/E15, and the request
+    register store — the direct shape of E13, and the request
     path of [Net.Server], whose I/O loops run each decoded getTS this way.
     One getTS step, {!get_ts}, reads the start tick before the program
     runs and claims its end tick with one fetch-and-add after it, so a
