@@ -26,8 +26,21 @@ let impl_arg =
           (Printf.sprintf "Timestamp implementation (one of %s)."
              (String.concat ", " impl_names)))
 
+(* A count below 1 is refused by cmdliner's usage error (exit 124)
+   before any subcommand runs. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let n_arg =
-  Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(
+    value & opt pos_int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed"; "s" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -37,6 +50,22 @@ let calls_arg =
     value & opt int 2
     & info [ "calls"; "c" ] ~docv:"CALLS"
         ~doc:"getTS calls per process (long-lived objects only).")
+
+(* Every subcommand is made here.  Its term evaluates to its body, which
+   returns the exit code to the one [Cmd.eval'] in [main]; a refusal
+   ([Invalid_argument], [Failure], [Svc.Client.Error], or a [Sys_error]
+   from a file it names) that escapes the body is printed as
+   [ts_cli: NAME: MESSAGE] and exits 1. *)
+let subcommand ?group name ~doc term =
+  let label = match group with Some g -> g ^ " " ^ name | None -> name in
+  let refusing body =
+    try body () with
+    | Invalid_argument msg | Failure msg | Svc.Client.Error msg
+    | Sys_error msg ->
+      Printf.eprintf "ts_cli: %s: %s\n" label msg;
+      1
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const refusing $ term)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation plumbing.  [--metrics-out] / [--trace-out] attach the
@@ -169,13 +198,14 @@ let list_cmd =
             | `One_shot -> "one-shot"
             | `Long_lived -> "long-lived")
            (regs 16) (regs 64) (regs 256))
-      Timestamp.Registry.all
+      Timestamp.Registry.all;
+    0
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the available timestamp implementations.")
-    Term.(const run $ const ())
+  subcommand "list" ~doc:"List the available timestamp implementations."
+    (Term.const run)
 
 let run_cmd =
-  let run impl n seed calls out =
+  let run impl n seed calls out () =
     with_obs out @@ fun _ ->
     let (Timestamp.Registry.Impl (module T)) = impl in
     let module H = Timestamp.Harness.Make (T) in
@@ -194,24 +224,22 @@ let run_cmd =
          (Format.asprintf "%a" Timestamp.Checker.pp_violation v));
     let written, touched = H.space_used cfg in
     Printf.printf "registers: written=%d touched=%d provisioned=%d\n" written
-      touched (T.num_registers ~n)
+      touched (T.num_registers ~n);
+    0
   in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:"Run a random workload on an implementation and check it.")
+  subcommand "run"
+    ~doc:"Run a random workload on an implementation and check it."
     Term.(const run $ impl_arg $ n_arg $ seed_arg $ calls_arg $ obs_out_term)
 
 let adversary_oneshot_cmd =
-  let run impl n grid verbose =
+  let run impl n grid verbose () =
     let (Timestamp.Registry.Impl (module T)) = impl in
     let module H = Timestamp.Harness.Make (T) in
     match
       Covering.Oneshot_adversary.run ?grid_width:grid ~fuel:5_000_000
         ~supplier:(H.supplier ~n) ~cfg:(H.create ~n) ()
     with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
+    | Error e -> failwith e
     | Ok o ->
       Printf.printf
         "%s n=%d: covered %d registers simultaneously (grid=%d, bound=%.1f, \
@@ -226,7 +254,8 @@ let adversary_oneshot_cmd =
              (Format.asprintf "%a" Covering.Oneshot_adversary.pp_round r);
            if verbose then
              print_string (Covering.Grid.render_sig ~l:r.l r.sig_after))
-        o.rounds
+        o.rounds;
+      0
   in
   let grid =
     Arg.(
@@ -238,13 +267,12 @@ let adversary_oneshot_cmd =
   let verbose =
     Arg.(value & flag & info [ "grids"; "v" ] ~doc:"Render a grid per round.")
   in
-  Cmd.v
-    (Cmd.info "one-shot"
-       ~doc:"Run the Theorem 1.2 covering construction (Section 4).")
+  subcommand ~group:"adversary" "one-shot"
+    ~doc:"Run the Theorem 1.2 covering construction (Section 4)."
     Term.(const run $ impl_arg $ n_arg $ grid $ verbose)
 
 let adversary_longlived_cmd =
-  let run impl n k =
+  let run impl n k () =
     let (Timestamp.Registry.Impl (module T)) = impl in
     let module H = Timestamp.Harness.Make (T) in
     let k = match k with Some k -> k | None -> n / 2 in
@@ -252,9 +280,7 @@ let adversary_longlived_cmd =
       Covering.Longlived_adversary.run ~fuel:1_000_000 ~supplier:(H.supplier ~n)
         ~cfg:(H.create ~n) ~k ()
     with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
+    | Error e -> failwith e
     | Ok o ->
       Printf.printf
         "%s n=%d: reached a (3,%d)-configuration covering %d registers \
@@ -262,7 +288,8 @@ let adversary_longlived_cmd =
         T.name n k o.covered ((k + 2) / 3)
         (Covering.Bounds.longlived_lower n)
         o.schedule_length;
-      print_string (Covering.Grid.render_sig o.signature)
+      print_string (Covering.Grid.render_sig o.signature);
+      0
   in
   let k_arg =
     Arg.(
@@ -271,9 +298,8 @@ let adversary_longlived_cmd =
       & info [ "k" ] ~docv:"K"
           ~doc:"Target (3,k)-configuration (default: floor(n/2)).")
   in
-  Cmd.v
-    (Cmd.info "long-lived"
-       ~doc:"Run the Theorem 1.1 covering construction (Section 3).")
+  subcommand ~group:"adversary" "long-lived"
+    ~doc:"Run the Theorem 1.1 covering construction (Section 3)."
     Term.(const run $ impl_arg $ n_arg $ k_arg)
 
 let adversary_cmd =
@@ -283,15 +309,13 @@ let adversary_cmd =
     [ adversary_oneshot_cmd; adversary_longlived_cmd ]
 
 let figure_cmd =
-  let run which n =
+  let run which n () =
     let module H = Timestamp.Harness.Make (Timestamp.Sqrt.One_shot) in
     match
       Covering.Oneshot_adversary.run ~fuel:5_000_000 ~supplier:(H.supplier ~n)
         ~cfg:(H.create ~n) ()
     with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
+    | Error e -> failwith e
     | Ok o -> (
         let l = Covering.Bounds.grid_width n in
         match which, o.rounds with
@@ -299,16 +323,16 @@ let figure_cmd =
           Printf.printf
             "Figure 1: a column reaches the diagonal (sqrt algorithm, n=%d)\n"
             n;
-          print_string (Covering.Grid.render_sig ~l first.sig_after)
+          print_string (Covering.Grid.render_sig ~l first.sig_after);
+          0
         | 2, rounds when rounds <> [] ->
           let last = List.nth rounds (List.length rounds - 1) in
           Printf.printf
             "Figure 2: configuration after the last round (n=%d, j=%d, l=%d)\n"
             n last.j last.l;
-          print_string (Covering.Grid.render_sig ~l:last.l last.sig_after)
-        | _ ->
-          Printf.eprintf "figure must be 1 or 2, and the run must progress\n";
-          exit 1)
+          print_string (Covering.Grid.render_sig ~l:last.l last.sig_after);
+          0
+        | _ -> failwith "figure must be 1 or 2, and the run must progress")
   in
   let which =
     Arg.(
@@ -316,13 +340,12 @@ let figure_cmd =
       & pos 0 (some int) None
       & info [] ~docv:"FIGURE" ~doc:"Which figure to render (1 or 2).")
   in
-  Cmd.v
-    (Cmd.info "figure"
-       ~doc:"Render the paper's Figure 1 / Figure 2 from a real run.")
+  subcommand "figure"
+    ~doc:"Render the paper's Figure 1 / Figure 2 from a real run."
     Term.(const run $ which $ n_arg)
 
 let claims_cmd =
-  let run n m_calls seed =
+  let run n m_calls seed () =
     let total_calls = match m_calls with Some m -> m | None -> n in
     let calls_per_proc = max 1 (total_calls / n) in
     let stats =
@@ -331,48 +354,38 @@ let claims_cmd =
     in
     Printf.printf "%s\n" (Format.asprintf "%a" Timestamp.Sqrt_claims.pp_stats stats);
     List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) stats.violations;
-    if stats.violations <> [] then exit 1
+    if stats.violations = [] then 0 else 1
   in
   let m_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "total-calls"; "M" ] ~docv:"M"
           ~doc:"Total getTS calls (default: n, the one-shot case).")
   in
-  Cmd.v
-    (Cmd.info "claims"
-       ~doc:"Check the Section-6 claims on a random execution of Algorithm 4.")
+  subcommand "claims"
+    ~doc:"Check the Section-6 claims on a random execution of Algorithm 4."
     Term.(const run $ n_arg $ m_arg $ seed_arg)
 
 let stress_cmd =
-  let run impl n calls out =
-    let rc =
-      with_obs out @@ fun _ ->
-      let (Timestamp.Registry.Impl (module T)) = impl in
-      let cfg = Svc.Loadgen.stress impl ~n ~calls in
-      (* a non-positive [n], or one past the runtime's domain limit, is
-         refused by the library: report it, exit 1 *)
-      match Svc.Loadgen.run impl cfg with
-      | exception (Invalid_argument msg | Failure msg) ->
-        Printf.eprintf "ts_cli: stress: %s\n" msg;
-        1
-      | { lg_violation = Some e; _ } ->
-        Printf.eprintf "VIOLATION: %s\n" e;
-        1
-      | { lg_violation = None; lg_hb_pairs = pairs; lg_total = m; _ } ->
-        (* every pair of calls is either ordered or concurrent *)
-        Printf.printf
-          "%s: %d domains x %d calls OK (%d ordered pairs checked, %d \
-           concurrent)\n"
-          T.name n cfg.requests_per_client pairs ((m * (m - 1) / 2) - pairs);
-        0
-    in
-    if rc <> 0 then exit rc
+  let run impl n calls out () =
+    with_obs out @@ fun _ ->
+    let (Timestamp.Registry.Impl (module T)) = impl in
+    let cfg = Svc.Loadgen.stress impl ~n ~calls in
+    match Svc.Loadgen.run impl cfg with
+    | { lg_violation = Some e; _ } ->
+      Printf.eprintf "VIOLATION: %s\n" e;
+      1
+    | { lg_violation = None; lg_hb_pairs = pairs; lg_total = m; _ } ->
+      (* every pair of calls is either ordered or concurrent *)
+      Printf.printf
+        "%s: %d domains x %d calls OK (%d ordered pairs checked, %d \
+         concurrent)\n"
+        T.name n cfg.requests_per_client pairs ((m * (m - 1) / 2) - pairs);
+      0
   in
-  Cmd.v
-    (Cmd.info "stress"
-       ~doc:"Run the implementation on real domains and check it.")
+  subcommand "stress"
+    ~doc:"Run the implementation on real domains and check it."
     Term.(const run $ impl_arg $ n_arg $ calls_arg $ obs_out_term)
 
 (* Shared between [explore] and [verify-svc]: the stats summary clause
@@ -494,135 +507,128 @@ let explore_opts_term ~max_steps_default =
     $ no_symmetry)
 
 let explore_cmd =
-  let run impl n calls (o : explore_opts) out =
-    let rc =
-      with_obs out @@ fun ctx ->
-      let (Timestamp.Registry.Impl (module T)) = impl in
-      let module H = Timestamp.Harness.Make (T) in
-      let supplier = H.supplier ~n and cfg = H.create ~n in
-      let calls = match T.kind with `One_shot -> 1 | `Long_lived -> calls in
-      let domains = o.domains in
-      match
-        Shm.Explore.explore ~max_steps:o.max_steps ~max_paths:o.max_paths
-          ~dedup:o.dedup ~reduction:o.reduction ~symmetry:o.symmetry ~domains
-          ~supplier
-          ~calls_per_proc:(Array.make n calls)
-          ~leaf_check:(fun cfg ->
-              Result.is_ok (Timestamp.Checker.check_sim (module T) cfg))
-          cfg
-      with
-      | Shm.Explore.Ok stats ->
-        Printf.printf "%s n=%d calls=%d: %s over %d complete schedules (%s)\n"
-          T.name n calls
-          (if stats.exhaustive then "EXHAUSTIVELY VERIFIED" else "verified")
-          stats.paths
-          (stats_clause ~stats ~domains);
-        if domains > 1 then print_per_domain ~stats;
-        Option.iter
-          (fun ctx ->
-             let g name v = Obs.Metric.set (Obs.Metric.gauge ctx.registry name) v in
-             g "explore.seconds" stats.seconds;
-             g "explore.expanded_per_sec"
-               (float_of_int stats.expanded /. Float.max stats.seconds 1e-9);
-             g "explore.dedup_hit_rate"
-               (float_of_int stats.dedup_hits
-                /. float_of_int (max 1 stats.configurations));
-             g "explore.sleep_skips" (float_of_int stats.sleep_skips);
-             g "explore.canon_hits" (float_of_int stats.canon_hits);
-             g "explore.symmetric" (if stats.symmetric then 1. else 0.);
-             g "explore.domains" (float_of_int domains))
-          ctx;
-        0
-      | Shm.Explore.Counterexample { schedule; _ } ->
-        Printf.printf "%s n=%d: COUNTEREXAMPLE, schedule of %d actions:\n"
-          T.name n (List.length schedule);
-        print_string (Shm.Trace.render ~supplier cfg schedule);
-        1
-    in
-    if rc <> 0 then exit rc
+  let run impl n calls (o : explore_opts) out () =
+    with_obs out @@ fun ctx ->
+    let (Timestamp.Registry.Impl (module T)) = impl in
+    let module H = Timestamp.Harness.Make (T) in
+    let supplier = H.supplier ~n and cfg = H.create ~n in
+    let calls = match T.kind with `One_shot -> 1 | `Long_lived -> calls in
+    let domains = o.domains in
+    match
+      Shm.Explore.explore ~max_steps:o.max_steps ~max_paths:o.max_paths
+        ~dedup:o.dedup ~reduction:o.reduction ~symmetry:o.symmetry ~domains
+        ~supplier
+        ~calls_per_proc:(Array.make n calls)
+        ~leaf_check:(fun cfg ->
+            Result.is_ok (Timestamp.Checker.check_sim (module T) cfg))
+        cfg
+    with
+    | Shm.Explore.Ok stats ->
+      Printf.printf "%s n=%d calls=%d: %s over %d complete schedules (%s)\n"
+        T.name n calls
+        (if stats.exhaustive then "EXHAUSTIVELY VERIFIED" else "verified")
+        stats.paths
+        (stats_clause ~stats ~domains);
+      if domains > 1 then print_per_domain ~stats;
+      Option.iter
+        (fun ctx ->
+           let g name v = Obs.Metric.set (Obs.Metric.gauge ctx.registry name) v in
+           g "explore.seconds" stats.seconds;
+           g "explore.expanded_per_sec"
+             (float_of_int stats.expanded /. Float.max stats.seconds 1e-9);
+           g "explore.dedup_hit_rate"
+             (float_of_int stats.dedup_hits
+              /. float_of_int (max 1 stats.configurations));
+           g "explore.sleep_skips" (float_of_int stats.sleep_skips);
+           g "explore.canon_hits" (float_of_int stats.canon_hits);
+           g "explore.symmetric" (if stats.symmetric then 1. else 0.);
+           g "explore.domains" (float_of_int domains))
+        ctx;
+      0
+    | Shm.Explore.Counterexample { schedule; _ } ->
+      Printf.printf "%s n=%d: COUNTEREXAMPLE, schedule of %d actions:\n"
+        T.name n (List.length schedule);
+      print_string (Shm.Trace.render ~supplier cfg schedule);
+      1
   in
-  Cmd.v
-    (Cmd.info "explore"
-       ~doc:
-         "Exhaustively enumerate every schedule of a small instance and \
-          check the specification on each.")
+  subcommand "explore"
+    ~doc:
+      "Exhaustively enumerate every schedule of a small instance and check \
+       the specification on each."
     Term.(
       const run $ impl_arg $ n_arg $ calls_arg
       $ explore_opts_term ~max_steps_default:300 $ obs_out_term)
 
 let verify_svc_cmd =
-  let run models n (o : explore_opts) mutant replay repro_out =
-    let rc =
-      match replay with
-      | Some path -> replay_file Svc.Model.replay_repro path
-      | None ->
-        let models =
-          match models with [] -> Svc.Model.all | ms -> ms
+  let run models n (o : explore_opts) mutant replay repro_out () =
+    match replay with
+    | Some path -> replay_file Svc.Model.replay_repro path
+    | None ->
+      let models =
+        match models with [] -> Svc.Model.all | ms -> ms
+      in
+      let domains = o.domains in
+      let verify_one model =
+        let mname = Svc.Model.name model in
+        let tag =
+          match mutant with
+          | Some m -> Printf.sprintf "%s mutant %s" mname m
+          | None -> mname
         in
-        let domains = o.domains in
-        let verify_one model =
-          let mname = Svc.Model.name model in
-          let tag =
-            match mutant with
-            | Some m -> Printf.sprintf "%s mutant %s" mname m
-            | None -> mname
+        match
+          Svc.Model.verify ~max_steps:o.max_steps ~max_paths:o.max_paths
+            ~dedup:o.dedup ~reduction:o.reduction ~symmetry:o.symmetry
+            ~domains ?mutant model ~n
+        with
+        | Error e ->
+          Printf.eprintf "model %s: %s\n" tag e;
+          2
+        | Ok (Shm.Explore.Ok stats) ->
+          let sys =
+            (* verify succeeded, so sys is well-formed *)
+            Result.get_ok (Svc.Model.sys ?mutant model ~n)
           in
-          match
-            Svc.Model.verify ~max_steps:o.max_steps ~max_paths:o.max_paths
-              ~dedup:o.dedup ~reduction:o.reduction ~symmetry:o.symmetry
-              ~domains ?mutant model ~n
-          with
-          | Error e ->
-            Printf.eprintf "model %s: %s\n" tag e;
-            2
-          | Ok (Shm.Explore.Ok stats) ->
-            let sys =
-              (* verify succeeded, so sys is well-formed *)
-              Result.get_ok (Svc.Model.sys ?mutant model ~n)
-            in
-            Printf.printf "model %s n=%d (%d procs): %s over %d complete \
-                           schedules (%s)\n"
-              tag n sys.Svc.Model.procs
-              (if stats.exhaustive then "EXHAUSTIVELY VERIFIED"
-               else "verified")
-              stats.paths
-              (stats_clause ~stats ~domains);
-            if domains > 1 then print_per_domain ~stats;
-            0
-          | Ok (Shm.Explore.Counterexample { schedule; at_leaf; _ }) ->
-            Printf.printf
-              "model %s n=%d: COUNTEREXAMPLE (%s), schedule of %d actions\n"
-              tag n
-              (if at_leaf then "leaf check" else "invariant")
-              (List.length schedule);
-            let schedule, why =
-              match Svc.Model.shrink ?mutant model ~n schedule with
-              | Some (shrunk, why) ->
-                Printf.printf "  shrunk: %d -> %d actions\n"
-                  (List.length schedule) (List.length shrunk);
-                (shrunk, why)
-              | None -> (schedule, "violation did not replay (model bug?)")
-            in
-            Printf.printf "  %s\n" why;
-            List.iter
-              (fun (a : Shm.Schedule.action) ->
-                 match a with
-                 | Shm.Schedule.Invoke p ->
-                   Printf.printf "    invoke %d\n" p
-                 | Shm.Schedule.Step p -> Printf.printf "    step %d\n" p
-                 | Shm.Schedule.Crash p -> Printf.printf "    crash %d\n" p)
-              schedule;
-            Option.iter
-              (fun path ->
-                 Fuzz.Repro.save (Svc.Model.to_repro ?mutant model ~n schedule)
-                   path;
-                 Printf.printf "  repro written to %s\n" path)
-              repro_out;
-            1
-        in
-        List.fold_left (fun acc m -> max acc (verify_one m)) 0 models
-    in
-    if rc <> 0 then exit rc
+          Printf.printf "model %s n=%d (%d procs): %s over %d complete \
+                         schedules (%s)\n"
+            tag n sys.Svc.Model.procs
+            (if stats.exhaustive then "EXHAUSTIVELY VERIFIED"
+             else "verified")
+            stats.paths
+            (stats_clause ~stats ~domains);
+          if domains > 1 then print_per_domain ~stats;
+          0
+        | Ok (Shm.Explore.Counterexample { schedule; at_leaf; _ }) ->
+          Printf.printf
+            "model %s n=%d: COUNTEREXAMPLE (%s), schedule of %d actions\n"
+            tag n
+            (if at_leaf then "leaf check" else "invariant")
+            (List.length schedule);
+          let schedule, why =
+            match Svc.Model.shrink ?mutant model ~n schedule with
+            | Some (shrunk, why) ->
+              Printf.printf "  shrunk: %d -> %d actions\n"
+                (List.length schedule) (List.length shrunk);
+              (shrunk, why)
+            | None -> (schedule, "violation did not replay (model bug?)")
+          in
+          Printf.printf "  %s\n" why;
+          List.iter
+            (fun (a : Shm.Schedule.action) ->
+               match a with
+               | Shm.Schedule.Invoke p ->
+                 Printf.printf "    invoke %d\n" p
+               | Shm.Schedule.Step p -> Printf.printf "    step %d\n" p
+               | Shm.Schedule.Crash p -> Printf.printf "    crash %d\n" p)
+            schedule;
+          Option.iter
+            (fun path ->
+               Fuzz.Repro.save (Svc.Model.to_repro ?mutant model ~n schedule)
+                 path;
+               Printf.printf "  repro written to %s\n" path)
+            repro_out;
+          1
+      in
+      List.fold_left (fun acc m -> max acc (verify_one m)) 0 models
   in
   let model_conv =
     let parse s =
@@ -647,7 +653,7 @@ let verify_svc_cmd =
   in
   let n_arg =
     Arg.(
-      value & opt int 2
+      value & opt pos_int 2
       & info [ "n" ] ~docv:"N"
           ~doc:
             "Clients/producers in the model instance (fixed roles — \
@@ -684,23 +690,20 @@ let verify_svc_cmd =
       & info [ "repro-out" ] ~docv:"FILE"
           ~doc:"Write the (shrunk) counterexample schedule as a repro JSON.")
   in
-  Cmd.v
-    (Cmd.info "verify-svc"
-       ~doc:
-         "Model-check the serving layer: exhaustively explore Shm models of \
-          the service's MPSC push/drain, request-record pool, chunked tick \
-          reservation, graceful-stop handshake and park/wake handshake, \
-          checking the protocol \
-          invariants on every reachable configuration.")
+  subcommand "verify-svc"
+    ~doc:
+      "Model-check the serving layer: exhaustively explore Shm models of the \
+       service's MPSC push/drain, request-record pool, chunked tick \
+       reservation, graceful-stop handshake and park/wake handshake, \
+       checking the protocol invariants on every reachable configuration."
     Term.(
       const run $ models $ n_arg $ explore_opts_term ~max_steps_default:400
       $ mutant $ replay $ repro_out)
 
 let obs_cmd =
-  let run impl n seed calls validate out =
-    if validate <> [] then begin
-      if not (List.for_all validate_json_file validate) then exit 1
-    end
+  let run impl n seed calls validate out () =
+    if validate <> [] then
+      if List.for_all validate_json_file validate then 0 else 1
     else begin
       let (Timestamp.Registry.Impl (module T)) = impl in
       let module H = Timestamp.Harness.Make (T) in
@@ -722,7 +725,8 @@ let obs_cmd =
                pairs
            | Error v ->
              Printf.printf "VIOLATION: %s\n"
-               (Format.asprintf "%a" Timestamp.Checker.pp_violation v))
+               (Format.asprintf "%a" Timestamp.Checker.pp_violation v));
+      0
     end
   in
   let validate =
@@ -735,77 +739,73 @@ let obs_cmd =
              when it ends in .jsonl) and fail on any syntax error.  \
              Repeatable; used by ci.sh to check the emitted sidecars.")
   in
-  Cmd.v
-    (Cmd.info "obs"
-       ~doc:
-         "Run an instrumented workload and print the register heatmap and \
-          metrics table (write sidecars with --metrics-out/--trace-out).")
+  subcommand "obs"
+    ~doc:
+      "Run an instrumented workload and print the register heatmap and \
+       metrics table (write sidecars with --metrics-out/--trace-out)."
     Term.(
       const run $ impl_arg $ n_arg $ seed_arg $ calls_arg $ validate
       $ obs_out_term)
 
 let fuzz_cmd =
   let run impl mutant n seed calls iters crashes burst no_fallback repro_out
-      replay out =
-    let rc =
-      with_obs out @@ fun ctx ->
-      match replay with
-      | Some path -> replay_file Fuzz.Harness.replay_repro path
-      | None ->
-        let impls, what =
-          match mutant, impl with
-          | Some m, _ ->
-            ([ m ], "mutant " ^ Timestamp.Registry.name m)
-          | None, Some i ->
-            ([ i ], Timestamp.Registry.name i)
-          | None, None ->
-            ( Timestamp.Registry.all,
-              Printf.sprintf "differential over %d implementations"
-                (List.length Timestamp.Registry.all) )
-        in
-        Printf.printf "fuzz seed=%d n=%d calls=%d iters=%d: %s\n" seed n calls
-          iters what;
-        (match
-           Fuzz.Harness.run ~iters ~n ~calls ~max_crashes:crashes ~burst
-             ~explore_fallback:(not no_fallback) ~seed ~impls ()
-         with
-         | Fuzz.Harness.Passed stats ->
-           if stats.exhaustive then
-             Printf.printf
-               "fuzz: OK — state space small, exhaustively explored instead \
-                (every schedule checked)\n"
-           else
-             Printf.printf
-               "fuzz: OK — %d schedules (%d actions), %d hb pairs checked, 0 \
-                violations\n"
-               stats.iterations stats.actions stats.hb_pairs;
-           Option.iter
-             (fun ctx ->
-                let g name v =
-                  Obs.Metric.set (Obs.Metric.gauge ctx.registry name) v
-                in
-                g "fuzz.hb_pairs" (float_of_int stats.hb_pairs);
-                g "fuzz.actions" (float_of_int stats.actions))
-             ctx;
-           0
-         | Fuzz.Harness.Failed f ->
-           Printf.printf "fuzz: VIOLATION (%s, iteration %d)\n" f.impl
-             f.iteration;
-           Printf.printf "  %s\n" f.violation;
-           Printf.printf "  shrunk: %d -> %d actions, n=%d (%d accepted / %d \
-                          attempted reductions)\n"
-             f.original_len
-             (List.length f.repro.schedule)
-             f.repro.n f.shrink_accepted f.shrink_attempts;
-           Printf.printf "  repro (OCaml): %s\n" (Fuzz.Repro.to_ocaml f.repro);
-           Option.iter
-             (fun path ->
-                Fuzz.Repro.save f.repro path;
-                Printf.printf "  repro written to %s\n" path)
-             repro_out;
-           1)
-    in
-    if rc <> 0 then exit rc
+      replay out () =
+    with_obs out @@ fun ctx ->
+    match replay with
+    | Some path -> replay_file Fuzz.Harness.replay_repro path
+    | None ->
+      let impls, what =
+        match mutant, impl with
+        | Some m, _ ->
+          ([ m ], "mutant " ^ Timestamp.Registry.name m)
+        | None, Some i ->
+          ([ i ], Timestamp.Registry.name i)
+        | None, None ->
+          ( Timestamp.Registry.all,
+            Printf.sprintf "differential over %d implementations"
+              (List.length Timestamp.Registry.all) )
+      in
+      Printf.printf "fuzz seed=%d n=%d calls=%d iters=%d: %s\n" seed n calls
+        iters what;
+      (match
+         Fuzz.Harness.run ~iters ~n ~calls ~max_crashes:crashes ~burst
+           ~explore_fallback:(not no_fallback) ~seed ~impls ()
+       with
+       | Fuzz.Harness.Passed stats ->
+         if stats.exhaustive then
+           Printf.printf
+             "fuzz: OK — state space small, exhaustively explored instead \
+              (every schedule checked)\n"
+         else
+           Printf.printf
+             "fuzz: OK — %d schedules (%d actions), %d hb pairs checked, 0 \
+              violations\n"
+             stats.iterations stats.actions stats.hb_pairs;
+         Option.iter
+           (fun ctx ->
+              let g name v =
+                Obs.Metric.set (Obs.Metric.gauge ctx.registry name) v
+              in
+              g "fuzz.hb_pairs" (float_of_int stats.hb_pairs);
+              g "fuzz.actions" (float_of_int stats.actions))
+           ctx;
+         0
+       | Fuzz.Harness.Failed f ->
+         Printf.printf "fuzz: VIOLATION (%s, iteration %d)\n" f.impl
+           f.iteration;
+         Printf.printf "  %s\n" f.violation;
+         Printf.printf "  shrunk: %d -> %d actions, n=%d (%d accepted / %d \
+                        attempted reductions)\n"
+           f.original_len
+           (List.length f.repro.schedule)
+           f.repro.n f.shrink_accepted f.shrink_attempts;
+         Printf.printf "  repro (OCaml): %s\n" (Fuzz.Repro.to_ocaml f.repro);
+         Option.iter
+           (fun path ->
+              Fuzz.Repro.save f.repro path;
+              Printf.printf "  repro written to %s\n" path)
+           repro_out;
+         1)
   in
   let impl_opt =
     Arg.(
@@ -887,17 +887,16 @@ let fuzz_cmd =
             "Replay a saved repro instead of fuzzing; exits 0 when the \
              violation reproduces, 3 when it no longer does.")
   in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Property-based differential fuzzing: random schedules over every \
-          implementation, cross-checked and shrunk to minimal repros.")
+  subcommand "fuzz"
+    ~doc:
+      "Property-based differential fuzzing: random schedules over every \
+       implementation, cross-checked and shrunk to minimal repros."
     Term.(
       const run $ impl_opt $ mutant $ n_arg $ seed_arg $ calls_arg $ iters
       $ crashes $ burst $ no_fallback $ repro_out $ replay $ obs_out_term)
 
 let distributed_cmd =
-  let run impl n replicas ncrashed seed =
+  let run impl n replicas ncrashed seed () =
     let (Timestamp.Registry.Impl (module T)) = impl in
     let module A = Abd.Emulation.Make (struct
         type v = T.value
@@ -912,9 +911,7 @@ let distributed_cmd =
       A.run ~crashed ~clients ~replicas ~num_regs:(T.num_registers ~n)
         ~init:(T.init_value ~n) ~steps:(5 * n) ~rand ()
     with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
+    | Error e -> failwith e
     | Ok o -> (
         List.iter
           (fun (c, t) ->
@@ -926,10 +923,11 @@ let distributed_cmd =
           Printf.printf
             "%s over ABD: OK (%d clients, %d replicas, %d crashed, %d \
              ordered pairs, %d messages)\n"
-            T.name n replicas ncrashed pairs o.messages
+            T.name n replicas ncrashed pairs o.messages;
+          0
         | Error e ->
           Printf.eprintf "VIOLATION: %s\n" e;
-          exit 1)
+          1)
   in
   let replicas_arg =
     Arg.(
@@ -942,15 +940,14 @@ let distributed_cmd =
       & info [ "crashed" ] ~docv:"F"
           ~doc:"Crash the first F replicas (must be a minority).")
   in
-  Cmd.v
-    (Cmd.info "distributed"
-       ~doc:
-         "Run the implementation over ABD-emulated registers (message \
-          passing with crash failures).")
+  subcommand "distributed"
+    ~doc:
+      "Run the implementation over ABD-emulated registers (message passing \
+       with crash failures)."
     Term.(const run $ impl_arg $ n_arg $ replicas_arg $ crashed_arg $ seed_arg)
 
 let clocks_cmd =
-  let run n steps seed =
+  let run n steps seed () =
     let rand = Random.State.make [| seed |] in
     let trace = Mp.Net.random_trace ~n ~steps ~internal_prob:0.4 ~rand () in
     Printf.printf "trace: %d events on %d nodes\n" (List.length trace) n;
@@ -960,21 +957,20 @@ let clocks_cmd =
     in
     report "lamport-clock" (Clocks.Lamport_clock.check trace);
     report "vector-clock" (Clocks.Vector_clock.check ~n trace);
-    report "matrix-clock" (Clocks.Matrix_clock.check ~n trace)
+    report "matrix-clock" (Clocks.Matrix_clock.check ~n trace);
+    0
   in
   let steps_arg =
     Arg.(
       value & opt int 100
       & info [ "steps" ] ~docv:"STEPS" ~doc:"Scheduling decisions to simulate.")
   in
-  Cmd.v
-    (Cmd.info "clocks"
-       ~doc:
-         "Generate a message-passing execution and verify the logical clocks.")
+  subcommand "clocks"
+    ~doc:"Generate a message-passing execution and verify the logical clocks."
     Term.(const run $ n_arg $ steps_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Service layer: serve (deterministic, cram-pinned) and loadgen.       *)
+(* Service layer: serve (the wire server) and loadgen.                 *)
 
 let telemetry_out_arg =
   Arg.(
@@ -982,14 +978,13 @@ let telemetry_out_arg =
     & opt (some string) None
     & info [ "telemetry-out" ] ~docv:"FILE"
         ~doc:
-          "Sample the live service gauges (per-shard queue depth, served \
-           counter, batch-size p50, free-list occupancy; for $(b,serve \
-           --listen), per-I/O-loop served and batch counters and \
-           per-connection groups) from a dedicated sampler domain into a \
-           JSONL time series at $(docv) — watch it \
-           with $(b,ts_cli top --file) $(docv), validate it with \
-           $(b,ts_cli obs --validate) $(docv).  Truncates unless \
-           $(b,--append).")
+          "Sample the live gauges from a dedicated sampler domain into a \
+           JSONL time series at $(docv): for $(b,loadgen), per-shard queue \
+           depth, served counter, batch-size p50 and free-list occupancy; \
+           for $(b,serve), per-I/O-loop served and batch counters and \
+           per-connection groups.  Watch it with $(b,ts_cli top --file) \
+           $(docv), validate it with $(b,ts_cli obs --validate) $(docv).  \
+           Truncates unless $(b,--append).")
 
 let telemetry_interval_arg =
   Arg.(
@@ -997,332 +992,214 @@ let telemetry_interval_arg =
     & info [ "telemetry-interval-us" ] ~docv:"US"
         ~doc:"Telemetry sampler period, microseconds.")
 
+(* Listen on [addr] and serve connections until a client sends a Stop
+   frame (ts_cli loadgen --stop-server, or Ctrl-C). *)
 let serve_cmd =
-  (* the sequential demo session: serve [requests] getTS calls through
-     the Svc.Client.Inproc transport and check the compare chain *)
-  let serve_demo (type r) (module T : Timestamp.Intf.S with type result = r)
-      ~n ~requests ~batch_max ~shards ~telemetry_out
-      ~telemetry_interval ~append =
-    let module C = Svc.Client.Inproc (T) in
-    let module S = Svc.Service.Make (T) in
-    (* a one-shot object consumes one process id per request *)
-    let n = match T.kind with `One_shot -> max n requests | `Long_lived -> n in
-    (* a shard count past the runtime's domain limit is refused *)
-    match
-      S.start ~batch_max ~shards ~telemetry:(telemetry_out <> None) ~n ()
-    with
-    | exception (Failure msg | Invalid_argument msg) ->
-      Printf.eprintf "ts_cli: serve: %s\n" msg;
-      1
-    | svc ->
-      let ts =
-        match telemetry_out with
-        | None -> None
-        | Some file ->
-          let ts =
-            Obs.Timeseries.create ~interval_us:telemetry_interval ()
-          in
-          S.attach_telemetry svc ts;
-          Obs.Timeseries.start ~append ~out:file ts;
-          Some (ts, file)
-      in
-      let client = C.connect svc in
-      Printf.printf "service: %s  n=%d shards=%d batch_max=%d\n" T.name n
-        (S.num_shards svc) batch_max;
-      let resps = List.init requests (fun _ -> C.stamp client) in
-      C.close client;
-      S.stop svc;
-      Option.iter
-        (fun (ts, file) ->
-           Obs.Timeseries.stop ts;
-           Printf.printf "telemetry: %d samples, %d stalls -> %s\n"
-             (Obs.Timeseries.samples ts) (Obs.Timeseries.stalls ts) file)
-        ts;
-      List.iter
-        (fun (r : T.result Svc.Client.stamp) ->
-           Printf.printf "  req p%d.%d (shard %d) -> %s\n" r.st_pid r.st_call
-             r.st_shard
-             (Format.asprintf "%a" T.pp_ts r.st_ts))
-        resps;
-      (* the requests were issued sequentially, so every adjacent pair is
-         happens-before ordered and compare must agree *)
-      let rec chain = function
-        | (a : T.result Svc.Client.stamp) :: (b :: _ as rest) ->
-          T.compare_ts a.st_ts b.st_ts
-          && not (T.compare_ts b.st_ts a.st_ts)
-          && chain rest
-        | _ -> true
-      in
-      if chain resps then begin
-        Printf.printf "serve: OK (%d requests, compare chain holds)\n"
-          (List.length resps);
-        0
-      end
-      else begin
-        Printf.printf "serve: VIOLATION (compare chain broken)\n";
-        1
-      end
-  in
-  (* the wire mode: listen on [addr], serve connections until a client
-     sends a Stop frame (ts_cli loadgen --stop-server, or Ctrl-C) *)
-  let serve_wire (type r) (module T : Timestamp.Intf.S with type result = r)
-      ~n ~shards ~io_threads ~telemetry_out
-      ~telemetry_interval ~append addr_str =
-    match Net.Conn.parse_addr addr_str with
-    | None ->
-      Printf.eprintf "ts_cli: serve: cannot parse --listen address %S\n"
-        addr_str;
-      1
-    | Some addr ->
-      let module Srv = Net.Server.Make (T) in
-      (match Srv.start ~shards ?io_threads ~addr ~n () with
-       | exception Unix.Unix_error (e, _, _) ->
-         Printf.eprintf "ts_cli: serve: cannot listen on %s: %s\n"
-           (Net.Conn.addr_to_string addr) (Unix.error_message e);
-         1
-       | exception (Failure msg | Invalid_argument msg) ->
-         Printf.eprintf "ts_cli: serve: %s\n" msg;
-         1
-       | srv ->
-         let ts =
-           match telemetry_out with
-           | None -> None
-           | Some file ->
-             let ts =
-               Obs.Timeseries.create ~interval_us:telemetry_interval ()
-             in
-             Srv.attach_telemetry srv ts;
-             Obs.Timeseries.start ~append ~out:file ts;
-             Some (ts, file)
-         in
-         Printf.printf "serving %s at %s  n=%d io_threads=%d\n" T.name
-           (Net.Conn.addr_to_string (Srv.bound_addr srv))
-           n (Srv.domains srv);
-         flush stdout;
-         Srv.wait srv;
-         Srv.stop srv;
-         Option.iter
-           (fun (ts, file) ->
-              Obs.Timeseries.stop ts;
-              Printf.printf "telemetry: %d samples, %d stalls -> %s\n"
-                (Obs.Timeseries.samples ts) (Obs.Timeseries.stalls ts) file)
-           ts;
-         Printf.printf "serve: stopped after %d requests over %d connections\n"
-           (Srv.requests_total srv) (Srv.conns_total srv);
-         0)
-  in
-  let run impl n requests batch_max shards io_threads telemetry_out
-      telemetry_interval listen out =
-    let rc =
-      with_obs out @@ fun _ ->
-      let (Timestamp.Registry.Impl (module T)) = impl in
-      if shards < 1 then begin
-        Printf.eprintf "ts_cli: serve: --shards must be at least 1\n";
-        1
-      end
-      else if (match io_threads with Some k -> k < 1 | None -> false) then begin
-        Printf.eprintf "ts_cli: serve: --io-threads must be at least 1\n";
-        1
-      end
-      else
-        match listen with
-        | Some addr_str ->
-          serve_wire (module T) ~n ~shards ~io_threads
-            ~telemetry_out ~telemetry_interval ~append:out.append addr_str
-        | None ->
-          serve_demo (module T) ~n ~requests ~batch_max ~shards
-            ~telemetry_out ~telemetry_interval ~append:out.append
+  let run impl n io_threads telemetry_out telemetry_interval listen out () =
+    with_obs out @@ fun _ ->
+    let (Timestamp.Registry.Impl (module T)) = impl in
+    let module Srv = Net.Server.Make (T) in
+    let addr =
+      match Net.Conn.parse_addr listen with
+      | Some addr -> addr
+      | None ->
+        failwith (Printf.sprintf "cannot parse --listen address %S" listen)
     in
-    if rc <> 0 then exit rc
-  in
-  let requests =
-    Arg.(
-      value & opt int 6
-      & info [ "requests"; "r" ] ~docv:"K" ~doc:"getTS requests to serve.")
-  in
-  let batch =
-    Arg.(
-      value & opt int 64
-      & info [ "batch" ] ~docv:"B"
-          ~doc:
-            "Worker batch-size cap of the demo session's service \
-             ($(b,--listen) runs each getTS on the I/O loop that decoded \
-             it, unbatched).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Worker domains / shards of the demo session's service; with \
-             $(b,--listen), the default for $(b,--io-threads).")
+    (* a bad sampler period is refused before the socket exists *)
+    let ts =
+      Option.map
+        (fun file ->
+           (Obs.Timeseries.create ~interval_us:telemetry_interval (), file))
+        telemetry_out
+    in
+    let srv =
+      try Srv.start ~io_threads ~addr ~n () with
+      | Unix.Unix_error (e, _, _) ->
+        failwith
+          (Printf.sprintf "cannot listen on %s: %s"
+             (Net.Conn.addr_to_string addr) (Unix.error_message e))
+    in
+    (* however the session ends, the loops are joined and the socket
+       closed before anything else is reported *)
+    Fun.protect ~finally:(fun () -> Srv.stop srv) (fun () ->
+        Option.iter
+          (fun (ts, file) ->
+             Srv.attach_telemetry srv ts;
+             Obs.Timeseries.start ~append:out.append ~out:file ts)
+          ts;
+        Printf.printf "serving %s at %s  n=%d io_threads=%d\n" T.name
+          (Net.Conn.addr_to_string (Srv.bound_addr srv))
+          n (Srv.domains srv);
+        flush stdout;
+        Srv.wait srv);
+    Option.iter
+      (fun (ts, file) ->
+         Obs.Timeseries.stop ts;
+         Printf.printf "telemetry: %d samples, %d stalls -> %s\n"
+           (Obs.Timeseries.samples ts) (Obs.Timeseries.stalls ts) file)
+      ts;
+    Printf.printf "serve: stopped after %d requests over %d connections\n"
+      (Srv.requests_total srv) (Srv.conns_total srv);
+    0
   in
   let io_threads =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt pos_int 1
       & info [ "io-threads" ] ~docv:"N"
           ~doc:
-            "I/O event-loop domains for $(b,--listen) (default: one per \
-             shard).  Each loop multiplexes many connections and runs \
-             the getTS of every request it decodes, so the domain count \
-             stays fixed no matter how many clients connect.")
+            "I/O event-loop domains.  Each loop multiplexes many \
+             connections and runs the getTS of every request it decodes, \
+             so the domain count stays fixed no matter how many clients \
+             connect.")
   in
   let listen =
     Arg.(
-      value
+      required
       & opt (some string) None
       & info [ "listen" ] ~docv:"ADDR"
           ~doc:
             "Serve the wire protocol at $(docv) (\"unix:PATH\", \
              \"tcp:HOST:PORT\", or bare \"HOST:PORT\"; TCP port 0 picks a \
-             free port) instead of the sequential demo session.  Runs \
-             until a client sends a stop frame ($(b,ts_cli loadgen \
-             --stop-server)) or the process is interrupted.")
+             free port).  Runs until a client sends a stop frame \
+             ($(b,ts_cli loadgen --stop-server)) or the process is \
+             interrupted.")
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Start the sharded timestamp service; serve a sequential demo \
-          session and check the served timestamps, or with $(b,--listen) \
-          serve the binary wire protocol to remote clients.")
-    Term.(const run $ impl_arg $ n_arg $ requests $ batch $ shards
-          $ io_threads $ telemetry_out_arg
-          $ telemetry_interval_arg $ listen $ obs_out_term)
+  subcommand "serve"
+    ~doc:
+      "Serve the timestamp object over the binary wire protocol to remote \
+       clients ($(b,ts_cli loadgen --addr)); each I/O loop is one of the \
+       object's processes."
+    Term.(
+      const run $ impl_arg $ n_arg $ io_threads $ telemetry_out_arg
+      $ telemetry_interval_arg $ listen $ obs_out_term)
 
 let loadgen_cmd =
   (* drive a live wire server: probe it for its implementation/shape,
      then run the generic engine over Net.Client handles *)
   let loadgen_wire (type r) (module T : Timestamp.Intf.S with type result = r)
       ~(cfg : Svc.Loadgen.cfg) ~lease ~stop_server ~print_report addr_str =
-    match Net.Conn.parse_addr addr_str with
-    | None ->
-      Printf.eprintf "ts_cli: loadgen: cannot parse --addr %S\n" addr_str;
-      1
-    | Some addr -> (
-        let module C = Net.Client.Make (T) in
-        let module D = Svc.Loadgen.Drive (C) in
-        try
-          let probe = C.connect addr in
-          let info = C.server_info probe in
-          (* the server counts from its start: report this run's share *)
-          let shard_stats () =
-            Array.of_list
-              (List.map
-                 (fun (s : Net.Frame.shard_stat) ->
-                    (s.ss_served, s.ss_batches, s.ss_max_batch))
-                 (fst (C.stats probe)))
-          in
-          let before = shard_stats () in
-          (* pre-connect in the main domain, in client order: connection
-             errors surface here, and session/pid placement is stable; a
-             count below 1 connects nothing and [D.run] refuses it *)
-          let handles =
-            Array.init (max 0 cfg.clients) (fun _ -> C.connect ~lease addr)
-          in
-          let r =
-            D.run
-              { D.connect = (fun i -> handles.(i));
-                num_shards = max 1 info.Net.Frame.si_shards;
-                impl = T.name;
-                mode_label =
-                  Printf.sprintf "net %s lease=%d clients=%d pipeline=%d%s"
-                    (Net.Conn.addr_to_string addr)
-                    lease cfg.clients cfg.pipeline
-                    (Svc.Loadgen.arrival_string cfg);
-                backend_label = "boxed";
-                compare_ts = T.compare_ts;
-                pp_ts = T.pp_ts;
-                attach = None;
-                teardown = (fun () -> Array.iter C.close handles);
-                service_stats =
-                  Some
-                    (fun () ->
-                       Array.mapi
-                         (fun i (served, batches, max_batch) ->
-                            let served0, batches0, _ = before.(i) in
-                            (served - served0, batches - batches0, max_batch))
-                         (shard_stats ())) }
-              cfg
-          in
-          let rc = print_report r in
-          if stop_server then C.stop_server probe;
-          C.close probe;
-          rc
-        with Svc.Client.Error msg ->
-          Printf.eprintf "ts_cli: loadgen: %s\n" msg;
-          1)
+    let addr =
+      match Net.Conn.parse_addr addr_str with
+      | Some addr -> addr
+      | None -> failwith (Printf.sprintf "cannot parse --addr %S" addr_str)
+    in
+    let module C = Net.Client.Make (T) in
+    let module D = Svc.Loadgen.Drive (C) in
+    (* a bad count, rate or pipeline is refused before anything
+       connects, and a bad lease by the probe's own connect, before its
+       socket opens; whatever fails later, every handle opened here is
+       closed *)
+    Svc.Loadgen.validate cfg;
+    let probe = C.connect ~lease addr in
+    let opened = ref [ probe ] in
+    Fun.protect ~finally:(fun () -> List.iter C.close !opened) @@ fun () ->
+    let info = C.server_info probe in
+    (* the server counts from its start: report this run's share *)
+    let shard_stats () =
+      Array.of_list
+        (List.map
+           (fun (s : Net.Frame.shard_stat) ->
+              (s.ss_served, s.ss_batches, s.ss_max_batch))
+           (fst (C.stats probe)))
+    in
+    let before = shard_stats () in
+    (* pre-connect in the main domain, in client order, so connection
+       errors surface before any client domain starts *)
+    let handles =
+      Array.init cfg.clients (fun _ ->
+          let h = C.connect ~lease addr in
+          opened := h :: !opened;
+          h)
+    in
+    let r =
+      D.run
+        { D.connect = (fun i -> handles.(i));
+          num_shards = max 1 info.Net.Frame.si_shards;
+          impl = T.name;
+          mode_label =
+            Printf.sprintf "net %s lease=%d clients=%d pipeline=%d%s"
+              (Net.Conn.addr_to_string addr)
+              lease cfg.clients cfg.pipeline
+              (Svc.Loadgen.arrival_string cfg);
+          backend_label = "boxed";
+          compare_ts = T.compare_ts;
+          pp_ts = T.pp_ts;
+          attach = None;
+          teardown = (fun () -> Array.iter C.close handles);
+          service_stats =
+            Some
+              (fun () ->
+                 Array.mapi
+                   (fun i (served, batches, max_batch) ->
+                      let served0, batches0, _ = before.(i) in
+                      (served - served0, batches - batches0, max_batch))
+                   (shard_stats ())) }
+        cfg
+    in
+    let rc = print_report r in
+    if stop_server then C.stop_server probe;
+    rc
   in
   let run impl n clients requests pipeline shards batch_max direct rate addr
-      lease stop_server telemetry_out telemetry_interval out =
-    let rc =
-      with_obs out @@ fun _ ->
-      let open Svc.Loadgen in
-      let mode =
-        if direct then Direct else Service { shards; batch_max }
-      in
-      let arrival =
-        match rate with None -> Closed | Some rate -> Open { rate }
-      in
-      let telemetry =
-        Option.map
-          (fun tel_out ->
-             { tel_out; tel_append = out.append;
-               tel_interval_us = telemetry_interval })
-          telemetry_out
-      in
-      let cfg =
-        { default with
-          mode; arrival; clients; requests_per_client = requests; pipeline;
-          n; telemetry }
-      in
-      let print_report (r : report) =
-        Printf.printf "loadgen: %s  %s\n" r.lg_impl r.lg_mode;
-        Printf.printf "served %d requests in %.3fs (%.0f req/s)\n" r.lg_total
-          r.lg_elapsed_s r.lg_throughput;
-        Printf.printf
-          "latency: p50=%.1fus p90=%.1fus p99=%.1fus p99.9=%.1fus max=%.1fus\n"
-          r.lg_p50_us r.lg_p90_us r.lg_p99_us r.lg_p999_us r.lg_max_us;
-        Option.iter
-          (fun tel_out ->
-             Printf.printf "telemetry: %d samples, %d stalls -> %s\n"
-               r.lg_samples r.lg_stalls tel_out)
-          telemetry_out;
-        (* a shard that served nothing has no percentiles (nan) *)
-        let us v = if Float.is_nan v then "-" else Printf.sprintf "%.1fus" v in
-        List.iter
-          (fun s ->
-             Printf.printf
-               "  shard %d: served=%d batches=%d max_batch=%d p50=%s p99=%s\n"
-               s.sr_shard s.sr_served s.sr_batches s.sr_max_batch
-               (us s.sr_p50_us) (us s.sr_p99_us))
-          r.lg_shards;
-        let rc =
-          match r.lg_violation with
-          | None ->
-            Printf.printf "checker: OK (%d hb pairs)\n" r.lg_hb_pairs;
-            0
-          | Some v ->
-            Printf.printf "checker: VIOLATION: %s\n" v;
-            1
-        in
-        Printf.printf "checked in %.3f ms\n" (r.lg_check_s *. 1e3);
-        rc
-      in
-      (* a non-positive count or rate, or a --shards past the runtime's
-         domain limit, is refused by the library: report it, exit 1 *)
-      try
-        match addr with
-        | None -> print_report (Svc.Loadgen.run impl cfg)
-        | Some addr_str ->
-          let (Timestamp.Registry.Impl (module T)) = impl in
-          loadgen_wire (module T) ~cfg ~lease ~stop_server ~print_report
-            addr_str
-      with Invalid_argument msg | Failure msg ->
-        Printf.eprintf "ts_cli: loadgen: %s\n" msg;
-        1
+      lease stop_server telemetry_out telemetry_interval out () =
+    with_obs out @@ fun _ ->
+    let open Svc.Loadgen in
+    let mode =
+      if direct then Direct else Service { shards; batch_max }
     in
-    if rc <> 0 then exit rc
+    let arrival =
+      match rate with None -> Closed | Some rate -> Open { rate }
+    in
+    let telemetry =
+      Option.map
+        (fun tel_out ->
+           { tel_out; tel_append = out.append;
+             tel_interval_us = telemetry_interval })
+        telemetry_out
+    in
+    let cfg =
+      { default with
+        mode; arrival; clients; requests_per_client = requests; pipeline;
+        n; telemetry }
+    in
+    let print_report (r : report) =
+      Printf.printf "loadgen: %s  %s\n" r.lg_impl r.lg_mode;
+      Printf.printf "served %d requests in %.3fs (%.0f req/s)\n" r.lg_total
+        r.lg_elapsed_s r.lg_throughput;
+      Printf.printf
+        "latency: p50=%.1fus p90=%.1fus p99=%.1fus p99.9=%.1fus max=%.1fus\n"
+        r.lg_p50_us r.lg_p90_us r.lg_p99_us r.lg_p999_us r.lg_max_us;
+      Option.iter
+        (fun tel_out ->
+           Printf.printf "telemetry: %d samples, %d stalls -> %s\n"
+             r.lg_samples r.lg_stalls tel_out)
+        telemetry_out;
+      (* a shard that served nothing has no percentiles (nan) *)
+      let us v = if Float.is_nan v then "-" else Printf.sprintf "%.1fus" v in
+      List.iter
+        (fun s ->
+           Printf.printf
+             "  shard %d: served=%d batches=%d max_batch=%d p50=%s p99=%s\n"
+             s.sr_shard s.sr_served s.sr_batches s.sr_max_batch
+             (us s.sr_p50_us) (us s.sr_p99_us))
+        r.lg_shards;
+      let rc =
+        match r.lg_violation with
+        | None ->
+          Printf.printf "checker: OK (%d hb pairs)\n" r.lg_hb_pairs;
+          0
+        | Some v ->
+          Printf.printf "checker: VIOLATION: %s\n" v;
+          1
+      in
+      Printf.printf "checked in %.3f ms\n" (r.lg_check_s *. 1e3);
+      rc
+    in
+    match addr with
+    | None -> print_report (Svc.Loadgen.run impl cfg)
+    | Some addr_str ->
+      let (Timestamp.Registry.Impl (module T)) = impl in
+      loadgen_wire (module T) ~cfg ~lease ~stop_server ~print_report addr_str
   in
   let clients =
     Arg.(
@@ -1404,13 +1281,12 @@ let loadgen_cmd =
             "After the run, send the server a stop frame so $(b,ts_cli \
              serve --listen) shuts down gracefully and exits 0.")
   in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Closed- or open-loop load generator over the timestamp service \
-          (in-process, or a live wire server at $(b,--addr)); \
-          reports throughput, HDR latency percentiles \
-          (p50/p90/p99/p99.9/max) and a happens-before checker verdict.")
+  subcommand "loadgen"
+    ~doc:
+      "Closed- or open-loop load generator over the timestamp service \
+       (in-process, or a live wire server at $(b,--addr)); reports \
+       throughput, HDR latency percentiles (p50/p90/p99/p99.9/max) and a \
+       happens-before checker verdict."
     Term.(
       const run $ impl_arg $ n_arg $ clients $ requests $ pipeline $ shards
       $ batch $ direct $ rate $ addr $ lease $ stop_server
@@ -1420,9 +1296,10 @@ let loadgen_cmd =
 (* top: per-shard table rendered from a telemetry time series.         *)
 
 let top_load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> Result.bind (Obs.Json.of_lines contents) Obs.Timeseries.validate
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  match Result.bind (Obs.Json.of_lines contents) Obs.Timeseries.validate with
+  | Ok view -> view
+  | Error e -> failwith (Printf.sprintf "%s: %s" path e)
 
 let top_render path (view : Obs.Timeseries.validation) =
   let buf = Buffer.create 1024 in
@@ -1543,19 +1420,16 @@ let top_render path (view : Obs.Timeseries.validation) =
   Buffer.contents buf
 
 let top_cmd =
-  let run file once refresh_ms frames =
+  let run file once refresh_ms frames () =
+    (* true once the sampler has written its end marker *)
     let render_once ~clear =
-      match top_load file with
-      | Error e ->
-        Printf.eprintf "%s: %s\n" file e;
-        `Err
-      | Ok view ->
-        if clear then print_string "\027[H\027[2J";
-        print_string (top_render file view);
-        flush stdout;
-        if view.v_ended then `Ended else `Live
+      let view = top_load file in
+      if clear then print_string "\027[H\027[2J";
+      print_string (top_render file view);
+      flush stdout;
+      view.v_ended
     in
-    if once then (match render_once ~clear:false with `Err -> exit 1 | _ -> ())
+    if once then ignore (render_once ~clear:false)
     else begin
       (* live mode is meant to race the writer from a second terminal:
          give the file a moment to appear before giving up *)
@@ -1567,17 +1441,15 @@ let top_cmd =
       in
       wait_for 50;
       let rec loop frame =
-        match render_once ~clear:true with
-        | `Err -> exit 1
-        | `Ended -> ()
-        | `Live ->
-          if frames = 0 || frame < frames then begin
-            Obs.Clock.sleep_s (float_of_int refresh_ms *. 1e-3);
-            loop (frame + 1)
-          end
+        if (not (render_once ~clear:true)) && (frames = 0 || frame < frames)
+        then begin
+          Obs.Clock.sleep_s (float_of_int refresh_ms *. 1e-3);
+          loop (frame + 1)
+        end
       in
       loop 1
-    end
+    end;
+    0
   in
   let file =
     Arg.(
@@ -1607,12 +1479,11 @@ let top_cmd =
             "Stop after $(docv) refreshes (0 = keep refreshing until the \
              series ends).")
   in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live per-shard view (rps, queue depth, batch p50, latency \
-          p50/p99) of a telemetry time series; refreshes until the \
-          sampler writes its end marker.")
+  subcommand "top"
+    ~doc:
+      "Live per-shard view (rps, queue depth, batch p50, latency p50/p99) \
+       of a telemetry time series; refreshes until the sampler writes its \
+       end marker."
     Term.(const run $ file $ once $ refresh $ frames)
 
 let () =
@@ -1621,7 +1492,7 @@ let () =
      experiments from Helmi, Higham, Pacheco, Woelfel (PODC 2011)."
   in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group
           (Cmd.info "ts_cli" ~version:"1.0.0" ~doc)
           [ list_cmd; run_cmd; adversary_cmd; figure_cmd; claims_cmd;

@@ -332,4 +332,39 @@ wait "$server_pid" || {
   echo "net smoke: lease-1 server did not stop cleanly" >&2
   cat "$tmp_dir/inplace_serve.log" >&2; exit 1; }
 
+echo "== net smoke: the TCP transport, on a port the kernel picks =="
+# Every other net smoke serves on a unix path.  A TCP server leaves no
+# socket file for start_server to wait on, so wait up to 10 s for its
+# banner and read the bound port from it.
+tcp_log="$tmp_dir/tcp_serve.log"
+"$ts_bin" serve -i lamport-longlived -n 2 --listen tcp:127.0.0.1:0 \
+  > "$tcp_log" 2>&1 &
+server_pid=$!
+tcp_addr=""
+i=0
+while [ -z "$tcp_addr" ] && [ "$i" -lt 100 ] \
+  && kill -0 "$server_pid" 2>/dev/null; do
+  sleep 0.1; i=$((i + 1))
+  tcp_addr=$(sed -n 's/^serving .* at \(tcp:127\.0\.0\.1:[0-9]*\) .*/\1/p' \
+    "$tcp_log")
+done
+[ -n "$tcp_addr" ] || {
+  echo "net smoke: the TCP server printed no bound address" >&2
+  cat "$tcp_log" >&2; kill "$server_pid" 2>/dev/null || true; exit 1; }
+tcp_out=$("$ts_bin" loadgen -i lamport-longlived --addr "$tcp_addr" \
+  --clients 2 -r 100 --stop-server) || {
+  echo "net smoke: the TCP run failed" >&2
+  cat "$tcp_log" >&2; kill "$server_pid" 2>/dev/null; exit 1; }
+echo "$tcp_out"
+echo "$tcp_out" | grep -q "served 200 requests" || {
+  echo "net smoke: TCP run has the wrong request count" >&2
+  kill "$server_pid" 2>/dev/null; exit 1; }
+echo "$tcp_out" | grep -q "checker: OK" || {
+  echo "net smoke: TCP run failed the checker" >&2
+  kill "$server_pid" 2>/dev/null; exit 1; }
+wait "$server_pid" || {
+  echo "net smoke: TCP server did not stop cleanly" >&2
+  cat "$tcp_log" >&2; exit 1; }
+cat "$tcp_log"
+
 echo "== ci.sh: all green =="

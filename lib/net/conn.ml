@@ -18,7 +18,7 @@ let parse_addr s =
       let host = String.sub rest 0 i in
       let port = String.sub rest (i + 1) (String.length rest - i - 1) in
       (match int_of_string_opt port with
-       | Some port when port > 0 && port < 65536 && host <> "" ->
+       | Some port when port >= 0 && port < 65536 && host <> "" ->
          Some (Tcp { host; port })
        | _ -> None)
   in

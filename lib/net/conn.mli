@@ -15,7 +15,8 @@ val addr_to_string : addr -> string
 
 val parse_addr : string -> addr option
 (** Accepts ["unix:PATH"], ["tcp:HOST:PORT"], bare ["HOST:PORT"], and
-    bare filesystem paths. *)
+    bare filesystem paths.  A TCP port is 0–65535; a server bound to
+    port 0 gets a free port from the kernel. *)
 
 val sockaddr_of : addr -> Unix.sockaddr
 (** Resolves [Tcp] hosts (dotted quad or name); raises [Failure] when

@@ -114,6 +114,12 @@ type report = {
   lg_stalls : int;  (** stall-detector events (0 when telemetry off) *)
 }
 
+val validate : cfg -> unit
+(** Raises [Invalid_argument] unless [clients], [requests_per_client],
+    [pipeline] and an open-loop [rate] are positive: the check {!run} and
+    {!Drive.run} make first.  A caller that connects handles before the
+    run calls it to refuse a bad [cfg] before anything connects. *)
+
 val arrival_string : cfg -> string
 (** [""] for the closed loop, [" open rate=R/s"] for the open loop —
     suffix for custom transports' mode labels. *)

@@ -181,6 +181,8 @@ let addr_parsing () =
   check "tcp:127.0.0.1:9090"
     (Some (Net.Conn.Tcp { host = "127.0.0.1"; port = 9090 }));
   check "localhost:80" (Some (Net.Conn.Tcp { host = "localhost"; port = 80 }));
+  (* port 0: the server asks the kernel for a free port *)
+  check "tcp:127.0.0.1:0" (Some (Net.Conn.Tcp { host = "127.0.0.1"; port = 0 }));
   check "tcp:nohost" None;
   check "host:99999" None;
   check "" None
@@ -745,18 +747,16 @@ let lease_concurrent_clients () =
   Srv.stop srv
 
 (* [ts_cli loadgen --addr] in miniature: the generic driver over
-   Net.Client handles to a live Lamport server, 4 clients at lease 16
-   with 50 stamps each, every stamp in the driver's one global check. *)
-let drive_over_the_wire () =
-  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+   Net.Client handles to a live Lamport server at [addr], [clients]
+   clients of [requests] stamps each, every stamp in the driver's one
+   global check, which must pass with at least one ordered pair. *)
+let drive_lamport addr ~lease ~clients ~requests =
   let module C = Net.Client.Make (Timestamp.Lamport) in
   let module D = Svc.Loadgen.Drive (C) in
-  let addr = Net.Conn.Unix_path (sock_path ()) in
-  let srv = Srv.start ~addr ~n:4 () in
   let cfg =
-    { Svc.Loadgen.default with clients = 4; requests_per_client = 50 }
+    { Svc.Loadgen.default with clients; requests_per_client = requests }
   in
-  let handles = Array.init cfg.clients (fun _ -> C.connect ~lease:16 addr) in
+  let handles = Array.init clients (fun _ -> C.connect ~lease addr) in
   let r =
     D.run
       { D.connect = (fun i -> handles.(i));
@@ -771,10 +771,35 @@ let drive_over_the_wire () =
         service_stats = None }
       cfg
   in
-  Srv.stop srv;
-  Util.check_int "every stamp served" 200 r.Svc.Loadgen.lg_total;
-  Alcotest.(check (option string)) "no violation" None r.lg_violation;
-  Util.check_bool "happens-before pairs checked" true (r.lg_hb_pairs > 0)
+  let what = Printf.sprintf "%s lease %d" (Net.Conn.addr_to_string addr) lease in
+  Util.check_int (what ^ ": every stamp served") (clients * requests)
+    r.Svc.Loadgen.lg_total;
+  Alcotest.(check (option string)) (what ^ ": no violation") None r.lg_violation;
+  Util.check_bool (what ^ ": happens-before pairs checked") true
+    (r.lg_hb_pairs > 0)
+
+let drive_over_the_wire () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~addr ~n:4 () in
+  Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
+  drive_lamport addr ~lease:16 ~clients:4 ~requests:50
+
+(* The TCP transport: a server on a loopback port the kernel picks,
+   driven per stamp (lease 1) and through leases (lease 16). *)
+let drive_over_tcp () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let srv =
+    Srv.start ~addr:(Net.Conn.Tcp { host = "127.0.0.1"; port = 0 }) ~n:2 ()
+  in
+  Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
+  let addr = Srv.bound_addr srv in
+  (match addr with
+   | Net.Conn.Tcp { port; _ } ->
+     Util.check_bool "the kernel picked a port" true (port > 0)
+   | Net.Conn.Unix_path _ -> Alcotest.fail "a TCP server bound a unix path");
+  drive_lamport addr ~lease:1 ~clients:2 ~requests:50;
+  drive_lamport addr ~lease:16 ~clients:2 ~requests:50
 
 (* ------------------------- shutdown paths -------------------------- *)
 
@@ -1774,6 +1799,8 @@ let suite =
       Util.case "lease: anchors run only on demand" lease_anchors_on_demand;
       Util.case "loadgen: Drive over the wire checks every stamp"
         drive_over_the_wire;
+      Util.case "loadgen: Drive over TCP loopback, lease 1 and 16"
+        drive_over_tcp;
       Util.case "lease: a burst mints only the ticks short grants granted"
         lease_mints_only_granted_ticks;
       Util.case "lease: a burst past max_lease mints only granted ticks"
