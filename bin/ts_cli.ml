@@ -26,17 +26,23 @@ let impl_arg =
           (Printf.sprintf "Timestamp implementation (one of %s)."
              (String.concat ", " impl_names)))
 
-(* A count below 1 is refused by cmdliner's usage error (exit 124)
-   before any subcommand runs. *)
-let pos_int =
+(* A count below its least value is refused by cmdliner's usage error
+   (exit 124) before any subcommand runs. *)
+let int_at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some k when k >= 1 -> Ok k
+    | Some k when k >= lo -> Ok k
     | _ ->
       Error
-        (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+        (`Msg
+           (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
+              lo))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1
+
+let non_neg_int = int_at_least 0
 
 let n_arg =
   Arg.(
@@ -217,15 +223,20 @@ let run_cmd =
          Printf.printf "  p%d.%d -> %s\n" op.pid op.call
            (Format.asprintf "%a" T.pp_ts t))
       (Shm.Sim.results cfg);
-    (match H.check cfg with
-     | Ok pairs -> Printf.printf "compare-consistency: OK (%d ordered pairs)\n" pairs
-     | Error v ->
-       Printf.printf "VIOLATION: %s\n"
-         (Format.asprintf "%a" Timestamp.Checker.pp_violation v));
+    let rc =
+      match H.check cfg with
+      | Ok pairs ->
+        Printf.printf "compare-consistency: OK (%d ordered pairs)\n" pairs;
+        0
+      | Error v ->
+        Printf.printf "VIOLATION: %s\n"
+          (Format.asprintf "%a" Timestamp.Checker.pp_violation v);
+        1
+    in
     let written, touched = H.space_used cfg in
     Printf.printf "registers: written=%d touched=%d provisioned=%d\n" written
       touched (T.num_registers ~n);
-    0
+    rc
   in
   subcommand "run"
     ~doc:"Run a random workload on an implementation and check it."
@@ -722,11 +733,12 @@ let obs_cmd =
            match H.check cfg with
            | Ok pairs ->
              Printf.printf "compare-consistency: OK (%d ordered pairs)\n"
-               pairs
+               pairs;
+             0
            | Error v ->
              Printf.printf "VIOLATION: %s\n"
-               (Format.asprintf "%a" Timestamp.Checker.pp_violation v));
-      0
+               (Format.asprintf "%a" Timestamp.Checker.pp_violation v);
+             1)
     end
   in
   let validate =
@@ -936,7 +948,7 @@ let distributed_cmd =
   in
   let crashed_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_neg_int 0
       & info [ "crashed" ] ~docv:"F"
           ~doc:"Crash the first F replicas (must be a minority).")
   in
@@ -952,13 +964,17 @@ let clocks_cmd =
     let trace = Mp.Net.random_trace ~n ~steps ~internal_prob:0.4 ~rand () in
     Printf.printf "trace: %d events on %d nodes\n" (List.length trace) n;
     let report name = function
-      | Ok () -> Printf.printf "%-14s OK\n" name
-      | Error e -> Printf.printf "%-14s FAILED: %s\n" name e
+      | Ok () ->
+        Printf.printf "%-14s OK\n" name;
+        true
+      | Error e ->
+        Printf.printf "%-14s FAILED: %s\n" name e;
+        false
     in
-    report "lamport-clock" (Clocks.Lamport_clock.check trace);
-    report "vector-clock" (Clocks.Vector_clock.check ~n trace);
-    report "matrix-clock" (Clocks.Matrix_clock.check ~n trace);
-    0
+    let lamport = report "lamport-clock" (Clocks.Lamport_clock.check trace) in
+    let vector = report "vector-clock" (Clocks.Vector_clock.check ~n trace) in
+    let matrix = report "matrix-clock" (Clocks.Matrix_clock.check ~n trace) in
+    if lamport && vector && matrix then 0 else 1
   in
   let steps_arg =
     Arg.(

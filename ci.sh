@@ -11,6 +11,17 @@ dune build
 # build (and take its lock) on each call.
 ts_bin=./_build/default/bin/ts_cli.exe
 
+echo "== release build: no module compiled with -opaque =="
+# dune-workspace selects the release profile; dune's dev profile passes
+# -opaque to every library module, which stops inlining across modules.
+rules=$(dune rules -r @@default)
+echo "$rules" | grep -q 'net__Codec\.cmx' || {
+  echo "release build: dune rules lists no net__Codec.cmx" >&2; exit 1; }
+if echo "$rules" | grep -q -- '-opaque'; then
+  echo "release build: a module is compiled with -opaque (dev profile?)" >&2
+  exit 1
+fi
+
 echo "== one clock: no wall-clock reads, no sleeps outside Obs.Clock =="
 # Every latency, deadline and stopwatch reads Obs.Clock (monotonic
 # nanoseconds); a wall clock can step backwards.

@@ -82,23 +82,17 @@ let sort_by keys =
    call joins the frontier unless it is below a frontier element, and
    evicts the elements below it, so every prefix element stays a
    frontier element or below one. *)
-let check_calls (type c r) ~order ~compare_ts
-    ~(pp : Format.formatter -> r -> unit) ~(start : c -> int)
-    ~(stop : c -> int) ~(stamp : c -> r) ~(op : c -> Shm.History.op)
-    (calls : c array) : (int, violation) result =
-  let n = Array.length calls in
-  let starts = Array.make n 0 and ends = Array.make n 0 in
-  for i = 0 to n - 1 do
-    starts.(i) <- start calls.(i);
-    ends.(i) <- stop calls.(i)
-  done;
-  let ts = Array.map stamp calls in
+let check_calls (type r) ~order ~compare_ts
+    ~(pp : Format.formatter -> r -> unit) ~(op : int -> Shm.History.op)
+    ~(starts : int array) ~(ends : int array) (ts : r array) :
+    (int, violation) result =
+  let n = Array.length ts in
+  if Array.length starts <> n || Array.length ends <> n then
+    invalid_arg "Checker.check_calls: columns of different lengths";
   let exception Violation of violation in
   let violation i j reason =
     let str k = Format.asprintf "%a" pp ts.(k) in
-    Violation
-      { op1 = op calls.(i); op2 = op calls.(j); t1 = str i; t2 = str j;
-        reason }
+    Violation { op1 = op i; op2 = op j; t1 = str i; t2 = str j; reason }
   in
   (* One counter hands out every end tick, so two calls never share
      one. *)
@@ -194,12 +188,16 @@ let check_calls (type c r) ~order ~compare_ts
   with Violation v -> Error v
 
 let check_timed ~order ~compare_ts ~pp records =
-  check_calls ~order ~compare_ts ~pp
-    ~start:(fun r -> r.td_start)
-    ~stop:(fun r -> r.td_end)
-    ~stamp:(fun r -> r.td_ts)
-    ~op:(fun r -> { Shm.History.pid = r.td_pid; call = r.td_call })
-    (Array.of_list records)
+  let calls = Array.of_list records in
+  let col f = Array.map f calls in
+  let op i =
+    let r = calls.(i) in
+    { Shm.History.pid = r.td_pid; call = r.td_call }
+  in
+  check_calls ~order ~compare_ts ~pp ~op
+    ~starts:(col (fun r -> r.td_start))
+    ~ends:(col (fun r -> r.td_end))
+    (col (fun r -> r.td_ts))
 
 (* A history gives every event a time of its own, so no two responses
    share one and each follows its invocation: a sound tick witness. *)

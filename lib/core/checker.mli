@@ -34,19 +34,21 @@ val check_calls :
   order:Intf.order ->
   compare_ts:('r -> 'r -> bool) ->
   pp:(Format.formatter -> 'r -> unit) ->
-  start:('c -> int) ->
-  stop:('c -> int) ->
-  stamp:('c -> 'r) ->
-  op:('c -> Shm.History.op) ->
-  'c array ->
+  op:(int -> Shm.History.op) ->
+  starts:int array ->
+  ends:int array ->
+  'r array ->
   (int, violation) result
 (** The happens-before and irreflexivity rules over the tick-derived
-    happens-before order of an execution: call [c1] happens before [c2]
-    when [stop c1 < start c2].  Backs every verdict: the load
-    generator's ([Svc.Loadgen], and so [ts_cli stress]) and, through
-    {!check_sim}, the simulator's.  The accessors are read once per
-    call, into flat tick columns; [op] only names the calls of a
-    violation.
+    happens-before order of an execution, given as columns: call [i]
+    started at tick [starts.(i)], ended at tick [ends.(i)] and returned
+    [stamps.(i)] (the last argument), and call [c1] happens before [c2]
+    when [ends.(c1) < starts.(c2)].  Backs every verdict: the load
+    generator's ([Svc.Loadgen], and so [ts_cli stress]), which hands over
+    the columns its clients wrote, and, through {!check_sim}, the
+    simulator's.  The columns are read in place and
+    never written; [op i] only names call [i] in a violation.  Raises
+    [Invalid_argument] unless the three columns have one length.
 
     The ticks themselves are checked too.  Every serving path takes its
     end ticks from one counter, so no two calls share an end tick, and

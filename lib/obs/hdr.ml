@@ -1,13 +1,14 @@
-(* Log-linear ("HDR-style") histogram over non-negative integers, sharded
-   per domain so concurrent recorders never contend on a cache line.
+(* Log-linear ("HDR-style") histogram over non-negative integers, with
+   one writer: each recording domain keeps its own histogram and the
+   readers merge snapshots, so no recorder touches a shared cache line.
 
    Bucket layout: values below [sub_count] get one bucket each (exact);
    above that, every power-of-two range is split into [sub_count] linear
    sub-buckets, so the relative width of any bucket is at most
    1/sub_count (~3.1% with 32 sub-buckets).  The bucket index is a pure
    function of the value — no per-instance bounds array — which is what
-   makes the merge lossless: two histograms (or two shards of one) merge
-   by summing bucket counts, and the merged percentiles are exactly what
+   makes the merge lossless: two histograms merge by summing bucket
+   counts, and the merged percentiles are exactly what
    a single histogram fed both streams would report. *)
 
 let sub_bits = 5
@@ -56,60 +57,28 @@ let bucket_high i =
 let bucket_mid i = bucket_low i + ((bucket_high i - bucket_low i) / 2)
 
 (* ------------------------------------------------------------------ *)
-(* Shards.  Each bucket is an [int Atomic.t] carried in its own 8-word
-   block (an all-immediate 8-element int array is a valid [int Atomic.t]
-   whose atomic operations act on element 0; the other 7 words are
-   padding), so no two counters — and in particular no two shards'
-   counters — share a 64-byte line. *)
+(* The histogram: one plain [int] per bucket and one writer.  A
+   recording domain owns its histogram; histograms of different
+   recorders meet only as snapshots, through [merged] and [merge].     *)
 
-let slot_words = 8
-
-let make_slot (v : int) : int Atomic.t = Obj.magic (Array.make slot_words v)
-
-type shard = {
-  counts : int Atomic.t array;
-  s_min : int Atomic.t;  (* max_int when the shard is empty *)
-  s_max : int Atomic.t;  (* -1 when the shard is empty *)
+type t = {
+  counts : int array;  (* length num_buckets *)
+  mutable lo : int;  (* recorded minimum; max_int when empty *)
+  mutable hi : int;  (* recorded maximum; -1 when empty *)
 }
 
-type t = { shards : shard array; mask : int }
+let create () = { counts = Array.make num_buckets 0; lo = max_int; hi = -1 }
 
-let make_shard () =
-  { counts = Array.init num_buckets (fun _ -> make_slot 0);
-    s_min = make_slot max_int;
-    s_max = make_slot (-1) }
-
-let rec pow2_above k n = if n >= k then n else pow2_above k (n * 2)
-
-let default_shards = 8
-
-let create ?(shards = default_shards) () =
-  if shards <= 0 then invalid_arg "Obs.Hdr.create: shards must be positive";
-  let shards = pow2_above shards 1 in
-  { shards = Array.init shards (fun _ -> make_shard ()); mask = shards - 1 }
-
-let num_shards t = Array.length t.shards
-
-(* Lower [v] into the atomic if it improves the bound; after warm-up this
-   is one load and no store. *)
-let rec update_min a v =
-  let cur = Atomic.get a in
-  if v < cur && not (Atomic.compare_and_set a cur v) then update_min a v
-
-let rec update_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then update_max a v
-
+(* The bounds are written before the count, and [merged] (so also
+   [snapshot]) reads them after the counts, so a snapshot taken from
+   another domain while the writer records does not see a count without
+   its bounds. *)
 let record t v =
   let v = if v < 0 then 0 else if v > max_trackable then max_trackable else v in
-  let shard =
-    Array.unsafe_get t.shards ((Domain.self () :> int) land t.mask)
-  in
-  ignore
-    (Atomic.fetch_and_add (Array.unsafe_get shard.counts (bucket_index v)) 1
-     : int);
-  update_min shard.s_min v;
-  update_max shard.s_max v
+  if v < t.lo then t.lo <- v;
+  if v > t.hi then t.hi <- v;
+  let i = bucket_index v in
+  Array.unsafe_set t.counts i (Array.unsafe_get t.counts i + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: plain int arrays, safe to merge/query on any domain.      *)
@@ -121,24 +90,26 @@ type snapshot = {
   smax : int;  (* recorded maximum; 0 when empty *)
 }
 
-let snapshot t =
+(* Counts first, then each histogram's bounds (see [record]). *)
+let merged ts =
   let buckets = Array.make num_buckets 0 in
-  let smin = ref max_int and smax = ref (-1) in
+  let lo = ref max_int and hi = ref (-1) in
   Array.iter
-    (fun sh ->
+    (fun t ->
        for i = 0 to num_buckets - 1 do
-         buckets.(i) <- buckets.(i) + Atomic.get sh.counts.(i)
+         Array.unsafe_set buckets i
+           (Array.unsafe_get buckets i + Array.unsafe_get t.counts i)
        done;
-       let m = Atomic.get sh.s_min in
-       if m < !smin then smin := m;
-       let m = Atomic.get sh.s_max in
-       if m > !smax then smax := m)
-    t.shards;
+       if t.lo < !lo then lo := t.lo;
+       if t.hi > !hi then hi := t.hi)
+    ts;
   let total = Array.fold_left ( + ) 0 buckets in
   { buckets;
     total;
-    smin = (if total = 0 then 0 else !smin);
-    smax = (if total = 0 then 0 else !smax) }
+    smin = (if total = 0 then 0 else !lo);
+    smax = (if total = 0 then 0 else !hi) }
+
+let snapshot t = merged [| t |]
 
 let merge a b =
   let buckets = Array.mapi (fun i c -> c + b.buckets.(i)) a.buckets in

@@ -1,44 +1,45 @@
-(** Sharded log-linear (HDR-style) histograms for hot-path latency data.
+(** Single-writer log-linear (HDR-style) histograms for hot-path latency
+    data.
 
-    {!record} is safe from any domain and allocation-free: the recorder
-    picks a shard by domain id, computes the log-linear bucket index with
-    integer arithmetic, and bumps one cache-line-padded [int Atomic.t]
-    with a single [fetch_and_add] (plus a read-mostly min/max refresh).
-    A [Gc.minor_words] test pins the record path to zero minor words.
+    A histogram has one writer: the domain that records into it.  Each
+    recording domain keeps its own histogram, and readers merge their
+    {!snapshot}s.  {!record} computes the log-linear bucket index with
+    integer arithmetic and bumps one plain [int]; a [Gc.minor_words] test
+    pins it to zero minor words.
 
     Bucket boundaries are a pure function of the value — below 32 every
     value has its own bucket, above that each power-of-two range splits
     into 32 linear sub-buckets — so any bucket is at most ~3.1% wide
     relative to its value, and two histograms merge losslessly by summing
-    bucket counts: {!merge} of per-domain shards reports exactly the
+    bucket counts: {!merge} of per-domain snapshots reports exactly the
     percentiles a single histogram fed the union would.
 
-    Queries go through an immutable {!snapshot}; taking one concurrently
-    with recorders is safe and sees some recent state of each shard. *)
+    Queries go through an immutable {!snapshot}.  A snapshot may be taken
+    on any domain; one taken while the writer records sees some recent
+    state of the histogram. *)
 
 type t
 
-val create : ?shards:int -> unit -> t
-(** [shards] (default 8) is rounded up to a power of two.  Recording
-    domains map to shards by [domain id land (shards - 1)]; more shards
-    than concurrent recorders just wastes memory (each shard carries
-    ~1800 padded buckets, ~128 KiB). *)
-
-val num_shards : t -> int
+val create : unit -> t
+(** An empty histogram: one [int] per bucket, ~1800 buckets, ~14 KiB. *)
 
 val record : t -> int -> unit
 (** Records one non-negative value (negatives clamp to 0, huge values to
-    [2^60 - 1]).  One atomic fetch-and-add; no allocation. *)
+    [2^60 - 1]).  Only the histogram's one writer may call it.  No
+    allocation. *)
 
 (** {2 Snapshots} *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Sums all shards into an immutable snapshot (lossless: bucket counts
-    add exactly). *)
+(** A copy of the histogram's counts and bounds. *)
+
+val merged : t array -> snapshot
+(** The {!merge} of the histograms' snapshots, made in one copy. *)
 
 val merge : snapshot -> snapshot -> snapshot
+(** Lossless: bucket counts add exactly. *)
 
 val count : snapshot -> int
 

@@ -66,23 +66,23 @@ type report = {
 }
 
 (* Latencies are recorded live into HDR histograms, in integer
-   nanoseconds: a client domain records into the histogram shard its
-   domain id picks (one padded fetch-and-add per record, no allocation)
-   and the report percentiles come from the lossless merge of the
-   shards.  The histograms have one shard per client domain (rounded up
-   to a power of two): [collect] spawns the client domains back to back,
-   and neither the service nor the wire server spawns a domain while
-   they run, so each client has its own shard. *)
+   nanoseconds.  Every client records into histograms of its own, one
+   for all its calls and one per serving shard: single-writer, plain
+   increments, no allocation.  The report's percentiles come from the
+   lossless merge of every client's snapshots. *)
 let us_of_ns ns = ns /. 1e3
 
 type recorder = {
-  g_hdr : Obs.Hdr.t;  (* all requests *)
+  g_hdr : Obs.Hdr.t;  (* all of one client's requests *)
   shard_hdrs : Obs.Hdr.t array;  (* by serving shard (index 0 unsharded) *)
 }
 
-let make_recorder ~clients num_shards =
-  let hdr () = Obs.Hdr.create ~shards:clients () in
-  { g_hdr = hdr (); shard_hdrs = Array.init num_shards (fun _ -> hdr ()) }
+let make_recorder num_shards =
+  { g_hdr = Obs.Hdr.create ();
+    shard_hdrs = Array.init num_shards (fun _ -> Obs.Hdr.create ()) }
+
+(* One histogram of every client, merged. *)
+let merged rcs hdr = Obs.Hdr.merged (Array.map hdr rcs)
 
 (* A call's latency: its response's [st_resp_us] less its start, an
    [Obs.Clock.now_ns] reading. *)
@@ -146,7 +146,7 @@ let validate cfg =
 module Drive (C : Client.S) = struct
   type setup = {
     connect : int -> C.t;
-        (* client [i]'s handle; called inside the client's domain *)
+        (* client [i]'s handle; called on the client's domain *)
     num_shards : int;  (* serving shards (for per-shard histograms) *)
     impl : string;
     mode_label : string;
@@ -155,83 +155,114 @@ module Drive (C : Client.S) = struct
     pp_ts : Format.formatter -> C.result -> unit;
     attach : (Obs.Timeseries.t -> unit) option;
         (* extra telemetry sources (e.g. the service's own) *)
-    teardown : unit -> unit;  (* after clients join, before stats *)
+    teardown : unit -> unit;  (* once: after the clients, before stats *)
     service_stats : (unit -> (int * int * int) array) option;
         (* per-shard (served, batches, max_batch), read after teardown *)
   }
+
+  (* The run's calls, in flat columns sized before any client starts:
+     client [i] writes its [k]-th call at [i * requests_per_client + k],
+     and the checker reads the columns in place.  Nothing a client keeps
+     is a fresh block, so its minor collections promote nothing (the
+     stamps themselves aside, when they are blocks).  The stamp column
+     needs a stamp to be made, so the first client to complete a call
+     makes it, for every client. *)
+  type log = {
+    pids : int array;
+    calls : int array;
+    starts : int array;
+    ends : int array;
+    stamps : C.result array option Atomic.t;
+  }
+
+  let make_log total =
+    let column () = Array.make total 0 in
+    { pids = column (); calls = column (); starts = column ();
+      ends = column (); stamps = Atomic.make None }
+
+  let rec stamp_column log ts =
+    match Atomic.get log.stamps with
+    | Some col -> col
+    | None ->
+      let col = Array.make (Array.length log.ends) ts in
+      ignore (Atomic.compare_and_set log.stamps None (Some col) : bool);
+      stamp_column log ts
+
+  (* Writes call [k] and records its latency. *)
+  let put log rc k (s : C.result Client.stamp) ~start_ns =
+    record_lat rc s ~start_ns;
+    log.pids.(k) <- s.st_pid;
+    log.calls.(k) <- s.st_call;
+    log.starts.(k) <- s.st_start_tick;
+    log.ends.(k) <- s.st_end_tick;
+    (stamp_column log s.st_ts).(k) <- s.st_ts
 
   (* Closed-loop client: issue a burst of [pipeline], await it, repeat.
      Latency = burst issue time to the transport's completion stamp —
      queueing + service time, excluding the client's own post-completion
      wakeup. *)
-  let closed_loop cfg rc client =
-    let rec go remaining acc =
-      if remaining = 0 then acc
-      else begin
-        let burst = min cfg.pipeline remaining in
-        let t_sub = Obs.Clock.now_ns () in
-        let stamps = C.stamp_batch client burst in
-        List.iter (fun s -> record_lat rc s ~start_ns:t_sub) stamps;
-        go (remaining - burst) (List.rev_append stamps acc)
+  let closed_loop cfg log rc client ~first =
+    let rec put_burst k start_ns = function
+      | [] -> k
+      | s :: rest ->
+        put log rc k s ~start_ns;
+        put_burst (k + 1) start_ns rest
+    in
+    let last = first + cfg.requests_per_client in
+    let rec go k =
+      if k < last then begin
+        let start_ns = Obs.Clock.now_ns () in
+        let burst = C.stamp_batch client (min cfg.pipeline (last - k)) in
+        go (put_burst k start_ns burst)
       end
     in
-    go cfg.requests_per_client []
+    go first
 
   (* Open-loop client: begin each request at its scheduled arrival,
      keeping at most [pipeline] in flight (completing the oldest when
      the window is full).  Latency runs from the scheduled arrival, so a
      request delayed behind a full window or a deep queue still charges
      the service for the wait. *)
-  let open_loop cfg rc ~rate ~t0 client i =
+  let open_loop cfg log rc ~rate ~t0 client i ~first =
     let iv = arrival_interval_ns cfg rate in
     let phase = iv *. float_of_int i /. float_of_int cfg.clients in
     let window = Queue.create () in
-    let complete_oldest acc =
+    let next = ref first in
+    let complete_oldest () =
       let thunk, sched = Queue.pop window in
-      let s = thunk () in
-      record_lat rc s ~start_ns:sched;
-      s :: acc
+      put log rc !next (thunk ()) ~start_ns:sched;
+      incr next
     in
-    let rec go call acc =
-      if call >= cfg.requests_per_client then begin
-        let acc = ref acc in
-        while not (Queue.is_empty window) do
-          acc := complete_oldest !acc
-        done;
-        !acc
-      end
-      else begin
-        let sched = t0 + int_of_float (phase +. (float_of_int call *. iv)) in
-        wait_until sched;
-        let acc =
-          if Queue.length window >= cfg.pipeline then complete_oldest acc
-          else acc
-        in
-        Queue.push (C.stamp_async client, sched) window;
-        go (call + 1) acc
-      end
-    in
-    go 0 []
+    for call = 0 to cfg.requests_per_client - 1 do
+      let sched = t0 + int_of_float (phase +. (float_of_int call *. iv)) in
+      wait_until sched;
+      if Queue.length window >= cfg.pipeline then complete_oldest ();
+      Queue.push (C.stamp_async client, sched) window
+    done;
+    while not (Queue.is_empty window) do
+      complete_oldest ()
+    done
 
-  let start_telemetry setup cfg rc =
+  let start_telemetry setup cfg rcs ~num_shards =
     match cfg.telemetry with
     | None -> None
     | Some tel ->
       let ts = Obs.Timeseries.create ~interval_us:tel.tel_interval_us () in
       (match setup.attach with Some f -> f ts | None -> ());
-      (* the load generator's own live series, from the merged HDR *)
-      let pct h p () = us_of_ns (Obs.Hdr.percentile (Obs.Hdr.snapshot h) p) in
-      Array.iteri
-        (fun i h ->
-           let name = Printf.sprintf "s%d.lat_p%s_us" i in
-           Obs.Timeseries.add_source ts ~name:(name "50") (pct h 50.);
-           Obs.Timeseries.add_source ts ~name:(name "99") (pct h 99.))
-        rc.shard_hdrs;
-      Obs.Timeseries.add_source ts ~name:"lat.p50_us" (pct rc.g_hdr 50.);
-      Obs.Timeseries.add_source ts ~name:"lat.p99_us" (pct rc.g_hdr 99.);
-      Obs.Timeseries.add_source ts ~name:"lat.p999_us" (pct rc.g_hdr 99.9);
+      (* the load generator's own live series, from the merged HDRs *)
+      let pct hdr p () = us_of_ns (Obs.Hdr.percentile (merged rcs hdr) p) in
+      for i = 0 to num_shards - 1 do
+        let name = Printf.sprintf "s%d.lat_p%s_us" i in
+        let hdr rc = rc.shard_hdrs.(i) in
+        Obs.Timeseries.add_source ts ~name:(name "50") (pct hdr 50.);
+        Obs.Timeseries.add_source ts ~name:(name "99") (pct hdr 99.)
+      done;
+      let all rc = rc.g_hdr in
+      Obs.Timeseries.add_source ts ~name:"lat.p50_us" (pct all 50.);
+      Obs.Timeseries.add_source ts ~name:"lat.p99_us" (pct all 99.);
+      Obs.Timeseries.add_source ts ~name:"lat.p999_us" (pct all 99.9);
       Obs.Timeseries.add_source ts ~name:"lg.completed" (fun () ->
-          float_of_int (Obs.Hdr.count (Obs.Hdr.snapshot rc.g_hdr)));
+          float_of_int (Obs.Hdr.count (merged rcs all)));
       Obs.Timeseries.start ~append:tel.tel_append ~out:tel.tel_out ts;
       Some ts
 
@@ -242,14 +273,17 @@ module Drive (C : Client.S) = struct
      cuts how much the clients' first calls overlap. *)
   let ready_polls = 100_000
 
-  (* Spawn one domain per client, drive the configured loop, join.
-     Until the last spawn the clients sleep on a start gate, so none
-     runs, or ends and frees its domain slot, before then; then each
-     connects and they meet at a ready barrier, so their first calls
-     start together: the last arrival broadcasts on the gate, the others
-     poll, then block.  Elapsed time and the open loop's schedule start
-     at the gate's opening. *)
-  let collect setup cfg rc =
+  (* Client 0 runs on the calling domain, and every other client on a
+     domain of its own.  Until the last spawn the spawned clients sleep
+     on a start gate, so none runs, or ends and frees its domain slot,
+     before then; then each connects and they meet at a ready barrier,
+     so their first calls start together: the last arrival broadcasts on
+     the gate, the others poll, then block.  A client whose connect
+     raises still arrives, so the others do not wait for it.  Elapsed
+     time and the open loop's schedule start at the gate's opening, and
+     the first exception a client raised is re-raised once every client
+     has ended. *)
+  let collect setup cfg log rcs =
     let gate = Mutex.create () and opened = Condition.create () in
     let state = ref `Closed in
     let open_gate s =
@@ -288,36 +322,47 @@ module Drive (C : Client.S) = struct
             !state)
       in
       match s with
-      | `Closed | `Abort -> []
+      | `Closed | `Abort -> ()
       | `Go t0 ->
-        let client = setup.connect i in
-        await_ready ();
-        let samples =
-          match cfg.arrival with
-          | Closed -> closed_loop cfg rc client
-          | Open { rate } -> open_loop cfg rc ~rate ~t0 client i
+        let client =
+          match setup.connect i with
+          | client -> await_ready (); client
+          | exception e -> await_ready (); raise e
         in
-        C.close client;
-        samples
+        let first = i * cfg.requests_per_client and rc = rcs.(i) in
+        (match cfg.arrival with
+         | Closed -> closed_loop cfg log rc client ~first
+         | Open { rate } -> open_loop cfg log rc ~rate ~t0 client i ~first);
+        C.close client
     in
     Obs.Hooks.with_span "loadgen.run" @@ fun () ->
     let domains =
       Obs.Hooks.with_span "loadgen.spawn" @@ fun () ->
       let spawned = ref [] in
       (try
-         for i = 0 to cfg.clients - 1 do
+         for i = 1 to cfg.clients - 1 do
            spawned := Domain.spawn (body i) :: !spawned
          done
        with e ->
          open_gate `Abort;
-         List.iter (fun d -> ignore (Domain.join d)) !spawned;
+         List.iter Domain.join !spawned;
          raise e);
       List.rev !spawned
     in
     let t0 = Obs.Clock.now_ns () in
     open_gate (`Go t0);
-    let samples = List.concat_map Domain.join domains in
-    (samples, Obs.Clock.elapsed_s t0)
+    let outcome run =
+      match run () with
+      | () -> None
+      | exception e -> Some (e, Printexc.get_raw_backtrace ())
+    in
+    let first_error = outcome (body 0) in
+    let errors =
+      List.map (fun d -> outcome (fun () -> Domain.join d)) domains
+    in
+    match List.find_map Fun.id (first_error :: errors) with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> Obs.Clock.elapsed_s t0
 
   (* The checker path: the declaration of the registered implementation
      named [setup.impl]; any other name (a fuzz mutant, a custom label)
@@ -326,25 +371,20 @@ module Drive (C : Client.S) = struct
     Option.fold ~none:`General ~some:Timestamp.Registry.order
       (Timestamp.Registry.find setup.impl)
 
-  (* Build the standard report from the collected samples and the
-     histogram snapshots; runs the happens-before check over every
-     sample. *)
-  let report_of setup ~samples ~elapsed ~gsnap ~shard_snaps ~stats
-      ~tel_samples ~tel_stalls =
-    let calls = Array.of_list samples in
-    let total = Array.length calls in
+  (* Build the standard report from the columns and the histogram
+     snapshots; runs the happens-before check over every call. *)
+  let report_of setup log ~elapsed ~gsnap ~shard_snaps ~stats ~tel_samples
+      ~tel_stalls =
+    let total = Array.length log.ends in
+    let stamps = Option.value (Atomic.get log.stamps) ~default:[||] in
+    let op i = { Shm.History.pid = log.pids.(i); call = log.calls.(i) } in
     let t_check = Obs.Clock.now_ns () in
     let hb_pairs, violation =
       match
         Obs.Hooks.with_span "loadgen.check" @@ fun () ->
         Timestamp.Checker.check_calls ~order:(order_of setup)
-          ~compare_ts:setup.compare_ts ~pp:setup.pp_ts
-          ~start:(fun s -> s.Client.st_start_tick)
-          ~stop:(fun s -> s.Client.st_end_tick)
-          ~stamp:(fun s -> s.Client.st_ts)
-          ~op:(fun s ->
-              { Shm.History.pid = s.Client.st_pid; call = s.Client.st_call })
-          calls
+          ~compare_ts:setup.compare_ts ~pp:setup.pp_ts ~op ~starts:log.starts
+          ~ends:log.ends stamps
       with
       | Ok pairs -> (pairs, None)
       | Error v ->
@@ -384,20 +424,38 @@ module Drive (C : Client.S) = struct
       lg_shards = List.init num_shards shard_report;
       lg_timestamps =
         lazy
-          (List.sort
-             (fun a b -> Int.compare a.Client.st_end_tick b.Client.st_end_tick)
-             samples
-           |> List.map (fun s ->
-               Format.asprintf "%a" setup.pp_ts s.Client.st_ts));
+          (List.init total Fun.id
+           |> List.sort (fun i j -> Int.compare log.ends.(i) log.ends.(j))
+           |> List.map (fun i -> Format.asprintf "%a" setup.pp_ts stamps.(i)));
       lg_samples = tel_samples;
       lg_stalls = tel_stalls }
 
+  (* [setup.teardown] runs once on every path: after the clients end
+     and before the check, or before an exception leaves [run]. *)
   let run setup cfg =
-    validate cfg;
-    let rc = make_recorder ~clients:cfg.clients (max 1 setup.num_shards) in
-    let ts = start_telemetry setup cfg rc in
-    let samples, elapsed = collect setup cfg rc in
-    setup.teardown ();
+    let num_shards = max 1 setup.num_shards in
+    let drive () =
+      validate cfg;
+      let rcs = Array.init cfg.clients (fun _ -> make_recorder num_shards) in
+      let log = make_log (cfg.clients * cfg.requests_per_client) in
+      let ts = start_telemetry setup cfg rcs ~num_shards in
+      match collect setup cfg log rcs with
+      | elapsed -> (rcs, log, ts, elapsed)
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Option.iter Obs.Timeseries.stop ts;
+        Printexc.raise_with_backtrace e bt
+    in
+    let rcs, log, ts, elapsed =
+      match drive () with
+      | driven ->
+        setup.teardown ();
+        driven
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        setup.teardown ();
+        Printexc.raise_with_backtrace e bt
+    in
     let stats = Option.map (fun f -> f ()) setup.service_stats in
     let tel_samples, tel_stalls =
       match ts with
@@ -406,9 +464,9 @@ module Drive (C : Client.S) = struct
         Obs.Timeseries.stop ts;
         (Obs.Timeseries.samples ts, Obs.Timeseries.stalls ts)
     in
-    report_of setup ~samples ~elapsed
-      ~gsnap:(Obs.Hdr.snapshot rc.g_hdr)
-      ~shard_snaps:(Array.map Obs.Hdr.snapshot rc.shard_hdrs)
+    let shard_snap i = merged rcs (fun rc -> rc.shard_hdrs.(i)) in
+    report_of setup log ~elapsed ~gsnap:(merged rcs (fun rc -> rc.g_hdr))
+      ~shard_snaps:(Array.init num_shards shard_snap)
       ~stats ~tel_samples ~tel_stalls
 end
 
@@ -457,7 +515,12 @@ module Run (T : Timestamp.Intf.S) = struct
       in
       (* open the sessions here, not in the client domains, so client [i]
          deterministically owns process id [i] *)
-      let clients = Array.init cfg.clients (fun _ -> Ci.connect svc) in
+      let clients =
+        try Array.init cfg.clients (fun _ -> Ci.connect svc)
+        with e ->
+          S.stop svc;
+          raise e
+      in
       Di.run
         { Di.connect = (fun i -> clients.(i));
           num_shards = shards;

@@ -1,6 +1,7 @@
 (** Seeded load generator for the timestamp service.
 
-    Spawns [clients] domains; each performs [requests_per_client] getTS
+    Runs [clients] clients, client 0 on the calling domain and each other
+    on a domain of its own; each performs [requests_per_client] getTS
     calls through a {!Client.S} transport.  The built-in dispatch ({!run})
     covers mode [Service] ({!Client.Inproc} over a fresh service) and mode
     [Direct] ({!Client.Direct}, the unbatched baseline and [ts_cli
@@ -23,15 +24,18 @@
       simply stops generating load while it waits.  The in-flight window
       is still bounded by [pipeline].
 
-    Latencies are recorded live into a sharded {!Obs.Hdr} histogram in
-    integer nanoseconds — each client domain lands in its own
-    cache-padded shard, one atomic fetch-and-add per record — and the
-    report's p50/p90/p99/p99.9/max come from the lossless merge of those
-    per-domain shards.
+    Latencies are recorded live, in integer nanoseconds, into
+    single-writer {!Obs.Hdr} histograms that each client owns (one plain
+    increment per record), and the report's p50/p90/p99/p99.9/max come
+    from the lossless merge of the clients' snapshots.
 
     Every request's submit/response order is recorded against the global
     tick, so the report carries a {!Timestamp.Checker.check_calls} verdict
-    over the real happens-before order the clients observed.  The
+    over the real happens-before order the clients observed.  Each client
+    writes its calls' process ids, call numbers, ticks and stamps into
+    flat columns sized before the run starts, which the checker reads in
+    place: a client keeps no fresh block per call, so its minor
+    collections promote nothing but the stamps that are blocks.  The
     implementation's declared order ({!Timestamp.Intf.order}) picks the
     checker path: a radix-sorted sweep for a strict weak or strict
     partial order, the exhaustive pair scan otherwise.
@@ -95,7 +99,8 @@ type report = {
   lg_impl : string;
   lg_mode : string;  (** human-readable mode summary *)
   lg_total : int;  (** requests completed (= clients * requests_per_client) *)
-  lg_elapsed_s : float;  (** seconds from the start gate to the last join *)
+  lg_elapsed_s : float;
+      (** seconds from the start gate to the end of the last client *)
   lg_throughput : float;  (** requests per second *)
   lg_hb_pairs : int;  (** happens-before pairs the checker verified *)
   lg_violation : string option;  (** [None] = specification holds *)
@@ -131,14 +136,14 @@ val arrival_string : cfg -> string
 module Drive (C : Client.S) : sig
   type setup = {
     connect : int -> C.t;
-        (** client [i]'s handle; called inside the client's own domain
-            (pre-connect and return an array slot for deterministic
-            placement) *)
+        (** client [i]'s handle; called on the client's own domain, the
+            calling domain for client 0 (pre-connect and return an array
+            slot for deterministic placement) *)
     num_shards : int;  (** serving shards, for the per-shard histograms;
                            out-of-range [st_shard] values land in shard 0 *)
     impl : string;
         (** implementation name, for [lg_impl]; also selects the
-            {!Timestamp.Checker.check_timed} path: the declared
+            {!Timestamp.Checker.check_calls} path: the declared
             {!Timestamp.Intf.S.order} of the registered implementation
             of that name ({!Timestamp.Registry.find}), and the exhaustive
             scan for any unregistered name *)
@@ -149,17 +154,24 @@ module Drive (C : Client.S) : sig
     attach : (Obs.Timeseries.t -> unit) option;
         (** add transport telemetry sources before the sampler starts *)
     teardown : unit -> unit;
-        (** runs after all clients joined, before [service_stats] *)
+        (** runs exactly once per {!run}: after all clients ended and
+            before [service_stats] and the check, or, when the run
+            raises, before the exception leaves {!run} *)
     service_stats : (unit -> (int * int * int) array) option;
         (** per-shard [(served, batches, max_batch)] for the report *)
   }
 
   val run : setup -> cfg -> report
   (** Ignores [cfg.mode] (the transport is [setup]'s business); honours
-      everything else.  If a [Domain.spawn] fails (past the runtime's
+      everything else.  Spawns [clients - 1] domains: client 0 runs on
+      the calling domain.  If a [Domain.spawn] fails (past the runtime's
       domain limit), the clients already spawned are joined, unconnected,
-      before the exception is re-raised.  Spans: ["loadgen.run"] (the
-      client phase), ["loadgen.spawn"] and ["loadgen.check"]. *)
+      before the exception is re-raised.  A client that raises, even in
+      [connect] before the clients' ready barrier, ends alone: the others
+      run to their end, and then [run] re-raises the first exception.
+      [setup.teardown] runs on every path out of [run], once.  Spans:
+      ["loadgen.run"] (the client phase), ["loadgen.spawn"] and
+      ["loadgen.check"]. *)
 end
 
 val run : Timestamp.Registry.impl -> cfg -> report

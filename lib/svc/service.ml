@@ -251,7 +251,7 @@ module Make (T : Timestamp.Intf.S) = struct
         batches = 0;
         max_batch = 0;
         chunks = 0;
-        batch_hdr = Obs.Hdr.create ~shards:1 () }
+        batch_hdr = Obs.Hdr.create () }
     in
     let t =
       { regs =

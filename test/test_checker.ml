@@ -143,9 +143,18 @@ let timed_leaves_concurrent_unconstrained order =
   | Error _ -> Alcotest.fail "overlapping calls are unconstrained"
 
 let timed_empty order =
-  match run_timed order [] with
-  | Ok pairs -> Util.check_int "no pairs" 0 pairs
-  | Error _ -> Alcotest.fail "empty history is correct"
+  (match run_timed order [] with
+   | Ok pairs -> Util.check_int "no pairs" 0 pairs
+   | Error _ -> Alcotest.fail "empty history is correct");
+  (* [check_calls] takes its calls as columns of one length *)
+  match
+    Timestamp.Checker.check_calls ~order ~compare_ts:( < )
+      ~pp:Format.pp_print_int
+      ~op:(fun pid -> { Shm.History.pid; call = 0 })
+      ~starts:[| 0 |] ~ends:[||] [||]
+  with
+  | _ -> Alcotest.fail "columns of different lengths were accepted"
+  | exception Invalid_argument _ -> ()
 
 let timed_detects_reflexive_compare order =
   match run_timed ~compare_ts:( <= ) order (sequential [ 1; 2; 3 ]) with

@@ -1,6 +1,7 @@
 (* Obs.Hdr: bucket geometry, percentile accuracy against exact sorted
-   oracles, lossless cross-domain merge, and the zero-allocation record
-   path the live-telemetry overhead budget rests on. *)
+   oracles, lossless merge of per-domain histograms, and the
+   zero-allocation record path the live-telemetry overhead budget rests
+   on. *)
 
 let check_float name expected actual =
   Alcotest.(check (float 1e-9)) name expected actual
@@ -32,7 +33,7 @@ let bucket_geometry () =
   done
 
 let record_and_bounds () =
-  let h = Obs.Hdr.create ~shards:1 () in
+  let h = Obs.Hdr.create () in
   List.iter (Obs.Hdr.record h) [ 5; 100; 100; 7_000; 123 ];
   let s = Obs.Hdr.snapshot h in
   Util.check_int "count" 5 (Obs.Hdr.count s);
@@ -60,7 +61,7 @@ let percentile_oracle =
   Util.qtest ~count:60 "hdr percentile vs sorted oracle"
     QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 2_000_000))
     (fun vals ->
-       let h = Obs.Hdr.create ~shards:1 () in
+       let h = Obs.Hdr.create () in
        List.iter (Obs.Hdr.record h) vals;
        let s = Obs.Hdr.snapshot h in
        let sorted = Array.of_list (List.sort compare vals) in
@@ -82,28 +83,7 @@ let percentile_oracle =
        && Obs.Hdr.percentile s 0. = float_of_int sorted.(0)
        && Obs.Hdr.percentile s 100. = float_of_int sorted.(n - 1))
 
-(* Concurrent recorders on N domains; the merged snapshot must agree
-   bucket-for-bucket with a single-domain oracle fed the same multiset —
-   the merge is lossless, not approximate. *)
-let cross_domain_merge () =
-  let num_domains = 4 and per_domain = 5_000 in
-  let h = Obs.Hdr.create ~shards:8 () in
-  let values i =
-    (* deterministic per-domain stream with a wide dynamic range *)
-    List.init per_domain (fun k ->
-        let x = (k * 2654435761) + (i * 40503) in
-        (x land 0xfffff) lsr (k land 15))
-  in
-  let domains =
-    List.init num_domains (fun i ->
-        Domain.spawn (fun () -> List.iter (Obs.Hdr.record h) (values i)))
-  in
-  List.iter Domain.join domains;
-  let oracle = Obs.Hdr.create ~shards:1 () in
-  for i = 0 to num_domains - 1 do
-    List.iter (Obs.Hdr.record oracle) (values i)
-  done;
-  let s = Obs.Hdr.snapshot h and o = Obs.Hdr.snapshot oracle in
+let same_histogram o s =
   Util.check_int "merged count" (Obs.Hdr.count o) (Obs.Hdr.count s);
   Util.check_int "merged min" (Obs.Hdr.min_value o) (Obs.Hdr.min_value s);
   Util.check_int "merged max" (Obs.Hdr.max_value o) (Obs.Hdr.max_value s);
@@ -121,9 +101,43 @@ let cross_domain_merge () =
          (Obs.Hdr.percentile o p) (Obs.Hdr.percentile s p))
     [ 0.; 50.; 90.; 99.; 99.9; 100. ]
 
+(* One histogram per domain, each recorded by its own domain; the merge
+   of their snapshots must agree bucket-for-bucket with a single-domain
+   oracle fed the same multiset — the merge is lossless, not
+   approximate. *)
+let cross_domain_merge () =
+  let num_domains = 4 and per_domain = 5_000 in
+  let values i =
+    (* deterministic per-domain stream with a wide dynamic range *)
+    List.init per_domain (fun k ->
+        let x = (k * 2654435761) + (i * 40503) in
+        (x land 0xfffff) lsr (k land 15))
+  in
+  let domains =
+    List.init num_domains (fun i ->
+        Domain.spawn (fun () ->
+            let h = Obs.Hdr.create () in
+            List.iter (Obs.Hdr.record h) (values i);
+            h))
+  in
+  let hdrs = Array.of_list (List.map Domain.join domains) in
+  let oracle = Obs.Hdr.create () in
+  for i = 0 to num_domains - 1 do
+    List.iter (Obs.Hdr.record oracle) (values i)
+  done;
+  let o = Obs.Hdr.snapshot oracle in
+  (* the snapshots merged pairwise, and all at once *)
+  let folded =
+    Array.fold_left
+      (fun acc h -> Obs.Hdr.merge acc (Obs.Hdr.snapshot h))
+      (Obs.Hdr.snapshot hdrs.(0))
+      (Array.sub hdrs 1 (num_domains - 1))
+  in
+  List.iter (same_histogram o) [ folded; Obs.Hdr.merged hdrs ]
+
 (* snapshot-level merge is the same sum *)
 let snapshot_merge () =
-  let a = Obs.Hdr.create ~shards:1 () and b = Obs.Hdr.create ~shards:1 () in
+  let a = Obs.Hdr.create () and b = Obs.Hdr.create () in
   List.iter (Obs.Hdr.record a) [ 1; 10; 100 ];
   List.iter (Obs.Hdr.record b) [ 2; 20; 200_000 ];
   let m = Obs.Hdr.merge (Obs.Hdr.snapshot a) (Obs.Hdr.snapshot b) in
@@ -136,12 +150,12 @@ let snapshot_merge () =
   Util.check_int "merge with empty keeps min" 1
     (Obs.Hdr.min_value (Obs.Hdr.merge e m))
 
-(* The record path must not allocate: one padded fetch-and-add plus a
-   read-mostly min/max refresh.  Same discipline (and same pin) as the
-   service's submit/await path. *)
+(* The record path must not allocate: one plain increment plus the
+   min/max refresh.  Same discipline (and same pin) as the service's
+   submit/await path. *)
 let record_no_alloc () =
   let h = Obs.Hdr.create () in
-  (* warm up: min/max CAS settle, every bucket we will hit exists *)
+  (* warm up: min/max settle *)
   for i = 0 to 999 do Obs.Hdr.record h (i * 37) done;
   let before = Gc.minor_words () in
   for i = 0 to 999 do Obs.Hdr.record h ((i * 37) land 0xffff) done;

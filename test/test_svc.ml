@@ -301,6 +301,78 @@ let idle_service_parks () =
     (Printf.sprintf "idle service used %.2f ms of CPU in 500 ms" ms)
     true (ms < 5.0)
 
+(* The load generator keeps nothing per call but the columns sized
+   before the run, so a closed loop of Lamport stamps (immediate ints)
+   promotes nothing per call: at most a word per stamp, against the ~15
+   that a list of kept stamp records costs. *)
+let direct_loop_promotes_nothing () =
+  let stamps = 50_000 in
+  let cfg =
+    { Svc.Loadgen.default with
+      clients = 1; requests_per_client = stamps; n = 1 }
+  in
+  let p0 = (Gc.quick_stat ()).promoted_words in
+  let r = Svc.Loadgen.run Timestamp.Registry.lamport cfg in
+  let promoted = (Gc.quick_stat ()).promoted_words -. p0 in
+  Util.check_bool "the run passes the checker" true (r.lg_violation = None);
+  Util.check_int "every stamp served" stamps r.lg_total;
+  let per_stamp = promoted /. float_of_int stamps in
+  if per_stamp > 1. then
+    Alcotest.failf "%.0f words promoted over %d stamps (%.2f per stamp)"
+      promoted stamps per_stamp
+
+(* [Drive.run] calls [teardown] once on every path: a telemetry interval
+   that [Obs.Timeseries.create] refuses, and a client whose connect
+   raises before the ready barrier (client 0 runs on the calling domain,
+   so the run must re-raise rather than wait for it), as well as a run
+   that succeeds. *)
+let drive_tears_down_once () =
+  let module Cd = Svc.Client.Direct (Timestamp.Lamport) in
+  let module D = Svc.Loadgen.Drive (Cd) in
+  let teardowns = ref 0 in
+  let run ?(refuse = -1) cfg =
+    teardowns := 0;
+    let ctx = Cd.create_ctx ~n:cfg.Svc.Loadgen.clients () in
+    D.run
+      { D.connect =
+          (fun i -> if i = refuse then failwith "refused" else Cd.connect ctx);
+        num_shards = 1;
+        impl = Timestamp.Lamport.name;
+        mode_label = "teardown";
+        backend_label = "boxed";
+        compare_ts = Timestamp.Lamport.compare_ts;
+        pp_ts = Timestamp.Lamport.pp_ts;
+        attach = None;
+        teardown = (fun () -> incr teardowns);
+        service_stats = None }
+      cfg
+  in
+  let cfg =
+    { Svc.Loadgen.default with clients = 2; requests_per_client = 20 }
+  in
+  let r = run cfg in
+  Util.check_int "a run serves every request" 40 r.lg_total;
+  Util.check_int "teardown once after a run" 1 !teardowns;
+  let telemetry =
+    Some
+      { Svc.Loadgen.tel_out = Filename.null; tel_append = false;
+        tel_interval_us = 0 }
+  in
+  (match run { cfg with telemetry } with
+   | _ -> Alcotest.fail "a zero telemetry interval was accepted"
+   | exception Invalid_argument _ -> ());
+  Util.check_int "teardown once after a refused interval" 1 !teardowns;
+  List.iter
+    (fun refuse ->
+       (match run ~refuse cfg with
+        | _ -> Alcotest.failf "client %d's refused connect was ignored" refuse
+        | exception Failure _ -> ());
+       Util.check_int
+         (Printf.sprintf "teardown once after client %d's connect raised"
+            refuse)
+         1 !teardowns)
+    [ 0; 1 ]
+
 let suite =
   ( "svc",
     [ Util.case "mpsc drain is FIFO" mpsc_fifo;
@@ -323,4 +395,8 @@ let suite =
         freelist_exhaustion_extends;
       Util.case "telemetry sources report exact totals"
         telemetry_sources_totals;
-      Util.case "an idle service parks: no CPU burnt" idle_service_parks ] )
+      Util.case "an idle service parks: no CPU burnt" idle_service_parks;
+      Util.case "a direct closed loop promotes under a word per stamp"
+        direct_loop_promotes_nothing;
+      Util.case "Drive.run tears down once on every path"
+        drive_tears_down_once ] )
