@@ -1192,38 +1192,22 @@ let e17_model () =
 (* leases over a Unix socket; emitted as BENCH_net.json                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One benchmark point: a fresh wire server on a fresh socket, [clients]
-   Net.Client handles with lease size [lease], one loadgen run. *)
-let e18_point (type r) (module T : Timestamp.Intf.S with type result = r)
-    ~lease ~label (cfg : Svc.Loadgen.cfg) =
+(* One benchmark point: a fresh wire server on a fresh socket, driven
+   by one [Net.Client.run] at lease size [lease]. *)
+let e18_point impl ~lease (cfg : Svc.Loadgen.cfg) =
+  let (Timestamp.Registry.Impl (module T)) = impl in
   let module Srv = Net.Server.Make (T) in
-  let module C = Net.Client.Make (T) in
-  let module D = Svc.Loadgen.Drive (C) in
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "ts_e18_%d.sock" (Unix.getpid ()))
   in
   let addr = Net.Conn.Unix_path sock in
-  let srv =
-    Srv.start ~shards:1 ~addr ~n:(max cfg.Svc.Loadgen.clients 2) ()
-  in
-  let handles = Array.init cfg.clients (fun _ -> C.connect ~lease addr) in
-  let setup =
-    { D.connect = (fun i -> handles.(i));
-      num_shards = 1;
-      impl = T.name;
-      mode_label = Printf.sprintf "net unix lease=%d %s" lease label;
-      backend_label = "boxed";
-      compare_ts = T.compare_ts;
-      pp_ts = T.pp_ts;
-      attach = None;
-      teardown = (fun () -> Array.iter C.close handles);
-      service_stats = None }
-  in
-  let r = D.run setup cfg in
-  Srv.stop srv;
-  checked (Printf.sprintf "E18 %s lease=%d" T.name lease) r
+  let srv = Srv.start ~addr ~n:(max cfg.clients 2) () in
+  Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
+  checked
+    (Printf.sprintf "E18 %s lease=%d" T.name lease)
+    (Net.Client.run impl ~lease addr cfg)
 
 let e18_net () =
   header "E18: network transport — per-stamp RTTs vs epoch-range leases";
@@ -1265,7 +1249,7 @@ let e18_net () =
              (fun lease ->
                 (* closed loop, one outstanding call: the per-stamp cost *)
                 let closed =
-                  e18_point (module T) ~lease ~label:"closed"
+                  e18_point impl ~lease
                     { base with arrival = Svc.Loadgen.Closed; pipeline = 1 }
                 in
                 row "closed p=1" closed lease;
@@ -1274,8 +1258,7 @@ let e18_net () =
                   List.map
                     (fun rate ->
                        let r =
-                         e18_point (module T) ~lease
-                           ~label:(Printf.sprintf "open %.0f/s" rate)
+                         e18_point impl ~lease
                            { base with
                              arrival = Svc.Loadgen.Open { rate };
                              pipeline = 4 }

@@ -1090,72 +1090,6 @@ let serve_cmd =
       $ telemetry_interval_arg $ listen $ obs_out_term)
 
 let loadgen_cmd =
-  (* drive a live wire server: probe it for its implementation/shape,
-     then run the generic engine over Net.Client handles *)
-  let loadgen_wire (type r) (module T : Timestamp.Intf.S with type result = r)
-      ~(cfg : Svc.Loadgen.cfg) ~lease ~stop_server ~print_report addr_str =
-    let addr =
-      match Net.Conn.parse_addr addr_str with
-      | Some addr -> addr
-      | None -> failwith (Printf.sprintf "cannot parse --addr %S" addr_str)
-    in
-    let module C = Net.Client.Make (T) in
-    let module D = Svc.Loadgen.Drive (C) in
-    (* a bad count, rate or pipeline is refused before anything
-       connects, and a bad lease by the probe's own connect, before its
-       socket opens; whatever fails later, every handle opened here is
-       closed *)
-    Svc.Loadgen.validate cfg;
-    let probe = C.connect ~lease addr in
-    let opened = ref [ probe ] in
-    Fun.protect ~finally:(fun () -> List.iter C.close !opened) @@ fun () ->
-    let info = C.server_info probe in
-    (* the server counts from its start: report this run's share *)
-    let shard_stats () =
-      Array.of_list
-        (List.map
-           (fun (s : Net.Frame.shard_stat) ->
-              (s.ss_served, s.ss_batches, s.ss_max_batch))
-           (fst (C.stats probe)))
-    in
-    let before = shard_stats () in
-    (* pre-connect in the main domain, in client order, so connection
-       errors surface before any client domain starts *)
-    let handles =
-      Array.init cfg.clients (fun _ ->
-          let h = C.connect ~lease addr in
-          opened := h :: !opened;
-          h)
-    in
-    let r =
-      D.run
-        { D.connect = (fun i -> handles.(i));
-          num_shards = max 1 info.Net.Frame.si_shards;
-          impl = T.name;
-          mode_label =
-            Printf.sprintf "net %s lease=%d clients=%d pipeline=%d%s"
-              (Net.Conn.addr_to_string addr)
-              lease cfg.clients cfg.pipeline
-              (Svc.Loadgen.arrival_string cfg);
-          backend_label = "boxed";
-          compare_ts = T.compare_ts;
-          pp_ts = T.pp_ts;
-          attach = None;
-          teardown = (fun () -> Array.iter C.close handles);
-          service_stats =
-            Some
-              (fun () ->
-                 Array.mapi
-                   (fun i (served, batches, max_batch) ->
-                      let served0, batches0, _ = before.(i) in
-                      (served - served0, batches - batches0, max_batch))
-                   (shard_stats ())) }
-        cfg
-    in
-    let rc = print_report r in
-    if stop_server then C.stop_server probe;
-    rc
-  in
   let run impl n clients requests pipeline shards batch_max direct rate addr
       lease stop_server telemetry_out telemetry_interval out () =
     with_obs out @@ fun _ ->
@@ -1214,8 +1148,12 @@ let loadgen_cmd =
     match addr with
     | None -> print_report (Svc.Loadgen.run impl cfg)
     | Some addr_str ->
-      let (Timestamp.Registry.Impl (module T)) = impl in
-      loadgen_wire (module T) ~cfg ~lease ~stop_server ~print_report addr_str
+      let addr =
+        match Net.Conn.parse_addr addr_str with
+        | Some addr -> addr
+        | None -> failwith (Printf.sprintf "cannot parse --addr %S" addr_str)
+      in
+      print_report (Net.Client.run impl ~lease ~stop_server addr cfg)
   in
   let clients =
     Arg.(

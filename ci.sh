@@ -34,6 +34,16 @@ if grep -rn --include='*.ml' --exclude-dir=_build 'Unix\.sleepf' \
   echo "one clock: Unix.sleepf outside lib/obs/clock.ml" >&2; exit 1
 fi
 
+echo "== one wire load run: no hand-built Loadgen.Drive in bin or bench =="
+# A live server is driven through Net.Client.run, which owns the probe,
+# client order, per-loop counts and cleanup; a Drive setup built by hand
+# here would be a second copy of them.  perfbench builds its own setups.
+if grep -rn 'Loadgen\.Drive' bin bench; then
+  echo "one wire load run: Loadgen.Drive in bin/ or bench/" \
+       "(drive a live server with Net.Client.run)" >&2
+  exit 1
+fi
+
 # Every experiment writes its BENCH_*.json into the working directory.
 # Run the bench binary from a scratch directory, so CI's fast-mode
 # output never overwrites the committed full-mode trajectory files.

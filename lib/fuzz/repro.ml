@@ -116,7 +116,3 @@ let load path =
            (String.length e - String.length prefix)
        else e)
   | contents -> Result.bind (Obs.Json.of_string contents) of_json
-
-let pp ppf t =
-  Format.fprintf ppf "%s n=%d %d actions: %s" t.impl t.n
-    (List.length t.schedule) (to_ocaml t)

@@ -28,5 +28,3 @@ val save : t -> string -> unit
 (** Pretty-printed JSON, one file per repro. *)
 
 val load : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

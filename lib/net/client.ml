@@ -204,3 +204,53 @@ module Make (T : Timestamp.Intf.S) = struct
       close t;
       raise e
 end
+
+(* The one wire load run: [ts_cli loadgen --addr], E18 and the tests
+   drive a live server with it.  The server counts from its start, so
+   the probe reads the loops' counters before and after the run, outside
+   the clients' timed window, and the report gets this run's share. *)
+let run (Timestamp.Registry.Impl (module T)) ?(lease = 1)
+    ?(stop_server = false) addr (cfg : Svc.Loadgen.cfg) =
+  let module C = Make (T) in
+  let module D = Svc.Loadgen.Drive (C) in
+  Svc.Loadgen.validate cfg;
+  let probe = C.connect ~lease addr in
+  let opened = ref [ probe ] in
+  Fun.protect ~finally:(fun () -> List.iter C.close !opened) @@ fun () ->
+  let loop_stats () = Array.of_list (fst (C.stats probe)) in
+  let before = loop_stats () in
+  (* in client order, on this domain: a connect error surfaces before
+     any client domain starts *)
+  let handles =
+    Array.init cfg.clients (fun _ ->
+        let h = C.connect ~lease addr in
+        opened := h :: !opened;
+        h)
+  in
+  let report =
+    D.run
+      { D.connect = (fun i -> handles.(i));
+        num_shards = max 1 (C.server_info probe).si_shards;
+        impl = T.name;
+        mode_label =
+          Printf.sprintf "net %s lease=%d clients=%d pipeline=%d%s"
+            (Conn.addr_to_string addr) lease cfg.clients cfg.pipeline
+            (Svc.Loadgen.arrival_string cfg);
+        backend_label = "boxed";
+        compare_ts = T.compare_ts;
+        pp_ts = T.pp_ts;
+        attach = None;
+        teardown = (fun () -> Array.iter C.close handles);
+        service_stats =
+          Some
+            (fun () ->
+               Array.mapi
+                 (fun i (s : Frame.shard_stat) ->
+                    ( s.ss_served - before.(i).Frame.ss_served,
+                      s.ss_batches - before.(i).ss_batches,
+                      s.ss_max_batch ))
+                 (loop_stats ())) }
+      cfg
+  in
+  if stop_server then C.stop_server probe;
+  report

@@ -46,3 +46,27 @@ module Make (T : Timestamp.Intf.S) : sig
       server's owner (e.g. [ts_cli serve]) observes the flag and runs the
       graceful shutdown. *)
 end
+
+val run :
+  Timestamp.Registry.impl ->
+  ?lease:int ->
+  ?stop_server:bool ->
+  Conn.addr ->
+  Svc.Loadgen.cfg ->
+  Svc.Loadgen.report
+(** [run impl ~lease ~stop_server addr cfg] drives the live server at
+    [addr] with [cfg]'s workload, the wire twin of {!Svc.Loadgen.run}
+    ([cfg.mode] and [cfg.n] are the server's business and ignored).  In
+    order: {!Svc.Loadgen.validate} refuses a bad [cfg] before any socket
+    opens (and {!Make.connect} a bad [lease]); a probe connects and
+    handshakes; [cfg.clients] handles connect in client order on the
+    calling domain, each with [lease]; {!Svc.Loadgen.Drive} runs them.
+    The report has one shard entry per server I/O loop: [sr_served] and
+    [sr_batches] are this run's, the difference of the probe's [Stats]
+    before the clients connect and after they close ([sr_max_batch] is
+    the loop's lifetime maximum).  Every handle opened is closed on
+    every path.  With [stop_server] (default [false]), the probe sends
+    {!Frame.Stop} once the run has returned its report.  Raises
+    [Invalid_argument] for a refused [cfg], [lease] or an implementation
+    without a codec, and {!Svc.Client.Error} for connect and protocol
+    failures. *)

@@ -73,6 +73,4 @@ val bucket_low : int -> int
 
 val bucket_high : int -> int
 
-val bucket_mid : int -> int
-
 val bucket_count : snapshot -> int -> int

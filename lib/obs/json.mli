@@ -22,10 +22,8 @@ val to_string : t -> string
 
 val to_channel : out_channel -> t -> unit
 
-val pretty_to_buffer : Buffer.t -> t -> unit
-(** Indented serialization, for files meant to be read by humans. *)
-
 val pretty_to_string : t -> string
+(** Indented serialization, for files meant to be read by humans. *)
 
 val of_string : string -> (t, string) result
 (** Parses one JSON document (surrounding whitespace allowed).  Errors

@@ -69,8 +69,6 @@ let add_meta t key v =
   check_not_started t "add_meta";
   t.meta <- t.meta @ [ (key, v) ]
 
-let interval_us t = t.interval_us
-
 let samples t = Atomic.get t.n_samples
 
 let stalls t = Atomic.get t.n_stalls

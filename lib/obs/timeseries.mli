@@ -55,8 +55,6 @@ val stop : t -> unit
 (** Signals the sampler, which takes one final sample, writes the end
     marker, closes the file, and exits; [stop] joins it.  Idempotent. *)
 
-val interval_us : t -> int
-
 val samples : t -> int
 (** Sample lines written so far (readable from any domain). *)
 

@@ -40,8 +40,6 @@ let span_begin t ~name = event t ~ph:"B" ~name ()
 
 let span_end t ~name = event t ~ph:"E" ~name ()
 
-let instant t ~name = event t ~ph:"i" ~name ()
-
 let counter t ~name v =
   event t ~ph:"C" ~name ~args:[ ("value", Json.Float v) ] ()
 

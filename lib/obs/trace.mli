@@ -23,8 +23,6 @@ val span_begin : t -> name:string -> unit
 
 val span_end : t -> name:string -> unit
 
-val instant : t -> name:string -> unit
-
 val counter : t -> name:string -> float -> unit
 
 val complete : t -> name:string -> start_us:float -> dur_us:float -> unit

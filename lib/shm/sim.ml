@@ -270,8 +270,6 @@ let is_blocked cfg pid =
   | Running (Prog.Await (r, g, _)) -> not (g cfg.regs.(r))
   | Running _ | Idle | Crashed _ -> false
 
-let blocked cfg = filter_pids cfg (fun pid _ -> is_blocked cfg pid)
-
 let runnable cfg =
   filter_pids cfg (fun pid st ->
       (match st with Running _ -> true | _ -> false)

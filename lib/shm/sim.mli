@@ -89,13 +89,11 @@ val running : ('v, 'r) t -> int list
 (** Processes with a method call in progress, in pid order (including
     processes blocked on an {!Prog.Await} guard; see {!runnable}). *)
 
-val blocked : ('v, 'r) t -> int list
-(** Processes blocked on an {!Prog.Await} whose guard is currently false,
-    in pid order.  Stepping them raises; they become runnable again the
-    moment another process makes the guard true. *)
-
 val runnable : ('v, 'r) t -> int list
-(** {!running} minus {!blocked}: the processes that can take a step now.
+(** {!running} minus the processes blocked on an {!Prog.Await} whose
+    guard is currently false (stepping one raises; it becomes runnable
+    again the moment another process makes the guard true): the
+    processes that can take a step now.
     Schedulers and the exploration engine must draw enabled steps from
     this list, not from {!running}. *)
 

@@ -132,9 +132,13 @@ let validate cfg =
   if cfg.requests_per_client <= 0 then
     invalid_arg "Loadgen.run: requests_per_client must be positive";
   if cfg.pipeline <= 0 then invalid_arg "Loadgen.run: pipeline must be positive";
-  match cfg.arrival with
-  | Open { rate } when rate <= 0. ->
-    invalid_arg "Loadgen.run: open-loop rate must be positive"
+  (match cfg.arrival with
+   | Open { rate } when rate <= 0. ->
+     invalid_arg "Loadgen.run: open-loop rate must be positive"
+   | _ -> ());
+  match cfg.telemetry with
+  | Some { tel_interval_us; _ } when tel_interval_us <= 0 ->
+    invalid_arg "Loadgen.run: telemetry interval must be positive"
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)

@@ -5,9 +5,9 @@
     calls through a {!Client.S} transport.  The built-in dispatch ({!run})
     covers mode [Service] ({!Client.Inproc} over a fresh service) and mode
     [Direct] ({!Client.Direct}, the unbatched baseline and [ts_cli
-    stress]); the generic engine ({!Drive}) additionally drives any other
-    transport — notably [Net.Client] over TCP/Unix sockets — through the
-    same workloads and reporting.
+    stress]).  External transports go through their own entry point over
+    the generic engine ({!Drive}): a live wire server is driven by
+    [Net.Client.run], with the same workloads and report.
 
     Two arrival disciplines:
     - [Closed] (the default): a client keeps at most [pipeline] requests
@@ -121,9 +121,9 @@ type report = {
 
 val validate : cfg -> unit
 (** Raises [Invalid_argument] unless [clients], [requests_per_client],
-    [pipeline] and an open-loop [rate] are positive: the check {!run} and
-    {!Drive.run} make first.  A caller that connects handles before the
-    run calls it to refuse a bad [cfg] before anything connects. *)
+    [pipeline], an open-loop [rate] and a telemetry [tel_interval_us] are
+    positive: the check {!run} and {!Drive.run} make first, so a bad
+    [cfg] is refused before a service starts or a handle connects. *)
 
 val arrival_string : cfg -> string
 (** [""] for the closed loop, [" open rate=R/s"] for the open loop —
@@ -131,8 +131,8 @@ val arrival_string : cfg -> string
 
 (** The generic engine: drive any {!Client.S} transport with the
     closed-/open-loop workloads and produce the standard {!report}.
-    {!run} is a thin dispatcher over this functor; external transports
-    (e.g. [Net.Client]) instantiate it directly. *)
+    {!run} is a thin dispatcher over this functor, and [Net.Client.run]
+    its wire twin. *)
 module Drive (C : Client.S) : sig
   type setup = {
     connect : int -> C.t;

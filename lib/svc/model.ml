@@ -74,26 +74,6 @@ let of_name = function
     Error
       (Printf.sprintf "unknown model %S (expected mpsc|pool|tick|stop|park)" s)
 
-let describe = function
-  | Mpsc ->
-    "Treiber-stack MPSC push (read + CAS retry) against a single-exchange \
-     drain; per-producer FIFO and no-lost-push"
-  | Pool ->
-    "pooled request records: acquire from a free list, publish, wait on the \
-     r_done completion flag, release; no-double-acquire and no stale \
-     completion"
-  | Tick ->
-    "chunked end-tick reservation: execute a drained batch, fetch-and-add \
-     the tick once per chunk, publish after execute; tick never outruns \
-     executions"
-  | Stop ->
-    "graceful stop: reject-new / drain-in-flight handshake between \
-     anonymous clients, the draining worker and the stopper"
-  | Park ->
-    "park/wake: a waiter raises parked and re-checks its done flag before \
-     blocking, the worker flips a run of done flags then wakes once; no \
-     lost wakeup"
-
 type mutant = { m_name : string; m_model : model; m_desc : string }
 
 let mutants =

@@ -72,9 +72,6 @@ val name : model -> string
 
 val of_name : string -> (model, string) Stdlib.result
 
-val describe : model -> string
-(** One-line human description for [ts_cli verify-svc] listings. *)
-
 type mutant = {
   m_name : string;
   m_model : model;

@@ -408,8 +408,6 @@ module Make (T : Timestamp.Intf.S) = struct
          { served = s.served; batches = s.batches; max_batch = s.max_batch })
       t.shards
 
-  let num_shards t = Array.length t.shards
-
   (* ------------------------------------------------------------------ *)
   (* Live gauges for the telemetry sampler.  Every closure is safe on a
      foreign domain: it reads atomics or plain int fields (which cannot

@@ -138,8 +138,6 @@ module Make (T : Timestamp.Intf.S) : sig
   val stats : t -> shard_stats array
   (** Per-shard counters; exact once {!stop} has returned. *)
 
-  val num_shards : t -> int
-
   val telemetry_sources : t -> (string * (unit -> float)) list
   (** Named live gauges, safe to sample from any domain: per shard [i],
       [si.depth] (submitted-not-yet-batched), [si.served], [si.batches],

@@ -746,44 +746,29 @@ let lease_concurrent_clients () =
        Timestamp.Checker.pp_violation v);
   Srv.stop srv
 
-(* [ts_cli loadgen --addr] in miniature: the generic driver over
-   Net.Client handles to a live Lamport server at [addr], [clients]
-   clients of [requests] stamps each, every stamp in the driver's one
-   global check, which must pass with at least one ordered pair. *)
+(* [ts_cli loadgen --addr]'s run, [Net.Client.run], against a live
+   Lamport server at [addr]: [clients] clients of [requests] stamps
+   each, every stamp in the driver's one global check, which must pass
+   with at least one ordered pair. *)
 let drive_lamport addr ~lease ~clients ~requests =
-  let module C = Net.Client.Make (Timestamp.Lamport) in
-  let module D = Svc.Loadgen.Drive (C) in
-  let cfg =
-    { Svc.Loadgen.default with clients; requests_per_client = requests }
-  in
-  let handles = Array.init clients (fun _ -> C.connect ~lease addr) in
   let r =
-    D.run
-      { D.connect = (fun i -> handles.(i));
-        num_shards = 1;
-        impl = Timestamp.Lamport.name;
-        mode_label = "net";
-        backend_label = "boxed";
-        compare_ts = Timestamp.Lamport.compare_ts;
-        pp_ts = Timestamp.Lamport.pp_ts;
-        attach = None;
-        teardown = (fun () -> Array.iter C.close handles);
-        service_stats = None }
-      cfg
+    Net.Client.run Timestamp.Registry.lamport ~lease addr
+      { Svc.Loadgen.default with clients; requests_per_client = requests }
   in
   let what = Printf.sprintf "%s lease %d" (Net.Conn.addr_to_string addr) lease in
   Util.check_int (what ^ ": every stamp served") (clients * requests)
     r.Svc.Loadgen.lg_total;
   Alcotest.(check (option string)) (what ^ ": no violation") None r.lg_violation;
   Util.check_bool (what ^ ": happens-before pairs checked") true
-    (r.lg_hb_pairs > 0)
+    (r.lg_hb_pairs > 0);
+  r
 
 let drive_over_the_wire () =
   let module Srv = Net.Server.Make (Timestamp.Lamport) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
   let srv = Srv.start ~addr ~n:4 () in
   Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
-  drive_lamport addr ~lease:16 ~clients:4 ~requests:50
+  ignore (drive_lamport addr ~lease:16 ~clients:4 ~requests:50)
 
 (* The TCP transport: a server on a loopback port the kernel picks,
    driven per stamp (lease 1) and through leases (lease 16). *)
@@ -798,8 +783,57 @@ let drive_over_tcp () =
    | Net.Conn.Tcp { port; _ } ->
      Util.check_bool "the kernel picked a port" true (port > 0)
    | Net.Conn.Unix_path _ -> Alcotest.fail "a TCP server bound a unix path");
-  drive_lamport addr ~lease:1 ~clients:2 ~requests:50;
-  drive_lamport addr ~lease:16 ~clients:2 ~requests:50
+  ignore (drive_lamport addr ~lease:1 ~clients:2 ~requests:50);
+  ignore (drive_lamport addr ~lease:16 ~clients:2 ~requests:50)
+
+(* A server counts from its start; a run reports its own share.  Two
+   runs in a row against one two-loop server: the second report has
+   one entry per loop, and their served counts sum to that run's
+   stamps, not to the server's lifetime count. *)
+let run_reports_its_own_share () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~io_threads:2 ~addr ~n:2 () in
+  Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
+  let served (r : Svc.Loadgen.report) =
+    List.fold_left (fun a s -> a + s.Svc.Loadgen.sr_served) 0 r.lg_shards
+  in
+  let first = drive_lamport addr ~lease:1 ~clients:2 ~requests:30 in
+  Util.check_int "first run: the loops served its stamps" 60 (served first);
+  let second = drive_lamport addr ~lease:1 ~clients:3 ~requests:10 in
+  Util.check_int "second run: one entry per loop" 2
+    (List.length second.lg_shards);
+  Util.check_int "second run: the loops served its stamps alone" 30
+    (served second)
+
+(* A refused run touches nothing: a zero telemetry interval raises
+   before the probe connects, so the server accepts no connection. *)
+let run_refuses_before_connecting () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~addr ~n:2 () in
+  Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
+  let conns = Srv.conns_total srv in
+  let tel_out = Filename.temp_file "tsnet" ".jsonl" in
+  Sys.remove tel_out;
+  let cfg =
+    { Svc.Loadgen.default with
+      clients = 2;
+      telemetry =
+        Some { Svc.Loadgen.tel_out; tel_append = false; tel_interval_us = 0 } }
+  in
+  (match Net.Client.run Timestamp.Registry.lamport addr cfg with
+   | _ -> Alcotest.fail "a zero telemetry interval was accepted"
+   | exception Invalid_argument msg ->
+     Util.check_bool "the refusal names the interval" true
+       (contains msg "telemetry interval"));
+  (* once a later handshake returns, the server has accepted every
+     connection made before it *)
+  let module C = Net.Client.Make (Timestamp.Lamport) in
+  C.close (C.connect addr);
+  Util.check_int "no connection accepted but the later one" (conns + 1)
+    (Srv.conns_total srv);
+  Util.check_bool "no telemetry file written" false (Sys.file_exists tel_out)
 
 (* ------------------------- shutdown paths -------------------------- *)
 
@@ -1683,7 +1717,7 @@ let park_stress () =
   let module C = Net.Client.Make (Timestamp.Efr) in
   let addr = Net.Conn.Unix_path (sock_path ()) in
   (* one pid per I/O loop, however many clients connect *)
-  let srv = Srv.start ~shards:2 ~io_threads:2 ~addr ~n:2 () in
+  let srv = Srv.start ~io_threads:2 ~addr ~n:2 () in
   let wire = Array.init clients (fun _ -> C.connect addr) in
   drive ~label:"wire" ~in_order:one_pid_in_order (fun i depth ->
       C.stamp_batch wire.(i) depth);
@@ -1801,6 +1835,10 @@ let suite =
         drive_over_the_wire;
       Util.case "loadgen: Drive over TCP loopback, lease 1 and 16"
         drive_over_tcp;
+      Util.case "loadgen: Net.Client.run reports this run's loop counts"
+        run_reports_its_own_share;
+      Util.case "loadgen: Net.Client.run refuses before it connects"
+        run_refuses_before_connecting;
       Util.case "lease: a burst mints only the ticks short grants granted"
         lease_mints_only_granted_ticks;
       Util.case "lease: a burst past max_lease mints only granted ticks"
