@@ -53,7 +53,7 @@ let seed_arg =
 
 let calls_arg =
   Arg.(
-    value & opt int 2
+    value & opt pos_int 2
     & info [ "calls"; "c" ] ~docv:"CALLS"
         ~doc:"getTS calls per process (long-lived objects only).")
 
@@ -466,17 +466,17 @@ type explore_opts = {
 let explore_opts_term ~max_steps_default =
   let max_paths =
     Arg.(
-      value & opt int 1_000_000
+      value & opt pos_int 1_000_000
       & info [ "max-paths" ] ~docv:"N" ~doc:"Schedule budget.")
   in
   let max_steps =
     Arg.(
-      value & opt int max_steps_default
+      value & opt pos_int max_steps_default
       & info [ "max-steps" ] ~docv:"N" ~doc:"Per-schedule depth bound.")
   in
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "domains" ] ~docv:"D"
           ~doc:
             "Worker domains: 1 explores depth-first on the calling domain; \
@@ -510,7 +510,7 @@ let explore_opts_term ~max_steps_default =
       (fun max_paths max_steps domains no_dedup no_reduction no_symmetry ->
          { max_paths;
            max_steps;
-           domains = max 1 domains;
+           domains;
            dedup = not no_dedup;
            reduction = not no_reduction;
            symmetry = not no_symmetry })
@@ -858,18 +858,18 @@ let fuzz_cmd =
   in
   let iters =
     Arg.(
-      value & opt int 1000
+      value & opt pos_int 1000
       & info [ "iters" ] ~docv:"N" ~doc:"Random schedules to generate.")
   in
   let crashes =
     Arg.(
-      value & opt int 0
+      value & opt non_neg_int 0
       & info [ "crashes" ] ~docv:"K"
           ~doc:"Inject up to $(docv) crash-stop failures per schedule.")
   in
   let burst =
     Arg.(
-      value & opt int 4
+      value & opt pos_int 4
       & info [ "burst" ] ~docv:"B"
           ~doc:
             "Contention bursts: a scheduling decision runs one process for \
@@ -978,7 +978,7 @@ let clocks_cmd =
   in
   let steps_arg =
     Arg.(
-      value & opt int 100
+      value & opt pos_int 100
       & info [ "steps" ] ~docv:"STEPS" ~doc:"Scheduling decisions to simulate.")
   in
   subcommand "clocks"
@@ -998,9 +998,10 @@ let telemetry_out_arg =
            JSONL time series at $(docv): for $(b,loadgen), per-shard queue \
            depth, served counter, batch-size p50 and free-list occupancy; \
            for $(b,serve), per-I/O-loop served and batch counters and \
-           per-connection groups.  Watch it with $(b,ts_cli top --file) \
-           $(docv), validate it with $(b,ts_cli obs --validate) $(docv).  \
-           Truncates unless $(b,--append).")
+           traffic groups (connections, requests, stamps, leases, bytes).  \
+           Watch it with $(b,ts_cli top --file) $(docv), validate it with \
+           $(b,ts_cli obs --validate) $(docv).  Truncates unless \
+           $(b,--append).")
 
 let telemetry_interval_arg =
   Arg.(
@@ -1289,7 +1290,8 @@ let top_render path (view : Obs.Timeseries.validation) =
           if i < Array.length vs then vs.(i) else None)
   in
   (* slots present under a one-letter prefix: every <p><i>. in the
-     series list — 's' = service shards, 'c' = connection groups *)
+     series list — 's' = service shards, 'c' = a server's per-loop
+     traffic groups *)
   let slots_with p =
     Array.fold_left
       (fun acc name ->
@@ -1352,7 +1354,7 @@ let top_render path (view : Obs.Timeseries.validation) =
       "-"
       (cell 11 (value_at last "lat.p50_us"))
       (cell 11 (value_at last "lat.p99_us"));
-  (* a network serve exports c<slot>.* counter groups — show the wire
+  (* a network serve exports c<i>.* counter groups — show the wire
      next to the shards *)
   let conns = slots_with 'c' in
   if conns <> [] then begin

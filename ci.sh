@@ -44,6 +44,16 @@ if grep -rn 'Loadgen\.Drive' bin bench; then
   exit 1
 fi
 
+echo "== one writer per count: no counter atomics in the wire server =="
+# Each I/O loop counts its own traffic in plain ints that only its
+# domain writes; the server's atomics are synchronization (the loop
+# mailbox, the stop flags), never counters.
+if grep -nE 'Atomic\.(fetch_and_add|incr|decr)' lib/net/server.ml; then
+  echo "one writer per count: a counter atomic in lib/net/server.ml" \
+       "(count on the loop that does the work)" >&2
+  exit 1
+fi
+
 # Every experiment writes its BENCH_*.json into the working directory.
 # Run the bench binary from a scratch directory, so CI's fast-mode
 # output never overwrites the committed full-mode trajectory files.

@@ -32,8 +32,6 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val ann_reg : n:int -> int -> int
 
-  val flag_reg : n:int -> int -> int
-
   val num_registers : n:int -> int
 
   val init_regs : n:int -> value array

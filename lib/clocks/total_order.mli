@@ -33,8 +33,6 @@ type report = {
   total_delivered : int;
 }
 
-val prefix_agree : (int * payload) list -> (int * payload) list -> bool
-
 val run : n:int -> rounds:int -> seed:int -> report
 (** Random execution over FIFO channels ([rounds] scheduling decisions plus
     a final drain), reporting the delivery sequences. *)

@@ -28,11 +28,7 @@ val efr : impl
 
 val vector : impl
 
-val snapshot_ts : impl
-
 val all : impl list
-
-val one_shot : impl list
 
 val long_lived : impl list
 

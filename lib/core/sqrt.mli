@@ -38,11 +38,7 @@ val is_bot : value -> bool
 val last_id : id list -> id
 (** The paper's [last(seq)]. *)
 
-val pp_id : Format.formatter -> id -> unit
-
 val pp_value : Format.formatter -> value -> unit
-
-val equal_value : value -> value -> bool
 
 val compare_ts : result -> result -> bool
 (** Algorithm 3: lexicographic on [(rnd, turn)]. *)

@@ -11,10 +11,6 @@ module type VARIANT = sig
   include Intf.S with type value = Sqrt.value and type result = Sqrt.result
 end
 
-val make_variant :
-  variant_name:string -> repair:Sqrt.repair -> (module VARIANT)
-(** A one-shot instance of Algorithm 4 with the given repair policy. *)
-
 module No_repair : VARIANT
 
 module Eager_repair : VARIANT

@@ -39,16 +39,13 @@ module Cache : sig
   val ensure : ('v, 'r) t -> Shm.Schedule.action list -> int
   (** Aligns the cached checkpoints with the given action list, re-simulating
       only past the longest common prefix with the previous alignment.
-      Returns the action count, so [cfg_at t (ensure t acts)] is the final
-      configuration. *)
-
-  val cfg_at : ('v, 'r) t -> int -> ('v, 'r) Shm.Sim.t
-  (** Configuration after the first [i] actions of the last {!ensure}d list
-      ([cfg_at t 0] is the base).  Raises [Invalid_argument] out of range. *)
+      Returns the action count: the last checkpoint, after every action,
+      is the configuration {!apply} returns. *)
 
   val apply : ('v, 'r) t -> Shm.Schedule.action list -> ('v, 'r) Shm.Sim.t
-  (** [apply t acts = cfg_at t (ensure t acts)]: drop-in replacement for
-      {!val:apply} from the same base. *)
+  (** [apply t acts] {!ensure}s [acts] and returns the configuration after
+      all of them: drop-in replacement for {!val:apply} from the same
+      base. *)
 
   val stats : ('v, 'r) t -> int * int
   (** [(reused, replayed)] action counts over the cache's lifetime: actions

@@ -38,8 +38,8 @@ module Make (T : Timestamp.Intf.S) : sig
   (** From the connect-time handshake. *)
 
   val stats : t -> Frame.shard_stat list * Frame.conn_stat list
-  (** The server's [Stats] reply: one {!Frame.shard_stat} per I/O loop,
-      one {!Frame.conn_stat} per counter slot. *)
+  (** The server's [Stats] reply: one {!Frame.shard_stat} and one
+      {!Frame.conn_stat} per I/O loop. *)
 
   val stop_server : t -> unit
   (** Sends {!Frame.Stop} and waits for the {!Frame.Stopping} ack.  The

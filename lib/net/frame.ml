@@ -63,7 +63,7 @@ type shard_stat = { ss_served : int; ss_batches : int; ss_max_batch : int }
 
 type conn_stat = {
   cn_slot : int;
-  cn_conns : int;  (* live connections currently mapped to this slot *)
+  cn_conns : int;  (* live connections on this loop *)
   cn_requests : int;  (* frames handled *)
   cn_stamps : int;  (* stamps issued, leased ticks included *)
   cn_leases : int;

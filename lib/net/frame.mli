@@ -65,9 +65,10 @@ type server_info = {
     programs in one pass. *)
 type shard_stat = { ss_served : int; ss_batches : int; ss_max_batch : int }
 
+(** One per I/O loop; [cn_slot] is the loop's index. *)
 type conn_stat = {
   cn_slot : int;
-  cn_conns : int;  (** live connections currently mapped to this slot *)
+  cn_conns : int;  (** live connections on this loop *)
   cn_requests : int;
   cn_stamps : int;
   cn_leases : int;

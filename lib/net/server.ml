@@ -57,48 +57,31 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let codec : T.result Codec.t = Codec.for_impl (module T)
 
-  (* Per-slot counter group; connections hash onto [conn_slots] slots
-     (conn id mod [conn_slots]) so the gauge count stays fixed for
-     telemetry — `ts_cli top` stays readable at hundreds of connections —
-     while slot ids are reused as connections come and go.  [k_conns]
-     counts *live* connections on the slot (decremented on close). *)
-  let conn_slots = 4
-
-  type slot = {
-    k_conns : int Atomic.t;
-    k_requests : int Atomic.t;
-    k_stamps : int Atomic.t;
-    k_leases : int Atomic.t;
-    k_bytes_in : int Atomic.t;
-    k_bytes_out : int Atomic.t;
-  }
-
-  let make_slot () =
-    { k_conns = Atomic.make 0;
-      k_requests = Atomic.make 0;
-      k_stamps = Atomic.make 0;
-      k_leases = Atomic.make 0;
-      k_bytes_in = Atomic.make 0;
-      k_bytes_out = Atomic.make 0 }
-
-  let bump a n = ignore (Atomic.fetch_and_add a n)
-
   type loop = {
     lp_index : int;
     lp_client : D.t;  (* the loop's process: every getTS it runs *)
-    lp_incoming : (int * Unix.file_descr) list Atomic.t;
+    lp_incoming : Unix.file_descr list Atomic.t;
     lp_wake_r : Unix.file_descr;
     lp_wake_w : Unix.file_descr;
-    (* Written by the loop's domain only; [Stats] and the telemetry
-       sampler read them live (plain int reads cannot tear). *)
+    (* Written by the loop's domain only; [Stats], the telemetry sampler
+       and the shutdown summary read them live (plain int reads cannot
+       tear). *)
     mutable lp_served : int;  (* getTS programs run *)
     mutable lp_batches : int;  (* parse passes that ran at least one *)
     mutable lp_max_batch : int;  (* most programs in one pass *)
+    mutable lp_conns : int;  (* live connections *)
+    mutable lp_requests : int;  (* frames answered *)
+    mutable lp_stamps : int;  (* stamps issued, leased ticks included *)
+    mutable lp_leases : int;
+    mutable lp_bytes_in : int;
+    mutable lp_bytes_out : int;
+    (* Loop 0 alone accepts, so only its two are ever non-zero. *)
+    mutable lp_accepted : int;  (* also the next connection id *)
+    mutable lp_refused : int;  (* closed at accept: fd >= FD_SETSIZE *)
   }
 
   type cstate = {
     cv_conn : Conn.t;
-    cv_slot : slot;
     cv_loop : loop;  (* the owning loop *)
     mutable cv_read_eof : bool;  (* peer done sending: answer, then close *)
     mutable cv_dead : bool;  (* socket gone: drop immediately *)
@@ -111,11 +94,8 @@ module Make (T : Timestamp.Intf.S) = struct
     info : Frame.server_info;
     listen_fd : Unix.file_descr;
     addr : Conn.addr;
-    slots : slot array;
     loops : loop array;
     mutable loop_doms : unit Domain.t list;
-    next_conn : int Atomic.t;  (* also the cumulative connection count *)
-    refused : int Atomic.t;  (* closed at accept: fd >= FD_SETSIZE *)
     stop_requested : bool Atomic.t;  (* a client sent Stop *)
     stopping : bool Atomic.t;  (* shutdown underway *)
     stop_park : Svc.Park.t;  (* [wait] parks here until either flag *)
@@ -133,19 +113,16 @@ module Make (T : Timestamp.Intf.S) = struct
     in
     let sr_conns =
       Array.to_list
-        (Array.mapi
-           (fun i sl ->
-              { Frame.cn_slot = i;
-                cn_conns = Atomic.get sl.k_conns;
-                cn_requests = Atomic.get sl.k_requests;
-                cn_stamps = Atomic.get sl.k_stamps;
-                cn_leases = Atomic.get sl.k_leases;
-                cn_bytes_in = Atomic.get sl.k_bytes_in;
-                cn_bytes_out = Atomic.get sl.k_bytes_out })
-           t.slots)
+        (Array.map
+           (fun l ->
+              { Frame.cn_slot = l.lp_index; cn_conns = l.lp_conns;
+                cn_requests = l.lp_requests; cn_stamps = l.lp_stamps;
+                cn_leases = l.lp_leases; cn_bytes_in = l.lp_bytes_in;
+                cn_bytes_out = l.lp_bytes_out })
+           t.loops)
     in
     Frame.Stats_reply
-      { sr_shards; sr_conns; sr_refused = Atomic.get t.refused }
+      { sr_shards; sr_conns; sr_refused = t.loops.(0).lp_refused }
 
   (* -------------------------- request handling --------------------- *)
 
@@ -172,7 +149,7 @@ module Make (T : Timestamp.Intf.S) = struct
           Frame.write_stamp_v2 out codec ~pid:s.st_pid ~call:s.st_call
             ~shard:loop.lp_index ~start_tick:s.st_start_tick
             ~end_tick:s.st_end_tick s.st_ts;
-          bump cv.cv_slot.k_stamps 1
+          loop.lp_stamps <- loop.lp_stamps + 1
         | exception Invalid_argument msg -> err cv msg)
     | Frame.Get_range k ->
       if k < 1 || k > Frame.max_lease then
@@ -188,8 +165,8 @@ module Make (T : Timestamp.Intf.S) = struct
           Frame.write_range_v2 out codec ~pid:s.st_pid ~call:s.st_call
             ~shard:loop.lp_index ~start_tick:s.st_start_tick ~base
             ~count:k s.st_ts;
-          bump cv.cv_slot.k_leases 1;
-          bump cv.cv_slot.k_stamps k
+          loop.lp_leases <- loop.lp_leases + 1;
+          loop.lp_stamps <- loop.lp_stamps + k
         | exception Invalid_argument msg -> err cv msg)
     | Frame.Compare { a; b } -> (
         match (Codec.decode_exn codec a, Codec.decode_exn codec b) with
@@ -205,16 +182,17 @@ module Make (T : Timestamp.Intf.S) = struct
   (* --------------------------- event loop -------------------------- *)
 
   let sync_bytes cv =
+    let loop = cv.cv_loop in
     let bin = Conn.bytes_in cv.cv_conn and bout = Conn.bytes_out cv.cv_conn in
-    bump cv.cv_slot.k_bytes_in (bin - cv.cv_last_in);
+    loop.lp_bytes_in <- loop.lp_bytes_in + bin - cv.cv_last_in;
     cv.cv_last_in <- bin;
-    bump cv.cv_slot.k_bytes_out (bout - cv.cv_last_out);
+    loop.lp_bytes_out <- loop.lp_bytes_out + bout - cv.cv_last_out;
     cv.cv_last_out <- bout
 
   let close_conn cv =
     sync_bytes cv;
     Conn.close cv.cv_conn;
-    bump cv.cv_slot.k_conns (-1)
+    cv.cv_loop.lp_conns <- cv.cv_loop.lp_conns - 1
 
   let wake_byte = Bytes.make 1 '!'
 
@@ -255,19 +233,18 @@ module Make (T : Timestamp.Intf.S) = struct
   let io_loop t loop () =
     let accepts = loop.lp_index = 0 in
     let conns : (Unix.file_descr, cstate) Hashtbl.t = Hashtbl.create 32 in
-    let adopt (cid, fd) =
+    let adopt fd =
       let conn = Conn.create fd in
       Conn.set_nonblock conn;
       let cv =
         { cv_conn = conn;
-          cv_slot = t.slots.(cid mod Array.length t.slots);
           cv_loop = loop;
           cv_read_eof = false;
           cv_dead = false;
           cv_last_in = 0;
           cv_last_out = 0 }
       in
-      bump cv.cv_slot.k_conns 1;
+      loop.lp_conns <- loop.lp_conns + 1;
       Hashtbl.replace conns fd cv
     in
     let drain_incoming () =
@@ -276,16 +253,15 @@ module Make (T : Timestamp.Intf.S) = struct
       | l -> List.iter adopt (List.rev l)
     in
     let dispatch fd =
-      let cid = Atomic.fetch_and_add t.next_conn 1 in
+      let cid = loop.lp_accepted in
+      loop.lp_accepted <- cid + 1;
       let target = t.loops.(cid mod Array.length t.loops) in
-      if target == loop then adopt (cid, fd)
+      if target == loop then adopt fd
       else begin
         let rec push () =
           let old = Atomic.get target.lp_incoming in
           if
-            not
-              (Atomic.compare_and_set target.lp_incoming old
-                 ((cid, fd) :: old))
+            not (Atomic.compare_and_set target.lp_incoming old (fd :: old))
           then push ()
         in
         push ();
@@ -298,7 +274,7 @@ module Make (T : Timestamp.Intf.S) = struct
       | fd, _ ->
         if fd_number fd >= fd_setsize then begin
           (try Unix.close fd with Unix.Unix_error _ -> ());
-          Atomic.incr t.refused
+          loop.lp_refused <- loop.lp_refused + 1
         end
         else dispatch fd;
         accept_all ()
@@ -315,11 +291,11 @@ module Make (T : Timestamp.Intf.S) = struct
         match Conn.buffered_frame cv.cv_conn Frame.read_req with
         | None -> ()
         | Some (Ok (Ok req)) ->
-          bump cv.cv_slot.k_requests 1;
+          loop.lp_requests <- loop.lp_requests + 1;
           handle t cv req;
           if not cv.cv_read_eof then go ()
         | Some (Ok (Error e)) ->
-          bump cv.cv_slot.k_requests 1;
+          loop.lp_requests <- loop.lp_requests + 1;
           (* framing is broken: answer, then close *)
           err cv (Frame.error_to_string e);
           cv.cv_read_eof <- true
@@ -440,7 +416,7 @@ module Make (T : Timestamp.Intf.S) = struct
       Array.iter
         (fun l ->
            List.iter
-             (fun (_, fd) -> try Unix.close fd with Unix.Unix_error _ -> ())
+             (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
              (Atomic.exchange l.lp_incoming []))
         t.loops;
       Array.iter
@@ -507,7 +483,15 @@ module Make (T : Timestamp.Intf.S) = struct
           lp_wake_w = w;
           lp_served = 0;
           lp_batches = 0;
-          lp_max_batch = 0 }
+          lp_max_batch = 0;
+          lp_conns = 0;
+          lp_requests = 0;
+          lp_stamps = 0;
+          lp_leases = 0;
+          lp_bytes_in = 0;
+          lp_bytes_out = 0;
+          lp_accepted = 0;
+          lp_refused = 0 }
       in
       (listen_fd, Array.init io_threads mk_loop)
     in
@@ -530,11 +514,8 @@ module Make (T : Timestamp.Intf.S) = struct
             si_codec = Codec.name codec };
         listen_fd;
         addr;
-        slots = Array.init conn_slots (fun _ -> make_slot ());
         loops;
         loop_doms = [];
-        next_conn = Atomic.make 0;
-        refused = Atomic.make 0;
         stop_requested = Atomic.make false;
         stopping = Atomic.make false;
         stop_park = Svc.Park.create ();
@@ -564,44 +545,40 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let domains t = Array.length t.loops
 
-  let live_conns t =
-    Array.fold_left (fun acc sl -> acc + Atomic.get sl.k_conns) 0 t.slots
+  let sum f t = Array.fold_left (fun acc l -> acc + f l) 0 t.loops
+
+  let live_conns = sum (fun l -> l.lp_conns)
 
   let stop_wanted t = Atomic.get t.stop_requested || Atomic.get t.stopping
 
   let wait t = Svc.Park.wait t.stop_park stop_wanted t
 
-  let refused t = Atomic.get t.refused
+  let refused t = t.loops.(0).lp_refused
 
   (* --------------------------- telemetry --------------------------- *)
 
-  let requests_total t =
-    Array.fold_left (fun acc sl -> acc + Atomic.get sl.k_requests) 0 t.slots
+  let requests_total = sum (fun l -> l.lp_requests)
 
-  let conns_total t = Atomic.get t.next_conn
+  let conns_total t = t.loops.(0).lp_accepted
 
   let net_sources t =
-    List.concat
-      (Array.to_list
-         (Array.mapi
-            (fun i sl ->
-               let g name a =
-                 (Printf.sprintf "c%d.%s" i name,
-                  fun () -> float_of_int (Atomic.get a))
-               in
-               [ g "conns" sl.k_conns;
-                 g "requests" sl.k_requests;
-                 g "stamps" sl.k_stamps;
-                 g "leases" sl.k_leases;
-                 g "bytes_in" sl.k_bytes_in;
-                 g "bytes_out" sl.k_bytes_out ])
-            t.slots))
+    List.concat_map
+      (fun l ->
+         let g name f =
+           (Printf.sprintf "c%d.%s" l.lp_index name,
+            fun () -> float_of_int (f l))
+         in
+         [ g "conns" (fun l -> l.lp_conns);
+           g "requests" (fun l -> l.lp_requests);
+           g "stamps" (fun l -> l.lp_stamps);
+           g "leases" (fun l -> l.lp_leases);
+           g "bytes_in" (fun l -> l.lp_bytes_in);
+           g "bytes_out" (fun l -> l.lp_bytes_out) ])
+      (Array.to_list t.loops)
 
   let attach_telemetry t ts =
     Obs.Timeseries.add_meta ts "addr"
       (Obs.Json.String (Conn.addr_to_string t.addr));
-    Obs.Timeseries.add_meta ts "conn_slots"
-      (Obs.Json.Int (Array.length t.slots));
     Obs.Timeseries.add_meta ts "io_threads"
       (Obs.Json.Int (Array.length t.loops));
     Array.iter

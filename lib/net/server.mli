@@ -38,14 +38,16 @@
     ({!Svc.Client.Direct.reserve_ticks}, DESIGN.md §14–15).  Nothing
     runs while nobody asks.
 
-    The [Stats] reply's per-shard entries count per I/O loop: [served]
-    is the getTS programs the loop ran, [batches] the parse passes that
-    ran at least one, [max_batch] the most programs in one pass.
-    Per-connection counters aggregate into four slots (connection id
-    mod 4) exported as [c<slot>.*] telemetry gauges; slot ids are reused
-    as connections come and go and [c<slot>.conns] counts live
-    connections, so [ts_cli top] stays readable at hundreds of
-    connections. *)
+    Every count has one writer, the loop whose work it counts, and is a
+    plain [int] that any domain may read.  The [Stats] reply carries two
+    entries per I/O loop [i]: a shard entry ([served] is the getTS
+    programs the loop ran, [batches] the parse passes that ran at least
+    one, [max_batch] the most programs in one pass) and a connection
+    entry with [cn_slot = i] (its live connections, requests, stamps,
+    leases and bytes), the same numbers as the [c<i>.*] telemetry
+    gauges.  The gauge count is fixed by [io_threads], however many
+    connections come and go.  Loop 0, which accepts, also counts the
+    connections accepted ({!conns_total}) and {!refused}. *)
 
 module Make (T : Timestamp.Intf.S) : sig
   type t
@@ -107,18 +109,20 @@ module Make (T : Timestamp.Intf.S) : sig
       concurrent callers lose the race and return immediately. *)
 
   val requests_total : t -> int
+  (** Frames the loops have answered (the shutdown summary). *)
 
   val conns_total : t -> int
   (** Cumulative connections accepted (the shutdown summary). *)
 
   val net_sources : t -> (string * (unit -> float)) list
-  (** The [c<slot>.{conns,requests,stamps,leases,bytes_in,bytes_out}]
-      gauges, safe to sample from any domain.  [conns] is the slot's
-      live connection count. *)
+  (** Per I/O loop [i], the
+      [c<i>.{conns,requests,stamps,leases,bytes_in,bytes_out}] gauges,
+      safe to sample from any domain.  [conns] is the loop's live
+      connection count. *)
 
   val attach_telemetry : t -> Obs.Timeseries.t -> unit
   (** Registers per I/O loop [i] the [s<i>.served] and [s<i>.batches]
       gauges (as in the [Stats] reply), {!net_sources}, the
-      [net.refused] gauge and the listen address / conn_slots /
-      io_threads metadata. *)
+      [net.refused] gauge and the listen address / io_threads
+      metadata. *)
 end

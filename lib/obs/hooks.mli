@@ -10,7 +10,7 @@
 
     Sinks are hook records ({!t}); {!Collector.hooks}, {!Trace.hooks} and
     {!metrics_hooks} build them, {!combine} fans out to several, and
-    {!install}/{!clear} arm and disarm the global dispatch point.  The
+    {!with_hooks}/{!clear} arm and disarm the global dispatch point.  The
     installed record is global mutable state: concurrent domains all report
     into the same record (sinks must tolerate that; the bundled ones do),
     and nested installs are not supported — the CLI installs once around a
@@ -41,16 +41,14 @@ val noop : t
 
 val combine : t list -> t
 
-val install : t -> unit
-(** Installs the record and arms the dispatch point. *)
-
 val clear : unit -> unit
 (** Disarms and restores {!noop}. *)
 
 val armed : unit -> bool
 
 val with_hooks : t -> (unit -> 'a) -> 'a
-(** [install]s, runs, and [clear]s (also on exception). *)
+(** Installs the record and arms the dispatch point, runs, and
+    {!clear}s (also on exception). *)
 
 (** Reporting entry points used by instrumented code; all are no-ops when
     disarmed. *)

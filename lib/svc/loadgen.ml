@@ -66,34 +66,26 @@ type report = {
 }
 
 (* Latencies are recorded live into HDR histograms, in integer
-   nanoseconds.  Every client records into histograms of its own, one
-   for all its calls and one per serving shard: single-writer, plain
-   increments, no allocation.  The report's percentiles come from the
-   lossless merge of every client's snapshots. *)
+   nanoseconds.  Every client records each call once, into a histogram
+   of its own for the call's serving shard: single-writer, plain
+   increments, no allocation.  A shard's percentiles come from the
+   lossless merge of every client's histograms of that shard, and the
+   run's from the merge of them all. *)
 let us_of_ns ns = ns /. 1e3
 
-type recorder = {
-  g_hdr : Obs.Hdr.t;  (* all of one client's requests *)
-  shard_hdrs : Obs.Hdr.t array;  (* by serving shard (index 0 unsharded) *)
-}
+(* [rcs.(c).(i)] is client [c]'s histogram of shard [i] (0 unsharded). *)
+let merged_shard rcs i = Obs.Hdr.merged (Array.map (fun rc -> rc.(i)) rcs)
 
-let make_recorder num_shards =
-  { g_hdr = Obs.Hdr.create ();
-    shard_hdrs = Array.init num_shards (fun _ -> Obs.Hdr.create ()) }
+let merged_all rcs = Obs.Hdr.merged (Array.concat (Array.to_list rcs))
 
-(* One histogram of every client, merged. *)
-let merged rcs hdr = Obs.Hdr.merged (Array.map hdr rcs)
-
-(* A call's latency: its response's [st_resp_us] less its start, an
-   [Obs.Clock.now_ns] reading. *)
+(* A call's latency, into client [rc]'s histogram of the serving shard:
+   its response's [st_resp_us] less its start, an [Obs.Clock.now_ns]
+   reading. *)
 let record_lat rc (s : _ Client.stamp) ~start_ns =
   let shard =
-    if s.st_shard < 0 || s.st_shard >= Array.length rc.shard_hdrs then 0
-    else s.st_shard
+    if s.st_shard < 0 || s.st_shard >= Array.length rc then 0 else s.st_shard
   in
-  let ns = int_of_float (s.st_resp_us *. 1e3) - start_ns in
-  Obs.Hdr.record rc.g_hdr ns;
-  Obs.Hdr.record rc.shard_hdrs.(shard) ns
+  Obs.Hdr.record rc.(shard) (int_of_float (s.st_resp_us *. 1e3) - start_ns)
 
 (* Open-loop schedule: client [i]'s [call]-th request is due at
    [t0 + (call + i/clients) * clients/rate] — clients interleave evenly
@@ -254,19 +246,19 @@ module Drive (C : Client.S) = struct
       let ts = Obs.Timeseries.create ~interval_us:tel.tel_interval_us () in
       (match setup.attach with Some f -> f ts | None -> ());
       (* the load generator's own live series, from the merged HDRs *)
-      let pct hdr p () = us_of_ns (Obs.Hdr.percentile (merged rcs hdr) p) in
+      let pct snap p () = us_of_ns (Obs.Hdr.percentile (snap ()) p) in
       for i = 0 to num_shards - 1 do
         let name = Printf.sprintf "s%d.lat_p%s_us" i in
-        let hdr rc = rc.shard_hdrs.(i) in
-        Obs.Timeseries.add_source ts ~name:(name "50") (pct hdr 50.);
-        Obs.Timeseries.add_source ts ~name:(name "99") (pct hdr 99.)
+        let shard () = merged_shard rcs i in
+        Obs.Timeseries.add_source ts ~name:(name "50") (pct shard 50.);
+        Obs.Timeseries.add_source ts ~name:(name "99") (pct shard 99.)
       done;
-      let all rc = rc.g_hdr in
+      let all () = merged_all rcs in
       Obs.Timeseries.add_source ts ~name:"lat.p50_us" (pct all 50.);
       Obs.Timeseries.add_source ts ~name:"lat.p99_us" (pct all 99.);
       Obs.Timeseries.add_source ts ~name:"lat.p999_us" (pct all 99.9);
       Obs.Timeseries.add_source ts ~name:"lg.completed" (fun () ->
-          float_of_int (Obs.Hdr.count (merged rcs all)));
+          float_of_int (Obs.Hdr.count (all ())));
       Obs.Timeseries.start ~append:tel.tel_append ~out:tel.tel_out ts;
       Some ts
 
@@ -440,7 +432,10 @@ module Drive (C : Client.S) = struct
     let num_shards = max 1 setup.num_shards in
     let drive () =
       validate cfg;
-      let rcs = Array.init cfg.clients (fun _ -> make_recorder num_shards) in
+      let rcs =
+        Array.init cfg.clients (fun _ ->
+            Array.init num_shards (fun _ -> Obs.Hdr.create ()))
+      in
       let log = make_log (cfg.clients * cfg.requests_per_client) in
       let ts = start_telemetry setup cfg rcs ~num_shards in
       match collect setup cfg log rcs with
@@ -468,9 +463,8 @@ module Drive (C : Client.S) = struct
         Obs.Timeseries.stop ts;
         (Obs.Timeseries.samples ts, Obs.Timeseries.stalls ts)
     in
-    let shard_snap i = merged rcs (fun rc -> rc.shard_hdrs.(i)) in
-    report_of setup log ~elapsed ~gsnap:(merged rcs (fun rc -> rc.g_hdr))
-      ~shard_snaps:(Array.init num_shards shard_snap)
+    report_of setup log ~elapsed ~gsnap:(merged_all rcs)
+      ~shard_snaps:(Array.init num_shards (merged_shard rcs))
       ~stats ~tel_samples ~tel_stalls
 end
 

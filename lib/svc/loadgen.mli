@@ -25,9 +25,12 @@
       is still bounded by [pipeline].
 
     Latencies are recorded live, in integer nanoseconds, into
-    single-writer {!Obs.Hdr} histograms that each client owns (one plain
-    increment per record), and the report's p50/p90/p99/p99.9/max come
-    from the lossless merge of the clients' snapshots.
+    single-writer {!Obs.Hdr} histograms that each client owns, one per
+    serving shard: each call is recorded once, into its shard's (one
+    plain increment).  A shard's p50/p99 come from the lossless merge of
+    every client's histograms of that shard, and the run's
+    p50/p90/p99/p99.9/max and live [lat.*] series from the merge of them
+    all.
 
     Every request's submit/response order is recorded against the global
     tick, so the report carries a {!Timestamp.Checker.check_calls} verdict

@@ -581,10 +581,10 @@ let stop_sys ~mutant ~n =
    run's done flags and then wakes once: read parked, and if it is
    raised, CAS it down and set the token — [Park.wake].  The waiter
    (pid 1) awaits the records in order within one call, as
-   [Client.Inproc.stamp_batch] does: per record one poll (the spin,
-   collapsed to a single read), then park — raise parked, re-check the
-   flag, and only if it is still clear await the token, consume it,
-   lower parked and check again.
+   [Client.Inproc.stamp_batch] does: per record one check ([Park.wait]'s
+   first read), then park — raise parked, re-check the flag, and only if
+   it is still clear await the token, consume it, lower parked and check
+   again.
 
    The leaf check is the liveness claim: at a maximal configuration the
    waiter is not blocked, so no wakeup was lost.  A lost wakeup leaves the

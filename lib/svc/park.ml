@@ -23,16 +23,6 @@ type t = {
   mutable token : bool;  (* a wake not yet consumed; under [lock] *)
 }
 
-(* Polls of the condition before parking.  Parking and waking cost a
-   futex round trip on top of a context switch; a few polls let a
-   back-to-back completion skip both.  Chosen by measuring the
-   wire-stamp and oneshot-inproc workloads on a 2-vCPU host: 0, 50 and
-   300 polls were indistinguishable within the host's run-to-run noise;
-   2000 cut p50 by 10-25% but raised CPU per stamp by 7-25% on
-   wire-stamp and by 18-48% on oneshot-inproc, where the spinning client
-   shares the two cores with the worker. *)
-let spin = 50
-
 let create () =
   { parked = Atomic.make false; lock = Mutex.create ();
     cond = Condition.create (); token = false }
@@ -65,12 +55,5 @@ let rec park t ready x =
     if not (ready x) then park t ready x
   end
 
-let rec wait_spin t ready x k =
-  if not (ready x) then
-    if k > 0 then begin
-      Domain.cpu_relax ();
-      wait_spin t ready x (k - 1)
-    end
-    else park t ready x
-
-let wait t ready x = wait_spin t ready x spin
+(* No spin before parking: 2000 polls cost 7-48% more CPU per stamp. *)
+let wait t ready x = if not (ready x) then park t ready x

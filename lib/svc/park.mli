@@ -15,10 +15,9 @@ type t
 val create : unit -> t
 
 val wait : t -> ('a -> bool) -> 'a -> unit
-(** [wait t ready x] returns once [ready x] holds: a few polls (a
-    constant measured on the benchmark workloads), then
-    park-and-recheck rounds.  Allocates nothing when [ready] is a
-    closed (top-level) function. *)
+(** [wait t ready x] returns once [ready x] holds: one check, then
+    park-and-recheck rounds, with no spin between.  Allocates nothing
+    when [ready] is a closed (top-level) function. *)
 
 val wake : t -> unit
 (** Signal the waiter if it is parked; otherwise one atomic load.  Call

@@ -106,8 +106,8 @@ module Make (T : Timestamp.Intf.S) : sig
       service has exhausted its [n] process ids. *)
 
   val await : ticket -> resp
-  (** Waits for the response ({!Park.wait} on the session's park: a
-      brief spin, then blocked until the worker's wake), then copies it
+  (** Waits for the response ({!Park.wait} on the session's park:
+      blocked until the worker's wake), then copies it
       out into a fresh record.  Does not recycle the ticket — call
       {!release} afterwards to return it to the session pool. *)
 

@@ -599,6 +599,51 @@ let wire_end_to_end () =
   Srv.stop srv;
   Util.check_bool "socket path unlinked" false (Sys.file_exists path)
 
+(* Each I/O loop counts its own traffic.  Four connections made in
+   order get ids 0-3, which land on loops 0, 1, 0, 1; the Stats reply
+   then holds one entry per loop, each with that loop's live
+   connections, requests (every handshake Ping and the Stats itself
+   included), stamps (a lease's ticks included) and leases, and the
+   shutdown summary's request count is their sum. *)
+let wire_stats_per_loop () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let module C = Net.Client.Make (Timestamp.Lamport) in
+  let addr = Net.Conn.Unix_path (sock_path ()) in
+  let srv = Srv.start ~io_threads:2 ~addr ~n:4 () in
+  Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
+  let c0 = C.connect addr in
+  let c1 = C.connect addr in
+  let c2 = C.connect ~lease:4 addr in
+  let c3 = C.connect addr in
+  let stamp_on loop c k =
+    for _ = 1 to k do
+      Util.check_int "served by the loop its id maps to" loop
+        (C.stamp c).st_shard
+    done
+  in
+  stamp_on 0 c0 3;
+  stamp_on 1 c1 5;
+  stamp_on 0 c2 2;  (* one Get_range 4 *)
+  stamp_on 1 c3 1;
+  let _, conns = C.stats c3 in
+  (* loop 0: c0 Ping + 3 stamps, c2 Ping + 1 lease of 4 ticks;
+     loop 1: c1 Ping + 5 stamps, c3 Ping + 1 stamp + Stats *)
+  Alcotest.(check (list (list int)))
+    "one entry per loop: slot, conns, requests, stamps, leases"
+    [ [ 0; 2; 6; 7; 1 ]; [ 1; 2; 9; 6; 0 ] ]
+    (List.map
+       (fun (k : Net.Frame.conn_stat) ->
+          [ k.cn_slot; k.cn_conns; k.cn_requests; k.cn_stamps; k.cn_leases ])
+       conns);
+  List.iter C.close [ c0; c1; c2; c3 ];
+  Srv.stop srv;
+  Util.check_int "requests_total sums the loops' entries"
+    (List.fold_left (fun a (k : Net.Frame.conn_stat) -> a + k.cn_requests) 0
+       conns)
+    (Srv.requests_total srv);
+  Util.check_int "conns_total counts every accept" 4 (Srv.conns_total srv);
+  Util.check_int "no connection left live" 0 (Srv.live_conns srv)
+
 (* A loop is one of the object's n processes and a connection holds no
    pid, so connections come and go for the server's whole life: with
    n = 2 and one loop, 50 connections one after another (every fifth on
@@ -1484,7 +1529,7 @@ let check_no_thread_spawned label before after =
 (* Connection churn: 200 sequential connect/close cycles must not grow
    the process's thread count (the PR-9 design leaked one handler
    domain per connection ever accepted), nor may a lease, and the
-   telemetry table stays at its four slots with the live count
+   telemetry table stays at one group per I/O loop with the live count
    draining back to zero. *)
 let wire_churn_bounded () =
   let module Srv = Net.Server.Make (Timestamp.Efr) in
@@ -1500,7 +1545,7 @@ let wire_churn_bounded () =
   check_no_thread_spawned "no thread spawned by churn" th0 (os_threads ());
   Util.check_int "conns accounted" 200 (Srv.conns_total srv);
   let sources = Srv.net_sources srv in
-  Util.check_int "gauge table capped at four slots" (4 * 6)
+  Util.check_int "one gauge group of six per loop" (6 * Srv.domains srv)
     (List.length sources);
   let live_gauges () =
     List.fold_left
@@ -1520,7 +1565,7 @@ let wire_churn_bounded () =
     Unix.sleepf 0.01
   done;
   Util.check_int "live connections drained" 0 (Srv.live_conns srv);
-  Util.check_bool "live slot gauges drained" true (live_gauges () = 0.);
+  Util.check_bool "live loop gauges drained" true (live_gauges () = 0.);
   (* a lease's anchor runs on the loop that asked *)
   let th1 = os_threads () in
   let c = C.connect ~lease:4 addr in
@@ -1545,7 +1590,7 @@ let wire_idle_server_parks () =
     ignore (C.stamp c);
     ignore (C.stamp leased)
   done;
-  Unix.sleepf 0.05;  (* let every waiter finish its spin and park *)
+  Unix.sleepf 0.05;  (* let every waiter park *)
   let ms = Util.idle_cpu_ms 0.5 in
   C.close c;
   C.close leased;
@@ -1805,6 +1850,8 @@ let suite =
         client_reads_any_chunking;
       Util.case "conn: address parsing" addr_parsing;
       Util.case "wire: end-to-end over a unix socket" wire_end_to_end;
+      Util.case "wire: Stats reports one entry per I/O loop"
+        wire_stats_per_loop;
       Util.case "wire: frames split across byte-sized reads"
         wire_split_frames;
       Util.case "wire: pipelined burst straddles the read buffer"

@@ -294,7 +294,7 @@ let idle_service_parks () =
   for _ = 1 to 50 do
     ignore (S.get_ts session)
   done;
-  Unix.sleepf 0.05;  (* let every waiter finish its spin and park *)
+  Unix.sleepf 0.05;  (* let every waiter park *)
   let ms = Util.idle_cpu_ms 0.5 in
   S.stop svc;
   Util.check_bool
