@@ -26,51 +26,99 @@ type 'r timed = {
   td_ts : 'r;
 }
 
-(* The permutation of [0 .. n-1] that orders [keys], ties in index
-   order: a least-significant-digit radix sort whose passes are stable
-   counting sorts on 11-bit digits of [k - lo], [lo] the least key.
-   [k - lo] wraps past [max_int] when the keys span more than 2^62, but
-   read as an unsigned 63-bit number it is still the exact offset, and
-   [lsr] takes that number apart; so every pass is a counting sort over
-   2048 buckets, and a span of [b] bits takes ceil(b / 11) <= 6 passes. *)
+(* The permutations of [0 .. n-1] that order two columns of keys, ties
+   in index order, through one count array.  A column whose keys span
+   fewer than [2n] values, as the ticks of one counter do, takes one
+   stable counting sort over [k - lo], [lo] its least key.  A wider one
+   takes a least-significant-digit radix sort whose passes are stable
+   counting sorts on 11-bit digits of [k - lo]: [k - lo] wraps past
+   [max_int] when the keys span more than 2^62, but read as an unsigned
+   63-bit number it is still the exact offset, and [lsr] takes that
+   number apart, so a span of [b] bits takes ceil(b / 11) <= 6 passes.
+   A stable sort has one result, so the two ways agree. *)
 let digit_bits = 11
 
-let sort_by keys =
+let radix = 1 lsl digit_bits
+
+(* The least key and the span [hi - lo], in one pass. *)
+let span_of keys =
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
+  done;
+  (!lo, !hi - !lo)
+
+(* [span] is negative when it wraps past [max_int]. *)
+let dense n span = span >= 0 && span < 2 * n
+
+(* Turns the counts [count.(0 .. width - 1)] into each digit's first
+   position. *)
+let offsets count width =
+  let total = ref 0 in
+  for d = 0 to width - 1 do
+    let c = count.(d) in
+    count.(d) <- !total;
+    total := !total + c
+  done
+
+(* One counting sort over [count.(0 .. span)]: count, offsets, then
+   scatter the calls straight from index order. *)
+let counting_sort keys ~lo ~span count perm =
+  Array.fill count 0 (span + 1) 0;
+  for i = 0 to Array.length keys - 1 do
+    let d = keys.(i) - lo in
+    count.(d) <- count.(d) + 1
+  done;
+  offsets count (span + 1);
+  for i = 0 to Array.length keys - 1 do
+    let d = keys.(i) - lo in
+    perm.(count.(d)) <- i;
+    count.(d) <- count.(d) + 1
+  done
+
+(* The passes alternate between [perm] and a second array, starting in
+   whichever makes the last one land in [perm]; the first scatters the
+   calls from index order. *)
+let radix_sort keys ~lo ~span count perm =
   let n = Array.length keys in
-  let src = ref (Array.init n Fun.id) in
-  if n > 1 then begin
-    let lo = Array.fold_left Int.min max_int keys in
-    let span = ref (Array.fold_left Int.max min_int keys - lo) in
-    let dst = ref (Array.make n 0) in
-    let count = Array.make (1 lsl digit_bits) 0 in
-    let mask = (1 lsl digit_bits) - 1 in
-    let shift = ref 0 in
-    while !span <> 0 do
-      let a = !src and b = !dst and s = !shift in
-      Array.fill count 0 (Array.length count) 0;
-      for i = 0 to n - 1 do
-        let d = ((keys.(i) - lo) lsr s) land mask in
-        count.(d) <- count.(d) + 1
-      done;
-      let total = ref 0 in
-      for d = 0 to mask do
-        let c = count.(d) in
-        count.(d) <- !total;
-        total := !total + c
-      done;
-      for k = 0 to n - 1 do
-        let i = a.(k) in
-        let d = ((keys.(i) - lo) lsr s) land mask in
-        b.(count.(d)) <- i;
-        count.(d) <- count.(d) + 1
-      done;
-      src := b;
-      dst := a;
-      shift := s + digit_bits;
-      span := !span lsr digit_bits
+  let passes = ref 0 and rest = ref span in
+  while !rest <> 0 do
+    incr passes;
+    rest := !rest lsr digit_bits
+  done;
+  let other = Array.make n 0 and mask = radix - 1 in
+  for p = 0 to !passes - 1 do
+    let dst = if (!passes - p) land 1 = 1 then perm else other in
+    let src = if dst == perm then other else perm in
+    let s = p * digit_bits in
+    Array.fill count 0 radix 0;
+    for i = 0 to n - 1 do
+      let d = ((keys.(i) - lo) lsr s) land mask in
+      count.(d) <- count.(d) + 1
+    done;
+    offsets count radix;
+    for k = 0 to n - 1 do
+      let i = if p = 0 then k else src.(k) in
+      let d = ((keys.(i) - lo) lsr s) land mask in
+      dst.(count.(d)) <- i;
+      count.(d) <- count.(d) + 1
     done
-  end;
-  !src
+  done
+
+let sort_both a b =
+  let n = Array.length a in
+  let lo_a, span_a = span_of a and lo_b, span_b = span_of b in
+  let width span = if dense n span then span + 1 else radix in
+  let count = Array.make (Int.max (width span_a) (width span_b)) 0 in
+  let sort keys ~lo ~span =
+    let perm = Array.make n 0 in
+    (if dense n span then counting_sort else radix_sort) keys ~lo ~span count
+      perm;
+    perm
+  in
+  (sort a ~lo:lo_a ~span:span_a, sort b ~lo:lo_b ~span:span_b)
 
 (* Sorting by end tick and sweeping by start tick: for [o2] in ascending
    start order, the calls with an end tick below [o2]'s start form a
@@ -106,7 +154,7 @@ let check_calls (type r) ~order ~compare_ts
       raise (violation i j "happens before, but compare(t2,t1)=true")
   in
   let sweep ~add ~against =
-    let by_end = sort_by ends and by_start = sort_by starts in
+    let by_end, by_start = sort_both ends starts in
     for k = 1 to n - 1 do
       if ends.(by_end.(k - 1)) = ends.(by_end.(k)) then
         raise (violation by_end.(k - 1) by_end.(k) shared_end)

@@ -66,10 +66,12 @@ val check_calls :
       O(n{^ 2}).  It sorts nothing, and is the oracle the other paths
       are tested against.
     - The other two sort the calls by end tick and by start tick with a
-      stable radix sort (at most 6 linear passes over any int ticks),
-      compare each end tick with the next in that order, and sweep the
-      calls by start tick: the calls that happen before the current one
-      form a growing prefix of the end order.
+      stable sort: one counting sort for a column whose ticks span fewer
+      than [2n] values, as one counter's do, and at most 6 radix passes
+      over any other int ticks.  They compare each end tick with the
+      next in that order, and sweep the calls by start tick: the calls
+      that happen before the current one form a growing prefix of the
+      end order.
     - [`Strict_weak] keeps [top], a maximal element of the prefix
       (replaced by [x] when [compare_ts top x]), and compares the current
       call with [top] only: O(n) compares.  In a strict weak order every
@@ -107,5 +109,6 @@ val check_sim :
     sweep, whatever [T.order] declares: the scan assumes nothing of
     [T.compare_ts], whose faults fuzzing and exploration exist to find;
     a simulated history holds at most a few hundred calls; and each
-    sweep allocates two 2048-word radix count arrays, which every
-    explored leaf would pay. *)
+    sweep allocates two [n]-word orders and, for a history this size, a
+    count array of up to 2048 words, which every explored leaf would
+    pay. *)

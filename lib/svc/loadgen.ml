@@ -70,13 +70,17 @@ type report = {
    of its own for the call's serving shard: single-writer, plain
    increments, no allocation.  A shard's percentiles come from the
    lossless merge of every client's histograms of that shard, and the
-   run's from the merge of them all. *)
+   run's from the merge of the shards' snapshots, so each histogram is
+   summed once. *)
 let us_of_ns ns = ns /. 1e3
 
 (* [rcs.(c).(i)] is client [c]'s histogram of shard [i] (0 unsharded). *)
 let merged_shard rcs i = Obs.Hdr.merged (Array.map (fun rc -> rc.(i)) rcs)
 
-let merged_all rcs = Obs.Hdr.merged (Array.concat (Array.to_list rcs))
+(* [snaps] holds at least one shard's snapshot. *)
+let merged_run snaps =
+  Array.fold_left Obs.Hdr.merge snaps.(0)
+    (Array.sub snaps 1 (Array.length snaps - 1))
 
 (* A call's latency, into client [rc]'s histogram of the serving shard:
    its response's [st_resp_us] less its start, an [Obs.Clock.now_ns]
@@ -253,7 +257,7 @@ module Drive (C : Client.S) = struct
         Obs.Timeseries.add_source ts ~name:(name "50") (pct shard 50.);
         Obs.Timeseries.add_source ts ~name:(name "99") (pct shard 99.)
       done;
-      let all () = merged_all rcs in
+      let all () = merged_run (Array.init num_shards (merged_shard rcs)) in
       Obs.Timeseries.add_source ts ~name:"lat.p50_us" (pct all 50.);
       Obs.Timeseries.add_source ts ~name:"lat.p99_us" (pct all 99.);
       Obs.Timeseries.add_source ts ~name:"lat.p999_us" (pct all 99.9);
@@ -369,7 +373,7 @@ module Drive (C : Client.S) = struct
 
   (* Build the standard report from the columns and the histogram
      snapshots; runs the happens-before check over every call. *)
-  let report_of setup log ~elapsed ~gsnap ~shard_snaps ~stats ~tel_samples
+  let report_of setup log ~elapsed ~shard_snaps ~stats ~tel_samples
       ~tel_stalls =
     let total = Array.length log.ends in
     let stamps = Option.value (Atomic.get log.stamps) ~default:[||] in
@@ -387,6 +391,7 @@ module Drive (C : Client.S) = struct
         (0, Some (Format.asprintf "%a" Timestamp.Checker.pp_violation v))
     in
     let check_s = Obs.Clock.elapsed_s t_check in
+    let gsnap = merged_run shard_snaps in
     let gpct p = us_of_ns (Obs.Hdr.percentile gsnap p) in
     let num_shards = Array.length shard_snaps in
     let shard_report i =
@@ -463,7 +468,7 @@ module Drive (C : Client.S) = struct
         Obs.Timeseries.stop ts;
         (Obs.Timeseries.samples ts, Obs.Timeseries.stalls ts)
     in
-    report_of setup log ~elapsed ~gsnap:(merged_all rcs)
+    report_of setup log ~elapsed
       ~shard_snaps:(Array.init num_shards (merged_shard rcs))
       ~stats ~tel_samples ~tel_stalls
 end

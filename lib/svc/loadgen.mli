@@ -40,8 +40,8 @@
     place: a client keeps no fresh block per call, so its minor
     collections promote nothing but the stamps that are blocks.  The
     implementation's declared order ({!Timestamp.Intf.order}) picks the
-    checker path: a radix-sorted sweep for a strict weak or strict
-    partial order, the exhaustive pair scan otherwise.
+    checker path: a sweep over the calls sorted by tick for a strict
+    weak or strict partial order, the exhaustive pair scan otherwise.
 
     With [telemetry = Some _], the run starts an {!Obs.Timeseries}
     sampler over the generator's own [lat.p50_us]/[lat.p99_us]/

@@ -363,6 +363,125 @@ let void_witness_fails_every_path =
          [ `Strict_weak; `Strict_partial ]
        && reason `General shared <> None)
 
+(* The sweeps sort a column spanning fewer than 2n ticks with one
+   counting sort and a wider one with radix passes, and a stable sort
+   has one result, so the two must give one answer.  Each history is
+   checked twice: with its ticks replaced by their ranks among the
+   history's ticks (at most 2n values, so always the counting sort), and
+   with those ranks spread by a step of 2^40, or of [max_int / 51] up
+   from near [min_int], so that any two distinct ticks lie more than
+   2^40 apart (past 2^62 for the second step: always the radix passes,
+   a column of one tick aside).  Both sweeps must return the same
+   verdict, pair count and whole violation, on the first rank as an int
+   stamp, and the frontier on both ranks as a vector too. *)
+let sorts_agree =
+  Util.qtest ~count:3000
+    "counting and radix sorts give both sweeps one answer"
+    QCheck2.Gen.(
+      pair (gen_history ~dims:2)
+        (oneof
+           [ pair (int_range (-(1 lsl 50)) (1 lsl 50)) (pure (1 lsl 40));
+             map (fun o -> (min_int + o, max_int / 51)) (int_bound 1000) ]))
+    (fun (history, (base, step)) ->
+       let rank = Hashtbl.create 97 in
+       List.sort_uniq Int.compare
+         (List.concat_map (fun (start, stop, _) -> [ start; stop ]) history)
+       |> List.iteri (fun r t -> Hashtbl.replace rank t r);
+       let mapped f =
+         List.map
+           (fun (start, stop, r) ->
+              (f (Hashtbl.find rank start), f (Hashtbl.find rank stop), r))
+           history
+       in
+       let dense = mapped Fun.id
+       and wide = mapped (fun r -> base + (r * step)) in
+       let agree ~compare_ts ~pp stamp order =
+         let check history =
+           Timestamp.Checker.check_timed ~order ~compare_ts ~pp
+             (List.mapi
+                (fun pid (td_start, td_end, r) ->
+                   { Timestamp.Checker.td_pid = pid; td_call = 0; td_start;
+                     td_end; td_ts = stamp r })
+                history)
+         in
+         check dense = check wide
+       in
+       let int_stamp =
+         agree ~compare_ts:( < ) ~pp:Format.pp_print_int List.hd
+       in
+       int_stamp `Strict_weak && int_stamp `Strict_partial
+       && agree ~compare_ts:Timestamp.Vector_ts.compare_ts
+         ~pp:Timestamp.Vector_ts.pp_ts Array.of_list `Strict_partial)
+
+(* A closed loop on one tick counter, as [Svc.Loadgen] drives one: two
+   clients, each issuing its calls in bursts of 8.  A burst's calls read
+   their start tick when it is issued, and a call takes the next end
+   tick when it completes; a fixed pseudo-random pattern picks which
+   client steps next.  A call's stamp is its end tick.  Client [c]'s
+   [k]-th call is at [c * calls / 2 + k]. *)
+let closed_loop ~calls =
+  let per_client = calls / 2 in
+  let starts = Array.make calls 0 and ends = Array.make calls 0 in
+  let completed = [| 0; 0 |] and issued = [| 0; 0 |] in
+  let tick = ref 0 and seed = ref 1 in
+  let step c =
+    let at = (c * per_client) + completed.(c) in
+    if completed.(c) = issued.(c) then begin
+      issued.(c) <- min per_client (issued.(c) + 8);
+      Array.fill starts at (issued.(c) - completed.(c)) !tick
+    end
+    else begin
+      ends.(at) <- !tick;
+      incr tick;
+      completed.(c) <- completed.(c) + 1
+    end
+  in
+  while completed.(0) < per_client || completed.(1) < per_client do
+    seed := ((!seed * 1103515245) + 12345) land 0x3fffffff;
+    let c = (!seed lsr 16) land 1 in
+    step (if completed.(c) < per_client then c else 1 - c)
+  done;
+  (starts, ends)
+
+(* Its end ticks are [0 .. n-1], their own ranks, so a call has exactly
+   its start tick's worth of calls ended before it starts; spread by
+   2^40 they take the radix passes.  It checks OK with that pair count
+   on both sweeps, and with the stamps of two ordered calls of client 0
+   swapped, both tick maps report one violation. *)
+let closed_loop_at_scale () =
+  let calls = 100_000 in
+  let starts, ends = closed_loop ~calls in
+  let op i = { Shm.History.pid = i / (calls / 2); call = i mod (calls / 2) } in
+  let check order ~spread stamps =
+    let map = Array.map (fun t -> t * spread) in
+    Timestamp.Checker.check_calls ~order ~compare_ts:( < )
+      ~pp:Format.pp_print_int ~op ~starts:(map starts) ~ends:(map ends) stamps
+  in
+  let planted = Array.copy ends in
+  planted.(100) <- ends.((calls / 2) - 100);
+  planted.((calls / 2) - 100) <- ends.(100);
+  List.iter
+    (fun order ->
+       List.iter
+         (fun spread ->
+            match check order ~spread ends with
+            | Ok pairs ->
+              Util.check_int "pairs" (Array.fold_left ( + ) 0 starts) pairs
+            | Error v ->
+              Alcotest.failf "should accept: %a" Timestamp.Checker.pp_violation
+                v)
+         [ 1; 1 lsl 40 ];
+       match
+         (check order ~spread:1 planted, check order ~spread:(1 lsl 40) planted)
+       with
+       | Error dense, Error wide ->
+         Alcotest.(check string) "reason"
+           "happens before, but compare(t1,t2)=false" dense.reason;
+         Alcotest.(check bool) "one violation under both tick maps" true
+           (dense = wide)
+       | _ -> Alcotest.fail "the planted inversion must be reported")
+    [ `Strict_weak; `Strict_partial ]
+
 (* Differential property on real implementations: on random staggered
    simulator runs, [check_sim]'s scan and [check_calls] on the
    implementation's declared order, over the same intervals, return the
@@ -434,7 +553,8 @@ let differential =
          (fun m -> Efr.Even m :: List.map (fun c -> Efr.Odd (m, c)) (range 5))
          (range 30));
     frontier_matches_scan;
-    void_witness_fails_every_path ]
+    void_witness_fails_every_path;
+    sorts_agree ]
   @ List.map sim_matches_declared Timestamp.Registry.all
 
 let suite =
@@ -456,5 +576,7 @@ let suite =
       Util.case "timed: detects reflexive compare"
         (on_every_path timed_detects_reflexive_compare);
       Util.case "timed: rejects a shared end tick and a start past its end"
-        (on_every_path timed_rejects_void_witness) ]
+        (on_every_path timed_rejects_void_witness);
+      Util.case "timed: a 10^5-call closed loop, dense and spread"
+        closed_loop_at_scale ]
     @ differential )
